@@ -118,7 +118,11 @@ def true_balance(token, owner: bytes) -> int:
 
 
 def effective_balances(token) -> dict[bytes, int]:
-    """Nonzero balances by address, regardless of implementation."""
+    """Nonzero balances by address, regardless of implementation.
+
+    For the accumulator token this sums every tuple an owner holds, as
+    ``true_balance`` does, so a second tuple shows instead of overwriting.
+    """
     if isinstance(token, BaselineToken):
         return {a: v for a, v in token.balances.items() if v}
     assert isinstance(token, TokenSystem)
@@ -129,9 +133,8 @@ def effective_balances(token) -> dict[bytes, int]:
     out = {}
     for element in memory.elements.values():
         owner, amount = decode_balance_element(element)
-        if amount:
-            out[owner] = amount
-    return out
+        out[owner] = out.get(owner, 0) + amount
+    return {owner: amount for owner, amount in out.items() if amount}
 
 
 def effective_allowances(token) -> dict[tuple[bytes, bytes], int]:
@@ -145,6 +148,5 @@ def effective_allowances(token) -> dict[tuple[bytes, bytes], int]:
     out = {}
     for element in memory.elements.values():
         owner, spender, amount = decode_allowance_element(element)
-        if amount:
-            out[(owner, spender)] = amount
-    return out
+        out[(owner, spender)] = out.get((owner, spender), 0) + amount
+    return {pair: amount for pair, amount in out.items() if amount}

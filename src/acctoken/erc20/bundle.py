@@ -33,6 +33,8 @@ from ..errors import BundleSchemaMismatch, InvalidProof, WitnessDecodeError
 BALANCES = "balances"
 ALLOWED_ADDRESSES = "allowed-addresses"
 ALLOWED_BALANCES = "allowed-balances"
+#: Canonical accumulator order; contract state, reads and writes follow it.
+ACCUMULATORS = (BALANCES, ALLOWED_ADDRESSES, ALLOWED_BALANCES)
 
 _ACC_NIBBLE = {BALANCES: 0x10, ALLOWED_ADDRESSES: 0x20, ALLOWED_BALANCES: 0x30}
 _ACC_BY_NIBBLE = {v: k for k, v in _ACC_NIBBLE.items()}
@@ -42,7 +44,8 @@ NON_MEMBER = 0x2
 UPDATE_ADD = 0x3
 UPDATE_DEL = 0x4
 
-_UPDATE_CLAIMS = (UPDATE_ADD, UPDATE_DEL)
+#: The storage operation behind each update claim; other claims are memberships.
+STORAGE_OP = {UPDATE_ADD: "add", UPDATE_DEL: "del"}
 
 
 class OpTag(IntEnum):
@@ -67,7 +70,7 @@ def purpose_claim(p: int) -> int:
 
 
 def is_update_purpose(p: int) -> bool:
-    return purpose_claim(p) in _UPDATE_CLAIMS
+    return purpose_claim(p) in STORAGE_OP
 
 
 @dataclass
@@ -154,7 +157,7 @@ def decode_bundle(data: bytes) -> ProofBundle:
             raise InvalidProof(index, str(exc)) from None
         off += wlen
         claimed_after = None
-        if purpose_claim(p) in _UPDATE_CLAIMS:
+        if purpose_claim(p) in STORAGE_OP:
             claimed_after = data[off : off + DIGEST_BYTES]
             if len(claimed_after) != DIGEST_BYTES:
                 raise BundleSchemaMismatch(f"bundle truncated at entry {index}")
@@ -164,84 +167,3 @@ def decode_bundle(data: bytes) -> ProofBundle:
         raise BundleSchemaMismatch("trailing bytes after final entry")
     return ProofBundle(op, entries)
 
-
-# -- operation schemas --------------------------------------------------------
-
-def _p(acc: str, claim: int) -> int:
-    return purpose(acc, claim)
-
-
-TRANSFER_STANDARD = (
-    _p(BALANCES, MEMBER),
-    _p(BALANCES, MEMBER),
-    _p(BALANCES, UPDATE_DEL),
-    _p(BALANCES, UPDATE_DEL),
-    _p(BALANCES, UPDATE_ADD),
-    _p(BALANCES, UPDATE_ADD),
-)
-TRANSFER_FRESH = (
-    _p(BALANCES, MEMBER),
-    _p(BALANCES, NON_MEMBER),
-    _p(BALANCES, UPDATE_DEL),
-    _p(BALANCES, UPDATE_ADD),
-    _p(BALANCES, UPDATE_ADD),
-)
-APPROVE_FIRST = (
-    _p(ALLOWED_ADDRESSES, NON_MEMBER),
-    _p(ALLOWED_ADDRESSES, UPDATE_ADD),
-    _p(ALLOWED_BALANCES, UPDATE_ADD),
-)
-APPROVE_AGAIN = (
-    _p(ALLOWED_BALANCES, MEMBER),
-    _p(ALLOWED_BALANCES, UPDATE_DEL),
-    _p(ALLOWED_BALANCES, UPDATE_ADD),
-)
-TRANSFER_FROM_STANDARD = (
-    _p(ALLOWED_ADDRESSES, MEMBER),
-    _p(ALLOWED_BALANCES, MEMBER),
-    _p(BALANCES, MEMBER),
-    _p(BALANCES, MEMBER),
-    _p(BALANCES, UPDATE_DEL),
-    _p(BALANCES, UPDATE_DEL),
-    _p(BALANCES, UPDATE_ADD),
-    _p(BALANCES, UPDATE_ADD),
-    _p(ALLOWED_BALANCES, UPDATE_DEL),
-    _p(ALLOWED_BALANCES, UPDATE_ADD),
-)
-TRANSFER_FROM_FRESH = (
-    _p(ALLOWED_ADDRESSES, MEMBER),
-    _p(ALLOWED_BALANCES, MEMBER),
-    _p(BALANCES, MEMBER),
-    _p(BALANCES, NON_MEMBER),
-    _p(BALANCES, UPDATE_DEL),
-    _p(BALANCES, UPDATE_ADD),
-    _p(BALANCES, UPDATE_ADD),
-    _p(ALLOWED_BALANCES, UPDATE_DEL),
-    _p(ALLOWED_BALANCES, UPDATE_ADD),
-)
-
-_SCHEMAS: dict[OpTag, dict[str, tuple[int, ...]]] = {
-    OpTag.TRANSFER: {"standard": TRANSFER_STANDARD, "fresh": TRANSFER_FRESH},
-    OpTag.APPROVE: {"first": APPROVE_FIRST, "again": APPROVE_AGAIN},
-    OpTag.TRANSFER_FROM: {"standard": TRANSFER_FROM_STANDARD, "fresh": TRANSFER_FROM_FRESH},
-}
-
-
-def updates_only(schema: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p for p in schema if is_update_purpose(p))
-
-
-def match_schema(bundle: ProofBundle, op: OpTag, lifted: bool = False) -> str:
-    """Return the variant name whose purpose sequence the bundle matches.
-
-    With ``lifted`` the (non)membership entries are expected to be absent
-    (the what-if mode that drops redundant Belongs verifications).
-    """
-    if bundle.op != op:
-        raise BundleSchemaMismatch(f"bundle op {bundle.op} does not match {op}")
-    got = bundle.purposes()
-    for variant, schema in _SCHEMAS[op].items():
-        expected = updates_only(schema) if lifted else schema
-        if got == expected:
-            return variant
-    raise BundleSchemaMismatch(f"entry purposes {tuple(hex(p) for p in got)} match no {op.name} schema")

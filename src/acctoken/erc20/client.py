@@ -8,16 +8,10 @@ exposes, in the same order the contract will verify and commit them.
 """
 
 from ..accumulator import BOTTOM, belongs, check_update, decode_witness
-from ..errors import (
-    BundleSchemaMismatch,
-    InsufficientAllowance,
-    InsufficientBalance,
-    NotApproved,
-    VerificationFailed,
-    WitnessDecodeError,
-)
+from ..errors import InsufficientBalance, NotApproved, VerificationFailed, WitnessDecodeError
 from ..storage import AccumulatorId, StorageNetwork
 from . import bundle as pb
+from . import plan
 from .bundle import BundleEntry, OpTag, ProofBundle
 from .contract import AccTokenContract
 from .elements import (
@@ -30,6 +24,57 @@ from .elements import (
     decode_balance_element,
     pair_element,
 )
+
+
+def _decode(payload: bytes, what: str):
+    try:
+        return decode_witness(payload)
+    except WitnessDecodeError as exc:
+        raise VerificationFailed(f"storage served an unparseable {what}: {exc}") from None
+
+
+class _Lookups:
+    """Amounts for a plan, read by storage lookups while one bundle is built.
+
+    Membership witnesses are fetched only after the prior tuple has been
+    looked up, so a guard on a spent amount fails before any fetch.
+    """
+
+    def __init__(self, client: "TokenClient"):
+        self.client = client
+        self.lookup = {pb.BALANCES: client._balance_entry, pb.ALLOWED_BALANCES: client._allowance_entry}
+        self.announced: list[int] = []
+        self.membership: list[BundleEntry] = []
+        self.unfetched: list[plan.Step] = []
+        self.prior_read = False
+
+    def spend(self, acc: str, *key: bytes) -> int:
+        amount = self.lookup[acc](*key)
+        if amount is None:
+            if acc == pb.ALLOWED_BALANCES:
+                raise NotApproved("spender was never approved by this owner")
+            raise InsufficientBalance("owner holds no balance tuple")
+        self.announced.append(amount)
+        return amount
+
+    def prior(self, acc: str, *key: bytes) -> int | None:
+        self.prior_read = True
+        self.fetch_due()
+        amount = self.lookup[acc](*key)
+        if amount is not None:
+            self.announced.append(amount)
+        return amount
+
+    def member(self, step: plan.Step):
+        self.unfetched.append(step)
+        if self.prior_read:
+            self.fetch_due()
+
+    def fetch_due(self):
+        for acc, claim, element in self.unfetched:
+            witness = self.client._fetch_verified(acc, element, 1 if claim == pb.MEMBER else 0)
+            self.membership.append(BundleEntry(pb.purpose(acc, claim), witness))
+        self.unfetched = []
 
 
 class TokenClient:
@@ -46,69 +91,58 @@ class TokenClient:
 
     # -- verified fetch helpers -------------------------------------------------
 
-    def _acc_value(self, name: str) -> bytes:
-        return self.contract.state.value_of(name)
+    def _fetch_verdict(self, name: str, element: bytes):
+        """Fetch a (non)membership witness; return it with its verdict."""
+        w = _decode(self.network.fetch_witness(self.acc_ids[name], element), "witness")
+        return w, belongs(self.contract.state.value_of(name), element, w)
 
     def _fetch_verified(self, name: str, element: bytes, want: int):
         """Fetch a (non)membership witness and insist on the expected verdict."""
-        payload = self.network.fetch_witness(self.acc_ids[name], element)
-        try:
-            w = decode_witness(payload)
-        except WitnessDecodeError as exc:
-            raise VerificationFailed(f"storage served an unparseable witness: {exc}") from None
-        verdict = belongs(self._acc_value(name), element, w)
+        w, verdict = self._fetch_verdict(name, element)
         if verdict is BOTTOM or verdict != want:
             raise VerificationFailed(
                 f"witness for {name} verified to {verdict!r}, expected {want}"
             )
         return w
 
-    def _balance_entry(self, owner: bytes) -> tuple[bytes, int] | None:
-        """The accumulated (owner, amount) tuple, or None if the owner has none."""
-        found = self.network.lookup(self.acc_ids[pb.BALANCES], balance_prefix(owner))
+    def _lookup_one(self, acc: str, prefix: bytes, decode):
+        """The decoded tuple stored under ``prefix``, or None if there is none."""
+        found = self.network.lookup(self.acc_ids[acc], prefix)
         if not found:
             return None
+        if len(found) > 1:
+            raise VerificationFailed(f"storage holds {len(found)} {acc} tuples under one key")
         try:
-            candidates = sorted(decode_balance_element(e) for e in found)
+            return decode(found[0])
         except ValueError as exc:
-            raise VerificationFailed(f"storage served a malformed balance tuple: {exc}") from None
-        addr, amount = candidates[0]
-        if addr != owner:
+            raise VerificationFailed(f"storage served a malformed {acc} tuple: {exc}") from None
+
+    def _balance_entry(self, owner: bytes) -> int | None:
+        """The owner's accumulated amount, or None if the owner holds no tuple."""
+        entry = self._lookup_one(pb.BALANCES, balance_prefix(owner), decode_balance_element)
+        if entry is not None and entry[0] != owner:
             raise VerificationFailed("storage answered a balance lookup for the wrong owner")
-        return addr, amount
+        return None if entry is None else entry[1]
 
     def _allowance_entry(self, owner: bytes, spender: bytes) -> int | None:
-        found = self.network.lookup(
-            self.acc_ids[pb.ALLOWED_BALANCES], allowance_prefix(owner, spender)
-        )
-        if not found:
-            return None
-        try:
-            amounts = sorted(decode_allowance_element(e)[2] for e in found)
-        except ValueError as exc:
-            raise VerificationFailed(f"storage served a malformed allowance: {exc}") from None
-        return amounts[0]
+        prefix = allowance_prefix(owner, spender)
+        entry = self._lookup_one(pb.ALLOWED_BALANCES, prefix, decode_allowance_element)
+        return None if entry is None else entry[2]
 
     # -- verified reads ------------------------------------------------------------
 
     def balance_of(self, owner: bytes) -> int:
         """Owner's balance, proven against the contract's current accumulator."""
-        entry = self._balance_entry(owner)
-        if entry is None:
+        amount = self._balance_entry(owner)
+        if amount is None:
             self._fetch_verified(pb.BALANCES, balance_element(owner, 0), 0)
             return 0
-        _, amount = entry
         self._fetch_verified(pb.BALANCES, balance_element(owner, amount), 1)
         return amount
 
     def allowance(self, owner: bytes, spender: bytes) -> int:
         """Spender's remaining allowance from owner, proven like balance_of."""
-        pair = pair_element(owner, spender)
-        payload = self.network.fetch_witness(self.acc_ids[pb.ALLOWED_ADDRESSES], pair)
-        try:
-            verdict = belongs(self._acc_value(pb.ALLOWED_ADDRESSES), pair, decode_witness(payload))
-        except WitnessDecodeError:
-            raise VerificationFailed("storage served an unparseable pair witness") from None
+        _, verdict = self._fetch_verdict(pb.ALLOWED_ADDRESSES, pair_element(owner, spender))
         if verdict == 0:
             return 0
         if verdict is BOTTOM:
@@ -119,199 +153,53 @@ class TokenClient:
         self._fetch_verified(pb.ALLOWED_BALANCES, allowance_element(owner, spender, amount), 1)
         return amount
 
-    # -- update chains ----------------------------------------------------------------
+    # -- bundle building ----------------------------------------------------------
 
-    def _chain(self, name: str, plan: list[tuple[str, bytes]]):
-        """Build update witnesses for ``plan``, each on top of the previous."""
-        acc_id = self.acc_ids[name]
-        entries = []
-        running = self._acc_value(name)
-        base: bytes | None = None
-        for op, element in plan:
-            predicted, payload = self.network.build_update_witness(acc_id, op, element, base=base)
-            try:
-                w = decode_witness(payload)
-            except WitnessDecodeError as exc:
-                raise VerificationFailed(f"storage served an unparseable update witness: {exc}") from None
+    def _build(self, op: OpTag, *args) -> ProofBundle:
+        """Walk the op's plan: membership fetches, then one update chain per accumulator.
+
+        Each update witness is simulated on top of the previous one for the
+        same accumulator, in the order the contract will verify and commit.
+        """
+        lookups = _Lookups(self)
+        _log, plan_steps = plan.PLANS[op](*args, lookups)
+        steps, updates = [], []
+        chained: dict[str, bytes] = {}  # accumulator -> predicted value so far
+        for step in plan_steps:
+            steps.append(step)
+            acc, claim, element = step
+            if claim not in pb.STORAGE_OP:
+                lookups.member(step)
+                continue
+            base = chained.get(acc)
+            predicted, payload = self.network.build_update_witness(
+                self.acc_ids[acc], pb.STORAGE_OP[claim], element, base=base
+            )
+            w = _decode(payload, "update witness")
+            running = self.contract.state.value_of(acc) if base is None else base
             if check_update(running, predicted, element, w) != 1:
-                raise VerificationFailed(f"update witness for {name} did not verify")
-            claim = pb.UPDATE_ADD if op == "add" else pb.UPDATE_DEL
-            entries.append(BundleEntry(pb.purpose(name, claim), w, predicted))
-            running = predicted
-            base = predicted
-        return entries
-
-    def _strip_if_lifted(self, membership_entries: list[BundleEntry]) -> list[BundleEntry]:
-        return [] if self.lift else membership_entries
-
-    # -- bundle builders ---------------------------------------------------------------
+                raise VerificationFailed(f"update witness for {acc} did not verify")
+            updates.append(BundleEntry(pb.purpose(acc, claim), w, predicted))
+            chained[acc] = predicted
+        return ProofBundle(
+            op,
+            ([] if self.lift else lookups.membership) + updates,
+            tuple(lookups.announced),
+            base_accs={name: self.contract.state.value_of(name) for name in plan.accumulators(steps)},
+        )
 
     def build_transfer(self, sender: bytes, to: bytes, tokens: int) -> ProofBundle:
         check_amount(tokens)
-        if sender == to:
-            raise BundleSchemaMismatch("transfer to self has no bundle schema")
-        entry = self._balance_entry(sender)
-        if entry is None:
-            raise InsufficientBalance("sender holds no balance tuple")
-        _, y1 = entry
-        if y1 < tokens:
-            raise InsufficientBalance(f"balance {y1} cannot cover {tokens}")
-        membership = [
-            BundleEntry(
-                pb.purpose(pb.BALANCES, pb.MEMBER),
-                self._fetch_verified(pb.BALANCES, balance_element(sender, y1), 1),
-            )
-        ]
-        to_entry = self._balance_entry(to)
-        if to_entry is None:
-            membership.append(
-                BundleEntry(
-                    pb.purpose(pb.BALANCES, pb.NON_MEMBER),
-                    self._fetch_verified(pb.BALANCES, balance_element(to, 0), 0),
-                )
-            )
-            announced = (y1,)
-            plan = [
-                ("del", balance_element(sender, y1)),
-                ("add", balance_element(sender, y1 - tokens)),
-                ("add", balance_element(to, tokens)),
-            ]
-        else:
-            _, y2 = to_entry
-            membership.append(
-                BundleEntry(
-                    pb.purpose(pb.BALANCES, pb.MEMBER),
-                    self._fetch_verified(pb.BALANCES, balance_element(to, y2), 1),
-                )
-            )
-            announced = (y1, y2)
-            plan = [
-                ("del", balance_element(sender, y1)),
-                ("del", balance_element(to, y2)),
-                ("add", balance_element(sender, y1 - tokens)),
-                ("add", balance_element(to, y2 + tokens)),
-            ]
-        entries = self._strip_if_lifted(membership) + self._chain(pb.BALANCES, plan)
-        return ProofBundle(
-            OpTag.TRANSFER,
-            entries,
-            announced,
-            base_accs={pb.BALANCES: self._acc_value(pb.BALANCES)},
-        )
+        plan.check_distinct(sender, to)
+        return self._build(OpTag.TRANSFER, sender, to, tokens)
 
     def build_approve(self, owner: bytes, spender: bytes, tokens: int) -> ProofBundle:
         check_amount(tokens)
-        pair = pair_element(owner, spender)
-        base_accs = {
-            pb.ALLOWED_ADDRESSES: self._acc_value(pb.ALLOWED_ADDRESSES),
-            pb.ALLOWED_BALANCES: self._acc_value(pb.ALLOWED_BALANCES),
-        }
-        old = self._allowance_entry(owner, spender)
-        if old is None:
-            # first approval for this pair
-            membership = [
-                BundleEntry(
-                    pb.purpose(pb.ALLOWED_ADDRESSES, pb.NON_MEMBER),
-                    self._fetch_verified(pb.ALLOWED_ADDRESSES, pair, 0),
-                )
-            ]
-            entries = (
-                self._strip_if_lifted(membership)
-                + self._chain(pb.ALLOWED_ADDRESSES, [("add", pair)])
-                + self._chain(pb.ALLOWED_BALANCES, [("add", allowance_element(owner, spender, tokens))])
-            )
-            return ProofBundle(OpTag.APPROVE, entries, (), base_accs=base_accs)
-        membership = [
-            BundleEntry(
-                pb.purpose(pb.ALLOWED_BALANCES, pb.MEMBER),
-                self._fetch_verified(pb.ALLOWED_BALANCES, allowance_element(owner, spender, old), 1),
-            )
-        ]
-        plan = [
-            ("del", allowance_element(owner, spender, old)),
-            ("add", allowance_element(owner, spender, tokens)),
-        ]
-        entries = self._strip_if_lifted(membership) + self._chain(pb.ALLOWED_BALANCES, plan)
-        return ProofBundle(OpTag.APPROVE, entries, (old,), base_accs=base_accs)
+        return self._build(OpTag.APPROVE, owner, spender, tokens)
 
     def build_transfer_from(
         self, spender: bytes, sender: bytes, to: bytes, tokens: int
     ) -> ProofBundle:
         check_amount(tokens)
-        if sender == to:
-            raise BundleSchemaMismatch("transfer to self has no bundle schema")
-        pair = pair_element(sender, spender)
-        allowed = self._allowance_entry(sender, spender)
-        if allowed is None:
-            raise NotApproved("spender was never approved by this owner")
-        if allowed < tokens:
-            raise InsufficientAllowance(f"allowance {allowed} cannot cover {tokens}")
-        entry = self._balance_entry(sender)
-        if entry is None:
-            raise InsufficientBalance("owner holds no balance tuple")
-        _, y1 = entry
-        if y1 < tokens:
-            raise InsufficientBalance(f"balance {y1} cannot cover {tokens}")
-        old_allowance = allowance_element(sender, spender, allowed)
-        membership = [
-            BundleEntry(
-                pb.purpose(pb.ALLOWED_ADDRESSES, pb.MEMBER),
-                self._fetch_verified(pb.ALLOWED_ADDRESSES, pair, 1),
-            ),
-            BundleEntry(
-                pb.purpose(pb.ALLOWED_BALANCES, pb.MEMBER),
-                self._fetch_verified(pb.ALLOWED_BALANCES, old_allowance, 1),
-            ),
-            BundleEntry(
-                pb.purpose(pb.BALANCES, pb.MEMBER),
-                self._fetch_verified(pb.BALANCES, balance_element(sender, y1), 1),
-            ),
-        ]
-        to_entry = self._balance_entry(to)
-        if to_entry is None:
-            membership.append(
-                BundleEntry(
-                    pb.purpose(pb.BALANCES, pb.NON_MEMBER),
-                    self._fetch_verified(pb.BALANCES, balance_element(to, 0), 0),
-                )
-            )
-            announced = (allowed, y1)
-            balance_plan = [
-                ("del", balance_element(sender, y1)),
-                ("add", balance_element(sender, y1 - tokens)),
-                ("add", balance_element(to, tokens)),
-            ]
-        else:
-            _, y2 = to_entry
-            membership.append(
-                BundleEntry(
-                    pb.purpose(pb.BALANCES, pb.MEMBER),
-                    self._fetch_verified(pb.BALANCES, balance_element(to, y2), 1),
-                )
-            )
-            announced = (allowed, y1, y2)
-            balance_plan = [
-                ("del", balance_element(sender, y1)),
-                ("del", balance_element(to, y2)),
-                ("add", balance_element(sender, y1 - tokens)),
-                ("add", balance_element(to, y2 + tokens)),
-            ]
-        allowance_plan = [
-            ("del", old_allowance),
-            ("add", allowance_element(sender, spender, allowed - tokens)),
-        ]
-        entries = (
-            self._strip_if_lifted(membership)
-            + self._chain(pb.BALANCES, balance_plan)
-            + self._chain(pb.ALLOWED_BALANCES, allowance_plan)
-        )
-        return ProofBundle(
-            OpTag.TRANSFER_FROM,
-            entries,
-            announced,
-            base_accs={
-                pb.BALANCES: self._acc_value(pb.BALANCES),
-                pb.ALLOWED_ADDRESSES: self._acc_value(pb.ALLOWED_ADDRESSES),
-                pb.ALLOWED_BALANCES: self._acc_value(pb.ALLOWED_BALANCES),
-            },
-        )
+        plan.check_distinct(sender, to)
+        return self._build(OpTag.TRANSFER_FROM, spender, sender, to, tokens)

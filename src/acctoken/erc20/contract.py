@@ -10,32 +10,37 @@ the transaction and are authenticated by the digest check inside the verifier.
 
 Any failed step aborts the transaction with state untouched. The contract
 never reads accumulator memory; it trusts nothing but its own four words and
-the pure verification algorithms.
+the pure verification algorithms. The steps each operation verifies, and the
+guards between them, come from ``plan``.
+
+Caveat, fresh destinations: the fresh variants of transfer and transferFrom
+prove only that the tuple ``(to, 0)`` is absent, which says nothing about
+``(to, y)`` for ``y > 0``. A sender may submit a fresh-destination bundle for
+a recipient who already holds a balance, and the contract accepts it: the
+recipient then holds two balance tuples. The supply is still conserved, but
+client reads of that owner fail with VerificationFailed, and
+``TokenSystem.check_conservation`` raises, because it also checks that each
+owner holds at most one balance tuple and each (owner, spender) pair at most
+one allowance tuple. With the lifted precondition no membership is checked
+at all, so the same bundle without its membership entries is accepted too.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..accumulator import belongs, check_update, verification_hash_sizes
-from ..errors import (
-    BundleSchemaMismatch,
-    InsufficientAllowance,
-    InsufficientBalance,
-    InvalidProof,
-    StaleProof,
-)
-from . import bundle as pb
-from .bundle import ALLOWED_ADDRESSES, ALLOWED_BALANCES, BALANCES, OpTag, ProofBundle
-from .elements import (
-    allowance_element,
-    balance_element,
-    check_address,
-    check_amount,
-    pair_element,
-)
+from ..errors import BundleSchemaMismatch, InvalidProof, StaleProof
+from . import plan
+from .bundle import MEMBER, STORAGE_OP, OpTag, ProofBundle, purpose
+from .elements import check_address, check_amount
+from .plan import LogRecord
 
 #: Persistent storage keys a deployed contract occupies: three accumulator
 #: values plus the total supply.
 CONTRACT_KEYS = 4
+
+
+def _field(acc_name: str) -> str:
+    return acc_name.replace("-", "_") + "_acc"
 
 
 @dataclass(frozen=True)
@@ -46,22 +51,11 @@ class ContractState:
     total_supply: int
 
     def value_of(self, acc_name: str) -> bytes:
-        return {
-            BALANCES: self.balances_acc,
-            ALLOWED_ADDRESSES: self.allowed_addresses_acc,
-            ALLOWED_BALANCES: self.allowed_balances_acc,
-        }[acc_name]
+        return getattr(self, _field(acc_name))
 
-    def persistent_key_count(self) -> int:
-        return CONTRACT_KEYS
-
-
-@dataclass
-class LogRecord:
-    event: str  # "Transfer" | "Approval"
-    addr_from: bytes
-    addr_to: bytes
-    amount: int
+    def with_values(self, values: dict[str, bytes]) -> "ContractState":
+        """This state with the named accumulators set to new values."""
+        return ContractState(**vars(self) | {_field(name): value for name, value in values.items()})
 
 
 @dataclass
@@ -69,7 +63,6 @@ class TxOutcome:
     log: LogRecord
     commits: list[tuple[str, str, bytes]]  # (accumulator name, op, element)
     events: list[tuple[str, int]]  # gas trace events
-    verifications: int
 
 
 class AccTokenContract:
@@ -88,184 +81,65 @@ class AccTokenContract:
     def total_supply(self) -> int:
         return self.state.total_supply
 
-    # -- verification helpers -------------------------------------------------
-
-    def _stale_check(self, bundle: ProofBundle, acc_names: tuple[str, ...]):
-        for name in acc_names:
-            base = bundle.base_accs.get(name)
-            if base is not None and base != self.state.value_of(name):
-                raise StaleProof(f"bundle was built against a superseded {name} value")
-
-    def _announced(self, bundle: ProofBundle, expected: int) -> tuple[int, ...]:
-        if len(bundle.announced) != expected:
-            raise BundleSchemaMismatch(
-                f"expected {expected} announced words, got {len(bundle.announced)}"
-            )
-        return tuple(check_amount(v) for v in bundle.announced)
-
-    def _verify_belongs(self, ctx, index: int, acc_name: str, element: bytes, want: int):
-        entry = ctx["bundle"].entries[index]
-        verdict = belongs(ctx["accs"][acc_name], element, entry.witness)
-        ctx["events"].extend(
-            ("hash", size) for size in verification_hash_sizes(entry.witness, len(element))
-        )
-        ctx["verifications"] += 1
-        if verdict != want:  # BOTTOM compares unequal to both verdicts
-            raise InvalidProof(index)
-
-    def _verify_update(self, ctx, index: int, acc_name: str, op: str, element: bytes):
-        entry = ctx["bundle"].entries[index]
-        expected_claim = pb.UPDATE_ADD if op == "add" else pb.UPDATE_DEL
-        if entry.purpose != pb.purpose(acc_name, expected_claim):
-            raise BundleSchemaMismatch(f"entry {index} does not carry the expected update")
-        ok = check_update(ctx["accs"][acc_name], entry.claimed_after, element, entry.witness)
-        ctx["events"].extend(
-            ("hash", size) for size in verification_hash_sizes(entry.witness, len(element))
-        )
-        ctx["verifications"] += 1
-        if ok != 1:
-            raise InvalidProof(index)
-        ctx["accs"][acc_name] = entry.claimed_after
-        ctx["commits"].append((acc_name, op, element))
-
-    def _begin(self, bundle: ProofBundle, reads: tuple[str, ...]) -> dict:
-        ctx = {
-            "bundle": bundle,
-            "accs": {name: self.state.value_of(name) for name in reads},
-            "events": [("sload", CONTRACT_KEYS) for _ in reads],
-            "commits": [],
-            "verifications": 0,
-        }
-        return ctx
-
-    def _finish(self, ctx, writes: tuple[str, ...], log: LogRecord) -> TxOutcome:
-        changes = {}
-        for name in writes:
-            ctx["events"].append(("sstore_update", CONTRACT_KEYS))
-            field = name.replace("-", "_") + "_acc"
-            changes[field] = ctx["accs"][name]
-        self.state = replace(self.state, **changes)
-        self.logs.append(log)
-        return TxOutcome(log, ctx["commits"], ctx["events"], ctx["verifications"])
-
     # -- operations -------------------------------------------------------------
 
     def transfer(self, sender: bytes, to: bytes, tokens: int, bundle: ProofBundle) -> TxOutcome:
         check_address(sender), check_address(to)
         check_amount(tokens)
-        if sender == to:
-            raise BundleSchemaMismatch("transfer to self has no bundle schema")
-        variant = pb.match_schema(bundle, OpTag.TRANSFER, self.lift)
-        self._stale_check(bundle, (BALANCES,))
-        fresh = variant == "fresh"
-        y1, y2 = (*self._announced(bundle, 1), 0) if fresh else self._announced(bundle, 2)
-
-        ctx = self._begin(bundle, (BALANCES,))
-        index = 0
-        if not self.lift:
-            self._verify_belongs(ctx, 0, BALANCES, balance_element(sender, y1), 1)
-            if y1 < tokens:
-                raise InsufficientBalance(f"balance {y1} cannot cover {tokens}")
-            self._verify_belongs(ctx, 1, BALANCES, balance_element(to, y2), 0 if fresh else 1)
-            index = 2
-        elif y1 < tokens:
-            raise InsufficientBalance(f"balance {y1} cannot cover {tokens}")
-        check_amount(y2 + tokens)
-
-        updates = [("del", balance_element(sender, y1))]
-        if not fresh:
-            updates.append(("del", balance_element(to, y2)))
-        updates.append(("add", balance_element(sender, y1 - tokens)))
-        updates.append(("add", balance_element(to, y2 + tokens)))
-        for op, element in updates:
-            self._verify_update(ctx, index, BALANCES, op, element)
-            index += 1
-
-        return self._finish(ctx, (BALANCES,), LogRecord("Transfer", sender, to, tokens))
+        plan.check_distinct(sender, to)
+        return self._execute(OpTag.TRANSFER, bundle, sender, to, tokens)
 
     def approve(self, owner: bytes, spender: bytes, tokens: int, bundle: ProofBundle) -> TxOutcome:
         check_address(owner), check_address(spender)
         check_amount(tokens)
-        variant = pb.match_schema(bundle, OpTag.APPROVE, self.lift)
-        log = LogRecord("Approval", owner, spender, tokens)
-
-        if variant == "first":
-            self._stale_check(bundle, (ALLOWED_ADDRESSES, ALLOWED_BALANCES))
-            self._announced(bundle, 0)
-            ctx = self._begin(bundle, (ALLOWED_ADDRESSES, ALLOWED_BALANCES))
-            index = 0
-            if not self.lift:
-                self._verify_belongs(ctx, 0, ALLOWED_ADDRESSES, pair_element(owner, spender), 0)
-                index = 1
-            self._verify_update(ctx, index, ALLOWED_ADDRESSES, "add", pair_element(owner, spender))
-            self._verify_update(
-                ctx, index + 1, ALLOWED_BALANCES, "add", allowance_element(owner, spender, tokens)
-            )
-            return self._finish(ctx, (ALLOWED_ADDRESSES, ALLOWED_BALANCES), log)
-
-        self._stale_check(bundle, (ALLOWED_BALANCES,))
-        (old,) = self._announced(bundle, 1)
-        ctx = self._begin(bundle, (ALLOWED_BALANCES,))
-        index = 0
-        if not self.lift:
-            self._verify_belongs(ctx, 0, ALLOWED_BALANCES, allowance_element(owner, spender, old), 1)
-            index = 1
-        self._verify_update(ctx, index, ALLOWED_BALANCES, "del", allowance_element(owner, spender, old))
-        self._verify_update(
-            ctx, index + 1, ALLOWED_BALANCES, "add", allowance_element(owner, spender, tokens)
-        )
-        return self._finish(ctx, (ALLOWED_BALANCES,), log)
+        return self._execute(OpTag.APPROVE, bundle, owner, spender, tokens)
 
     def transfer_from(
         self, spender: bytes, sender: bytes, to: bytes, tokens: int, bundle: ProofBundle
     ) -> TxOutcome:
         check_address(spender), check_address(sender), check_address(to)
         check_amount(tokens)
-        if sender == to:
-            raise BundleSchemaMismatch("transfer to self has no bundle schema")
-        variant = pb.match_schema(bundle, OpTag.TRANSFER_FROM, self.lift)
-        self._stale_check(bundle, (BALANCES, ALLOWED_ADDRESSES, ALLOWED_BALANCES))
-        fresh = variant == "fresh"
-        if fresh:
-            allowed, y1 = self._announced(bundle, 2)
-            y2 = 0
-        else:
-            allowed, y1, y2 = self._announced(bundle, 3)
+        plan.check_distinct(sender, to)
+        return self._execute(OpTag.TRANSFER_FROM, bundle, spender, sender, to, tokens)
 
-        ctx = self._begin(bundle, (BALANCES, ALLOWED_ADDRESSES, ALLOWED_BALANCES))
-        old_allowance = allowance_element(sender, spender, allowed)
-        index = 0
-        if not self.lift:
-            self._verify_belongs(ctx, 0, ALLOWED_ADDRESSES, pair_element(sender, spender), 1)
-            self._verify_belongs(ctx, 1, ALLOWED_BALANCES, old_allowance, 1)
-            if allowed < tokens:
-                raise InsufficientAllowance(f"allowance {allowed} cannot cover {tokens}")
-            self._verify_belongs(ctx, 2, BALANCES, balance_element(sender, y1), 1)
-            if y1 < tokens:
-                raise InsufficientBalance(f"balance {y1} cannot cover {tokens}")
-            self._verify_belongs(ctx, 3, BALANCES, balance_element(to, y2), 0 if fresh else 1)
-            index = 4
-        else:
-            if allowed < tokens:
-                raise InsufficientAllowance(f"allowance {allowed} cannot cover {tokens}")
-            if y1 < tokens:
-                raise InsufficientBalance(f"balance {y1} cannot cover {tokens}")
-        check_amount(y2 + tokens)
+    # -- plan walker ------------------------------------------------------------
 
-        balance_updates = [("del", balance_element(sender, y1))]
-        if not fresh:
-            balance_updates.append(("del", balance_element(to, y2)))
-        balance_updates.append(("add", balance_element(sender, y1 - tokens)))
-        balance_updates.append(("add", balance_element(to, y2 + tokens)))
-        for op, element in balance_updates:
-            self._verify_update(ctx, index, BALANCES, op, element)
-            index += 1
-        self._verify_update(ctx, index, ALLOWED_BALANCES, "del", old_allowance)
-        self._verify_update(
-            ctx, index + 1, ALLOWED_BALANCES, "add",
-            allowance_element(sender, spender, allowed - tokens),
-        )
+    def _execute(self, op: OpTag, bundle: ProofBundle, *args) -> TxOutcome:
+        """Verify ``bundle`` entry by entry against the op's plan, then commit."""
+        shape = plan.match_schema(bundle, op, self.lift)
+        for name in shape.reads:
+            base = bundle.base_accs.get(name)
+            if base is not None and base != self.state.value_of(name):
+                raise StaleProof(f"bundle was built against a superseded {name} value")
+        if len(bundle.announced) != shape.words:
+            raise BundleSchemaMismatch(
+                f"expected {shape.words} announced words, got {len(bundle.announced)}"
+            )
+        words = [check_amount(v) for v in bundle.announced]
+        log, steps = plan.PLANS[op](*args, plan.Announced(words))
 
-        return self._finish(
-            ctx, (BALANCES, ALLOWED_BALANCES), LogRecord("Transfer", sender, to, tokens)
-        )
+        accs = {name: self.state.value_of(name) for name in shape.reads}
+        events = [("sload", CONTRACT_KEYS)] * len(shape.reads)
+        commits = []
+        checked = (step for step in steps if step[1] in STORAGE_OP or not self.lift)
+        for index, ((acc, claim, element), entry) in enumerate(zip(checked, bundle.entries)):
+            if entry.purpose != purpose(acc, claim):
+                raise BundleSchemaMismatch(f"entry {index} does not carry the expected claim")
+            update_op = STORAGE_OP.get(claim)
+            if update_op:
+                ok = check_update(accs[acc], entry.claimed_after, element, entry.witness) == 1
+            else:  # BOTTOM compares unequal to both verdicts
+                ok = belongs(accs[acc], element, entry.witness) == (1 if claim == MEMBER else 0)
+            events.extend(
+                ("hash", size) for size in verification_hash_sizes(entry.witness, len(element))
+            )
+            if not ok:
+                raise InvalidProof(index)
+            if update_op:
+                accs[acc] = entry.claimed_after
+                commits.append((acc, update_op, element))
+
+        events += [("sstore_update", CONTRACT_KEYS)] * len(shape.writes)
+        self.state = self.state.with_values({name: accs[name] for name in shape.writes})
+        self.logs.append(log)
+        return TxOutcome(log, commits, events)

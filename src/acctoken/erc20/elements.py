@@ -22,7 +22,6 @@ PAIR_TAG = b"\x02"
 ALLOWANCE_TAG = b"\x03"
 
 BALANCE_ELEMENT_LEN = 1 + ADDRESS_BYTES + AMOUNT_BYTES
-PAIR_ELEMENT_LEN = 1 + 2 * ADDRESS_BYTES
 ALLOWANCE_ELEMENT_LEN = 1 + 2 * ADDRESS_BYTES + AMOUNT_BYTES
 
 ZERO_ADDRESS = b"\x00" * ADDRESS_BYTES

@@ -14,6 +14,7 @@ from ..errors import Overflow, ZeroSupply
 from ..gas import TxTrace
 from ..storage import AccumulatorId, FaultPolicy, StorageNetwork
 from . import bundle as pb
+from . import plan
 from .bundle import OpTag, ProofBundle, encode_bundle
 from .client import TokenClient
 from .contract import CONTRACT_KEYS, AccTokenContract, ContractState, LogRecord, TxOutcome
@@ -21,16 +22,14 @@ from .elements import (
     AMOUNT_BYTES,
     AMOUNT_MAX,
     ZERO_ADDRESS,
-    allowance_element,
     balance_element,
     check_address,
     check_amount,
     decode_balance_element,
-    pair_element,
 )
 
-BALANCE_PREFIX_LEN = 21  # tag byte plus owner address
-ALLOWANCE_PREFIX_LEN = 41  # tag byte plus owner and spender
+# lookup keys: the tag byte plus the owner, or plus owner and spender
+_INDEX_PREFIX_LEN = {pb.BALANCES: 21, pb.ALLOWED_BALANCES: 41}
 
 _SELECTORS = {
     op: hashlib.sha256(signature.encode()).digest()[:4]
@@ -81,23 +80,12 @@ class TokenSystem:
         if not 0 < total <= AMOUNT_MAX:
             raise Overflow(f"total supply {total} outside uint256 range")
         self.network = network if network is not None else StorageNetwork(policy)
-        self.acc_ids = {
-            pb.BALANCES: AccumulatorId(pb.BALANCES, instance),
-            pb.ALLOWED_ADDRESSES: AccumulatorId(pb.ALLOWED_ADDRESSES, instance),
-            pb.ALLOWED_BALANCES: AccumulatorId(pb.ALLOWED_BALANCES, instance),
-        }
-        self.network.register(self.acc_ids[pb.BALANCES], index_prefix_len=BALANCE_PREFIX_LEN)
-        self.network.register(self.acc_ids[pb.ALLOWED_ADDRESSES])
-        self.network.register(self.acc_ids[pb.ALLOWED_BALANCES], index_prefix_len=ALLOWANCE_PREFIX_LEN)
-
-        balances_acc = self.network.commit(
-            self.acc_ids[pb.BALANCES], "add", balance_element(deployer, total)
-        )
+        self.acc_ids = {name: AccumulatorId(name, instance) for name in pb.ACCUMULATORS}
+        for name, acc_id in self.acc_ids.items():
+            self.network.register(acc_id, index_prefix_len=_INDEX_PREFIX_LEN.get(name))
+        self.network.commit(self.acc_ids[pb.BALANCES], "add", balance_element(deployer, total))
         state = ContractState(
-            balances_acc=balances_acc,
-            allowed_addresses_acc=self.network.accumulator_value(self.acc_ids[pb.ALLOWED_ADDRESSES]),
-            allowed_balances_acc=self.network.accumulator_value(self.acc_ids[pb.ALLOWED_BALANCES]),
-            total_supply=total,
+            *(self.network.accumulator_value(acc_id) for acc_id in self.acc_ids.values()), total
         )
         self.contract = AccTokenContract(state, lift_checkupdate_precondition)
         self.contract.logs.append(LogRecord("Transfer", ZERO_ADDRESS, deployer, total))
@@ -132,7 +120,8 @@ class TokenSystem:
             calldata=abi_calldata(op, addresses, tokens, bundle.announced, encoded),
             events=list(outcome.events),
         )
-        return TxRecord(op.name.lower(), outcome.log, trace, len(encoded), outcome.verifications)
+        # the contract verifies every entry of an accepted bundle
+        return TxRecord(op.name.lower(), outcome.log, trace, len(encoded), len(bundle.entries))
 
     def _assert_lock_step(self):
         for name, acc_id in self.acc_ids.items():
@@ -167,57 +156,41 @@ class TokenSystem:
     def fast_transfer(self, sender: bytes, to: bytes, tokens: int, sender_balance: int, to_balance: int | None):
         """Apply a transfer's state transition without proof machinery.
 
-        Produces bit-identical contract and storage state to the verified
-        path; population-growth workloads use it so benchmarks stay
-        tractable. No event log is emitted; this is bootstrap tooling, not a
-        transaction. ``to_balance`` is None when the destination holds no
-        tuple yet.
+        Commits the update steps of the same plan the verified path checks,
+        so it produces bit-identical contract and storage state;
+        population-growth workloads use it so benchmarks stay tractable. No
+        event log is emitted; this is bootstrap tooling, not a transaction.
+        ``to_balance`` is None when the destination holds no tuple yet.
         """
         check_amount(tokens)
         if sender_balance < tokens:
             raise ValueError("fast path needs a funded sender")
-        bal = self.acc_ids[pb.BALANCES]
-        self.network.commit(bal, "del", balance_element(sender, sender_balance))
-        if to_balance is None:
-            self.network.commit(bal, "add", balance_element(sender, sender_balance - tokens))
-            acc = self.network.commit(bal, "add", balance_element(to, tokens))
-        else:
-            self.network.commit(bal, "del", balance_element(to, to_balance))
-            self.network.commit(bal, "add", balance_element(sender, sender_balance - tokens))
-            acc = self.network.commit(bal, "add", balance_element(to, to_balance + tokens))
-        self.contract.state = ContractState(
-            balances_acc=acc,
-            allowed_addresses_acc=self.contract.state.allowed_addresses_acc,
-            allowed_balances_acc=self.contract.state.allowed_balances_acc,
-            total_supply=self.contract.state.total_supply,
-        )
+        self._apply_unverified(plan.transfer(sender, to, tokens, plan.Announced((sender_balance, to_balance))))
 
     def fast_approve(self, owner: bytes, spender: bytes, tokens: int, old: int | None):
         """Fast-path counterpart of approve; ``old`` is the prior allowance tuple."""
         check_amount(tokens)
-        pairs = self.acc_ids[pb.ALLOWED_ADDRESSES]
-        allowances = self.acc_ids[pb.ALLOWED_BALANCES]
-        if old is None:
-            pair_acc = self.network.commit(pairs, "add", pair_element(owner, spender))
-        else:
-            pair_acc = self.contract.state.allowed_addresses_acc
-            self.network.commit(allowances, "del", allowance_element(owner, spender, old))
-        allow_acc = self.network.commit(allowances, "add", allowance_element(owner, spender, tokens))
-        self.contract.state = ContractState(
-            balances_acc=self.contract.state.balances_acc,
-            allowed_addresses_acc=pair_acc,
-            allowed_balances_acc=allow_acc,
-            total_supply=self.contract.state.total_supply,
-        )
+        self._apply_unverified(plan.approve(owner, spender, tokens, plan.Announced((old,))))
+
+    def _apply_unverified(self, op_plan: plan.Plan):
+        _log, steps = op_plan  # bootstrap commits emit no log
+        values = {}
+        for acc, claim, element in steps:
+            if claim in pb.STORAGE_OP:
+                values[acc] = self.network.commit(self.acc_ids[acc], pb.STORAGE_OP[claim], element)
+        self.contract.state = self.contract.state.with_values(values)
 
     # -- integrity hooks ------------------------------------------------------
 
-    def balances_memory_sum(self) -> int:
-        memory = self.network._entry(self.acc_ids[pb.BALANCES]).memory
-        return sum(decode_balance_element(e)[1] for e in memory.elements.values())
-
     def check_conservation(self):
-        total = self.balances_memory_sum()
+        """Balance tuples sum to the supply; at most one tuple per owner and per pair."""
+        for name, keyed_by in ((pb.BALANCES, "owner"), (pb.ALLOWED_BALANCES, "(owner, spender) pair")):
+            index = self.network._entry(self.acc_ids[name]).index
+            shared = sum(1 for bucket in index.values() if len(bucket) > 1)
+            if shared:
+                raise AssertionError(f"{shared} {keyed_by}s hold more than one {name} tuple")
+        memory = self.network._entry(self.acc_ids[pb.BALANCES]).memory
+        total = sum(decode_balance_element(e)[1] for e in memory.elements.values())
         if total != self.contract.total_supply():
             raise AssertionError(
                 f"balance tuples sum to {total}, total supply is {self.contract.total_supply()}"

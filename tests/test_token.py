@@ -1,7 +1,11 @@
 """Accumulator token: contract verification, client builds, atomicity."""
 
+from dataclasses import replace
+
 import pytest
 
+from acctoken.bench import effective_allowances, effective_balances
+from acctoken.bench.workload import true_balance
 from acctoken.erc20 import CONTRACT_KEYS, OpTag, TokenSystem, decode_bundle, encode_bundle
 from acctoken.erc20.bundle import (
     ALLOWED_ADDRESSES,
@@ -13,7 +17,9 @@ from acctoken.erc20.bundle import (
     UPDATE_DEL,
     purpose_claim,
 )
+from acctoken.erc20.elements import allowance_element
 from acctoken.errors import (
+    AcctokenError,
     BundleSchemaMismatch,
     InsufficientAllowance,
     InsufficientBalance,
@@ -30,6 +36,7 @@ from acctoken.storage import FaultPolicy
 A = bytes.fromhex("aa" * 20)
 B = bytes.fromhex("bb" * 20)
 C = bytes.fromhex("cc" * 20)
+D = bytes.fromhex("dd" * 20)
 S = bytes.fromhex("55" * 20)
 
 
@@ -376,3 +383,114 @@ class TestLockStep:
             getattr(system, op)(*args)
             for name, acc_id in system.acc_ids.items():
                 assert system.state.value_of(name) == system.network.accumulator_value(acc_id)
+
+
+def accumulator_values(system):
+    return [system.network.accumulator_value(acc_id) for acc_id in system.acc_ids.values()]
+
+
+class TestFastPathEquivalence:
+    """The bootstrap fast path reaches the state the verified op reaches."""
+
+    @pytest.mark.parametrize("to, to_balance", [(B, 100), (C, None)], ids=["standard", "fresh"])
+    def test_fast_transfer(self, to, to_balance):
+        fast, verified = TokenSystem(A, 1000), TokenSystem(A, 1000)
+        for system in (fast, verified):
+            system.transfer(A, B, 100)
+        fast.fast_transfer(A, to, 25, 900, to_balance)
+        verified.transfer(A, to, 25)
+        assert fast.state == verified.state
+        assert accumulator_values(fast) == accumulator_values(verified)
+
+    @pytest.mark.parametrize("old", [50, None], ids=["again", "first"])
+    def test_fast_approve(self, old):
+        fast, verified = TokenSystem(A, 1000), TokenSystem(A, 1000)
+        if old is not None:
+            for system in (fast, verified):
+                system.approve(A, S, old)
+        fast.fast_approve(A, S, 7, old)
+        verified.approve(A, S, 7)
+        assert fast.state == verified.state
+        assert accumulator_values(fast) == accumulator_values(verified)
+
+
+class TestOneTuplePerKey:
+    def fresh_bundle_for_holder(self, system, sender, to, tokens):
+        """The fresh-destination bundle a client builds when it ignores ``to``'s tuple."""
+        honest_lookup = system.client._balance_entry
+        system.client._balance_entry = lambda owner: None if owner == to else honest_lookup(owner)
+        try:
+            return system.client.build_transfer(sender, to, tokens)
+        finally:
+            del system.client._balance_entry
+
+    def test_second_balance_tuple_is_detected(self):
+        # a fresh-destination transfer to a holder is still accepted (it only
+        # proves that (to, 0) is absent); the invariant checks must notice
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        system.transfer(A, B, 10, self.fresh_bundle_for_holder(system, A, B, 10))
+        assert true_balance(system, B) == 110
+        assert effective_balances(system)[B] == 110
+        with pytest.raises(AssertionError, match="more than one balances tuple"):
+            system.check_conservation()
+        with pytest.raises(VerificationFailed):
+            system.balance_of(B)
+
+    def test_second_allowance_tuple_is_detected(self):
+        system = TokenSystem(A, 1000)
+        system.approve(A, S, 50)
+        # planted straight into storage: no bundle schema can add it
+        system.network.commit(system.acc_ids[ALLOWED_BALANCES], "add", allowance_element(A, S, 7))
+        assert effective_allowances(system)[(A, S)] == 57
+        with pytest.raises(AssertionError, match="more than one allowed-balances tuple"):
+            system.check_conservation()
+        with pytest.raises(VerificationFailed):
+            system.allowance(A, S)
+
+
+FORGERY_CASES = {  # op variant -> (op, args, args the other variant's bundle is built for)
+    "transfer-standard": ("transfer", (A, B, 25), (A, C, 25)),
+    "transfer-fresh": ("transfer", (A, C, 25), (A, B, 25)),
+    "approve-again": ("approve", (A, S, 7), (A, D, 7)),
+    "approve-first": ("approve", (A, D, 7), (A, S, 7)),
+    "transfer_from-standard": ("transfer_from", (S, A, B, 5), (S, A, C, 5)),
+    "transfer_from-fresh": ("transfer_from", (S, A, C, 5), (S, A, B, 5)),
+}
+
+
+class TestSemanticForgery:
+    """Well-formed bundles that say the wrong thing are rejected atomically.
+
+    B holds a balance and C does not; A has approved S but not D.
+    """
+
+    def forgeries(self, honest, other):
+        for i in range(len(honest.announced)):
+            words = list(honest.announced)
+            words[i] += 1
+            yield replace(honest, announced=tuple(words))
+        for i in range(len(honest.entries)):
+            for j in range(i + 1, len(honest.entries)):
+                entries = list(honest.entries)
+                entries[i], entries[j] = entries[j], entries[i]
+                yield replace(honest, entries=entries)
+        yield replace(honest, entries=honest.entries[:-1])
+        yield other
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize("case", FORGERY_CASES)
+    def test_rejected_with_state_untouched(self, case, lift):
+        op, args, other_args = FORGERY_CASES[case]
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        build = getattr(system.client, "build_" + op)
+        honest, other = build(*args), build(*other_args)
+        assert other.purposes() != honest.purposes()  # the other variant
+        before = snapshot(system)
+        for forged in self.forgeries(honest, other):
+            with pytest.raises(AcctokenError):
+                getattr(system, op)(*args, forged)
+            assert snapshot(system) == before
+        getattr(system, op)(*args, honest)  # the honest bundle still goes through
