@@ -8,7 +8,7 @@ O(log n) length with publicly verifiable additions and deletions.
 from .core import SUPPORTED_BITS, UpdateResult, setup, simulate_update, update, witness, witness_for_root
 from .hashing import EMPTY_DIGEST, element_digest
 from .tree import Memory
-from .verify import BOTTOM, belongs, check_update, verification_hash_sizes
+from .verify import BOTTOM, belongs, check_update
 from .witness import (
     Witness,
     WitnessKind,
@@ -33,7 +33,6 @@ __all__ = [
     "setup",
     "simulate_update",
     "update",
-    "verification_hash_sizes",
     "witness",
     "witness_for_root",
     "witness_size_bytes",

@@ -39,6 +39,25 @@ def branch_hash(bit: int, left: bytes, right: bytes) -> bytes:
 EMPTY_DIGEST = sha256(TAG_EMPTY)
 
 
+def metered(hashed):
+    """``element_digest``, ``leaf_hash`` and ``branch_hash`` that first call
+    ``hashed`` with the length of the SHA-256 input they are about to hash."""
+
+    def digest(element: bytes) -> bytes:
+        hashed(len(element))
+        return element_digest(element)
+
+    def leaf(key: bytes) -> bytes:
+        hashed(len(TAG_LEAF) + len(key))
+        return leaf_hash(key)
+
+    def branch(bit: int, left: bytes, right: bytes) -> bytes:
+        hashed(len(_BIT_PREFIX[bit]) + len(left) + len(right))
+        return branch_hash(bit, left, right)
+
+    return digest, leaf, branch
+
+
 def bit_at(key: bytes, index: int) -> int:
     """Bit of ``key`` at ``index``, most-significant bit first."""
     return (key[index >> 3] >> (7 - (index & 7))) & 1

@@ -3,7 +3,10 @@
 Nothing in this module touches tree memory; ``belongs`` and ``check_update``
 are functions of their arguments only, safe to call on arbitrary adversarial
 input. Malformed input yields BOTTOM (belongs) or 0 (check_update), never an
-exception.
+exception. Given a ``hashed`` callback, they call it with the input length of
+each SHA-256 they compute, as they compute it; the contract meters gas from
+these calls. The verdict never depends on the callback, and without one the
+plain hashing primitives run with nothing in between.
 
 check_update soundness presupposes that the caller has already established
 the element's (non)membership against ``acc_before``, e.g. via ``belongs``.
@@ -17,6 +20,7 @@ from .hashing import (
     element_digest,
     first_diff_bit,
     leaf_hash,
+    metered,
 )
 from .witness import Witness, WitnessKind, decode_witness
 from ..errors import WitnessDecodeError
@@ -35,6 +39,8 @@ class _Bottom:
 #: Verdict for witnesses that are valid for neither membership nor
 #: non-membership: malformed bytes, wrong element, or a root mismatch.
 BOTTOM = _Bottom()
+
+_PLAIN = (element_digest, leaf_hash, branch_hash)
 
 
 def _as_witness(w):
@@ -56,14 +62,13 @@ def _well_formed(w: Witness) -> bool:
     return True
 
 
-def _fold(node: bytes, steps, path_key: bytes, stop: int = 0) -> bytes:
-    # Recompute root from a node digest upward; steps[stop:] are below it.
-    for i in range(len(steps) - 1, stop - 1, -1):
-        bit, sibling = steps[i]
+def _fold(node: bytes, steps, path_key: bytes, branch) -> bytes:
+    # Recompute the root from a node digest upward; ``steps`` are above it.
+    for bit, sibling in reversed(steps):
         if bit_at(path_key, bit) == 0:
-            node = branch_hash(bit, node, sibling)
+            node = branch(bit, node, sibling)
         else:
-            node = branch_hash(bit, sibling, node)
+            node = branch(bit, sibling, node)
     return node
 
 
@@ -72,25 +77,28 @@ def _on_search_path(leaf_key: bytes, path_key: bytes, steps) -> bool:
     return all(bit_at(leaf_key, bit) == bit_at(path_key, bit) for bit, _ in steps)
 
 
-def belongs(acc: bytes, element: bytes, w):
-    """1 for a valid membership witness, 0 for non-membership, BOTTOM otherwise."""
+def belongs(acc: bytes, element: bytes, w, hashed=None):
+    """1 for a valid membership witness, 0 for non-membership, BOTTOM otherwise.
+
+    ``hashed``, if given, is called with each SHA-256 input length.
+    """
     try:
         w = _as_witness(w)
     except (WitnessDecodeError, TypeError, ValueError):
         return BOTTOM
     try:
-        return _belongs(acc, element, w)
+        return _belongs(acc, element, w, *(_PLAIN if hashed is None else metered(hashed)))
     except Exception:
         return BOTTOM
 
 
-def _belongs(acc: bytes, element: bytes, w: Witness):
-    if not _well_formed(w) or w.element_digest != element_digest(element):
+def _belongs(acc: bytes, element: bytes, w: Witness, digest, leaf, branch):
+    if not _well_formed(w) or w.element_digest != digest(element):
         return BOTTOM
     if w.kind == WitnessKind.MEMBERSHIP:
         if w.occupant is not None:
             return BOTTOM
-        root = _fold(leaf_hash(w.element_digest), w.steps, w.element_digest)
+        root = _fold(leaf(w.element_digest), w.steps, w.element_digest, branch)
         return 1 if root == acc else BOTTOM
     if w.kind == WitnessKind.NON_MEMBERSHIP:
         if w.occupant is None:
@@ -101,100 +109,63 @@ def _belongs(acc: bytes, element: bytes, w: Witness):
             return BOTTOM
         if not _on_search_path(w.occupant, w.element_digest, w.steps):
             return BOTTOM
-        root = _fold(leaf_hash(w.occupant), w.steps, w.element_digest)
+        root = _fold(leaf(w.occupant), w.steps, w.element_digest, branch)
         return 0 if root == acc else BOTTOM
     return BOTTOM
 
 
-def check_update(acc_before: bytes, acc_after: bytes, element: bytes, w) -> int:
-    """1 iff ``w`` proves acc_before --add/del element--> acc_after."""
+def check_update(acc_before: bytes, acc_after: bytes, element: bytes, w, hashed=None) -> int:
+    """1 iff ``w`` proves acc_before --add/del element--> acc_after.
+
+    ``hashed``, if given, is called with each SHA-256 input length.
+    """
     try:
         w = _as_witness(w)
     except (WitnessDecodeError, TypeError, ValueError):
         return 0
     try:
-        return _check_update(acc_before, acc_after, element, w)
+        return _check_update(acc_before, acc_after, element, w, *(_PLAIN if hashed is None else metered(hashed)))
     except Exception:
         return 0
 
 
-def _check_update(acc_before: bytes, acc_after: bytes, element: bytes, w: Witness) -> int:
-    if not _well_formed(w) or w.element_digest != element_digest(element):
+def _check_update(acc_before: bytes, acc_after: bytes, element: bytes, w: Witness, digest, leaf, branch) -> int:
+    if not _well_formed(w) or w.element_digest != digest(element):
         return 0
     key = w.element_digest
     if w.kind == WitnessKind.UPDATE_ADD:
         if w.occupant is None:
             if w.steps:
                 return 0
-            ok = acc_before == EMPTY_DIGEST and acc_after == leaf_hash(key)
+            ok = acc_before == EMPTY_DIGEST and acc_after == leaf(key)
             return 1 if ok else 0
         if w.occupant == key or not _on_search_path(w.occupant, key, w.steps):
             return 0
         split = first_diff_bit(key, w.occupant)
         if any(bit == split for bit, _ in w.steps):
             return 0
-        # One bottom-up pass recomputes both roots: the before-root from the
-        # occupant leaf, and the after-root with a new branch spliced in at
-        # the first bit where the element diverges from the occupant.
-        before = leaf_hash(w.occupant)
-        after = None
-        for i in range(len(w.steps) - 1, -1, -1):
-            bit, sibling = w.steps[i]
-            if after is None and bit < split:
-                after = _splice(key, split, before)
+        # Steps are root-first with rising bits. Below the first bit where the
+        # element diverges from the occupant, the occupant's subtree is the
+        # same in both trees; in the after-tree it is paired with the new
+        # leaf at that bit, and the steps above lead to both roots.
+        above = sum(1 for bit, _ in w.steps if bit < split)
+        before = _fold(leaf(w.occupant), w.steps[above:], key, branch)
+        new_leaf = leaf(key)
+        after = branch(split, new_leaf, before) if bit_at(key, split) == 0 else branch(split, before, new_leaf)
+        for bit, sibling in reversed(w.steps[:above]):
             if bit_at(key, bit) == 0:
-                before = branch_hash(bit, before, sibling)
-                if after is not None:
-                    after = branch_hash(bit, after, sibling)
+                before, after = branch(bit, before, sibling), branch(bit, after, sibling)
             else:
-                before = branch_hash(bit, sibling, before)
-                if after is not None:
-                    after = branch_hash(bit, sibling, after)
-        if after is None:
-            after = _splice(key, split, before)
+                before, after = branch(bit, sibling, before), branch(bit, sibling, after)
         return 1 if before == acc_before and after == acc_after else 0
     if w.kind == WitnessKind.UPDATE_DEL:
         if w.occupant is not None:
             return 0
-        before = _fold(leaf_hash(key), w.steps, key)
+        before = _fold(leaf(key), w.steps, key, branch)
         if not w.steps:
             after = EMPTY_DIGEST
         else:
             # Removing the leaf collapses its parent; the sibling takes its place.
-            after = _fold(w.steps[-1][1], w.steps[:-1], key)
+            after = _fold(w.steps[-1][1], w.steps[:-1], key, branch)
         return 1 if before == acc_before and after == acc_after else 0
     return 0
-
-
-def _splice(key: bytes, split: int, displaced: bytes) -> bytes:
-    new_leaf = leaf_hash(key)
-    if bit_at(key, split) == 0:
-        return branch_hash(split, new_leaf, displaced)
-    return branch_hash(split, displaced, new_leaf)
-
-
-def verification_hash_sizes(w: Witness, element_len: int) -> list[int]:
-    """Input sizes (bytes) of every SHA-256 call the verifier makes for ``w``.
-
-    Mirrors belongs/check_update exactly; used for gas metering so the cost
-    model charges what the verification code actually computes. Leaf
-    preimages are 33 bytes, internal-node preimages 66, plus one hash of the
-    element's own encoding for the digest binding check.
-    """
-    sizes = [element_len]
-    m = len(w.steps)
-    if w.kind == WitnessKind.MEMBERSHIP:
-        sizes += [33] + [66] * m
-    elif w.kind == WitnessKind.NON_MEMBERSHIP:
-        if w.occupant is not None:
-            sizes += [33] + [66] * m
-    elif w.kind == WitnessKind.UPDATE_ADD:
-        if w.occupant is None:
-            sizes += [33]
-        else:
-            split = first_diff_bit(w.element_digest, w.occupant)
-            shallower = sum(1 for bit, _ in w.steps if split is not None and bit < split)
-            sizes += [33, 33] + [66] * (m + shallower + 1)
-    elif w.kind == WitnessKind.UPDATE_DEL:
-        sizes += [33] + [66] * (m + (m - 1 if m else 0))
-    return sizes

@@ -49,16 +49,15 @@ class Witness:
     steps: tuple[tuple[int, bytes], ...]
     occupant: bytes | None = None
 
-    def size_bytes(self) -> int:
-        return witness_size_bytes(self)
+
+def encoded_length(kind: int, step_count: int) -> int:
+    """Serialized length of a witness with this kind byte and step count."""
+    return HEADER_BYTES + STEP_BYTES * step_count + (DIGEST_BYTES if kind in _PAYLOAD_KINDS else 0)
 
 
 def witness_size_bytes(w: Witness) -> int:
     """Exact serialized length under the canonical encoding."""
-    size = HEADER_BYTES + STEP_BYTES * len(w.steps)
-    if w.kind in _PAYLOAD_KINDS:
-        size += DIGEST_BYTES
-    return size
+    return encoded_length(w.kind, len(w.steps))
 
 
 def encode_witness(w: Witness) -> bytes:
@@ -83,9 +82,7 @@ def decode_witness(data: bytes) -> Witness:
     count = int.from_bytes(data[33:35], "big")
     if count > MAX_STEPS:
         raise WitnessDecodeError(f"step count {count} exceeds key width")
-    expected = HEADER_BYTES + STEP_BYTES * count
-    if kind in _PAYLOAD_KINDS:
-        expected += DIGEST_BYTES
+    expected = encoded_length(kind, count)
     if len(data) != expected:
         raise WitnessDecodeError(
             f"witness length {len(data)} != expected {expected} for kind {kind}"

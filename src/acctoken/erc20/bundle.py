@@ -21,12 +21,10 @@ from enum import IntEnum
 from ..accumulator.witness import (
     DIGEST_BYTES,
     HEADER_BYTES,
-    STEP_BYTES,
     Witness,
-    WitnessKind,
     decode_witness,
     encode_witness,
-    witness_size_bytes,
+    encoded_length,
 )
 from ..errors import BundleSchemaMismatch, InvalidProof, WitnessDecodeError
 
@@ -79,12 +77,6 @@ class BundleEntry:
     witness: Witness
     claimed_after: bytes | None = None
 
-    def size_bytes(self) -> int:
-        size = 1 + witness_size_bytes(self.witness)
-        if is_update_purpose(self.purpose):
-            size += DIGEST_BYTES
-        return size
-
 
 @dataclass
 class ProofBundle:
@@ -101,9 +93,6 @@ class ProofBundle:
 
     def purposes(self) -> tuple[int, ...]:
         return tuple(e.purpose for e in self.entries)
-
-    def size_bytes(self) -> int:
-        return 2 + sum(e.size_bytes() for e in self.entries)
 
 
 def encode_bundle(bundle: ProofBundle) -> bytes:
@@ -147,10 +136,7 @@ def decode_bundle(data: bytes) -> ProofBundle:
         header = data[off : off + HEADER_BYTES]
         if len(header) < HEADER_BYTES:
             raise BundleSchemaMismatch(f"bundle truncated at entry {index}")
-        steps = int.from_bytes(header[33:35], "big")
-        wlen = HEADER_BYTES + STEP_BYTES * steps
-        if header[0] in (WitnessKind.NON_MEMBERSHIP, WitnessKind.UPDATE_ADD):
-            wlen += DIGEST_BYTES
+        wlen = encoded_length(header[0], int.from_bytes(header[33:35], "big"))
         try:
             witness = decode_witness(data[off : off + wlen])
         except WitnessDecodeError as exc:

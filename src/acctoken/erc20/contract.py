@@ -27,8 +27,9 @@ at all, so the same bundle without its membership entries is accepted too.
 
 from dataclasses import dataclass
 
-from ..accumulator import belongs, check_update, verification_hash_sizes
+from ..accumulator import belongs, check_update
 from ..errors import BundleSchemaMismatch, InvalidProof, StaleProof
+from ..gas import TxTrace
 from . import plan
 from .bundle import MEMBER, STORAGE_OP, OpTag, ProofBundle, purpose
 from .elements import check_address, check_amount
@@ -62,7 +63,7 @@ class ContractState:
 class TxOutcome:
     log: LogRecord
     commits: list[tuple[str, str, bytes]]  # (accumulator name, op, element)
-    events: list[tuple[str, int]]  # gas trace events
+    trace: TxTrace  # reads, verifier hashes and writes; calldata is the caller's
 
 
 class AccTokenContract:
@@ -118,8 +119,11 @@ class AccTokenContract:
         words = [check_amount(v) for v in bundle.announced]
         log, steps = plan.PLANS[op](*args, plan.Announced(words))
 
-        accs = {name: self.state.value_of(name) for name in shape.reads}
-        events = [("sload", CONTRACT_KEYS)] * len(shape.reads)
+        trace = TxTrace()
+        accs = {}
+        for name in shape.reads:
+            trace.sload(CONTRACT_KEYS)
+            accs[name] = self.state.value_of(name)
         commits = []
         checked = (step for step in steps if step[1] in STORAGE_OP or not self.lift)
         for index, ((acc, claim, element), entry) in enumerate(zip(checked, bundle.entries)):
@@ -127,19 +131,17 @@ class AccTokenContract:
                 raise BundleSchemaMismatch(f"entry {index} does not carry the expected claim")
             update_op = STORAGE_OP.get(claim)
             if update_op:
-                ok = check_update(accs[acc], entry.claimed_after, element, entry.witness) == 1
+                ok = check_update(accs[acc], entry.claimed_after, element, entry.witness, trace.hash) == 1
             else:  # BOTTOM compares unequal to both verdicts
-                ok = belongs(accs[acc], element, entry.witness) == (1 if claim == MEMBER else 0)
-            events.extend(
-                ("hash", size) for size in verification_hash_sizes(entry.witness, len(element))
-            )
+                ok = belongs(accs[acc], element, entry.witness, trace.hash) == (1 if claim == MEMBER else 0)
             if not ok:
                 raise InvalidProof(index)
             if update_op:
                 accs[acc] = entry.claimed_after
                 commits.append((acc, update_op, element))
 
-        events += [("sstore_update", CONTRACT_KEYS)] * len(shape.writes)
+        for _ in shape.writes:
+            trace.sstore_update(CONTRACT_KEYS)
         self.state = self.state.with_values({name: accs[name] for name in shape.writes})
         self.logs.append(log)
-        return TxOutcome(log, commits, events)
+        return TxOutcome(log, commits, trace)

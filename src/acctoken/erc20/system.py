@@ -17,7 +17,7 @@ from . import bundle as pb
 from . import plan
 from .bundle import OpTag, ProofBundle, encode_bundle
 from .client import TokenClient
-from .contract import CONTRACT_KEYS, AccTokenContract, ContractState, LogRecord, TxOutcome
+from .contract import AccTokenContract, ContractState, LogRecord, TxOutcome
 from .elements import (
     AMOUNT_BYTES,
     AMOUNT_MAX,
@@ -116,12 +116,9 @@ class TokenSystem:
             self.network.commit(self.acc_ids[acc_name], update_op, element)
         self._assert_lock_step()
         encoded = encode_bundle(bundle)
-        trace = TxTrace(
-            calldata=abi_calldata(op, addresses, tokens, bundle.announced, encoded),
-            events=list(outcome.events),
-        )
+        outcome.trace.calldata = abi_calldata(op, addresses, tokens, bundle.announced, encoded)
         # the contract verifies every entry of an accepted bundle
-        return TxRecord(op.name.lower(), outcome.log, trace, len(encoded), len(bundle.entries))
+        return TxRecord(op.name.lower(), outcome.log, outcome.trace, len(encoded), len(bundle.entries))
 
     def _assert_lock_step(self):
         for name, acc_id in self.acc_ids.items():
@@ -197,4 +194,5 @@ class TokenSystem:
             )
 
     def persistent_key_count(self) -> int:
-        return CONTRACT_KEYS
+        """Words of persistent contract state, counted from the state itself."""
+        return len(vars(self.contract.state))

@@ -267,59 +267,113 @@ class TestTamperSoundness:
             assert check_update(acc2, removed.acc_after, b"tamper-add", mutated) == 0
 
 
-class TestHashProfile:
-    """verification_hash_sizes must mirror the verifier's actual hashing."""
+class _RecordingHashlib:
+    """Stands in for ``hashlib`` inside ``accumulator.hashing``; records SHA-256 input lengths."""
 
-    def record(self, fn, *args):
+    def __init__(self, real):
+        self.real = real
+        self.lengths = []
+
+    def sha256(self, data=b""):
+        self.lengths.append(len(data))
+        return self.real.sha256(data)
+
+
+class TestHashProfile:
+    """The sizes the ``hashed`` callback reports must mirror the verifier's actual hashing."""
+
+    @staticmethod
+    def record(fn, *args):
+        """Run ``fn`` once; return its verdict, the hashlib input lengths and the reported ones."""
         import acctoken.accumulator.hashing as hashing_module
 
-        real = hashing_module.hashlib.sha256
-        recorded = []
-
-        def counting(data=b""):
-            recorded.append(len(data))
-            return real(data)
-
-        hashing_module.hashlib.sha256 = counting
+        recorder = _RecordingHashlib(hashing_module.hashlib)
+        reported = []
+        hashing_module.hashlib = recorder
         try:
-            result = fn(*args)
+            result = fn(*args, reported.append)
         finally:
-            hashing_module.hashlib.sha256 = real
-        return result, sorted(recorded)
+            hashing_module.hashlib = recorder.real
+        return result, sorted(recorder.lengths), sorted(reported)
 
     def test_belongs_matches_profile(self):
-        from acctoken.accumulator import verification_hash_sizes
-
         acc, memory = build_set([bytes([i]) * 3 for i in range(32)])
         for probe in (bytes([7]) * 3, b"missing-element", b"x"):
             w = witness(acc, memory, probe)
-            verdict, recorded = self.record(belongs, acc, probe, w)
+            verdict, recorded, reported = self.record(belongs, acc, probe, w)
             assert verdict in (0, 1)
-            assert recorded == sorted(verification_hash_sizes(w, len(probe)))
+            assert recorded and reported == recorded
 
     def test_check_update_matches_profile(self):
-        from acctoken.accumulator import verification_hash_sizes
-
         acc, memory = build_set([bytes([i]) * 3 for i in range(32)])
         added = update("add", acc, memory, b"fresh-element")
-        ok, recorded = self.record(check_update, acc, added.acc_after, b"fresh-element", added.witness)
+        ok, recorded, reported = self.record(check_update, acc, added.acc_after, b"fresh-element", added.witness)
         assert ok == 1
-        assert recorded == sorted(verification_hash_sizes(added.witness, len(b"fresh-element")))
+        assert recorded and reported == recorded
         removed = update("del", added.acc_after, memory, b"fresh-element")
-        ok, recorded = self.record(
+        ok, recorded, reported = self.record(
             check_update, added.acc_after, removed.acc_after, b"fresh-element", removed.witness
         )
         assert ok == 1
-        assert recorded == sorted(verification_hash_sizes(removed.witness, len(b"fresh-element")))
+        assert recorded and reported == recorded
 
     def test_empty_tree_forms(self):
-        from acctoken.accumulator import verification_hash_sizes
-
         acc0, memory = setup(256)
         w = witness(acc0, memory, b"ghost")
-        verdict, recorded = self.record(belongs, acc0, b"ghost", w)
+        verdict, recorded, reported = self.record(belongs, acc0, b"ghost", w)
         assert verdict == 0
-        assert recorded == sorted(verification_hash_sizes(w, 5))
+        assert reported == recorded
+        added = update("add", acc0, memory, b"ghost")
+        ok, recorded, reported = self.record(check_update, acc0, added.acc_after, b"ghost", added.witness)
+        assert ok == 1
+        assert recorded and reported == recorded
+
+
+class TestHashReport:
+    """The verifiers' ``hashed`` callback reports exactly the SHA-256 inputs they hash."""
+
+    @staticmethod
+    def hashlib_lengths(fn, *args):
+        import acctoken.accumulator.hashing as hashing_module
+
+        recorder = _RecordingHashlib(hashing_module.hashlib)
+        hashing_module.hashlib = recorder
+        try:
+            result = fn(*args)
+        finally:
+            hashing_module.hashlib = recorder.real
+        return result, sorted(recorder.lengths)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sets(st.binary(max_size=12), max_size=24),
+        st.binary(max_size=12),
+    )
+    def test_callback_sizes_equal_hashlib_lengths(self, elements, probe):
+        elements.discard(probe)
+        acc, memory = build_set(elements)
+        cases = [(belongs, acc, probe, witness(acc, memory, probe))]  # non-membership
+        if elements:  # membership and deletion need a present element
+            member = min(elements)
+            cases.append((belongs, acc, member, witness(acc, memory, member)))
+        added = update("add", acc, memory, probe)
+        cases.append((check_update, acc, added.acc_after, probe, added.witness))
+        if elements:
+            removed = update("del", added.acc_after, memory, member)
+            cases.append((check_update, added.acc_after, removed.acc_after, member, removed.witness))
+        assert {args[-1].kind for _fn, *args in cases} == (
+            set(WitnessKind) if elements else {WitnessKind.NON_MEMBERSHIP, WitnessKind.UPDATE_ADD}
+        )
+        wrong = b"\x5a" * 32
+        for fn, acc_arg, *rest in cases:
+            # the genuine claim, then the same witness against a wrong accumulator value
+            for args in ((acc_arg, *rest), (wrong, *rest)):
+                plain = fn(*args)
+                reported = []
+                verdict, seen = self.hashlib_lengths(fn, *args, reported.append)
+                assert verdict == plain
+                assert sorted(reported) == seen
+            assert fn(acc_arg, *rest) in (0, 1)
 
 
 class TestWitnessSizes:

@@ -1,9 +1,11 @@
 """Accumulator token: contract verification, client builds, atomicity."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
+from acctoken.accumulator import hashing
 from acctoken.bench import effective_allowances, effective_balances
 from acctoken.bench.workload import true_balance
 from acctoken.erc20 import CONTRACT_KEYS, OpTag, TokenSystem, decode_bundle, encode_bundle
@@ -31,6 +33,7 @@ from acctoken.errors import (
     VerificationFailed,
     ZeroSupply,
 )
+from acctoken.gas import HASH, SLOAD, SSTORE_UPDATE
 from acctoken.storage import FaultPolicy
 
 A = bytes.fromhex("aa" * 20)
@@ -494,3 +497,46 @@ class TestSemanticForgery:
                 getattr(system, op)(*args, forged)
             assert snapshot(system) == before
         getattr(system, op)(*args, honest)  # the honest bundle still goes through
+
+
+# op variant -> (contract reads, contract writes): the accumulators its plan touches and updates
+METERED_ACCESSES = {
+    "transfer-standard": (1, 1),
+    "transfer-fresh": (1, 1),
+    "approve-again": (1, 1),
+    "approve-first": (2, 2),
+    "transfer_from-standard": (3, 2),
+    "transfer_from-fresh": (3, 2),
+}
+
+
+class _RecordingHashlib:
+    def __init__(self):
+        self.lengths = []
+
+    def sha256(self, data=b""):
+        self.lengths.append(len(data))
+        return hashlib.sha256(data)
+
+
+class TestContractMetering:
+    """An accepted transaction's trace holds the reads, hashes and writes the contract made."""
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize("case", FORGERY_CASES)
+    def test_trace_follows_execution(self, case, lift, monkeypatch):
+        op, args, _other_args = FORGERY_CASES[case]
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        bundle = getattr(system.client, "build_" + op)(*args)
+        recorder = _RecordingHashlib()
+        monkeypatch.setattr(hashing, "hashlib", recorder)
+        outcome = getattr(system.contract, op)(*args, bundle)
+        monkeypatch.undo()
+        kinds = [kind for kind, _arg in outcome.trace.events]
+        hashed = sorted(arg for kind, arg in outcome.trace.events if kind == HASH)
+        assert recorder.lengths and hashed == sorted(recorder.lengths)
+        reads, writes = METERED_ACCESSES[case]
+        assert (kinds.count(SLOAD), kinds.count(SSTORE_UPDATE)) == (reads, writes)
+        assert len(kinds) == len(hashed) + reads + writes

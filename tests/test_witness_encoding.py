@@ -17,6 +17,7 @@ from acctoken.accumulator import (
     witness,
     witness_size_bytes,
 )
+from acctoken.accumulator.witness import HEADER_BYTES
 from acctoken.erc20.bundle import (
     BundleEntry,
     OpTag,
@@ -28,7 +29,7 @@ from acctoken.erc20.bundle import (
     MEMBER,
     UPDATE_ADD,
 )
-from acctoken.errors import BundleSchemaMismatch, WitnessDecodeError
+from acctoken.errors import BundleSchemaMismatch, InvalidProof, WitnessDecodeError
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "witness_vectors.json").read_text()
@@ -164,7 +165,11 @@ class TestBundleEncoding:
         assert raw[0] == OpTag.TRANSFER
         assert raw[1] == 2
         assert raw[2] == purpose(BALANCES, MEMBER)
-        assert bundle.size_bytes() == len(raw)
+        member, added = bundle.entries
+        # frame, then purpose byte + witness per entry, + claimed after-value for updates
+        assert len(raw) == 2 + (1 + witness_size_bytes(member.witness)) + (
+            1 + witness_size_bytes(added.witness) + 32
+        )
 
     def test_metadata_not_serialized(self):
         bundle = self.make_bundle()
@@ -185,3 +190,20 @@ class TestBundleEncoding:
         raw = encode_bundle(self.make_bundle())
         with pytest.raises(BundleSchemaMismatch):
             decode_bundle(raw[:-8])
+
+    # the first entry's witness starts after the frame (2 bytes) and its purpose byte
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda raw: raw[: 3 + HEADER_BYTES + 10], InvalidProof),  # witness body cut short
+            (lambda raw: raw[: 3 + HEADER_BYTES - 1], BundleSchemaMismatch),  # header cut short
+            (lambda raw: raw[:3] + b"\x09" + raw[4:], InvalidProof),  # unknown witness kind
+            (lambda raw: raw[:36] + (300).to_bytes(2, "big") + raw[38:], InvalidProof),  # step count 300
+            (lambda raw: raw + b"\x00", BundleSchemaMismatch),  # trailing byte
+        ],
+        ids=["short-body", "short-header", "unknown-kind", "300-steps", "trailing-byte"],
+    )
+    def test_decode_error_classes(self, corrupt, error):
+        raw = encode_bundle(self.make_bundle())
+        with pytest.raises(error):
+            decode_bundle(corrupt(raw))
