@@ -1,4 +1,5 @@
-"""Manager-side accumulator operations: setup, witness, update.
+"""Manager-side accumulator operations: setup, witness, update, and batched
+commits (``Changes`` netted per element, applied by ``apply_update``).
 
 The verification half (belongs / check_update) lives in ``verify`` and never
 imports this module or the tree, so verifiers can run without any memory.
@@ -6,7 +7,7 @@ imports this module or the tree, so verifiers can run without any memory.
 
 from dataclasses import dataclass
 
-from ..errors import NotPresent, StaleAccumulator, UnsupportedParameter
+from ..errors import AlreadyPresent, NotPresent, StaleAccumulator, UnsupportedParameter
 from . import tree
 from .hashing import DIGEST_BYTES, element_digest
 from .tree import Memory, Node
@@ -84,20 +85,63 @@ def update(op: str, acc_before: bytes, memory: Memory, element: bytes) -> Update
     return UpdateResult(new_root.digest, w)
 
 
-def apply_update(op: str, memory: Memory, element: bytes) -> bytes:
-    """update() minus witness construction; returns the new accumulator value.
+class Changes:
+    """Adds and deletes for one memory, netted per element as they are recorded.
 
-    The storage network uses this on its commit path, where the update was
-    already verified by the contract and the witness would go unread.
+    Each step is checked against the memory plus the steps recorded before
+    it, so a batch that would fail applied one step at a time raises here,
+    before anything changes: AlreadyPresent for adding an element that is
+    present at that point, NotPresent for deleting one that is absent. An add
+    and a later delete of the same element cancel, and so do a delete and a
+    later re-add. Like the memory, ``adds`` and ``dels`` map trie keys to
+    elements.
     """
-    key = element_digest(element)
-    if op == "add":
-        memory.root = tree.insert(memory.root, key)
-        memory.elements[key] = element
-    elif op == "del":
-        memory.root = tree.remove(memory.root, key)
+
+    __slots__ = ("memory", "epoch", "adds", "dels")
+
+    def __init__(self, memory: Memory, steps=()):
+        self.memory = memory
+        self.epoch = memory.epoch
+        self.adds: dict[bytes, bytes] = {}
+        self.dels: dict[bytes, bytes] = {}
+        for op, element in steps:
+            self.record(op, element)
+
+    def record(self, op: str, element: bytes):
+        key = element_digest(element)
+        if op == "add":
+            if self.dels.pop(key, None) is None:
+                if key in self.adds or key in self.memory.elements:
+                    raise AlreadyPresent(f"element digest {key.hex()} already accumulated")
+                self.adds[key] = element
+        elif op == "del":
+            if self.adds.pop(key, None) is None:
+                if key in self.dels or key not in self.memory.elements:
+                    raise NotPresent(f"element digest {key.hex()} not accumulated")
+                self.dels[key] = element
+        else:
+            raise ValueError(f"unknown update op {op!r}")
+
+    def __len__(self) -> int:
+        return len(self.adds) + len(self.dels)
+
+
+def apply_update(memory: Memory, changes: Changes) -> bytes:
+    """Apply a batch of changes as one epoch; returns the new accumulator value.
+
+    The trie takes the deletions one by one and then all additions in one
+    merge. The storage network commits through this, where the changes were
+    already verified by the contract and witnesses would go unread.
+    """
+    if changes.memory is not memory or changes.epoch != memory.epoch:
+        raise StaleAccumulator("changes were recorded against another memory state")
+    # nothing below can fail: record() checked that every deleted key is
+    # present, every added key absent, and that no key is both
+    root = memory.root
+    for key in changes.dels:
+        root = tree.remove(root, key)
         del memory.elements[key]
-    else:
-        raise ValueError(f"unknown update op {op!r}")
+    memory.elements.update(changes.adds)
+    memory.root = tree.insert_many(root, sorted(changes.adds))
     memory.epoch += 1
     return memory.root.digest

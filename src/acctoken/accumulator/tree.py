@@ -1,10 +1,17 @@
 """Compressed binary Merkle trie over 32-byte element digests.
 
-Nodes are immutable; updates copy the touched root-to-leaf path and share
-everything else, so old roots stay valid snapshots for free. The compressed
-layout (branches exist only where keys actually diverge) is canonical for a
-given key set, which makes the root digest history independent.
+Nodes are immutable; updates copy the touched nodes and share everything
+else, so old roots stay valid snapshots for free. The compressed layout
+(branches exist only where keys actually diverge) is canonical for a given
+key set, which makes the root digest history independent.
+
+``insert_many`` relies on that: it merges a sorted batch of new keys into
+the trie in one pass, reusing every subtree no new key falls into and
+hashing each new node once, and the canonical layout makes its root equal,
+bit for bit, to the root of inserting the same keys one at a time.
 """
+
+from bisect import bisect_left
 
 from ..errors import AlreadyPresent, NotPresent
 from .hashing import EMPTY_DIGEST, bit_at, branch_hash, first_diff_bit, leaf_hash
@@ -72,7 +79,7 @@ def insert(root: Node, key: bytes) -> Node:
     path, terminal = walk(root, key)
     split = first_diff_bit(key, terminal.key)
     if split is None:
-        raise AlreadyPresent(f"element digest {key.hex()} already accumulated")
+        raise _duplicate(key)
     # The new branch sits above the first node whose discriminator passes the
     # split bit; everything below it is displaced onto the other side.
     cut = 0
@@ -85,6 +92,67 @@ def insert(root: Node, key: bytes) -> Node:
     else:
         node = Branch(split, displaced, new_leaf)
     return _rebuild(path[:cut], node)
+
+
+def _duplicate(key: bytes):
+    return AlreadyPresent(f"element digest {key.hex()} already accumulated")
+
+
+def _ones_from(keys: list[bytes], lo: int, hi: int, bit: int) -> int:
+    """First index in ``keys[lo:hi]`` whose ``bit`` is set; the keys are sorted
+    and agree on every bit before ``bit``."""
+    first = keys[lo]
+    byte = bit >> 3
+    boundary = first[:byte] + bytes(((first[byte] & (0xFF00 >> (bit & 7))) | (0x80 >> (bit & 7)),))
+    return bisect_left(keys, boundary, lo, hi)
+
+
+def _build(keys: list[bytes], lo: int, hi: int) -> Node:
+    """The trie of ``keys[lo:hi]`` alone."""
+    if hi - lo == 1:
+        return Leaf(keys[lo])
+    split = first_diff_bit(keys[lo], keys[hi - 1])
+    if split is None:
+        raise _duplicate(keys[lo])
+    mid = _ones_from(keys, lo, hi, split)
+    return Branch(split, _build(keys, lo, mid), _build(keys, mid, hi))
+
+
+def _merge(node: Node, keys: list[bytes], lo: int, hi: int, depth: int) -> Node:
+    """The trie of ``node``'s keys plus ``keys[lo:hi]``, all of which agree on
+    every bit before ``depth``."""
+    if hi - lo < 2:
+        # walking one key's path and copying it is cheaper than recursing
+        return insert(node, keys[lo]) if hi > lo else node
+    if isinstance(node, _Empty):
+        return _build(keys, lo, hi)
+    if isinstance(node, Branch) and node.bit == depth:
+        split = depth  # nothing above the branch's own bit to disagree on
+    else:
+        sample = node
+        while isinstance(sample, Branch):
+            sample = sample.left
+        # the sorted keys' common prefix with the subtree is shortest at an end
+        ends = first_diff_bit(keys[lo], sample.key), first_diff_bit(keys[hi - 1], sample.key)
+        if None in ends:
+            raise _duplicate(sample.key)
+        split = min(ends)
+    if isinstance(node, Branch) and split >= node.bit:
+        bit = node.bit
+        mid = _ones_from(keys, lo, hi, bit)
+        return Branch(bit, _merge(node.left, keys, lo, mid, bit + 1), _merge(node.right, keys, mid, hi, bit + 1))
+    # the new keys leave the subtree's common prefix at ``split``: a new
+    # branch there, with the whole subtree on one side
+    mid = _ones_from(keys, lo, hi, split)
+    if bit_at(sample.key, split):
+        return Branch(split, _build(keys, lo, mid), _merge(node, keys, mid, hi, split + 1))
+    return Branch(split, _merge(node, keys, lo, mid, split + 1), _build(keys, mid, hi))
+
+
+def insert_many(root: Node, keys: list[bytes]) -> Node:
+    """``root`` with the sorted ``keys`` inserted; raises AlreadyPresent on a
+    key that is present already or listed twice."""
+    return _merge(root, keys, 0, len(keys), 0)
 
 
 def remove(root: Node, key: bytes) -> Node:

@@ -41,8 +41,8 @@ def _parse_checkpoints(args) -> tuple[int, ...]:
     if args.checkpoints:
         return tuple(_parse_int(c) for c in args.checkpoints.split(","))
     if args.max_accounts:
-        step = max(1, args.max_accounts // 8)
-        return tuple(range(step, args.max_accounts + 1, step))
+        # eight even steps up to the maximum; small maxima give fewer
+        return tuple(sorted({args.max_accounts * i // 8 for i in range(1, 9)} - {0}))
     raise SystemExit("provide --checkpoints or --max-accounts")
 
 

@@ -4,8 +4,10 @@ A scenario grows the account set to each checkpoint with funded transfers
 from the deployer plus one approval per new account (account i approves
 account i+1), then meters a fixed number of sampled transfer / approve /
 transferFrom transactions at the checkpoint. Sampled transactions run the
-full proof path; growth uses the unverified fast path, which produces
-bit-identical state and keeps six-figure populations tractable.
+full proof path. Growth plans the same transfers and approvals and hands
+them to ``TokenSystem.bootstrap``, which commits each checkpoint's updates as
+one netted batch per accumulator without proofs: the state is the one the
+verified ops reach, and six-figure populations stay tractable.
 
 Samples carry raw traces, so one run can be metered under any gas schedule
 after the fact. Every metered transaction is cross-checked against a shadow
@@ -17,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..baseline import BaselineToken
+from ..erc20 import plan
 from ..erc20.contract import CONTRACT_KEYS
 from ..erc20.system import TokenSystem
 from ..errors import AcctokenError
@@ -148,22 +151,33 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
 
 
 def _grow(scenario, system, shadow, pop, created, target) -> int:
-    fast = isinstance(system, TokenSystem)
+    if isinstance(system, TokenSystem):
+        system.bootstrap(_growth_plans(scenario, shadow, pop, created, target))
+    else:
+        deployer = pop.address(0)
+        for i in range(created + 1, target + 1):
+            system.transfer(deployer, pop.address(i), scenario.grant)
+            system.approve(pop.address(i), pop.address(i + 1), scenario.approve_allowance)
+            _record_growth(scenario, shadow, pop, i)
+    return target
+
+
+def _growth_plans(scenario, shadow, pop, created, target):
+    """Plans of the growth ops for accounts ``created+1..target``, amounts from the shadow ledger."""
     deployer = pop.address(0)
     shadow_balances = shadow.token.balances
     for i in range(created + 1, target + 1):
         addr = pop.address(i)
-        partner = pop.address(i + 1)
-        if fast:
-            system.fast_transfer(deployer, addr, scenario.grant, shadow_balances[deployer], None)
-            system.fast_approve(addr, partner, scenario.approve_allowance, None)
-        else:
-            system.transfer(deployer, addr, scenario.grant)
-            system.approve(addr, partner, scenario.approve_allowance)
-        shadow.apply("transfer", (deployer, addr, scenario.grant))
-        shadow.apply("approve", (addr, partner, scenario.approve_allowance))
-        pop.add_pair(i, i + 1)
-    return target
+        yield plan.transfer(deployer, addr, scenario.grant, plan.Announced((shadow_balances[deployer],)))
+        yield plan.approve(addr, pop.address(i + 1), scenario.approve_allowance, plan.Announced(()))
+        _record_growth(scenario, shadow, pop, i)
+
+
+def _record_growth(scenario, shadow, pop, i):
+    deployer, addr = pop.address(0), pop.address(i)
+    shadow.apply("transfer", (deployer, addr, scenario.grant))
+    shadow.apply("approve", (addr, pop.address(i + 1), scenario.approve_allowance))
+    pop.add_pair(i, i + 1)
 
 
 def _sample_checkpoint(scenario, system, shadow, pop, n_accounts, run) -> list[OpSample]:

@@ -5,10 +5,15 @@ transactions to the contract, replays the confirmed updates into the storage
 network in contract order, and assembles the calldata that gas metering sees.
 A transaction is atomic end to end: a rejection at any stage leaves the
 contract state, the storage memories and the logs untouched.
+
+``bootstrap`` grows a population without proofs: it commits the update steps
+of a stream of transfer and approve plans, netted into one batch per
+accumulator, and is just as atomic.
 """
 
 import hashlib
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import Overflow, ZeroSupply
 from ..gas import TxTrace
@@ -83,7 +88,8 @@ class TokenSystem:
         self.acc_ids = {name: AccumulatorId(name, instance) for name in pb.ACCUMULATORS}
         for name, acc_id in self.acc_ids.items():
             self.network.register(acc_id, index_prefix_len=_INDEX_PREFIX_LEN.get(name))
-        self.network.commit(self.acc_ids[pb.BALANCES], "add", balance_element(deployer, total))
+        balances = self.acc_ids[pb.BALANCES]
+        self.network.commit(balances, self.network.changes(balances, [("add", balance_element(deployer, total))]))
         state = ContractState(
             *(self.network.accumulator_value(acc_id) for acc_id in self.acc_ids.values()), total
         )
@@ -113,7 +119,8 @@ class TokenSystem:
         self, op: OpTag, addresses: list[bytes], tokens: int, bundle: ProofBundle, outcome: TxOutcome
     ) -> TxRecord:
         for acc_name, update_op, element in outcome.commits:
-            self.network.commit(self.acc_ids[acc_name], update_op, element)
+            acc_id = self.acc_ids[acc_name]
+            self.network.commit(acc_id, self.network.changes(acc_id, [(update_op, element)]))
         self._assert_lock_step()
         encoded = encode_bundle(bundle)
         outcome.trace.calldata = abi_calldata(op, addresses, tokens, bundle.announced, encoded)
@@ -148,33 +155,31 @@ class TokenSystem:
             OpTag.TRANSFER_FROM, [spender, sender, to], tokens, bundle, outcome
         )
 
-    # -- bootstrap fast path -------------------------------------------------
+    # -- bootstrap ---------------------------------------------------------------
 
-    def fast_transfer(self, sender: bytes, to: bytes, tokens: int, sender_balance: int, to_balance: int | None):
-        """Apply a transfer's state transition without proof machinery.
+    def bootstrap(self, plans: Iterable[plan.Plan]):
+        """Commit the update steps of transfer and approve plans, one batch per accumulator.
 
-        Commits the update steps of the same plan the verified path checks,
-        so it produces bit-identical contract and storage state;
-        population-growth workloads use it so benchmarks stay tractable. No
-        event log is emitted; this is bootstrap tooling, not a transaction.
-        ``to_balance`` is None when the destination holds no tuple yet.
+        Bootstrap tooling for population growth, not transactions: nothing is
+        proved and no log is emitted. The plans are consumed as a stream and
+        their steps netted per accumulator as they come, so the deployer's
+        intermediate balance tuples cancel out. Each plan's guards run and
+        each update is checked against storage (``Changes.record``) before
+        anything is committed, so a rejected stream leaves the contract and
+        storage as they were. The state reached is the one the verified ops
+        reach.
         """
-        check_amount(tokens)
-        if sender_balance < tokens:
-            raise ValueError("fast path needs a funded sender")
-        self._apply_unverified(plan.transfer(sender, to, tokens, plan.Announced((sender_balance, to_balance))))
-
-    def fast_approve(self, owner: bytes, spender: bytes, tokens: int, old: int | None):
-        """Fast-path counterpart of approve; ``old`` is the prior allowance tuple."""
-        check_amount(tokens)
-        self._apply_unverified(plan.approve(owner, spender, tokens, plan.Announced((old,))))
-
-    def _apply_unverified(self, op_plan: plan.Plan):
-        _log, steps = op_plan  # bootstrap commits emit no log
+        batches = {name: self.network.changes(acc_id) for name, acc_id in self.acc_ids.items()}
+        for log, steps in plans:
+            check_amount(log.amount)
+            for acc, claim, element in steps:
+                if claim in pb.STORAGE_OP:
+                    batches[acc].record(pb.STORAGE_OP[claim], element)
         values = {}
-        for acc, claim, element in steps:
-            if claim in pb.STORAGE_OP:
-                values[acc] = self.network.commit(self.acc_ids[acc], pb.STORAGE_OP[claim], element)
+        for name in self.acc_ids:
+            changes = batches.pop(name)  # freed once committed
+            if changes:
+                values[name] = self.network.commit(self.acc_ids[name], changes)
         self.contract.state = self.contract.state.with_values(values)
 
     # -- integrity hooks ------------------------------------------------------

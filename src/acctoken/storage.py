@@ -6,6 +6,14 @@ updates; it never ships a whole memory. Fault policies model an unreliable
 network on the serving path only (corrupted bytes, stale snapshots, refused
 requests); commits always apply, mirroring a storage node that follows the
 chain. Clients are expected to detect bad payloads via ``belongs``.
+
+A commit applies a batch of changes as one epoch: a verified transaction
+commits one change per call, population growth a whole checkpoint's netted
+changes per accumulator. Each accumulator keeps only the history its fault
+policy can serve: a node that lags ``k`` epochs keeps its last ``k`` commits,
+each with the root before it and its changes, and serves the oldest of those
+roots with an element view that rolls all of those changes back. Honest
+storage keeps no history.
 """
 
 import random
@@ -13,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .accumulator import core, encode_witness
-from .accumulator.hashing import TAG_ACC_ID, sha256
+from .accumulator.hashing import TAG_ACC_ID, element_digest, sha256
 from .accumulator.tree import Memory, Node
 from .errors import StorageError, Unavailable
 
@@ -89,7 +97,8 @@ class _Registered:
     memory: Memory
     index_prefix_len: int | None
     index: dict = field(default_factory=dict)
-    # (epoch, root, op, element) of recent commits, newest last
+    # (epoch reached, root before, changes) of the commits a stale node
+    # lags behind, oldest first
     history: deque = field(default_factory=deque)
     # simulated roots reachable from build_update_witness chains
     snapshots: dict = field(default_factory=dict)
@@ -103,7 +112,7 @@ class StorageNetwork:
         self._rng = random.Random(self.policy.seed)
         self._entries: dict[AccumulatorId, _Registered] = {}
         self.stats = ServingStats()
-        self._history_len = max(self.policy.lag_epochs, 0) + 4
+        self._lag = self.policy.lag_epochs if self.policy.mode == STALE else 0
 
     # -- registry ----------------------------------------------------------
 
@@ -112,9 +121,7 @@ class StorageNetwork:
         if acc_id in self._entries:
             raise StorageError(f"{acc_id} already registered")
         acc0, memory = core.setup(256)
-        entry = _Registered(memory=memory, index_prefix_len=index_prefix_len)
-        entry.history.append((0, memory.root, None, None))
-        self._entries[acc_id] = entry
+        self._entries[acc_id] = _Registered(memory=memory, index_prefix_len=index_prefix_len)
         return acc0
 
     def _entry(self, acc_id: AccumulatorId) -> _Registered:
@@ -145,31 +152,17 @@ class StorageNetwork:
         return bytes(out)
 
     def _serving_root(self, entry: _Registered) -> Node:
-        if self.policy.mode != STALE or self.policy.lag_epochs == 0:
-            return entry.memory.root
-        target = entry.memory.epoch - self.policy.lag_epochs
-        best = entry.history[0]
-        for item in entry.history:
-            if item[0] <= target:
-                best = item
-        return best[1]
+        return entry.history[0][1] if entry.history else entry.memory.root
 
     def _serving_elements(self, entry: _Registered, prefix: bytes) -> list[bytes]:
         plen = entry.index_prefix_len
         if plen is None or len(prefix) != plen:
             raise StorageError(f"lookups require a {plen}-byte prefix")
         current = set(entry.index.get(prefix, ()))
-        if self.policy.mode == STALE and self.policy.lag_epochs > 0:
-            target = entry.memory.epoch - self.policy.lag_epochs
-            # Roll recent commits back to reconstruct the stale element view.
-            for epoch, _root, op, element in reversed(entry.history):
-                if epoch <= target or op is None:
-                    break
-                if element[:plen] == prefix:
-                    if op == "add":
-                        current.discard(element)
-                    else:
-                        current.add(element)
+        # roll back the commits the served root predates, newest first
+        for _epoch, _root, changes in reversed(entry.history):
+            current = {element for element in current if element_digest(element) not in changes.adds}
+            current.update(element for element in changes.dels.values() if element[:plen] == prefix)
         return sorted(current)
 
     # -- serving API ---------------------------------------------------------
@@ -229,22 +222,35 @@ class StorageNetwork:
 
     # -- commit path -----------------------------------------------------------
 
-    def commit(self, acc_id: AccumulatorId, op: str, element: bytes) -> bytes:
-        """Apply a contract-confirmed update to the real memory."""
+    def changes(self, acc_id: AccumulatorId, steps=()) -> core.Changes:
+        """A batch of changes to ``acc_id``'s memory for ``commit``, with the
+        (op, element) ``steps`` recorded; record more with its ``record``."""
+        return core.Changes(self._entry(acc_id).memory, steps)
+
+    def commit(self, acc_id: AccumulatorId, changes: core.Changes) -> bytes:
+        """Apply contract-confirmed changes to the real memory as one epoch."""
         entry = self._entry(acc_id)
         memory = entry.memory
-        acc_after = core.apply_update(op, memory, element)
+        # honest storage holds no old root, so the replaced nodes are freed
+        # as soon as the commit lands
+        lagged = (memory.epoch + 1, memory.root, changes) if self._lag else None
+        acc_after = core.apply_update(memory, changes)
+        if lagged:
+            history = entry.history
+            history.append(lagged)
+            while history[0][0] <= memory.epoch - self._lag:
+                history.popleft()
         plen = entry.index_prefix_len
-        if plen is not None and len(element) >= plen:
-            bucket = entry.index.setdefault(element[:plen], set())
-            if op == "add":
-                bucket.add(element)
-            else:
-                bucket.discard(element)
-                if not bucket:
-                    del entry.index[element[:plen]]
-        entry.history.append((memory.epoch, memory.root, op, element))
-        while len(entry.history) > self._history_len:
-            entry.history.popleft()
+        if plen is not None:
+            index = entry.index
+            for element in changes.dels.values():
+                if len(element) >= plen:
+                    bucket = index[element[:plen]]
+                    bucket.discard(element)
+                    if not bucket:
+                        del index[element[:plen]]
+            for element in changes.adds.values():
+                if len(element) >= plen:
+                    index.setdefault(element[:plen], set()).add(element)
         entry.snapshots.clear()
         return acc_after

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from acctoken.accumulator import setup, update
+from acctoken.accumulator import setup
+from acctoken.accumulator.core import Changes, apply_update
 
 
 @pytest.fixture(scope="session")
@@ -10,7 +11,6 @@ def large_tree_2_16():
     """One 2^16-element accumulator shared by size/benchmark-ish tests."""
     rng = random.Random(160_001)
     elements = [rng.randbytes(16) for _ in range(2**16)]
-    acc, memory = setup(256)
-    for element in elements:
-        acc = update("add", acc, memory, element).acc_after
+    _acc, memory = setup(256)
+    acc = apply_update(memory, Changes(memory, (("add", element) for element in elements)))
     return acc, memory, elements

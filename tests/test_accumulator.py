@@ -24,6 +24,9 @@ from acctoken.accumulator import (
     witness,
     witness_size_bytes,
 )
+from acctoken.accumulator import tree
+from acctoken.accumulator.core import Changes, apply_update
+from acctoken.accumulator.hashing import bit_at, branch_hash, element_digest, first_diff_bit, leaf_hash
 from acctoken.errors import (
     AlreadyPresent,
     NotPresent,
@@ -499,3 +502,117 @@ class TestHypothesisProperties:
         result = update("del", acc, memory, victim)
         assert check_update(acc, result.acc_after, victim, result.witness) == 1
         assert check_update(result.acc_after, acc, victim, result.witness) == 0
+
+
+def canonical_digest(keys) -> bytes:
+    """Root digest of the compressed trie over ``keys``, straight from its definition."""
+    keys = sorted(keys)
+    if not keys:
+        return EMPTY_DIGEST
+    if len(keys) == 1:
+        return leaf_hash(keys[0])
+    split = first_diff_bit(keys[0], keys[-1])
+    zeros = [key for key in keys if not bit_at(key, split)]
+    ones = [key for key in keys if bit_at(key, split)]
+    return branch_hash(split, canonical_digest(zeros), canonical_digest(ones))
+
+
+def one_at_a_time(memory, steps):
+    for step in steps:
+        apply_update(memory, Changes(memory, [step]))
+    return memory
+
+
+@st.composite
+def batches(draw):
+    """(initial set, valid add/del steps): elements come from a small pool, so
+    repeated picks give add-then-delete and delete-then-re-add pairs."""
+    pool = draw(st.lists(st.binary(max_size=6), unique=True, max_size=16))
+    present = set(draw(st.sets(st.sampled_from(pool)))) if pool else set()
+    initial = sorted(present)
+    steps = []
+    for element in draw(st.lists(st.sampled_from(pool), max_size=40)) if pool else ():
+        steps.append(("del" if element in present else "add", element))
+        present ^= {element}
+    return initial, steps, present
+
+
+@st.composite
+def crafted_keys(draw):
+    """32-byte keys in groups that share long prefixes, down to all but the last byte."""
+    keys = set()
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.binary(min_size=32, max_size=32))
+        shared = draw(st.sampled_from([0, 8, 24, 30, 31, 31]))
+        tails = draw(st.lists(st.binary(min_size=32 - shared, max_size=32 - shared), max_size=12))
+        keys.update(head[:shared] + tail for tail in tails)
+    keys = sorted(keys)
+    cut = draw(st.integers(0, len(keys)))
+    order = draw(st.permutations(keys))
+    return order[:cut], order[cut:]
+
+
+class TestBatchUpdate:
+    @given(batches())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_root_equals_sequential_root(self, batch):
+        initial, steps, final = batch
+        _, batched = build_set(initial)
+        _, sequential = build_set(initial)
+        acc = apply_update(batched, Changes(batched, steps))
+        one_at_a_time(sequential, steps)
+        assert acc == batched.value == sequential.value == canonical_digest(map(element_digest, final))
+        assert batched.elements == sequential.elements
+        assert batched.epoch == len(initial) + 1
+
+    @given(crafted_keys())
+    @settings(max_examples=300, deadline=None)
+    def test_merge_with_shared_prefixes(self, split_keys):
+        old, new = split_keys
+        root = tree.insert_many(tree.EMPTY, sorted(old))
+        merged = tree.insert_many(root, sorted(new))
+        sequential = root
+        for key in new:
+            sequential = tree.insert_many(sequential, [key])
+        assert root.digest == canonical_digest(old)
+        assert merged.digest == sequential.digest == canonical_digest(old + new)
+
+    def test_keys_differing_in_the_last_bit(self):
+        head = bytes(31)
+        keys = [head + bytes([b]) for b in range(256)]
+        root = tree.insert_many(tree.EMPTY, keys[::2])
+        assert tree.insert_many(root, keys[1::2]).digest == canonical_digest(keys)
+
+    def test_duplicate_add_rejected(self):
+        _, memory = build_set([b"a"])
+        with pytest.raises(AlreadyPresent):
+            Changes(memory, [("add", b"a")])
+        with pytest.raises(AlreadyPresent):
+            Changes(memory, [("add", b"b"), ("add", b"b")])
+        with pytest.raises(AlreadyPresent):  # present again after a re-add
+            Changes(memory, [("del", b"a"), ("add", b"a"), ("add", b"a")])
+        key = element_digest(b"a")
+        with pytest.raises(AlreadyPresent):
+            tree.insert_many(memory.root, [key])
+        with pytest.raises(AlreadyPresent):
+            tree.insert_many(tree.EMPTY, [key, key])
+
+    def test_absent_delete_rejected(self):
+        _, memory = build_set([b"a"])
+        with pytest.raises(NotPresent):
+            Changes(memory, [("del", b"b")])
+        with pytest.raises(NotPresent):
+            Changes(memory, [("del", b"a"), ("del", b"a")])
+        with pytest.raises(NotPresent):  # absent again after the add is taken back
+            Changes(memory, [("add", b"b"), ("del", b"b"), ("del", b"b")])
+
+    def test_rejected_batch_leaves_memory_untouched(self):
+        _, memory = build_set([b"a", b"b", b"c"])
+        stale = Changes(memory, [("add", b"d")])
+        apply_update(memory, Changes(memory, [("del", b"c")]))
+        before = (memory.root, dict(memory.elements), memory.epoch)
+        with pytest.raises(StaleAccumulator):
+            apply_update(memory, stale)
+        with pytest.raises(AlreadyPresent):
+            Changes(memory, [("del", b"b"), ("add", b"e"), ("add", b"a")])
+        assert (memory.root, memory.elements, memory.epoch) == before

@@ -13,7 +13,7 @@ from acctoken.bench import (
     run_scenario,
     tabulate,
 )
-from acctoken.bench.cli import main
+from acctoken.bench.cli import _parse_checkpoints, build_parser, main
 from acctoken.gas import FLAT, SCALED, GasSchedule, RentParams, annual_rent, rent_rate
 from acctoken.storage import FaultPolicy
 
@@ -187,6 +187,19 @@ class TestCli:
         out = capsys.readouterr().out
         ns = {int(line.split(",")[0]) for line in out.splitlines()[1:]}
         assert ns == {4, 8, 12, 16, 20, 24, 28, 32}
+
+    @pytest.mark.parametrize(
+        "maximum, ladder",
+        [
+            (100, (12, 25, 37, 50, 62, 75, 87, 100)),
+            (17, (2, 4, 6, 8, 10, 12, 14, 17)),
+            (5, (1, 2, 3, 4, 5)),
+            (400_000, tuple(range(50_000, 400_001, 50_000))),
+        ],
+    )
+    def test_max_accounts_ladder_ends_at_maximum(self, maximum, ladder):
+        args = build_parser().parse_args(["run", "--token", "acc", "--max-accounts", str(maximum)])
+        assert _parse_checkpoints(args) == ladder
 
     def test_unknown_toggle_rejected(self):
         with pytest.raises(SystemExit):

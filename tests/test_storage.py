@@ -3,17 +3,21 @@
 import pytest
 
 from acctoken.accumulator import BOTTOM, belongs, check_update, decode_witness, witness_size_bytes
-from acctoken.errors import AlreadyPresent, NotPresent, StorageError, Unavailable
+from acctoken.errors import AlreadyPresent, NotPresent, StaleAccumulator, StorageError, Unavailable
 from acctoken.storage import AccumulatorId, FaultPolicy, StorageNetwork
 
 AID = AccumulatorId("balances", "test-0")
+
+
+def commit(network, op, element):
+    return network.commit(AID, network.changes(AID, [(op, element)]))
 
 
 def fresh_network(policy=None, elements=()):
     network = StorageNetwork(policy)
     network.register(AID, index_prefix_len=2)
     for element in elements:
-        network.commit(AID, "add", element)
+        commit(network, "add", element)
     return network
 
 
@@ -78,7 +82,7 @@ class TestBuildUpdateWitness:
         acc = network.accumulator_value(AID)
         predicted, payload = network.build_update_witness(AID, "add", b"ab-9")
         assert check_update(acc, predicted, b"ab-9", payload) == 1
-        committed = network.commit(AID, "add", b"ab-9")
+        committed = commit(network, "add", b"ab-9")
         assert committed == predicted
 
     def test_build_does_not_mutate(self):
@@ -104,8 +108,8 @@ class TestBuildUpdateWitness:
         assert check_update(acc, mid, b"aa-100", w_del) == 1
         assert check_update(mid, end, b"aa-70", w_add) == 1
         # sequential oracle: committing the same ops lands on the same values
-        assert network.commit(AID, "del", b"aa-100") == mid
-        assert network.commit(AID, "add", b"aa-70") == end
+        assert commit(network, "del", b"aa-100") == mid
+        assert commit(network, "add", b"aa-70") == end
 
     def test_unknown_base_rejected(self):
         network = fresh_network(elements=[b"aa-1"])
@@ -115,7 +119,7 @@ class TestBuildUpdateWitness:
     def test_snapshots_cleared_by_commit(self):
         network = fresh_network(elements=[b"aa-1"])
         mid, _ = network.build_update_witness(AID, "del", b"aa-1")
-        network.commit(AID, "add", b"ab-2")
+        commit(network, "add", b"ab-2")
         with pytest.raises(StorageError):
             network.build_update_witness(AID, "add", b"ac-3", base=mid)
 
@@ -124,20 +128,39 @@ class TestCommit:
     def test_round_trip_and_inverse(self):
         network = fresh_network()
         acc0 = network.accumulator_value(AID)
-        network.commit(AID, "add", b"aa-1")
-        assert network.commit(AID, "del", b"aa-1") == acc0
+        commit(network, "add", b"aa-1")
+        assert commit(network, "del", b"aa-1") == acc0
 
     def test_duplicate_add_rejected(self):
         network = fresh_network(elements=[b"aa-1"])
         with pytest.raises(AlreadyPresent):
-            network.commit(AID, "add", b"aa-1")
+            commit(network, "add", b"aa-1")
         with pytest.raises(NotPresent):
-            network.commit(AID, "del", b"zz")
+            commit(network, "del", b"zz")
+
+    def test_batch_is_one_epoch(self):
+        network = fresh_network(elements=[b"aa-1"])
+        network.commit(AID, network.changes(AID, [("add", b"ab-2"), ("del", b"aa-1"), ("add", b"ac-3")]))
+        assert network.epoch(AID) == 2
+        assert network.lookup(AID, b"aa") == []
+        assert network.lookup(AID, b"ac") == [b"ac-3"]
+
+    def test_rejected_commit_leaves_storage_untouched(self):
+        network = fresh_network(FaultPolicy.stale(1), [b"aa-1", b"ab-2"])
+        entry = network._entry(AID)
+        stale = network.changes(AID, [("add", b"aa-3")])
+        commit(network, "del", b"ab-2")
+        before = (entry.memory.root, dict(entry.memory.elements), entry.memory.epoch,
+                  {prefix: set(bucket) for prefix, bucket in entry.index.items()}, list(entry.history))
+        with pytest.raises(StaleAccumulator):
+            network.commit(AID, stale)
+        after = (entry.memory.root, entry.memory.elements, entry.memory.epoch, entry.index, list(entry.history))
+        assert after == before
 
     def test_epoch_advances(self):
         network = fresh_network()
-        network.commit(AID, "add", b"aa-1")
-        network.commit(AID, "add", b"ab-2")
+        commit(network, "add", b"aa-1")
+        commit(network, "add", b"ab-2")
         assert network.epoch(AID) == 2
 
 
@@ -171,7 +194,7 @@ class TestStale:
     def test_witness_lags_one_epoch(self):
         network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
         acc_now = network.accumulator_value(AID)
-        network.commit(AID, "add", b"ab-2")
+        commit(network, "add", b"ab-2")
         payload = network.fetch_witness(AID, b"ab-2")
         # served against the pre-commit snapshot: fails for the current value
         assert belongs(network.accumulator_value(AID), b"ab-2", payload) is BOTTOM
@@ -179,10 +202,32 @@ class TestStale:
 
     def test_stale_lookup_rolls_back_elements(self):
         network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
-        network.commit(AID, "add", b"aa-2")
+        commit(network, "add", b"aa-2")
         assert network.lookup(AID, b"aa") == [b"aa-1"]
-        network.commit(AID, "add", b"ab-3")
+        commit(network, "add", b"ab-3")
         assert sorted(network.lookup(AID, b"aa")) == [b"aa-1", b"aa-2"]
+
+    def test_batch_is_served_whole_while_stale(self):
+        network = fresh_network(FaultPolicy.stale(1), [b"aa-1", b"aa-2"])
+        before = network.accumulator_value(AID)
+        batch = network.changes(AID, [("del", b"aa-1"), ("add", b"aa-3"), ("add", b"ab-4")])
+        batch.record("add", b"aa-5")
+        batch.record("del", b"aa-5")
+        after = network.commit(AID, batch)
+        # the served root and the served element view are both the pre-batch ones
+        assert belongs(before, b"aa-1", network.fetch_witness(AID, b"aa-1")) == 1
+        assert belongs(before, b"aa-3", network.fetch_witness(AID, b"aa-3")) == 0
+        assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2"]
+        assert network.lookup(AID, b"ab") == []
+        commit(network, "add", b"ac-6")
+        assert belongs(after, b"aa-3", network.fetch_witness(AID, b"aa-3")) == 1
+        assert network.lookup(AID, b"aa") == [b"aa-2", b"aa-3"]
+        assert network.lookup(AID, b"ab") == [b"ab-4"]
+
+    def test_history_keeps_what_the_lag_serves(self):
+        for lag in (0, 1, 3):
+            network = fresh_network(FaultPolicy.stale(lag), [b"aa-%d" % i for i in range(6)])
+            assert len(network._entry(AID).history) == lag  # the commits it lags behind
 
     def test_zero_lag_is_honest(self):
         network = fresh_network(FaultPolicy.stale(0), [b"aa-1"])

@@ -8,7 +8,7 @@ import pytest
 from acctoken.accumulator import hashing
 from acctoken.bench import effective_allowances, effective_balances
 from acctoken.bench.workload import true_balance
-from acctoken.erc20 import CONTRACT_KEYS, OpTag, TokenSystem, decode_bundle, encode_bundle
+from acctoken.erc20 import CONTRACT_KEYS, OpTag, TokenSystem, decode_bundle, encode_bundle, plan
 from acctoken.erc20.bundle import (
     ALLOWED_ADDRESSES,
     ALLOWED_BALANCES,
@@ -22,11 +22,13 @@ from acctoken.erc20.bundle import (
 from acctoken.erc20.elements import allowance_element
 from acctoken.errors import (
     AcctokenError,
+    AlreadyPresent,
     BundleSchemaMismatch,
     InsufficientAllowance,
     InsufficientBalance,
     InvalidProof,
     NotApproved,
+    NotPresent,
     Overflow,
     StaleProof,
     TokenError,
@@ -237,7 +239,7 @@ class TestStaleness:
     def test_stale_storage_detected_at_build_time(self):
         system = TokenSystem(A, 1000, policy=FaultPolicy.stale(1))
         # land one committed transfer without touching the faulty serving path
-        system.fast_transfer(A, B, 10, 1000, None)
+        system.bootstrap([plan.transfer(A, B, 10, plan.Announced((1000,)))])
         # the lagged view still knows a tuple for A, but its witness replays
         # to a superseded root; client verification against the contract's
         # current value must reject it
@@ -392,15 +394,19 @@ def accumulator_values(system):
     return [system.network.accumulator_value(acc_id) for acc_id in system.acc_ids.values()]
 
 
+def announced(*words):
+    return plan.Announced(word for word in words if word is not None)
+
+
 class TestFastPathEquivalence:
-    """The bootstrap fast path reaches the state the verified op reaches."""
+    """``bootstrap`` reaches the state the verified ops reach."""
 
     @pytest.mark.parametrize("to, to_balance", [(B, 100), (C, None)], ids=["standard", "fresh"])
     def test_fast_transfer(self, to, to_balance):
         fast, verified = TokenSystem(A, 1000), TokenSystem(A, 1000)
         for system in (fast, verified):
             system.transfer(A, B, 100)
-        fast.fast_transfer(A, to, 25, 900, to_balance)
+        fast.bootstrap([plan.transfer(A, to, 25, announced(900, to_balance))])
         verified.transfer(A, to, 25)
         assert fast.state == verified.state
         assert accumulator_values(fast) == accumulator_values(verified)
@@ -411,10 +417,58 @@ class TestFastPathEquivalence:
         if old is not None:
             for system in (fast, verified):
                 system.approve(A, S, old)
-        fast.fast_approve(A, S, 7, old)
+        fast.bootstrap([plan.approve(A, S, 7, announced(old))])
         verified.approve(A, S, 7)
         assert fast.state == verified.state
         assert accumulator_values(fast) == accumulator_values(verified)
+
+    def test_stream_of_plans(self):
+        # the deployer funds, re-funds and approves in one batch: its
+        # intermediate balance tuples and B's first allowance cancel out
+        ops = [("transfer", (A, B, 100)), ("transfer", (A, C, 50)), ("approve", (B, S, 30)),
+               ("transfer", (A, B, 5)), ("approve", (B, S, 9)), ("approve", (C, B, 1))]
+        fast, verified = TokenSystem(A, 1000), TokenSystem(A, 1000)
+        amounts = {A: 1000}
+        allowances = {}
+
+        def plans():
+            for kind, (owner, other, tokens) in ops:
+                if kind == "transfer":
+                    yield plan.transfer(owner, other, tokens, announced(amounts[owner], amounts.get(other)))
+                    amounts[owner] -= tokens
+                    amounts[other] = amounts.get(other, 0) + tokens
+                else:
+                    yield plan.approve(owner, other, tokens, announced(allowances.get((owner, other))))
+                    allowances[owner, other] = tokens
+
+        fast.bootstrap(plans())
+        for kind, args in ops:
+            getattr(verified, kind)(*args)
+        assert fast.state == verified.state
+        assert accumulator_values(fast) == accumulator_values(verified)
+        assert [fast.network.epoch(acc_id) for acc_id in fast.acc_ids.values()] == [2, 1, 1]
+        assert effective_balances(fast) == {A: 845, B: 105, C: 50}
+
+    @pytest.mark.parametrize(
+        "bad_plan, error",
+        [
+            (plan.transfer(A, C, 5, announced(999)), NotPresent),  # A holds 900, not 999
+            (plan.approve(A, S, 8, announced()), AlreadyPresent),  # the pair is approved twice
+            (plan.transfer(A, C, 950, announced(900)), InsufficientBalance),
+            (plan.approve(B, S, 7, announced(3)), NotPresent),  # no allowance to replace
+            (plan.approve(B, S, 2**256, announced()), Overflow),
+            (plan.transfer(A, B, -5, announced(900, 100)), Overflow),  # would mint 5 for A
+        ],
+        ids=["wrong-balance", "first-approval-twice", "overspend", "wrong-allowance", "amount", "negative-amount"],
+    )
+    def test_rejected_stream_changes_nothing(self, bad_plan, error):
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        before = snapshot(system)
+        plans = [plan.approve(A, S, 7, announced()), bad_plan, plan.transfer(A, D, 1, announced(900))]
+        with pytest.raises(error):
+            system.bootstrap(plans)
+        assert snapshot(system) == before
 
 
 class TestOneTuplePerKey:
@@ -444,7 +498,8 @@ class TestOneTuplePerKey:
         system = TokenSystem(A, 1000)
         system.approve(A, S, 50)
         # planted straight into storage: no bundle schema can add it
-        system.network.commit(system.acc_ids[ALLOWED_BALANCES], "add", allowance_element(A, S, 7))
+        acc_id = system.acc_ids[ALLOWED_BALANCES]
+        system.network.commit(acc_id, system.network.changes(acc_id, [("add", allowance_element(A, S, 7))]))
         assert effective_allowances(system)[(A, S)] == 57
         with pytest.raises(AssertionError, match="more than one allowed-balances tuple"):
             system.check_conservation()
