@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .erc20.contract import LogRecord
 from .erc20.elements import AMOUNT_MAX, ZERO_ADDRESS, check_address, check_amount
-from .erc20.system import abi_calldata
+from .erc20.system import TxRecord, abi_calldata
 from .erc20.bundle import OpTag
 from .errors import (
     InsufficientAllowance,
@@ -24,15 +24,6 @@ from .errors import (
     ZeroSupply,
 )
 from .gas import TxTrace
-
-
-@dataclass
-class BaselineRecord:
-    op: str
-    log: LogRecord
-    trace: TxTrace
-    bundle_bytes: int = 0
-    verifications: int = 0
 
 
 @dataclass
@@ -105,7 +96,7 @@ class BaselineToken:
 
     # -- operations ---------------------------------------------------------------
 
-    def transfer(self, sender: bytes, to: bytes, tokens: int) -> BaselineRecord:
+    def transfer(self, sender: bytes, to: bytes, tokens: int) -> TxRecord:
         check_address(sender), check_address(to)
         check_amount(tokens)
         trace = TxTrace()
@@ -121,9 +112,9 @@ class BaselineToken:
         trace.calldata = abi_calldata(OpTag.TRANSFER, [sender, to], tokens, (), b"")
         log = LogRecord("Transfer", sender, to, tokens)
         self._log(log)
-        return BaselineRecord("transfer", log, trace)
+        return TxRecord("transfer", log, trace)
 
-    def approve(self, owner: bytes, spender: bytes, tokens: int) -> BaselineRecord:
+    def approve(self, owner: bytes, spender: bytes, tokens: int) -> TxRecord:
         check_address(owner), check_address(spender)
         check_amount(tokens)
         trace = TxTrace()
@@ -133,9 +124,9 @@ class BaselineToken:
         trace.calldata = abi_calldata(OpTag.APPROVE, [owner, spender], tokens, (), b"")
         log = LogRecord("Approval", owner, spender, tokens)
         self._log(log)
-        return BaselineRecord("approve", log, trace)
+        return TxRecord("approve", log, trace)
 
-    def transfer_from(self, spender: bytes, sender: bytes, to: bytes, tokens: int) -> BaselineRecord:
+    def transfer_from(self, spender: bytes, sender: bytes, to: bytes, tokens: int) -> TxRecord:
         check_address(spender), check_address(sender), check_address(to)
         check_amount(tokens)
         trace = TxTrace()
@@ -159,7 +150,7 @@ class BaselineToken:
         trace.calldata = abi_calldata(OpTag.TRANSFER_FROM, [spender, sender, to], tokens, (), b"")
         log = LogRecord("Transfer", sender, to, tokens)
         self._log(log)
-        return BaselineRecord("transfer_from", log, trace)
+        return TxRecord("transfer_from", log, trace)
 
     # -- integrity ------------------------------------------------------------------
 

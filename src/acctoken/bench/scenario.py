@@ -11,8 +11,8 @@ verified ops reach, and six-figure populations stay tractable.
 
 Samples carry raw traces, so one run can be metered under any gas schedule
 after the fact. Every metered transaction is cross-checked against a shadow
-map ledger, and conservation plus the constant contract-key count are
-asserted at every checkpoint.
+``BaselineToken`` (the mapping oracle), and conservation plus the constant
+contract-key count are asserted at every checkpoint.
 """
 
 import random
@@ -89,22 +89,6 @@ class ResultRow:
     verifications: float
 
 
-class _ShadowLedger:
-    """Plain-map mirror of every applied operation; the per-tx oracle."""
-
-    def __init__(self, deployer: bytes, supply: int):
-        self.token = BaselineToken.deploy(deployer, supply, keep_logs=False)
-
-    def apply(self, kind: str, args: tuple):
-        getattr(self.token, kind)(*args)
-
-    def balance(self, owner: bytes) -> int:
-        return self.token.balance_of(owner)
-
-    def allowance(self, owner: bytes, spender: bytes) -> int:
-        return self.token.allowance(owner, spender)
-
-
 class _Population:
     """Growth bookkeeping: addresses by index plus the approved-pair pool."""
 
@@ -128,7 +112,7 @@ class _Population:
 def run_scenario(scenario: Scenario) -> ScenarioRun:
     pop = _Population()
     deployer = pop.address(0)
-    shadow = _ShadowLedger(deployer, scenario.supply)
+    shadow = BaselineToken.deploy(deployer, scenario.supply, keep_logs=False)
     if scenario.token == ACC:
         system = TokenSystem(
             deployer,
@@ -165,7 +149,7 @@ def _grow(scenario, system, shadow, pop, created, target) -> int:
 def _growth_plans(scenario, shadow, pop, created, target):
     """Plans of the growth ops for accounts ``created+1..target``, amounts from the shadow ledger."""
     deployer = pop.address(0)
-    shadow_balances = shadow.token.balances
+    shadow_balances = shadow.balances
     for i in range(created + 1, target + 1):
         addr = pop.address(i)
         yield plan.transfer(deployer, addr, scenario.grant, plan.Announced((shadow_balances[deployer],)))
@@ -175,8 +159,8 @@ def _growth_plans(scenario, shadow, pop, created, target):
 
 def _record_growth(scenario, shadow, pop, i):
     deployer, addr = pop.address(0), pop.address(i)
-    shadow.apply("transfer", (deployer, addr, scenario.grant))
-    shadow.apply("approve", (addr, pop.address(i + 1), scenario.approve_allowance))
+    shadow.transfer(deployer, addr, scenario.grant)
+    shadow.approve(addr, pop.address(i + 1), scenario.approve_allowance)
     pop.add_pair(i, i + 1)
 
 
@@ -193,7 +177,7 @@ def _sample_checkpoint(scenario, system, shadow, pop, n_accounts, run) -> list[O
             except AcctokenError:
                 run.dropped += 1
                 continue
-            shadow.apply(kind, op_args)
+            getattr(shadow, kind)(*op_args)
             _spot_check(system, shadow, op_args)
             samples.append(
                 OpSample(OP_NAMES[kind], record.trace, record.bundle_bytes, record.verifications)
@@ -206,7 +190,7 @@ def _pick_op(rng, shadow, pop, n, kind, scenario):
         for _ in range(64):
             src = rng.randrange(1, n + 1)
             dst = rng.randrange(1, n + 1)
-            if src != dst and shadow.balance(pop.address(src)) >= 1:
+            if src != dst and shadow.balance_of(pop.address(src)) >= 1:
                 return (pop.address(src), pop.address(dst), 1)
         return None
     if kind == "approve":
@@ -222,7 +206,7 @@ def _pick_op(rng, shadow, pop, n, kind, scenario):
         dst = rng.randrange(1, n + 1)
         if (
             dst != owner
-            and shadow.balance(pop.address(owner)) >= 1
+            and shadow.balance_of(pop.address(owner)) >= 1
             and shadow.allowance(pop.address(owner), pop.address(spender)) >= 1
         ):
             return (pop.address(spender), pop.address(owner), pop.address(dst), 1)
@@ -236,14 +220,14 @@ def _spot_check(system, shadow, op_args):
     for addr in op_args:
         if isinstance(addr, bytes):
             got = true_balance(system, addr)
-            want = shadow.balance(addr)
+            want = shadow.balance_of(addr)
             if got != want:
                 raise AssertionError(f"ledger divergence for {addr.hex()}: {got} != {want}")
 
 
 def _integrity(system, shadow):
     system.check_conservation()
-    shadow.token.check_conservation()
+    shadow.check_conservation()
     if isinstance(system, TokenSystem):
         if system.persistent_key_count() != CONTRACT_KEYS:
             raise AssertionError("contract state grew beyond its four words")

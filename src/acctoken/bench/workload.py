@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 
 from ..baseline import BaselineToken
+from ..erc20.bundle import ALLOWED_BALANCES, BALANCES
+from ..erc20.elements import balance_prefix, decode_allowance_element, decode_balance_element
 from ..erc20.system import TokenSystem
 from ..errors import AcctokenError
 
@@ -109,12 +111,8 @@ def true_balance(token, owner: bytes) -> int:
     if isinstance(token, BaselineToken):
         return token.balance_of(owner)
     assert isinstance(token, TokenSystem)
-    from ..erc20.bundle import BALANCES
-    from ..erc20.elements import balance_prefix, decode_balance_element
-
-    entry = token.network._entry(token.acc_ids[BALANCES])
-    bucket = entry.index.get(balance_prefix(owner), ())
-    return sum(decode_balance_element(element)[1] for element in bucket)
+    held = token.network.elements(token.acc_ids[BALANCES], balance_prefix(owner))
+    return sum(decode_balance_element(element)[1] for element in held)
 
 
 def effective_balances(token) -> dict[bytes, int]:
@@ -126,12 +124,8 @@ def effective_balances(token) -> dict[bytes, int]:
     if isinstance(token, BaselineToken):
         return {a: v for a, v in token.balances.items() if v}
     assert isinstance(token, TokenSystem)
-    from ..erc20.bundle import BALANCES
-    from ..erc20.elements import decode_balance_element
-
-    memory = token.network._entry(token.acc_ids[BALANCES]).memory
     out = {}
-    for element in memory.elements.values():
+    for element in token.network.elements(token.acc_ids[BALANCES]):
         owner, amount = decode_balance_element(element)
         out[owner] = out.get(owner, 0) + amount
     return {owner: amount for owner, amount in out.items() if amount}
@@ -141,12 +135,8 @@ def effective_allowances(token) -> dict[tuple[bytes, bytes], int]:
     if isinstance(token, BaselineToken):
         return {pair: v for pair, v in token.allowed.items() if v}
     assert isinstance(token, TokenSystem)
-    from ..erc20.bundle import ALLOWED_BALANCES
-    from ..erc20.elements import decode_allowance_element
-
-    memory = token.network._entry(token.acc_ids[ALLOWED_BALANCES]).memory
     out = {}
-    for element in memory.elements.values():
+    for element in token.network.elements(token.acc_ids[ALLOWED_BALANCES]):
         owner, spender, amount = decode_allowance_element(element)
         out[(owner, spender)] = out.get((owner, spender), 0) + amount
     return {pair: amount for pair, amount in out.items() if amount}

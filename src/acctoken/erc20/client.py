@@ -156,7 +156,7 @@ class TokenClient:
     # -- bundle building ----------------------------------------------------------
 
     def _build(self, op: OpTag, *args) -> ProofBundle:
-        """Walk the op's plan: membership fetches, then one update chain per accumulator.
+        """Walk the op's plan: membership fetches (none when lifted), then one update chain per accumulator.
 
         Each update witness is simulated on top of the previous one for the
         same accumulator, in the order the contract will verify and commit.
@@ -169,7 +169,8 @@ class TokenClient:
             steps.append(step)
             acc, claim, element = step
             if claim not in pb.STORAGE_OP:
-                lookups.member(step)
+                if not self.lift:  # a lifted bundle carries no membership entries
+                    lookups.member(step)
                 continue
             base = chained.get(acc)
             predicted, payload = self.network.build_update_witness(
@@ -183,7 +184,7 @@ class TokenClient:
             chained[acc] = predicted
         return ProofBundle(
             op,
-            ([] if self.lift else lookups.membership) + updates,
+            lookups.membership + updates,
             tuple(lookups.announced),
             base_accs={name: self.contract.state.value_of(name) for name in plan.accumulators(steps)},
         )

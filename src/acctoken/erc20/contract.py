@@ -62,7 +62,7 @@ class ContractState:
 @dataclass
 class TxOutcome:
     log: LogRecord
-    commits: list[tuple[str, str, bytes]]  # (accumulator name, op, element)
+    updates: list[plan.Step]  # verified update steps in chain order, to commit
     trace: TxTrace  # reads, verifier hashes and writes; calldata is the caller's
 
 
@@ -124,9 +124,10 @@ class AccTokenContract:
         for name in shape.reads:
             trace.sload(CONTRACT_KEYS)
             accs[name] = self.state.value_of(name)
-        commits = []
+        updates = []
         checked = (step for step in steps if step[1] in STORAGE_OP or not self.lift)
-        for index, ((acc, claim, element), entry) in enumerate(zip(checked, bundle.entries)):
+        for index, (step, entry) in enumerate(zip(checked, bundle.entries)):
+            acc, claim, element = step
             if entry.purpose != purpose(acc, claim):
                 raise BundleSchemaMismatch(f"entry {index} does not carry the expected claim")
             update_op = STORAGE_OP.get(claim)
@@ -138,10 +139,10 @@ class AccTokenContract:
                 raise InvalidProof(index)
             if update_op:
                 accs[acc] = entry.claimed_after
-                commits.append((acc, update_op, element))
+                updates.append(step)
 
         for _ in shape.writes:
             trace.sstore_update(CONTRACT_KEYS)
         self.state = self.state.with_values({name: accs[name] for name in shape.writes})
         self.logs.append(log)
-        return TxOutcome(log, commits, trace)
+        return TxOutcome(log, updates, trace)

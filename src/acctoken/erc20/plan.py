@@ -3,8 +3,9 @@
 ``transfer``, ``approve`` and ``transfer_from`` take the op's arguments and an
 ``amounts`` source and return the log record and the steps, ``(accumulator,
 claim, element)`` triples: membership claims, then updates in chain order.
-The contract verifies them, the client builds bundles from them, the
-bootstrap fast path commits their updates and the bundle schemas derive from
+The contract verifies them, the client builds bundles from them,
+``TokenSystem`` commits their update steps (a verified transaction's and
+``bootstrap``'s growth stream alike) and the bundle schemas derive from
 them.
 
 Steps are made lazily, so amounts are read and guards run where the plan

@@ -2,13 +2,14 @@
 
 ``TokenSystem`` plays the role of the chain environment: it routes accepted
 transactions to the contract, replays the confirmed updates into the storage
-network in contract order, and assembles the calldata that gas metering sees.
-A transaction is atomic end to end: a rejection at any stage leaves the
-contract state, the storage memories and the logs untouched.
+network, and assembles the calldata that gas metering sees. A transaction is
+atomic end to end: a rejection at any stage leaves the contract state, the
+storage memories and the logs untouched.
 
-``bootstrap`` grows a population without proofs: it commits the update steps
-of a stream of transfer and approve plans, netted into one batch per
-accumulator, and is just as atomic.
+Every write to storage goes through ``_commit``: the deployment's mint, each
+verified transaction's update steps and ``bootstrap``'s stream of growth
+plans are netted into one batch per accumulator they touch, and each batch
+is committed once, as one storage epoch.
 """
 
 import hashlib
@@ -60,11 +61,13 @@ def abi_calldata(op: OpTag, addresses: list[bytes], tokens: int, extra_words: tu
 
 @dataclass
 class TxRecord:
+    """An accepted transaction of either token; the mapping token sends no bundle."""
+
     op: str
     log: LogRecord
     trace: TxTrace
-    bundle_bytes: int
-    verifications: int
+    bundle_bytes: int = 0
+    verifications: int = 0
 
 
 class TokenSystem:
@@ -88,8 +91,7 @@ class TokenSystem:
         self.acc_ids = {name: AccumulatorId(name, instance) for name in pb.ACCUMULATORS}
         for name, acc_id in self.acc_ids.items():
             self.network.register(acc_id, index_prefix_len=_INDEX_PREFIX_LEN.get(name))
-        balances = self.acc_ids[pb.BALANCES]
-        self.network.commit(balances, self.network.changes(balances, [("add", balance_element(deployer, total))]))
+        self._commit([(pb.BALANCES, pb.UPDATE_ADD, balance_element(deployer, total))])
         state = ContractState(
             *(self.network.accumulator_value(acc_id) for acc_id in self.acc_ids.values()), total
         )
@@ -118,9 +120,7 @@ class TokenSystem:
     def _commit_and_record(
         self, op: OpTag, addresses: list[bytes], tokens: int, bundle: ProofBundle, outcome: TxOutcome
     ) -> TxRecord:
-        for acc_name, update_op, element in outcome.commits:
-            acc_id = self.acc_ids[acc_name]
-            self.network.commit(acc_id, self.network.changes(acc_id, [(update_op, element)]))
+        self._commit(outcome.updates)
         self._assert_lock_step()
         encoded = encode_bundle(bundle)
         outcome.trace.calldata = abi_calldata(op, addresses, tokens, bundle.announced, encoded)
@@ -155,44 +155,55 @@ class TokenSystem:
             OpTag.TRANSFER_FROM, [spender, sender, to], tokens, bundle, outcome
         )
 
-    # -- bootstrap ---------------------------------------------------------------
+    # -- commit path -------------------------------------------------------------
 
-    def bootstrap(self, plans: Iterable[plan.Plan]):
-        """Commit the update steps of transfer and approve plans, one batch per accumulator.
+    def _commit(self, steps: Iterable[plan.Step]) -> dict[str, bytes]:
+        """Commit the update steps among plan ``steps``, one netted batch per accumulator.
 
-        Bootstrap tooling for population growth, not transactions: nothing is
-        proved and no log is emitted. The plans are consumed as a stream and
-        their steps netted per accumulator as they come, so the deployer's
-        intermediate balance tuples cancel out. Each plan's guards run and
-        each update is checked against storage (``Changes.record``) before
-        anything is committed, so a rejected stream leaves the contract and
-        storage as they were. The state reached is the one the verified ops
-        reach.
+        All steps are recorded, so checked against storage (``Changes.record``),
+        before any batch is committed; a batch whose steps cancel out is
+        skipped. Returns the new values of the accumulators committed.
         """
         batches = {name: self.network.changes(acc_id) for name, acc_id in self.acc_ids.items()}
-        for log, steps in plans:
-            check_amount(log.amount)
-            for acc, claim, element in steps:
-                if claim in pb.STORAGE_OP:
-                    batches[acc].record(pb.STORAGE_OP[claim], element)
+        for acc, claim, element in steps:
+            if claim in pb.STORAGE_OP:
+                batches[acc].record(pb.STORAGE_OP[claim], element)
         values = {}
         for name in self.acc_ids:
             changes = batches.pop(name)  # freed once committed
             if changes:
                 values[name] = self.network.commit(self.acc_ids[name], changes)
-        self.contract.state = self.contract.state.with_values(values)
+        return values
+
+    def bootstrap(self, plans: Iterable[plan.Plan]):
+        """Commit the update steps of transfer and approve plans, one batch per accumulator.
+
+        Bootstrap tooling for population growth, not transactions: nothing is
+        proved and no log is emitted. The plans are consumed as a stream, so
+        the deployer's intermediate balance tuples cancel out in the batch.
+        Each plan's guards and amount check run before anything is
+        committed, so a rejected stream leaves the contract and storage as
+        they were. The state reached is the one the verified ops reach.
+        """
+
+        def steps():
+            for log, plan_steps in plans:
+                check_amount(log.amount)
+                yield from plan_steps
+
+        self.contract.state = self.contract.state.with_values(self._commit(steps()))
 
     # -- integrity hooks ------------------------------------------------------
 
     def check_conservation(self):
         """Balance tuples sum to the supply; at most one tuple per owner and per pair."""
         for name, keyed_by in ((pb.BALANCES, "owner"), (pb.ALLOWED_BALANCES, "(owner, spender) pair")):
-            index = self.network._entry(self.acc_ids[name]).index
-            shared = sum(1 for bucket in index.values() if len(bucket) > 1)
-            if shared:
-                raise AssertionError(f"{shared} {keyed_by}s hold more than one {name} tuple")
-        memory = self.network._entry(self.acc_ids[pb.BALANCES]).memory
-        total = sum(decode_balance_element(e)[1] for e in memory.elements.values())
+            acc_id = self.acc_ids[name]
+            surplus = len(self.network.elements(acc_id)) - len(self.network.lookup_keys(acc_id))
+            if surplus:
+                raise AssertionError(f"some {keyed_by} holds more than one {name} tuple ({surplus} surplus)")
+        balances = self.network.elements(self.acc_ids[pb.BALANCES])
+        total = sum(decode_balance_element(e)[1] for e in balances)
         if total != self.contract.total_supply():
             raise AssertionError(
                 f"balance tuples sum to {total}, total supply is {self.contract.total_supply()}"

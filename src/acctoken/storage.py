@@ -8,16 +8,17 @@ requests); commits always apply, mirroring a storage node that follows the
 chain. Clients are expected to detect bad payloads via ``belongs``.
 
 A commit applies a batch of changes as one epoch: a verified transaction
-commits one change per call, population growth a whole checkpoint's netted
-changes per accumulator. Each accumulator keeps only the history its fault
-policy can serve: a node that lags ``k`` epochs keeps its last ``k`` commits,
-each with the root before it and its changes, and serves the oldest of those
-roots with an element view that rolls all of those changes back. Honest
-storage keeps no history.
+commits its netted update steps, one batch per accumulator it writes, and
+population growth a whole checkpoint's. Each accumulator keeps only the
+history its fault policy can serve: a node that lags ``k`` epochs keeps its
+last ``k`` commits, each with the root before it and its changes, and serves
+the oldest of those roots with an element view that rolls all of those
+changes back. Honest storage keeps no history.
 """
 
 import random
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .accumulator import core, encode_witness
@@ -136,6 +137,26 @@ class StorageNetwork:
     def epoch(self, acc_id: AccumulatorId) -> int:
         return self._entry(acc_id).memory.epoch
 
+    # -- ledger view -------------------------------------------------------------
+
+    def elements(self, acc_id: AccumulatorId, prefix: bytes | None = None) -> Collection[bytes]:
+        """The elements ``acc_id`` holds now, read-only: all of them, or those under one lookup ``prefix``.
+
+        The ledger view for integrity checks, not the served view: no fault
+        applies and ``stats`` counts nothing.
+        """
+        entry = self._entry(acc_id)
+        if prefix is None:
+            return entry.memory.elements.values()
+        plen = entry.index_prefix_len
+        if plen is None or len(prefix) != plen:
+            raise StorageError(f"lookups require a {plen}-byte prefix")
+        return frozenset(entry.index.get(prefix, ()))
+
+    def lookup_keys(self, acc_id: AccumulatorId) -> Collection[bytes]:
+        """The lookup prefixes ``elements`` holds anything under now, read-only."""
+        return self._entry(acc_id).index.keys()
+
     # -- fault layer ---------------------------------------------------------
 
     def _maybe_refuse(self):
@@ -154,15 +175,12 @@ class StorageNetwork:
     def _serving_root(self, entry: _Registered) -> Node:
         return entry.history[0][1] if entry.history else entry.memory.root
 
-    def _serving_elements(self, entry: _Registered, prefix: bytes) -> list[bytes]:
-        plen = entry.index_prefix_len
-        if plen is None or len(prefix) != plen:
-            raise StorageError(f"lookups require a {plen}-byte prefix")
-        current = set(entry.index.get(prefix, ()))
+    def _serving_elements(self, acc_id: AccumulatorId, prefix: bytes) -> list[bytes]:
+        current = self.elements(acc_id, prefix)  # checks the prefix length
         # roll back the commits the served root predates, newest first
-        for _epoch, _root, changes in reversed(entry.history):
+        for _epoch, _root, changes in reversed(self._entry(acc_id).history):
             current = {element for element in current if element_digest(element) not in changes.adds}
-            current.update(element for element in changes.dels.values() if element[:plen] == prefix)
+            current.update(element for element in changes.dels.values() if element.startswith(prefix))
         return sorted(current)
 
     # -- serving API ---------------------------------------------------------
@@ -170,8 +188,7 @@ class StorageNetwork:
     def lookup(self, acc_id: AccumulatorId, prefix: bytes) -> list[bytes]:
         """Accumulated elements whose encoding starts with ``prefix``."""
         self._maybe_refuse()
-        entry = self._entry(acc_id)
-        found = self._serving_elements(entry, prefix)
+        found = self._serving_elements(acc_id, prefix)
         served = [self._serve_bytes(e) for e in found]
         self.stats.lookups += 1
         self.stats.lookup_bytes += sum(len(e) for e in served)

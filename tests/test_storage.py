@@ -76,6 +76,24 @@ class TestHonestServing:
         assert network.stats.witness_bytes < n * 33 * 50
 
 
+class TestLedgerView:
+    @pytest.mark.parametrize(
+        "policy",
+        [FaultPolicy.honest(), FaultPolicy.stale(2), FaultPolicy.corrupt_bits(1.0), FaultPolicy.unavailable(1.0)],
+        ids=["honest", "stale", "corrupt-bits", "unavailable"],
+    )
+    def test_reads_current_elements_without_faults_or_counts(self, policy):
+        network = fresh_network(policy, elements=[b"aa-1", b"aa-2", b"ab-3"])
+        commit(network, "del", b"aa-2")
+        assert sorted(network.elements(AID)) == [b"aa-1", b"ab-3"]
+        assert network.elements(AID, b"aa") == {b"aa-1"}
+        assert network.elements(AID, b"zz") == set()
+        assert sorted(network.lookup_keys(AID)) == [b"aa", b"ab"]
+        assert network.stats == type(network.stats)()
+        with pytest.raises(StorageError):
+            network.elements(AID, b"a")  # wrong prefix length
+
+
 class TestBuildUpdateWitness:
     def test_prediction_matches_commit(self):
         network = fresh_network(elements=[b"aa-1"])

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from acctoken.accumulator import hashing
+from acctoken.accumulator import belongs, decode_witness, hashing
 from acctoken.bench import effective_allowances, effective_balances
 from acctoken.bench.workload import true_balance
 from acctoken.erc20 import CONTRACT_KEYS, OpTag, TokenSystem, decode_bundle, encode_bundle, plan
@@ -19,7 +19,7 @@ from acctoken.erc20.bundle import (
     UPDATE_DEL,
     purpose_claim,
 )
-from acctoken.erc20.elements import allowance_element
+from acctoken.erc20.elements import allowance_element, balance_element
 from acctoken.errors import (
     AcctokenError,
     AlreadyPresent,
@@ -354,6 +354,8 @@ class TestLiftedPreconditionMode:
         rf_lifted = lifted.transfer_from(S, A, C, 4)
         assert rf_lifted.verifications == rf_normal.verifications - 4
         assert normal.state == lifted.state
+        # the lifted client fetches no membership witness it would drop
+        assert lifted.network.stats.witness_fetches == 0 < normal.network.stats.witness_fetches
 
     def test_lifted_contract_rejects_full_bundles(self):
         lifted = TokenSystem(A, 1000, lift_checkupdate_precondition=False)
@@ -388,6 +390,55 @@ class TestLockStep:
             getattr(system, op)(*args)
             for name, acc_id in system.acc_ids.items():
                 assert system.state.value_of(name) == system.network.accumulator_value(acc_id)
+
+
+def epochs(system):
+    return {name: system.network.epoch(acc_id) for name, acc_id in system.acc_ids.items()}
+
+
+class TestOneCommitPath:
+    """A verified transaction commits one netted batch per accumulator it writes."""
+
+    @pytest.mark.parametrize(
+        "op, args, written",
+        [
+            ("transfer", (A, B, 25), {BALANCES}),
+            ("transfer", (A, C, 25), {BALANCES}),
+            ("transfer_from", (S, A, B, 5), {BALANCES, ALLOWED_BALANCES}),
+            ("approve", (A, D, 7), {ALLOWED_ADDRESSES, ALLOWED_BALANCES}),
+            ("approve", (A, S, 9), {ALLOWED_BALANCES}),
+        ],
+        ids=["transfer", "transfer-fresh", "transfer_from", "approve-first", "approve-again"],
+    )
+    def test_one_epoch_per_accumulator_written(self, op, args, written):
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        before = epochs(system)
+        getattr(system, op)(*args)
+        assert epochs(system) == {name: epoch + (name in written) for name, epoch in before.items()}
+
+    def test_stale_node_serves_the_pre_transaction_root(self):
+        honest, lagging = TokenSystem(A, 1000), TokenSystem(A, 1000, policy=FaultPolicy.stale(1))
+        for system in (honest, lagging):
+            system.bootstrap([plan.transfer(A, B, 100, announced(1000))])
+        old = lagging.state.balances_acc
+        lagging.transfer(A, B, 10, honest.client.build_transfer(A, B, 10))
+        assert lagging.state.balances_acc != old
+        balances = lagging.acc_ids[BALANCES]
+        for owner, amount in ((A, 900), (B, 100)):
+            element = balance_element(owner, amount)
+            witness = decode_witness(lagging.network.fetch_witness(balances, element))
+            assert belongs(old, element, witness) == 1
+
+    def test_zero_transfer_to_holder_commits_nothing(self):
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        before = epochs(system)
+        system.transfer(A, B, 0)
+        assert epochs(system) == before
+        for name, acc_id in system.acc_ids.items():
+            assert system.state.value_of(name) == system.network.accumulator_value(acc_id)
 
 
 def accumulator_values(system):
