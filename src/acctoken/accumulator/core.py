@@ -37,9 +37,9 @@ def witness_for_root(root: Node, element: bytes) -> Witness:
     key = element_digest(element)
     path, terminal = tree.walk(root, key)
     steps = tree.path_steps(path)
-    if isinstance(terminal, tree.Leaf) and terminal.key == key:
+    occupant = tree.leaf_key(terminal)
+    if occupant == key:
         return Witness(WitnessKind.MEMBERSHIP, key, steps)
-    occupant = terminal.key if isinstance(terminal, tree.Leaf) else None
     return Witness(WitnessKind.NON_MEMBERSHIP, key, steps, occupant)
 
 
@@ -58,12 +58,12 @@ def simulate_update(root: Node, op: str, element: bytes) -> tuple[Node, Witness]
     key = element_digest(element)
     path, terminal = tree.walk(root, key)
     steps = tree.path_steps(path)
+    occupant = tree.leaf_key(terminal)
     if op == "add":
-        occupant = terminal.key if isinstance(terminal, tree.Leaf) else None
         w = Witness(WitnessKind.UPDATE_ADD, key, steps, occupant)
         return tree.insert(root, key), w
     if op == "del":
-        if not (isinstance(terminal, tree.Leaf) and terminal.key == key):
+        if occupant != key:
             raise NotPresent(f"element digest {key.hex()} not accumulated")
         w = Witness(WitnessKind.UPDATE_DEL, key, steps)
         return tree.remove(root, key), w
@@ -82,7 +82,7 @@ def update(op: str, acc_before: bytes, memory: Memory, element: bytes) -> Update
     else:
         del memory.elements[key]
     memory.epoch += 1
-    return UpdateResult(new_root.digest, w)
+    return UpdateResult(tree.digest(new_root), w)
 
 
 class Changes:
@@ -144,4 +144,4 @@ def apply_update(memory: Memory, changes: Changes) -> bytes:
     memory.elements.update(changes.adds)
     memory.root = tree.insert_many(root, sorted(changes.adds))
     memory.epoch += 1
-    return memory.root.digest
+    return memory.value

@@ -1,5 +1,21 @@
 """Compressed binary Merkle trie over 32-byte element digests.
 
+Nodes are plain tuples whose last item is the node's digest:
+
+- a leaf is ``(key, digest)``;
+- a branch is ``(bit, left, right, digest)``, splitting at key bit ``bit``
+  (keys with that bit clear go left);
+- the empty trie is ``EMPTY = (EMPTY_DIGEST,)``.
+
+The kinds are told apart by length, and ``digest(node)`` is ``node[-1]``.
+Tuples, rather than objects, because a trie holds a node per key and per
+branch and lives as long as the memory does: a tuple that holds only bytes,
+ints and untracked tuples can be dropped from the cyclic garbage collector's
+lists, so collections stop rescanning the whole trie, while an instance (a
+slotted one too) stays tracked for its whole life. CPython drops such a
+tuple only when a collection examines it after its children, so a fresh
+trie leaves the collector over a few collections, bottom up.
+
 Nodes are immutable; updates copy the touched nodes and share everything
 else, so old roots stay valid snapshots for free. The compressed layout
 (branches exist only where keys actually diverge) is canonical for a given
@@ -16,81 +32,72 @@ from bisect import bisect_left
 from ..errors import AlreadyPresent, NotPresent
 from .hashing import EMPTY_DIGEST, bit_at, branch_hash, first_diff_bit, leaf_hash
 
+EMPTY = (EMPTY_DIGEST,)
 
-class Leaf:
-    __slots__ = ("key", "digest")
-
-    def __init__(self, key: bytes):
-        self.key = key
-        self.digest = leaf_hash(key)
+Node = tuple  # EMPTY, a leaf or a branch, as laid out above
 
 
-class Branch:
-    __slots__ = ("bit", "left", "right", "digest")
-
-    def __init__(self, bit: int, left, right):
-        self.bit = bit
-        self.left = left
-        self.right = right
-        self.digest = branch_hash(bit, left.digest, right.digest)
+def _leaf(key: bytes) -> Node:
+    return (key, leaf_hash(key))
 
 
-class _Empty:
-    __slots__ = ()
-    digest = EMPTY_DIGEST
+def _branch(bit: int, left: Node, right: Node) -> Node:
+    return (bit, left, right, branch_hash(bit, left[-1], right[-1]))
 
 
-EMPTY = _Empty()
+def digest(node: Node) -> bytes:
+    return node[-1]
 
-Node = Leaf | Branch | _Empty
+
+def leaf_key(node: Node) -> bytes | None:
+    """The key of a leaf; None for the empty trie."""
+    return node[0] if len(node) == 2 else None
 
 
 def walk(root: Node, key: bytes):
-    """Descend along ``key``; returns ([(branch, direction)...], terminal)."""
+    """Descend along ``key``; returns ([(branch, direction)...], terminal),
+    where the terminal is a leaf or EMPTY."""
     path = []
     node = root
-    while isinstance(node, Branch):
-        direction = bit_at(key, node.bit)
+    while len(node) == 4:
+        direction = bit_at(key, node[0])
         path.append((node, direction))
-        node = node.right if direction else node.left
+        node = node[1 + direction]
     return path, node
 
 
 def path_steps(path) -> tuple[tuple[int, bytes], ...]:
     """Witness steps for a walk result: (branch bit, sibling digest) per level."""
-    return tuple(
-        (branch.bit, (branch.left if direction else branch.right).digest)
-        for branch, direction in path
-    )
+    return tuple([(branch[0], branch[2 - direction][-1]) for branch, direction in path])
 
 
 def _rebuild(path, node: Node) -> Node:
     for branch, direction in reversed(path):
         if direction:
-            node = Branch(branch.bit, branch.left, node)
+            node = _branch(branch[0], branch[1], node)
         else:
-            node = Branch(branch.bit, node, branch.right)
+            node = _branch(branch[0], node, branch[2])
     return node
 
 
 def insert(root: Node, key: bytes) -> Node:
-    if isinstance(root, _Empty):
-        return Leaf(key)
+    if len(root) == 1:
+        return _leaf(key)
     path, terminal = walk(root, key)
-    split = first_diff_bit(key, terminal.key)
+    split = first_diff_bit(key, terminal[0])
     if split is None:
         raise _duplicate(key)
     # The new branch sits above the first node whose discriminator passes the
     # split bit; everything below it is displaced onto the other side.
     cut = 0
-    while cut < len(path) and path[cut][0].bit < split:
+    while cut < len(path) and path[cut][0][0] < split:
         cut += 1
     displaced = path[cut][0] if cut < len(path) else terminal
-    new_leaf = Leaf(key)
+    new_leaf = _leaf(key)
     if bit_at(key, split) == 0:
-        node = Branch(split, new_leaf, displaced)
+        node = _branch(split, new_leaf, displaced)
     else:
-        node = Branch(split, displaced, new_leaf)
+        node = _branch(split, displaced, new_leaf)
     return _rebuild(path[:cut], node)
 
 
@@ -110,12 +117,12 @@ def _ones_from(keys: list[bytes], lo: int, hi: int, bit: int) -> int:
 def _build(keys: list[bytes], lo: int, hi: int) -> Node:
     """The trie of ``keys[lo:hi]`` alone."""
     if hi - lo == 1:
-        return Leaf(keys[lo])
+        return _leaf(keys[lo])
     split = first_diff_bit(keys[lo], keys[hi - 1])
     if split is None:
         raise _duplicate(keys[lo])
     mid = _ones_from(keys, lo, hi, split)
-    return Branch(split, _build(keys, lo, mid), _build(keys, mid, hi))
+    return _branch(split, _build(keys, lo, mid), _build(keys, mid, hi))
 
 
 def _merge(node: Node, keys: list[bytes], lo: int, hi: int, depth: int) -> Node:
@@ -124,29 +131,31 @@ def _merge(node: Node, keys: list[bytes], lo: int, hi: int, depth: int) -> Node:
     if hi - lo < 2:
         # walking one key's path and copying it is cheaper than recursing
         return insert(node, keys[lo]) if hi > lo else node
-    if isinstance(node, _Empty):
+    if len(node) == 1:
         return _build(keys, lo, hi)
-    if isinstance(node, Branch) and node.bit == depth:
+    is_branch = len(node) == 4
+    if is_branch and node[0] == depth:
         split = depth  # nothing above the branch's own bit to disagree on
     else:
         sample = node
-        while isinstance(sample, Branch):
-            sample = sample.left
+        while len(sample) == 4:
+            sample = sample[1]
+        sample_key = sample[0]
         # the sorted keys' common prefix with the subtree is shortest at an end
-        ends = first_diff_bit(keys[lo], sample.key), first_diff_bit(keys[hi - 1], sample.key)
+        ends = first_diff_bit(keys[lo], sample_key), first_diff_bit(keys[hi - 1], sample_key)
         if None in ends:
-            raise _duplicate(sample.key)
+            raise _duplicate(sample_key)
         split = min(ends)
-    if isinstance(node, Branch) and split >= node.bit:
-        bit = node.bit
+    if is_branch and split >= node[0]:
+        bit = node[0]
         mid = _ones_from(keys, lo, hi, bit)
-        return Branch(bit, _merge(node.left, keys, lo, mid, bit + 1), _merge(node.right, keys, mid, hi, bit + 1))
+        return _branch(bit, _merge(node[1], keys, lo, mid, bit + 1), _merge(node[2], keys, mid, hi, bit + 1))
     # the new keys leave the subtree's common prefix at ``split``: a new
     # branch there, with the whole subtree on one side
     mid = _ones_from(keys, lo, hi, split)
-    if bit_at(sample.key, split):
-        return Branch(split, _build(keys, lo, mid), _merge(node, keys, mid, hi, split + 1))
-    return Branch(split, _merge(node, keys, lo, mid, split + 1), _build(keys, mid, hi))
+    if bit_at(sample_key, split):
+        return _branch(split, _build(keys, lo, mid), _merge(node, keys, mid, hi, split + 1))
+    return _branch(split, _merge(node, keys, lo, mid, split + 1), _build(keys, mid, hi))
 
 
 def insert_many(root: Node, keys: list[bytes]) -> Node:
@@ -157,17 +166,22 @@ def insert_many(root: Node, keys: list[bytes]) -> Node:
 
 def remove(root: Node, key: bytes) -> Node:
     path, terminal = walk(root, key)
-    if isinstance(terminal, _Empty) or terminal.key != key:
+    if leaf_key(terminal) != key:
         raise NotPresent(f"element digest {key.hex()} not accumulated")
     if not path:
         return EMPTY
     branch, direction = path[-1]
-    sibling = branch.left if direction else branch.right
-    return _rebuild(path[:-1], sibling)
+    return _rebuild(path[:-1], branch[2 - direction])
 
 
 class Memory:
     """Public accumulator memory m = (T, X) plus an update counter.
+
+    ``root`` is the trie T, made of the tuple nodes laid out in the module
+    docstring, and ``elements`` is X, mapping each trie key to its element.
+    Both hold only tuples, bytes and ints, so once the collector has seen a
+    settled trie it stops scanning it: a full collection then costs what the
+    rest of the heap costs, not what the accumulator's size does.
 
     Single writer: updates must be externally serialized. Concurrent
     read-only witness extraction against a quiescent memory is safe, and old
@@ -184,7 +198,7 @@ class Memory:
     @property
     def value(self) -> bytes:
         """Current accumulator value: the root node's digest."""
-        return self.root.digest
+        return self.root[-1]
 
     def __len__(self) -> int:
         return len(self.elements)

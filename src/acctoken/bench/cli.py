@@ -12,6 +12,7 @@ Reruns with the same seed and flags emit byte-identical CSVs.
 import argparse
 import sys
 from dataclasses import replace
+from decimal import Decimal, InvalidOperation
 
 from ..config import dump_defaults, fault_from_config, parse_config, rent_from_config, schedule_from_config
 from ..gas import FLAT, GIB, SCALED
@@ -34,12 +35,24 @@ TOGGLES = {
 
 
 def _parse_int(text: str) -> int:
-    return int(float(text))
+    """A whole number, exactly: ``400000``, or in exponent form (``1e6``, ``4.2e9``)."""
+    try:
+        value = Decimal(text.strip())
+    except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite() or value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(value)
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated ``_parse_int`` values."""
+    return tuple(_parse_int(item) for item in text.split(","))
 
 
 def _parse_checkpoints(args) -> tuple[int, ...]:
     if args.checkpoints:
-        return tuple(_parse_int(c) for c in args.checkpoints.split(","))
+        return args.checkpoints
     if args.max_accounts:
         # eight even steps up to the maximum; small maxima give fewer
         return tuple(sorted({args.max_accounts * i // 8 for i in range(1, 9)} - {0}))
@@ -112,9 +125,8 @@ def _cmd_rent(args) -> int:
     params = rent_from_config(pairs)
     if args.smax_gib:
         params = replace(params, s_max_bytes=args.smax_gib * GIB)
-    key_counts = [_parse_int(k) for k in args.keys] or [4]
-    totals = [_parse_int(t) for t in args.total_keys.split(",")]
-    rows = rent_report(params, key_counts, totals)
+    key_counts = args.keys or [4]
+    rows = rent_report(params, key_counts, args.total_keys)
     header = f"{'k_total':>16} {'wei/key/year':>20}" + "".join(f" {'rent@' + str(k) + 'keys':>24}" for k in key_counts)
     print(header)
     for row in rows:
@@ -136,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--token", choices=("acc", "baseline"), required=True)
     run.add_argument("--schedule", choices=("flat", "scaled"), default="flat")
     run.add_argument("--max-accounts", type=_parse_int, default=None)
-    run.add_argument("--checkpoints", default=None, help="comma-separated account counts")
+    run.add_argument("--checkpoints", type=_parse_ints, default=None, help="comma-separated account counts")
     run.add_argument("--ops", type=int, default=100, help="sampled ops per kind per checkpoint")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--toggles", default="", help=f"comma-separated: {', '.join(sorted(TOGGLES))}")
@@ -151,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rent = sub.add_parser("rent", help="tabulate rent rates over a key-count sweep")
     rent.add_argument("--smax-gib", type=int, default=None)
-    rent.add_argument("--keys", action="append", default=[], help="contract key count (repeatable)")
-    rent.add_argument("--total-keys", required=True, help="comma-separated system key counts")
+    rent.add_argument("--keys", type=_parse_int, action="append", default=[], help="contract key count (repeatable)")
+    rent.add_argument("--total-keys", type=_parse_ints, required=True, help="comma-separated system key counts")
     rent.add_argument("--config", default=None)
     rent.set_defaults(func=_cmd_rent)
 

@@ -14,6 +14,15 @@ history its fault policy can serve: a node that lags ``k`` epochs keeps its
 last ``k`` commits, each with the root before it and its changes, and serves
 the oldest of those roots with an element view that rolls all of those
 changes back. Honest storage keeps no history.
+
+An accumulator registered with a lookup prefix length also keeps an index
+from each prefix to the element under it: the token keeps one tuple per
+owner and per pair, so one element per key, stored as itself rather than in
+a one-element set. A commit that puts a second element under a key is still
+applied, as the chain confirmed it, and the key's value becomes a tuple of
+its elements. ``elements`` and ``lookup`` then show every element while
+``lookup_keys`` lists the key once, which is how the integrity checks see
+the surplus.
 """
 
 import random
@@ -21,7 +30,7 @@ from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from .accumulator import core, encode_witness
+from .accumulator import core, encode_witness, tree
 from .accumulator.hashing import TAG_ACC_ID, element_digest, sha256
 from .accumulator.tree import Memory, Node
 from .errors import StorageError, Unavailable
@@ -93,10 +102,17 @@ class ServingStats:
     lookup_bytes: int = 0
 
 
+def _held(value) -> tuple[bytes, ...]:
+    """The elements an index value stands for: one element, or a tuple of them."""
+    return (value,) if value.__class__ is bytes else value
+
+
 @dataclass
 class _Registered:
     memory: Memory
     index_prefix_len: int | None
+    # lookup prefix -> the element under it, or a tuple of the elements when
+    # more than one is (a collision the integrity checks report)
     index: dict = field(default_factory=dict)
     # (epoch reached, root before, changes) of the commits a stale node
     # lags behind, oldest first
@@ -151,7 +167,7 @@ class StorageNetwork:
         plen = entry.index_prefix_len
         if plen is None or len(prefix) != plen:
             raise StorageError(f"lookups require a {plen}-byte prefix")
-        return frozenset(entry.index.get(prefix, ()))
+        return _held(entry.index.get(prefix, ()))
 
     def lookup_keys(self, acc_id: AccumulatorId) -> Collection[bytes]:
         """The lookup prefixes ``elements`` holds anything under now, read-only."""
@@ -230,9 +246,10 @@ class StorageNetwork:
             except KeyError:
                 raise StorageError("unknown base snapshot; rebuild from current") from None
         new_root, w = core.simulate_update(root, op, element)
-        entry.snapshots[new_root.digest] = new_root
+        acc_after = tree.digest(new_root)
+        entry.snapshots[acc_after] = new_root
         payload = self._serve_bytes(encode_witness(w))
-        predicted = self._serve_bytes(new_root.digest)
+        predicted = self._serve_bytes(acc_after)
         self.stats.update_builds += 1
         self.stats.update_witness_bytes += len(payload)
         return predicted, payload
@@ -262,12 +279,15 @@ class StorageNetwork:
             index = entry.index
             for element in changes.dels.values():
                 if len(element) >= plen:
-                    bucket = index[element[:plen]]
-                    bucket.discard(element)
-                    if not bucket:
-                        del index[element[:plen]]
+                    prefix = element[:plen]
+                    rest = tuple(other for other in _held(index.pop(prefix)) if other != element)
+                    if rest:  # a collision: keep the others
+                        index[prefix] = rest if len(rest) > 1 else rest[0]
             for element in changes.adds.values():
                 if len(element) >= plen:
-                    index.setdefault(element[:plen], set()).add(element)
+                    prefix = element[:plen]
+                    held = index.setdefault(prefix, element)
+                    if held is not element:  # a second element under the key
+                        index[prefix] = (*_held(held), element)
         entry.snapshots.clear()
         return acc_after

@@ -1,5 +1,6 @@
 """Accumulator unit and property tests: the five-algorithm contract."""
 
+import gc
 import pathlib
 import random
 import shutil
@@ -20,6 +21,7 @@ from acctoken.accumulator import (
     decode_witness,
     encode_witness,
     setup,
+    simulate_update,
     update,
     witness,
     witness_size_bytes,
@@ -574,14 +576,14 @@ class TestBatchUpdate:
         sequential = root
         for key in new:
             sequential = tree.insert_many(sequential, [key])
-        assert root.digest == canonical_digest(old)
-        assert merged.digest == sequential.digest == canonical_digest(old + new)
+        assert tree.digest(root) == canonical_digest(old)
+        assert tree.digest(merged) == tree.digest(sequential) == canonical_digest(old + new)
 
     def test_keys_differing_in_the_last_bit(self):
         head = bytes(31)
         keys = [head + bytes([b]) for b in range(256)]
         root = tree.insert_many(tree.EMPTY, keys[::2])
-        assert tree.insert_many(root, keys[1::2]).digest == canonical_digest(keys)
+        assert tree.digest(tree.insert_many(root, keys[1::2])) == canonical_digest(keys)
 
     def test_duplicate_add_rejected(self):
         _, memory = build_set([b"a"])
@@ -616,3 +618,48 @@ class TestBatchUpdate:
         with pytest.raises(AlreadyPresent):
             Changes(memory, [("del", b"b"), ("add", b"e"), ("add", b"a")])
         assert (memory.root, memory.elements, memory.epoch) == before
+
+
+def trie_nodes(*roots):
+    """Every distinct node reachable from ``roots``."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if len(node) == 4:
+                stack += node[1:3]
+    return list(seen.values())
+
+
+class TestCollectorFreeNodes:
+    def test_no_node_stays_tracked(self):
+        rng = random.Random(11)
+        elements = [rng.randbytes(12) for _ in range(3000)]
+        keys = sorted(map(element_digest, elements[:2500]))
+        batched = tree.insert_many(tree.EMPTY, keys[::2])
+        merged = tree.insert_many(batched, keys[1::2])
+        inserted = batched
+        for element in elements[2500:2600]:
+            inserted = tree.insert(inserted, element_digest(element))
+        removed = merged
+        for key in keys[:300]:
+            removed = tree.remove(removed, key)
+        emptied = tree.remove(tree.insert(tree.EMPTY, keys[0]), keys[0])
+        simulated = removed
+        for element in elements[2600:2700]:
+            simulated, _ = simulate_update(simulated, "add", element)
+        kept = [element for element in elements[:2500] if element_digest(element) > keys[299]]
+        for element in kept[:100] + elements[2600:2650]:
+            simulated, _ = simulate_update(simulated, "del", element)
+        nodes = trie_nodes(batched, merged, inserted, removed, emptied, simulated)
+        # a collection untracks a tuple only if it examines the tuple's
+        # children first, so a fresh trie leaves over several collections
+        tracked = None
+        while True:
+            gc.collect()
+            previous, tracked = tracked, sum(map(gc.is_tracked, nodes))
+            if tracked == previous:
+                break
+        assert tracked == 0
+        assert len(nodes) > 5000

@@ -201,6 +201,22 @@ class TestCli:
         args = build_parser().parse_args(["run", "--token", "acc", "--max-accounts", str(maximum)])
         assert _parse_checkpoints(args) == ladder
 
+    @pytest.mark.parametrize("text", ["10.9,20.2", "8,1.5", "ten", "1e6.5", "nan", "inf", "8,"])
+    def test_non_integer_counts_rejected(self, text, capsys):
+        for argv in (["run", "--token", "acc", "--checkpoints", text], ["rent", "--total-keys", text]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            assert "not an integer" in capsys.readouterr().err
+
+    def test_counts_parse_exactly(self):
+        big = 2**53 + 1
+        args = build_parser().parse_args(["run", "--token", "acc", "--checkpoints", f"{big},1e6,4.2e9"])
+        assert _parse_checkpoints(args) == (big, 10**6, 42 * 10**8)
+        args = build_parser().parse_args(["rent", "--keys", str(big), "--keys", "4", "--total-keys", "1e6,4.2e9,1.5e10"])
+        assert args.keys == [big, 4]
+        assert args.total_keys == (10**6, 42 * 10**8, 15 * 10**9)
+        assert build_parser().parse_args(["run", "--token", "acc", "--max-accounts", str(big)]).max_accounts == big
+
     def test_unknown_toggle_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--token", "acc", "--checkpoints", "8", "--toggles", "warp-speed"])

@@ -3,10 +3,14 @@
 import pytest
 
 from acctoken.accumulator import BOTTOM, belongs, check_update, decode_witness, witness_size_bytes
+from acctoken.erc20 import TokenSystem
+from acctoken.erc20.bundle import BALANCES
+from acctoken.erc20.elements import balance_element, balance_prefix
 from acctoken.errors import AlreadyPresent, NotPresent, StaleAccumulator, StorageError, Unavailable
 from acctoken.storage import AccumulatorId, FaultPolicy, StorageNetwork
 
 AID = AccumulatorId("balances", "test-0")
+OWNER = b"\x0a" * 20
 
 
 def commit(network, op, element):
@@ -86,12 +90,61 @@ class TestLedgerView:
         network = fresh_network(policy, elements=[b"aa-1", b"aa-2", b"ab-3"])
         commit(network, "del", b"aa-2")
         assert sorted(network.elements(AID)) == [b"aa-1", b"ab-3"]
-        assert network.elements(AID, b"aa") == {b"aa-1"}
-        assert network.elements(AID, b"zz") == set()
+        assert network.elements(AID, b"aa") == (b"aa-1",)
+        assert network.elements(AID, b"zz") == ()
         assert sorted(network.lookup_keys(AID)) == [b"aa", b"ab"]
         assert network.stats == type(network.stats)()
         with pytest.raises(StorageError):
             network.elements(AID, b"a")  # wrong prefix length
+
+
+class TestCollisions:
+    """More than one element under one lookup key: the index keeps them all."""
+
+    def test_lookup_and_elements_return_every_element(self):
+        network = fresh_network(elements=[b"aa-1", b"aa-2"])
+        network.commit(AID, network.changes(AID, [("add", b"aa-3"), ("add", b"ab-4")]))
+        assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2", b"aa-3"]
+        assert sorted(network.elements(AID, b"aa")) == [b"aa-1", b"aa-2", b"aa-3"]
+        assert network.elements(AID, b"ab") == (b"ab-4",)
+        assert len(network.elements(AID)) - len(network.lookup_keys(AID)) == 2
+
+    def test_conservation_reports_the_surplus(self):
+        system = TokenSystem(OWNER, 1000)
+        acc_id = system.acc_ids[BALANCES]
+        system.network.commit(acc_id, system.network.changes(acc_id, [("add", balance_element(OWNER, 0))]))
+        assert sorted(system.network.elements(acc_id, balance_prefix(OWNER))) == [
+            balance_element(OWNER, 0), balance_element(OWNER, 1000)
+        ]
+        with pytest.raises(AssertionError, match=r"more than one balances tuple \(1 surplus\)"):
+            system.check_conservation()
+
+    def test_deleting_one_leaves_the_other(self):
+        network = fresh_network(elements=[b"aa-1", b"aa-2", b"ab-3"])
+        commit(network, "del", b"aa-1")
+        assert network.lookup(AID, b"aa") == [b"aa-2"]
+        assert network.elements(AID, b"aa") == (b"aa-2",)
+        commit(network, "del", b"aa-2")
+        assert network.lookup(AID, b"aa") == []
+        assert network.elements(AID, b"aa") == ()
+        assert list(network.lookup_keys(AID)) == [b"ab"]
+
+    def test_replacing_one_in_a_batch(self):
+        network = fresh_network(elements=[b"aa-1", b"aa-2"])
+        network.commit(AID, network.changes(AID, [("del", b"aa-1"), ("add", b"aa-3")]))
+        assert network.lookup(AID, b"aa") == [b"aa-2", b"aa-3"]
+        network.commit(AID, network.changes(AID, [("del", b"aa-2"), ("del", b"aa-3"), ("add", b"aa-4")]))
+        assert network.elements(AID, b"aa") == (b"aa-4",)
+
+    def test_stale_node_rolls_back_across_a_collision(self):
+        network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
+        network.commit(AID, network.changes(AID, [("add", b"aa-2"), ("add", b"aa-3")]))
+        assert network.lookup(AID, b"aa") == [b"aa-1"]
+        network.commit(AID, network.changes(AID, [("del", b"aa-1"), ("del", b"aa-3")]))
+        assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2", b"aa-3"]
+        assert network.elements(AID, b"aa") == (b"aa-2",)
+        commit(network, "add", b"ab-4")
+        assert network.lookup(AID, b"aa") == [b"aa-2"]
 
 
 class TestBuildUpdateWitness:
@@ -169,7 +222,7 @@ class TestCommit:
         stale = network.changes(AID, [("add", b"aa-3")])
         commit(network, "del", b"ab-2")
         before = (entry.memory.root, dict(entry.memory.elements), entry.memory.epoch,
-                  {prefix: set(bucket) for prefix, bucket in entry.index.items()}, list(entry.history))
+                  dict(entry.index), list(entry.history))
         with pytest.raises(StaleAccumulator):
             network.commit(AID, stale)
         after = (entry.memory.root, entry.memory.elements, entry.memory.epoch, entry.index, list(entry.history))
