@@ -8,9 +8,12 @@ each SHA-256 they compute, as they compute it; the contract meters gas from
 these calls. The verdict never depends on the callback, and without one the
 plain hashing primitives run with nothing in between.
 
-check_update soundness presupposes that the caller has already established
-the element's (non)membership against ``acc_before``, e.g. via ``belongs``.
-Callers that skip that step get chain consistency but not set semantics.
+An accepted update witness proves its own precondition. Both kinds fold a
+leaf along the element's own search path up to ``acc_before`` (the element's
+for a delete, the occupant's for an add, or the tree is empty), as ``belongs``
+does. So when ``check_update`` returns 1 the element was present before a
+delete and absent before an add, and its key, steps and occupant get that
+verdict from ``belongs`` as a (non)membership witness against ``acc_before``.
 """
 
 from .hashing import (

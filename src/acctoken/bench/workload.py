@@ -30,19 +30,14 @@ class WorkloadOp:
     args: tuple
 
 
-def generate_workload(
-    seed: int,
-    n_ops: int,
-    n_accounts: int,
-    deployer_index: int = 0,
-    supply: int = 10**12,
-) -> list[WorkloadOp]:
+def generate_workload(seed: int, n_ops: int, n_accounts: int) -> list[WorkloadOp]:
+    """Seeded ops over accounts ``make_address(0..n_accounts-1)``, for a token account 0 deployed with 10**12."""
     rng = random.Random(seed)
     addresses = [make_address(i) for i in range(n_accounts)]
     # the generator simulates acceptance so it knows which accounts actually
     # hold a balance tuple; senders are only ever drawn from those
-    shadow = BaselineToken.deploy(addresses[deployer_index], supply, keep_logs=False)
-    has_tuple = {deployer_index}
+    shadow = BaselineToken.deploy(addresses[0], 10**12, keep_logs=False)
+    has_tuple = {0}
     approved: set[tuple[int, int]] = set()
     ops = []
     for _ in range(n_ops):
@@ -91,8 +86,8 @@ def apply_op(token, op: WorkloadOp):
     """Run one op on a TokenSystem or BaselineToken; returns the error class or None.
 
     Honest runs only ever surface TokenError subclasses; under fault policies
-    the client can also hit storage-level failures (Unavailable, or update
-    simulations that corrupt data made impossible), which count as dropped.
+    the client reports bad data as VerificationFailed (a TokenError) and a
+    refused request as Unavailable, and both count as dropped.
     """
     try:
         getattr(token, op.kind)(*op.args)

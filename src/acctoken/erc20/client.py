@@ -7,8 +7,10 @@ Update witnesses are chained across the simulated snapshots the storage
 exposes, in the same order the contract will verify and commit them.
 """
 
-from ..accumulator import BOTTOM, belongs, check_update, decode_witness
-from ..errors import InsufficientBalance, NotApproved, VerificationFailed, WitnessDecodeError
+from dataclasses import replace
+
+from ..accumulator import BOTTOM, Witness, WitnessKind, belongs, check_update, decode_witness
+from ..errors import AlreadyPresent, InsufficientBalance, NotApproved, NotPresent, VerificationFailed, WitnessDecodeError
 from ..storage import AccumulatorId, StorageNetwork
 from . import bundle as pb
 from . import plan
@@ -26,6 +28,13 @@ from .elements import (
 )
 
 
+#: update claim -> the claim its witness also proves against its before-value, and that witness's kind
+_PRECONDITION = {
+    pb.UPDATE_DEL: (pb.MEMBER, WitnessKind.MEMBERSHIP),
+    pb.UPDATE_ADD: (pb.NON_MEMBER, WitnessKind.NON_MEMBERSHIP),
+}
+
+
 def _decode(payload: bytes, what: str):
     try:
         return decode_witness(payload)
@@ -36,17 +45,13 @@ def _decode(payload: bytes, what: str):
 class _Lookups:
     """Amounts for a plan, read by storage lookups while one bundle is built.
 
-    Membership witnesses are fetched only after the prior tuple has been
-    looked up, so a guard on a spent amount fails before any fetch.
+    Lookups are the only storage requests made during the plan walk, so a
+    guard on a spent amount fails before any witness is fetched or built.
     """
 
     def __init__(self, client: "TokenClient"):
-        self.client = client
         self.lookup = {pb.BALANCES: client._balance_entry, pb.ALLOWED_BALANCES: client._allowance_entry}
         self.announced: list[int] = []
-        self.membership: list[BundleEntry] = []
-        self.unfetched: list[plan.Step] = []
-        self.prior_read = False
 
     def spend(self, acc: str, *key: bytes) -> int:
         amount = self.lookup[acc](*key)
@@ -58,23 +63,10 @@ class _Lookups:
         return amount
 
     def prior(self, acc: str, *key: bytes) -> int | None:
-        self.prior_read = True
-        self.fetch_due()
         amount = self.lookup[acc](*key)
         if amount is not None:
             self.announced.append(amount)
         return amount
-
-    def member(self, step: plan.Step):
-        self.unfetched.append(step)
-        if self.prior_read:
-            self.fetch_due()
-
-    def fetch_due(self):
-        for acc, claim, element in self.unfetched:
-            witness = self.client._fetch_verified(acc, element, 1 if claim == pb.MEMBER else 0)
-            self.membership.append(BundleEntry(pb.purpose(acc, claim), witness))
-        self.unfetched = []
 
 
 class TokenClient:
@@ -100,9 +92,7 @@ class TokenClient:
         """Fetch a (non)membership witness and insist on the expected verdict."""
         w, verdict = self._fetch_verdict(name, element)
         if verdict is BOTTOM or verdict != want:
-            raise VerificationFailed(
-                f"witness for {name} verified to {verdict!r}, expected {want}"
-            )
+            raise VerificationFailed(f"witness for {name} verified to {verdict!r}, expected {want}")
         return w
 
     def _lookup_one(self, acc: str, prefix: bytes, decode):
@@ -156,35 +146,47 @@ class TokenClient:
     # -- bundle building ----------------------------------------------------------
 
     def _build(self, op: OpTag, *args) -> ProofBundle:
-        """Walk the op's plan: membership fetches (none when lifted), then one update chain per accumulator.
+        """Walk the op's plan and build its update chains, then its membership entries (none when lifted).
 
-        Each update witness is simulated on top of the previous one for the
-        same accumulator, in the order the contract will verify and commit.
+        Each update witness is chained on the previous one for its accumulator,
+        in the order the contract will verify and commit. The first one is
+        checked against the current value, so it proves its element's
+        (non)membership there too: an entry for that element is derived from
+        it (``_PRECONDITION``). The other entries are fetched and checked.
         """
         lookups = _Lookups(self)
         _log, plan_steps = plan.PLANS[op](*args, lookups)
-        steps, updates = [], []
+        steps = tuple(plan_steps)  # every lookup and guard runs before any witness is requested
+        membership, updates = [], []
+        proven: dict[plan.Step, Witness] = {}  # membership step -> witness derived from a first update
         chained: dict[str, bytes] = {}  # accumulator -> predicted value so far
-        for step in plan_steps:
-            steps.append(step)
-            acc, claim, element = step
+        for acc, claim, element in steps:
             if claim not in pb.STORAGE_OP:
-                if not self.lift:  # a lifted bundle carries no membership entries
-                    lookups.member(step)
                 continue
             base = chained.get(acc)
-            predicted, payload = self.network.build_update_witness(
-                self.acc_ids[acc], pb.STORAGE_OP[claim], element, base=base
-            )
+            try:
+                predicted, payload = self.network.build_update_witness(
+                    self.acc_ids[acc], pb.STORAGE_OP[claim], element, base=base
+                )
+            except (AlreadyPresent, NotPresent) as exc:  # a corrupted lookup named a tuple it cannot update
+                raise VerificationFailed(f"storage cannot build the {acc} update: {exc}") from None
             w = _decode(payload, "update witness")
             running = self.contract.state.value_of(acc) if base is None else base
             if check_update(running, predicted, element, w) != 1:
                 raise VerificationFailed(f"update witness for {acc} did not verify")
+            if base is None:
+                implied, kind = _PRECONDITION[claim]
+                proven[acc, implied, element] = replace(w, kind=kind)
             updates.append(BundleEntry(pb.purpose(acc, claim), w, predicted))
             chained[acc] = predicted
+        for step in () if self.lift else steps:
+            acc, claim, element = step
+            if claim not in pb.STORAGE_OP:
+                w = proven.get(step) or self._fetch_verified(acc, element, 1 if claim == pb.MEMBER else 0)
+                membership.append(BundleEntry(pb.purpose(acc, claim), w))
         return ProofBundle(
             op,
-            lookups.membership + updates,
+            membership + updates,
             tuple(lookups.announced),
             base_accs={name: self.contract.state.value_of(name) for name in plan.accumulators(steps)},
         )

@@ -25,8 +25,10 @@ from .bundle import OpTag, ProofBundle, encode_bundle
 from .client import TokenClient
 from .contract import AccTokenContract, ContractState, LogRecord, TxOutcome
 from .elements import (
+    ALLOWANCE_ELEMENT_LEN,
     AMOUNT_BYTES,
     AMOUNT_MAX,
+    BALANCE_ELEMENT_LEN,
     ZERO_ADDRESS,
     balance_element,
     check_address,
@@ -34,8 +36,8 @@ from .elements import (
     decode_balance_element,
 )
 
-# lookup keys: the tag byte plus the owner, or plus owner and spender
-_INDEX_PREFIX_LEN = {pb.BALANCES: 21, pb.ALLOWED_BALANCES: 41}
+# lookup keys: a tuple without its amount
+_INDEX_PREFIX_LEN = {pb.BALANCES: BALANCE_ELEMENT_LEN - AMOUNT_BYTES, pb.ALLOWED_BALANCES: ALLOWANCE_ELEMENT_LEN - AMOUNT_BYTES}
 
 _SELECTORS = {
     op: hashlib.sha256(signature.encode()).digest()[:4]
@@ -78,8 +80,6 @@ class TokenSystem:
         deployer: bytes,
         total: int,
         policy: FaultPolicy | None = None,
-        network: StorageNetwork | None = None,
-        instance: str = "token-0",
         lift_checkupdate_precondition: bool = False,
     ):
         check_address(deployer)
@@ -87,8 +87,8 @@ class TokenSystem:
             raise ZeroSupply("deployment needs a positive total supply")
         if not 0 < total <= AMOUNT_MAX:
             raise Overflow(f"total supply {total} outside uint256 range")
-        self.network = network if network is not None else StorageNetwork(policy)
-        self.acc_ids = {name: AccumulatorId(name, instance) for name in pb.ACCUMULATORS}
+        self.network = StorageNetwork(policy)
+        self.acc_ids = {name: AccumulatorId(name, "token-0") for name in pb.ACCUMULATORS}
         for name, acc_id in self.acc_ids.items():
             self.network.register(acc_id, index_prefix_len=_INDEX_PREFIX_LEN.get(name))
         self._commit([(pb.BALANCES, pb.UPDATE_ADD, balance_element(deployer, total))])

@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -504,6 +505,76 @@ class TestHypothesisProperties:
         result = update("del", acc, memory, victim)
         assert check_update(acc, result.acc_after, victim, result.witness) == 1
         assert check_update(result.acc_after, acc, victim, result.witness) == 0
+
+
+def flip_bit(data: bytes, index: int) -> bytes:
+    out = bytearray(data)
+    out[index // 8] ^= 1 << (index % 8)
+    return bytes(out)
+
+
+_ELEMENTS = st.binary(min_size=1, max_size=6)
+
+
+@st.composite
+def update_claims(draw):
+    """A set, an element, and an update claim about it that may be forged.
+
+    The witness is an honest update witness built on the set itself, or on a
+    set that differs from it by the element or by one other element, so a
+    genuine-looking claim can target the wrong set. It may then be tampered
+    with: a flipped bit, the steps of another element's path, or its own
+    steps cut or extended.
+    """
+    size = draw(st.sampled_from([0, 1, 1, 2, 3, 8]))  # empty and one-element sets included
+    elements = draw(st.lists(_ELEMENTS, min_size=size, max_size=size, unique=True))
+    element = draw(st.sampled_from(elements) | _ELEMENTS) if elements else draw(_ELEMENTS)
+    op = draw(st.sampled_from(["add", "del"]))
+    source = set(elements)
+    if (element in source) != (op == "del"):
+        source ^= {element}  # build the claim on a set where the op is possible
+    if draw(st.booleans()):
+        source ^= {draw(_ELEMENTS.filter(lambda other: other != element))}
+    _acc, memory = build_set(sorted(source))
+    new_root, w = simulate_update(memory.root, op, element)
+    honest = source == set(elements)
+
+    tamper = draw(st.sampled_from(["none", "flip", "foreign", "cut", "extend"]))
+    if tamper == "flip":
+        raw = encode_witness(w)
+        return elements, element, tree.digest(new_root), flip_bit(raw, draw(st.integers(0, len(raw) * 8 - 1))), False
+    if tamper == "foreign":
+        acc, memory = build_set(elements)
+        steps = witness(acc, memory, draw(_ELEMENTS)).steps
+    elif tamper == "cut":
+        k = draw(st.integers(1, len(w.steps) + 1))
+        steps = w.steps[k:] if draw(st.booleans()) else w.steps[:-k]
+    elif tamper == "extend":
+        extra = (draw(st.integers(0, 255)), draw(st.binary(min_size=32, max_size=32)))
+        steps = (*w.steps, extra) if draw(st.booleans()) else (extra, *w.steps)
+    else:
+        steps = w.steps
+    forged = replace(w, steps=steps)
+    return elements, element, tree.digest(new_root), encode_witness(forged), honest and forged == w
+
+
+class TestUpdateProvesPrecondition:
+    """An accepted update witness proves what ``belongs`` would: presence before a delete, absence before an add."""
+
+    @given(update_claims())
+    @settings(max_examples=400, deadline=None)
+    def test_accepted_update_proves_its_precondition(self, claim):
+        elements, element, acc_after, raw, honest = claim
+        acc_before, _memory = build_set(elements)
+        verdict = check_update(acc_before, acc_after, element, raw)
+        if honest:
+            assert verdict == 1
+        if verdict == 1:
+            w = decode_witness(raw)
+            deleted = w.kind == WitnessKind.UPDATE_DEL
+            assert (element in elements) == deleted
+            kind = WitnessKind.MEMBERSHIP if deleted else WitnessKind.NON_MEMBERSHIP
+            assert belongs(acc_before, element, replace(w, kind=kind)) == (1 if deleted else 0)
 
 
 def canonical_digest(keys) -> bytes:

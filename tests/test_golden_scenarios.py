@@ -9,7 +9,8 @@ storage requests, because the refusing policy draws from its RNG once per
 request.
 
 Regenerate (only when a change is meant to alter these outputs) with
-``PYTHONPATH=src python tests/test_golden_scenarios.py``.
+``PYTHONPATH=src python tests/test_golden_scenarios.py``; it prints each
+field that changed, with its old and new value, before it writes the file.
 """
 
 import json
@@ -63,6 +64,26 @@ def _run_with_stats(scenario):
     return run, network.stats
 
 
+def changed_fields(old, new, name=""):
+    """``(field, old, new)`` for each differing field; nested fields are named by dotted path."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from changed_fields(old.get(key), new.get(key), f"{name}.{key}" if name else key)
+    elif old != new:
+        yield name, old, new
+
+
+def test_changed_fields_name_each_difference():
+    old = {"a": {"csv": "x\n", "stats": {"fetches": 280, "lookups": 240}}, "gone": {"dropped": 1}}
+    new = {"a": {"csv": "x\n", "stats": {"fetches": 120, "lookups": 240}}, "added": {"dropped": 0}}
+    assert list(changed_fields(old, new)) == [
+        ("a.stats.fetches", 280, 120),
+        ("added", None, {"dropped": 0}),
+        ("gone", {"dropped": 1}, None),
+    ]
+    assert list(changed_fields(old, old)) == []
+
+
 def test_scenario_outputs_match_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = scenario_outputs()
@@ -72,4 +93,8 @@ def test_scenario_outputs_match_golden():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(scenario_outputs(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    new = scenario_outputs()
+    for name, before, after in changed_fields(old, new):
+        print(f"{name}: {before!r} -> {after!r}")
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")

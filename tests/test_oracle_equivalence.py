@@ -12,6 +12,7 @@ from acctoken.bench.workload import (
     run_workload,
 )
 from acctoken.erc20 import TokenSystem
+from acctoken.errors import TokenError, Unavailable
 from acctoken.storage import FaultPolicy
 
 DEPLOYER = make_address(0)
@@ -82,6 +83,19 @@ class TestFaultEquivalence:
             if apply_op(faulty, op) is None:
                 assert apply_op(shadow, op) is None
         assert effective_balances(faulty) == effective_balances(shadow)
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.mode)
+    def test_faults_surface_as_token_errors_or_unavailable(self, policy, lift):
+        # the trust model: storage faults reach the caller as VerificationFailed
+        # (a TokenError) or Unavailable, never as an accumulator error
+        leaked = []
+        for seed in range(5):
+            ops = generate_workload(seed=seed, n_ops=300, n_accounts=20)
+            faulty = TokenSystem(DEPLOYER, SUPPLY, policy=policy, lift_checkupdate_precondition=lift)
+            verdicts = run_workload(faulty, ops)
+            leaked += [v for v in verdicts if v is not None and not issubclass(v, (TokenError, Unavailable))]
+        assert leaked == []
 
     def test_stale_view_blocks_all_balance_movement(self):
         ops = generate_workload(seed=23, n_ops=60, n_accounts=6)

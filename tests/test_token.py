@@ -19,7 +19,7 @@ from acctoken.erc20.bundle import (
     UPDATE_DEL,
     purpose_claim,
 )
-from acctoken.erc20.elements import allowance_element, balance_element
+from acctoken.erc20.elements import allowance_element, balance_element, balance_prefix
 from acctoken.errors import (
     AcctokenError,
     AlreadyPresent,
@@ -365,6 +365,30 @@ class TestLiftedPreconditionMode:
             lifted.contract.transfer(A, B, 1, bundle)
 
 
+class TestStorageCannotUpdate:
+    """A lookup naming a tuple storage cannot update fails as a verification, not an accumulator error."""
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize(
+        "owner, served, tokens",
+        [
+            (A, [balance_element(A, 999)], 5),  # deleting a tuple A does not hold: NotPresent
+            (B, [], 100),  # adding (B, 100), which B holds already: AlreadyPresent
+        ],
+        ids=["sender-amount", "recipient-absent"],
+    )
+    def test_reported_as_verification_failed(self, owner, served, tokens, lift):
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+        system.transfer(A, B, 100)
+        honest_lookup = system.network.lookup
+        lying = balance_prefix(owner)
+        system.network.lookup = lambda acc_id, prefix: served if prefix == lying else honest_lookup(acc_id, prefix)
+        before = snapshot(system)
+        with pytest.raises(VerificationFailed, match="cannot build"):
+            system.transfer(A, B, tokens)
+        assert snapshot(system) == before
+
+
 class TestConstantState:
     def test_key_count_is_four_regardless_of_accounts(self):
         system = TokenSystem(A, 10_000)
@@ -603,6 +627,38 @@ class TestSemanticForgery:
                 getattr(system, op)(*args, forged)
             assert snapshot(system) == before
         getattr(system, op)(*args, honest)  # the honest bundle still goes through
+
+
+# op variant -> membership witnesses the client fetches; it derives the others
+# from the first update on their accumulator
+CLIENT_FETCHES = {
+    "transfer-standard": 1,
+    "transfer-fresh": 1,
+    "approve-again": 0,
+    "approve-first": 0,
+    "transfer_from-standard": 2,
+    "transfer_from-fresh": 2,
+}
+
+
+class TestDerivedMembership:
+    """Membership entries about an accumulator's first update are derived from its witness."""
+
+    @pytest.mark.parametrize("case", FORGERY_CASES)
+    def test_fetches_and_entries(self, case):
+        op, args, _other_args = FORGERY_CASES[case]
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        fetched = system.network.stats.witness_fetches
+        bundle = getattr(system.client, "build_" + op)(*args)
+        assert system.network.stats.witness_fetches - fetched == CLIENT_FETCHES[case]
+        # every membership entry, derived or fetched, is the witness storage serves
+        _log, steps = plan.PLANS[bundle.op](*args, plan.Announced(bundle.announced))
+        membership = [(acc, element) for acc, claim, element in steps if claim in (MEMBER, NON_MEMBER)]
+        for (acc, element), entry in zip(membership, bundle.entries[: len(membership)]):
+            assert entry.witness == decode_witness(system.network.fetch_witness(system.acc_ids[acc], element))
+        getattr(system, op)(*args, bundle)
 
 
 # op variant -> (contract reads, contract writes): the accumulators its plan touches and updates
