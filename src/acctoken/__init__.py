@@ -13,12 +13,11 @@ Top-level convenience re-exports; the subpackages are the real API surface:
 from .baseline import BaselineToken
 from .erc20 import TokenSystem
 from .gas import GasSchedule, RentParams, annual_rent, meter_transaction, rent_rate
-from .storage import AccumulatorId, FaultPolicy, StorageNetwork
+from .storage import FaultPolicy, StorageNetwork
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccumulatorId",
     "BaselineToken",
     "FaultPolicy",
     "GasSchedule",

@@ -12,7 +12,6 @@ KEY_BITS = DIGEST_BYTES * 8
 TAG_LEAF = b"\x00"
 TAG_INTERNAL = b"\x01"
 TAG_EMPTY = b"\x02"
-TAG_ACC_ID = b"\x03"
 
 
 def sha256(data: bytes) -> bytes:

@@ -17,7 +17,7 @@ tuple only when a collection examines it after its children, so a fresh
 trie leaves the collector over a few collections, bottom up.
 
 Nodes are immutable; updates copy the touched nodes and share everything
-else, so old roots stay valid snapshots for free. The compressed layout
+else, so old roots stay valid for free. The compressed layout
 (branches exist only where keys actually diverge) is canonical for a given
 key set, which makes the root digest history independent.
 
@@ -185,7 +185,7 @@ class Memory:
 
     Single writer: updates must be externally serialized. Concurrent
     read-only witness extraction against a quiescent memory is safe, and old
-    roots remain valid snapshots because nodes are never mutated.
+    roots remain valid because nodes are never mutated.
     """
 
     __slots__ = ("root", "elements", "epoch")

@@ -16,7 +16,6 @@ from decimal import Decimal, InvalidOperation
 
 from ..config import dump_defaults, fault_from_config, parse_config, rent_from_config, schedule_from_config
 from ..gas import FLAT, GIB, SCALED
-from ..storage import FaultPolicy
 from .scenario import (
     Scenario,
     compare,
@@ -69,7 +68,7 @@ def _load_config(path: str | None):
 def _cmd_run(args) -> int:
     pairs = _load_config(args.config)
     schedule = schedule_from_config(pairs)
-    fault = fault_from_config(pairs) if any(k.startswith("storage.") for k in pairs) else FaultPolicy.honest()
+    fault = fault_from_config(pairs)
     toggles = [t for t in (args.toggles.split(",") if args.toggles else []) if t]
     lift = False
     schedule_kwargs = {"mode": SCALED if args.schedule == "scaled" else FLAT}

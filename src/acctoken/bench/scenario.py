@@ -32,15 +32,19 @@ ACC = "acc"
 BASELINE = "baseline"
 
 
+#: Tokens the deployer grants each new account, the allowance each approval
+#: sets, and the total supply.
+GRANT = 100
+APPROVE_ALLOWANCE = 10**6
+SUPPLY = 10**15
+
+
 @dataclass(frozen=True)
 class Scenario:
     token: str = ACC
     checkpoints: tuple[int, ...] = (1000, 2000)
     ops_per_checkpoint: int = 100
     seed: int = 0
-    grant: int = 100
-    approve_allowance: int = 10**6
-    supply: int = 10**15
     lift: bool = False
     fault: FaultPolicy = field(default_factory=FaultPolicy.honest)
 
@@ -53,7 +57,7 @@ class Scenario:
             raise ValueError("checkpoints must be non-empty and strictly increasing")
         if self.checkpoints[0] <= 0:
             raise ValueError("checkpoints must be positive")
-        if self.supply < self.grant * self.checkpoints[-1] + 1:
+        if SUPPLY < GRANT * self.checkpoints[-1] + 1:
             raise ValueError("supply cannot fund the final checkpoint")
 
 
@@ -112,11 +116,11 @@ class _Population:
 def run_scenario(scenario: Scenario) -> ScenarioRun:
     pop = _Population()
     deployer = pop.address(0)
-    shadow = BaselineToken.deploy(deployer, scenario.supply, keep_logs=False)
+    shadow = BaselineToken.deploy(deployer, SUPPLY, keep_logs=False)
     if scenario.token == ACC:
         system = TokenSystem(
             deployer,
-            scenario.supply,
+            SUPPLY,
             policy=scenario.fault,
             lift_checkupdate_precondition=scenario.lift,
         )
@@ -126,7 +130,7 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     created = 0
     run = ScenarioRun(scenario, [])
     for checkpoint in scenario.checkpoints:
-        created = _grow(scenario, system, shadow, pop, created, checkpoint)
+        created = _grow(system, shadow, pop, created, checkpoint)
         samples = _sample_checkpoint(scenario, system, shadow, pop, checkpoint, run)
         run.checkpoints.append(CheckpointSamples(checkpoint, samples))
         _integrity(system, shadow)
@@ -134,30 +138,30 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     return run
 
 
-def _grow(scenario, system, shadow, pop, created, target) -> int:
+def _grow(system, shadow, pop, created, target) -> int:
     if isinstance(system, TokenSystem):
-        system.bootstrap(_growth_plans(scenario, shadow, pop, created, target))
+        system.bootstrap(_growth_plans(shadow, pop, created, target))
     else:  # the shadow is the token
         for i in range(created + 1, target + 1):
-            _record_growth(scenario, shadow, pop, i)
+            _record_growth(shadow, pop, i)
     return target
 
 
-def _growth_plans(scenario, shadow, pop, created, target):
+def _growth_plans(shadow, pop, created, target):
     """Plans of the growth ops for accounts ``created+1..target``, amounts from the shadow ledger."""
     deployer = pop.address(0)
     shadow_balances = shadow.balances
     for i in range(created + 1, target + 1):
         addr = pop.address(i)
-        yield plan.transfer(deployer, addr, scenario.grant, plan.Announced((shadow_balances[deployer],)))
-        yield plan.approve(addr, pop.address(i + 1), scenario.approve_allowance, plan.Announced(()))
-        _record_growth(scenario, shadow, pop, i)
+        yield plan.transfer(deployer, addr, GRANT, plan.Announced((shadow_balances[deployer],)))
+        yield plan.approve(addr, pop.address(i + 1), APPROVE_ALLOWANCE, plan.Announced(()))
+        _record_growth(shadow, pop, i)
 
 
-def _record_growth(scenario, shadow, pop, i):
+def _record_growth(shadow, pop, i):
     deployer, addr = pop.address(0), pop.address(i)
-    shadow.transfer(deployer, addr, scenario.grant)
-    shadow.approve(addr, pop.address(i + 1), scenario.approve_allowance)
+    shadow.transfer(deployer, addr, GRANT)
+    shadow.approve(addr, pop.address(i + 1), APPROVE_ALLOWANCE)
     pop.add_pair(i, i + 1)
 
 
@@ -166,7 +170,7 @@ def _sample_checkpoint(scenario, system, shadow, pop, n_accounts, run) -> list[O
     samples: list[OpSample] = []
     for _ in range(scenario.ops_per_checkpoint):
         for kind in ("transfer", "approve", "transfer_from"):
-            op_args = _pick_op(rng, shadow, pop, n_accounts, kind, scenario)
+            op_args = _pick_op(rng, shadow, pop, n_accounts, kind)
             if op_args is None:
                 continue
             try:
@@ -183,7 +187,7 @@ def _sample_checkpoint(scenario, system, shadow, pop, n_accounts, run) -> list[O
     return samples
 
 
-def _pick_op(rng, shadow, pop, n, kind, scenario):
+def _pick_op(rng, shadow, pop, n, kind):
     if kind == "transfer":
         for _ in range(64):
             src = rng.randrange(1, n + 1)
@@ -197,7 +201,7 @@ def _pick_op(rng, shadow, pop, n, kind, scenario):
             spender = rng.randrange(1, n + 2)
             if owner != spender and (owner, spender) not in pop.approved_set:
                 pop.add_pair(owner, spender)
-                return (pop.address(owner), pop.address(spender), scenario.approve_allowance)
+                return (pop.address(owner), pop.address(spender), APPROVE_ALLOWANCE)
         return None
     for _ in range(64):
         owner, spender = pop.approved_list[rng.randrange(len(pop.approved_list))]

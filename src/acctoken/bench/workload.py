@@ -106,7 +106,7 @@ def true_balance(token, owner: bytes) -> int:
     if isinstance(token, BaselineToken):
         return token.balance_of(owner)
     assert isinstance(token, TokenSystem)
-    held = token.network.elements(token.acc_ids[BALANCES], balance_prefix(owner))
+    held = token.network.elements(BALANCES, balance_prefix(owner))
     return sum(decode_balance_element(element)[1] for element in held)
 
 
@@ -120,7 +120,7 @@ def effective_balances(token) -> dict[bytes, int]:
         return {a: v for a, v in token.balances.items() if v}
     assert isinstance(token, TokenSystem)
     out = {}
-    for element in token.network.elements(token.acc_ids[BALANCES]):
+    for element in token.network.elements(BALANCES):
         owner, amount = decode_balance_element(element)
         out[owner] = out.get(owner, 0) + amount
     return {owner: amount for owner, amount in out.items() if amount}
@@ -131,7 +131,7 @@ def effective_allowances(token) -> dict[tuple[bytes, bytes], int]:
         return {pair: v for pair, v in token.allowed.items() if v}
     assert isinstance(token, TokenSystem)
     out = {}
-    for element in token.network.elements(token.acc_ids[ALLOWED_BALANCES]):
+    for element in token.network.elements(ALLOWED_BALANCES):
         owner, spender, amount = decode_allowance_element(element)
         out[(owner, spender)] = out.get((owner, spender), 0) + amount
     return {pair: amount for pair, amount in out.items() if amount}

@@ -22,6 +22,7 @@ from ..accumulator.witness import (
     DIGEST_BYTES,
     HEADER_BYTES,
     Witness,
+    WitnessKind,
     decode_witness,
     encode_witness,
     encoded_length,
@@ -37,10 +38,12 @@ ACCUMULATORS = (BALANCES, ALLOWED_ADDRESSES, ALLOWED_BALANCES)
 _ACC_NIBBLE = {BALANCES: 0x10, ALLOWED_ADDRESSES: 0x20, ALLOWED_BALANCES: 0x30}
 _ACC_BY_NIBBLE = {v: k for k, v in _ACC_NIBBLE.items()}
 
-MEMBER = 0x1
-NON_MEMBER = 0x2
-UPDATE_ADD = 0x3
-UPDATE_DEL = 0x4
+#: Claims, numbered as the witness kinds that prove them: an entry's witness
+#: must be of the kind its claim names.
+MEMBER = WitnessKind.MEMBERSHIP
+NON_MEMBER = WitnessKind.NON_MEMBERSHIP
+UPDATE_ADD = WitnessKind.UPDATE_ADD
+UPDATE_DEL = WitnessKind.UPDATE_DEL
 
 #: The storage operation behind each update claim; other claims are memberships.
 STORAGE_OP = {UPDATE_ADD: "add", UPDATE_DEL: "del"}

@@ -3,15 +3,16 @@
 Clients never trust the storage network: every served payload is checked
 against the contract's current accumulator values before use, so corrupted or
 stale data surfaces as VerificationFailed here instead of reaching the chain.
-Update witnesses are chained across the simulated snapshots the storage
-exposes, in the same order the contract will verify and commit them.
+Update witnesses are chained on the simulated roots the storage keeps for
+the chain being built, in the same order the contract will verify and commit
+them.
 """
 
 from dataclasses import replace
 
-from ..accumulator import BOTTOM, Witness, WitnessKind, belongs, check_update, decode_witness
+from ..accumulator import BOTTOM, Witness, belongs, check_update, decode_witness
 from ..errors import AlreadyPresent, InsufficientBalance, NotApproved, NotPresent, VerificationFailed, WitnessDecodeError
-from ..storage import AccumulatorId, StorageNetwork
+from ..storage import StorageNetwork
 from . import bundle as pb
 from . import plan
 from .bundle import BundleEntry, OpTag, ProofBundle
@@ -28,11 +29,8 @@ from .elements import (
 )
 
 
-#: update claim -> the claim its witness also proves against its before-value, and that witness's kind
-_PRECONDITION = {
-    pb.UPDATE_DEL: (pb.MEMBER, WitnessKind.MEMBERSHIP),
-    pb.UPDATE_ADD: (pb.NON_MEMBER, WitnessKind.NON_MEMBERSHIP),
-}
+#: update claim -> the claim its witness also proves against its before-value
+_PRECONDITION = {pb.UPDATE_DEL: pb.MEMBER, pb.UPDATE_ADD: pb.NON_MEMBER}
 
 
 def _decode(payload: bytes, what: str):
@@ -70,22 +68,16 @@ class _Lookups:
 
 
 class TokenClient:
-    def __init__(
-        self,
-        contract: AccTokenContract,
-        network: StorageNetwork,
-        acc_ids: dict[str, AccumulatorId],
-    ):
+    def __init__(self, contract: AccTokenContract, network: StorageNetwork):
         self.contract = contract
         self.network = network
-        self.acc_ids = acc_ids
         self.lift = contract.lift
 
     # -- verified fetch helpers -------------------------------------------------
 
     def _fetch_verdict(self, name: str, element: bytes):
         """Fetch a (non)membership witness; return it with its verdict."""
-        w = _decode(self.network.fetch_witness(self.acc_ids[name], element), "witness")
+        w = _decode(self.network.fetch_witness(name, element), "witness")
         return w, belongs(self.contract.state.value_of(name), element, w)
 
     def _fetch_verified(self, name: str, element: bytes, want: int):
@@ -97,7 +89,7 @@ class TokenClient:
 
     def _lookup_one(self, acc: str, prefix: bytes, decode):
         """The decoded tuple stored under ``prefix``, or None if there is none."""
-        found = self.network.lookup(self.acc_ids[acc], prefix)
+        found = self.network.lookup(acc, prefix)
         if not found:
             return None
         if len(found) > 1:
@@ -165,9 +157,7 @@ class TokenClient:
                 continue
             base = chained.get(acc)
             try:
-                predicted, payload = self.network.build_update_witness(
-                    self.acc_ids[acc], pb.STORAGE_OP[claim], element, base=base
-                )
+                predicted, payload = self.network.build_update_witness(acc, pb.STORAGE_OP[claim], element, base=base)
             except (AlreadyPresent, NotPresent) as exc:  # a corrupted lookup named a tuple it cannot update
                 raise VerificationFailed(f"storage cannot build the {acc} update: {exc}") from None
             w = _decode(payload, "update witness")
@@ -175,8 +165,8 @@ class TokenClient:
             if check_update(running, predicted, element, w) != 1:
                 raise VerificationFailed(f"update witness for {acc} did not verify")
             if base is None:
-                implied, kind = _PRECONDITION[claim]
-                proven[acc, implied, element] = replace(w, kind=kind)
+                implied = _PRECONDITION[claim]
+                proven[acc, implied, element] = replace(w, kind=implied)
             updates.append(BundleEntry(pb.purpose(acc, claim), w, predicted))
             chained[acc] = predicted
         for step in () if self.lift else steps:

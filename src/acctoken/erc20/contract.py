@@ -7,6 +7,11 @@ current balances and allowances, then a chain of publicly verifiable update
 witnesses whose final value becomes the stored accumulator. Witnesses bind
 element digests only, so the amounts behind them arrive as announced words in
 the transaction and are authenticated by the digest check inside the verifier.
+The verifiers decide from a witness's kind which claim they check, so every
+entry's witness must be of the kind its purpose byte claims (the claims are
+the ``WitnessKind`` members); an update-del witness in an update-add slot
+would otherwise verify, and the storage commit of that step would then fail
+after the contract had moved on.
 
 Any failed step aborts the transaction with state untouched. The contract
 never reads accumulator memory; it trusts nothing but its own four words and
@@ -130,6 +135,8 @@ class AccTokenContract:
             acc, claim, element = step
             if entry.purpose != purpose(acc, claim):
                 raise BundleSchemaMismatch(f"entry {index} does not carry the expected claim")
+            if entry.witness.kind != claim:  # the verifiers pick the claim they check from the kind
+                raise InvalidProof(index)
             update_op = STORAGE_OP.get(claim)
             if update_op:
                 ok = check_update(accs[acc], entry.claimed_after, element, entry.witness, trace.hash) == 1

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from ..errors import Overflow, ZeroSupply
 from ..gas import TxTrace
-from ..storage import AccumulatorId, FaultPolicy, StorageNetwork
+from ..storage import FaultPolicy, StorageNetwork
 from . import bundle as pb
 from . import plan
 from .bundle import OpTag, ProofBundle, encode_bundle
@@ -88,16 +88,13 @@ class TokenSystem:
         if not 0 < total <= AMOUNT_MAX:
             raise Overflow(f"total supply {total} outside uint256 range")
         self.network = StorageNetwork(policy)
-        self.acc_ids = {name: AccumulatorId(name, "token-0") for name in pb.ACCUMULATORS}
-        for name, acc_id in self.acc_ids.items():
-            self.network.register(acc_id, index_prefix_len=_INDEX_PREFIX_LEN.get(name))
+        for name in pb.ACCUMULATORS:
+            self.network.register(name, index_prefix_len=_INDEX_PREFIX_LEN.get(name))
         self._commit([(pb.BALANCES, pb.UPDATE_ADD, balance_element(deployer, total))])
-        state = ContractState(
-            *(self.network.accumulator_value(acc_id) for acc_id in self.acc_ids.values()), total
-        )
+        state = ContractState(*(self.network.accumulator_value(name) for name in pb.ACCUMULATORS), total)
         self.contract = AccTokenContract(state, lift_checkupdate_precondition)
         self.contract.logs.append(LogRecord("Transfer", ZERO_ADDRESS, deployer, total))
-        self.client = TokenClient(self.contract, self.network, self.acc_ids)
+        self.client = TokenClient(self.contract, self.network)
         self.deployer = deployer
 
     # -- views ---------------------------------------------------------------
@@ -128,9 +125,8 @@ class TokenSystem:
         return TxRecord(op.name.lower(), outcome.log, outcome.trace, len(encoded), len(bundle.entries))
 
     def _assert_lock_step(self):
-        for name, acc_id in self.acc_ids.items():
-            stored = self.contract.state.value_of(name)
-            if stored != self.network.accumulator_value(acc_id):
+        for name in pb.ACCUMULATORS:
+            if self.contract.state.value_of(name) != self.network.accumulator_value(name):
                 raise AssertionError(f"storage diverged from contract on {name}")
 
     def transfer(self, sender: bytes, to: bytes, tokens: int, bundle: ProofBundle | None = None) -> TxRecord:
@@ -164,15 +160,15 @@ class TokenSystem:
         before any batch is committed; a batch whose steps cancel out is
         skipped. Returns the new values of the accumulators committed.
         """
-        batches = {name: self.network.changes(acc_id) for name, acc_id in self.acc_ids.items()}
+        batches = {name: self.network.changes(name) for name in pb.ACCUMULATORS}
         for acc, claim, element in steps:
             if claim in pb.STORAGE_OP:
                 batches[acc].record(pb.STORAGE_OP[claim], element)
         values = {}
-        for name in self.acc_ids:
+        for name in pb.ACCUMULATORS:
             changes = batches.pop(name)  # freed once committed
             if changes:
-                values[name] = self.network.commit(self.acc_ids[name], changes)
+                values[name] = self.network.commit(name, changes)
         return values
 
     def bootstrap(self, plans: Iterable[plan.Plan]):
@@ -198,11 +194,10 @@ class TokenSystem:
     def check_conservation(self):
         """Balance tuples sum to the supply; at most one tuple per owner and per pair."""
         for name, keyed_by in ((pb.BALANCES, "owner"), (pb.ALLOWED_BALANCES, "(owner, spender) pair")):
-            acc_id = self.acc_ids[name]
-            surplus = len(self.network.elements(acc_id)) - len(self.network.lookup_keys(acc_id))
+            surplus = len(self.network.elements(name)) - len(self.network.lookup_keys(name))
             if surplus:
                 raise AssertionError(f"some {keyed_by} holds more than one {name} tuple ({surplus} surplus)")
-        balances = self.network.elements(self.acc_ids[pb.BALANCES])
+        balances = self.network.elements(pb.BALANCES)
         total = sum(decode_balance_element(e)[1] for e in balances)
         if total != self.contract.total_supply():
             raise AssertionError(

@@ -1,11 +1,13 @@
-"""Simulated external storage network holding accumulator memories.
+"""Simulated external storage network holding one token's accumulator memories.
 
-The network is in-process and deterministic under a seed. It serves
-logarithmic-size witness payloads to clients and applies contract-confirmed
-updates; it never ships a whole memory. Fault policies model an unreliable
-network on the serving path only (corrupted bytes, stale snapshots, refused
-requests); commits always apply, mirroring a storage node that follows the
-chain. Clients are expected to detect bad payloads via ``belongs``.
+The network serves one token contract, so its accumulators are addressed by
+name (``erc20.bundle.BALANCES`` and the others). It is in-process and
+deterministic under a seed. It serves logarithmic-size witness payloads to
+clients and applies contract-confirmed updates; it never ships a whole
+memory. Fault policies model an unreliable network on the serving path
+only (corrupted bytes, stale roots, refused requests); commits always apply,
+mirroring a storage node that follows the chain. Clients are expected to
+detect bad payloads via ``belongs``.
 
 A commit applies a batch of changes as one epoch: a verified transaction
 commits its netted update steps, one batch per accumulator it writes, and
@@ -14,6 +16,12 @@ history its fault policy can serve: a node that lags ``k`` epochs keeps its
 last ``k`` commits, each with the root before it and its changes, and serves
 the oldest of those roots with an element view that rolls all of those
 changes back. Honest storage keeps no history.
+
+A client builds one bundle at a time, so each accumulator keeps one chain
+tip: the simulated root of its latest ``build_update_witness``. A build
+without a base starts a new chain and replaces the tip; a build on the tip's
+digest continues it; any other base is refused. A commit clears the tip, so
+a bundle that never lands pins at most one simulated root per accumulator.
 
 An accumulator registered with a lookup prefix length also keeps an index
 from each prefix to the element under it: the token keeps one tuple per
@@ -31,7 +39,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .accumulator import core, encode_witness, tree
-from .accumulator.hashing import TAG_ACC_ID, element_digest, sha256
+from .accumulator.hashing import element_digest
 from .accumulator.tree import Memory, Node
 from .errors import StorageError, Unavailable
 
@@ -41,20 +49,6 @@ STALE = "stale"
 UNAVAILABLE = "unavailable"
 
 _MODES = (HONEST, CORRUPT_BITS, STALE, UNAVAILABLE)
-
-
-@dataclass(frozen=True)
-class AccumulatorId:
-    """Names one accumulator memory: role plus contract instance."""
-
-    name: str
-    instance: str
-
-    def digest(self) -> bytes:
-        return sha256(TAG_ACC_ID + self.name.encode() + b"/" + self.instance.encode())
-
-    def __str__(self) -> str:
-        return f"{self.instance}:{self.name}"
 
 
 @dataclass(frozen=True)
@@ -117,51 +111,52 @@ class _Registered:
     # (epoch reached, root before, changes) of the commits a stale node
     # lags behind, oldest first
     history: deque = field(default_factory=deque)
-    # simulated roots reachable from build_update_witness chains
-    snapshots: dict = field(default_factory=dict)
+    # (digest, root) of the latest build_update_witness, which the next
+    # build may continue; None after a commit
+    tip: tuple[bytes, Node] | None = None
 
 
 class StorageNetwork:
-    """Holds one Memory per registered AccumulatorId; single writer per id."""
+    """Holds one Memory per registered accumulator name; single writer per name."""
 
     def __init__(self, policy: FaultPolicy | None = None):
         self.policy = policy or FaultPolicy.honest()
         self._rng = random.Random(self.policy.seed)
-        self._entries: dict[AccumulatorId, _Registered] = {}
+        self._entries: dict[str, _Registered] = {}
         self.stats = ServingStats()
         self._lag = self.policy.lag_epochs if self.policy.mode == STALE else 0
 
     # -- registry ----------------------------------------------------------
 
-    def register(self, acc_id: AccumulatorId, index_prefix_len: int | None = None) -> bytes:
-        """Set up a fresh accumulator under ``acc_id``; returns its initial value."""
-        if acc_id in self._entries:
-            raise StorageError(f"{acc_id} already registered")
+    def register(self, acc: str, index_prefix_len: int | None = None) -> bytes:
+        """Set up a fresh accumulator named ``acc``; returns its initial value."""
+        if acc in self._entries:
+            raise StorageError(f"{acc} already registered")
         acc0, memory = core.setup(256)
-        self._entries[acc_id] = _Registered(memory=memory, index_prefix_len=index_prefix_len)
+        self._entries[acc] = _Registered(memory=memory, index_prefix_len=index_prefix_len)
         return acc0
 
-    def _entry(self, acc_id: AccumulatorId) -> _Registered:
+    def _entry(self, acc: str) -> _Registered:
         try:
-            return self._entries[acc_id]
+            return self._entries[acc]
         except KeyError:
-            raise StorageError(f"{acc_id} not registered") from None
+            raise StorageError(f"{acc} not registered") from None
 
-    def accumulator_value(self, acc_id: AccumulatorId) -> bytes:
-        return self._entry(acc_id).memory.value
+    def accumulator_value(self, acc: str) -> bytes:
+        return self._entry(acc).memory.value
 
-    def epoch(self, acc_id: AccumulatorId) -> int:
-        return self._entry(acc_id).memory.epoch
+    def epoch(self, acc: str) -> int:
+        return self._entry(acc).memory.epoch
 
     # -- ledger view -------------------------------------------------------------
 
-    def elements(self, acc_id: AccumulatorId, prefix: bytes | None = None) -> Collection[bytes]:
-        """The elements ``acc_id`` holds now, read-only: all of them, or those under one lookup ``prefix``.
+    def elements(self, acc: str, prefix: bytes | None = None) -> Collection[bytes]:
+        """The elements ``acc`` holds now, read-only: all of them, or those under one lookup ``prefix``.
 
         The ledger view for integrity checks, not the served view: no fault
         applies and ``stats`` counts nothing.
         """
-        entry = self._entry(acc_id)
+        entry = self._entry(acc)
         if prefix is None:
             return entry.memory.elements.values()
         plen = entry.index_prefix_len
@@ -169,9 +164,9 @@ class StorageNetwork:
             raise StorageError(f"lookups require a {plen}-byte prefix")
         return _held(entry.index.get(prefix, ()))
 
-    def lookup_keys(self, acc_id: AccumulatorId) -> Collection[bytes]:
+    def lookup_keys(self, acc: str) -> Collection[bytes]:
         """The lookup prefixes ``elements`` holds anything under now, read-only."""
-        return self._entry(acc_id).index.keys()
+        return self._entry(acc).index.keys()
 
     # -- fault layer ---------------------------------------------------------
 
@@ -191,29 +186,29 @@ class StorageNetwork:
     def _serving_root(self, entry: _Registered) -> Node:
         return entry.history[0][1] if entry.history else entry.memory.root
 
-    def _serving_elements(self, acc_id: AccumulatorId, prefix: bytes) -> list[bytes]:
-        current = self.elements(acc_id, prefix)  # checks the prefix length
+    def _serving_elements(self, acc: str, prefix: bytes) -> list[bytes]:
+        current = self.elements(acc, prefix)  # checks the prefix length
         # roll back the commits the served root predates, newest first
-        for _epoch, _root, changes in reversed(self._entry(acc_id).history):
+        for _epoch, _root, changes in reversed(self._entry(acc).history):
             current = {element for element in current if element_digest(element) not in changes.adds}
             current.update(element for element in changes.dels.values() if element.startswith(prefix))
         return sorted(current)
 
     # -- serving API ---------------------------------------------------------
 
-    def lookup(self, acc_id: AccumulatorId, prefix: bytes) -> list[bytes]:
+    def lookup(self, acc: str, prefix: bytes) -> list[bytes]:
         """Accumulated elements whose encoding starts with ``prefix``."""
         self._maybe_refuse()
-        found = self._serving_elements(acc_id, prefix)
+        found = self._serving_elements(acc, prefix)
         served = [self._serve_bytes(e) for e in found]
         self.stats.lookups += 1
         self.stats.lookup_bytes += sum(len(e) for e in served)
         return served
 
-    def fetch_witness(self, acc_id: AccumulatorId, element: bytes) -> bytes:
+    def fetch_witness(self, acc: str, element: bytes) -> bytes:
         """Serialized (non)membership witness for ``element``."""
         self._maybe_refuse()
-        entry = self._entry(acc_id)
+        entry = self._entry(acc)
         w = core.witness_for_root(self._serving_root(entry), element)
         payload = self._serve_bytes(encode_witness(w))
         self.stats.witness_fetches += 1
@@ -222,7 +217,7 @@ class StorageNetwork:
 
     def build_update_witness(
         self,
-        acc_id: AccumulatorId,
+        acc: str,
         op: str,
         element: bytes,
         base: bytes | None = None,
@@ -230,24 +225,22 @@ class StorageNetwork:
         """Simulate ``op`` without mutating memory.
 
         Returns (predicted accumulator value after the op, serialized update
-        witness). Passing a previously returned value as ``base`` chains a
-        second simulated update on top of the first, which is how clients
-        assemble multi-update proof bundles against one snapshot.
+        witness). Without a ``base`` the op starts a new chain on the served
+        root; passing the value the latest build returned as ``base`` chains
+        the op on top of it, which is how clients assemble multi-update
+        proof bundles against one snapshot. Any other ``base`` is refused.
         """
         self._maybe_refuse()
-        entry = self._entry(acc_id)
+        entry = self._entry(acc)
         if base is None:
             root = self._serving_root(entry)
-        elif base == entry.memory.value:
-            root = entry.memory.root
+        elif entry.tip is not None and base == entry.tip[0]:
+            root = entry.tip[1]
         else:
-            try:
-                root = entry.snapshots[base]
-            except KeyError:
-                raise StorageError("unknown base snapshot; rebuild from current") from None
+            raise StorageError("unknown base snapshot; rebuild from current")
         new_root, w = core.simulate_update(root, op, element)
         acc_after = tree.digest(new_root)
-        entry.snapshots[acc_after] = new_root
+        entry.tip = (acc_after, new_root)
         payload = self._serve_bytes(encode_witness(w))
         predicted = self._serve_bytes(acc_after)
         self.stats.update_builds += 1
@@ -256,14 +249,14 @@ class StorageNetwork:
 
     # -- commit path -----------------------------------------------------------
 
-    def changes(self, acc_id: AccumulatorId, steps=()) -> core.Changes:
-        """A batch of changes to ``acc_id``'s memory for ``commit``, with the
+    def changes(self, acc: str, steps=()) -> core.Changes:
+        """A batch of changes to ``acc``'s memory for ``commit``, with the
         (op, element) ``steps`` recorded; record more with its ``record``."""
-        return core.Changes(self._entry(acc_id).memory, steps)
+        return core.Changes(self._entry(acc).memory, steps)
 
-    def commit(self, acc_id: AccumulatorId, changes: core.Changes) -> bytes:
+    def commit(self, acc: str, changes: core.Changes) -> bytes:
         """Apply contract-confirmed changes to the real memory as one epoch."""
-        entry = self._entry(acc_id)
+        entry = self._entry(acc)
         memory = entry.memory
         # honest storage holds no old root, so the replaced nodes are freed
         # as soon as the commit lands
@@ -289,5 +282,5 @@ class StorageNetwork:
                     held = index.setdefault(prefix, element)
                     if held is not element:  # a second element under the key
                         index[prefix] = (*_held(held), element)
-        entry.snapshots.clear()
+        entry.tip = None
         return acc_after

@@ -14,6 +14,7 @@ from acctoken.bench import (
     tabulate,
 )
 from acctoken.bench.cli import _parse_checkpoints, build_parser, main
+from acctoken.bench.scenario import GRANT, SUPPLY
 from acctoken.gas import FLAT, SCALED, GasSchedule, RentParams, annual_rent, rent_rate
 from acctoken.storage import FaultPolicy
 
@@ -102,6 +103,13 @@ class TestCompare:
         for op, gas in by_op.items():
             spread = (max(gas) - min(gas)) / (sum(gas) / len(gas))
             assert spread < 0.01, f"{op} varies {spread:.2%} across checkpoints"
+
+
+class TestScenarioValidation:
+    def test_supply_must_fund_the_last_checkpoint(self):
+        Scenario(checkpoints=((SUPPLY - 1) // GRANT,))
+        with pytest.raises(ValueError, match="cannot fund"):
+            Scenario(checkpoints=(SUPPLY // GRANT,))
 
 
 class TestFaultScenario:

@@ -2,14 +2,14 @@
 
 import pytest
 
-from acctoken.accumulator import BOTTOM, belongs, check_update, decode_witness, witness_size_bytes
+from acctoken.accumulator import BOTTOM, belongs, check_update, decode_witness, tree, witness_size_bytes
 from acctoken.erc20 import TokenSystem
 from acctoken.erc20.bundle import BALANCES
 from acctoken.erc20.elements import balance_element, balance_prefix
 from acctoken.errors import AlreadyPresent, NotPresent, StaleAccumulator, StorageError, Unavailable
-from acctoken.storage import AccumulatorId, FaultPolicy, StorageNetwork
+from acctoken.storage import FaultPolicy, StorageNetwork
 
-AID = AccumulatorId("balances", "test-0")
+AID = BALANCES
 OWNER = b"\x0a" * 20
 
 
@@ -39,13 +39,7 @@ class TestRegistry:
     def test_unknown_id_rejected(self):
         network = StorageNetwork()
         with pytest.raises(StorageError):
-            network.fetch_witness(AccumulatorId("balances", "nope"), b"x")
-
-    def test_id_digests_are_distinct(self):
-        a = AccumulatorId("balances", "t")
-        b = AccumulatorId("allowed-addresses", "t")
-        c = AccumulatorId("balances", "u")
-        assert len({a.digest(), b.digest(), c.digest()}) == 3
+            network.fetch_witness("nope", b"x")
 
 
 class TestHonestServing:
@@ -111,9 +105,8 @@ class TestCollisions:
 
     def test_conservation_reports_the_surplus(self):
         system = TokenSystem(OWNER, 1000)
-        acc_id = system.acc_ids[BALANCES]
-        system.network.commit(acc_id, system.network.changes(acc_id, [("add", balance_element(OWNER, 0))]))
-        assert sorted(system.network.elements(acc_id, balance_prefix(OWNER))) == [
+        system.network.commit(BALANCES, system.network.changes(BALANCES, [("add", balance_element(OWNER, 0))]))
+        assert sorted(system.network.elements(BALANCES, balance_prefix(OWNER))) == [
             balance_element(OWNER, 0), balance_element(OWNER, 1000)
         ]
         with pytest.raises(AssertionError, match=r"more than one balances tuple \(1 surplus\)"):
@@ -187,12 +180,37 @@ class TestBuildUpdateWitness:
         with pytest.raises(StorageError):
             network.build_update_witness(AID, "add", b"ab-1", base=b"\x00" * 32)
 
-    def test_snapshots_cleared_by_commit(self):
+    def test_commit_clears_the_tip(self):
         network = fresh_network(elements=[b"aa-1"])
         mid, _ = network.build_update_witness(AID, "del", b"aa-1")
         commit(network, "add", b"ab-2")
+        assert network._entry(AID).tip is None
         with pytest.raises(StorageError):
             network.build_update_witness(AID, "add", b"ac-3", base=mid)
+
+    def test_new_chain_supersedes_the_old(self):
+        network = fresh_network(elements=[b"aa-1"])
+        old, _ = network.build_update_witness(AID, "add", b"ab-2")
+        first, _ = network.build_update_witness(AID, "add", b"ac-3")
+        with pytest.raises(StorageError):
+            network.build_update_witness(AID, "add", b"ad-4", base=old)
+        # the refused build left the new chain's tip in place
+        end, w_add = network.build_update_witness(AID, "add", b"ad-4", base=first)
+        assert check_update(first, end, b"ad-4", w_add) == 1
+
+    def test_only_the_tip_is_kept(self):
+        network = fresh_network(elements=[b"aa-%d" % i for i in range(8)])
+        for i in range(8):
+            mid, _ = network.build_update_witness(AID, "del", b"aa-%d" % i)
+            end, _ = network.build_update_witness(AID, "add", b"ab-%d" % i, base=mid)
+        digest, root = network._entry(AID).tip
+        assert digest == end == tree.digest(root)
+
+    def test_current_value_is_not_a_base(self):
+        # a chain starts without a base; the current value is not a chain tip
+        network = fresh_network(elements=[b"aa-1"])
+        with pytest.raises(StorageError):
+            network.build_update_witness(AID, "add", b"ab-2", base=network.accumulator_value(AID))
 
 
 class TestCommit:

@@ -8,8 +8,18 @@ import pytest
 from acctoken.accumulator import belongs, decode_witness, hashing
 from acctoken.bench import effective_allowances, effective_balances
 from acctoken.bench.workload import true_balance
-from acctoken.erc20 import CONTRACT_KEYS, OpTag, TokenSystem, decode_bundle, encode_bundle, plan
+from acctoken.erc20 import (
+    CONTRACT_KEYS,
+    BundleEntry,
+    OpTag,
+    ProofBundle,
+    TokenSystem,
+    decode_bundle,
+    encode_bundle,
+    plan,
+)
 from acctoken.erc20.bundle import (
+    ACCUMULATORS,
     ALLOWED_ADDRESSES,
     ALLOWED_BALANCES,
     BALANCES,
@@ -17,6 +27,7 @@ from acctoken.erc20.bundle import (
     NON_MEMBER,
     UPDATE_ADD,
     UPDATE_DEL,
+    purpose,
     purpose_claim,
 )
 from acctoken.erc20.elements import allowance_element, balance_element, balance_prefix
@@ -31,6 +42,7 @@ from acctoken.errors import (
     NotPresent,
     Overflow,
     StaleProof,
+    StorageError,
     TokenError,
     VerificationFailed,
     ZeroSupply,
@@ -47,10 +59,7 @@ S = bytes.fromhex("55" * 20)
 
 def snapshot(system):
     state = system.contract.state
-    storage = tuple(
-        (system.network.accumulator_value(acc_id), system.network.epoch(acc_id))
-        for acc_id in system.acc_ids.values()
-    )
+    storage = tuple((system.network.accumulator_value(name), system.network.epoch(name)) for name in ACCUMULATORS)
     return state, storage, len(system.contract.logs)
 
 
@@ -382,7 +391,7 @@ class TestStorageCannotUpdate:
         system.transfer(A, B, 100)
         honest_lookup = system.network.lookup
         lying = balance_prefix(owner)
-        system.network.lookup = lambda acc_id, prefix: served if prefix == lying else honest_lookup(acc_id, prefix)
+        system.network.lookup = lambda acc, prefix: served if prefix == lying else honest_lookup(acc, prefix)
         before = snapshot(system)
         with pytest.raises(VerificationFailed, match="cannot build"):
             system.transfer(A, B, tokens)
@@ -412,12 +421,12 @@ class TestLockStep:
             ]
         ):
             getattr(system, op)(*args)
-            for name, acc_id in system.acc_ids.items():
-                assert system.state.value_of(name) == system.network.accumulator_value(acc_id)
+            for name in ACCUMULATORS:
+                assert system.state.value_of(name) == system.network.accumulator_value(name)
 
 
 def epochs(system):
-    return {name: system.network.epoch(acc_id) for name, acc_id in system.acc_ids.items()}
+    return {name: system.network.epoch(name) for name in ACCUMULATORS}
 
 
 class TestOneCommitPath:
@@ -449,10 +458,9 @@ class TestOneCommitPath:
         old = lagging.state.balances_acc
         lagging.transfer(A, B, 10, honest.client.build_transfer(A, B, 10))
         assert lagging.state.balances_acc != old
-        balances = lagging.acc_ids[BALANCES]
         for owner, amount in ((A, 900), (B, 100)):
             element = balance_element(owner, amount)
-            witness = decode_witness(lagging.network.fetch_witness(balances, element))
+            witness = decode_witness(lagging.network.fetch_witness(BALANCES, element))
             assert belongs(old, element, witness) == 1
 
     def test_zero_transfer_to_holder_commits_nothing(self):
@@ -461,12 +469,12 @@ class TestOneCommitPath:
         before = epochs(system)
         system.transfer(A, B, 0)
         assert epochs(system) == before
-        for name, acc_id in system.acc_ids.items():
-            assert system.state.value_of(name) == system.network.accumulator_value(acc_id)
+        for name in ACCUMULATORS:
+            assert system.state.value_of(name) == system.network.accumulator_value(name)
 
 
 def accumulator_values(system):
-    return [system.network.accumulator_value(acc_id) for acc_id in system.acc_ids.values()]
+    return [system.network.accumulator_value(name) for name in ACCUMULATORS]
 
 
 def announced(*words):
@@ -521,7 +529,7 @@ class TestFastPathEquivalence:
             getattr(verified, kind)(*args)
         assert fast.state == verified.state
         assert accumulator_values(fast) == accumulator_values(verified)
-        assert [fast.network.epoch(acc_id) for acc_id in fast.acc_ids.values()] == [2, 1, 1]
+        assert [fast.network.epoch(name) for name in ACCUMULATORS] == [2, 1, 1]
         assert effective_balances(fast) == {A: 845, B: 105, C: 50}
 
     @pytest.mark.parametrize(
@@ -546,22 +554,23 @@ class TestFastPathEquivalence:
         assert snapshot(system) == before
 
 
-class TestOneTuplePerKey:
-    def fresh_bundle_for_holder(self, system, sender, to, tokens):
-        """The fresh-destination bundle a client builds when it ignores ``to``'s tuple."""
-        honest_lookup = system.client._balance_entry
-        system.client._balance_entry = lambda owner: None if owner == to else honest_lookup(owner)
-        try:
-            return system.client.build_transfer(sender, to, tokens)
-        finally:
-            del system.client._balance_entry
+def fresh_bundle_for_holder(system, sender, to, tokens):
+    """The fresh-destination bundle a client builds when it ignores ``to``'s tuple."""
+    honest_lookup = system.client._balance_entry
+    system.client._balance_entry = lambda owner: None if owner == to else honest_lookup(owner)
+    try:
+        return system.client.build_transfer(sender, to, tokens)
+    finally:
+        del system.client._balance_entry
 
+
+class TestOneTuplePerKey:
     def test_second_balance_tuple_is_detected(self):
         # a fresh-destination transfer to a holder is still accepted (it only
         # proves that (to, 0) is absent); the invariant checks must notice
         system = TokenSystem(A, 1000)
         system.transfer(A, B, 100)
-        system.transfer(A, B, 10, self.fresh_bundle_for_holder(system, A, B, 10))
+        system.transfer(A, B, 10, fresh_bundle_for_holder(system, A, B, 10))
         assert true_balance(system, B) == 110
         assert effective_balances(system)[B] == 110
         with pytest.raises(AssertionError, match="more than one balances tuple"):
@@ -573,13 +582,112 @@ class TestOneTuplePerKey:
         system = TokenSystem(A, 1000)
         system.approve(A, S, 50)
         # planted straight into storage: no bundle schema can add it
-        acc_id = system.acc_ids[ALLOWED_BALANCES]
-        system.network.commit(acc_id, system.network.changes(acc_id, [("add", allowance_element(A, S, 7))]))
+        system.network.commit(
+            ALLOWED_BALANCES, system.network.changes(ALLOWED_BALANCES, [("add", allowance_element(A, S, 7))])
+        )
         assert effective_allowances(system)[(A, S)] == 57
         with pytest.raises(AssertionError, match="more than one allowed-balances tuple"):
             system.check_conservation()
         with pytest.raises(VerificationFailed):
             system.allowance(A, S)
+
+
+def update_chain(system, acc, ops):
+    """(value after, witness) of each of ``ops``, simulated as one chain on ``acc``'s current value."""
+    chain, base = [], None
+    for op, element in ops:
+        base, payload = system.network.build_update_witness(acc, op, element, base=base)
+        chain.append((base, decode_witness(payload)))
+    return chain
+
+
+class TestWitnessKindMatchesClaim:
+    """An update witness of the other kind verifies as its own kind, so the contract must check the kind.
+
+    Without that check both bundles below are accepted, the contract writes
+    its words and its log, and the storage commit of the swapped step fails.
+    """
+
+    def test_update_del_witness_in_an_update_add_slot(self):
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 7)
+        system.transfer(A, C, 100)
+        # the fresh variant: (C, 100) is a member and (B, 0) is not
+        membership = [
+            BundleEntry(purpose(BALANCES, claim), decode_witness(system.network.fetch_witness(BALANCES, element)))
+            for claim, element in ((MEMBER, balance_element(C, 100)), (NON_MEMBER, balance_element(B, 0)))
+        ]
+        chain = update_chain(
+            system,
+            BALANCES,
+            [
+                ("del", balance_element(C, 100)),
+                ("add", balance_element(C, 93)),
+                ("del", balance_element(B, 7)),  # in the slot of the add of (B, 7)
+            ],
+        )
+        claims = (UPDATE_DEL, UPDATE_ADD, UPDATE_ADD)
+        updates = [BundleEntry(purpose(BALANCES, claim), w, after) for claim, (after, w) in zip(claims, chain)]
+        bundle = ProofBundle(OpTag.TRANSFER, membership + updates, (100,), {BALANCES: system.state.balances_acc})
+        before = snapshot(system)
+        with pytest.raises(InvalidProof):
+            system.transfer(C, B, 7, bundle)
+        assert snapshot(system) == before
+
+    def test_update_add_witness_in_an_update_del_slot_lifted(self):
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=True)
+        system.transfer(A, B, 100)
+        y1 = 10**6  # announced for B, who holds 100
+        chain = update_chain(
+            system,
+            BALANCES,
+            [
+                ("add", balance_element(B, y1)),  # in the slot of the delete of (B, y1)
+                ("del", balance_element(A, 900)),
+                ("add", balance_element(B, y1 - 1)),
+                ("add", balance_element(A, 901)),
+            ],
+        )
+        claims = (UPDATE_DEL, UPDATE_DEL, UPDATE_ADD, UPDATE_ADD)
+        entries = [BundleEntry(purpose(BALANCES, claim), w, after) for claim, (after, w) in zip(claims, chain)]
+        bundle = ProofBundle(OpTag.TRANSFER, entries, (y1, 900), {BALANCES: system.state.balances_acc})
+        before = snapshot(system)
+        with pytest.raises(InvalidProof):
+            system.transfer(B, A, 1, bundle)
+        assert snapshot(system) == before
+
+
+class TestChainTip:
+    """Storage keeps only the update chain being built: one simulated root per accumulator."""
+
+    def test_unsubmitted_bundles_leave_one_root_per_accumulator(self):
+        system = TokenSystem(A, 10_000)
+        system.approve(A, S, 50)
+        recipients = [bytes.fromhex(f"{i:040x}") for i in range(1, 30)]
+        for to in recipients:
+            system.transfer(A, to, 7)
+        for to in recipients:
+            last = system.client.build_transfer(to, A, 1)
+        last_from = system.client.build_transfer_from(S, A, B, 1)
+        tips = {name: system.network._entry(name).tip for name in ACCUMULATORS}
+        assert tips[ALLOWED_ADDRESSES] is None  # no update on it since the last commit
+        assert tips[BALANCES][0] == last_from.entries[-3].claimed_after != last.entries[-1].claimed_after
+        assert tips[ALLOWED_BALANCES][0] == last_from.entries[-1].claimed_after
+        with pytest.raises(StorageError):  # the chain of an earlier bundle is gone
+            system.network.build_update_witness(BALANCES, "del", balance_element(A, 9797), base=last.entries[-1].claimed_after)
+
+    @pytest.mark.parametrize("case", ["transfer_from-standard", "transfer_from-fresh", "approve-first"])
+    def test_chains_across_accumulators_build_and_land(self, case):
+        op, args, _other_args = FORGERY_CASES[case]
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        system.client.build_transfer(A, B, 5)  # an unsubmitted bundle's chain
+        before = epochs(system)
+        getattr(system, op)(*args)
+        written = [name for name, epoch in epochs(system).items() if epoch > before[name]]
+        assert written and all(system.network._entry(name).tip is None for name in written)  # a commit clears it
+        system.check_conservation()
 
 
 FORGERY_CASES = {  # op variant -> (op, args, args the other variant's bundle is built for)
@@ -657,7 +765,7 @@ class TestDerivedMembership:
         _log, steps = plan.PLANS[bundle.op](*args, plan.Announced(bundle.announced))
         membership = [(acc, element) for acc, claim, element in steps if claim in (MEMBER, NON_MEMBER)]
         for (acc, element), entry in zip(membership, bundle.entries[: len(membership)]):
-            assert entry.witness == decode_witness(system.network.fetch_witness(system.acc_ids[acc], element))
+            assert entry.witness == decode_witness(system.network.fetch_witness(acc, element))
         getattr(system, op)(*args, bundle)
 
 
