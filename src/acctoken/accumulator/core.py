@@ -126,22 +126,40 @@ class Changes:
         return len(self.adds) + len(self.dels)
 
 
-def apply_update(memory: Memory, changes: Changes) -> bytes:
+def apply_update(memory: Memory, changes: Changes, built: tuple[Node, dict] | None = None) -> bytes:
     """Apply a batch of changes as one epoch; returns the new accumulator value.
 
-    The trie takes the deletions one by one and then all additions in one
-    merge. The storage network commits through this, where the changes were
-    already verified by the contract and witnesses would go unread.
+    Without ``built`` the trie takes the deletions one by one and then all
+    additions in one merge. ``built = (root, keys)`` skips that work: ``root``
+    is already the trie of the memory with exactly these changes applied and
+    is installed as it is, and each new element is keyed by the ``bytes``
+    object ``keys`` maps its key to, the one its leaf holds, so leaf and
+    element dict share it. The caller vouches for ``root``: the storage
+    network passes its chain tip when the tip's digest is the value the
+    contract accepted. The storage network commits through this, where the
+    changes were already verified by the contract and witnesses would go
+    unread.
     """
     if changes.memory is not memory or changes.epoch != memory.epoch:
         raise StaleAccumulator("changes were recorded against another memory state")
     # nothing below can fail: record() checked that every deleted key is
     # present, every added key absent, and that no key is both
-    root = memory.root
-    for key in changes.dels:
-        root = tree.remove(root, key)
-        del memory.elements[key]
-    memory.elements.update(changes.adds)
-    memory.root = tree.insert_many(root, sorted(changes.adds))
+    elements = memory.elements
+    if built is None:
+        root = memory.root
+        for key in changes.dels:
+            root = tree.remove(root, key)
+            del elements[key]
+        elements.update(changes.adds)
+        root = tree.insert_many(root, sorted(changes.adds))
+    else:
+        root, keys = built
+        for key in changes.dels:
+            del elements[key]
+        for key, element in changes.adds.items():
+            # a chain begun on a stale node's older root may hold a key it
+            # never added; that key keeps the batch's object
+            elements[keys.get(key, key)] = element
+    memory.root = root
     memory.epoch += 1
     return memory.value

@@ -3,8 +3,9 @@
 ``TokenSystem`` plays the role of the chain environment: it routes accepted
 transactions to the contract, replays the confirmed updates into the storage
 network, and assembles the calldata that gas metering sees. A transaction is
-atomic end to end: a rejection at any stage leaves the contract state, the
-storage memories and the logs untouched.
+atomic end to end: a rejection at any stage, a storage commit refused after
+the contract accepted included, leaves the contract state, the storage
+memories and the logs untouched.
 
 Every write to storage goes through ``_commit``: the deployment's mint, each
 verified transaction's update steps and ``bootstrap``'s stream of growth
@@ -16,7 +17,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..errors import Overflow, ZeroSupply
+from ..errors import AcctokenError, Overflow, ZeroSupply
 from ..gas import TxTrace
 from ..storage import FaultPolicy, StorageNetwork
 from . import bundle as pb
@@ -115,9 +116,22 @@ class TokenSystem:
     # -- transaction submission ----------------------------------------------
 
     def _commit_and_record(
-        self, op: OpTag, addresses: list[bytes], tokens: int, bundle: ProofBundle, outcome: TxOutcome
+        self, op: OpTag, addresses: list[bytes], tokens: int, bundle: ProofBundle, execute
     ) -> TxRecord:
-        self._commit(outcome.updates)
+        """Verify the bundle with the contract's ``execute``, then commit its updates to storage.
+
+        The contract writes its words and its log before storage commits, so
+        a commit that storage refuses puts both back before the error goes
+        on: a contract accepting what storage cannot apply does not part them.
+        """
+        state, logged = self.contract.state, len(self.contract.logs)
+        outcome = execute(*addresses, tokens, bundle)
+        try:
+            self._commit(outcome.updates, self.contract.state)
+        except AcctokenError:
+            self.contract.state = state
+            del self.contract.logs[logged:]
+            raise
         self._assert_lock_step()
         encoded = encode_bundle(bundle)
         outcome.trace.calldata = abi_calldata(op, addresses, tokens, bundle.announced, encoded)
@@ -132,33 +146,33 @@ class TokenSystem:
     def transfer(self, sender: bytes, to: bytes, tokens: int, bundle: ProofBundle | None = None) -> TxRecord:
         if bundle is None:
             bundle = self.client.build_transfer(sender, to, tokens)
-        outcome = self.contract.transfer(sender, to, tokens, bundle)
-        return self._commit_and_record(OpTag.TRANSFER, [sender, to], tokens, bundle, outcome)
+        return self._commit_and_record(OpTag.TRANSFER, [sender, to], tokens, bundle, self.contract.transfer)
 
     def approve(self, owner: bytes, spender: bytes, tokens: int, bundle: ProofBundle | None = None) -> TxRecord:
         if bundle is None:
             bundle = self.client.build_approve(owner, spender, tokens)
-        outcome = self.contract.approve(owner, spender, tokens, bundle)
-        return self._commit_and_record(OpTag.APPROVE, [owner, spender], tokens, bundle, outcome)
+        return self._commit_and_record(OpTag.APPROVE, [owner, spender], tokens, bundle, self.contract.approve)
 
     def transfer_from(
         self, spender: bytes, sender: bytes, to: bytes, tokens: int, bundle: ProofBundle | None = None
     ) -> TxRecord:
         if bundle is None:
             bundle = self.client.build_transfer_from(spender, sender, to, tokens)
-        outcome = self.contract.transfer_from(spender, sender, to, tokens, bundle)
         return self._commit_and_record(
-            OpTag.TRANSFER_FROM, [spender, sender, to], tokens, bundle, outcome
+            OpTag.TRANSFER_FROM, [spender, sender, to], tokens, bundle, self.contract.transfer_from
         )
 
     # -- commit path -------------------------------------------------------------
 
-    def _commit(self, steps: Iterable[plan.Step]) -> dict[str, bytes]:
+    def _commit(self, steps: Iterable[plan.Step], accepted: ContractState | None = None) -> dict[str, bytes]:
         """Commit the update steps among plan ``steps``, one netted batch per accumulator.
 
         All steps are recorded, so checked against storage (``Changes.record``),
         before any batch is committed; a batch whose steps cancel out is
-        skipped. Returns the new values of the accumulators committed.
+        skipped. ``accepted`` is the contract state that verified the steps,
+        if any: each batch is committed with the value it holds for the
+        accumulator, so storage can adopt the update chain it simulated for
+        the bundle. Returns the new values of the accumulators committed.
         """
         batches = {name: self.network.changes(name) for name in pb.ACCUMULATORS}
         for acc, claim, element in steps:
@@ -168,7 +182,8 @@ class TokenSystem:
         for name in pb.ACCUMULATORS:
             changes = batches.pop(name)  # freed once committed
             if changes:
-                values[name] = self.network.commit(name, changes)
+                value = None if accepted is None else accepted.value_of(name)
+                values[name] = self.network.commit(name, changes, value)
         return values
 
     def bootstrap(self, plans: Iterable[plan.Plan]):

@@ -20,8 +20,15 @@ changes back. Honest storage keeps no history.
 A client builds one bundle at a time, so each accumulator keeps one chain
 tip: the simulated root of its latest ``build_update_witness``. A build
 without a base starts a new chain and replaces the tip; a build on the tip's
-digest continues it; any other base is refused. A commit clears the tip, so
-a bundle that never lands pins at most one simulated root per accumulator.
+digest continues it; any other base is refused. A commit is told the value
+the contract accepted; when that is the tip's digest, the tip's root is the
+root of exactly the committed changes (the digest binds the key set, and
+the trie's layout is canonical), so the commit adopts it instead of
+walking and rehashing the same paths again. Any other commit (a bundle
+built elsewhere, an earlier bundle whose chain was superseded, deployment
+and growth) applies its changes path by path. Either way the commit clears
+the tip, so a bundle that never lands pins at most one simulated root per
+accumulator.
 
 An accumulator registered with a lookup prefix length also keeps an index
 from each prefix to the element under it: the token keeps one tuple per
@@ -111,9 +118,11 @@ class _Registered:
     # (epoch reached, root before, changes) of the commits a stale node
     # lags behind, oldest first
     history: deque = field(default_factory=deque)
-    # (digest, root) of the latest build_update_witness, which the next
-    # build may continue; None after a commit
-    tip: tuple[bytes, Node] | None = None
+    # (digest, root, added keys) of the latest build_update_witness: the
+    # next build may continue it, and a commit whose accepted value is its
+    # digest adopts its root and keys the new elements by the key objects
+    # its add steps put in leaves; None after a commit
+    tip: tuple[bytes, Node, dict[bytes, bytes]] | None = None
 
 
 class StorageNetwork:
@@ -233,14 +242,16 @@ class StorageNetwork:
         self._maybe_refuse()
         entry = self._entry(acc)
         if base is None:
-            root = self._serving_root(entry)
+            root, added = self._serving_root(entry), {}
         elif entry.tip is not None and base == entry.tip[0]:
-            root = entry.tip[1]
+            _digest, root, added = entry.tip
         else:
             raise StorageError("unknown base snapshot; rebuild from current")
         new_root, w = core.simulate_update(root, op, element)
+        if op == "add":
+            added[w.element_digest] = w.element_digest  # the key object the new leaf holds
         acc_after = tree.digest(new_root)
-        entry.tip = (acc_after, new_root)
+        entry.tip = (acc_after, new_root, added)
         payload = self._serve_bytes(encode_witness(w))
         predicted = self._serve_bytes(acc_after)
         self.stats.update_builds += 1
@@ -254,14 +265,22 @@ class StorageNetwork:
         (op, element) ``steps`` recorded; record more with its ``record``."""
         return core.Changes(self._entry(acc).memory, steps)
 
-    def commit(self, acc: str, changes: core.Changes) -> bytes:
-        """Apply contract-confirmed changes to the real memory as one epoch."""
+    def commit(self, acc: str, changes: core.Changes, accepted: bytes | None = None) -> bytes:
+        """Apply contract-confirmed changes to the real memory as one epoch.
+
+        ``accepted`` is the value the contract accepted for ``acc`` with
+        these changes. When the chain tip's digest equals it, the tip's root
+        is the trie of exactly the memory with these changes applied, so it
+        is adopted; otherwise the changes are applied path by path.
+        """
         entry = self._entry(acc)
         memory = entry.memory
+        tip = entry.tip
+        built = tip[1:] if tip is not None and tip[0] == accepted else None
         # honest storage holds no old root, so the replaced nodes are freed
         # as soon as the commit lands
         lagged = (memory.epoch + 1, memory.root, changes) if self._lag else None
-        acc_after = core.apply_update(memory, changes)
+        acc_after = core.apply_update(memory, changes, built)
         if lagged:
             history = entry.history
             history.append(lagged)

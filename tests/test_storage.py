@@ -203,7 +203,7 @@ class TestBuildUpdateWitness:
         for i in range(8):
             mid, _ = network.build_update_witness(AID, "del", b"aa-%d" % i)
             end, _ = network.build_update_witness(AID, "add", b"ab-%d" % i, base=mid)
-        digest, root = network._entry(AID).tip
+        digest, root, _added = network._entry(AID).tip
         assert digest == end == tree.digest(root)
 
     def test_current_value_is_not_a_base(self):
@@ -245,6 +245,46 @@ class TestCommit:
             network.commit(AID, stale)
         after = (entry.memory.root, entry.memory.elements, entry.memory.epoch, entry.index, list(entry.history))
         assert after == before
+
+    def test_adopts_the_tip_the_contract_accepted(self):
+        network = fresh_network(elements=[b"aa-1", b"ab-2"])
+        mid, _ = network.build_update_witness(AID, "del", b"aa-1")
+        end, _ = network.build_update_witness(AID, "add", b"ac-3", base=mid)
+        _digest, tip_root, added = network._entry(AID).tip
+        changes = network.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])
+        assert network.commit(AID, changes, end) == end
+        memory = network._entry(AID).memory
+        assert memory.root is tip_root and network._entry(AID).tip is None
+        (key,) = added
+        assert next(k for k in memory.elements if k == key) is key
+        assert network.lookup(AID, b"ac") == [b"ac-3"] and network.lookup(AID, b"aa") == []
+        walked = fresh_network(elements=[b"aa-1", b"ab-2"])
+        walked.commit(AID, walked.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")]))
+        assert memory.root == walked._entry(AID).memory.root
+
+    @pytest.mark.parametrize("accepted", [None, b"\x00" * 32], ids=["none", "other"])
+    def test_walks_past_a_tip_of_another_value(self, accepted):
+        network = fresh_network(elements=[b"aa-1"])
+        network.build_update_witness(AID, "add", b"ab-2")
+        _digest, tip_root, _added = network._entry(AID).tip
+        commit_value = network.commit(AID, network.changes(AID, [("add", b"ab-2")]), accepted)
+        assert network._entry(AID).memory.root is not tip_root
+        assert network._entry(AID).memory.root == tip_root and commit_value == tree.digest(tip_root)
+
+    def test_adopts_a_chain_begun_on_a_stale_root(self):
+        # the stale node serves the root before its last commit, which held
+        # aa-1; a chain there that ends on that key set, and changes that
+        # undo the last commit, reach the same value
+        network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
+        served = network.accumulator_value(AID)
+        commit(network, "del", b"aa-1")
+        mid, _ = network.build_update_witness(AID, "add", b"zz-9")
+        end, _ = network.build_update_witness(AID, "del", b"zz-9", base=mid)
+        assert end == served
+        _digest, tip_root, _added = network._entry(AID).tip
+        network.commit(AID, network.changes(AID, [("add", b"aa-1")]), end)
+        assert network._entry(AID).memory.root is tip_root
+        assert list(network.elements(AID)) == [b"aa-1"] and network.elements(AID, b"aa") == (b"aa-1",)
 
     def test_epoch_advances(self):
         network = fresh_network()

@@ -1,11 +1,12 @@
 """Accumulator token: contract verification, client builds, atomicity."""
 
+import copy
 import hashlib
 from dataclasses import replace
 
 import pytest
 
-from acctoken.accumulator import belongs, decode_witness, hashing
+from acctoken.accumulator import WitnessKind, belongs, decode_witness, hashing, tree
 from acctoken.bench import effective_allowances, effective_balances
 from acctoken.bench.workload import true_balance
 from acctoken.erc20 import (
@@ -48,7 +49,7 @@ from acctoken.errors import (
     ZeroSupply,
 )
 from acctoken.gas import HASH, SLOAD, SSTORE_UPDATE
-from acctoken.storage import FaultPolicy
+from acctoken.storage import FaultPolicy, StorageNetwork
 
 A = bytes.fromhex("aa" * 20)
 B = bytes.fromhex("bb" * 20)
@@ -471,6 +472,14 @@ class TestOneCommitPath:
         assert epochs(system) == before
         for name in ACCUMULATORS:
             assert system.state.value_of(name) == system.network.accumulator_value(name)
+        # no commit cleared its chain; the next bundle still starts a new one
+        assert system.network._entry(BALANCES).tip[0] == system.state.balances_acc
+        commits = spy_commits(system)
+        system.client.build_transfer(A, B, 5)
+        _digest, _root, added = system.network._entry(BALANCES).tip
+        assert sorted(added) == sorted(hashing.element_digest(balance_element(*e)) for e in ((A, 895), (B, 105)))
+        system.transfer(A, B, 5)
+        assert commits == [(BALANCES, True)]
 
 
 def accumulator_values(system):
@@ -608,8 +617,8 @@ class TestWitnessKindMatchesClaim:
     its words and its log, and the storage commit of the swapped step fails.
     """
 
-    def test_update_del_witness_in_an_update_add_slot(self):
-        system = TokenSystem(A, 1000)
+    def swapped_bundle(self, system):
+        """C's fresh transfer of 7 to B, whose add of (B, 7) carries the update-del witness of B's tuple."""
         system.transfer(A, B, 7)
         system.transfer(A, C, 100)
         # the fresh variant: (C, 100) is a member and (B, 0) is not
@@ -628,11 +637,29 @@ class TestWitnessKindMatchesClaim:
         )
         claims = (UPDATE_DEL, UPDATE_ADD, UPDATE_ADD)
         updates = [BundleEntry(purpose(BALANCES, claim), w, after) for claim, (after, w) in zip(claims, chain)]
-        bundle = ProofBundle(OpTag.TRANSFER, membership + updates, (100,), {BALANCES: system.state.balances_acc})
+        return ProofBundle(OpTag.TRANSFER, membership + updates, (100,), {BALANCES: system.state.balances_acc})
+
+    def test_update_del_witness_in_an_update_add_slot(self):
+        system = TokenSystem(A, 1000)
+        bundle = self.swapped_bundle(system)
         before = snapshot(system)
         with pytest.raises(InvalidProof):
             system.transfer(C, B, 7, bundle)
         assert snapshot(system) == before
+
+    def test_a_commit_storage_refuses_is_rolled_back(self, monkeypatch):
+        # without the kind check the contract accepts the bundle and writes
+        # its words and its log; storage then refuses to add (B, 7) twice
+        system = TokenSystem(A, 1000)
+        bundle = self.swapped_bundle(system)
+        before = snapshot(system)
+        monkeypatch.setattr(WitnessKind, "__ne__", lambda kind, other: False)
+        with pytest.raises(AlreadyPresent):
+            system.transfer(C, B, 7, bundle)
+        monkeypatch.undo()
+        assert snapshot(system) == before
+        system.check_conservation()
+        system.transfer(C, B, 7)  # contract and storage still move together
 
     def test_update_add_witness_in_an_update_del_slot_lifted(self):
         system = TokenSystem(A, 1000, lift_checkupdate_precondition=True)
@@ -698,6 +725,97 @@ FORGERY_CASES = {  # op variant -> (op, args, args the other variant's bundle is
     "transfer_from-standard": ("transfer_from", (S, A, B, 5), (S, A, C, 5)),
     "transfer_from-fresh": ("transfer_from", (S, A, C, 5), (S, A, B, 5)),
 }
+
+
+def spy_commits(system):
+    """Check every storage commit of ``system`` against a walking commit of the same changes.
+
+    Before each commit the network and the changes are copied; the copy
+    commits them path by path (no accepted value, so no tip is adopted) and
+    must reach the same trie, tuple for tuple, the same elements and the
+    same index. Returns the list of (accumulator, whether the commit adopted
+    the chain tip's root) the commits append to.
+    """
+    network = system.network
+    commit = network.commit
+    seen = []
+
+    def checked(acc, changes, accepted=None):
+        tip = network._entry(acc).tip
+        twin, twin_changes = copy.deepcopy((network, changes))
+        value = commit(acc, changes, accepted)
+        StorageNetwork.commit(twin, acc, twin_changes)
+        entry, walked = network._entry(acc), twin._entry(acc)
+        root = entry.memory.root
+        assert root == walked.memory.root and root is not walked.memory.root
+        assert entry.memory.elements == walked.memory.elements and entry.index == walked.index
+        adopted = tip is not None and root is tip[1]
+        if adopted:  # the new elements are keyed by the very objects their leaves hold
+            keys = {key: key for key in entry.memory.elements}
+            for key in changes.adds:
+                _path, leaf = tree.walk(root, key)
+                assert keys[key] is tree.leaf_key(leaf)
+        seen.append((acc, adopted))
+        return value
+
+    network.commit = checked
+    return seen
+
+
+class TestChainTipAdoption:
+    """A commit adopts the root of the update chain the contract accepted, and walks otherwise."""
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize("case", FORGERY_CASES)
+    def test_own_bundle_adopts_the_tip(self, case, lift):
+        op, args, _other_args = FORGERY_CASES[case]
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        commits = spy_commits(system)
+        getattr(system, op)(*args)
+        written = {acc for acc, _adopted in commits}
+        assert len(commits) == len(written) == METERED_ACCESSES[case][1]
+        assert all(adopted for _acc, adopted in commits)
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    def test_bundle_built_on_a_twin_walks(self, lift):
+        system, twin = (TokenSystem(A, 1000, lift_checkupdate_precondition=lift) for _ in range(2))
+        for each in (system, twin):
+            each.transfer(A, B, 100)
+        system.client.build_transfer(A, B, 3)  # system's own chain, never submitted
+        commits = spy_commits(system)
+        bundle = twin.client.build_transfer(A, C, 5)
+        twin.transfer(A, C, 5, bundle)
+        system.transfer(A, C, 5, bundle)
+        assert commits == [(BALANCES, False)]
+        assert accumulator_values(system) == accumulator_values(twin)
+
+    def test_superseded_own_bundle_walks(self):
+        system = TokenSystem(A, 1000)
+        system.approve(A, S, 50)
+        commits = spy_commits(system)
+        first = system.client.build_transfer_from(S, A, B, 5)
+        system.client.build_approve(A, S, 9)  # a later chain, never submitted
+        system.transfer_from(S, A, B, 5, first)
+        assert commits == [(BALANCES, True), (ALLOWED_BALANCES, False)]
+
+    @pytest.mark.parametrize(
+        "policy", [FaultPolicy.stale(1), FaultPolicy.corrupt_bits(1.0, seed=2)], ids=["stale", "corrupt-bits"]
+    )
+    def test_faulty_storage_walks(self, policy):
+        system, twin = TokenSystem(A, 1000, policy=policy), TokenSystem(A, 1000)
+        for each in (system, twin):
+            each.bootstrap([plan.transfer(A, B, 100, announced(1000))])
+        with pytest.raises(VerificationFailed):  # the client rejects what storage serves
+            system.transfer(A, C, 5)
+        system.network.build_update_witness(BALANCES, "add", balance_element(D, 1))  # a chain on the served root
+        commits = spy_commits(system)
+        bundle = twin.client.build_transfer(A, C, 5)
+        twin.transfer(A, C, 5, bundle)
+        system.transfer(A, C, 5, bundle)
+        assert commits == [(BALANCES, False)]
+        assert accumulator_values(system) == accumulator_values(twin)
 
 
 class TestSemanticForgery:
