@@ -53,20 +53,17 @@ def simulate_update(root: Node, op: str, element: bytes) -> tuple[Node, Witness]
     """Apply add/del to a root snapshot; returns (new root, update witness).
 
     The witness records the element's search path under the old root, from
-    which a verifier recomputes both the before- and after-roots.
+    which a verifier recomputes both the before- and after-roots; the new
+    root is rebuilt from that same walk.
     """
     key = element_digest(element)
     path, terminal = tree.walk(root, key)
     steps = tree.path_steps(path)
-    occupant = tree.leaf_key(terminal)
     if op == "add":
-        w = Witness(WitnessKind.UPDATE_ADD, key, steps, occupant)
-        return tree.insert(root, key), w
+        new_root = tree.insert_at(path, terminal, key)
+        return new_root, Witness(WitnessKind.UPDATE_ADD, key, steps, tree.leaf_key(terminal))
     if op == "del":
-        if occupant != key:
-            raise NotPresent(f"element digest {key.hex()} not accumulated")
-        w = Witness(WitnessKind.UPDATE_DEL, key, steps)
-        return tree.remove(root, key), w
+        return tree.remove_at(path, terminal, key), Witness(WitnessKind.UPDATE_DEL, key, steps)
     raise ValueError(f"unknown update op {op!r}")
 
 
@@ -133,12 +130,13 @@ def apply_update(memory: Memory, changes: Changes, built: tuple[Node, dict] | No
     additions in one merge. ``built = (root, keys)`` skips that work: ``root``
     is already the trie of the memory with exactly these changes applied and
     is installed as it is, and each new element is keyed by the ``bytes``
-    object ``keys`` maps its key to, the one its leaf holds, so leaf and
-    element dict share it. The caller vouches for ``root``: the storage
-    network passes its chain tip when the tip's digest is the value the
-    contract accepted. The storage network commits through this, where the
-    changes were already verified by the contract and witnesses would go
-    unread.
+    object ``keys`` maps its key to (``keys`` holds every added key), the
+    one its leaf holds, so leaf and element dict share it. The caller
+    vouches for ``root``: the storage network passes its chain tip when the
+    tip's digest is the value the contract accepted and the tip's netted
+    keys are these changes' keys. The storage network commits through this,
+    where the changes were already verified by the contract and witnesses
+    would go unread.
     """
     if changes.memory is not memory or changes.epoch != memory.epoch:
         raise StaleAccumulator("changes were recorded against another memory state")
@@ -157,9 +155,7 @@ def apply_update(memory: Memory, changes: Changes, built: tuple[Node, dict] | No
         for key in changes.dels:
             del elements[key]
         for key, element in changes.adds.items():
-            # a chain begun on a stale node's older root may hold a key it
-            # never added; that key keeps the batch's object
-            elements[keys.get(key, key)] = element
+            elements[keys[key]] = element
     memory.root = root
     memory.epoch += 1
     return memory.value

@@ -30,7 +30,8 @@ bit for bit, to the root of inserting the same keys one at a time.
 from bisect import bisect_left
 
 from ..errors import AlreadyPresent, NotPresent
-from .hashing import EMPTY_DIGEST, bit_at, branch_hash, first_diff_bit, leaf_hash
+from . import hashing
+from .hashing import BIT_MASK, BIT_PREFIX, EMPTY_DIGEST, bit_at, branch_hash, first_diff_bit, leaf_hash
 
 EMPTY = (EMPTY_DIGEST,)
 
@@ -59,8 +60,9 @@ def walk(root: Node, key: bytes):
     where the terminal is a leaf or EMPTY."""
     path = []
     node = root
+    k = int.from_bytes(key, "big")
     while len(node) == 4:
-        direction = bit_at(key, node[0])
+        direction = 1 if k & BIT_MASK[node[0]] else 0
         path.append((node, direction))
         node = node[1 + direction]
     return path, node
@@ -72,18 +74,20 @@ def path_steps(path) -> tuple[tuple[int, bytes], ...]:
 
 
 def _rebuild(path, node: Node) -> Node:
-    for branch, direction in reversed(path):
+    """Copy the walked ``path``'s branches, bottom up, over a new ``node``."""
+    sha256 = hashing.hashlib.sha256
+    for (bit, left, right, _digest), direction in reversed(path):
         if direction:
-            node = _branch(branch[0], branch[1], node)
+            node = (bit, left, node, sha256(BIT_PREFIX[bit] + left[-1] + node[-1]).digest())
         else:
-            node = _branch(branch[0], node, branch[2])
+            node = (bit, node, right, sha256(BIT_PREFIX[bit] + node[-1] + right[-1]).digest())
     return node
 
 
-def insert(root: Node, key: bytes) -> Node:
-    if len(root) == 1:
+def insert_at(path, terminal: Node, key: bytes) -> Node:
+    """The root ``insert`` returns, from the result of walking ``key``."""
+    if len(terminal) == 1:
         return _leaf(key)
-    path, terminal = walk(root, key)
     split = first_diff_bit(key, terminal[0])
     if split is None:
         raise _duplicate(key)
@@ -99,6 +103,24 @@ def insert(root: Node, key: bytes) -> Node:
     else:
         node = _branch(split, displaced, new_leaf)
     return _rebuild(path[:cut], node)
+
+
+def insert(root: Node, key: bytes) -> Node:
+    return insert_at(*walk(root, key), key)
+
+
+def remove_at(path, terminal: Node, key: bytes) -> Node:
+    """The root ``remove`` returns, from the result of walking ``key``."""
+    if leaf_key(terminal) != key:
+        raise NotPresent(f"element digest {key.hex()} not accumulated")
+    if not path:
+        return EMPTY
+    branch, direction = path[-1]
+    return _rebuild(path[:-1], branch[2 - direction])
+
+
+def remove(root: Node, key: bytes) -> Node:
+    return remove_at(*walk(root, key), key)
 
 
 def _duplicate(key: bytes):
@@ -162,16 +184,6 @@ def insert_many(root: Node, keys: list[bytes]) -> Node:
     """``root`` with the sorted ``keys`` inserted; raises AlreadyPresent on a
     key that is present already or listed twice."""
     return _merge(root, keys, 0, len(keys), 0)
-
-
-def remove(root: Node, key: bytes) -> Node:
-    path, terminal = walk(root, key)
-    if leaf_key(terminal) != key:
-        raise NotPresent(f"element digest {key.hex()} not accumulated")
-    if not path:
-        return EMPTY
-    branch, direction = path[-1]
-    return _rebuild(path[:-1], branch[2 - direction])
 
 
 class Memory:

@@ -60,10 +60,16 @@ def witness_size_bytes(w: Witness) -> int:
     return encoded_length(w.kind, len(w.steps))
 
 
+# the one-byte encoding of each branch bit
+_BIT_BYTE = tuple(bytes((bit,)) for bit in range(256))
+
+
 def encode_witness(w: Witness) -> bytes:
     parts = [bytes((w.kind,)), w.element_digest, len(w.steps).to_bytes(2, "big")]
     for bit, sibling in w.steps:
-        parts.append(bytes((bit,)))
+        if not 0 <= bit < 256:
+            raise ValueError(f"branch bit {bit!r} outside 0..255")
+        parts.append(_BIT_BYTE[bit])
         parts.append(sibling)
     if w.kind in _PAYLOAD_KINDS:
         parts.append(w.occupant if w.occupant is not None else ZERO_PAYLOAD)

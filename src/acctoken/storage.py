@@ -20,15 +20,19 @@ changes back. Honest storage keeps no history.
 A client builds one bundle at a time, so each accumulator keeps one chain
 tip: the simulated root of its latest ``build_update_witness``. A build
 without a base starts a new chain and replaces the tip; a build on the tip's
-digest continues it; any other base is refused. A commit is told the value
-the contract accepted; when that is the tip's digest, the tip's root is the
-root of exactly the committed changes (the digest binds the key set, and
-the trie's layout is canonical), so the commit adopts it instead of
-walking and rehashing the same paths again. Any other commit (a bundle
-built elsewhere, an earlier bundle whose chain was superseded, deployment
-and growth) applies its changes path by path. Either way the commit clears
-the tip, so a bundle that never lands pins at most one simulated root per
-accumulator.
+digest continues it; any other base is refused. The tip also keeps the
+chain's keys, netted the way ``core.Changes`` nets a batch. A commit is told
+the value the contract accepted; when that is the tip's digest and the
+committed batch has the tip's keys, the tip's root is the root of exactly
+the committed changes (the digest binds the key set, and the trie's layout
+is canonical), so the commit adopts it instead of walking and rehashing the
+same paths again. Any other commit (a bundle built elsewhere, an earlier
+bundle whose chain was superseded, a chain of other keys than the batch's,
+deployment and growth) applies its changes path by path, so a contract
+that accepted a chain other than the committed steps leaves storage on
+another value than its own, which ``TokenSystem`` checks after every
+transaction. Either way the commit clears the tip, so a bundle that never
+lands pins at most one simulated root per accumulator.
 
 An accumulator registered with a lookup prefix length also keeps an index
 from each prefix to the element under it: the token keeps one tuple per
@@ -118,11 +122,13 @@ class _Registered:
     # (epoch reached, root before, changes) of the commits a stale node
     # lags behind, oldest first
     history: deque = field(default_factory=deque)
-    # (digest, root, added keys) of the latest build_update_witness: the
-    # next build may continue it, and a commit whose accepted value is its
-    # digest adopts its root and keys the new elements by the key objects
-    # its add steps put in leaves; None after a commit
-    tip: tuple[bytes, Node, dict[bytes, bytes]] | None = None
+    # (digest, root, added keys, deleted keys) of the latest
+    # build_update_witness, the keys netted the way core.Changes nets a
+    # batch: the next build may continue it, and a commit whose accepted
+    # value is its digest and whose batch has its keys adopts its root and
+    # keys the new elements by the key objects the add steps put in leaves
+    # (the added dict maps each key to that object); None after a commit
+    tip: tuple[bytes, Node, dict[bytes, bytes], set[bytes]] | None = None
 
 
 class StorageNetwork:
@@ -242,16 +248,22 @@ class StorageNetwork:
         self._maybe_refuse()
         entry = self._entry(acc)
         if base is None:
-            root, added = self._serving_root(entry), {}
+            root, added, deleted = self._serving_root(entry), {}, set()
         elif entry.tip is not None and base == entry.tip[0]:
-            _digest, root, added = entry.tip
+            _digest, root, added, deleted = entry.tip
         else:
             raise StorageError("unknown base snapshot; rebuild from current")
         new_root, w = core.simulate_update(root, op, element)
+        key = w.element_digest  # the key object a new leaf holds
         if op == "add":
-            added[w.element_digest] = w.element_digest  # the key object the new leaf holds
+            if key in deleted:
+                deleted.remove(key)
+            else:
+                added[key] = key
+        elif added.pop(key, None) is None:
+            deleted.add(key)
         acc_after = tree.digest(new_root)
-        entry.tip = (acc_after, new_root, added)
+        entry.tip = (acc_after, new_root, added, deleted)
         payload = self._serve_bytes(encode_witness(w))
         predicted = self._serve_bytes(acc_after)
         self.stats.update_builds += 1
@@ -269,14 +281,20 @@ class StorageNetwork:
         """Apply contract-confirmed changes to the real memory as one epoch.
 
         ``accepted`` is the value the contract accepted for ``acc`` with
-        these changes. When the chain tip's digest equals it, the tip's root
-        is the trie of exactly the memory with these changes applied, so it
-        is adopted; otherwise the changes are applied path by path.
+        these changes. When the chain tip's digest equals it and the tip's
+        netted keys are the batch's, the tip's root is the trie of exactly
+        the memory with these changes applied, so it is adopted; otherwise
+        the changes are applied path by path, which reaches the accepted
+        value only if the contract verified these very changes.
         """
         entry = self._entry(acc)
         memory = entry.memory
         tip = entry.tip
-        built = tip[1:] if tip is not None and tip[0] == accepted else None
+        built = None
+        if tip is not None and tip[0] == accepted:
+            _digest, root, added, deleted = tip
+            if added.keys() == changes.adds.keys() and deleted == changes.dels.keys():
+                built = root, added
         # honest storage holds no old root, so the replaced nodes are freed
         # as soon as the commit lands
         lagged = (memory.epoch + 1, memory.root, changes) if self._lag else None

@@ -25,6 +25,7 @@ from acctoken.accumulator import (
     simulate_update,
     update,
     witness,
+    witness_for_root,
     witness_size_bytes,
 )
 from acctoken.accumulator import tree
@@ -36,6 +37,8 @@ from acctoken.errors import (
     StaleAccumulator,
     UnsupportedParameter,
 )
+
+import reference_verify
 
 
 def build_set(elements, bits=256):
@@ -575,6 +578,127 @@ class TestUpdateProvesPrecondition:
             assert (element in elements) == deleted
             kind = WitnessKind.MEMBERSHIP if deleted else WitnessKind.NON_MEMBERSHIP
             assert belongs(acc_before, element, replace(w, kind=kind)) == (1 if deleted else 0)
+
+
+def _not_bytes(digest: bytes, how: str):
+    """A stand-in for a 32-byte digest that is not ``bytes``."""
+    return {"str": "x" * 32, "bytearray": bytearray(digest), "memoryview": memoryview(digest),
+            "none": None, "int": 7}[how]
+
+
+_NOT_BYTES_KINDS = ("str", "bytearray", "memoryview", "none", "int")
+_NOT_BYTES = st.sampled_from(_NOT_BYTES_KINDS)
+
+
+_FORGERIES = ("none", "flip", "foreign", "cut", "extend", "kind", "occupant-is-key",
+              "repeated-bit", "unsorted-bits", "bit-out-of-range", "sibling-type", "occupant-type")
+
+
+@st.composite
+def verifier_calls(draw):
+    """A ``belongs`` or ``check_update`` call, as (name, arguments), honest or forged.
+
+    The witness is honest for its element on the set itself or on a set that
+    differs from it by one other element. It may then be forged: a flipped
+    bit, another element's steps, its steps cut or extended, another kind
+    (the other update kind included), the element's own key as occupant,
+    a repeated, unsorted or out-of-range bit, or a sibling or occupant that
+    is not ``bytes``. Integer bits only: the decoder never makes others.
+    """
+    size = draw(st.sampled_from([0, 1, 1, 2, 3, 8]))
+    elements = draw(st.lists(_ELEMENTS, min_size=size, max_size=size, unique=True))
+    element = draw(st.sampled_from(elements) | _ELEMENTS) if elements else draw(_ELEMENTS)
+    source = set(elements)
+    if draw(st.booleans()):
+        source ^= {draw(_ELEMENTS.filter(lambda other: other != element))}
+    acc, _memory = build_set(sorted(elements))
+    _acc, memory = build_set(sorted(source))
+    if draw(st.booleans()):
+        name, claim = "belongs", (acc, element)
+        w = witness_for_root(memory.root, element)
+    else:
+        new_root, w = simulate_update(memory.root, "del" if element in source else "add", element)
+        name, claim = "check_update", (acc, tree.digest(new_root), element)
+
+    forgery = draw(st.sampled_from(_FORGERIES))
+    kind, steps, occupant = w.kind, list(w.steps), w.occupant
+    pick = draw(st.integers(0, 255))
+    if forgery == "flip":
+        raw = encode_witness(w)
+        return name, (*claim, flip_bit(raw, draw(st.integers(0, len(raw) * 8 - 1))))
+    if forgery == "foreign":
+        steps = list(witness_for_root(memory.root, draw(_ELEMENTS)).steps)
+    elif forgery == "cut":
+        k = draw(st.integers(1, len(steps) + 1))
+        steps = steps[k:] if draw(st.booleans()) else steps[:-k]
+    elif forgery == "extend":
+        extra = (draw(st.integers(0, 255)), draw(st.binary(min_size=32, max_size=32)))
+        steps = [*steps, extra] if draw(st.booleans()) else [extra, *steps]
+    elif forgery == "kind":
+        kind = draw(st.sampled_from([*WitnessKind, 0, 9]))
+    elif forgery == "occupant-is-key":
+        occupant = w.element_digest
+    elif forgery == "repeated-bit" and steps:
+        i = pick % len(steps)
+        steps.insert(i, (steps[i][0], draw(st.sampled_from([steps[i][1], bytes(32)]))))
+    elif forgery == "unsorted-bits" and len(steps) > 1:
+        steps = draw(st.permutations(steps))
+    elif forgery == "bit-out-of-range":
+        bad = (draw(st.sampled_from([-1, -256, 256, 300])), bytes(32))
+        if steps:
+            steps[pick % len(steps)] = bad
+        else:
+            steps = [bad]
+    elif forgery == "sibling-type" and steps:
+        i = pick % len(steps)
+        steps[i] = (steps[i][0], _not_bytes(steps[i][1], draw(_NOT_BYTES)))
+    elif forgery == "occupant-type":
+        occupant = _not_bytes(occupant or w.element_digest, draw(_NOT_BYTES))
+    forged = replace(w, kind=kind, steps=tuple(steps), occupant=occupant)
+    if draw(st.booleans()):
+        try:
+            return name, (*claim, encode_witness(forged))
+        except (TypeError, ValueError):
+            pass  # not encodable: pass the object
+    return name, (*claim, forged)
+
+
+class TestReferenceEquivalence:
+    """The one-pass verifiers decide as the step-by-step folds in ``reference_verify`` do,
+    and report the same SHA-256 input lengths through ``hashed``, in the same order."""
+
+    @given(verifier_calls())
+    @settings(max_examples=600, deadline=None)
+    def test_same_verdict_and_hash_sequence(self, call):
+        name, args = call
+        kernel, reference = {"belongs": belongs, "check_update": check_update}[name], getattr(reference_verify, name)
+        reported, expected = [], []
+        verdict = kernel(*args, reported.append)  # never raises: a raise fails the test
+        assert verdict == reference(*args, expected.append) and reported == expected
+        assert kernel(*args) == verdict
+        assert verdict in (0, 1) or verdict is BOTTOM
+
+    def test_not_bytes_at_every_position(self):
+        # a sibling that is not bytes fails where its level is hashed, after
+        # the levels below it have been reported, in every fold of both verifiers
+        elements = [bytes([i]) * 3 for i in range(12)]
+        calls = []
+        for size in (0, 1, 8):  # paths of no steps included
+            acc, memory = build_set(elements[:size])
+            for element in elements:
+                root, w = simulate_update(memory.root, "del" if element in elements[:size] else "add", element)
+                calls.append((check_update, reference_verify.check_update, (acc, tree.digest(root), element), w))
+                calls.append((belongs, reference_verify.belongs, (acc, element), witness(acc, memory, element)))
+        for kernel, reference, claim, w in calls:
+            forged = [replace(w, occupant=_not_bytes(w.occupant or w.element_digest, how)) for how in _NOT_BYTES_KINDS]
+            for i, (bit, sibling) in enumerate(w.steps):
+                for how in _NOT_BYTES_KINDS:
+                    steps = (*w.steps[:i], (bit, _not_bytes(sibling, how)), *w.steps[i + 1:])
+                    forged.append(replace(w, steps=steps))
+            for each in forged:
+                reported, expected = [], []
+                assert kernel(*claim, each, reported.append) == reference(*claim, each, expected.append)
+                assert reported == expected
 
 
 def canonical_digest(keys) -> bytes:

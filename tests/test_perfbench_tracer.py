@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from acctoken.erc20 import TokenSystem
+from acctoken.gas import HASH
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -31,7 +32,7 @@ def test_tracer_installs_records_and_uninstalls():
         patched = list(tracer._undo)
         assert all(getattr(owner, attr) is not original for owner, attr, original in patched)
         system = TokenSystem(A, 1000)
-        system.transfer(A, B, 10)
+        record = system.transfer(A, B, 10)
         assert system.balance_of(B) == 10
     finally:
         tracer.uninstall()
@@ -43,3 +44,9 @@ def test_tracer_installs_records_and_uninstalls():
                  "accumulator.witness", "accumulator.belongs"):
         assert summary[name]["calls"] > 0, name
     assert tracer.accepted == 1 and tracer.sha_counter[0] > 0
+    # the counts come from swapping ``hashlib`` in ``accumulator.hashing``; a
+    # hash made around that name would go uncounted here
+    metered = sum(1 for kind, _arg in record.trace.events if kind == HASH)
+    assert summary["erc20.contract"]["sha256_calls"] == metered > 0
+    for name in ("storage.build_update_witness", "erc20.client_build"):
+        assert summary[name]["sha256_calls"] > 0, name

@@ -203,7 +203,7 @@ class TestBuildUpdateWitness:
         for i in range(8):
             mid, _ = network.build_update_witness(AID, "del", b"aa-%d" % i)
             end, _ = network.build_update_witness(AID, "add", b"ab-%d" % i, base=mid)
-        digest, root, _added = network._entry(AID).tip
+        digest, root, _added, _deleted = network._entry(AID).tip
         assert digest == end == tree.digest(root)
 
     def test_current_value_is_not_a_base(self):
@@ -250,7 +250,7 @@ class TestCommit:
         network = fresh_network(elements=[b"aa-1", b"ab-2"])
         mid, _ = network.build_update_witness(AID, "del", b"aa-1")
         end, _ = network.build_update_witness(AID, "add", b"ac-3", base=mid)
-        _digest, tip_root, added = network._entry(AID).tip
+        _digest, tip_root, added, _deleted = network._entry(AID).tip
         changes = network.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])
         assert network.commit(AID, changes, end) == end
         memory = network._entry(AID).memory
@@ -266,25 +266,66 @@ class TestCommit:
     def test_walks_past_a_tip_of_another_value(self, accepted):
         network = fresh_network(elements=[b"aa-1"])
         network.build_update_witness(AID, "add", b"ab-2")
-        _digest, tip_root, _added = network._entry(AID).tip
+        _digest, tip_root, _added, _deleted = network._entry(AID).tip
         commit_value = network.commit(AID, network.changes(AID, [("add", b"ab-2")]), accepted)
         assert network._entry(AID).memory.root is not tip_root
         assert network._entry(AID).memory.root == tip_root and commit_value == tree.digest(tip_root)
 
     def test_adopts_a_chain_begun_on_a_stale_root(self):
+        # the stale node serves the root before its last two commits, which
+        # took aa-1 out and put it back: another trie of the same key set,
+        # so a chain there with the batch's keys reaches the batch's value
+        network = fresh_network(FaultPolicy.stale(2), [b"aa-1", b"ab-2"])
+        entry = network._entry(AID)
+        served = entry.memory.root
+        commit(network, "del", b"aa-1")
+        commit(network, "add", b"aa-1")
+        assert network._serving_root(entry) is served is not entry.memory.root
+        end, _ = network.build_update_witness(AID, "add", b"ac-3")
+        _digest, tip_root, _added, _deleted = entry.tip
+        network.commit(AID, network.changes(AID, [("add", b"ac-3")]), end)
+        assert entry.memory.root is tip_root
+        assert sorted(network.elements(AID)) == [b"aa-1", b"ab-2", b"ac-3"]
+        assert network.elements(AID, b"ac") == (b"ac-3",)
+
+    def test_walks_a_chain_of_other_keys(self):
+        # the accepted value is a chain's for ab-2, the batch adds ac-3:
+        # adopting would leave a trie holding ab-2 beside elements holding ac-3
+        network = fresh_network(elements=[b"aa-1"])
+        accepted, _ = network.build_update_witness(AID, "add", b"ab-2")
+        _digest, tip_root, _added, _deleted = network._entry(AID).tip
+        value = network.commit(AID, network.changes(AID, [("add", b"ac-3")]), accepted)
+        assert value != accepted and network._entry(AID).memory.root is not tip_root
+        assert value == commit(fresh_network(elements=[b"aa-1"]), "add", b"ac-3")
+        assert belongs(value, b"ac-3", network.fetch_witness(AID, b"ac-3")) == 1
+        assert belongs(value, b"ab-2", network.fetch_witness(AID, b"ab-2")) == 0
+
+    def test_walks_a_chain_of_the_same_value_and_other_keys(self):
         # the stale node serves the root before its last commit, which held
-        # aa-1; a chain there that ends on that key set, and changes that
-        # undo the last commit, reach the same value
+        # aa-1; a chain there that adds and deletes zz-9 ends on the value a
+        # batch re-adding aa-1 reaches, but nets to no keys
         network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
         served = network.accumulator_value(AID)
         commit(network, "del", b"aa-1")
         mid, _ = network.build_update_witness(AID, "add", b"zz-9")
         end, _ = network.build_update_witness(AID, "del", b"zz-9", base=mid)
-        assert end == served
-        _digest, tip_root, _added = network._entry(AID).tip
-        network.commit(AID, network.changes(AID, [("add", b"aa-1")]), end)
-        assert network._entry(AID).memory.root is tip_root
+        _digest, tip_root, added, deleted = network._entry(AID).tip
+        assert end == served and not added and not deleted
+        assert network.commit(AID, network.changes(AID, [("add", b"aa-1")]), end) == end
+        assert network._entry(AID).memory.root is not tip_root
         assert list(network.elements(AID)) == [b"aa-1"] and network.elements(AID, b"aa") == (b"aa-1",)
+
+    def test_tip_nets_its_keys_like_a_batch(self):
+        network = fresh_network(elements=[b"aa-1", b"ab-2"])
+        steps = [("add", b"ac-3"), ("del", b"ac-3"), ("del", b"aa-1"), ("add", b"aa-1"),
+                 ("del", b"ab-2"), ("add", b"ad-4")]
+        base = None
+        for op, element in steps:
+            base, _ = network.build_update_witness(AID, op, element, base=base)
+        _digest, _root, added, deleted = network._entry(AID).tip
+        changes = network.changes(AID, steps)
+        assert added.keys() == changes.adds.keys() and deleted == changes.dels.keys()
+        assert all(key is value for key, value in added.items())
 
     def test_epoch_advances(self):
         network = fresh_network()

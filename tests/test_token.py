@@ -476,7 +476,7 @@ class TestOneCommitPath:
         assert system.network._entry(BALANCES).tip[0] == system.state.balances_acc
         commits = spy_commits(system)
         system.client.build_transfer(A, B, 5)
-        _digest, _root, added = system.network._entry(BALANCES).tip
+        _digest, _root, added, _deleted = system.network._entry(BALANCES).tip
         assert sorted(added) == sorted(hashing.element_digest(balance_element(*e)) for e in ((A, 895), (B, 105)))
         system.transfer(A, B, 5)
         assert commits == [(BALANCES, True)]
@@ -799,6 +799,19 @@ class TestChainTipAdoption:
         system.client.build_approve(A, S, 9)  # a later chain, never submitted
         system.transfer_from(S, A, B, 5, first)
         assert commits == [(BALANCES, True), (ALLOWED_BALANCES, False)]
+
+    def test_a_chain_for_other_steps_is_not_adopted(self, monkeypatch):
+        # a contract that accepts the chain built for a transfer of 10 as the
+        # proof of one of 20 takes the chain's value; the commit of the 20
+        # walks, and storage lands elsewhere than the contract
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        bundle = system.client.build_transfer(A, B, 10)
+        monkeypatch.setattr("acctoken.erc20.contract.check_update", lambda *args: 1)
+        commits = spy_commits(system)
+        with pytest.raises(AssertionError, match="storage diverged from contract on balances"):
+            system.transfer(A, B, 20, bundle)
+        assert commits == [(BALANCES, False)]
 
     @pytest.mark.parametrize(
         "policy", [FaultPolicy.stale(1), FaultPolicy.corrupt_bits(1.0, seed=2)], ids=["stale", "corrupt-bits"]

@@ -106,6 +106,13 @@ class TestHeaderLayout:
             w = witness(acc, memory, probe)
             assert witness_size_bytes(w) == len(encode_witness(w))
 
+    @pytest.mark.parametrize("bit", [-1, 256, 1000])
+    def test_bit_outside_a_byte_rejected(self, bit):
+        sibling = bytes(32)
+        for steps in (((bit, sibling),), ((3, sibling), (bit, sibling))):
+            with pytest.raises(ValueError):
+                encode_witness(Witness(WitnessKind.MEMBERSHIP, element_digest(b"alpha"), steps))
+
 
 class TestStrictDecoding:
     def good_witness(self):
