@@ -5,17 +5,21 @@ is reported to the gas meter as one storage-key operation carrying the
 contract's key count at that moment. Zeroed entries are deleted, mirroring
 storage-release semantics, so the key count tracks live entries only.
 
+``bootstrap`` grows a population through the same writes, unmetered.
+
 ``ever_approved`` is bookkeeping, not a storage key: it only classifies a
 failed transferFrom as NotApproved (pair never approved) versus
 InsufficientAllowance, matching the verdicts the accumulator token produces.
 """
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .erc20.contract import LogRecord
 from .erc20.elements import AMOUNT_MAX, ZERO_ADDRESS, check_address, check_amount
 from .erc20.system import TxRecord, abi_calldata
 from .erc20.bundle import OpTag
+from .erc20.plan import Plan
 from .errors import (
     InsufficientAllowance,
     InsufficientBalance,
@@ -24,6 +28,18 @@ from .errors import (
     ZeroSupply,
 )
 from .gas import TxTrace
+
+
+class _Untraced:
+    """Where ``bootstrap`` writes: the storage events a ``TxTrace`` would record go nowhere."""
+
+    def sload(self, n_keys: int):
+        pass
+
+    sstore_new = sstore_update = sload
+
+
+_UNTRACED = _Untraced()
 
 
 @dataclass
@@ -94,12 +110,9 @@ class BaselineToken:
             trace.sstore_new(self.key_count)
             self.allowed[pair] = value
 
-    # -- operations ---------------------------------------------------------------
-
-    def transfer(self, sender: bytes, to: bytes, tokens: int) -> TxRecord:
-        check_address(sender), check_address(to)
+    def _move(self, trace: TxTrace, sender: bytes, to: bytes, tokens: int):
+        """Debit ``sender`` and credit ``to``; every check runs before the first write."""
         check_amount(tokens)
-        trace = TxTrace()
         trace.sload(self.key_count)
         from_balance = self.balances.get(sender, 0)
         if from_balance < tokens:
@@ -109,6 +122,20 @@ class BaselineToken:
         check_amount(to_balance + tokens)
         self._write_balance(trace, sender, from_balance - tokens)
         self._write_balance(trace, to, to_balance + tokens)
+
+    def _approve(self, trace: TxTrace, owner: bytes, spender: bytes, tokens: int):
+        """Set the allowance and mark the pair approved."""
+        check_amount(tokens)
+        trace.sload(self.key_count)
+        self._write_allowance(trace, (owner, spender), tokens)
+        self.ever_approved.add((owner, spender))
+
+    # -- operations ---------------------------------------------------------------
+
+    def transfer(self, sender: bytes, to: bytes, tokens: int) -> TxRecord:
+        check_address(sender), check_address(to)
+        trace = TxTrace()
+        self._move(trace, sender, to, tokens)
         trace.calldata = abi_calldata(OpTag.TRANSFER, [sender, to], tokens, (), b"")
         log = LogRecord("Transfer", sender, to, tokens)
         self._log(log)
@@ -116,11 +143,8 @@ class BaselineToken:
 
     def approve(self, owner: bytes, spender: bytes, tokens: int) -> TxRecord:
         check_address(owner), check_address(spender)
-        check_amount(tokens)
         trace = TxTrace()
-        trace.sload(self.key_count)
-        self._write_allowance(trace, (owner, spender), tokens)
-        self.ever_approved.add((owner, spender))
+        self._approve(trace, owner, spender, tokens)
         trace.calldata = abi_calldata(OpTag.APPROVE, [owner, spender], tokens, (), b"")
         log = LogRecord("Approval", owner, spender, tokens)
         self._log(log)
@@ -151,6 +175,24 @@ class BaselineToken:
         log = LogRecord("Transfer", sender, to, tokens)
         self._log(log)
         return TxRecord("transfer_from", log, trace)
+
+    def bootstrap(self, plans: Iterable[Plan]):
+        """Apply transfer and approve plans by their log records, without transactions.
+
+        The mapping token's counterpart of ``TokenSystem.bootstrap``, for
+        population growth: a Transfer moves a balance and an Approval sets
+        an allowance, through the writes the transactions use. The plans'
+        steps are not read, and no trace, calldata or log is made. Each plan
+        runs its op's amount and cover checks before it writes, so a refused
+        plan writes nothing; the plans before it stay applied. A transferFrom
+        plan's log is a Transfer too, so it would move the balance and leave
+        the allowance: give those as transactions.
+        """
+        for log, _steps in plans:
+            if log.event == "Transfer":
+                self._move(_UNTRACED, log.addr_from, log.addr_to, log.amount)
+            else:
+                self._approve(_UNTRACED, log.addr_from, log.addr_to, log.amount)
 
     # -- integrity ------------------------------------------------------------------
 

@@ -5,7 +5,10 @@ transactions to the contract, replays the confirmed updates into the storage
 network, and assembles the calldata that gas metering sees. A transaction is
 atomic end to end: a rejection at any stage, a storage commit refused after
 the contract accepted included, leaves the contract state, the storage
-memories and the logs untouched.
+memories and the logs untouched. One failure is not covered: the
+``AssertionError`` of ``_assert_lock_step``, raised when storage committed
+to a value other than the one the contract accepted, comes after the commit
+has landed, and nothing is put back (ROADMAP item 9).
 
 Every write to storage goes through ``_commit``: the deployment's mint, each
 verified transaction's update steps and ``bootstrap``'s stream of growth
@@ -139,6 +142,12 @@ class TokenSystem:
         return TxRecord(op.name.lower(), outcome.log, outcome.trace, len(encoded), len(bundle.entries))
 
     def _assert_lock_step(self):
+        """Raise ``AssertionError`` if storage and contract hold different accumulator values.
+
+        It runs after the commit: the contract's words, its log and the
+        storage memories stay as they are when it raises, diverged (ROADMAP
+        item 9 makes the commit refuse first).
+        """
         for name in pb.ACCUMULATORS:
             if self.contract.state.value_of(name) != self.network.accumulator_value(name):
                 raise AssertionError(f"storage diverged from contract on {name}")

@@ -3,6 +3,7 @@
 import pytest
 
 from acctoken.baseline import BaselineToken
+from acctoken.erc20 import plan
 from acctoken.errors import (
     InsufficientAllowance,
     InsufficientBalance,
@@ -15,6 +16,7 @@ from acctoken.gas import SLOAD, SSTORE_NEW, SSTORE_UPDATE
 A = bytes.fromhex("aa" * 20)
 B = bytes.fromhex("bb" * 20)
 C = bytes.fromhex("cc" * 20)
+D = bytes.fromhex("dd" * 20)
 S = bytes.fromhex("55" * 20)
 
 
@@ -154,3 +156,48 @@ class TestKeyAccounting:
         token.transfer(A, B, 1)
         assert token.logs == []
         assert token.log_count == 2
+
+
+def ledger(token):
+    return dict(token.balances), dict(token.allowed), set(token.ever_approved), token.key_count, token.log_count
+
+
+def funded():
+    token = BaselineToken.deploy(A, 1000)
+    token.transfer(A, B, 100)
+    token.approve(B, S, 10)
+    return token
+
+
+# the mapping token reads a plan's log record, never its announced words
+NO_WORDS = plan.Announced(())
+
+
+class TestBootstrap:
+    def test_applies_logs_without_transactions(self):
+        token = funded()
+        token.bootstrap([plan.transfer(A, C, 30, NO_WORDS), plan.approve(C, S, 5, NO_WORDS),
+                         plan.transfer(B, D, 100, NO_WORDS), plan.approve(B, S, 0, NO_WORDS)])
+        assert token.balances == {A: 870, C: 30, D: 100}
+        assert token.allowed == {(C, S): 5}
+        assert token.ever_approved == {(B, S), (C, S)}
+        assert token.log_count == 3  # the deployment and the two transactions
+        token.check_conservation()
+
+    @pytest.mark.parametrize(
+        "bad_plan, error",
+        [
+            (plan.transfer(A, C, 901, NO_WORDS), InsufficientBalance),  # A holds 900
+            (plan.transfer(A, C, 2**256, NO_WORDS), Overflow),
+            (plan.transfer(A, C, -1, NO_WORDS), Overflow),  # would credit A
+            (plan.approve(C, S, 2**256, NO_WORDS), Overflow),
+            (plan.approve(C, S, -1, NO_WORDS), Overflow),
+        ],
+        ids=["overspend", "transfer-above-uint256", "transfer-negative", "approve-above-uint256", "approve-negative"],
+    )
+    def test_refused_plan_writes_nothing(self, bad_plan, error):
+        token, expected = funded(), funded()
+        expected.bootstrap([plan.approve(A, S, 7, NO_WORDS)])
+        with pytest.raises(error):
+            token.bootstrap([plan.approve(A, S, 7, NO_WORDS), bad_plan, plan.transfer(A, D, 1, NO_WORDS)])
+        assert ledger(token) == ledger(expected)

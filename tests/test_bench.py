@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from acctoken.baseline import BaselineToken
 from acctoken.bench import (
     Scenario,
     compare,
@@ -103,6 +104,23 @@ class TestCompare:
         for op, gas in by_op.items():
             spread = (max(gas) - min(gas)) / (sum(gas) / len(gas))
             assert spread < 0.01, f"{op} varies {spread:.2%} across checkpoints"
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("token", ["acc", "baseline"])
+    def test_only_sampled_ops_run_mapping_transactions(self, token, monkeypatch):
+        # growth bootstraps the mapping token (the shadow, or the token of a
+        # baseline run) from plans; only the metered samples are transactions
+        completed = []
+        for kind in ("transfer", "approve", "transfer_from"):
+            def counted(self, *args, _op=getattr(BaselineToken, kind)):
+                record = _op(self, *args)
+                completed.append(record)
+                return record
+
+            monkeypatch.setattr(BaselineToken, kind, counted)
+        run = run_scenario(Scenario(token=token, **SMALL))
+        assert len(completed) == sum(len(cp.samples) for cp in run.checkpoints) > 0
 
 
 class TestScenarioValidation:

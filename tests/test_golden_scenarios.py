@@ -6,7 +6,8 @@ CSVs under both gas schedules, the number of dropped samples and the
 storage network's serving counters. Equal CSVs pin every bundle's bytes and
 gas events; equal serving counters and drop counts pin the sequence of
 storage requests, because the refusing policy draws from its RNG once per
-request.
+request. The same scenario run on the mapping token pins its CSVs and drop
+count; it has no storage network to count.
 
 Regenerate (only when a change is meant to alter these outputs) with
 ``PYTHONPATH=src python tests/test_golden_scenarios.py``; it prints each
@@ -18,6 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from acctoken.bench import Scenario, rows_to_csv, run_scenario, tabulate
+from acctoken.bench.scenario import BASELINE
 from acctoken.gas import SCALED, GasSchedule
 from acctoken.storage import FaultPolicy, StorageNetwork
 
@@ -29,25 +31,34 @@ FAULTS = {
 }
 
 
+SMALL = dict(checkpoints=(64, 128), ops_per_checkpoint=20, seed=5)
+
+
 def scenario_outputs() -> dict:
     out = {}
     for lift in (False, True):
         for fault_name, fault in FAULTS.items():
-            scenario = Scenario(
-                checkpoints=(64, 128), ops_per_checkpoint=20, seed=5, lift=lift, fault=fault
-            )
-            run, stats = _run_with_stats(scenario)
+            run, stats = _run_with_stats(Scenario(lift=lift, fault=fault, **SMALL))
             out[f"lift={'on' if lift else 'off'},fault={fault_name}"] = {
-                "flat_csv": rows_to_csv(tabulate(run, GasSchedule())),
-                "scaled_csv": rows_to_csv(tabulate(run, GasSchedule(mode=SCALED))),
-                "dropped": run.dropped,
+                **_tables(run),
                 "serving_stats": asdict(stats),
             }
+    run, stats = _run_with_stats(Scenario(token=BASELINE, **SMALL))
+    assert stats is None
+    out[f"token={BASELINE}"] = _tables(run)
     return out
 
 
+def _tables(run) -> dict:
+    return {
+        "flat_csv": rows_to_csv(tabulate(run, GasSchedule())),
+        "scaled_csv": rows_to_csv(tabulate(run, GasSchedule(mode=SCALED))),
+        "dropped": run.dropped,
+    }
+
+
 def _run_with_stats(scenario):
-    """run_scenario, plus the serving counters of the network it created."""
+    """run_scenario, plus the serving counters of the network it created (None if it made none)."""
     networks = []
     original = StorageNetwork.__init__
 
@@ -60,6 +71,8 @@ def _run_with_stats(scenario):
         run = run_scenario(scenario)
     finally:
         StorageNetwork.__init__ = original
+    if not networks:
+        return run, None
     (network,) = networks
     return run, network.stats
 

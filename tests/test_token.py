@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from acctoken.accumulator import WitnessKind, belongs, decode_witness, hashing, tree
+from acctoken.baseline import BaselineToken
 from acctoken.bench import effective_allowances, effective_balances
 from acctoken.bench.workload import true_balance
 from acctoken.erc20 import (
@@ -516,14 +517,15 @@ class TestFastPathEquivalence:
 
     def test_stream_of_plans(self):
         # the deployer funds, re-funds and approves in one batch: its
-        # intermediate balance tuples and B's first allowance cancel out
+        # intermediate balance tuples and B's first allowances cancel out;
+        # C empties its balance and B's allowance for S ends at zero
         ops = [("transfer", (A, B, 100)), ("transfer", (A, C, 50)), ("approve", (B, S, 30)),
-               ("transfer", (A, B, 5)), ("approve", (B, S, 9)), ("approve", (C, B, 1))]
-        fast, verified = TokenSystem(A, 1000), TokenSystem(A, 1000)
-        amounts = {A: 1000}
-        allowances = {}
+               ("transfer", (A, B, 5)), ("approve", (B, S, 9)), ("approve", (C, B, 1)),
+               ("transfer", (C, D, 50)), ("approve", (B, S, 0))]
 
         def plans():
+            amounts = {A: 1000}
+            allowances = {}
             for kind, (owner, other, tokens) in ops:
                 if kind == "transfer":
                     yield plan.transfer(owner, other, tokens, announced(amounts[owner], amounts.get(other)))
@@ -533,13 +535,29 @@ class TestFastPathEquivalence:
                     yield plan.approve(owner, other, tokens, announced(allowances.get((owner, other))))
                     allowances[owner, other] = tokens
 
+        fast, verified = TokenSystem(A, 1000), TokenSystem(A, 1000)
         fast.bootstrap(plans())
         for kind, args in ops:
             getattr(verified, kind)(*args)
         assert fast.state == verified.state
         assert accumulator_values(fast) == accumulator_values(verified)
         assert [fast.network.epoch(name) for name in ACCUMULATORS] == [2, 1, 1]
-        assert effective_balances(fast) == {A: 845, B: 105, C: 50}
+        assert effective_balances(fast) == {A: 845, B: 105, D: 50}
+
+        # the mapping token reaches through its bootstrap what its transactions reach
+        mapped, transacted = BaselineToken.deploy(A, 1000), BaselineToken.deploy(A, 1000)
+        mapped.bootstrap(plans())
+        for kind, args in ops:
+            getattr(transacted, kind)(*args)
+        for attribute in ("balances", "allowed", "ever_approved", "key_count"):
+            assert getattr(mapped, attribute) == getattr(transacted, attribute), attribute
+        assert mapped.balances == {A: 845, B: 105, D: 50}
+        assert mapped.allowed == {(C, B): 1}
+        assert mapped.ever_approved == {(B, S), (C, B)}
+        assert mapped.key_count == 4
+        assert mapped.log_count == 1  # the deployment's; bootstrap logs nothing
+        assert effective_balances(fast) == effective_balances(mapped)
+        assert effective_allowances(fast) == effective_allowances(mapped)
 
     @pytest.mark.parametrize(
         "bad_plan, error",
