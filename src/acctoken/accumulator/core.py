@@ -119,43 +119,47 @@ class Changes:
         else:
             raise ValueError(f"unknown update op {op!r}")
 
+    def check_current(self, memory: Memory):
+        """Raise StaleAccumulator unless these changes were recorded against ``memory`` as it is now."""
+        if self.memory is not memory or self.epoch != memory.epoch:
+            raise StaleAccumulator("changes were recorded against another memory state")
+
     def __len__(self) -> int:
         return len(self.adds) + len(self.dels)
 
 
-def apply_update(memory: Memory, changes: Changes, built: tuple[Node, dict] | None = None) -> bytes:
+def updated_root(memory: Memory, changes: Changes) -> Node:
+    """The trie of ``memory`` with current ``changes`` applied; the persistent trie leaves ``memory`` as it is."""
+    root = memory.root
+    for key in changes.dels:
+        root = tree.remove(root, key)
+    return tree.insert_many(root, sorted(changes.adds))
+
+
+def apply_update(memory: Memory, changes: Changes, built: tuple[Node, dict | None] | None = None) -> bytes:
     """Apply a batch of changes as one epoch; returns the new accumulator value.
 
-    Without ``built`` the trie takes the deletions one by one and then all
-    additions in one merge. ``built = (root, keys)`` skips that work: ``root``
-    is already the trie of the memory with exactly these changes applied and
-    is installed as it is, and each new element is keyed by the ``bytes``
-    object ``keys`` maps its key to (``keys`` holds every added key), the
-    one its leaf holds, so leaf and element dict share it. The caller
-    vouches for ``root``: the storage network passes its chain tip when the
-    tip's digest is the value the contract accepted and the tip's netted
-    keys are these changes' keys. The storage network commits through this,
-    where the changes were already verified by the contract and witnesses
-    would go unread.
+    Without ``built`` the new root is walked by ``updated_root``, and the
+    new elements are keyed by the key objects ``changes`` holds, which the
+    walk put in the leaves. ``built = (root, keys)`` skips the walk: ``root``
+    is already the trie of the memory with exactly these changes applied,
+    and ``keys``, if given, maps every added key to the ``bytes`` object its
+    leaf holds, which then keys the element too. The caller vouches for
+    ``root``: the storage network passes its chain tip, or a walk whose
+    digest it checked against the value the contract accepted.
     """
-    if changes.memory is not memory or changes.epoch != memory.epoch:
-        raise StaleAccumulator("changes were recorded against another memory state")
+    changes.check_current(memory)
     # nothing below can fail: record() checked that every deleted key is
     # present, every added key absent, and that no key is both
+    root, keys = built or (updated_root(memory, changes), None)
+    memory.root = root
     elements = memory.elements
-    if built is None:
-        root = memory.root
-        for key in changes.dels:
-            root = tree.remove(root, key)
-            del elements[key]
+    for key in changes.dels:
+        del elements[key]
+    if keys is None:
         elements.update(changes.adds)
-        root = tree.insert_many(root, sorted(changes.adds))
     else:
-        root, keys = built
-        for key in changes.dels:
-            del elements[key]
         for key, element in changes.adds.items():
             elements[keys[key]] = element
-    memory.root = root
     memory.epoch += 1
     return memory.value

@@ -84,31 +84,17 @@ class BaselineToken:
 
     # -- storage helpers ---------------------------------------------------------
 
-    def _write_balance(self, trace: TxTrace, owner: bytes, value: int):
-        if owner in self.balances:
+    def _write(self, trace: TxTrace, mapping: dict, key, value: int):
+        """Store ``value`` under ``key`` in ``mapping`` (balances or allowances); a zero deletes the entry."""
+        if key in mapping:
             trace.sstore_update(self.key_count)
             if value == 0:
-                del self.balances[owner]
+                del mapping[key]
             else:
-                self.balances[owner] = value
-        else:
-            if value == 0:
-                return
+                mapping[key] = value
+        elif value != 0:
             trace.sstore_new(self.key_count)
-            self.balances[owner] = value
-
-    def _write_allowance(self, trace: TxTrace, pair: tuple[bytes, bytes], value: int):
-        if pair in self.allowed:
-            trace.sstore_update(self.key_count)
-            if value == 0:
-                del self.allowed[pair]
-            else:
-                self.allowed[pair] = value
-        else:
-            if value == 0:
-                return
-            trace.sstore_new(self.key_count)
-            self.allowed[pair] = value
+            mapping[key] = value
 
     def _move(self, trace: TxTrace, sender: bytes, to: bytes, tokens: int):
         """Debit ``sender`` and credit ``to``; every check runs before the first write."""
@@ -118,16 +104,18 @@ class BaselineToken:
         if from_balance < tokens:
             raise InsufficientBalance(f"balance {from_balance} cannot cover {tokens}")
         trace.sload(self.key_count)
-        to_balance = self.balances.get(to, 0)
+        # the credit goes on what the debit leaves, so a transfer to oneself
+        # leaves the balance as it was
+        to_balance = from_balance - tokens if to == sender else self.balances.get(to, 0)
         check_amount(to_balance + tokens)
-        self._write_balance(trace, sender, from_balance - tokens)
-        self._write_balance(trace, to, to_balance + tokens)
+        self._write(trace, self.balances, sender, from_balance - tokens)
+        self._write(trace, self.balances, to, to_balance + tokens)
 
     def _approve(self, trace: TxTrace, owner: bytes, spender: bytes, tokens: int):
         """Set the allowance and mark the pair approved."""
         check_amount(tokens)
         trace.sload(self.key_count)
-        self._write_allowance(trace, (owner, spender), tokens)
+        self._write(trace, self.allowed, (owner, spender), tokens)
         self.ever_approved.add((owner, spender))
 
     # -- operations ---------------------------------------------------------------
@@ -166,11 +154,11 @@ class BaselineToken:
         if from_balance < tokens:
             raise InsufficientBalance(f"balance {from_balance} cannot cover {tokens}")
         trace.sload(self.key_count)
-        to_balance = self.balances.get(to, 0)
+        to_balance = from_balance - tokens if to == sender else self.balances.get(to, 0)
         check_amount(to_balance + tokens)
-        self._write_allowance(trace, pair, allowed - tokens)
-        self._write_balance(trace, sender, from_balance - tokens)
-        self._write_balance(trace, to, to_balance + tokens)
+        self._write(trace, self.allowed, pair, allowed - tokens)
+        self._write(trace, self.balances, sender, from_balance - tokens)
+        self._write(trace, self.balances, to, to_balance + tokens)
         trace.calldata = abi_calldata(OpTag.TRANSFER_FROM, [spender, sender, to], tokens, (), b"")
         log = LogRecord("Transfer", sender, to, tokens)
         self._log(log)

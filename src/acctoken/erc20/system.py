@@ -1,19 +1,18 @@
-"""Deployment wiring: contract, storage network and client in lock step.
+"""Deployment wiring: contract, storage network and client, all or none.
 
 ``TokenSystem`` plays the role of the chain environment: it routes accepted
 transactions to the contract, replays the confirmed updates into the storage
 network, and assembles the calldata that gas metering sees. A transaction is
-atomic end to end: a rejection at any stage, a storage commit refused after
-the contract accepted included, leaves the contract state, the storage
-memories and the logs untouched. One failure is not covered: the
-``AssertionError`` of ``_assert_lock_step``, raised when storage committed
-to a value other than the one the contract accepted, comes after the commit
-has landed, and nothing is put back (ROADMAP item 9).
+atomic end to end: a rejection at any stage leaves the contract state, the
+storage memories and the logs untouched. That includes a commit storage
+refuses after the contract accepted: storage refuses every batch of the
+transaction unless each reaches the value the contract accepted, and the
+contract is then rolled back, so contract and storage never part.
 
 Every write to storage goes through ``_commit``: the deployment's mint, each
 verified transaction's update steps and ``bootstrap``'s stream of growth
-plans are netted into one batch per accumulator they touch, and each batch
-is committed once, as one storage epoch.
+plans are netted into one batch per accumulator they touch, and the batches
+are committed in one call, each as one storage epoch.
 """
 
 import hashlib
@@ -124,7 +123,8 @@ class TokenSystem:
         """Verify the bundle with the contract's ``execute``, then commit its updates to storage.
 
         The contract writes its words and its log before storage commits, so
-        a commit that storage refuses puts both back before the error goes
+        a commit that storage refuses, one that would not reach the values
+        the contract accepted included, puts both back before the error goes
         on: a contract accepting what storage cannot apply does not part them.
         """
         state, logged = self.contract.state, len(self.contract.logs)
@@ -135,22 +135,10 @@ class TokenSystem:
             self.contract.state = state
             del self.contract.logs[logged:]
             raise
-        self._assert_lock_step()
         encoded = encode_bundle(bundle)
         outcome.trace.calldata = abi_calldata(op, addresses, tokens, bundle.announced, encoded)
         # the contract verifies every entry of an accepted bundle
         return TxRecord(op.name.lower(), outcome.log, outcome.trace, len(encoded), len(bundle.entries))
-
-    def _assert_lock_step(self):
-        """Raise ``AssertionError`` if storage and contract hold different accumulator values.
-
-        It runs after the commit: the contract's words, its log and the
-        storage memories stay as they are when it raises, diverged (ROADMAP
-        item 9 makes the commit refuse first).
-        """
-        for name in pb.ACCUMULATORS:
-            if self.contract.state.value_of(name) != self.network.accumulator_value(name):
-                raise AssertionError(f"storage diverged from contract on {name}")
 
     def transfer(self, sender: bytes, to: bytes, tokens: int, bundle: ProofBundle | None = None) -> TxRecord:
         if bundle is None:
@@ -177,23 +165,19 @@ class TokenSystem:
         """Commit the update steps among plan ``steps``, one netted batch per accumulator.
 
         All steps are recorded, so checked against storage (``Changes.record``),
-        before any batch is committed; a batch whose steps cancel out is
+        before storage sees any batch; a batch whose steps cancel out is
         skipped. ``accepted`` is the contract state that verified the steps,
-        if any: each batch is committed with the value it holds for the
-        accumulator, so storage can adopt the update chain it simulated for
-        the bundle. Returns the new values of the accumulators committed.
+        if any: storage installs the batches only if it then holds every
+        value that state holds, and adopts the update chain it simulated for
+        the bundle where it can. Returns the new values of the accumulators
+        committed.
         """
         batches = {name: self.network.changes(name) for name in pb.ACCUMULATORS}
         for acc, claim, element in steps:
             if claim in pb.STORAGE_OP:
                 batches[acc].record(pb.STORAGE_OP[claim], element)
-        values = {}
-        for name in pb.ACCUMULATORS:
-            changes = batches.pop(name)  # freed once committed
-            if changes:
-                value = None if accepted is None else accepted.value_of(name)
-                values[name] = self.network.commit(name, changes, value)
-        return values
+        values = None if accepted is None else {name: accepted.value_of(name) for name in pb.ACCUMULATORS}
+        return self.network.commit({name: changes for name, changes in batches.items() if changes}, values)
 
     def bootstrap(self, plans: Iterable[plan.Plan]):
         """Commit the update steps of transfer and approve plans, one batch per accumulator.

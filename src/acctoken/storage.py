@@ -5,13 +5,13 @@ name (``erc20.bundle.BALANCES`` and the others). It is in-process and
 deterministic under a seed. It serves logarithmic-size witness payloads to
 clients and applies contract-confirmed updates; it never ships a whole
 memory. Fault policies model an unreliable network on the serving path
-only (corrupted bytes, stale roots, refused requests); commits always apply,
-mirroring a storage node that follows the chain. Clients are expected to
-detect bad payloads via ``belongs``.
+only (corrupted bytes, stale roots, refused requests). Clients are expected
+to detect bad payloads via ``belongs``.
 
-A commit applies a batch of changes as one epoch: a verified transaction
-commits its netted update steps, one batch per accumulator it writes, and
-population growth a whole checkpoint's. Each accumulator keeps only the
+A commit takes one transaction's batches, one per accumulator it writes
+(population growth commits a whole checkpoint's), and installs each as one
+epoch, all or none: if any batch is stale or does not reach the value the
+contract accepted, nothing is installed. Each accumulator keeps only the
 history its fault policy can serve: a node that lags ``k`` epochs keeps its
 last ``k`` commits, each with the root before it and its changes, and serves
 the oldest of those roots with an element view that rolls all of those
@@ -26,13 +26,12 @@ the value the contract accepted; when that is the tip's digest and the
 committed batch has the tip's keys, the tip's root is the root of exactly
 the committed changes (the digest binds the key set, and the trie's layout
 is canonical), so the commit adopts it instead of walking and rehashing the
-same paths again. Any other commit (a bundle built elsewhere, an earlier
-bundle whose chain was superseded, a chain of other keys than the batch's,
-deployment and growth) applies its changes path by path, so a contract
-that accepted a chain other than the committed steps leaves storage on
-another value than its own, which ``TokenSystem`` checks after every
-transaction. Either way the commit clears the tip, so a bundle that never
-lands pins at most one simulated root per accumulator.
+same paths again. Any other batch (a bundle built elsewhere, an earlier
+bundle whose chain was superseded, a chain of other keys than the batch's)
+is walked path by path, and refused unless the walk reaches the accepted
+value; deployment and growth have no accepted value. A commit clears the
+tips of the accumulators it writes, so a bundle that never lands pins at
+most one simulated root per accumulator.
 
 An accumulator registered with a lookup prefix length also keeps an index
 from each prefix to the element under it: the token keeps one tuple per
@@ -277,24 +276,38 @@ class StorageNetwork:
         (op, element) ``steps`` recorded; record more with its ``record``."""
         return core.Changes(self._entry(acc).memory, steps)
 
-    def commit(self, acc: str, changes: core.Changes, accepted: bytes | None = None) -> bytes:
-        """Apply contract-confirmed changes to the real memory as one epoch.
+    def commit(self, batches: dict[str, core.Changes], accepted: dict[str, bytes] | None = None) -> dict[str, bytes]:
+        """Install one transaction's batches, each as one epoch of its accumulator, all or none.
 
-        ``accepted`` is the value the contract accepted for ``acc`` with
-        these changes. When the chain tip's digest equals it and the tip's
-        netted keys are the batch's, the tip's root is the trie of exactly
-        the memory with these changes applied, so it is adopted; otherwise
-        the changes are applied path by path, which reaches the accepted
-        value only if the contract verified these very changes.
+        ``accepted`` holds the values the contract accepted. Every batch is
+        checked before any is installed: it must not be stale, and it must
+        reach its accepted value, by the chain tip when the tip's digest is
+        that value and its netted keys are the batch's (the tip's root is
+        then the trie of exactly these changes), or else by a walk. An
+        accumulator accepted without a batch must hold its value already. A
+        batch without an accepted value is walked at install. Returns the new
+        values.
         """
-        entry = self._entry(acc)
+        accepted = accepted or {}
+        staged = {}
+        for acc, changes in batches.items():
+            entry = self._entry(acc)
+            changes.check_current(entry.memory)
+            value, tip, built = accepted.get(acc), entry.tip, None
+            if tip and tip[0] == value and tip[2].keys() == changes.adds.keys() and tip[3] == changes.dels.keys():
+                built = tip[1], tip[2]
+            elif value:
+                built = core.updated_root(entry.memory, changes), None
+                if tree.digest(built[0]) != value:
+                    raise StorageError(f"{acc} changes do not reach the value the contract accepted")
+            staged[acc] = entry, changes, built
+        for acc, value in accepted.items():
+            if acc not in batches and value != self._entry(acc).memory.value:
+                raise StorageError(f"{acc} holds another value than the contract accepted")
+        return {acc: self._install(*batch) for acc, batch in staged.items()}
+
+    def _install(self, entry: _Registered, changes: core.Changes, built: tuple[Node, dict | None] | None) -> bytes:
         memory = entry.memory
-        tip = entry.tip
-        built = None
-        if tip is not None and tip[0] == accepted:
-            _digest, root, added, deleted = tip
-            if added.keys() == changes.adds.keys() and deleted == changes.dels.keys():
-                built = root, added
         # honest storage holds no old root, so the replaced nodes are freed
         # as soon as the commit lands
         lagged = (memory.epoch + 1, memory.root, changes) if self._lag else None

@@ -77,6 +77,25 @@ class TestSemantics:
         token.transfer(B, C, 150)
         token.check_conservation()
 
+    @pytest.mark.parametrize("op", ["transfer", "transfer_from"])
+    @pytest.mark.parametrize("tokens", [10, 100], ids=["part", "whole"])
+    def test_transfer_to_oneself_keeps_the_balance(self, op, tokens):
+        token = BaselineToken.deploy(A, 1000)
+        token.transfer(A, B, 100)
+        token.approve(B, S, 100)
+        if op == "transfer":
+            token.transfer(B, B, tokens)
+        else:
+            token.transfer_from(S, B, B, tokens)
+            assert token.allowance(B, S) == 100 - tokens
+        assert token.balance_of(B) == 100
+        token.check_conservation()
+
+    def test_transfer_to_oneself_checks_what_the_debit_leaves(self):
+        token = BaselineToken.deploy(A, 2**256 - 1)
+        token.transfer(A, A, 1)  # the credit lands on the debited balance, so nothing overflows
+        assert token.balance_of(A) == 2**256 - 1
+
 
 class TestStorageTraces:
     def test_transfer_between_existing_accounts(self):

@@ -16,6 +16,7 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 A = bytes.fromhex("aa" * 20)
 B = bytes.fromhex("bb" * 20)
+S = bytes.fromhex("55" * 20)
 
 
 def load_spans():
@@ -50,3 +51,25 @@ def test_tracer_installs_records_and_uninstalls():
     assert summary["erc20.contract"]["sha256_calls"] == metered > 0
     for name in ("storage.build_update_witness", "erc20.client_build"):
         assert summary[name]["sha256_calls"] > 0, name
+
+
+def test_one_commit_span_per_transaction():
+    # a transaction commits all its batches in one call, each batch one
+    # apply_update: per-layer ``storage.commit.calls`` counts transactions
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 10)
+        system.approve(A, S, 5)  # a first approval writes allowed-addresses and allowed-balances
+        system.transfer_from(S, A, B, 2)  # writes balances and allowed-balances
+    finally:
+        tracer.uninstall()
+    code, names, parents = tracer.code, tracer.cols["name"], tracer.cols["parent"]
+    spans = {name: [sid for sid, each in enumerate(names) if each == code[name]]
+             for name in ("erc20.system", "storage.commit", "accumulator.apply_update")}
+    # the deployment's commit runs outside any transaction span
+    assert [parents[sid] for sid in spans["storage.commit"]] == [-1, *spans["erc20.system"]]
+    applied = [parents[sid] for sid in spans["accumulator.apply_update"]]
+    assert [applied.count(sid) for sid in spans["storage.commit"]] == [1, 1, 2, 2]
+    assert tracer.accepted == 3 and system.balance_of(B) == 12 and system.allowance(A, S) == 3

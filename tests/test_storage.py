@@ -1,6 +1,10 @@
 """Storage network: serving, chained update building, commits, fault injection."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acctoken.accumulator import BOTTOM, belongs, check_update, decode_witness, tree, witness_size_bytes
 from acctoken.erc20 import TokenSystem
@@ -14,7 +18,14 @@ OWNER = b"\x0a" * 20
 
 
 def commit(network, op, element):
-    return network.commit(AID, network.changes(AID, [(op, element)]))
+    return network.commit({AID: network.changes(AID, [(op, element)])})[AID]
+
+
+def ledger(entry):
+    """What a refused commit must leave as it was: root, elements, epoch, index, history and tip."""
+    memory, tip = entry.memory, entry.tip
+    tip = tip and (tip[0], tip[1], dict(tip[2]), set(tip[3]))
+    return memory.root, dict(memory.elements), memory.epoch, dict(entry.index), list(entry.history), tip
 
 
 def fresh_network(policy=None, elements=()):
@@ -97,7 +108,7 @@ class TestCollisions:
 
     def test_lookup_and_elements_return_every_element(self):
         network = fresh_network(elements=[b"aa-1", b"aa-2"])
-        network.commit(AID, network.changes(AID, [("add", b"aa-3"), ("add", b"ab-4")]))
+        network.commit({AID: network.changes(AID, [("add", b"aa-3"), ("add", b"ab-4")])})
         assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2", b"aa-3"]
         assert sorted(network.elements(AID, b"aa")) == [b"aa-1", b"aa-2", b"aa-3"]
         assert network.elements(AID, b"ab") == (b"ab-4",)
@@ -105,7 +116,7 @@ class TestCollisions:
 
     def test_conservation_reports_the_surplus(self):
         system = TokenSystem(OWNER, 1000)
-        system.network.commit(BALANCES, system.network.changes(BALANCES, [("add", balance_element(OWNER, 0))]))
+        system.network.commit({BALANCES: system.network.changes(BALANCES, [("add", balance_element(OWNER, 0))])})
         assert sorted(system.network.elements(BALANCES, balance_prefix(OWNER))) == [
             balance_element(OWNER, 0), balance_element(OWNER, 1000)
         ]
@@ -124,16 +135,16 @@ class TestCollisions:
 
     def test_replacing_one_in_a_batch(self):
         network = fresh_network(elements=[b"aa-1", b"aa-2"])
-        network.commit(AID, network.changes(AID, [("del", b"aa-1"), ("add", b"aa-3")]))
+        network.commit({AID: network.changes(AID, [("del", b"aa-1"), ("add", b"aa-3")])})
         assert network.lookup(AID, b"aa") == [b"aa-2", b"aa-3"]
-        network.commit(AID, network.changes(AID, [("del", b"aa-2"), ("del", b"aa-3"), ("add", b"aa-4")]))
+        network.commit({AID: network.changes(AID, [("del", b"aa-2"), ("del", b"aa-3"), ("add", b"aa-4")])})
         assert network.elements(AID, b"aa") == (b"aa-4",)
 
     def test_stale_node_rolls_back_across_a_collision(self):
         network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
-        network.commit(AID, network.changes(AID, [("add", b"aa-2"), ("add", b"aa-3")]))
+        network.commit({AID: network.changes(AID, [("add", b"aa-2"), ("add", b"aa-3")])})
         assert network.lookup(AID, b"aa") == [b"aa-1"]
-        network.commit(AID, network.changes(AID, [("del", b"aa-1"), ("del", b"aa-3")]))
+        network.commit({AID: network.changes(AID, [("del", b"aa-1"), ("del", b"aa-3")])})
         assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2", b"aa-3"]
         assert network.elements(AID, b"aa") == (b"aa-2",)
         commit(network, "add", b"ab-4")
@@ -229,7 +240,7 @@ class TestCommit:
 
     def test_batch_is_one_epoch(self):
         network = fresh_network(elements=[b"aa-1"])
-        network.commit(AID, network.changes(AID, [("add", b"ab-2"), ("del", b"aa-1"), ("add", b"ac-3")]))
+        network.commit({AID: network.changes(AID, [("add", b"ab-2"), ("del", b"aa-1"), ("add", b"ac-3")])})
         assert network.epoch(AID) == 2
         assert network.lookup(AID, b"aa") == []
         assert network.lookup(AID, b"ac") == [b"ac-3"]
@@ -239,12 +250,10 @@ class TestCommit:
         entry = network._entry(AID)
         stale = network.changes(AID, [("add", b"aa-3")])
         commit(network, "del", b"ab-2")
-        before = (entry.memory.root, dict(entry.memory.elements), entry.memory.epoch,
-                  dict(entry.index), list(entry.history))
+        before = ledger(entry)
         with pytest.raises(StaleAccumulator):
-            network.commit(AID, stale)
-        after = (entry.memory.root, entry.memory.elements, entry.memory.epoch, entry.index, list(entry.history))
-        assert after == before
+            network.commit({AID: stale})
+        assert ledger(entry) == before
 
     def test_adopts_the_tip_the_contract_accepted(self):
         network = fresh_network(elements=[b"aa-1", b"ab-2"])
@@ -252,24 +261,30 @@ class TestCommit:
         end, _ = network.build_update_witness(AID, "add", b"ac-3", base=mid)
         _digest, tip_root, added, _deleted = network._entry(AID).tip
         changes = network.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])
-        assert network.commit(AID, changes, end) == end
+        assert network.commit({AID: changes}, {AID: end}) == {AID: end}
         memory = network._entry(AID).memory
         assert memory.root is tip_root and network._entry(AID).tip is None
         (key,) = added
         assert next(k for k in memory.elements if k == key) is key
         assert network.lookup(AID, b"ac") == [b"ac-3"] and network.lookup(AID, b"aa") == []
         walked = fresh_network(elements=[b"aa-1", b"ab-2"])
-        walked.commit(AID, walked.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")]))
+        walked.commit({AID: walked.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])})
         assert memory.root == walked._entry(AID).memory.root
 
-    @pytest.mark.parametrize("accepted", [None, b"\x00" * 32], ids=["none", "other"])
-    def test_walks_past_a_tip_of_another_value(self, accepted):
+    @pytest.mark.parametrize("told", [False, True], ids=["none", "other"])
+    def test_walks_past_a_tip_of_another_value(self, told):
+        # the chain goes on past the batch's value, so the tip is another
+        # value than the one the batch reaches, whether it is told it or not
         network = fresh_network(elements=[b"aa-1"])
-        network.build_update_witness(AID, "add", b"ab-2")
+        mid, _ = network.build_update_witness(AID, "add", b"ab-2")
+        _digest, mid_root, _added, _deleted = network._entry(AID).tip
+        network.build_update_witness(AID, "add", b"ac-3", base=mid)
         _digest, tip_root, _added, _deleted = network._entry(AID).tip
-        commit_value = network.commit(AID, network.changes(AID, [("add", b"ab-2")]), accepted)
-        assert network._entry(AID).memory.root is not tip_root
-        assert network._entry(AID).memory.root == tip_root and commit_value == tree.digest(tip_root)
+        accepted = {AID: mid} if told else None
+        commit_value = network.commit({AID: network.changes(AID, [("add", b"ab-2")])}, accepted)[AID]
+        root = network._entry(AID).memory.root
+        assert root is not tip_root and root is not mid_root
+        assert root == mid_root and commit_value == tree.digest(mid_root) == mid
 
     def test_adopts_a_chain_begun_on_a_stale_root(self):
         # the stale node serves the root before its last two commits, which
@@ -283,20 +298,24 @@ class TestCommit:
         assert network._serving_root(entry) is served is not entry.memory.root
         end, _ = network.build_update_witness(AID, "add", b"ac-3")
         _digest, tip_root, _added, _deleted = entry.tip
-        network.commit(AID, network.changes(AID, [("add", b"ac-3")]), end)
+        network.commit({AID: network.changes(AID, [("add", b"ac-3")])}, {AID: end})
         assert entry.memory.root is tip_root
         assert sorted(network.elements(AID)) == [b"aa-1", b"ab-2", b"ac-3"]
         assert network.elements(AID, b"ac") == (b"ac-3",)
 
     def test_walks_a_chain_of_other_keys(self):
         # the accepted value is a chain's for ab-2, the batch adds ac-3:
-        # adopting would leave a trie holding ab-2 beside elements holding ac-3
+        # adopting would leave a trie holding ab-2 beside elements holding
+        # ac-3, and the walk reaches another value, so the commit is refused
         network = fresh_network(elements=[b"aa-1"])
+        entry = network._entry(AID)
         accepted, _ = network.build_update_witness(AID, "add", b"ab-2")
-        _digest, tip_root, _added, _deleted = network._entry(AID).tip
-        value = network.commit(AID, network.changes(AID, [("add", b"ac-3")]), accepted)
-        assert value != accepted and network._entry(AID).memory.root is not tip_root
-        assert value == commit(fresh_network(elements=[b"aa-1"]), "add", b"ac-3")
+        before = ledger(entry)
+        with pytest.raises(StorageError, match="do not reach the value the contract accepted"):
+            network.commit({AID: network.changes(AID, [("add", b"ac-3")])}, {AID: accepted})
+        assert ledger(entry) == before
+        value = commit(network, "add", b"ac-3")
+        assert value != accepted and value == commit(fresh_network(elements=[b"aa-1"]), "add", b"ac-3")
         assert belongs(value, b"ac-3", network.fetch_witness(AID, b"ac-3")) == 1
         assert belongs(value, b"ab-2", network.fetch_witness(AID, b"ab-2")) == 0
 
@@ -311,7 +330,7 @@ class TestCommit:
         end, _ = network.build_update_witness(AID, "del", b"zz-9", base=mid)
         _digest, tip_root, added, deleted = network._entry(AID).tip
         assert end == served and not added and not deleted
-        assert network.commit(AID, network.changes(AID, [("add", b"aa-1")]), end) == end
+        assert network.commit({AID: network.changes(AID, [("add", b"aa-1")])}, {AID: end}) == {AID: end}
         assert network._entry(AID).memory.root is not tip_root
         assert list(network.elements(AID)) == [b"aa-1"] and network.elements(AID, b"aa") == (b"aa-1",)
 
@@ -327,11 +346,92 @@ class TestCommit:
         assert added.keys() == changes.adds.keys() and deleted == changes.dels.keys()
         assert all(key is value for key, value in added.items())
 
+    def test_an_accumulator_accepted_without_a_batch_must_hold_its_value(self):
+        network = fresh_network(elements=[b"aa-1"])
+        entry, held = network._entry(AID), network.accumulator_value(AID)
+        assert network.commit({}, {AID: held}) == {} and network.epoch(AID) == 1
+        before = ledger(entry)
+        with pytest.raises(StorageError, match="holds another value than the contract accepted"):
+            network.commit({}, {AID: bytes(32)})
+        assert ledger(entry) == before
+
     def test_epoch_advances(self):
         network = fresh_network()
         commit(network, "add", b"aa-1")
         commit(network, "add", b"ab-2")
         assert network.epoch(AID) == 2
+
+
+NAMES = ("acc-0", "acc-1", "acc-2")
+UNIVERSE = [b"%s-%d" % (prefix, i) for prefix in (b"aa", b"ab", b"ba") for i in range(5)]
+
+
+@st.composite
+def commit_cases(draw):
+    """1-3 accumulators holding random elements, with a random batch of steps for each.
+
+    A node lagging one epoch serves the root before a last commit of an
+    element no step touches, so a chain built there reaches another value
+    than the batch and is walked past. Some batches are first chained through
+    ``build_update_witness``: over their own steps (adopted when the node is
+    honest) or over all but the last. Returns (network, steps per
+    accumulator, the accumulators whose tip the commit must adopt).
+    """
+    lag = draw(st.integers(0, 1))
+    network = StorageNetwork(FaultPolicy.stale(lag))
+    steps, adopting = {}, set()
+    for name in NAMES[: draw(st.integers(1, 3))]:
+        network.register(name, index_prefix_len=2)
+        held = draw(st.sets(st.sampled_from(UNIVERSE), max_size=8))
+        network.commit({name: network.changes(name, [("add", element) for element in sorted(held)])})
+        network.commit({name: network.changes(name, [("add", b"zz-0")])})
+        batch = []
+        for element in draw(st.lists(st.sampled_from(UNIVERSE), max_size=6)):
+            batch.append(("del" if element in held else "add", element))
+            held ^= {element}
+        chained = draw(st.sampled_from([0, len(batch), len(batch) - 1]))
+        base = None
+        for op, element in batch[:chained]:
+            base, _ = network.build_update_witness(name, op, element, base=base)
+        if batch and chained == len(batch) and not lag:
+            adopting.add(name)
+        steps[name] = batch
+    return network, steps, adopting
+
+
+class TestCommitAllOrNone:
+    """A commit checks every batch before it installs any."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(commit_cases(), st.sampled_from(["none", "wrong-digest", "stale"]), st.data())
+    def test_refuses_whole_or_reaches_the_walked_tries(self, case, fault, data):
+        network, steps, adopting = case
+        walked = copy.deepcopy(network)
+        right = walked.commit({name: walked.changes(name, batch) for name, batch in steps.items()})
+        batches = {name: network.changes(name, batch) for name, batch in steps.items()}
+        entries = {name: network._entry(name) for name in steps}
+        if fault != "none":
+            bad = data.draw(st.sampled_from(sorted(steps)))
+            accepted = dict(right)
+            if fault == "wrong-digest":
+                accepted[bad] = bytes([right[bad][0] ^ 1]) + right[bad][1:]
+            else:  # an epoch lands after the batches were recorded; with no
+                # accepted values (as in growth) only the staleness check refuses
+                network.commit({bad: network.changes(bad, [("add", b"zz-1")])})
+                accepted = None
+            before = {name: ledger(entry) for name, entry in entries.items()}
+            with pytest.raises((StorageError, StaleAccumulator)):
+                network.commit(batches, accepted)
+            assert {name: ledger(entry) for name, entry in entries.items()} == before
+            return
+        tips = {name: entry.tip for name, entry in entries.items()}
+        assert network.commit(batches, right) == right
+        for name, entry in entries.items():
+            other = walked._entry(name)
+            assert entry.memory.root == other.memory.root and entry.memory.epoch == other.memory.epoch
+            assert entry.memory.elements == other.memory.elements and entry.index == other.index
+            adopted = tips[name] is not None and entry.memory.root is tips[name][1]
+            assert entry.tip is None and adopted == (name in adopting)
 
 
 class TestCorruptBits:
@@ -383,7 +483,7 @@ class TestStale:
         batch = network.changes(AID, [("del", b"aa-1"), ("add", b"aa-3"), ("add", b"ab-4")])
         batch.record("add", b"aa-5")
         batch.record("del", b"aa-5")
-        after = network.commit(AID, batch)
+        after = network.commit({AID: batch})[AID]
         # the served root and the served element view are both the pre-batch ones
         assert belongs(before, b"aa-1", network.fetch_witness(AID, b"aa-1")) == 1
         assert belongs(before, b"aa-3", network.fetch_witness(AID, b"aa-3")) == 0

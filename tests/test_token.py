@@ -610,7 +610,7 @@ class TestOneTuplePerKey:
         system.approve(A, S, 50)
         # planted straight into storage: no bundle schema can add it
         system.network.commit(
-            ALLOWED_BALANCES, system.network.changes(ALLOWED_BALANCES, [("add", allowance_element(A, S, 7))])
+            {ALLOWED_BALANCES: system.network.changes(ALLOWED_BALANCES, [("add", allowance_element(A, S, 7))])}
         )
         assert effective_allowances(system)[(A, S)] == 57
         with pytest.raises(AssertionError, match="more than one allowed-balances tuple"):
@@ -746,35 +746,37 @@ FORGERY_CASES = {  # op variant -> (op, args, args the other variant's bundle is
 
 
 def spy_commits(system):
-    """Check every storage commit of ``system`` against a walking commit of the same changes.
+    """Check every storage commit of ``system`` against a walking commit of the same batches.
 
-    Before each commit the network and the changes are copied; the copy
-    commits them path by path (no accepted value, so no tip is adopted) and
-    must reach the same trie, tuple for tuple, the same elements and the
-    same index. Returns the list of (accumulator, whether the commit adopted
-    the chain tip's root) the commits append to.
+    Before each commit the network and the batches are copied; the copy
+    commits them path by path (no accepted values, so no tip is adopted and
+    nothing is checked) and must reach the same tries, tuple for tuple, the
+    same elements and the same indexes. Returns the list of (accumulator,
+    whether the commit adopted the chain tip's root) that the installed
+    batches append to; a refused commit appends nothing.
     """
     network = system.network
     commit = network.commit
     seen = []
 
-    def checked(acc, changes, accepted=None):
-        tip = network._entry(acc).tip
-        twin, twin_changes = copy.deepcopy((network, changes))
-        value = commit(acc, changes, accepted)
-        StorageNetwork.commit(twin, acc, twin_changes)
-        entry, walked = network._entry(acc), twin._entry(acc)
-        root = entry.memory.root
-        assert root == walked.memory.root and root is not walked.memory.root
-        assert entry.memory.elements == walked.memory.elements and entry.index == walked.index
-        adopted = tip is not None and root is tip[1]
-        if adopted:  # the new elements are keyed by the very objects their leaves hold
-            keys = {key: key for key in entry.memory.elements}
-            for key in changes.adds:
-                _path, leaf = tree.walk(root, key)
-                assert keys[key] is tree.leaf_key(leaf)
-        seen.append((acc, adopted))
-        return value
+    def checked(batches, accepted=None):
+        tips = {acc: network._entry(acc).tip for acc in batches}
+        twin, twin_batches = copy.deepcopy((network, batches))
+        values = commit(batches, accepted)
+        StorageNetwork.commit(twin, twin_batches)
+        for acc, changes in batches.items():
+            entry, walked = network._entry(acc), twin._entry(acc)
+            root = entry.memory.root
+            assert root == walked.memory.root and root is not walked.memory.root
+            assert entry.memory.elements == walked.memory.elements and entry.index == walked.index
+            adopted = tips[acc] is not None and root is tips[acc][1]
+            if adopted:  # the new elements are keyed by the very objects their leaves hold
+                keys = {key: key for key in entry.memory.elements}
+                for key in changes.adds:
+                    _path, leaf = tree.walk(root, key)
+                    assert keys[key] is tree.leaf_key(leaf)
+            seen.append((acc, adopted))
+        return values
 
     network.commit = checked
     return seen
@@ -821,15 +823,47 @@ class TestChainTipAdoption:
     def test_a_chain_for_other_steps_is_not_adopted(self, monkeypatch):
         # a contract that accepts the chain built for a transfer of 10 as the
         # proof of one of 20 takes the chain's value; the commit of the 20
-        # walks, and storage lands elsewhere than the contract
+        # walks elsewhere, so storage refuses it and the contract is rolled back
         system = TokenSystem(A, 1000)
         system.transfer(A, B, 100)
         bundle = system.client.build_transfer(A, B, 10)
         monkeypatch.setattr("acctoken.erc20.contract.check_update", lambda *args: 1)
         commits = spy_commits(system)
-        with pytest.raises(AssertionError, match="storage diverged from contract on balances"):
+        before, held = snapshot(system), sorted(system.network.elements(BALANCES))
+        with pytest.raises(StorageError, match="balances changes do not reach the value the contract accepted"):
             system.transfer(A, B, 20, bundle)
-        assert commits == [(BALANCES, False)]
+        assert commits == []
+        assert snapshot(system) == before and sorted(system.network.elements(BALANCES)) == held
+        system.transfer(A, B, 10, bundle)  # the chain is still the tip, and its own transfer adopts it
+        assert commits == [(BALANCES, True)]
+        assert accumulator_values(system) == [system.state.value_of(name) for name in ACCUMULATORS]
+
+    def test_a_refused_batch_keeps_the_others_out(self, monkeypatch):
+        # a transferFrom of 5 whose allowed-balances updates come from the
+        # bundle for 7: its balances batch reaches the accepted value (and
+        # would adopt the tip), its allowed-balances batch does not, and
+        # neither lands
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        other = system.client.build_transfer_from(S, A, B, 7)
+        own = system.client.build_transfer_from(S, A, B, 5)
+        allowance_updates = {purpose(ALLOWED_BALANCES, UPDATE_DEL), purpose(ALLOWED_BALANCES, UPDATE_ADD)}
+        entries = [theirs if mine.purpose in allowance_updates else mine
+                   for mine, theirs in zip(own.entries, other.entries)]
+        monkeypatch.setattr("acctoken.erc20.contract.check_update", lambda *args: 1)
+        commits = spy_commits(system)
+        before = snapshot(system)
+        held = [sorted(system.network.elements(name)) for name in ACCUMULATORS]
+        with pytest.raises(StorageError, match="allowed-balances changes do not reach"):
+            system.transfer_from(S, A, B, 5, replace(own, entries=entries))
+        assert commits == []
+        assert snapshot(system) == before
+        assert [sorted(system.network.elements(name)) for name in ACCUMULATORS] == held
+        assert system.network._entry(BALANCES).tip is not None  # nothing cleared the balances chain
+        system.transfer_from(S, A, B, 5, own)
+        assert commits == [(BALANCES, True), (ALLOWED_BALANCES, True)]
+        assert system.balance_of(B) == 105 and system.allowance(A, S) == 45
 
     @pytest.mark.parametrize(
         "policy", [FaultPolicy.stale(1), FaultPolicy.corrupt_bits(1.0, seed=2)], ids=["stale", "corrupt-bits"]
