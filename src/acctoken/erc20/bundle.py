@@ -10,24 +10,19 @@ accumulator (1 balances, 2 approved pairs, 3 allowances), the low nibble the
 claim (1 membership, 2 non-membership, 3 update-add, 4 update-del). Witness
 bytes are self-delimiting, so entries parse without extra length fields.
 
-Bundles also carry the accumulator values they were built against. That
-metadata never hits the wire; the contract compares it against its stored
-values to tell a stale bundle from a forged one.
+An entry holds its witness as bytes: the payload storage served and the
+client verified, or, for a membership entry derived from an accumulator's
+first update, that payload with its kind byte rewritten. Encoding frames and
+joins them; decoding checks the framing and leaves each witness as its bytes,
+which the verifiers parse. Nothing else travels with a bundle: the amounts
+it speaks about are the announced words of the transaction's calldata.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
-from ..accumulator.witness import (
-    DIGEST_BYTES,
-    HEADER_BYTES,
-    Witness,
-    WitnessKind,
-    decode_witness,
-    encode_witness,
-    encoded_length,
-)
-from ..errors import BundleSchemaMismatch, InvalidProof, WitnessDecodeError
+from ..accumulator.witness import DIGEST_BYTES, HEADER_BYTES, MAX_STEPS, WitnessKind, encoded_length
+from ..errors import BundleSchemaMismatch, InvalidProof
 
 BALANCES = "balances"
 ALLOWED_ADDRESSES = "allowed-addresses"
@@ -44,6 +39,8 @@ MEMBER = WitnessKind.MEMBERSHIP
 NON_MEMBER = WitnessKind.NON_MEMBERSHIP
 UPDATE_ADD = WitnessKind.UPDATE_ADD
 UPDATE_DEL = WitnessKind.UPDATE_DEL
+
+_CLAIMS = (MEMBER, NON_MEMBER, UPDATE_ADD, UPDATE_DEL)
 
 #: The storage operation behind each update claim; other claims are memberships.
 STORAGE_OP = {UPDATE_ADD: "add", UPDATE_DEL: "del"}
@@ -77,7 +74,7 @@ def is_update_purpose(p: int) -> bool:
 @dataclass
 class BundleEntry:
     purpose: int
-    witness: Witness
+    witness: bytes  # a witness's canonical encoding
     claimed_after: bytes | None = None
 
 
@@ -90,9 +87,6 @@ class ProofBundle:
     # transaction's calldata (not inside the bundle frame); the digest checks
     # inside belongs/check_update authenticate them.
     announced: tuple[int, ...] = ()
-    # accumulator values observed at build time, keyed by accumulator name;
-    # provenance metadata, deliberately not serialized
-    base_accs: dict[str, bytes] = field(default_factory=dict)
 
     def purposes(self) -> tuple[int, ...]:
         return tuple(e.purpose for e in self.entries)
@@ -104,7 +98,7 @@ def encode_bundle(bundle: ProofBundle) -> bytes:
     parts = [bytes((bundle.op, len(bundle.entries)))]
     for entry in bundle.entries:
         parts.append(bytes((entry.purpose,)))
-        parts.append(encode_witness(entry.witness))
+        parts.append(entry.witness)
         if is_update_purpose(entry.purpose):
             if entry.claimed_after is None or len(entry.claimed_after) != DIGEST_BYTES:
                 raise BundleSchemaMismatch("update entry lacks a claimed after-value")
@@ -113,10 +107,11 @@ def encode_bundle(bundle: ProofBundle) -> bytes:
 
 
 def decode_bundle(data: bytes) -> ProofBundle:
-    """Parse a serialized bundle.
+    """Split a serialized bundle into its entries.
 
     Frame-level problems (bad op tag, counts, truncation) raise
-    BundleSchemaMismatch; a witness that fails to parse raises
+    BundleSchemaMismatch; a witness whose header names no kind or more
+    steps than a key has bits, or whose body is cut short, raises
     InvalidProof with its entry index.
     """
     if len(data) < 2:
@@ -133,18 +128,20 @@ def decode_bundle(data: bytes) -> ProofBundle:
             raise BundleSchemaMismatch(f"bundle truncated at entry {index}")
         p = data[off]
         purpose_accumulator(p)
-        if purpose_claim(p) not in (MEMBER, NON_MEMBER, UPDATE_ADD, UPDATE_DEL):
+        if purpose_claim(p) not in _CLAIMS:
             raise BundleSchemaMismatch(f"purpose {p:#x} carries no claim")
         off += 1
         header = data[off : off + HEADER_BYTES]
         if len(header) < HEADER_BYTES:
             raise BundleSchemaMismatch(f"bundle truncated at entry {index}")
-        wlen = encoded_length(header[0], int.from_bytes(header[33:35], "big"))
-        try:
-            witness = decode_witness(data[off : off + wlen])
-        except WitnessDecodeError as exc:
-            raise InvalidProof(index, str(exc)) from None
-        off += wlen
+        kind, step_count = header[0], int.from_bytes(header[33:35], "big")
+        if kind not in _CLAIMS or step_count > MAX_STEPS:
+            raise InvalidProof(index, f"witness header names kind {kind} with {step_count} steps")
+        end = off + encoded_length(kind, step_count)
+        if end > len(data):
+            raise InvalidProof(index, "witness cut short")
+        witness = data[off:end]
+        off = end
         claimed_after = None
         if purpose_claim(p) in STORAGE_OP:
             claimed_after = data[off : off + DIGEST_BYTES]

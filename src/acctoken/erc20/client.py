@@ -5,13 +5,12 @@ against the contract's current accumulator values before use, so corrupted or
 stale data surfaces as VerificationFailed here instead of reaching the chain.
 Update witnesses are chained on the simulated roots the storage keeps for
 the chain being built, in the same order the contract will verify and commit
-them.
+them. A bundle's entries are the payloads as served: the client verifies
+bytes and passes the same bytes on, never a re-encoding of them.
 """
 
-from dataclasses import replace
-
-from ..accumulator import BOTTOM, Witness, belongs, check_update, decode_witness
-from ..errors import AlreadyPresent, InsufficientBalance, NotApproved, NotPresent, VerificationFailed, WitnessDecodeError
+from ..accumulator import BOTTOM, belongs, check_update
+from ..errors import AlreadyPresent, InsufficientBalance, NotApproved, NotPresent, VerificationFailed
 from ..storage import StorageNetwork
 from . import bundle as pb
 from . import plan
@@ -29,15 +28,9 @@ from .elements import (
 )
 
 
-#: update claim -> the claim its witness also proves against its before-value
+#: update claim -> the claim its witness also proves against its before-value;
+#: the witness kinds of each pair share a layout, so only the kind byte differs
 _PRECONDITION = {pb.UPDATE_DEL: pb.MEMBER, pb.UPDATE_ADD: pb.NON_MEMBER}
-
-
-def _decode(payload: bytes, what: str):
-    try:
-        return decode_witness(payload)
-    except WitnessDecodeError as exc:
-        raise VerificationFailed(f"storage served an unparseable {what}: {exc}") from None
 
 
 class _Lookups:
@@ -76,16 +69,16 @@ class TokenClient:
     # -- verified fetch helpers -------------------------------------------------
 
     def _fetch_verdict(self, name: str, element: bytes):
-        """Fetch a (non)membership witness; return it with its verdict."""
-        w = _decode(self.network.fetch_witness(name, element), "witness")
-        return w, belongs(self.contract.state.value_of(name), element, w)
+        """Fetch a (non)membership witness; return its payload with its verdict."""
+        payload = self.network.fetch_witness(name, element)
+        return payload, belongs(self.contract.state.value_of(name), element, payload)
 
     def _fetch_verified(self, name: str, element: bytes, want: int):
         """Fetch a (non)membership witness and insist on the expected verdict."""
-        w, verdict = self._fetch_verdict(name, element)
+        payload, verdict = self._fetch_verdict(name, element)
         if verdict is BOTTOM or verdict != want:
             raise VerificationFailed(f"witness for {name} verified to {verdict!r}, expected {want}")
-        return w
+        return payload
 
     def _lookup_one(self, acc: str, prefix: bytes, decode):
         """The decoded tuple stored under ``prefix``, or None if there is none."""
@@ -143,14 +136,15 @@ class TokenClient:
         Each update witness is chained on the previous one for its accumulator,
         in the order the contract will verify and commit. The first one is
         checked against the current value, so it proves its element's
-        (non)membership there too: an entry for that element is derived from
-        it (``_PRECONDITION``). The other entries are fetched and checked.
+        (non)membership there too: an entry for that element is its payload
+        with the kind byte of the implied claim (``_PRECONDITION``). The other
+        entries are fetched and checked.
         """
         lookups = _Lookups(self)
         _log, plan_steps = plan.PLANS[op](*args, lookups)
         steps = tuple(plan_steps)  # every lookup and guard runs before any witness is requested
         membership, updates = [], []
-        proven: dict[plan.Step, Witness] = {}  # membership step -> witness derived from a first update
+        proven: dict[plan.Step, bytes] = {}  # membership step -> witness derived from a first update
         chained: dict[str, bytes] = {}  # accumulator -> predicted value so far
         for acc, claim, element in steps:
             if claim not in pb.STORAGE_OP:
@@ -160,26 +154,20 @@ class TokenClient:
                 predicted, payload = self.network.build_update_witness(acc, pb.STORAGE_OP[claim], element, base=base)
             except (AlreadyPresent, NotPresent) as exc:  # a corrupted lookup named a tuple it cannot update
                 raise VerificationFailed(f"storage cannot build the {acc} update: {exc}") from None
-            w = _decode(payload, "update witness")
             running = self.contract.state.value_of(acc) if base is None else base
-            if check_update(running, predicted, element, w) != 1:
+            if check_update(running, predicted, element, payload) != 1:
                 raise VerificationFailed(f"update witness for {acc} did not verify")
             if base is None:
                 implied = _PRECONDITION[claim]
-                proven[acc, implied, element] = replace(w, kind=implied)
-            updates.append(BundleEntry(pb.purpose(acc, claim), w, predicted))
+                proven[acc, implied, element] = bytes((implied,)) + payload[1:]
+            updates.append(BundleEntry(pb.purpose(acc, claim), payload, predicted))
             chained[acc] = predicted
         for step in () if self.lift else steps:
             acc, claim, element = step
             if claim not in pb.STORAGE_OP:
                 w = proven.get(step) or self._fetch_verified(acc, element, 1 if claim == pb.MEMBER else 0)
                 membership.append(BundleEntry(pb.purpose(acc, claim), w))
-        return ProofBundle(
-            op,
-            membership + updates,
-            tuple(lookups.announced),
-            base_accs={name: self.contract.state.value_of(name) for name in plan.accumulators(steps)},
-        )
+        return ProofBundle(op, membership + updates, tuple(lookups.announced))
 
     def build_transfer(self, sender: bytes, to: bytes, tokens: int) -> ProofBundle:
         check_amount(tokens)

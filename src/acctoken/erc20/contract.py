@@ -1,22 +1,26 @@
 """Contract-side state machine of the accumulator-backed token.
 
 Persistent state is exactly four words (three accumulator values plus the
-total supply) no matter how many accounts exist. Every operation verifies a
-client-supplied proof bundle: first the (non)membership claims that establish
-current balances and allowances, then a chain of publicly verifiable update
-witnesses whose final value becomes the stored accumulator. Witnesses bind
-element digests only, so the amounts behind them arrive as announced words in
-the transaction and are authenticated by the digest check inside the verifier.
-The verifiers decide from a witness's kind which claim they check, so every
-entry's witness must be of the kind its purpose byte claims (the claims are
-the ``WitnessKind`` members); an update-del witness in an update-add slot
-would otherwise verify, and the storage commit of that step would then fail
-after the contract had moved on.
+total supply) no matter how many accounts exist. Every operation takes what
+a transaction carries: its arguments, the announced words and the bundle
+bytes that calldata gas is metered on. It splits the bytes into entries
+(``decode_bundle``) and verifies them: first the (non)membership claims that
+establish current balances and allowances, then a chain of publicly
+verifiable update witnesses whose final value becomes the stored
+accumulator. Witnesses bind element digests only, so the amounts behind them
+arrive as the announced words and are authenticated by the digest check
+inside the verifier. The verifiers decide from a witness's kind byte which
+claim they check, so every entry's witness must be of the kind its purpose
+byte claims (the claims are the ``WitnessKind`` members); an update-del
+witness in an update-add slot would otherwise verify, and the storage commit
+of that step would then fail after the contract had moved on.
 
-Any failed step aborts the transaction with state untouched. The contract
-never reads accumulator memory; it trusts nothing but its own four words and
-the pure verification algorithms. The steps each operation verifies, and the
-guards between them, come from ``plan``.
+Any failed step aborts the transaction with state untouched; a bundle built
+against a value the contract no longer holds fails as ``InvalidProof`` like
+any other witness that does not verify. The contract never reads
+accumulator memory; it trusts nothing but its own four words and the pure
+verification algorithms. The steps each operation verifies, and the guards
+between them, come from ``plan``.
 
 Caveat, fresh destinations: the fresh variants of transfer and transferFrom
 prove only that the tuple ``(to, 0)`` is absent, which says nothing about
@@ -33,10 +37,10 @@ at all, so the same bundle without its membership entries is accepted too.
 from dataclasses import dataclass
 
 from ..accumulator import belongs, check_update
-from ..errors import BundleSchemaMismatch, InvalidProof, StaleProof
+from ..errors import BundleSchemaMismatch, InvalidProof
 from ..gas import TxTrace
 from . import plan
-from .bundle import MEMBER, STORAGE_OP, OpTag, ProofBundle, purpose
+from .bundle import MEMBER, STORAGE_OP, OpTag, decode_bundle, purpose
 from .elements import check_address, check_amount
 from .plan import LogRecord
 
@@ -89,39 +93,34 @@ class AccTokenContract:
 
     # -- operations -------------------------------------------------------------
 
-    def transfer(self, sender: bytes, to: bytes, tokens: int, bundle: ProofBundle) -> TxOutcome:
+    def transfer(self, sender: bytes, to: bytes, tokens: int, announced: tuple[int, ...], bundle: bytes) -> TxOutcome:
         check_address(sender), check_address(to)
         check_amount(tokens)
         plan.check_distinct(sender, to)
-        return self._execute(OpTag.TRANSFER, bundle, sender, to, tokens)
+        return self._execute(OpTag.TRANSFER, announced, bundle, sender, to, tokens)
 
-    def approve(self, owner: bytes, spender: bytes, tokens: int, bundle: ProofBundle) -> TxOutcome:
+    def approve(self, owner: bytes, spender: bytes, tokens: int, announced: tuple[int, ...], bundle: bytes) -> TxOutcome:
         check_address(owner), check_address(spender)
         check_amount(tokens)
-        return self._execute(OpTag.APPROVE, bundle, owner, spender, tokens)
+        return self._execute(OpTag.APPROVE, announced, bundle, owner, spender, tokens)
 
     def transfer_from(
-        self, spender: bytes, sender: bytes, to: bytes, tokens: int, bundle: ProofBundle
+        self, spender: bytes, sender: bytes, to: bytes, tokens: int, announced: tuple[int, ...], bundle: bytes
     ) -> TxOutcome:
         check_address(spender), check_address(sender), check_address(to)
         check_amount(tokens)
         plan.check_distinct(sender, to)
-        return self._execute(OpTag.TRANSFER_FROM, bundle, spender, sender, to, tokens)
+        return self._execute(OpTag.TRANSFER_FROM, announced, bundle, spender, sender, to, tokens)
 
     # -- plan walker ------------------------------------------------------------
 
-    def _execute(self, op: OpTag, bundle: ProofBundle, *args) -> TxOutcome:
-        """Verify ``bundle`` entry by entry against the op's plan, then commit."""
+    def _execute(self, op: OpTag, announced: tuple[int, ...], data: bytes, *args) -> TxOutcome:
+        """Verify the bundle ``data`` entry by entry against the op's plan, then commit."""
+        bundle = decode_bundle(data)
         shape = plan.match_schema(bundle, op, self.lift)
-        for name in shape.reads:
-            base = bundle.base_accs.get(name)
-            if base is not None and base != self.state.value_of(name):
-                raise StaleProof(f"bundle was built against a superseded {name} value")
-        if len(bundle.announced) != shape.words:
-            raise BundleSchemaMismatch(
-                f"expected {shape.words} announced words, got {len(bundle.announced)}"
-            )
-        words = [check_amount(v) for v in bundle.announced]
+        if len(announced) != shape.words:
+            raise BundleSchemaMismatch(f"expected {shape.words} announced words, got {len(announced)}")
+        words = [check_amount(v) for v in announced]
         log, steps = plan.PLANS[op](*args, plan.Announced(words))
 
         trace = TxTrace()
@@ -135,7 +134,7 @@ class AccTokenContract:
             acc, claim, element = step
             if entry.purpose != purpose(acc, claim):
                 raise BundleSchemaMismatch(f"entry {index} does not carry the expected claim")
-            if entry.witness.kind != claim:  # the verifiers pick the claim they check from the kind
+            if entry.witness[0] != claim:  # the verifiers pick the claim they check from the kind
                 raise InvalidProof(index)
             update_op = STORAGE_OP.get(claim)
             if update_op:

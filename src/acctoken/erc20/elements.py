@@ -11,7 +11,7 @@ Allowances carry the owner as well as the spender so that two owners
 approving the same spender stay distinct elements.
 """
 
-from ..errors import Overflow
+from ..errors import InvalidAddress, Overflow
 
 ADDRESS_BYTES = 20
 AMOUNT_BYTES = 32
@@ -29,7 +29,7 @@ ZERO_ADDRESS = b"\x00" * ADDRESS_BYTES
 
 def check_address(addr: bytes) -> bytes:
     if not isinstance(addr, (bytes, bytearray)) or len(addr) != ADDRESS_BYTES:
-        raise ValueError("addresses are 20-byte strings")
+        raise InvalidAddress("addresses are 20-byte strings")
     return bytes(addr)
 
 

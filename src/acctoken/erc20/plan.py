@@ -145,7 +145,7 @@ def accumulators(steps) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Shape:
-    """One op variant's bundle layout and the accumulators it reads (stale-checks, sloads) and writes."""
+    """One op variant's bundle layout and the accumulators it reads (sloads) and writes."""
 
     purposes: tuple[int, ...]
     words: int  # announced words

@@ -1,8 +1,10 @@
 """Deployment wiring: contract, storage network and client, all or none.
 
-``TokenSystem`` plays the role of the chain environment: it routes accepted
-transactions to the contract, replays the confirmed updates into the storage
-network, and assembles the calldata that gas metering sees. A transaction is
+``TokenSystem`` plays the role of the chain environment: it encodes each
+transaction's bundle once, hands the contract those bytes with the op's
+arguments and announced words, replays the confirmed updates into the
+storage network, and assembles from the same bytes the calldata that gas
+metering sees. A transaction is
 atomic end to end: a rejection at any stage leaves the contract state, the
 storage memories and the logs untouched. That includes a commit storage
 refuses after the contract accepted: storage refuses every batch of the
@@ -120,22 +122,23 @@ class TokenSystem:
     def _commit_and_record(
         self, op: OpTag, addresses: list[bytes], tokens: int, bundle: ProofBundle, execute
     ) -> TxRecord:
-        """Verify the bundle with the contract's ``execute``, then commit its updates to storage.
+        """Encode the bundle, verify it with the contract's ``execute``, then commit its updates to storage.
 
-        The contract writes its words and its log before storage commits, so
-        a commit that storage refuses, one that would not reach the values
-        the contract accepted included, puts both back before the error goes
-        on: a contract accepting what storage cannot apply does not part them.
+        The contract gets the bytes the calldata carries and is metered on.
+        It writes its words and its log before storage commits, so a commit
+        that storage refuses, one that would not reach the values the
+        contract accepted included, puts both back before the error goes on:
+        a contract accepting what storage cannot apply does not part them.
         """
+        encoded = encode_bundle(bundle)
         state, logged = self.contract.state, len(self.contract.logs)
-        outcome = execute(*addresses, tokens, bundle)
+        outcome = execute(*addresses, tokens, bundle.announced, encoded)
         try:
             self._commit(outcome.updates, self.contract.state)
         except AcctokenError:
             self.contract.state = state
             del self.contract.logs[logged:]
             raise
-        encoded = encode_bundle(bundle)
         outcome.trace.calldata = abi_calldata(op, addresses, tokens, bundle.announced, encoded)
         # the contract verifies every entry of an accepted bundle
         return TxRecord(op.name.lower(), outcome.log, outcome.trace, len(encoded), len(bundle.entries))

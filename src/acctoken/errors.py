@@ -47,6 +47,10 @@ class TokenError(AcctokenError):
     pass
 
 
+class InvalidAddress(TokenError, ValueError):
+    """An address argument is not a 20-byte string."""
+
+
 class ZeroSupply(TokenError):
     """Deployment with a zero total supply."""
 
@@ -80,10 +84,6 @@ class InvalidProof(TokenError):
     def __init__(self, step: int, message: str = ""):
         self.step = step
         super().__init__(message or f"invalid proof at bundle entry {step}")
-
-
-class StaleProof(TokenError):
-    """Bundle was built against accumulator values that are no longer current."""
 
 
 class VerificationFailed(TokenError):

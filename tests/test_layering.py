@@ -1,0 +1,72 @@
+"""Static layering rules, read from the source with ``ast``; nothing here imports the program."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acctoken"
+
+
+def module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def imports(path: Path) -> set[str]:
+    """Every module, and every name taken from a module, that ``path`` imports, as absolute dotted names."""
+    package = module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            source = ".".join(base + ([node.module] if node.module else []))
+            found.add(source)
+            found.update(f"{source}.{alias.name}" for alias in node.names)
+    return found
+
+
+def reaches(found: set[str], module: str) -> bool:
+    return any(name == module or name.startswith(module + ".") for name in found)
+
+
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def source(relative: str) -> Path:
+    return PACKAGE / relative
+
+
+class TestContractLayer:
+    """The contract never reads accumulator memory: it sees only its own words and the pure verifiers."""
+
+    @pytest.mark.parametrize(
+        "forbidden", ["acctoken.storage", "acctoken.erc20.client", "acctoken.accumulator.core", "acctoken.accumulator.tree"]
+    )
+    def test_contract_does_not_import(self, forbidden):
+        assert not reaches(imports(source("erc20/contract.py")), forbidden)
+
+    @pytest.mark.parametrize("relative", ["erc20/contract.py", "erc20/client.py", "erc20/bundle.py"])
+    def test_bundles_stay_bytes(self, relative):
+        # a bundle entry is the payload storage served; only storage encodes a witness
+        found = imports(source(relative))
+        for name in ("Witness", "encode_witness", "decode_witness"):
+            assert not any(module.rsplit(".", 1)[-1] == name for module in found), (relative, name)
+
+
+class TestNoCollectorSettings:
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(PACKAGE)))
+    def test_no_module_imports_gc(self, path):
+        assert not reaches(imports(path), "gc")
+
+
+def test_rules_see_the_package():
+    # the rules above would pass vacuously on an empty or misread tree
+    assert len(SOURCES) > 20
+    assert "acctoken.accumulator.verify.check_update" in imports(source("accumulator/__init__.py"))
+    assert "acctoken.erc20.bundle.decode_bundle" in imports(source("erc20/contract.py"))
+    assert reaches(imports(source("storage.py")), "acctoken.accumulator.core")

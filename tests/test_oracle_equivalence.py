@@ -4,6 +4,7 @@ import pytest
 
 from acctoken.baseline import BaselineToken
 from acctoken.bench.workload import (
+    WorkloadOp,
     apply_op,
     effective_allowances,
     effective_balances,
@@ -12,7 +13,8 @@ from acctoken.bench.workload import (
     run_workload,
 )
 from acctoken.erc20 import TokenSystem
-from acctoken.errors import TokenError, Unavailable
+from acctoken.erc20.bundle import ACCUMULATORS
+from acctoken.errors import BundleSchemaMismatch, InvalidAddress, TokenError, Unavailable
 from acctoken.storage import FaultPolicy
 
 DEPLOYER = make_address(0)
@@ -122,3 +124,68 @@ class TestWorkloadGenerator:
             elif op.kind == "transfer_from":
                 _, sender, to, _ = op.args
                 assert sender != to
+
+
+HOLDER = make_address(1)
+SPENDER = make_address(2)
+
+
+def funded_pair():
+    """Both tokens with HOLDER funded by the deployer and SPENDER approved by HOLDER."""
+    tokens = TokenSystem(DEPLOYER, SUPPLY), BaselineToken.deploy(DEPLOYER, SUPPLY)
+    for token in tokens:
+        token.transfer(DEPLOYER, HOLDER, 100)
+        token.approve(HOLDER, SPENDER, 50)
+    return tokens
+
+
+def ledger(token):
+    """Everything an op could change: contract words, storage values and epochs, logs; or the maps and logs."""
+    if isinstance(token, BaselineToken):
+        return dict(token.balances), dict(token.allowed), set(token.ever_approved), token.log_count
+    storage = tuple((token.network.accumulator_value(name), token.network.epoch(name)) for name in ACCUMULATORS)
+    return token.state, storage, len(token.contract.logs)
+
+
+class TestMalformedAddress:
+    @pytest.mark.parametrize("length", [19, 21])
+    @pytest.mark.parametrize(
+        "kind, args",
+        [
+            ("transfer", (HOLDER, None, 1)),
+            ("transfer", (None, HOLDER, 1)),
+            ("approve", (HOLDER, None, 1)),
+            ("approve", (None, HOLDER, 1)),
+            ("transfer_from", (SPENDER, HOLDER, None, 1)),
+            ("transfer_from", (SPENDER, None, DEPLOYER, 1)),
+            ("transfer_from", (None, HOLDER, DEPLOYER, 1)),
+        ],
+    )
+    def test_rejected_as_invalid_address(self, kind, args, length):
+        bad = b"\x07" * length
+        op = WorkloadOp(kind, tuple(bad if arg is None else arg for arg in args))
+        for token in funded_pair():
+            before = ledger(token)
+            assert apply_op(token, op) is InvalidAddress
+            assert ledger(token) == before
+
+
+class TestKnownDivergence:
+    """Verdicts on which the oracle and the accumulator token part on purpose."""
+
+    @pytest.mark.parametrize(
+        "op, allowance",
+        [(WorkloadOp("transfer", (HOLDER, HOLDER, 10)), 50), (WorkloadOp("transfer_from", (SPENDER, HOLDER, HOLDER, 10)), 40)],
+        ids=["transfer", "transfer_from"],
+    )
+    def test_self_transfer(self, op, allowance):
+        acc, base = funded_pair()
+        # the oracle accepts it and the holder's balance stays as it was;
+        # the transferFrom still spends the allowance
+        assert apply_op(base, op) is None
+        assert base.balance_of(HOLDER) == 100 and base.allowance(HOLDER, SPENDER) == allowance
+        base.check_conservation()
+        # the accumulator token has no bundle schema for it
+        before = ledger(acc)
+        assert apply_op(acc, op) is BundleSchemaMismatch
+        assert ledger(acc) == before

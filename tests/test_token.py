@@ -5,6 +5,8 @@ import hashlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from acctoken.accumulator import WitnessKind, belongs, decode_witness, hashing, tree
 from acctoken.baseline import BaselineToken
@@ -43,7 +45,6 @@ from acctoken.errors import (
     NotApproved,
     NotPresent,
     Overflow,
-    StaleProof,
     StorageError,
     TokenError,
     VerificationFailed,
@@ -202,7 +203,6 @@ class TestTransferTampering:
             try:
                 decoded = decode_bundle(mutated)
                 decoded.announced = bundle.announced  # calldata words unchanged
-                decoded.base_accs = dict(bundle.base_accs)
                 system.transfer(A, B, 25, decoded)
                 accepted += 1
             except (InvalidProof, BundleSchemaMismatch):
@@ -240,8 +240,10 @@ class TestStaleness:
         bundle = system.client.build_transfer(A, B, 10)
         system.transfer(A, C, 5)  # competing transaction lands first
         before = snapshot(system)
-        with pytest.raises(StaleProof):
+        # the first entry proves A's tuple against the superseded value
+        with pytest.raises(InvalidProof) as rejected:
             system.transfer(A, B, 10, bundle)
+        assert rejected.value.step == 0
         assert snapshot(system) == before
         # rebuilding against the new value succeeds
         system.transfer(A, B, 10)
@@ -284,7 +286,7 @@ class TestApprove:
         stale_style = system.client.build_approve(A, S, 20)
         fresh_system = TokenSystem(A, 1000)
         before = snapshot(fresh_system)
-        with pytest.raises((InvalidProof, StaleProof)):
+        with pytest.raises(InvalidProof):
             fresh_system.approve(A, S, 20, stale_style)
         assert snapshot(fresh_system) == before
 
@@ -373,7 +375,7 @@ class TestLiftedPreconditionMode:
         bundle = lifted.client.build_transfer(A, B, 1)
         lifted.contract.lift = True
         with pytest.raises(BundleSchemaMismatch):
-            lifted.contract.transfer(A, B, 1, bundle)
+            lifted.contract.transfer(A, B, 1, bundle.announced, encode_bundle(bundle))
 
 
 class TestStorageCannotUpdate:
@@ -620,11 +622,11 @@ class TestOneTuplePerKey:
 
 
 def update_chain(system, acc, ops):
-    """(value after, witness) of each of ``ops``, simulated as one chain on ``acc``'s current value."""
+    """(value after, witness payload) of each of ``ops``, simulated as one chain on ``acc``'s current value."""
     chain, base = [], None
     for op, element in ops:
         base, payload = system.network.build_update_witness(acc, op, element, base=base)
-        chain.append((base, decode_witness(payload)))
+        chain.append((base, payload))
     return chain
 
 
@@ -641,7 +643,7 @@ class TestWitnessKindMatchesClaim:
         system.transfer(A, C, 100)
         # the fresh variant: (C, 100) is a member and (B, 0) is not
         membership = [
-            BundleEntry(purpose(BALANCES, claim), decode_witness(system.network.fetch_witness(BALANCES, element)))
+            BundleEntry(purpose(BALANCES, claim), system.network.fetch_witness(BALANCES, element))
             for claim, element in ((MEMBER, balance_element(C, 100)), (NON_MEMBER, balance_element(B, 0)))
         ]
         chain = update_chain(
@@ -655,7 +657,7 @@ class TestWitnessKindMatchesClaim:
         )
         claims = (UPDATE_DEL, UPDATE_ADD, UPDATE_ADD)
         updates = [BundleEntry(purpose(BALANCES, claim), w, after) for claim, (after, w) in zip(claims, chain)]
-        return ProofBundle(OpTag.TRANSFER, membership + updates, (100,), {BALANCES: system.state.balances_acc})
+        return ProofBundle(OpTag.TRANSFER, membership + updates, (100,))
 
     def test_update_del_witness_in_an_update_add_slot(self):
         system = TokenSystem(A, 1000)
@@ -695,7 +697,7 @@ class TestWitnessKindMatchesClaim:
         )
         claims = (UPDATE_DEL, UPDATE_DEL, UPDATE_ADD, UPDATE_ADD)
         entries = [BundleEntry(purpose(BALANCES, claim), w, after) for claim, (after, w) in zip(claims, chain)]
-        bundle = ProofBundle(OpTag.TRANSFER, entries, (y1, 900), {BALANCES: system.state.balances_acc})
+        bundle = ProofBundle(OpTag.TRANSFER, entries, (y1, 900))
         before = snapshot(system)
         with pytest.raises(InvalidProof):
             system.transfer(B, A, 1, bundle)
@@ -920,6 +922,80 @@ class TestSemanticForgery:
         getattr(system, op)(*args, honest)  # the honest bundle still goes through
 
 
+def _flipped(raw: bytes, flips) -> bytes:
+    mutated = bytearray(raw)
+    for position, mask in flips:
+        mutated[position] ^= mask
+    return bytes(mutated)
+
+
+def _spliced(honest: bytes, splice) -> bytes:
+    start, stop, insert = splice
+    return honest[: min(start, stop)] + insert + honest[max(start, stop) :]
+
+
+def bundle_mutations(honest: bytes, other: bytes):
+    """Bytes near ``honest``: random, flipped, truncated, extended, or spliced with random bytes or part of ``other``."""
+    n = len(honest)
+    part_of_other = st.tuples(st.integers(0, len(other)), st.integers(0, len(other))).map(
+        lambda span: other[min(span) : max(span)]
+    )
+    flips = st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 255)), min_size=1, max_size=4)
+    splices = st.tuples(st.integers(0, n), st.integers(0, n), st.one_of(st.binary(max_size=48), part_of_other))
+    return st.one_of(
+        st.binary(max_size=n + 64),
+        flips.map(lambda flips: _flipped(honest, flips)),
+        st.integers(0, n - 1).map(lambda cut: honest[:cut]),
+        st.binary(min_size=1, max_size=48).map(lambda tail: honest + tail),
+        splices.map(lambda splice: _spliced(honest, splice)),
+    )
+
+
+class TestContractOnBytes:
+    """The contract takes bundle bytes: any bytes but the honest bundle's are rejected, with state untouched."""
+
+    def honest_bundles(self, case, lift):
+        op, args, other_args = FORGERY_CASES[case]
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        build = getattr(system.client, "build_" + op)
+        return system, op, args, build(*args), build(*other_args)
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize("case", FORGERY_CASES)
+    def test_decode_encode_is_identity(self, case, lift):
+        _system, _op, _args, honest, other = self.honest_bundles(case, lift)
+        for bundle in (honest, other):
+            raw = encode_bundle(bundle)
+            decoded = decode_bundle(raw)
+            assert encode_bundle(decoded) == raw
+            assert decoded.entries == bundle.entries
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize("case", FORGERY_CASES)
+    def test_only_the_honest_bytes_are_accepted(self, case, lift):
+        system, op, args, honest, other = self.honest_bundles(case, lift)
+        execute = getattr(system.contract, op)
+        honest_raw = encode_bundle(honest)
+        before = snapshot(system)
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(bundle_mutations(honest_raw, encode_bundle(other)))
+        def rejected(raw):
+            assume(raw != honest_raw)
+            try:
+                execute(*args, honest.announced, raw)
+            except AcctokenError:
+                assert snapshot(system) == before
+            else:
+                pytest.fail(f"the contract accepted bundle bytes other than the honest ones: {raw.hex()}")
+
+        rejected()
+        execute(*args, honest.announced, honest_raw)  # the honest bytes still verify
+        assert system.contract.state != before[0]
+
+
 # op variant -> membership witnesses the client fetches; it derives the others
 # from the first update on their accumulator
 CLIENT_FETCHES = {
@@ -944,11 +1020,24 @@ class TestDerivedMembership:
         fetched = system.network.stats.witness_fetches
         bundle = getattr(system.client, "build_" + op)(*args)
         assert system.network.stats.witness_fetches - fetched == CLIENT_FETCHES[case]
-        # every membership entry, derived or fetched, is the witness storage serves
+        # every membership entry, derived or fetched, is the payload storage
+        # serves for it, byte for byte; a derived one is the payload of the
+        # first update on its accumulator with another kind byte
         _log, steps = plan.PLANS[bundle.op](*args, plan.Announced(bundle.announced))
+        steps = list(steps)
         membership = [(acc, element) for acc, claim, element in steps if claim in (MEMBER, NON_MEMBER)]
-        for (acc, element), entry in zip(membership, bundle.entries[: len(membership)]):
-            assert entry.witness == decode_witness(system.network.fetch_witness(acc, element))
+        updates = [(acc, element) for acc, claim, element in steps if claim in (UPDATE_ADD, UPDATE_DEL)]
+        first_update = {}
+        for (acc, element), entry in reversed(list(zip(updates, bundle.entries[len(membership) :]))):
+            first_update[acc] = (element, entry.witness)
+        derived = 0
+        for (acc, element), entry in zip(membership, bundle.entries):
+            assert entry.witness == system.network.fetch_witness(acc, element)
+            updated, payload = first_update.get(acc, (None, None))
+            if updated == element:
+                assert entry.witness[0] != payload[0] and entry.witness[1:] == payload[1:]
+                derived += 1
+        assert derived == len(membership) - CLIENT_FETCHES[case]
         getattr(system, op)(*args, bundle)
 
 
@@ -985,7 +1074,7 @@ class TestContractMetering:
         bundle = getattr(system.client, "build_" + op)(*args)
         recorder = _RecordingHashlib()
         monkeypatch.setattr(hashing, "hashlib", recorder)
-        outcome = getattr(system.contract, op)(*args, bundle)
+        outcome = getattr(system.contract, op)(*args, bundle.announced, encode_bundle(bundle))
         monkeypatch.undo()
         kinds = [kind for kind, _arg in outcome.trace.events]
         hashed = sorted(arg for kind, arg in outcome.trace.events if kind == HASH)
