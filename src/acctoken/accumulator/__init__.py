@@ -9,13 +9,7 @@ from .core import SUPPORTED_BITS, UpdateResult, setup, simulate_update, update, 
 from .hashing import EMPTY_DIGEST, element_digest
 from .tree import Memory
 from .verify import BOTTOM, belongs, check_update
-from .witness import (
-    Witness,
-    WitnessKind,
-    decode_witness,
-    encode_witness,
-    witness_size_bytes,
-)
+from .witness import Witness, WitnessKind, decode_witness, encode_witness
 
 __all__ = [
     "BOTTOM",
@@ -35,5 +29,4 @@ __all__ = [
     "update",
     "witness",
     "witness_for_root",
-    "witness_size_bytes",
 ]

@@ -1,6 +1,10 @@
 """Manager-side accumulator operations: setup, witness, update, and batched
 commits (``Changes`` netted per element, applied by ``apply_update``).
 
+A witness leaves this module as its wire bytes (see ``witness``): each
+builder walks the trie once and packs the walk's branch bits and sibling
+digests straight into the payload, with no intermediate form.
+
 The verification half (belongs / check_update) lives in ``verify`` and never
 imports this module or the tree, so verifiers can run without any memory.
 """
@@ -11,7 +15,7 @@ from ..errors import AlreadyPresent, NotPresent, StaleAccumulator, UnsupportedPa
 from . import tree
 from .hashing import DIGEST_BYTES, element_digest
 from .tree import Memory, Node
-from .witness import Witness, WitnessKind
+from .witness import BIT_BYTE, WitnessKind, pack
 
 SUPPORTED_BITS = DIGEST_BYTES * 8
 
@@ -19,7 +23,7 @@ SUPPORTED_BITS = DIGEST_BYTES * 8
 @dataclass
 class UpdateResult:
     acc_after: bytes
-    witness: Witness
+    witness: bytes
 
 
 def setup(security_parameter_bits: int) -> tuple[bytes, Memory]:
@@ -32,38 +36,40 @@ def setup(security_parameter_bits: int) -> tuple[bytes, Memory]:
     return memory.value, memory
 
 
-def witness_for_root(root: Node, element: bytes) -> Witness:
-    """(Non)membership witness for ``element`` against an arbitrary root snapshot."""
+def witness_for_root(root: Node, element: bytes) -> bytes:
+    """(Non)membership witness bytes for ``element`` against an arbitrary root snapshot."""
     key = element_digest(element)
     path, terminal = tree.walk(root, key)
-    steps = tree.path_steps(path)
     occupant = tree.leaf_key(terminal)
+    steps = tree.step_parts(path, BIT_BYTE)
     if occupant == key:
-        return Witness(WitnessKind.MEMBERSHIP, key, steps)
-    return Witness(WitnessKind.NON_MEMBERSHIP, key, steps, occupant)
+        return pack(WitnessKind.MEMBERSHIP, key, steps)
+    return pack(WitnessKind.NON_MEMBERSHIP, key, steps, occupant)
 
 
-def witness(acc: bytes, memory: Memory, element: bytes) -> Witness:
+def witness(acc: bytes, memory: Memory, element: bytes) -> bytes:
     if acc != memory.value:
         raise StaleAccumulator("accumulator value does not match memory root")
     return witness_for_root(memory.root, element)
 
 
-def simulate_update(root: Node, op: str, element: bytes) -> tuple[Node, Witness]:
-    """Apply add/del to a root snapshot; returns (new root, update witness).
+def simulate_update(root: Node, op: str, element: bytes) -> tuple[Node, bytes, bytes]:
+    """Apply add/del to a root snapshot; returns (new root, update witness
+    bytes, the element's key).
 
     The witness records the element's search path under the old root, from
     which a verifier recomputes both the before- and after-roots; the new
-    root is rebuilt from that same walk.
+    root is rebuilt from that same walk. After an add, the new leaf holds
+    the returned key object.
     """
     key = element_digest(element)
     path, terminal = tree.walk(root, key)
-    steps = tree.path_steps(path)
+    steps = tree.step_parts(path, BIT_BYTE)
     if op == "add":
         new_root = tree.insert_at(path, terminal, key)
-        return new_root, Witness(WitnessKind.UPDATE_ADD, key, steps, tree.leaf_key(terminal))
+        return new_root, pack(WitnessKind.UPDATE_ADD, key, steps, tree.leaf_key(terminal)), key
     if op == "del":
-        return tree.remove_at(path, terminal, key), Witness(WitnessKind.UPDATE_DEL, key, steps)
+        return tree.remove_at(path, terminal, key), pack(WitnessKind.UPDATE_DEL, key, steps), key
     raise ValueError(f"unknown update op {op!r}")
 
 
@@ -71,8 +77,7 @@ def update(op: str, acc_before: bytes, memory: Memory, element: bytes) -> Update
     """Add or delete ``element``, mutating ``memory`` in place."""
     if acc_before != memory.value:
         raise StaleAccumulator("accumulator value does not match memory root")
-    new_root, w = simulate_update(memory.root, op, element)
-    key = element_digest(element)
+    new_root, w, key = simulate_update(memory.root, op, element)
     memory.root = new_root
     if op == "add":
         memory.elements[key] = element

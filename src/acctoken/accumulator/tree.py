@@ -68,9 +68,13 @@ def walk(root: Node, key: bytes):
     return path, node
 
 
-def path_steps(path) -> tuple[tuple[int, bytes], ...]:
-    """Witness steps for a walk result: (branch bit, sibling digest) per level."""
-    return tuple([(branch[0], branch[2 - direction][-1]) for branch, direction in path])
+def step_parts(path, bit_bytes) -> list[bytes]:
+    """For a walk result, root first: each branch's bit as ``bit_bytes[bit]``,
+    then the digest of the sibling the walk did not take."""
+    parts = []
+    for branch, direction in path:
+        parts += (bit_bytes[branch[0]], branch[2 - direction][-1])
+    return parts
 
 
 def _rebuild(path, node: Node) -> Node:

@@ -4,9 +4,11 @@ The network serves one token contract, so its accumulators are addressed by
 name (``erc20.bundle.BALANCES`` and the others). It is in-process and
 deterministic under a seed. It serves logarithmic-size witness payloads to
 clients and applies contract-confirmed updates; it never ships a whole
-memory. Fault policies model an unreliable network on the serving path
-only (corrupted bytes, stale roots, refused requests). Clients are expected
-to detect bad payloads via ``belongs``.
+memory. A payload is the wire bytes ``core`` wrote as it walked the trie
+(layout in ``accumulator.witness``), served as they are: storage neither
+encodes nor parses a witness. Fault policies model an unreliable network on
+the serving path only (corrupted bytes, stale roots, refused requests).
+Clients are expected to detect bad payloads via ``belongs``.
 
 A commit takes one transaction's batches, one per accumulator it writes
 (population growth commits a whole checkpoint's), and installs each as one
@@ -48,7 +50,7 @@ from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from .accumulator import core, encode_witness, tree
+from .accumulator import core, tree
 from .accumulator.hashing import element_digest
 from .accumulator.tree import Memory, Node
 from .errors import StorageError, Unavailable
@@ -223,8 +225,7 @@ class StorageNetwork:
         """Serialized (non)membership witness for ``element``."""
         self._maybe_refuse()
         entry = self._entry(acc)
-        w = core.witness_for_root(self._serving_root(entry), element)
-        payload = self._serve_bytes(encode_witness(w))
+        payload = self._serve_bytes(core.witness_for_root(self._serving_root(entry), element))
         self.stats.witness_fetches += 1
         self.stats.witness_bytes += len(payload)
         return payload
@@ -252,8 +253,7 @@ class StorageNetwork:
             _digest, root, added, deleted = entry.tip
         else:
             raise StorageError("unknown base snapshot; rebuild from current")
-        new_root, w = core.simulate_update(root, op, element)
-        key = w.element_digest  # the key object a new leaf holds
+        new_root, witness, key = core.simulate_update(root, op, element)  # an add's new leaf holds ``key``
         if op == "add":
             if key in deleted:
                 deleted.remove(key)
@@ -263,7 +263,7 @@ class StorageNetwork:
             deleted.add(key)
         acc_after = tree.digest(new_root)
         entry.tip = (acc_after, new_root, added, deleted)
-        payload = self._serve_bytes(encode_witness(w))
+        payload = self._serve_bytes(witness)
         predicted = self._serve_bytes(acc_after)
         self.stats.update_builds += 1
         self.stats.update_witness_bytes += len(payload)

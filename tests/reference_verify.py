@@ -1,10 +1,12 @@
 """The reference verifiers: ``belongs`` and ``check_update`` written as folds
 over the hashing primitives, one step at a time.
 
-``acctoken.accumulator.verify`` computes the same verdicts with the key
-turned into an int once and SHA-256 inlined at each level. The property in
-``test_accumulator.py`` requires both to agree, verdict for verdict and
-``hashed`` length for ``hashed`` length, on honest and forged witnesses.
+Each parses the witness bytes into the strict ``Witness`` view with
+``decode_witness`` first. ``acctoken.accumulator.verify`` computes the same
+verdicts reading the bytes in place, with the key turned into an int once
+and SHA-256 inlined at each level. The property in ``test_accumulator.py``
+requires both to agree, verdict for verdict and ``hashed`` length for
+``hashed`` length, on honest and forged witness bytes.
 """
 
 from acctoken.accumulator.hashing import (
@@ -43,10 +45,11 @@ def metered(hashed):
     return digest, leaf, branch
 
 
-def _as_witness(w):
-    if isinstance(w, Witness):
-        return w
-    return decode_witness(bytes(w))
+def _as_witness(w) -> Witness:
+    # the verifiers take witness bytes only; anything else is malformed
+    if w.__class__ is not bytes:
+        raise TypeError(f"witness must be bytes, not {type(w).__name__}")
+    return decode_witness(w)
 
 
 def _well_formed(w: Witness) -> bool:

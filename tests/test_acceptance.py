@@ -14,7 +14,7 @@ from acctoken.accumulator import (
     BOTTOM,
     belongs,
     check_update,
-    encode_witness,
+    decode_witness,
     setup,
     update,
     witness,
@@ -184,7 +184,7 @@ class TestCriterion4AccumulatorProperties:
             assert belongs(acc, probe, witness(acc, memory, probe)) == 0
 
         # witness sizes stay logarithmic at 2^16
-        lengths = sorted(len(witness(acc, memory, e).steps) for e in rng.sample(elements, 4000))
+        lengths = sorted(len(decode_witness(witness(acc, memory, e)).steps) for e in rng.sample(elements, 4000))
         mean_len = sum(lengths) / len(lengths)
         p99 = lengths[(99 * len(lengths)) // 100]
         assert mean_len <= 2 * 16 and p99 <= 4 * 16
@@ -221,7 +221,7 @@ class TestCriterion4AccumulatorProperties:
         ]
         masks = (0x01, 0x02, 0x08, 0x10, 0x40, 0x80, 0xAA, 0xFF)
         for element, _member in probes:
-            raw = encode_witness(witness(acc_s, mem_s, element))
+            raw = witness(acc_s, mem_s, element)
             for position in range(len(raw)):
                 for mask in masks:
                     mutated = bytearray(raw)
@@ -233,7 +233,7 @@ class TestCriterion4AccumulatorProperties:
         victims = [rng.randbytes(11) for _ in range(12)]
         for element in victims:
             result = update("add", running, mem_s, element)
-            raw = encode_witness(result.witness)
+            raw = result.witness
             for position in range(len(raw)):
                 for mask in masks:
                     mutated = bytearray(raw)
@@ -244,7 +244,7 @@ class TestCriterion4AccumulatorProperties:
             running = result.acc_after
         for element in victims[:6]:
             result = update("del", running, mem_s, element)
-            raw = encode_witness(result.witness)
+            raw = result.witness
             for position in range(len(raw)):
                 for mask in masks:
                     mutated = bytearray(raw)

@@ -6,8 +6,6 @@ import random
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +24,11 @@ from acctoken.accumulator import (
     update,
     witness,
     witness_for_root,
-    witness_size_bytes,
 )
 from acctoken.accumulator import tree
 from acctoken.accumulator.core import Changes, apply_update
 from acctoken.accumulator.hashing import bit_at, branch_hash, element_digest, first_diff_bit, leaf_hash
+from acctoken.accumulator.witness import COUNT_AT, HEADER_BYTES, STEP_BYTES, ZERO_PAYLOAD
 from acctoken.errors import (
     AlreadyPresent,
     NotPresent,
@@ -70,13 +68,13 @@ class TestWitnessAndBelongs:
     def test_singleton_membership(self):
         acc, memory = build_set([b"a"])
         w = witness(acc, memory, b"a")
-        assert w.kind == WitnessKind.MEMBERSHIP
+        assert w[0] == WitnessKind.MEMBERSHIP
         assert belongs(acc, b"a", w) == 1
 
     def test_singleton_non_membership(self):
         acc, memory = build_set([b"a"])
         w = witness(acc, memory, b"b")
-        assert w.kind == WitnessKind.NON_MEMBERSHIP
+        assert w[0] == WitnessKind.NON_MEMBERSHIP
         assert belongs(acc, b"b", w) == 0
 
     def test_every_member_of_random_thousand(self):
@@ -245,7 +243,7 @@ class TestTamperSoundness:
         acc, memory = build_set(elements)
         probes = elements[:4] + [b"absent-1", b"absent-2"]
         for probe in probes:
-            raw = encode_witness(witness(acc, memory, probe))
+            raw = witness(acc, memory, probe)
             assert belongs(acc, probe, raw) in (0, 1)
             for mutated in self.tamper_all_bytes(raw):
                 assert belongs(acc, probe, mutated) is BOTTOM
@@ -254,7 +252,7 @@ class TestTamperSoundness:
         acc, memory, elements = large_tree_2_16
         rng = random.Random(31)
         for element in rng.sample(elements, 4) + [b"absent-big-1", b"absent-big-2"]:
-            raw = encode_witness(witness(acc, memory, element))
+            raw = witness(acc, memory, element)
             for _ in range(300):
                 position = rng.randrange(len(raw))
                 mutated = bytearray(raw)
@@ -266,12 +264,12 @@ class TestTamperSoundness:
         elements = [rng.randbytes(12) for _ in range(16)]
         acc, memory = build_set(elements)
         added = update("add", acc, memory, b"tamper-add")
-        raw = encode_witness(added.witness)
+        raw = added.witness
         for mutated in self.tamper_all_bytes(raw):
             assert check_update(acc, added.acc_after, b"tamper-add", mutated) == 0
         acc2 = added.acc_after
         removed = update("del", acc2, memory, b"tamper-add")
-        raw = encode_witness(removed.witness)
+        raw = removed.witness
         for mutated in self.tamper_all_bytes(raw):
             assert check_update(acc2, removed.acc_after, b"tamper-add", mutated) == 0
 
@@ -370,7 +368,7 @@ class TestHashReport:
         if elements:
             removed = update("del", added.acc_after, memory, member)
             cases.append((check_update, added.acc_after, removed.acc_after, member, removed.witness))
-        assert {args[-1].kind for _fn, *args in cases} == (
+        assert {args[-1][0] for _fn, *args in cases} == (
             set(WitnessKind) if elements else {WitnessKind.NON_MEMBERSHIP, WitnessKind.UPDATE_ADD}
         )
         wrong = b"\x5a" * 32
@@ -390,21 +388,21 @@ class TestWitnessSizes:
         acc, memory = setup(256)
         w = witness(acc, memory, b"whatever")
         # header (35) plus the fixed 32-byte empty-tree payload
-        assert witness_size_bytes(w) == 67
-        assert len(encode_witness(w)) == 67
+        assert len(w) == 67
+        assert w[HEADER_BYTES:] == ZERO_PAYLOAD
 
     def test_size_linear_in_steps(self):
         acc, memory = build_set([bytes([i]) for i in range(64)])
         for probe in (bytes([3]), bytes([40]), b"absent"):
             w = witness(acc, memory, probe)
-            payload = 32 if w.kind == WitnessKind.NON_MEMBERSHIP else 0
-            assert witness_size_bytes(w) == 35 + 33 * len(w.steps) + payload
+            payload = 32 if w[0] == WitnessKind.NON_MEMBERSHIP else 0
+            assert len(w) == 35 + 33 * len(decode_witness(w).steps) + payload
 
     def test_mean_size_at_2_16(self, large_tree_2_16):
         acc, memory, elements = large_tree_2_16
         rng = random.Random(11)
         sample = rng.sample(elements, 2000)
-        sizes = [witness_size_bytes(witness(acc, memory, e)) for e in sample]
+        sizes = [len(witness(acc, memory, e)) for e in sample]
         mean = sum(sizes) / len(sizes)
         target = 33 * 16 + 35
         assert 0.5 * target <= mean <= 1.5 * target
@@ -426,7 +424,7 @@ class TestLogarithmicPaths:
         self.assert_bounds(acc, memory, list(memory.elements.values()), n.bit_length() - 1)
 
     def assert_bounds(self, acc, memory, elements, log2n):
-        lengths = sorted(len(witness(acc, memory, e).steps) for e in elements)
+        lengths = sorted(len(decode_witness(witness(acc, memory, e)).steps) for e in elements)
         mean = sum(lengths) / len(lengths)
         p99 = lengths[min(len(lengths) - 1, (99 * len(lengths) + 99) // 100)]
         assert mean <= 2 * log2n
@@ -449,7 +447,7 @@ class TestPurity:
             shutil.copy(source / name, build / "accumulator" / name)
 
         acc, memory = build_set([b"a", b"b", b"c"])
-        raw = encode_witness(witness(acc, memory, b"a"))
+        raw = witness(acc, memory, b"a")
         code = (
             "import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
@@ -463,7 +461,7 @@ class TestPurity:
 
     def test_verification_without_memory(self):
         acc, memory = build_set([b"a", b"b", b"c"])
-        raw = encode_witness(witness(acc, memory, b"a"))
+        raw = witness(acc, memory, b"a")
         del memory
         assert belongs(acc, b"a", raw) == 1
 
@@ -483,7 +481,7 @@ class TestHypothesisProperties:
         acc, memory = build_set(elements)
         for element in (elements[0], b"\xff" * 4):
             w = witness(acc, memory, element)
-            assert decode_witness(encode_witness(w)) == w
+            assert encode_witness(decode_witness(w)) == w
 
     @given(st.binary(min_size=0, max_size=300))
     @settings(max_examples=200, deadline=None)
@@ -516,7 +514,23 @@ def flip_bit(data: bytes, index: int) -> bytes:
     return bytes(out)
 
 
+def split_steps(raw: bytes) -> list[bytes]:
+    """The 33-byte steps of well-formed witness bytes, root first."""
+    end = HEADER_BYTES + STEP_BYTES * int.from_bytes(raw[COUNT_AT:HEADER_BYTES], "big")
+    return [raw[off : off + STEP_BYTES] for off in range(HEADER_BYTES, end, STEP_BYTES)]
+
+
+def with_steps(raw: bytes, steps, count: int | None = None) -> bytes:
+    """Well-formed witness bytes ``raw`` with ``steps`` in place of its own;
+    the count word says ``count``, by default the number of ``steps``."""
+    end = HEADER_BYTES + STEP_BYTES * len(split_steps(raw))
+    count = len(steps) if count is None else count
+    return raw[:COUNT_AT] + count.to_bytes(2, "big") + b"".join(steps) + raw[end:]
+
+
 _ELEMENTS = st.binary(min_size=1, max_size=6)
+_DIGESTS = st.binary(min_size=32, max_size=32)
+_STEPS = st.builds(lambda bit, sibling: bytes((bit,)) + sibling, st.integers(0, 255), _DIGESTS)
 
 
 @st.composite
@@ -526,8 +540,8 @@ def update_claims(draw):
     The witness is an honest update witness built on the set itself, or on a
     set that differs from it by the element or by one other element, so a
     genuine-looking claim can target the wrong set. It may then be tampered
-    with: a flipped bit, the steps of another element's path, or its own
-    steps cut or extended.
+    with at byte level: a flipped bit, the steps of another element's path,
+    or its own steps cut or extended.
     """
     size = draw(st.sampled_from([0, 1, 1, 2, 3, 8]))  # empty and one-element sets included
     elements = draw(st.lists(_ELEMENTS, min_size=size, max_size=size, unique=True))
@@ -539,26 +553,25 @@ def update_claims(draw):
     if draw(st.booleans()):
         source ^= {draw(_ELEMENTS.filter(lambda other: other != element))}
     _acc, memory = build_set(sorted(source))
-    new_root, w = simulate_update(memory.root, op, element)
+    new_root, raw, _key = simulate_update(memory.root, op, element)
     honest = source == set(elements)
 
     tamper = draw(st.sampled_from(["none", "flip", "foreign", "cut", "extend"]))
+    steps = split_steps(raw)
     if tamper == "flip":
-        raw = encode_witness(w)
-        return elements, element, tree.digest(new_root), flip_bit(raw, draw(st.integers(0, len(raw) * 8 - 1))), False
-    if tamper == "foreign":
+        forged = flip_bit(raw, draw(st.integers(0, len(raw) * 8 - 1)))
+    elif tamper == "foreign":
         acc, memory = build_set(elements)
-        steps = witness(acc, memory, draw(_ELEMENTS)).steps
+        forged = with_steps(raw, split_steps(witness(acc, memory, draw(_ELEMENTS))))
     elif tamper == "cut":
-        k = draw(st.integers(1, len(w.steps) + 1))
-        steps = w.steps[k:] if draw(st.booleans()) else w.steps[:-k]
+        k = draw(st.integers(1, len(steps) + 1))
+        forged = with_steps(raw, steps[k:] if draw(st.booleans()) else steps[:-k])
     elif tamper == "extend":
-        extra = (draw(st.integers(0, 255)), draw(st.binary(min_size=32, max_size=32)))
-        steps = (*w.steps, extra) if draw(st.booleans()) else (extra, *w.steps)
+        extra = draw(_STEPS)
+        forged = with_steps(raw, [*steps, extra] if draw(st.booleans()) else [extra, *steps])
     else:
-        steps = w.steps
-    forged = replace(w, steps=steps)
-    return elements, element, tree.digest(new_root), encode_witness(forged), honest and forged == w
+        forged = raw
+    return elements, element, tree.digest(new_root), forged, honest and forged == raw
 
 
 class TestUpdateProvesPrecondition:
@@ -573,37 +586,38 @@ class TestUpdateProvesPrecondition:
         if honest:
             assert verdict == 1
         if verdict == 1:
-            w = decode_witness(raw)
-            deleted = w.kind == WitnessKind.UPDATE_DEL
+            deleted = raw[0] == WitnessKind.UPDATE_DEL
             assert (element in elements) == deleted
+            # the (non)membership kind of the same layout differs in byte 0 only
             kind = WitnessKind.MEMBERSHIP if deleted else WitnessKind.NON_MEMBERSHIP
-            assert belongs(acc_before, element, replace(w, kind=kind)) == (1 if deleted else 0)
+            assert belongs(acc_before, element, bytes((kind,)) + raw[1:]) == (1 if deleted else 0)
 
 
-def _not_bytes(digest: bytes, how: str):
-    """A stand-in for a 32-byte digest that is not ``bytes``."""
-    return {"str": "x" * 32, "bytearray": bytearray(digest), "memoryview": memoryview(digest),
-            "none": None, "int": 7}[how]
+_FORGERIES = ("none", "flip", "foreign", "cut", "extend", "kind", "occupant-is-key", "zero-occupant",
+              "repeated-bit", "swapped-bits")
+
+# the kind with a payload that shares each payload-free kind's steps
+_WITH_PAYLOAD = {WitnessKind.MEMBERSHIP: WitnessKind.NON_MEMBERSHIP, WitnessKind.UPDATE_DEL: WitnessKind.UPDATE_ADD}
 
 
-_NOT_BYTES_KINDS = ("str", "bytearray", "memoryview", "none", "int")
-_NOT_BYTES = st.sampled_from(_NOT_BYTES_KINDS)
-
-
-_FORGERIES = ("none", "flip", "foreign", "cut", "extend", "kind", "occupant-is-key",
-              "repeated-bit", "unsorted-bits", "bit-out-of-range", "sibling-type", "occupant-type")
+def with_occupant(raw: bytes, occupant: bytes) -> bytes:
+    """``raw`` with ``occupant`` as its payload, of the kind with a payload that has its layout."""
+    if raw[0] in _WITH_PAYLOAD:
+        return bytes((_WITH_PAYLOAD[raw[0]],)) + raw[1:] + occupant
+    return raw[:-32] + occupant
 
 
 @st.composite
 def verifier_calls(draw):
     """A ``belongs`` or ``check_update`` call, as (name, arguments), honest or forged.
 
-    The witness is honest for its element on the set itself or on a set that
-    differs from it by one other element. It may then be forged: a flipped
-    bit, another element's steps, its steps cut or extended, another kind
-    (the other update kind included), the element's own key as occupant,
-    a repeated, unsorted or out-of-range bit, or a sibling or occupant that
-    is not ``bytes``. Integer bits only: the decoder never makes others.
+    The witness is the bytes the builders return for its element, on the
+    set itself or on a set that differs from it by one other element. It may
+    then be forged, at byte level: a flipped bit; another element's steps;
+    its steps cut or extended, with the count word adjusted or left stale;
+    each kind byte 0-5 and 9, with the payload fitted to the new kind or
+    not; the element's own key as occupant; a zero occupant with steps; a
+    repeated bit byte; or two bit bytes, or two whole steps, swapped.
     """
     size = draw(st.sampled_from([0, 1, 1, 2, 3, 8]))
     elements = draw(st.lists(_ELEMENTS, min_size=size, max_size=size, unique=True))
@@ -615,52 +629,54 @@ def verifier_calls(draw):
     _acc, memory = build_set(sorted(source))
     if draw(st.booleans()):
         name, claim = "belongs", (acc, element)
-        w = witness_for_root(memory.root, element)
+        raw = witness_for_root(memory.root, element)
     else:
-        new_root, w = simulate_update(memory.root, "del" if element in source else "add", element)
+        new_root, raw, _key = simulate_update(memory.root, "del" if element in source else "add", element)
         name, claim = "check_update", (acc, tree.digest(new_root), element)
 
     forgery = draw(st.sampled_from(_FORGERIES))
-    kind, steps, occupant = w.kind, list(w.steps), w.occupant
-    pick = draw(st.integers(0, 255))
+    steps = split_steps(raw)
+    count = len(steps) if draw(st.booleans()) else None  # a stale count word, or one that fits
     if forgery == "flip":
-        raw = encode_witness(w)
-        return name, (*claim, flip_bit(raw, draw(st.integers(0, len(raw) * 8 - 1))))
-    if forgery == "foreign":
-        steps = list(witness_for_root(memory.root, draw(_ELEMENTS)).steps)
+        raw = flip_bit(raw, draw(st.integers(0, len(raw) * 8 - 1)))
+    elif forgery == "foreign":
+        raw = with_steps(raw, split_steps(witness_for_root(memory.root, draw(_ELEMENTS))))
     elif forgery == "cut":
         k = draw(st.integers(1, len(steps) + 1))
-        steps = steps[k:] if draw(st.booleans()) else steps[:-k]
+        raw = with_steps(raw, steps[k:] if draw(st.booleans()) else steps[:-k], count)
     elif forgery == "extend":
-        extra = (draw(st.integers(0, 255)), draw(st.binary(min_size=32, max_size=32)))
-        steps = [*steps, extra] if draw(st.booleans()) else [extra, *steps]
+        extra = draw(_STEPS)
+        raw = with_steps(raw, [*steps, extra] if draw(st.booleans()) else [extra, *steps], count)
     elif forgery == "kind":
-        kind = draw(st.sampled_from([*WitnessKind, 0, 9]))
+        kind = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 9]))
+        forged = bytes((kind,)) + raw[1:]
+        if draw(st.booleans()):  # fit the payload to the new kind
+            has, wants = raw[0] in (2, 3), kind in (2, 3)
+            if has and not wants:
+                forged = forged[:-32]
+            elif wants and not has:
+                forged += draw(st.sampled_from([ZERO_PAYLOAD, raw[1:33]]) | _DIGESTS)
+        raw = forged
     elif forgery == "occupant-is-key":
-        occupant = w.element_digest
+        raw = with_occupant(raw, raw[1:33])
+    elif forgery == "zero-occupant":
+        raw = with_occupant(with_steps(raw, steps or [draw(_STEPS)]), ZERO_PAYLOAD)
     elif forgery == "repeated-bit" and steps:
-        i = pick % len(steps)
-        steps.insert(i, (steps[i][0], draw(st.sampled_from([steps[i][1], bytes(32)]))))
-    elif forgery == "unsorted-bits" and len(steps) > 1:
-        steps = draw(st.permutations(steps))
-    elif forgery == "bit-out-of-range":
-        bad = (draw(st.sampled_from([-1, -256, 256, 300])), bytes(32))
-        if steps:
-            steps[pick % len(steps)] = bad
+        i = draw(st.integers(0, len(steps) - 1))
+        if len(steps) > 1 and draw(st.booleans()):  # another step takes this one's bit
+            j = draw(st.integers(0, len(steps) - 1).filter(lambda j: j != i))
+            steps[j] = steps[i][:1] + steps[j][1:]
+        else:  # this step twice, with its own sibling or a zero one
+            steps.insert(i, steps[i][:1] + draw(st.sampled_from([steps[i][1:], bytes(32)])))
+        raw = with_steps(raw, steps)
+    elif forgery == "swapped-bits" and len(steps) > 1:
+        i, j = sorted(draw(st.lists(st.integers(0, len(steps) - 1), min_size=2, max_size=2, unique=True)))
+        if draw(st.booleans()):  # the bit bytes only
+            steps[i], steps[j] = steps[j][:1] + steps[i][1:], steps[i][:1] + steps[j][1:]
         else:
-            steps = [bad]
-    elif forgery == "sibling-type" and steps:
-        i = pick % len(steps)
-        steps[i] = (steps[i][0], _not_bytes(steps[i][1], draw(_NOT_BYTES)))
-    elif forgery == "occupant-type":
-        occupant = _not_bytes(occupant or w.element_digest, draw(_NOT_BYTES))
-    forged = replace(w, kind=kind, steps=tuple(steps), occupant=occupant)
-    if draw(st.booleans()):
-        try:
-            return name, (*claim, encode_witness(forged))
-        except (TypeError, ValueError):
-            pass  # not encodable: pass the object
-    return name, (*claim, forged)
+            steps[i], steps[j] = steps[j], steps[i]
+        raw = with_steps(raw, steps)
+    return name, (*claim, raw)
 
 
 class TestReferenceEquivalence:
@@ -678,27 +694,54 @@ class TestReferenceEquivalence:
         assert kernel(*args) == verdict
         assert verdict in (0, 1) or verdict is BOTTOM
 
-    def test_not_bytes_at_every_position(self):
-        # a sibling that is not bytes fails where its level is hashed, after
-        # the levels below it have been reported, in every fold of both verifiers
-        elements = [bytes([i]) * 3 for i in range(12)]
-        calls = []
-        for size in (0, 1, 8):  # paths of no steps included
-            acc, memory = build_set(elements[:size])
-            for element in elements:
-                root, w = simulate_update(memory.root, "del" if element in elements[:size] else "add", element)
-                calls.append((check_update, reference_verify.check_update, (acc, tree.digest(root), element), w))
-                calls.append((belongs, reference_verify.belongs, (acc, element), witness(acc, memory, element)))
-        for kernel, reference, claim, w in calls:
-            forged = [replace(w, occupant=_not_bytes(w.occupant or w.element_digest, how)) for how in _NOT_BYTES_KINDS]
-            for i, (bit, sibling) in enumerate(w.steps):
-                for how in _NOT_BYTES_KINDS:
-                    steps = (*w.steps[:i], (bit, _not_bytes(sibling, how)), *w.steps[i + 1:])
-                    forged.append(replace(w, steps=steps))
-            for each in forged:
-                reported, expected = [], []
-                assert kernel(*claim, each, reported.append) == reference(*claim, each, expected.append)
-                assert reported == expected
+    def test_only_bytes_are_witnesses(self):
+        # anything but ``bytes`` is malformed, the parsed view and the honest
+        # bytes in another container too: BOTTOM or 0, before any hash
+        acc, memory = build_set([b"a", b"b", b"c"])
+        calls = [(belongs, (acc, b"a"), 1), (belongs, (acc, b"z"), 0)]
+        calls = [(fn, (*claim, witness(acc, memory, claim[1])), want) for fn, claim, want in calls]
+        for op, element in (("add", b"z"), ("del", b"a")):
+            root, raw, _key = simulate_update(memory.root, op, element)
+            calls.append((check_update, (acc, tree.digest(root), element, raw), 1))
+        for fn, (*claim, raw), want in calls:
+            assert fn(*claim, raw) == want
+            rejected = BOTTOM if fn is belongs else 0
+            for other in (decode_witness(raw), raw.hex(), None, 7, list(raw), bytearray(raw), memoryview(raw)):
+                reported = []
+                assert fn(*claim, other, reported.append) is rejected
+                assert reported == []
+                assert getattr(reference_verify, fn.__name__)(*claim, other) is rejected
+
+
+@st.composite
+def served_sets(draw):
+    """A set of 0, 1, 2 or many elements, and elements to serve witnesses for, present and absent."""
+    size = draw(st.sampled_from([0, 1, 2, 40]))
+    elements = draw(st.lists(st.binary(min_size=1, max_size=8), min_size=size, max_size=size, unique=True))
+    probes = draw(st.lists(_ELEMENTS, min_size=1, max_size=3))
+    if elements:
+        probes += draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3))
+    return elements, probes
+
+
+class TestServedBytesCanonical:
+    """Every payload the builders return is the canonical encoding of its parsed
+    view, and the reference verifier accepts it with the kernel's verdict."""
+
+    @given(served_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_payloads_are_canonical(self, case):
+        elements, probes = case
+        acc, memory = build_set(elements)
+        for element in probes:
+            present = element in elements
+            raw = witness_for_root(memory.root, element)
+            assert encode_witness(decode_witness(raw)) == raw
+            assert belongs(acc, element, raw) == reference_verify.belongs(acc, element, raw) == (1 if present else 0)
+            root, raw, key = simulate_update(memory.root, "del" if present else "add", element)
+            assert encode_witness(decode_witness(raw)) == raw and raw[1:33] == key
+            after = tree.digest(root)
+            assert check_update(acc, after, element, raw) == reference_verify.check_update(acc, after, element, raw) == 1
 
 
 def canonical_digest(keys) -> bytes:
@@ -843,10 +886,10 @@ class TestCollectorFreeNodes:
         emptied = tree.remove(tree.insert(tree.EMPTY, keys[0]), keys[0])
         simulated = removed
         for element in elements[2600:2700]:
-            simulated, _ = simulate_update(simulated, "add", element)
+            simulated, _w, _key = simulate_update(simulated, "add", element)
         kept = [element for element in elements[:2500] if element_digest(element) > keys[299]]
         for element in kept[:100] + elements[2600:2650]:
-            simulated, _ = simulate_update(simulated, "del", element)
+            simulated, _w, _key = simulate_update(simulated, "del", element)
         nodes = trie_nodes(batched, merged, inserted, removed, emptied, simulated)
         # a collection untracks a tuple only if it examines the tuple's
         # children first, so a fresh trie leaves over several collections

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acctoken.accumulator import BOTTOM, belongs, check_update, decode_witness, tree, witness_size_bytes
+from acctoken.accumulator import BOTTOM, belongs, check_update, decode_witness, tree
+from acctoken.accumulator.witness import encoded_length
 from acctoken.erc20 import TokenSystem
 from acctoken.erc20.bundle import BALANCES
 from acctoken.erc20.elements import balance_element, balance_prefix
@@ -77,7 +78,8 @@ class TestHonestServing:
         expected = 0
         for i in range(50):
             payload = network.fetch_witness(AID, b"aa-%d" % i)
-            expected += witness_size_bytes(decode_witness(payload))
+            w = decode_witness(payload)
+            expected += encoded_length(w.kind, len(w.steps))
         assert network.stats.witness_fetches == 50
         assert network.stats.witness_bytes == expected
         # the serving API never ships a memory: payloads stay witness-sized

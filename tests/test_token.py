@@ -2,13 +2,14 @@
 
 import copy
 import hashlib
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from acctoken.accumulator import WitnessKind, belongs, decode_witness, hashing, tree
+from acctoken.accumulator import Witness, WitnessKind, belongs, hashing, tree
 from acctoken.baseline import BaselineToken
 from acctoken.bench import effective_allowances, effective_balances
 from acctoken.bench.workload import true_balance
@@ -464,8 +465,7 @@ class TestOneCommitPath:
         assert lagging.state.balances_acc != old
         for owner, amount in ((A, 900), (B, 100)):
             element = balance_element(owner, amount)
-            witness = decode_witness(lagging.network.fetch_witness(BALANCES, element))
-            assert belongs(old, element, witness) == 1
+            assert belongs(old, element, lagging.network.fetch_witness(BALANCES, element)) == 1
 
     def test_zero_transfer_to_holder_commits_nothing(self):
         system = TokenSystem(A, 1000)
@@ -1039,6 +1039,34 @@ class TestDerivedMembership:
                 derived += 1
         assert derived == len(membership) - CLIENT_FETCHES[case]
         getattr(system, op)(*args, bundle)
+
+
+class TestCodecFreePath:
+    """A witness is its wire bytes on the whole verified path: with the parsed
+    view's codec switched off, every op variant and read still runs."""
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    def test_every_op_runs_without_the_codec(self, lift, monkeypatch):
+        def switched_off(*_args, **_kwargs):
+            raise AssertionError("the witness codec ran on the verified path")
+
+        # wherever a module of the program binds them
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "acctoken":
+                for codec in ("encode_witness", "decode_witness"):
+                    if hasattr(module, codec):
+                        monkeypatch.setattr(module, codec, switched_off)
+        monkeypatch.setattr(Witness, "__init__", switched_off)
+        for case, (op, args, _other_args) in FORGERY_CASES.items():
+            system, oracle = TokenSystem(A, 1000, lift_checkupdate_precondition=lift), BaselineToken.deploy(A, 1000)
+            for token in (system, oracle):
+                token.transfer(A, B, 100)
+                token.approve(A, S, 50)
+                getattr(token, op)(*args)
+            for owner in (A, B, C, D, S):
+                assert system.balance_of(owner) == oracle.balance_of(owner), (case, owner)
+                for spender in (S, D):
+                    assert system.allowance(owner, spender) == oracle.allowance(owner, spender), (case, owner)
 
 
 # op variant -> (contract reads, contract writes): the accumulators its plan touches and updates

@@ -15,9 +15,8 @@ from acctoken.accumulator import (
     setup,
     update,
     witness,
-    witness_size_bytes,
 )
-from acctoken.accumulator.witness import HEADER_BYTES
+from acctoken.accumulator.witness import HEADER_BYTES, encoded_length
 from acctoken.erc20.bundle import (
     BundleEntry,
     OpTag,
@@ -62,30 +61,30 @@ class TestGoldenVectors:
 
     def test_update_witness_bytes(self):
         _, _, _, update_witnesses = rebuild_golden_state()
-        got = [encode_witness(w).hex() for w in update_witnesses]
+        got = [w.hex() for w in update_witnesses]
         assert got == GOLDEN["update_add_witnesses_hex"]
 
     def test_membership_and_non_membership_bytes(self):
         acc, memory, _, _ = rebuild_golden_state()
-        assert encode_witness(witness(acc, memory, b"alpha")).hex() == GOLDEN["membership_alpha_hex"]
-        assert encode_witness(witness(acc, memory, b"zeta")).hex() == GOLDEN["nonmembership_zeta_hex"]
+        assert witness(acc, memory, b"alpha").hex() == GOLDEN["membership_alpha_hex"]
+        assert witness(acc, memory, b"zeta").hex() == GOLDEN["nonmembership_zeta_hex"]
 
     def test_delete_witness_bytes(self):
         acc, memory, _, _ = rebuild_golden_state()
         result = update("del", acc, memory, b"beta")
-        assert encode_witness(result.witness).hex() == GOLDEN["update_del_beta_hex"]
+        assert result.witness.hex() == GOLDEN["update_del_beta_hex"]
         assert result.acc_after.hex() == GOLDEN["acc_after_del_hex"]
 
     def test_empty_non_membership_bytes(self):
         acc, memory = setup(256)
-        assert encode_witness(witness(acc, memory, b"anything")).hex() == GOLDEN["empty_nonmembership_hex"]
+        assert witness(acc, memory, b"anything").hex() == GOLDEN["empty_nonmembership_hex"]
 
 
 class TestHeaderLayout:
     def test_field_offsets(self):
         acc, memory, _, _ = rebuild_golden_state()
-        w = witness(acc, memory, b"alpha")
-        raw = encode_witness(w)
+        raw = witness(acc, memory, b"alpha")
+        w = decode_witness(raw)
         assert raw[0] == WitnessKind.MEMBERSHIP
         assert raw[1:33] == element_digest(b"alpha")
         assert int.from_bytes(raw[33:35], "big") == len(w.steps)
@@ -96,15 +95,14 @@ class TestHeaderLayout:
 
     def test_non_membership_payload_is_trailing(self):
         acc, memory, _, _ = rebuild_golden_state()
-        w = witness(acc, memory, b"zeta")
-        raw = encode_witness(w)
-        assert raw[-32:] == w.occupant
+        raw = witness(acc, memory, b"zeta")
+        assert raw[-32:] == decode_witness(raw).occupant
 
     def test_size_matches_encoding(self):
         acc, memory, _, _ = rebuild_golden_state()
         for probe in (b"alpha", b"beta", b"zeta", b"other"):
-            w = witness(acc, memory, probe)
-            assert witness_size_bytes(w) == len(encode_witness(w))
+            raw = witness(acc, memory, probe)
+            assert encoded_length(raw[0], len(decode_witness(raw).steps)) == len(raw)
 
     @pytest.mark.parametrize("bit", [-1, 256, 1000])
     def test_bit_outside_a_byte_rejected(self, bit):
@@ -112,12 +110,14 @@ class TestHeaderLayout:
         for steps in (((bit, sibling),), ((3, sibling), (bit, sibling))):
             with pytest.raises(ValueError):
                 encode_witness(Witness(WitnessKind.MEMBERSHIP, element_digest(b"alpha"), steps))
+        with pytest.raises(ValueError):  # nor is a kind
+            encode_witness(Witness(bit, element_digest(b"alpha"), ()))
 
 
 class TestStrictDecoding:
     def good_witness(self):
         acc, memory, _, _ = rebuild_golden_state()
-        return encode_witness(witness(acc, memory, b"alpha"))
+        return witness(acc, memory, b"alpha")
 
     def test_truncation_rejected(self):
         raw = self.good_witness()
@@ -152,8 +152,8 @@ class TestBundleEncoding:
         member = witness(acc, memory, b"alpha")
         result = update("add", acc, memory, b"delta")
         entries = [
-            BundleEntry(purpose(BALANCES, MEMBER), encode_witness(member)),
-            BundleEntry(purpose(BALANCES, UPDATE_ADD), encode_witness(result.witness), result.acc_after),
+            BundleEntry(purpose(BALANCES, MEMBER), member),
+            BundleEntry(purpose(BALANCES, UPDATE_ADD), result.witness, result.acc_after),
         ]
         return ProofBundle(OpTag.TRANSFER, entries, (1, 2))
 
@@ -174,9 +174,7 @@ class TestBundleEncoding:
         assert raw[2] == purpose(BALANCES, MEMBER)
         member, added = bundle.entries
         # frame, then purpose byte + witness per entry, + claimed after-value for updates
-        assert len(raw) == 2 + (1 + witness_size_bytes(decode_witness(member.witness))) + (
-            1 + witness_size_bytes(decode_witness(added.witness)) + 32
-        )
+        assert len(raw) == 2 + (1 + len(member.witness)) + (1 + len(added.witness) + 32)
         # the entries' witness bytes, framed and joined as they are
         framed = bytes((OpTag.TRANSFER, 2, member.purpose)) + member.witness
         assert raw == framed + bytes((added.purpose,)) + added.witness + added.claimed_after
