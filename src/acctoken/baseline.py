@@ -96,8 +96,12 @@ class BaselineToken:
             trace.sstore_new(self.key_count)
             mapping[key] = value
 
-    def _move(self, trace: TxTrace, sender: bytes, to: bytes, tokens: int):
-        """Debit ``sender`` and credit ``to``; every check runs before the first write."""
+    def _move(self, trace: TxTrace, sender: bytes, to: bytes, tokens: int, spend: tuple | None = None):
+        """Debit ``sender`` and credit ``to``; every check runs before the first write.
+
+        ``spend`` is an allowance write, ``(pair, remaining)``, made before
+        the balance writes: transferFrom's.
+        """
         check_amount(tokens)
         trace.sload(self.key_count)
         from_balance = self.balances.get(sender, 0)
@@ -108,6 +112,8 @@ class BaselineToken:
         # leaves the balance as it was
         to_balance = from_balance - tokens if to == sender else self.balances.get(to, 0)
         check_amount(to_balance + tokens)
+        if spend is not None:
+            self._write(trace, self.allowed, *spend)
         self._write(trace, self.balances, sender, from_balance - tokens)
         self._write(trace, self.balances, to, to_balance + tokens)
 
@@ -149,16 +155,7 @@ class BaselineToken:
         allowed = self.allowed.get(pair, 0)
         if allowed < tokens:
             raise InsufficientAllowance(f"allowance {allowed} cannot cover {tokens}")
-        trace.sload(self.key_count)
-        from_balance = self.balances.get(sender, 0)
-        if from_balance < tokens:
-            raise InsufficientBalance(f"balance {from_balance} cannot cover {tokens}")
-        trace.sload(self.key_count)
-        to_balance = from_balance - tokens if to == sender else self.balances.get(to, 0)
-        check_amount(to_balance + tokens)
-        self._write(trace, self.allowed, pair, allowed - tokens)
-        self._write(trace, self.balances, sender, from_balance - tokens)
-        self._write(trace, self.balances, to, to_balance + tokens)
+        self._move(trace, sender, to, tokens, spend=(pair, allowed - tokens))
         trace.calldata = abi_calldata(OpTag.TRANSFER_FROM, [spender, sender, to], tokens, (), b"")
         log = LogRecord("Transfer", sender, to, tokens)
         self._log(log)

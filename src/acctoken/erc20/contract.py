@@ -20,7 +20,10 @@ against a value the contract no longer holds fails as ``InvalidProof`` like
 any other witness that does not verify. The contract never reads
 accumulator memory; it trusts nothing but its own four words and the pure
 verification algorithms. The steps each operation verifies, and the guards
-between them, come from ``plan``.
+between them, come from ``plan``, and the plan is the bundle's schema: the
+contract walks its steps and the entries in lock-step, each entry must
+carry the claim of the step it meets, and the walk must use up every entry
+and every announced word.
 
 Caveat, fresh destinations: the fresh variants of transfer and transferFrom
 prove only that the tuple ``(to, 0)`` is absent, which says nothing about
@@ -96,7 +99,6 @@ class AccTokenContract:
     def transfer(self, sender: bytes, to: bytes, tokens: int, announced: tuple[int, ...], bundle: bytes) -> TxOutcome:
         check_address(sender), check_address(to)
         check_amount(tokens)
-        plan.check_distinct(sender, to)
         return self._execute(OpTag.TRANSFER, announced, bundle, sender, to, tokens)
 
     def approve(self, owner: bytes, spender: bytes, tokens: int, announced: tuple[int, ...], bundle: bytes) -> TxOutcome:
@@ -109,34 +111,41 @@ class AccTokenContract:
     ) -> TxOutcome:
         check_address(spender), check_address(sender), check_address(to)
         check_amount(tokens)
-        plan.check_distinct(sender, to)
         return self._execute(OpTag.TRANSFER_FROM, announced, bundle, spender, sender, to, tokens)
 
     # -- plan walker ------------------------------------------------------------
 
     def _execute(self, op: OpTag, announced: tuple[int, ...], data: bytes, *args) -> TxOutcome:
-        """Verify the bundle ``data`` entry by entry against the op's plan, then commit."""
+        """Walk the op's plan and the bundle's entries in lock-step, then commit.
+
+        Each step the mode checks takes the next entry, which must carry the
+        step's claim; each accumulator is read at the first step that names
+        it and written once if updated. The walk must use every entry and
+        every announced word.
+        """
         bundle = decode_bundle(data)
-        shape = plan.match_schema(bundle, op, self.lift)
-        if len(announced) != shape.words:
-            raise BundleSchemaMismatch(f"expected {shape.words} announced words, got {len(announced)}")
-        words = [check_amount(v) for v in announced]
-        log, steps = plan.PLANS[op](*args, plan.Announced(words))
+        if bundle.op != op:
+            raise BundleSchemaMismatch(f"bundle op {bundle.op} does not match {op}")
+        words = plan.Announced([check_amount(v) for v in announced])
+        log, steps = plan.PLANS[op](*args, words)
 
         trace = TxTrace()
-        accs = {}
-        for name in shape.reads:
-            trace.sload(CONTRACT_KEYS)
-            accs[name] = self.state.value_of(name)
-        updates = []
-        checked = (step for step in steps if step[1] in STORAGE_OP or not self.lift)
-        for index, (step, entry) in enumerate(zip(checked, bundle.entries)):
+        accs, written, updates = {}, {}, []
+        entries = bundle.entries
+        index = 0
+        for step in steps:
             acc, claim, element = step
-            if entry.purpose != purpose(acc, claim):
+            if acc not in accs:
+                trace.sload(CONTRACT_KEYS)
+                accs[acc] = self.state.value_of(acc)
+            update_op = claim in STORAGE_OP
+            if self.lift and not update_op:
+                continue
+            if index == len(entries) or entries[index].purpose != purpose(acc, claim):
                 raise BundleSchemaMismatch(f"entry {index} does not carry the expected claim")
+            entry = entries[index]
             if entry.witness[0] != claim:  # the verifiers pick the claim they check from the kind
                 raise InvalidProof(index)
-            update_op = STORAGE_OP.get(claim)
             if update_op:
                 ok = check_update(accs[acc], entry.claimed_after, element, entry.witness, trace.hash) == 1
             else:  # BOTTOM compares unequal to both verdicts
@@ -144,11 +153,16 @@ class AccTokenContract:
             if not ok:
                 raise InvalidProof(index)
             if update_op:
-                accs[acc] = entry.claimed_after
+                accs[acc] = written[acc] = entry.claimed_after
                 updates.append(step)
+            index += 1
+        if index != len(entries):
+            raise BundleSchemaMismatch(f"{len(entries) - index} entries left after the op's last step")
+        if words.read != len(announced):
+            raise BundleSchemaMismatch(f"{len(announced) - words.read} announced words left after the op's last step")
 
-        for _ in shape.writes:
+        for _ in written:
             trace.sstore_update(CONTRACT_KEYS)
-        self.state = self.state.with_values({name: accs[name] for name in shape.writes})
+        self.state = self.state.with_values(written)
         self.logs.append(log)
         return TxOutcome(log, updates, trace)

@@ -3,10 +3,10 @@
 ``transfer``, ``approve`` and ``transfer_from`` take the op's arguments and an
 ``amounts`` source and return the log record and the steps, ``(accumulator,
 claim, element)`` triples: membership claims, then updates in chain order.
-The contract verifies them, the client builds bundles from them,
-``TokenSystem`` commits their update steps (a verified transaction's and
-``bootstrap``'s growth stream alike) and the bundle schemas derive from
-them.
+The contract walks them in lock-step with a bundle's entries, so they are
+the bundle schema: one entry per step, each carrying its step's claim. The
+client builds bundles from them, and ``TokenSystem`` commits their update
+steps (a verified transaction's and ``bootstrap``'s growth stream alike).
 
 Steps are made lazily, so amounts are read and guards run where the plan
 says. ``amounts.spend(acc, *key)`` gives an amount the op draws on;
@@ -17,26 +17,20 @@ in order, are the announced words.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator
 
 from ..errors import BundleSchemaMismatch, InsufficientAllowance, InsufficientBalance
 from .bundle import (
-    ACCUMULATORS,
     ALLOWED_ADDRESSES,
     ALLOWED_BALANCES,
     BALANCES,
     MEMBER,
     NON_MEMBER,
-    STORAGE_OP,
     UPDATE_ADD,
     UPDATE_DEL,
     OpTag,
-    ProofBundle,
-    is_update_purpose,
-    purpose,
 )
-from .elements import ZERO_ADDRESS, allowance_element, balance_element, check_amount, pair_element
+from .elements import allowance_element, balance_element, check_amount, pair_element
 
 
 @dataclass
@@ -59,8 +53,11 @@ class Announced:
         self.read = 0  # words handed out
 
     def spend(self, acc, *key) -> int:
+        word = next(self._words, None)
+        if word is None:
+            raise BundleSchemaMismatch("the announced words run out before the op's spent amounts")
         self.read += 1
-        return next(self._words)
+        return word
 
     def prior(self, acc, *key) -> int | None:
         word = next(self._words, None)
@@ -69,7 +66,7 @@ class Announced:
         return word
 
 
-def check_distinct(sender: bytes, to: bytes):
+def _check_distinct(sender: bytes, to: bytes):
     if sender == to:
         raise BundleSchemaMismatch("transfer to self has no bundle schema")
 
@@ -99,7 +96,11 @@ def _move(sender: bytes, to: bytes, tokens: int, amounts) -> Iterator[Step]:
 
 
 def transfer(sender: bytes, to: bytes, tokens: int, amounts) -> Plan:
-    return LogRecord("Transfer", sender, to, tokens), _move(sender, to, tokens, amounts)
+    def steps():
+        _check_distinct(sender, to)
+        yield from _move(sender, to, tokens, amounts)
+
+    return LogRecord("Transfer", sender, to, tokens), steps()
 
 
 def approve(owner: bytes, spender: bytes, tokens: int, amounts) -> Plan:
@@ -120,6 +121,7 @@ def approve(owner: bytes, spender: bytes, tokens: int, amounts) -> Plan:
 
 def transfer_from(spender: bytes, sender: bytes, to: bytes, tokens: int, amounts) -> Plan:
     def steps():
+        _check_distinct(sender, to)
         allowed = amounts.spend(ALLOWED_BALANCES, sender, spender)
         old_allowance = allowance_element(sender, spender, allowed)
         yield (ALLOWED_ADDRESSES, MEMBER, pair_element(sender, spender))
@@ -133,61 +135,3 @@ def transfer_from(spender: bytes, sender: bytes, to: bytes, tokens: int, amounts
 
 
 PLANS = {OpTag.TRANSFER: transfer, OpTag.APPROVE: approve, OpTag.TRANSFER_FROM: transfer_from}
-
-
-def accumulators(steps) -> tuple[str, ...]:
-    """The accumulators ``steps`` touch, in canonical order."""
-    touched = {acc for acc, _claim, _element in steps}
-    return tuple(name for name in ACCUMULATORS if name in touched)
-
-
-# -- bundle schemas ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Shape:
-    """One op variant's bundle layout and the accumulators it reads (sloads) and writes."""
-
-    purposes: tuple[int, ...]
-    words: int  # announced words
-    reads: tuple[str, ...]
-    writes: tuple[str, ...]
-
-
-def _shape(op: OpTag, words) -> Shape:
-    """The shape of the variant that zero-valued announced ``words`` pick."""
-    amounts = Announced(words)
-    addresses = (ZERO_ADDRESS,) * (3 if op == OpTag.TRANSFER_FROM else 2)
-    _log, steps = PLANS[op](*addresses, 0, amounts)
-    steps = tuple(steps)
-    updates = tuple(step for step in steps if step[1] in STORAGE_OP)
-    return Shape(
-        tuple(purpose(acc, claim) for acc, claim, _element in steps),
-        amounts.read,
-        accumulators(steps),
-        accumulators(updates),
-    )
-
-
-def _shapes(op: OpTag) -> tuple[Shape, Shape]:
-    with_prior = _shape(op, repeat(0))
-    # one word fewer: the spent amounts are all there, the prior tuple is not
-    return with_prior, _shape(op, [0] * (with_prior.words - 1))
-
-
-SHAPES = {op: _shapes(op) for op in PLANS}
-
-
-def match_schema(bundle: ProofBundle, op: OpTag, lifted: bool = False) -> Shape:
-    """The variant whose purpose sequence the bundle carries.
-
-    With ``lifted`` the (non)membership entries are expected to be absent
-    (the what-if mode that drops redundant Belongs verifications).
-    """
-    if bundle.op != op:
-        raise BundleSchemaMismatch(f"bundle op {bundle.op} does not match {op}")
-    got = bundle.purposes()
-    for shape in SHAPES[op]:
-        expected = tuple(p for p in shape.purposes if is_update_purpose(p)) if lifted else shape.purposes
-        if got == expected:
-            return shape
-    raise BundleSchemaMismatch(f"entry purposes {tuple(hex(p) for p in got)} match no {op.name} schema")

@@ -72,7 +72,13 @@ class NotApproved(TokenError):
 
 
 class BundleSchemaMismatch(TokenError):
-    """Proof bundle layout does not match the operation's expected schema."""
+    """A bundle or its announced words do not fit the operation's plan.
+
+    Raised for a malformed frame, a wrong op tag, an entry whose claim is
+    not the one of the plan step it meets, entries or announced words left
+    over after the plan's last step or too few of them, and a transfer to
+    oneself, which no plan takes.
+    """
 
 
 class InvalidProof(TokenError):

@@ -21,7 +21,6 @@ CALLDATA_CATEGORY = "calldata"
 HASH_CATEGORY = "hashing"
 READ_CATEGORY = "storage-read"
 WRITE_CATEGORY = "storage-write"
-OTHER_CATEGORY = "other"
 
 FLAT = "flat"
 SCALED = "scaled"
@@ -52,7 +51,6 @@ class GasSchedule:
     equalize_hash_costs: bool = False
     read_access_factor: int = 4
     write_amplification: int = 11
-    op_overhead_gas: int = 0
 
     def __post_init__(self):
         if self.mode not in (FLAT, SCALED):
@@ -62,7 +60,6 @@ class GasSchedule:
             "sload_flat", "sstore_new_flat", "sstore_update_flat",
             "sha256_base", "sha256_per_word", "keccak_base", "keccak_per_word",
             "precompile_call_gas", "read_access_factor", "write_amplification",
-            "op_overhead_gas",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -110,7 +107,6 @@ SLOAD = "sload"
 SSTORE_NEW = "sstore_new"
 SSTORE_UPDATE = "sstore_update"
 HASH = "hash"
-OTHER = "other"
 
 
 @dataclass
@@ -136,9 +132,6 @@ class TxTrace:
     def hash(self, input_bytes: int):
         self.events.append((HASH, input_bytes))
 
-    def other(self, gas: int):
-        self.events.append((OTHER, gas))
-
 
 @dataclass
 class GasReceipt:
@@ -159,7 +152,6 @@ def meter_transaction(schedule: GasSchedule, trace: TxTrace) -> GasReceipt:
         HASH_CATEGORY: 0,
         READ_CATEGORY: 0,
         WRITE_CATEGORY: 0,
-        OTHER_CATEGORY: schedule.op_overhead_gas,
     }
     counts = {k: 0 for k in breakdown}
     counts[BASE_CATEGORY] = 1
@@ -177,9 +169,6 @@ def meter_transaction(schedule: GasSchedule, trace: TxTrace) -> GasReceipt:
         elif kind == HASH:
             breakdown[HASH_CATEGORY] += hash_cost(schedule, arg)
             counts[HASH_CATEGORY] += 1
-        elif kind == OTHER:
-            breakdown[OTHER_CATEGORY] += arg
-            counts[OTHER_CATEGORY] += 1
         else:
             raise ValueError(f"unknown trace event {kind!r}")
     return GasReceipt(total=sum(breakdown.values()), breakdown=breakdown, counts=counts)

@@ -249,7 +249,7 @@ class TestCli:
 
     def test_config_file_round_trip(self, tmp_path, capsys):
         config = tmp_path / "bench.conf"
-        config.write_text("schedule.mode = scaled\nschedule.op_overhead_gas = 11\n")
+        config.write_text("schedule.mode = scaled\nschedule.sload_flat = 11\n")
         assert main([
             "run", "--token", "baseline", "--checkpoints", "8", "--ops", "1",
             "--seed", "3", "--config", str(config),

@@ -109,7 +109,6 @@ class TestMetering:
         trace.sstore_new(10)
         trace.sstore_update(11)
         trace.hash(64)
-        trace.other(123)
         receipt = meter_transaction(SCALED_SCHEDULE, trace)
         assert receipt.total == sum(receipt.breakdown.values())
         assert receipt.counts["storage-read"] == 1

@@ -63,6 +63,15 @@ class TestContractLayer:
             assert not any(module.rsplit(".", 1)[-1] == name for module in found), (relative, name)
 
 
+class TestPlanLayer:
+    """The plans say which steps an op takes; ``bundle.py`` says how they travel."""
+
+    @pytest.mark.parametrize("name", ["ProofBundle", "purpose", "is_update_purpose", "encode_bundle", "decode_bundle"])
+    def test_plan_does_not_import_bundle_framing(self, name):
+        found = imports(source("erc20/plan.py"))
+        assert not any(module.rsplit(".", 1)[-1] == name for module in found)
+
+
 class TestNoCollectorSettings:
     @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(PACKAGE)))
     def test_no_module_imports_gc(self, path):
@@ -74,4 +83,5 @@ def test_rules_see_the_package():
     assert len(SOURCES) > 20
     assert "acctoken.accumulator.verify.check_update" in imports(source("accumulator/__init__.py"))
     assert "acctoken.erc20.bundle.decode_bundle" in imports(source("erc20/contract.py"))
+    assert "acctoken.erc20.bundle.OpTag" in imports(source("erc20/plan.py"))
     assert reaches(imports(source("storage.py")), "acctoken.accumulator.core")

@@ -885,6 +885,16 @@ class TestChainTipAdoption:
         assert accumulator_values(system) == accumulator_values(twin)
 
 
+def honest_bundles(case, lift):
+    """A system where B holds a balance and A has approved S, with the honest bundles of ``case`` and its other variant."""
+    op, args, other_args = FORGERY_CASES[case]
+    system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+    system.transfer(A, B, 100)
+    system.approve(A, S, 50)
+    build = getattr(system.client, "build_" + op)
+    return system, op, args, build(*args), build(*other_args)
+
+
 class TestSemanticForgery:
     """Well-formed bundles that say the wrong thing are rejected atomically.
 
@@ -907,16 +917,54 @@ class TestSemanticForgery:
     @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
     @pytest.mark.parametrize("case", FORGERY_CASES)
     def test_rejected_with_state_untouched(self, case, lift):
-        op, args, other_args = FORGERY_CASES[case]
-        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
-        system.transfer(A, B, 100)
-        system.approve(A, S, 50)
-        build = getattr(system.client, "build_" + op)
-        honest, other = build(*args), build(*other_args)
+        system, op, args, honest, other = honest_bundles(case, lift)
         assert other.purposes() != honest.purposes()  # the other variant
         before = snapshot(system)
         for forged in self.forgeries(honest, other):
             with pytest.raises(AcctokenError):
+                getattr(system, op)(*args, forged)
+            assert snapshot(system) == before
+        getattr(system, op)(*args, honest)  # the honest bundle still goes through
+
+
+# op variant -> (entries, entries when lifted, announced words) of its honest bundle
+HONEST_COUNTS = {
+    "transfer-standard": (6, 4, 2),
+    "transfer-fresh": (5, 3, 1),
+    "approve-again": (3, 2, 1),
+    "approve-first": (3, 2, 0),
+    "transfer_from-standard": (10, 6, 3),
+    "transfer_from-fresh": (9, 5, 2),
+}
+
+
+class TestPlanIsTheSchema:
+    """The op's plan fixes how many entries and announced words a bundle carries; other counts do not fit it."""
+
+    def miscounted(self, honest):
+        if honest.announced:
+            yield replace(honest, announced=honest.announced[:-1])
+        yield replace(honest, announced=honest.announced + (0,))
+        yield replace(honest, entries=honest.entries + honest.entries[-1:])  # encoded with the count byte raised
+        yield replace(honest, entries=honest.entries[:-1])
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize("case", FORGERY_CASES)
+    def test_honest_counts(self, case, lift):
+        _system, _op, _args, bundle, _other = honest_bundles(case, lift)
+        entries, lifted_entries, words = HONEST_COUNTS[case]
+        assert len(bundle.entries) == (lifted_entries if lift else entries)
+        assert len(bundle.announced) == words
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize("case", FORGERY_CASES)
+    def test_miscounted_bundles_rejected_with_state_untouched(self, case, lift):
+        system, op, args, honest, _other = honest_bundles(case, lift)
+        before = snapshot(system)
+        forgeries = list(self.miscounted(honest))
+        assert len(forgeries) == (4 if honest.announced else 3)
+        for forged in forgeries:
+            with pytest.raises(BundleSchemaMismatch):
                 getattr(system, op)(*args, forged)
             assert snapshot(system) == before
         getattr(system, op)(*args, honest)  # the honest bundle still goes through
@@ -954,18 +1002,10 @@ def bundle_mutations(honest: bytes, other: bytes):
 class TestContractOnBytes:
     """The contract takes bundle bytes: any bytes but the honest bundle's are rejected, with state untouched."""
 
-    def honest_bundles(self, case, lift):
-        op, args, other_args = FORGERY_CASES[case]
-        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
-        system.transfer(A, B, 100)
-        system.approve(A, S, 50)
-        build = getattr(system.client, "build_" + op)
-        return system, op, args, build(*args), build(*other_args)
-
     @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
     @pytest.mark.parametrize("case", FORGERY_CASES)
     def test_decode_encode_is_identity(self, case, lift):
-        _system, _op, _args, honest, other = self.honest_bundles(case, lift)
+        _system, _op, _args, honest, other = honest_bundles(case, lift)
         for bundle in (honest, other):
             raw = encode_bundle(bundle)
             decoded = decode_bundle(raw)
@@ -975,7 +1015,7 @@ class TestContractOnBytes:
     @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
     @pytest.mark.parametrize("case", FORGERY_CASES)
     def test_only_the_honest_bytes_are_accepted(self, case, lift):
-        system, op, args, honest, other = self.honest_bundles(case, lift)
+        system, op, args, honest, other = honest_bundles(case, lift)
         execute = getattr(system.contract, op)
         honest_raw = encode_bundle(honest)
         before = snapshot(system)
