@@ -54,9 +54,6 @@ def bit_at(key: bytes, index: int) -> int:
 
 
 def first_diff_bit(a: bytes, b: bytes) -> int | None:
-    """Index of the first differing bit between two equal-length keys."""
-    for i in range(len(a)):
-        x = a[i] ^ b[i]
-        if x:
-            return (i << 3) + (8 - x.bit_length())
-    return None
+    """Index of the first bit at which two 32-byte keys differ; None if they are equal."""
+    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return KEY_BITS - x.bit_length() if x else None

@@ -24,26 +24,26 @@ key set, which makes the root digest history independent.
 ``insert_many`` relies on that: it merges a sorted batch of new keys into
 the trie in one pass, reusing every subtree no new key falls into and
 hashing each new node once, and the canonical layout makes its root equal,
-bit for bit, to the root of inserting the same keys one at a time.
+bit for bit, to the root of inserting the same keys one at a time. The merge
+reads the batch as big-endian ints once. At a branch it splits the batch's
+range with ``bisect`` on the ints at the branch's bit; where a range leaves a
+subtree's common prefix, the split bit is the top set bit (``bit_length``)
+of the XORs of the range's ends with a key of the subtree. A range that
+lands where the trie has no node, or meets a leaf (taking the leaf in), is
+built in one stack pass: the trie of sorted keys is the Cartesian tree of the
+split bits of adjacent keys. A range of one key takes the path-copying
+``insert``.
 """
 
 from bisect import bisect_left
 
 from ..errors import AlreadyPresent, NotPresent
 from . import hashing
-from .hashing import BIT_MASK, BIT_PREFIX, EMPTY_DIGEST, bit_at, branch_hash, first_diff_bit, leaf_hash
+from .hashing import BIT_MASK, BIT_PREFIX, EMPTY_DIGEST, KEY_BITS, TAG_LEAF, first_diff_bit
 
 EMPTY = (EMPTY_DIGEST,)
 
 Node = tuple  # EMPTY, a leaf or a branch, as laid out above
-
-
-def _leaf(key: bytes) -> Node:
-    return (key, leaf_hash(key))
-
-
-def _branch(bit: int, left: Node, right: Node) -> Node:
-    return (bit, left, right, branch_hash(bit, left[-1], right[-1]))
 
 
 def digest(node: Node) -> bytes:
@@ -90,9 +90,11 @@ def _rebuild(path, node: Node) -> Node:
 
 def insert_at(path, terminal: Node, key: bytes) -> Node:
     """The root ``insert`` returns, from the result of walking ``key``."""
+    sha256 = hashing.hashlib.sha256
     if len(terminal) == 1:
-        return _leaf(key)
-    split = first_diff_bit(key, terminal[0])
+        return (key, sha256(TAG_LEAF + key).digest())
+    occupant = terminal[0]
+    split = first_diff_bit(key, occupant)
     if split is None:
         raise _duplicate(key)
     # The new branch sits above the first node whose discriminator passes the
@@ -101,12 +103,13 @@ def insert_at(path, terminal: Node, key: bytes) -> Node:
     while cut < len(path) and path[cut][0][0] < split:
         cut += 1
     displaced = path[cut][0] if cut < len(path) else terminal
-    new_leaf = _leaf(key)
-    if bit_at(key, split) == 0:
-        node = _branch(split, new_leaf, displaced)
+    leaf = (key, sha256(TAG_LEAF + key).digest())
+    # equal-length keys first differ at ``split``, so the smaller has a 0 there
+    if key < occupant:
+        node = (split, leaf, displaced, sha256(BIT_PREFIX[split] + leaf[1] + displaced[-1]).digest())
     else:
-        node = _branch(split, displaced, new_leaf)
-    return _rebuild(path[:cut], node)
+        node = (split, displaced, leaf, sha256(BIT_PREFIX[split] + displaced[-1] + leaf[1]).digest())
+    return _rebuild(path[:cut], node) if cut else node
 
 
 def insert(root: Node, key: bytes) -> Node:
@@ -131,63 +134,101 @@ def _duplicate(key: bytes):
     return AlreadyPresent(f"element digest {key.hex()} already accumulated")
 
 
-def _ones_from(keys: list[bytes], lo: int, hi: int, bit: int) -> int:
-    """First index in ``keys[lo:hi]`` whose ``bit`` is set; the keys are sorted
-    and agree on every bit before ``bit``."""
-    first = keys[lo]
-    byte = bit >> 3
-    boundary = first[:byte] + bytes(((first[byte] & (0xFF00 >> (bit & 7))) | (0x80 >> (bit & 7)),))
-    return bisect_left(keys, boundary, lo, hi)
+def _run(keys: list[bytes], ints: list[int], kept: Node | None = None) -> Node:
+    """The trie of the sorted ``keys`` alone (``ints`` are their values), in
+    one stack pass; ``kept``, a leaf already in the trie whose key is among
+    ``keys``, is reused rather than hashed again.
+
+    The trie of a sorted run is the Cartesian tree of the split bits of
+    adjacent keys, the smallest bit at the root: ``bits`` and ``lefts`` hold
+    the right spine's open branches, each a bit and its finished left
+    subtree, bits rising towards the top. A key closes every open branch
+    whose bit exceeds its split from the key before it.
+    """
+    sha256 = hashing.hashlib.sha256
+    kept_key = kept[0] if kept else None
+    pairs = zip(keys, ints)
+    key, prev = next(pairs)
+    node = kept if key is kept_key else (key, sha256(TAG_LEAF + key).digest())
+    bits = [-1]  # below every split bit, so the spine's foot never closes
+    lefts: list[Node] = []
+    for key, x in pairs:
+        diff = prev ^ x
+        if not diff:
+            raise _duplicate(key)
+        split = KEY_BITS - diff.bit_length()
+        while bits[-1] > split:
+            bit, left = bits.pop(), lefts.pop()
+            node = (bit, left, node, sha256(BIT_PREFIX[bit] + left[-1] + node[-1]).digest())
+        bits.append(split)
+        lefts.append(node)
+        node = kept if key is kept_key else (key, sha256(TAG_LEAF + key).digest())
+        prev = x
+    while lefts:
+        bit, left = bits.pop(), lefts.pop()
+        node = (bit, left, node, sha256(BIT_PREFIX[bit] + left[-1] + node[-1]).digest())
+    return node
 
 
-def _build(keys: list[bytes], lo: int, hi: int) -> Node:
-    """The trie of ``keys[lo:hi]`` alone."""
-    if hi - lo == 1:
-        return _leaf(keys[lo])
-    split = first_diff_bit(keys[lo], keys[hi - 1])
-    if split is None:
-        raise _duplicate(keys[lo])
-    mid = _ones_from(keys, lo, hi, split)
-    return _branch(split, _build(keys, lo, mid), _build(keys, mid, hi))
-
-
-def _merge(node: Node, keys: list[bytes], lo: int, hi: int, depth: int) -> Node:
+def _merge(node: Node, keys: list[bytes], ints: list[int], lo: int, hi: int, depth: int) -> Node:
     """The trie of ``node``'s keys plus ``keys[lo:hi]``, all of which agree on
     every bit before ``depth``."""
     if hi - lo < 2:
         # walking one key's path and copying it is cheaper than recursing
         return insert(node, keys[lo]) if hi > lo else node
-    if len(node) == 1:
-        return _build(keys, lo, hi)
-    is_branch = len(node) == 4
-    if is_branch and node[0] == depth:
-        split = depth  # nothing above the branch's own bit to disagree on
+    size = len(node)
+    if size == 1:
+        return _run(keys[lo:hi], ints[lo:hi])
+    if size == 2:
+        # a leaf: the keys and the leaf's own key form one run
+        key = node[0]
+        x = int.from_bytes(key, "big")
+        at = bisect_left(ints, x, lo, hi) - lo
+        run, run_ints = keys[lo:hi], ints[lo:hi]
+        run.insert(at, key)
+        run_ints.insert(at, x)
+        return _run(run, run_ints, node)
+    bit = node[0]
+    if bit == depth:
+        split = bit  # nothing above the branch's own bit to disagree on
     else:
-        sample = node
+        sample = node[1]
         while len(sample) == 4:
             sample = sample[1]
-        sample_key = sample[0]
+        x = int.from_bytes(sample[0], "big")
         # the sorted keys' common prefix with the subtree is shortest at an end
-        ends = first_diff_bit(keys[lo], sample_key), first_diff_bit(keys[hi - 1], sample_key)
-        if None in ends:
-            raise _duplicate(sample_key)
-        split = min(ends)
-    if is_branch and split >= node[0]:
-        bit = node[0]
-        mid = _ones_from(keys, lo, hi, bit)
-        return _branch(bit, _merge(node[1], keys, lo, mid, bit + 1), _merge(node[2], keys, mid, hi, bit + 1))
+        split = KEY_BITS - ((ints[lo] ^ x) | (ints[hi - 1] ^ x)).bit_length()
+    sha256 = hashing.hashlib.sha256
+    if split >= bit:
+        shift = KEY_BITS - 1 - bit
+        mid = bisect_left(ints, (ints[lo] >> shift | 1) << shift, lo, hi)
+        left = _merge(node[1], keys, ints, lo, mid, bit + 1) if mid > lo else node[1]
+        right = _merge(node[2], keys, ints, mid, hi, bit + 1) if hi > mid else node[2]
+        return (bit, left, right, sha256(BIT_PREFIX[bit] + left[-1] + right[-1]).digest())
     # the new keys leave the subtree's common prefix at ``split``: a new
-    # branch there, with the whole subtree on one side
-    mid = _ones_from(keys, lo, hi, split)
-    if bit_at(sample_key, split):
-        return _branch(split, _build(keys, lo, mid), _merge(node, keys, mid, hi, split + 1))
-    return _branch(split, _merge(node, keys, lo, mid, split + 1), _build(keys, mid, hi))
+    # branch there, with the whole subtree on one side and a run of new keys
+    # alone on the other
+    shift = KEY_BITS - 1 - split
+    mid = bisect_left(ints, (ints[lo] >> shift | 1) << shift, lo, hi)
+    if x >> shift & 1:
+        left = _run(keys[lo:mid], ints[lo:mid])
+        right = _merge(node, keys, ints, mid, hi, split + 1)
+    else:
+        left = _merge(node, keys, ints, lo, mid, split + 1)
+        right = _run(keys[mid:hi], ints[mid:hi])
+    return (split, left, right, sha256(BIT_PREFIX[split] + left[-1] + right[-1]).digest())
 
 
 def insert_many(root: Node, keys: list[bytes]) -> Node:
     """``root`` with the sorted ``keys`` inserted; raises AlreadyPresent on a
-    key that is present already or listed twice."""
-    return _merge(root, keys, 0, len(keys), 0)
+    key that is present already or listed twice.
+
+    One pass down the trie with the keys read as ints once (see the module
+    docstring): each branch some key falls into is rebuilt over its merged
+    children, every subtree no key falls into is kept as it is, and each
+    range that meets a leaf or empty space is built in one stack pass.
+    """
+    return _merge(root, keys, [int.from_bytes(key, "big") for key in keys], 0, len(keys), 0)
 
 
 class Memory:

@@ -18,6 +18,7 @@ its own), and conservation and the contract-key count at every checkpoint.
 """
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..baseline import BaselineToken
@@ -96,23 +97,74 @@ class ResultRow:
 
 
 class _Population:
-    """Growth bookkeeping: addresses by index plus the approved-pair pool."""
+    """Growth bookkeeping: addresses by index plus the approved-pair pool.
+
+    The pool holds every approved ``(owner, spender)`` pair once, in the
+    order of approval; the sampled ops read it by index (``pair``) and by
+    membership (``approved``). Growth to ``created`` accounts approves
+    ``(i, i + 1)`` for each new ``i``, so the pool is runs of growth pairs
+    between runs of sampled pairs, and the growth pairs have a closed form:
+    ``(i, i + 1)`` is approved for every ``1 <= i <= created``, and index
+    ``j`` of a growth run that starts at index ``s`` with owner ``o`` is
+    ``(o + j - s, o + j - s + 1)``. Only the sampled pairs and where each
+    run starts are stored. A sampled pair's owner already exists, so growth
+    never approves a pair that was sampled first.
+    """
 
     def __init__(self):
         self.addresses: list[bytes] = [make_address(0)]
-        self.approved_list: list[tuple[int, int]] = []
-        self.approved_set: set[tuple[int, int]] = set()
+        self.created = 0
+        self.pair_count = 0
+        self._sampled: list[tuple[int, int]] = []
+        self._sampled_set: set[tuple[int, int]] = set()
+        # each run's first index in the pool, and its kind and base: a growth
+        # run's first owner, or a sampled run's first position in _sampled,
+        # minus that index
+        self._run_starts: list[int] = []
+        self._runs: list[tuple[bool, int]] = []
 
     def address(self, index: int) -> bytes:
         while len(self.addresses) <= index:
             self.addresses.append(make_address(len(self.addresses)))
         return self.addresses[index]
 
+    def _open_run(self, growth: bool, first: int):
+        if not self._runs or self._runs[-1][0] != growth:
+            self._run_starts.append(self.pair_count)
+            self._runs.append((growth, first - self.pair_count))
+
+    def grow(self, target: int):
+        """Approve ``(i, i + 1)`` for every new account ``created < i <= target``."""
+        if target > self.created:
+            self._open_run(True, self.created + 1)
+            self.pair_count += target - self.created
+            self.created = target
+
     def add_pair(self, owner: int, spender: int):
+        """Approve a sampled pair; a pair approved already is not added again."""
         pair = (owner, spender)
-        if pair not in self.approved_set:
-            self.approved_set.add(pair)
-            self.approved_list.append(pair)
+        if self.approved(owner, spender):
+            return
+        if not 1 <= owner <= self.created:
+            raise ValueError(f"owner {owner} is not an account yet")
+        self._open_run(False, len(self._sampled))
+        self._sampled.append(pair)
+        self._sampled_set.add(pair)
+        self.pair_count += 1
+
+    def approved(self, owner: int, spender: int) -> bool:
+        if spender == owner + 1 and 1 <= owner <= self.created:
+            return True
+        return (owner, spender) in self._sampled_set
+
+    def pair(self, index: int) -> tuple[int, int]:
+        """The ``index``-th approved pair, ``0 <= index < pair_count``."""
+        if not 0 <= index < self.pair_count:
+            raise IndexError(f"pair index {index} out of range")
+        growth, base = self._runs[bisect_right(self._run_starts, index) - 1]
+        if growth:
+            return (base + index, base + index + 1)
+        return self._sampled[base + index]
 
 
 def run_scenario(scenario: Scenario) -> ScenarioRun:
@@ -129,10 +181,9 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     else:
         system = shadow
 
-    created = 0
     run = ScenarioRun(scenario, [])
     for checkpoint in scenario.checkpoints:
-        created = _grow(system, shadow, pop, created, checkpoint)
+        _grow(system, shadow, pop, checkpoint)
         samples = _sample_checkpoint(scenario, system, shadow, pop, checkpoint, run)
         run.checkpoints.append(CheckpointSamples(checkpoint, samples))
         _integrity(system, shadow)
@@ -140,14 +191,12 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     return run
 
 
-def _grow(system, shadow, pop, created, target) -> int:
+def _grow(system, shadow, pop, target):
     deployer_balance = shadow.balance_of(pop.address(0))
-    system.bootstrap(_growth_plans(pop, created, target, deployer_balance))
+    system.bootstrap(_growth_plans(pop, pop.created, target, deployer_balance))
     if shadow is not system:
-        shadow.bootstrap(_growth_plans(pop, created, target, deployer_balance))
-    for i in range(created + 1, target + 1):
-        pop.add_pair(i, i + 1)
-    return target
+        shadow.bootstrap(_growth_plans(pop, pop.created, target, deployer_balance))
+    pop.grow(target)
 
 
 def _growth_plans(pop, created, target, deployer_balance):
@@ -200,12 +249,12 @@ def _pick_op(rng, shadow, pop, n, kind):
         for _ in range(64):
             owner = rng.randrange(1, n + 1)
             spender = rng.randrange(1, n + 2)
-            if owner != spender and (owner, spender) not in pop.approved_set:
+            if owner != spender and not pop.approved(owner, spender):
                 pop.add_pair(owner, spender)
                 return (pop.address(owner), pop.address(spender), APPROVE_ALLOWANCE)
         return None
     for _ in range(64):
-        owner, spender = pop.approved_list[rng.randrange(len(pop.approved_list))]
+        owner, spender = pop.pair(rng.randrange(pop.pair_count))
         dst = rng.randrange(1, n + 1)
         if (
             dst != owner

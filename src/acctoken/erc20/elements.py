@@ -28,12 +28,17 @@ ZERO_ADDRESS = b"\x00" * ADDRESS_BYTES
 
 
 def check_address(addr: bytes) -> bytes:
+    # exact types first: growth checks millions; anything else takes the full checks
+    if addr.__class__ is bytes and len(addr) == ADDRESS_BYTES:
+        return addr
     if not isinstance(addr, (bytes, bytearray)) or len(addr) != ADDRESS_BYTES:
         raise InvalidAddress("addresses are 20-byte strings")
     return bytes(addr)
 
 
 def check_amount(value: int) -> int:
+    if value.__class__ is int and 0 <= value <= AMOUNT_MAX:
+        return value
     if not isinstance(value, int) or isinstance(value, bool):
         raise Overflow("amounts are unsigned 256-bit integers")
     if not 0 <= value <= AMOUNT_MAX:

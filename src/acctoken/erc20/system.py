@@ -19,6 +19,7 @@ are committed in one call, each as one storage epoch.
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from ..errors import AcctokenError, Overflow, ZeroSupply
@@ -193,12 +194,12 @@ class TokenSystem:
         they were. The state reached is the one the verified ops reach.
         """
 
-        def steps():
+        def checked():
             for log, plan_steps in plans:
                 check_amount(log.amount)
-                yield from plan_steps
+                yield plan_steps
 
-        self.contract.state = self.contract.state.with_values(self._commit(steps()))
+        self.contract.state = self.contract.state.with_values(self._commit(chain.from_iterable(checked())))
 
     # -- integrity hooks ------------------------------------------------------
 

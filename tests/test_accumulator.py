@@ -7,7 +7,7 @@ import shutil
 import subprocess
 import sys
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acctoken.accumulator import (
@@ -757,6 +757,35 @@ def canonical_digest(keys) -> bytes:
     return branch_hash(split, canonical_digest(zeros), canonical_digest(ones))
 
 
+def bytewise_first_diff_bit(a: bytes, b: bytes) -> int | None:
+    """``first_diff_bit`` one byte at a time, most significant bit first."""
+    for i in range(len(a)):
+        x = a[i] ^ b[i]
+        if x:
+            return (i << 3) + (8 - x.bit_length())
+    return None
+
+
+keys32 = st.binary(min_size=32, max_size=32)
+
+
+class TestFirstDiffBit:
+    @given(keys32, keys32)
+    @example(bytes(32), bytes(32))
+    @example(bytes(32), bytes(31) + b"\x01")
+    @example(b"\xff" * 32, b"\xff" * 31 + b"\xfe")
+    def test_matches_bytewise_reference(self, a, b):
+        assert first_diff_bit(a, b) == bytewise_first_diff_bit(a, b)
+
+    @given(keys32, st.integers(0, 255))
+    @example(bytes(32), 255)
+    def test_single_bit_apart(self, key, bit):
+        flipped = (int.from_bytes(key, "big") ^ (1 << (255 - bit))).to_bytes(32, "big")
+        assert first_diff_bit(key, flipped) == first_diff_bit(flipped, key) == bit
+        assert bytewise_first_diff_bit(key, flipped) == bit
+        assert first_diff_bit(key, key) is None is bytewise_first_diff_bit(key, key)
+
+
 def one_at_a_time(memory, steps):
     for step in steps:
         apply_update(memory, Changes(memory, [step]))
@@ -822,6 +851,59 @@ class TestBatchUpdate:
         keys = [head + bytes([b]) for b in range(256)]
         root = tree.insert_many(tree.EMPTY, keys[::2])
         assert tree.digest(tree.insert_many(root, keys[1::2])) == canonical_digest(keys)
+
+    @staticmethod
+    def merge_counting_hashes(root, keys):
+        """``tree.insert_many(root, keys)`` and the number of SHA-256 calls it made."""
+        import acctoken.accumulator.hashing as hashing_module
+
+        recorder = _RecordingHashlib(hashing_module.hashlib)
+        hashing_module.hashlib = recorder
+        try:
+            merged = tree.insert_many(root, keys)
+        finally:
+            hashing_module.hashlib = recorder.real
+        return merged, len(recorder.lengths)
+
+    def assert_hashed_once_and_reused(self, old, new):
+        root = tree.insert_many(tree.EMPTY, sorted(old))
+        merged, hashes = self.merge_counting_hashes(root, sorted(new))
+        assert tree.digest(merged) == canonical_digest(old + new)
+        old_nodes = trie_nodes(root)
+        merged_ids = {id(node) for node in trie_nodes(merged)}
+        old_ids = {id(node) for node in old_nodes}
+        # every node the merge made is hashed once, and nothing else is hashed
+        assert hashes == sum(id(node) not in old_ids for node in trie_nodes(merged))
+        new_ints = [int.from_bytes(key, "big") for key in new]
+        for node in old_nodes:
+            if len(node) == 1:
+                continue
+            sample = node
+            while len(sample) == 4:
+                sample = sample[1]
+            # a new key falls into a subtree when it has the subtree's common
+            # prefix: the bits before a branch's own bit, or a leaf's whole key
+            shift = 256 - node[0] if len(node) == 4 else 0
+            prefix = int.from_bytes(sample[0], "big") >> shift
+            if all(x >> shift != prefix for x in new_ints):
+                assert id(node) in merged_ids
+
+    @given(crafted_keys())
+    @settings(max_examples=200, deadline=None)
+    def test_merge_hashes_new_nodes_once_and_reuses_the_rest(self, split_keys):
+        old, new = split_keys
+        self.assert_hashed_once_and_reused(old, new)
+
+    @pytest.mark.parametrize("side", ["left", "right", "inside"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 40])
+    def test_batches_around_the_root_prefix(self, side, count):
+        rng = random.Random(f"{side}:{count}")
+        # the old keys share their first byte, 0x80: a batch wholly left or
+        # right of that prefix meets the root branch without entering it
+        old = [b"\x80" + rng.randbytes(31) for _ in range(60)]
+        first_bytes = {"left": (0, 0x80), "right": (0x81, 0x100), "inside": (0x80, 0x81)}[side]
+        new = [bytes([rng.randrange(*first_bytes)]) + rng.randbytes(31) for _ in range(count)]
+        self.assert_hashed_once_and_reused(old, new)
 
     def test_duplicate_add_rejected(self):
         _, memory = build_set([b"a"])

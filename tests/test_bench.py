@@ -1,6 +1,7 @@
 """Bench harness: determinism, CSV round trips, comparisons, the CLI."""
 
 import math
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from acctoken.bench import (
     tabulate,
 )
 from acctoken.bench.cli import _parse_checkpoints, build_parser, main
-from acctoken.bench.scenario import GRANT, SUPPLY
+from acctoken.bench.scenario import GRANT, SUPPLY, _Population
 from acctoken.gas import FLAT, SCALED, GasSchedule, RentParams, annual_rent, rent_rate
 from acctoken.storage import FaultPolicy
 
@@ -121,6 +122,56 @@ class TestGrowth:
             monkeypatch.setattr(BaselineToken, kind, counted)
         run = run_scenario(Scenario(token=token, **SMALL))
         assert len(completed) == sum(len(cp.samples) for cp in run.checkpoints) > 0
+
+
+class TestApprovedPairs:
+    """The pair pool's closed form reads like the list and set it replaces."""
+
+    def test_closed_form_matches_list_and_set(self):
+        rng = random.Random(16)
+        pop = _Population()
+        pairs, approved = [], set()
+
+        def approve(pair):
+            if pair not in approved:
+                approved.add(pair)
+                pairs.append(pair)
+
+        for _ in range(300):
+            if rng.random() < 0.2 or not pop.created:
+                target = pop.created + rng.randrange(0, 12)
+                for i in range(pop.created + 1, target + 1):
+                    approve((i, i + 1))
+                pop.grow(target)
+            else:
+                owner = rng.randrange(1, pop.created + 1)
+                # a third of the picks name a growth pair, which is approved already
+                spender = owner + 1 if rng.random() < 0.3 else rng.randrange(1, pop.created + 2)
+                approve((owner, spender))
+                pop.add_pair(owner, spender)
+            assert pop.pair_count == len(pairs)
+            assert [pop.pair(j) for j in range(pop.pair_count)] == pairs
+            probes = list(approved) + [(rng.randrange(pop.created + 3), rng.randrange(pop.created + 3)) for _ in range(20)]
+            for owner, spender in probes:
+                assert pop.approved(owner, spender) == ((owner, spender) in approved)
+        assert pop.created > 100 and len(pairs) > pop.created
+
+    def test_growth_pairs_are_approved_once(self):
+        pop = _Population()
+        pop.grow(10)
+        pop.add_pair(3, 7)
+        pop.grow(25)
+        count = pop.pair_count
+        for n in range(1, pop.created + 1):
+            assert pop.approved(n, n + 1)
+            pop.add_pair(n, n + 1)
+        assert pop.pair_count == count == 26
+        assert not pop.approved(0, 1) and not pop.approved(26, 27)
+        assert [pop.pair(j) for j in (0, 9, 10, 11, 25)] == [(1, 2), (10, 11), (3, 7), (11, 12), (25, 26)]
+        with pytest.raises(IndexError):
+            pop.pair(count)
+        with pytest.raises(ValueError, match="not an account"):
+            pop.add_pair(26, 3)
 
 
 class TestScenarioValidation:
