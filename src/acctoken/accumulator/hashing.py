@@ -28,17 +28,8 @@ def element_digest(element: bytes) -> bytes:
     return hashlib.sha256(element).digest()
 
 
-def leaf_hash(key: bytes) -> bytes:
-    return hashlib.sha256(TAG_LEAF + key).digest()
-
-
 #: preimage prefix of a branch splitting at each bit: tag, then the bit
 BIT_PREFIX = tuple(TAG_INTERNAL + bytes((b,)) for b in range(KEY_BITS))
-
-
-def branch_hash(bit: int, left: bytes, right: bytes) -> bytes:
-    """Digest of an internal node splitting at key bit ``bit`` (0..255)."""
-    return hashlib.sha256(BIT_PREFIX[bit] + left + right).digest()
 
 
 EMPTY_DIGEST = sha256(TAG_EMPTY)
@@ -46,11 +37,6 @@ EMPTY_DIGEST = sha256(TAG_EMPTY)
 
 #: bit ``b`` of a key read as a big-endian int (``int.from_bytes(key, "big")``)
 BIT_MASK = tuple(1 << (KEY_BITS - 1 - b) for b in range(KEY_BITS))
-
-
-def bit_at(key: bytes, index: int) -> int:
-    """Bit of ``key`` at ``index``, most-significant bit first."""
-    return (key[index >> 3] >> (7 - (index & 7))) & 1
 
 
 def first_diff_bit(a: bytes, b: bytes) -> int | None:

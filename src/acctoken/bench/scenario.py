@@ -15,11 +15,13 @@ Samples carry raw traces, so one run can be metered under any gas schedule
 after the fact. Each metered transaction of the accumulator token is checked
 against a shadow ``BaselineToken`` (the mapping oracle; the baseline token is
 its own), and conservation and the contract-key count at every checkpoint.
+The shadow's records of the same transactions are kept as the run's
+``baseline``, so one growth meters both tokens.
 """
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..baseline import BaselineToken
 from ..erc20 import plan
@@ -80,10 +82,18 @@ class CheckpointSamples:
 
 @dataclass
 class ScenarioRun:
+    """A run's samples per checkpoint.
+
+    An accumulator-token run also holds ``baseline``: the shadow mapping
+    token's run over the transactions the accumulator token accepted, with
+    samples in the same order. A baseline-token run has none.
+    """
+
     scenario: Scenario
     checkpoints: list[CheckpointSamples]
     dropped: int = 0
     conservation_checks: int = 0
+    baseline: "ScenarioRun | None" = None
 
 
 @dataclass
@@ -171,6 +181,7 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
     pop = _Population()
     deployer = pop.address(0)
     shadow = BaselineToken.deploy(deployer, SUPPLY)
+    run = ScenarioRun(scenario, [])
     if scenario.token == ACC:
         system = TokenSystem(
             deployer,
@@ -178,16 +189,14 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
             policy=scenario.fault,
             lift_checkupdate_precondition=scenario.lift,
         )
+        run.baseline = ScenarioRun(replace(scenario, token=BASELINE), [])
     else:
         system = shadow
 
-    run = ScenarioRun(scenario, [])
     for checkpoint in scenario.checkpoints:
         _grow(system, shadow, pop, checkpoint)
-        samples = _sample_checkpoint(scenario, system, shadow, pop, checkpoint, run)
-        run.checkpoints.append(CheckpointSamples(checkpoint, samples))
-        _integrity(system, shadow)
-        run.conservation_checks += 1
+        _sample_checkpoint(scenario, system, shadow, pop, checkpoint, run)
+        _integrity(system, shadow, run)
     return run
 
 
@@ -215,9 +224,20 @@ def _growth_plans(pop, created, target, deployer_balance):
         yield plan.approve(addr, pop.address(i + 1), APPROVE_ALLOWANCE, plan.Announced(()))
 
 
-def _sample_checkpoint(scenario, system, shadow, pop, n_accounts, run) -> list[OpSample]:
+def _open_checkpoint(run, n_accounts) -> list[OpSample]:
+    run.checkpoints.append(CheckpointSamples(n_accounts, []))
+    return run.checkpoints[-1].samples
+
+
+def _sample(kind, record) -> OpSample:
+    return OpSample(OP_NAMES[kind], record.trace, record.bundle_bytes, record.verifications)
+
+
+def _sample_checkpoint(scenario, system, shadow, pop, n_accounts, run):
     rng = random.Random(f"{scenario.seed}:{n_accounts}")
-    samples: list[OpSample] = []
+    samples = _open_checkpoint(run, n_accounts)
+    if shadow is not system:
+        shadow_samples = _open_checkpoint(run.baseline, n_accounts)
     for _ in range(scenario.ops_per_checkpoint):
         for kind in ("transfer", "approve", "transfer_from"):
             op_args = _pick_op(rng, shadow, pop, n_accounts, kind)
@@ -228,13 +248,10 @@ def _sample_checkpoint(scenario, system, shadow, pop, n_accounts, run) -> list[O
             except AcctokenError:
                 run.dropped += 1
                 continue
+            samples.append(_sample(kind, record))
             if shadow is not system:
-                getattr(shadow, kind)(*op_args)
+                shadow_samples.append(_sample(kind, getattr(shadow, kind)(*op_args)))
                 _spot_check(system, shadow, op_args)
-            samples.append(
-                OpSample(OP_NAMES[kind], record.trace, record.bundle_bytes, record.verifications)
-            )
-    return samples
 
 
 def _pick_op(rng, shadow, pop, n, kind):
@@ -277,10 +294,12 @@ def _spot_check(system, shadow, op_args):
                 raise AssertionError(f"ledger divergence for {addr.hex()}: {got} != {want}")
 
 
-def _integrity(system, shadow):
+def _integrity(system, shadow, run):
     system.check_conservation()
+    run.conservation_checks += 1
     if shadow is not system:
         shadow.check_conservation()
+        run.baseline.conservation_checks += 1
         if system.persistent_key_count() != CONTRACT_KEYS:
             raise AssertionError("contract state grew beyond its four words")
 
@@ -354,7 +373,13 @@ class CompareRow:
 
 
 def compare(rows_a: list[ResultRow], rows_b: list[ResultRow]) -> list[CompareRow]:
-    """Per-(op, n) gas ratios; both inputs must cover the same checkpoints."""
+    """Per-(op, n) gas ratios; both inputs must cover the same checkpoints.
+
+    The ratios are of per-(op, n) means, not of paired ops. Tabulating an
+    accumulator-token run and its ``baseline`` meters both tokens on the same
+    transactions; under a fault policy those are only the transactions the
+    accumulator token accepted, since the shadow never runs a dropped one.
+    """
     index_b = {(r.op, r.n_accounts): r for r in rows_b}
     keys_a = {(r.op, r.n_accounts) for r in rows_a}
     if keys_a != set(index_b):

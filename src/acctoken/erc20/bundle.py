@@ -21,7 +21,7 @@ it speaks about are the announced words of the transaction's calldata.
 from dataclasses import dataclass
 from enum import IntEnum
 
-from ..accumulator.witness import DIGEST_BYTES, HEADER_BYTES, MAX_STEPS, WitnessKind, encoded_length
+from ..accumulator.witness import COUNT_AT, DIGEST_BYTES, HEADER_BYTES, KIND_AT, MAX_STEPS, WitnessKind, encoded_length
 from ..errors import BundleSchemaMismatch, InvalidProof
 
 BALANCES = "balances"
@@ -134,7 +134,7 @@ def decode_bundle(data: bytes) -> ProofBundle:
         header = data[off : off + HEADER_BYTES]
         if len(header) < HEADER_BYTES:
             raise BundleSchemaMismatch(f"bundle truncated at entry {index}")
-        kind, step_count = header[0], int.from_bytes(header[33:35], "big")
+        kind, step_count = header[KIND_AT], int.from_bytes(header[COUNT_AT:HEADER_BYTES], "big")
         if kind not in _CLAIMS or step_count > MAX_STEPS:
             raise InvalidProof(index, f"witness header names kind {kind} with {step_count} steps")
         end = off + encoded_length(kind, step_count)

@@ -1,5 +1,5 @@
 """The reference verifiers: ``belongs`` and ``check_update`` written as folds
-over the hashing primitives, one step at a time.
+over the node hashes below, one step at a time.
 
 Each parses the witness bytes into the strict ``Witness`` view with
 ``decode_witness`` first. ``acctoken.accumulator.verify`` computes the same
@@ -9,19 +9,28 @@ requires both to agree, verdict for verdict and ``hashed`` length for
 ``hashed`` length, on honest and forged witness bytes.
 """
 
-from acctoken.accumulator.hashing import (
-    BIT_PREFIX,
-    EMPTY_DIGEST,
-    TAG_LEAF,
-    bit_at,
-    branch_hash,
-    element_digest,
-    first_diff_bit,
-    leaf_hash,
-)
+from acctoken.accumulator import hashing
+from acctoken.accumulator.hashing import BIT_PREFIX, EMPTY_DIGEST, TAG_LEAF, element_digest, first_diff_bit
 from acctoken.accumulator.verify import BOTTOM
 from acctoken.accumulator.witness import Witness, WitnessKind, decode_witness
 from acctoken.errors import WitnessDecodeError
+
+
+# The node hashes go through ``hashing.hashlib`` looked up at call time, as the
+# program's own hashes do, so the tests' recording stand-in counts them too.
+def leaf_hash(key: bytes) -> bytes:
+    return hashing.hashlib.sha256(TAG_LEAF + key).digest()
+
+
+def branch_hash(bit: int, left: bytes, right: bytes) -> bytes:
+    """Digest of an internal node splitting at key bit ``bit`` (0..255)."""
+    return hashing.hashlib.sha256(BIT_PREFIX[bit] + left + right).digest()
+
+
+def bit_at(key: bytes, index: int) -> int:
+    """Bit of ``key`` at ``index``, most-significant bit first."""
+    return (key[index >> 3] >> (7 - (index & 7))) & 1
+
 
 _PLAIN = (element_digest, leaf_hash, branch_hash)
 

@@ -1,8 +1,11 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``. The population fixtures
-grow the accumulator token to 400,000 accounts, so the module takes several
-minutes end to end; everything is seeded and deterministic.
+Run with ``pytest tests/test_acceptance.py -v -s``. The population fixture
+grows the accumulator token to 400,000 accounts once; the shadow mapping
+token it is checked against grows with it, and its records of the same
+sampled transactions (``run.baseline``) are the baseline for criterion 3.
+The module takes about 40 s on a 2-vCPU x86-64 machine with Python 3.11;
+everything is seeded and deterministic.
 """
 
 import math
@@ -55,12 +58,6 @@ def report(criterion: int, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def acc_fig_run():
     scenario = Scenario(token="acc", checkpoints=FIG_CHECKPOINTS, ops_per_checkpoint=100, seed=SEED)
-    return run_scenario(scenario)
-
-
-@pytest.fixture(scope="module")
-def baseline_fig_run():
-    scenario = Scenario(token="baseline", checkpoints=FIG_CHECKPOINTS, ops_per_checkpoint=100, seed=SEED)
     return run_scenario(scenario)
 
 
@@ -154,10 +151,10 @@ class TestCriterion2LogarithmicScaling:
 
 @pytest.mark.slow
 class TestCriterion3ScaledModelAdvantage:
-    def test_scaled_schedule_favors_accumulator_token(self, acc_fig_run, baseline_fig_run):
+    def test_scaled_schedule_favors_accumulator_token(self, acc_fig_run):
         schedule = GasSchedule(mode=SCALED)
         acc_rows = [r for r in tabulate(acc_fig_run, schedule) if r.n_accounts == 400000]
-        base_rows = [r for r in tabulate(baseline_fig_run, schedule) if r.n_accounts == 400000]
+        base_rows = [r for r in tabulate(acc_fig_run.baseline, schedule) if r.n_accounts == 400000]
         ratios = {row.op: row.ratio_a_over_b for row in compare(base_rows, acc_rows)}
         all_cheaper = all(ratio > 1.0 for ratio in ratios.values())
         approve_ratio = ratios["approve"]
@@ -340,12 +337,13 @@ class TestCriterion6CostModelExactness:
 
 @pytest.mark.slow
 class TestCriterion7ConservationAndConstantState:
-    def test_hooks_fired_and_state_is_four_words(self, acc_fig_run, baseline_fig_run):
-        # the scenario runner asserts conservation and the key count at every
-        # checkpoint and cross-checks every metered transaction of the
-        # accumulator token against the shadow ledger (the baseline token is
-        # its own oracle); reaching this point means none of those tripped
-        checks = acc_fig_run.conservation_checks + baseline_fig_run.conservation_checks
+    def test_hooks_fired_and_state_is_four_words(self, acc_fig_run):
+        # the scenario runner asserts conservation of both tokens and the key
+        # count at every checkpoint, and cross-checks every metered
+        # transaction of the accumulator token against the shadow ledger whose
+        # records are the baseline's samples; reaching this point means none
+        # of those tripped
+        checks = acc_fig_run.conservation_checks + acc_fig_run.baseline.conservation_checks
         sampled = sum(len(cp.samples) for cp in acc_fig_run.checkpoints)
         fresh = TokenSystem(make_address(0), 1000)
         fresh.transfer(make_address(0), make_address(1), 10)

@@ -27,7 +27,7 @@ from acctoken.accumulator import (
 )
 from acctoken.accumulator import tree
 from acctoken.accumulator.core import Changes, apply_update
-from acctoken.accumulator.hashing import bit_at, branch_hash, element_digest, first_diff_bit, leaf_hash
+from acctoken.accumulator.hashing import element_digest, first_diff_bit
 from acctoken.accumulator.witness import COUNT_AT, HEADER_BYTES, STEP_BYTES, ZERO_PAYLOAD
 from acctoken.errors import (
     AlreadyPresent,
@@ -37,6 +37,7 @@ from acctoken.errors import (
 )
 
 import reference_verify
+from reference_verify import bit_at, branch_hash, leaf_hash
 
 
 def build_set(elements, bits=256):

@@ -77,6 +77,21 @@ def _run_with_stats(scenario):
     return run, network.stats
 
 
+def test_shadow_records_are_the_baseline_run():
+    """An accumulator-token run's ``baseline`` meters the mapping token on the ops it accepted."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"token={BASELINE}"]
+    for lift in (False, True):
+        run = run_scenario(Scenario(lift=lift, **SMALL))
+        assert run.dropped == 0
+        assert _tables(run.baseline) == golden
+    run = run_scenario(Scenario(fault=FAULTS["unavailable"], **SMALL))
+    assert run.dropped > 0
+    assert len(run.baseline.checkpoints) == len(run.checkpoints)
+    for cp, shadow_cp in zip(run.checkpoints, run.baseline.checkpoints):
+        assert shadow_cp.n_accounts == cp.n_accounts
+        assert [s.op for s in shadow_cp.samples] == [s.op for s in cp.samples]
+
+
 def changed_fields(old, new, name=""):
     """``(field, old, new)`` for each differing field; nested fields are named by dotted path."""
     if isinstance(old, dict) and isinstance(new, dict):
