@@ -39,12 +39,10 @@ def setup(security_parameter_bits: int) -> tuple[bytes, Memory]:
 def witness_for_root(root: Node, element: bytes) -> bytes:
     """(Non)membership witness bytes for ``element`` against an arbitrary root snapshot."""
     key = element_digest(element)
-    path, terminal = tree.walk(root, key)
-    occupant = tree.leaf_key(terminal)
-    steps = tree.step_parts(path, BIT_BYTE)
-    if occupant == key:
+    steps, terminal = tree.descend(root, key, BIT_BYTE)
+    if terminal == key:
         return pack(WitnessKind.MEMBERSHIP, key, steps)
-    return pack(WitnessKind.NON_MEMBERSHIP, key, steps, occupant)
+    return pack(WitnessKind.NON_MEMBERSHIP, key, steps, tree.leaf_key(terminal))
 
 
 def witness(acc: bytes, memory: Memory, element: bytes) -> bytes:
@@ -53,23 +51,24 @@ def witness(acc: bytes, memory: Memory, element: bytes) -> bytes:
     return witness_for_root(memory.root, element)
 
 
-def simulate_update(root: Node, op: str, element: bytes) -> tuple[Node, bytes, bytes]:
-    """Apply add/del to a root snapshot; returns (new root, update witness
-    bytes, the element's key).
+def simulate_update(root: Node, root_digest: bytes, op: str, element: bytes) -> tuple[Node, bytes, bytes, bytes]:
+    """Apply add/del to a root snapshot whose digest is ``root_digest``;
+    returns (new root, its digest, update witness bytes, the element's key).
 
     The witness records the element's search path under the old root, from
     which a verifier recomputes both the before- and after-roots; the new
-    root is rebuilt from that same walk. After an add, the new leaf holds
-    the returned key object.
+    root is rebuilt from the same walk that wrote the witness. After an add,
+    the new leaf is the returned key object.
     """
     key = element_digest(element)
-    path, terminal = tree.walk(root, key)
-    steps = tree.step_parts(path, BIT_BYTE)
+    path = []
+    steps, terminal = tree.descend(root, key, BIT_BYTE, path)
     if op == "add":
-        new_root = tree.insert_at(path, terminal, key)
-        return new_root, pack(WitnessKind.UPDATE_ADD, key, steps, tree.leaf_key(terminal)), key
+        new_root, new_digest = tree.insert_at(path, terminal, key, root_digest)
+        return new_root, new_digest, pack(WitnessKind.UPDATE_ADD, key, steps, tree.leaf_key(terminal)), key
     if op == "del":
-        return tree.remove_at(path, terminal, key), pack(WitnessKind.UPDATE_DEL, key, steps), key
+        new_root, new_digest = tree.remove_at(path, terminal, key)
+        return new_root, new_digest, pack(WitnessKind.UPDATE_DEL, key, steps), key
     raise ValueError(f"unknown update op {op!r}")
 
 
@@ -77,14 +76,15 @@ def update(op: str, acc_before: bytes, memory: Memory, element: bytes) -> Update
     """Add or delete ``element``, mutating ``memory`` in place."""
     if acc_before != memory.value:
         raise StaleAccumulator("accumulator value does not match memory root")
-    new_root, w, key = simulate_update(memory.root, op, element)
+    new_root, acc_after, w, key = simulate_update(memory.root, acc_before, op, element)
     memory.root = new_root
+    memory.value = acc_after
     if op == "add":
         memory.elements[key] = element
     else:
         del memory.elements[key]
     memory.epoch += 1
-    return UpdateResult(tree.digest(new_root), w)
+    return UpdateResult(acc_after, w)
 
 
 class Changes:
@@ -133,31 +133,34 @@ class Changes:
         return len(self.adds) + len(self.dels)
 
 
-def updated_root(memory: Memory, changes: Changes) -> Node:
-    """The trie of ``memory`` with current ``changes`` applied; the persistent trie leaves ``memory`` as it is."""
-    root = memory.root
+def updated_root(memory: Memory, changes: Changes) -> tuple[Node, bytes]:
+    """The trie of ``memory`` with current ``changes`` applied, and its
+    digest; the persistent trie leaves ``memory`` as it is."""
+    root, digest = memory.root, memory.value
     for key in changes.dels:
-        root = tree.remove(root, key)
-    return tree.insert_many(root, sorted(changes.adds))
+        root, digest = tree.remove(root, key)
+    return tree.insert_many(root, digest, sorted(changes.adds))
 
 
-def apply_update(memory: Memory, changes: Changes, built: tuple[Node, dict | None] | None = None) -> bytes:
+def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes, dict | None] | None = None) -> bytes:
     """Apply a batch of changes as one epoch; returns the new accumulator value.
 
     Without ``built`` the new root is walked by ``updated_root``, and the
     new elements are keyed by the key objects ``changes`` holds, which the
-    walk put in the leaves. ``built = (root, keys)`` skips the walk: ``root``
-    is already the trie of the memory with exactly these changes applied,
-    and ``keys``, if given, maps every added key to the ``bytes`` object its
-    leaf holds, which then keys the element too. The caller vouches for
-    ``root``: the storage network passes its chain tip, or a walk whose
-    digest it checked against the value the contract accepted.
+    walk made the leaves. ``built = (root, digest, keys)`` skips the walk:
+    ``root`` is already the trie of the memory with exactly these changes
+    applied, ``digest`` is its digest, and ``keys``, if given, maps every
+    added key to the ``bytes`` object that is its leaf, which then keys the
+    element too. The caller vouches for ``root``: the storage network
+    passes its chain tip, or a walk whose digest it checked against the
+    value the contract accepted.
     """
     changes.check_current(memory)
     # nothing below can fail: record() checked that every deleted key is
     # present, every added key absent, and that no key is both
-    root, keys = built or (updated_root(memory, changes), None)
+    root, value, keys = built or (*updated_root(memory, changes), None)
     memory.root = root
+    memory.value = value
     elements = memory.elements
     for key in changes.dels:
         del elements[key]
@@ -167,4 +170,4 @@ def apply_update(memory: Memory, changes: Changes, built: tuple[Node, dict | Non
         for key, element in changes.adds.items():
             elements[keys[key]] = element
     memory.epoch += 1
-    return memory.value
+    return value

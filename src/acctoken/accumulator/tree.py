@@ -1,20 +1,28 @@
 """Compressed binary Merkle trie over 32-byte element digests.
 
-Nodes are plain tuples whose last item is the node's digest:
+A node's digest is held by its parent, and the root's by whoever holds the
+root (``Memory.value``, a storage chain tip):
 
-- a leaf is ``(key, digest)``;
-- a branch is ``(bit, left, right, digest)``, splitting at key bit ``bit``
-  (keys with that bit clear go left);
-- the empty trie is ``EMPTY = (EMPTY_DIGEST,)``.
+- a leaf is its key, the 32-byte ``bytes`` object itself: the one
+  ``Memory.elements`` keys the element by;
+- a branch is ``(bit, left, right, left_digest, right_digest)``, splitting
+  at key bit ``bit`` (keys with that bit clear go left);
+- the empty trie is ``EMPTY = ()``.
 
-The kinds are told apart by length, and ``digest(node)`` is ``node[-1]``.
-Tuples, rather than objects, because a trie holds a node per key and per
-branch and lives as long as the memory does: a tuple that holds only bytes,
-ints and untracked tuples can be dropped from the cyclic garbage collector's
-lists, so collections stop rescanning the whole trie, while an instance (a
-slotted one too) stays tracked for its whole life. CPython drops such a
-tuple only when a collection examines it after its children, so a fresh
-trie leaves the collector over a few collections, bottom up.
+The kinds are told apart by length (0, 32 and 5). A leaf's digest is
+``sha256(TAG_LEAF + key)``, a branch's is over its bit and its children's
+digests, and a builder returns each node it makes with its digest, so no
+digest is hashed twice or stored in the node it belongs to. ``digest``
+recomputes one from the node, for checks.
+
+Tuples and shared keys, rather than objects, because a trie holds a node per
+key and per branch and lives as long as the memory does: bytes are never
+tracked by the cyclic garbage collector, and a tuple that holds only bytes,
+ints and untracked tuples can be dropped from its lists, so collections stop
+rescanning the whole trie, while an instance (a slotted one too) stays
+tracked for its whole life. CPython drops such a tuple only when a
+collection examines it after its children, so a fresh trie leaves the
+collector over a few collections, bottom up.
 
 Nodes are immutable; updates copy the touched nodes and share everything
 else, so old roots stay valid for free. The compressed layout
@@ -41,18 +49,24 @@ from ..errors import AlreadyPresent, NotPresent
 from . import hashing
 from .hashing import BIT_MASK, BIT_PREFIX, EMPTY_DIGEST, KEY_BITS, TAG_LEAF, first_diff_bit
 
-EMPTY = (EMPTY_DIGEST,)
+EMPTY = ()
 
-Node = tuple  # EMPTY, a leaf or a branch, as laid out above
+Node = bytes | tuple  # EMPTY, a leaf or a branch, as laid out above
 
 
 def digest(node: Node) -> bytes:
-    return node[-1]
+    """The digest ``node``'s parent holds for it, recomputed from the node (one hash at most)."""
+    if node.__class__ is bytes:
+        return hashing.sha256(TAG_LEAF + node)
+    if not node:
+        return EMPTY_DIGEST
+    bit, _left, _right, left_digest, right_digest = node
+    return hashing.sha256(BIT_PREFIX[bit] + left_digest + right_digest)
 
 
 def leaf_key(node: Node) -> bytes | None:
-    """The key of a leaf; None for the empty trie."""
-    return node[0] if len(node) == 2 else None
+    """The key of a leaf (the leaf itself); None for the empty trie or a branch."""
+    return node if node.__class__ is bytes else None
 
 
 def walk(root: Node, key: bytes):
@@ -61,40 +75,59 @@ def walk(root: Node, key: bytes):
     path = []
     node = root
     k = int.from_bytes(key, "big")
-    while len(node) == 4:
+    while len(node) == 5:
         direction = 1 if k & BIT_MASK[node[0]] else 0
         path.append((node, direction))
         node = node[1 + direction]
     return path, node
 
 
-def step_parts(path, bit_bytes) -> list[bytes]:
-    """For a walk result, root first: each branch's bit as ``bit_bytes[bit]``,
-    then the digest of the sibling the walk did not take."""
-    parts = []
-    for branch, direction in path:
-        parts += (bit_bytes[branch[0]], branch[2 - direction][-1])
-    return parts
+def descend(root: Node, key: bytes, bit_bytes, path: list | None = None):
+    """Walk along ``key`` once; returns (steps, terminal).
+
+    ``steps`` holds, root first, each branch's bit as ``bit_bytes[bit]`` and
+    then the digest of the sibling the walk did not take; the terminal is a
+    leaf or EMPTY. Given a ``path`` list, the walk also appends each
+    (branch, direction) to it, as ``walk`` does, for ``insert_at`` and
+    ``remove_at``.
+    """
+    steps = []
+    node = root
+    k = int.from_bytes(key, "big")
+    while len(node) == 5:
+        bit = node[0]
+        direction = 1 if k & BIT_MASK[bit] else 0
+        if path is not None:
+            path.append((node, direction))
+        steps += (bit_bytes[bit], node[4 - direction])
+        node = node[1 + direction]
+    return steps, node
 
 
-def _rebuild(path, node: Node) -> Node:
-    """Copy the walked ``path``'s branches, bottom up, over a new ``node``."""
+def _rebuild(path, node: Node, node_digest: bytes) -> tuple[Node, bytes]:
+    """Copy the walked ``path``'s branches, bottom up, over a new ``node``; returns the new root and its digest."""
     sha256 = hashing.hashlib.sha256
-    for (bit, left, right, _digest), direction in reversed(path):
+    for (bit, left, right, left_digest, right_digest), direction in reversed(path):
         if direction:
-            node = (bit, left, node, sha256(BIT_PREFIX[bit] + left[-1] + node[-1]).digest())
+            node, node_digest = (
+                (bit, left, node, left_digest, node_digest),
+                sha256(BIT_PREFIX[bit] + left_digest + node_digest).digest(),
+            )
         else:
-            node = (bit, node, right, sha256(BIT_PREFIX[bit] + node[-1] + right[-1]).digest())
-    return node
+            node, node_digest = (
+                (bit, node, right, node_digest, right_digest),
+                sha256(BIT_PREFIX[bit] + node_digest + right_digest).digest(),
+            )
+    return node, node_digest
 
 
-def insert_at(path, terminal: Node, key: bytes) -> Node:
-    """The root ``insert`` returns, from the result of walking ``key``."""
+def insert_at(path, terminal: Node, key: bytes, root_digest: bytes) -> tuple[Node, bytes]:
+    """The root and digest ``insert`` returns, from the result of walking
+    ``key`` from a root whose digest is ``root_digest``."""
     sha256 = hashing.hashlib.sha256
-    if len(terminal) == 1:
-        return (key, sha256(TAG_LEAF + key).digest())
-    occupant = terminal[0]
-    split = first_diff_bit(key, occupant)
+    if not terminal:
+        return key, sha256(TAG_LEAF + key).digest()
+    split = first_diff_bit(key, terminal)
     if split is None:
         raise _duplicate(key)
     # The new branch sits above the first node whose discriminator passes the
@@ -103,30 +136,37 @@ def insert_at(path, terminal: Node, key: bytes) -> Node:
     while cut < len(path) and path[cut][0][0] < split:
         cut += 1
     displaced = path[cut][0] if cut < len(path) else terminal
-    leaf = (key, sha256(TAG_LEAF + key).digest())
-    # equal-length keys first differ at ``split``, so the smaller has a 0 there
-    if key < occupant:
-        node = (split, leaf, displaced, sha256(BIT_PREFIX[split] + leaf[1] + displaced[-1]).digest())
+    if cut:
+        above, direction = path[cut - 1]
+        displaced_digest = above[3 + direction]
     else:
-        node = (split, displaced, leaf, sha256(BIT_PREFIX[split] + displaced[-1] + leaf[1]).digest())
-    return _rebuild(path[:cut], node) if cut else node
+        displaced_digest = root_digest
+    leaf_digest = sha256(TAG_LEAF + key).digest()
+    # equal-length keys first differ at ``split``, so the smaller has a 0 there
+    if key < terminal:
+        node = (split, key, displaced, leaf_digest, displaced_digest)
+        node_digest = sha256(BIT_PREFIX[split] + leaf_digest + displaced_digest).digest()
+    else:
+        node = (split, displaced, key, displaced_digest, leaf_digest)
+        node_digest = sha256(BIT_PREFIX[split] + displaced_digest + leaf_digest).digest()
+    return _rebuild(path[:cut], node, node_digest) if cut else (node, node_digest)
 
 
-def insert(root: Node, key: bytes) -> Node:
-    return insert_at(*walk(root, key), key)
+def insert(root: Node, root_digest: bytes, key: bytes) -> tuple[Node, bytes]:
+    return insert_at(*walk(root, key), key, root_digest)
 
 
-def remove_at(path, terminal: Node, key: bytes) -> Node:
-    """The root ``remove`` returns, from the result of walking ``key``."""
-    if leaf_key(terminal) != key:
+def remove_at(path, terminal: Node, key: bytes) -> tuple[Node, bytes]:
+    """The root and digest ``remove`` returns, from the result of walking ``key``."""
+    if terminal != key:
         raise NotPresent(f"element digest {key.hex()} not accumulated")
     if not path:
-        return EMPTY
+        return EMPTY, EMPTY_DIGEST
     branch, direction = path[-1]
-    return _rebuild(path[:-1], branch[2 - direction])
+    return _rebuild(path[:-1], branch[2 - direction], branch[4 - direction])
 
 
-def remove(root: Node, key: bytes) -> Node:
+def remove(root: Node, key: bytes) -> tuple[Node, bytes]:
     return remove_at(*walk(root, key), key)
 
 
@@ -134,128 +174,136 @@ def _duplicate(key: bytes):
     return AlreadyPresent(f"element digest {key.hex()} already accumulated")
 
 
-def _run(keys: list[bytes], ints: list[int], kept: Node | None = None) -> Node:
-    """The trie of the sorted ``keys`` alone (``ints`` are their values), in
-    one stack pass; ``kept``, a leaf already in the trie whose key is among
-    ``keys``, is reused rather than hashed again.
+def _run(keys: list[bytes], ints: list[int], kept: bytes | None = None, kept_digest: bytes | None = None):
+    """The trie of the sorted ``keys`` alone (``ints`` are their values), and
+    its digest, in one stack pass; ``kept``, a leaf already in the trie that
+    is among ``keys``, keeps its ``kept_digest`` rather than being hashed again.
 
     The trie of a sorted run is the Cartesian tree of the split bits of
-    adjacent keys, the smallest bit at the root: ``bits`` and ``lefts`` hold
-    the right spine's open branches, each a bit and its finished left
-    subtree, bits rising towards the top. A key closes every open branch
-    whose bit exceeds its split from the key before it.
+    adjacent keys, the smallest bit at the root: ``bits``, ``lefts`` and
+    ``digests`` hold the right spine's open branches, each a bit and its
+    finished left subtree with that subtree's digest, bits rising towards the
+    top. A key closes every open branch whose bit exceeds its split from the
+    key before it.
     """
     sha256 = hashing.hashlib.sha256
-    kept_key = kept[0] if kept else None
     pairs = zip(keys, ints)
-    key, prev = next(pairs)
-    node = kept if key is kept_key else (key, sha256(TAG_LEAF + key).digest())
+    node, prev = next(pairs)
+    node_digest = kept_digest if node is kept else sha256(TAG_LEAF + node).digest()
     bits = [-1]  # below every split bit, so the spine's foot never closes
     lefts: list[Node] = []
+    digests: list[bytes] = []
     for key, x in pairs:
         diff = prev ^ x
         if not diff:
             raise _duplicate(key)
         split = KEY_BITS - diff.bit_length()
         while bits[-1] > split:
-            bit, left = bits.pop(), lefts.pop()
-            node = (bit, left, node, sha256(BIT_PREFIX[bit] + left[-1] + node[-1]).digest())
+            bit, left, left_digest = bits.pop(), lefts.pop(), digests.pop()
+            node, node_digest = (
+                (bit, left, node, left_digest, node_digest),
+                sha256(BIT_PREFIX[bit] + left_digest + node_digest).digest(),
+            )
         bits.append(split)
         lefts.append(node)
-        node = kept if key is kept_key else (key, sha256(TAG_LEAF + key).digest())
+        digests.append(node_digest)
+        node = key
+        node_digest = kept_digest if key is kept else sha256(TAG_LEAF + key).digest()
         prev = x
     while lefts:
-        bit, left = bits.pop(), lefts.pop()
-        node = (bit, left, node, sha256(BIT_PREFIX[bit] + left[-1] + node[-1]).digest())
-    return node
+        bit, left, left_digest = bits.pop(), lefts.pop(), digests.pop()
+        node, node_digest = (
+            (bit, left, node, left_digest, node_digest),
+            sha256(BIT_PREFIX[bit] + left_digest + node_digest).digest(),
+        )
+    return node, node_digest
 
 
-def _merge(node: Node, keys: list[bytes], ints: list[int], lo: int, hi: int, depth: int) -> Node:
+def _merge(node: Node, node_digest: bytes, keys: list[bytes], ints: list[int], lo: int, hi: int, depth: int):
     """The trie of ``node``'s keys plus ``keys[lo:hi]``, all of which agree on
-    every bit before ``depth``."""
+    every bit before ``depth``, and its digest; ``node_digest`` is ``node``'s."""
     if hi - lo < 2:
         # walking one key's path and copying it is cheaper than recursing
-        return insert(node, keys[lo]) if hi > lo else node
-    size = len(node)
-    if size == 1:
+        return insert(node, node_digest, keys[lo]) if hi > lo else (node, node_digest)
+    if not node:
         return _run(keys[lo:hi], ints[lo:hi])
-    if size == 2:
+    if node.__class__ is bytes:
         # a leaf: the keys and the leaf's own key form one run
-        key = node[0]
-        x = int.from_bytes(key, "big")
+        x = int.from_bytes(node, "big")
         at = bisect_left(ints, x, lo, hi) - lo
         run, run_ints = keys[lo:hi], ints[lo:hi]
-        run.insert(at, key)
+        run.insert(at, node)
         run_ints.insert(at, x)
-        return _run(run, run_ints, node)
-    bit = node[0]
+        return _run(run, run_ints, node, node_digest)
+    bit, left, right, left_digest, right_digest = node
     if bit == depth:
         split = bit  # nothing above the branch's own bit to disagree on
     else:
-        sample = node[1]
-        while len(sample) == 4:
+        sample = left
+        while len(sample) == 5:
             sample = sample[1]
-        x = int.from_bytes(sample[0], "big")
+        x = int.from_bytes(sample, "big")
         # the sorted keys' common prefix with the subtree is shortest at an end
         split = KEY_BITS - ((ints[lo] ^ x) | (ints[hi - 1] ^ x)).bit_length()
     sha256 = hashing.hashlib.sha256
     if split >= bit:
         shift = KEY_BITS - 1 - bit
         mid = bisect_left(ints, (ints[lo] >> shift | 1) << shift, lo, hi)
-        left = _merge(node[1], keys, ints, lo, mid, bit + 1) if mid > lo else node[1]
-        right = _merge(node[2], keys, ints, mid, hi, bit + 1) if hi > mid else node[2]
-        return (bit, left, right, sha256(BIT_PREFIX[bit] + left[-1] + right[-1]).digest())
+        if mid > lo:
+            left, left_digest = _merge(left, left_digest, keys, ints, lo, mid, bit + 1)
+        if hi > mid:
+            right, right_digest = _merge(right, right_digest, keys, ints, mid, hi, bit + 1)
+        return (bit, left, right, left_digest, right_digest), sha256(BIT_PREFIX[bit] + left_digest + right_digest).digest()
     # the new keys leave the subtree's common prefix at ``split``: a new
     # branch there, with the whole subtree on one side and a run of new keys
     # alone on the other
     shift = KEY_BITS - 1 - split
     mid = bisect_left(ints, (ints[lo] >> shift | 1) << shift, lo, hi)
     if x >> shift & 1:
-        left = _run(keys[lo:mid], ints[lo:mid])
-        right = _merge(node, keys, ints, mid, hi, split + 1)
+        left, left_digest = _run(keys[lo:mid], ints[lo:mid])
+        right, right_digest = _merge(node, node_digest, keys, ints, mid, hi, split + 1)
     else:
-        left = _merge(node, keys, ints, lo, mid, split + 1)
-        right = _run(keys[mid:hi], ints[mid:hi])
-    return (split, left, right, sha256(BIT_PREFIX[split] + left[-1] + right[-1]).digest())
+        left, left_digest = _merge(node, node_digest, keys, ints, lo, mid, split + 1)
+        right, right_digest = _run(keys[mid:hi], ints[mid:hi])
+    return (split, left, right, left_digest, right_digest), sha256(BIT_PREFIX[split] + left_digest + right_digest).digest()
 
 
-def insert_many(root: Node, keys: list[bytes]) -> Node:
-    """``root`` with the sorted ``keys`` inserted; raises AlreadyPresent on a
-    key that is present already or listed twice.
+def insert_many(root: Node, root_digest: bytes, keys: list[bytes]) -> tuple[Node, bytes]:
+    """``root`` (whose digest is ``root_digest``) with the sorted ``keys``
+    inserted, and its digest; raises AlreadyPresent on a key that is present
+    already or listed twice.
 
     One pass down the trie with the keys read as ints once (see the module
     docstring): each branch some key falls into is rebuilt over its merged
     children, every subtree no key falls into is kept as it is, and each
     range that meets a leaf or empty space is built in one stack pass.
     """
-    return _merge(root, keys, [int.from_bytes(key, "big") for key in keys], 0, len(keys), 0)
+    return _merge(root, root_digest, keys, [int.from_bytes(key, "big") for key in keys], 0, len(keys), 0)
 
 
 class Memory:
     """Public accumulator memory m = (T, X) plus an update counter.
 
-    ``root`` is the trie T, made of the tuple nodes laid out in the module
-    docstring, and ``elements`` is X, mapping each trie key to its element.
-    Both hold only tuples, bytes and ints, so once the collector has seen a
-    settled trie it stops scanning it: a full collection then costs what the
-    rest of the heap costs, not what the accumulator's size does.
+    ``root`` is the trie T, made of the nodes laid out in the module
+    docstring, and ``value`` is its digest, the accumulator value: the one
+    digest no parent holds. ``elements`` is X, mapping each trie key to its
+    element; each key object is also the trie's leaf for it. The trie and
+    the map hold only tuples, bytes and ints, so once the collector has seen
+    a settled trie it stops scanning it: a full collection then costs what
+    the rest of the heap costs, not what the accumulator's size does.
 
     Single writer: updates must be externally serialized. Concurrent
     read-only witness extraction against a quiescent memory is safe, and old
     roots remain valid because nodes are never mutated.
     """
 
-    __slots__ = ("root", "elements", "epoch")
+    __slots__ = ("root", "value", "elements", "epoch")
 
-    def __init__(self, root: Node | None = None, elements: dict | None = None, epoch: int = 0):
-        self.root = root if root is not None else EMPTY
-        self.elements = elements if elements is not None else {}
-        self.epoch = epoch
-
-    @property
-    def value(self) -> bytes:
-        """Current accumulator value: the root node's digest."""
-        return self.root[-1]
+    def __init__(self):
+        self.root: Node = EMPTY
+        self.value = EMPTY_DIGEST
+        self.elements: dict[bytes, bytes] = {}
+        self.epoch = 0
 
     def __len__(self) -> int:
         return len(self.elements)

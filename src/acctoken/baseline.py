@@ -121,8 +121,9 @@ class BaselineToken:
         """Set the allowance and mark the pair approved."""
         check_amount(tokens)
         trace.sload(self.key_count)
-        self._write(trace, self.allowed, (owner, spender), tokens)
-        self.ever_approved.add((owner, spender))
+        pair = (owner, spender)
+        self._write(trace, self.allowed, pair, tokens)
+        self.ever_approved.add(pair)
 
     # -- operations ---------------------------------------------------------------
 

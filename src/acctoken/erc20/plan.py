@@ -33,7 +33,7 @@ from .bundle import (
 from .elements import allowance_element, balance_element, check_amount, pair_element
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
     event: str  # "Transfer" | "Approval"
     addr_from: bytes
@@ -47,6 +47,8 @@ Plan = tuple[LogRecord, Iterator[Step]]  # (log record, steps)
 
 class Announced:
     """Amounts given as announced words, in plan order; the prior one may be left out."""
+
+    __slots__ = ("_words", "read")
 
     def __init__(self, words):
         self._words = iter(words)
@@ -95,43 +97,46 @@ def _move(sender: bytes, to: bytes, tokens: int, amounts) -> Iterator[Step]:
     yield (BALANCES, UPDATE_ADD, balance_element(to, y2 + tokens))
 
 
-def transfer(sender: bytes, to: bytes, tokens: int, amounts) -> Plan:
-    def steps():
-        _check_distinct(sender, to)
-        yield from _move(sender, to, tokens, amounts)
+def _transfer_steps(sender: bytes, to: bytes, tokens: int, amounts) -> Iterator[Step]:
+    _check_distinct(sender, to)
+    yield from _move(sender, to, tokens, amounts)
 
-    return LogRecord("Transfer", sender, to, tokens), steps()
+
+def transfer(sender: bytes, to: bytes, tokens: int, amounts) -> Plan:
+    return LogRecord("Transfer", sender, to, tokens), _transfer_steps(sender, to, tokens, amounts)
+
+
+def _approve_steps(owner: bytes, spender: bytes, tokens: int, amounts) -> Iterator[Step]:
+    old = amounts.prior(ALLOWED_BALANCES, owner, spender)
+    if old is None:
+        pair = pair_element(owner, spender)
+        yield (ALLOWED_ADDRESSES, NON_MEMBER, pair)
+        yield (ALLOWED_ADDRESSES, UPDATE_ADD, pair)
+    else:
+        old_allowance = allowance_element(owner, spender, old)
+        yield (ALLOWED_BALANCES, MEMBER, old_allowance)
+        yield (ALLOWED_BALANCES, UPDATE_DEL, old_allowance)
+    yield (ALLOWED_BALANCES, UPDATE_ADD, allowance_element(owner, spender, tokens))
 
 
 def approve(owner: bytes, spender: bytes, tokens: int, amounts) -> Plan:
-    def steps():
-        old = amounts.prior(ALLOWED_BALANCES, owner, spender)
-        if old is None:
-            pair = pair_element(owner, spender)
-            yield (ALLOWED_ADDRESSES, NON_MEMBER, pair)
-            yield (ALLOWED_ADDRESSES, UPDATE_ADD, pair)
-        else:
-            old_allowance = allowance_element(owner, spender, old)
-            yield (ALLOWED_BALANCES, MEMBER, old_allowance)
-            yield (ALLOWED_BALANCES, UPDATE_DEL, old_allowance)
-        yield (ALLOWED_BALANCES, UPDATE_ADD, allowance_element(owner, spender, tokens))
+    return LogRecord("Approval", owner, spender, tokens), _approve_steps(owner, spender, tokens, amounts)
 
-    return LogRecord("Approval", owner, spender, tokens), steps()
+
+def _transfer_from_steps(spender: bytes, sender: bytes, to: bytes, tokens: int, amounts) -> Iterator[Step]:
+    _check_distinct(sender, to)
+    allowed = amounts.spend(ALLOWED_BALANCES, sender, spender)
+    old_allowance = allowance_element(sender, spender, allowed)
+    yield (ALLOWED_ADDRESSES, MEMBER, pair_element(sender, spender))
+    yield (ALLOWED_BALANCES, MEMBER, old_allowance)
+    _cover(allowed, tokens, InsufficientAllowance, "allowance")
+    yield from _move(sender, to, tokens, amounts)
+    yield (ALLOWED_BALANCES, UPDATE_DEL, old_allowance)
+    yield (ALLOWED_BALANCES, UPDATE_ADD, allowance_element(sender, spender, allowed - tokens))
 
 
 def transfer_from(spender: bytes, sender: bytes, to: bytes, tokens: int, amounts) -> Plan:
-    def steps():
-        _check_distinct(sender, to)
-        allowed = amounts.spend(ALLOWED_BALANCES, sender, spender)
-        old_allowance = allowance_element(sender, spender, allowed)
-        yield (ALLOWED_ADDRESSES, MEMBER, pair_element(sender, spender))
-        yield (ALLOWED_BALANCES, MEMBER, old_allowance)
-        _cover(allowed, tokens, InsufficientAllowance, "allowance")
-        yield from _move(sender, to, tokens, amounts)
-        yield (ALLOWED_BALANCES, UPDATE_DEL, old_allowance)
-        yield (ALLOWED_BALANCES, UPDATE_ADD, allowance_element(sender, spender, allowed - tokens))
-
-    return LogRecord("Transfer", sender, to, tokens), steps()
+    return LogRecord("Transfer", sender, to, tokens), _transfer_from_steps(spender, sender, to, tokens, amounts)
 
 
 PLANS = {OpTag.TRANSFER: transfer, OpTag.APPROVE: approve, OpTag.TRANSFER_FROM: transfer_from}

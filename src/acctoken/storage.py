@@ -20,10 +20,13 @@ the oldest of those roots with an element view that rolls all of those
 changes back. Honest storage keeps no history.
 
 A client builds one bundle at a time, so each accumulator keeps one chain
-tip: the simulated root of its latest ``build_update_witness``. A build
-without a base starts a new chain and replaces the tip; a build on the tip's
-digest continues it; any other base is refused. The tip also keeps the
-chain's keys, netted the way ``core.Changes`` nets a batch. A commit is told
+tip: the simulated root of its latest ``build_update_witness`` and the
+root's digest, which the build returned (a trie's nodes hold their
+children's digests, so a root that is a lone leaf or empty has its digest
+nowhere else). A build without a base starts a new chain and replaces the
+tip; a build on the tip's digest continues it, taking the digest as the
+root's; any other base is refused. The tip also keeps the chain's keys,
+netted the way ``core.Changes`` nets a batch. A commit is told
 the value the contract accepted; when that is the tip's digest and the
 committed batch has the tip's keys, the tip's root is the root of exactly
 the committed changes (the digest binds the key set, and the trie's layout
@@ -50,7 +53,7 @@ from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from .accumulator import core, tree
+from .accumulator import core
 from .accumulator.hashing import element_digest
 from .accumulator.tree import Memory, Node
 from .errors import StorageError, Unavailable
@@ -120,14 +123,14 @@ class _Registered:
     # lookup prefix -> the element under it, or a tuple of the elements when
     # more than one is (a collision the integrity checks report)
     index: dict = field(default_factory=dict)
-    # (epoch reached, root before, changes) of the commits a stale node
-    # lags behind, oldest first
+    # (epoch reached, root before, value before, changes) of the commits a
+    # stale node lags behind, oldest first
     history: deque = field(default_factory=deque)
     # (digest, root, added keys, deleted keys) of the latest
     # build_update_witness, the keys netted the way core.Changes nets a
     # batch: the next build may continue it, and a commit whose accepted
     # value is its digest and whose batch has its keys adopts its root and
-    # keys the new elements by the key objects the add steps put in leaves
+    # keys the new elements by the key objects the add steps made leaves
     # (the added dict maps each key to that object); None after a commit
     tip: tuple[bytes, Node, dict[bytes, bytes], set[bytes]] | None = None
 
@@ -199,13 +202,16 @@ class StorageNetwork:
                 out[i] ^= self._rng.randrange(1, 256)
         return bytes(out)
 
-    def _serving_root(self, entry: _Registered) -> Node:
-        return entry.history[0][1] if entry.history else entry.memory.root
+    def _serving_root(self, entry: _Registered) -> tuple[Node, bytes]:
+        """The root the node serves, and its digest."""
+        if entry.history:
+            return entry.history[0][1:3]
+        return entry.memory.root, entry.memory.value
 
     def _serving_elements(self, acc: str, prefix: bytes) -> list[bytes]:
         current = self.elements(acc, prefix)  # checks the prefix length
         # roll back the commits the served root predates, newest first
-        for _epoch, _root, changes in reversed(self._entry(acc).history):
+        for _epoch, _root, _digest, changes in reversed(self._entry(acc).history):
             current = {element for element in current if element_digest(element) not in changes.adds}
             current.update(element for element in changes.dels.values() if element.startswith(prefix))
         return sorted(current)
@@ -225,7 +231,7 @@ class StorageNetwork:
         """Serialized (non)membership witness for ``element``."""
         self._maybe_refuse()
         entry = self._entry(acc)
-        payload = self._serve_bytes(core.witness_for_root(self._serving_root(entry), element))
+        payload = self._serve_bytes(core.witness_for_root(self._serving_root(entry)[0], element))
         self.stats.witness_fetches += 1
         self.stats.witness_bytes += len(payload)
         return payload
@@ -248,12 +254,12 @@ class StorageNetwork:
         self._maybe_refuse()
         entry = self._entry(acc)
         if base is None:
-            root, added, deleted = self._serving_root(entry), {}, set()
+            (root, digest), added, deleted = self._serving_root(entry), {}, set()
         elif entry.tip is not None and base == entry.tip[0]:
-            _digest, root, added, deleted = entry.tip
+            digest, root, added, deleted = entry.tip
         else:
             raise StorageError("unknown base snapshot; rebuild from current")
-        new_root, witness, key = core.simulate_update(root, op, element)  # an add's new leaf holds ``key``
+        new_root, acc_after, witness, key = core.simulate_update(root, digest, op, element)  # an add's new leaf is ``key``
         if op == "add":
             if key in deleted:
                 deleted.remove(key)
@@ -261,7 +267,6 @@ class StorageNetwork:
                 added[key] = key
         elif added.pop(key, None) is None:
             deleted.add(key)
-        acc_after = tree.digest(new_root)
         entry.tip = (acc_after, new_root, added, deleted)
         payload = self._serve_bytes(witness)
         predicted = self._serve_bytes(acc_after)
@@ -295,10 +300,10 @@ class StorageNetwork:
             changes.check_current(entry.memory)
             value, tip, built = accepted.get(acc), entry.tip, None
             if tip and tip[0] == value and tip[2].keys() == changes.adds.keys() and tip[3] == changes.dels.keys():
-                built = tip[1], tip[2]
+                built = tip[1], tip[0], tip[2]
             elif value:
-                built = core.updated_root(entry.memory, changes), None
-                if tree.digest(built[0]) != value:
+                built = *core.updated_root(entry.memory, changes), None
+                if built[1] != value:
                     raise StorageError(f"{acc} changes do not reach the value the contract accepted")
             staged[acc] = entry, changes, built
         for acc, value in accepted.items():
@@ -306,11 +311,11 @@ class StorageNetwork:
                 raise StorageError(f"{acc} holds another value than the contract accepted")
         return {acc: self._install(*batch) for acc, batch in staged.items()}
 
-    def _install(self, entry: _Registered, changes: core.Changes, built: tuple[Node, dict | None] | None) -> bytes:
+    def _install(self, entry: _Registered, changes: core.Changes, built: tuple[Node, bytes, dict | None] | None) -> bytes:
         memory = entry.memory
         # honest storage holds no old root, so the replaced nodes are freed
         # as soon as the commit lands
-        lagged = (memory.epoch + 1, memory.root, changes) if self._lag else None
+        lagged = (memory.epoch + 1, memory.root, memory.value, changes) if self._lag else None
         acc_after = core.apply_update(memory, changes, built)
         if lagged:
             history = entry.history

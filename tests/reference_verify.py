@@ -32,6 +32,19 @@ def bit_at(key: bytes, index: int) -> int:
     return (key[index >> 3] >> (7 - (index & 7))) & 1
 
 
+def canonical_digest(keys) -> bytes:
+    """Root digest of the compressed trie over ``keys``, straight from its definition."""
+    keys = sorted(keys)
+    if not keys:
+        return EMPTY_DIGEST
+    if len(keys) == 1:
+        return leaf_hash(keys[0])
+    split = first_diff_bit(keys[0], keys[-1])
+    zeros = [key for key in keys if not bit_at(key, split)]
+    ones = [key for key in keys if bit_at(key, split)]
+    return branch_hash(split, canonical_digest(zeros), canonical_digest(ones))
+
+
 _PLAIN = (element_digest, leaf_hash, branch_hash)
 
 

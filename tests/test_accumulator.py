@@ -37,7 +37,7 @@ from acctoken.errors import (
 )
 
 import reference_verify
-from reference_verify import bit_at, branch_hash, leaf_hash
+from reference_verify import canonical_digest
 
 
 def build_set(elements, bits=256):
@@ -554,7 +554,7 @@ def update_claims(draw):
     if draw(st.booleans()):
         source ^= {draw(_ELEMENTS.filter(lambda other: other != element))}
     _acc, memory = build_set(sorted(source))
-    new_root, raw, _key = simulate_update(memory.root, op, element)
+    _root, acc_after, raw, _key = simulate_update(memory.root, memory.value, op, element)
     honest = source == set(elements)
 
     tamper = draw(st.sampled_from(["none", "flip", "foreign", "cut", "extend"]))
@@ -572,7 +572,7 @@ def update_claims(draw):
         forged = with_steps(raw, [*steps, extra] if draw(st.booleans()) else [extra, *steps])
     else:
         forged = raw
-    return elements, element, tree.digest(new_root), forged, honest and forged == raw
+    return elements, element, acc_after, forged, honest and forged == raw
 
 
 class TestUpdateProvesPrecondition:
@@ -632,8 +632,8 @@ def verifier_calls(draw):
         name, claim = "belongs", (acc, element)
         raw = witness_for_root(memory.root, element)
     else:
-        new_root, raw, _key = simulate_update(memory.root, "del" if element in source else "add", element)
-        name, claim = "check_update", (acc, tree.digest(new_root), element)
+        _root, after, raw, _key = simulate_update(memory.root, memory.value, "del" if element in source else "add", element)
+        name, claim = "check_update", (acc, after, element)
 
     forgery = draw(st.sampled_from(_FORGERIES))
     steps = split_steps(raw)
@@ -702,8 +702,8 @@ class TestReferenceEquivalence:
         calls = [(belongs, (acc, b"a"), 1), (belongs, (acc, b"z"), 0)]
         calls = [(fn, (*claim, witness(acc, memory, claim[1])), want) for fn, claim, want in calls]
         for op, element in (("add", b"z"), ("del", b"a")):
-            root, raw, _key = simulate_update(memory.root, op, element)
-            calls.append((check_update, (acc, tree.digest(root), element, raw), 1))
+            _root, after, raw, _key = simulate_update(memory.root, acc, op, element)
+            calls.append((check_update, (acc, after, element, raw), 1))
         for fn, (*claim, raw), want in calls:
             assert fn(*claim, raw) == want
             rejected = BOTTOM if fn is belongs else 0
@@ -739,23 +739,10 @@ class TestServedBytesCanonical:
             raw = witness_for_root(memory.root, element)
             assert encode_witness(decode_witness(raw)) == raw
             assert belongs(acc, element, raw) == reference_verify.belongs(acc, element, raw) == (1 if present else 0)
-            root, raw, key = simulate_update(memory.root, "del" if present else "add", element)
+            root, after, raw, key = simulate_update(memory.root, acc, "del" if present else "add", element)
             assert encode_witness(decode_witness(raw)) == raw and raw[1:33] == key
-            after = tree.digest(root)
+            assert after == tree.digest(root)
             assert check_update(acc, after, element, raw) == reference_verify.check_update(acc, after, element, raw) == 1
-
-
-def canonical_digest(keys) -> bytes:
-    """Root digest of the compressed trie over ``keys``, straight from its definition."""
-    keys = sorted(keys)
-    if not keys:
-        return EMPTY_DIGEST
-    if len(keys) == 1:
-        return leaf_hash(keys[0])
-    split = first_diff_bit(keys[0], keys[-1])
-    zeros = [key for key in keys if not bit_at(key, split)]
-    ones = [key for key in keys if bit_at(key, split)]
-    return branch_hash(split, canonical_digest(zeros), canonical_digest(ones))
 
 
 def bytewise_first_diff_bit(a: bytes, b: bytes) -> int | None:
@@ -839,37 +826,38 @@ class TestBatchUpdate:
     @settings(max_examples=300, deadline=None)
     def test_merge_with_shared_prefixes(self, split_keys):
         old, new = split_keys
-        root = tree.insert_many(tree.EMPTY, sorted(old))
-        merged = tree.insert_many(root, sorted(new))
-        sequential = root
+        root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old))
+        merged = tree.insert_many(root, digest, sorted(new))
+        sequential = root, digest
         for key in new:
-            sequential = tree.insert_many(sequential, [key])
-        assert tree.digest(root) == canonical_digest(old)
-        assert tree.digest(merged) == tree.digest(sequential) == canonical_digest(old + new)
+            sequential = tree.insert_many(*sequential, [key])
+        assert digest == tree.digest(root) == canonical_digest(old)
+        assert merged == sequential
+        assert merged[1] == tree.digest(merged[0]) == canonical_digest(old + new)
 
     def test_keys_differing_in_the_last_bit(self):
         head = bytes(31)
         keys = [head + bytes([b]) for b in range(256)]
-        root = tree.insert_many(tree.EMPTY, keys[::2])
-        assert tree.digest(tree.insert_many(root, keys[1::2])) == canonical_digest(keys)
+        root = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys[::2])
+        assert tree.insert_many(*root, keys[1::2])[1] == canonical_digest(keys)
 
     @staticmethod
-    def merge_counting_hashes(root, keys):
-        """``tree.insert_many(root, keys)`` and the number of SHA-256 calls it made."""
+    def merge_counting_hashes(root, digest, keys):
+        """``tree.insert_many(root, digest, keys)`` and the number of SHA-256 calls it made."""
         import acctoken.accumulator.hashing as hashing_module
 
         recorder = _RecordingHashlib(hashing_module.hashlib)
         hashing_module.hashlib = recorder
         try:
-            merged = tree.insert_many(root, keys)
+            merged = tree.insert_many(root, digest, keys)
         finally:
             hashing_module.hashlib = recorder.real
         return merged, len(recorder.lengths)
 
     def assert_hashed_once_and_reused(self, old, new):
-        root = tree.insert_many(tree.EMPTY, sorted(old))
-        merged, hashes = self.merge_counting_hashes(root, sorted(new))
-        assert tree.digest(merged) == canonical_digest(old + new)
+        root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old))
+        (merged, merged_digest), hashes = self.merge_counting_hashes(root, digest, sorted(new))
+        assert merged_digest == canonical_digest(old + new)
         old_nodes = trie_nodes(root)
         merged_ids = {id(node) for node in trie_nodes(merged)}
         old_ids = {id(node) for node in old_nodes}
@@ -877,15 +865,15 @@ class TestBatchUpdate:
         assert hashes == sum(id(node) not in old_ids for node in trie_nodes(merged))
         new_ints = [int.from_bytes(key, "big") for key in new]
         for node in old_nodes:
-            if len(node) == 1:
+            if not node:
                 continue
             sample = node
-            while len(sample) == 4:
+            while len(sample) == 5:
                 sample = sample[1]
             # a new key falls into a subtree when it has the subtree's common
             # prefix: the bits before a branch's own bit, or a leaf's whole key
-            shift = 256 - node[0] if len(node) == 4 else 0
-            prefix = int.from_bytes(sample[0], "big") >> shift
+            shift = 256 - node[0] if len(node) == 5 else 0
+            prefix = int.from_bytes(sample, "big") >> shift
             if all(x >> shift != prefix for x in new_ints):
                 assert id(node) in merged_ids
 
@@ -916,9 +904,9 @@ class TestBatchUpdate:
             Changes(memory, [("del", b"a"), ("add", b"a"), ("add", b"a")])
         key = element_digest(b"a")
         with pytest.raises(AlreadyPresent):
-            tree.insert_many(memory.root, [key])
+            tree.insert_many(memory.root, memory.value, [key])
         with pytest.raises(AlreadyPresent):
-            tree.insert_many(tree.EMPTY, [key, key])
+            tree.insert_many(tree.EMPTY, EMPTY_DIGEST, [key, key])
 
     def test_absent_delete_rejected(self):
         _, memory = build_set([b"a"])
@@ -942,15 +930,19 @@ class TestBatchUpdate:
 
 
 def trie_nodes(*roots):
-    """Every distinct node reachable from ``roots``."""
+    """Every distinct node reachable from ``roots``: branches, leaves and EMPTY."""
     seen, stack = {}, list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            if len(node) == 4:
+            if len(node) == 5:
                 stack += node[1:3]
     return list(seen.values())
+
+
+def leaves(root):
+    return [node for node in trie_nodes(root) if node.__class__ is bytes]
 
 
 class TestCollectorFreeNodes:
@@ -958,29 +950,68 @@ class TestCollectorFreeNodes:
         rng = random.Random(11)
         elements = [rng.randbytes(12) for _ in range(3000)]
         keys = sorted(map(element_digest, elements[:2500]))
-        batched = tree.insert_many(tree.EMPTY, keys[::2])
-        merged = tree.insert_many(batched, keys[1::2])
+        batched = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys[::2])
+        merged = tree.insert_many(*batched, keys[1::2])
         inserted = batched
         for element in elements[2500:2600]:
-            inserted = tree.insert(inserted, element_digest(element))
+            inserted = tree.insert(*inserted, element_digest(element))
         removed = merged
         for key in keys[:300]:
-            removed = tree.remove(removed, key)
-        emptied = tree.remove(tree.insert(tree.EMPTY, keys[0]), keys[0])
+            removed = tree.remove(removed[0], key)
+        emptied = tree.remove(tree.insert(tree.EMPTY, EMPTY_DIGEST, keys[0])[0], keys[0])
         simulated = removed
         for element in elements[2600:2700]:
-            simulated, _w, _key = simulate_update(simulated, "add", element)
+            simulated = simulate_update(*simulated, "add", element)[:2]
         kept = [element for element in elements[:2500] if element_digest(element) > keys[299]]
         for element in kept[:100] + elements[2600:2650]:
-            simulated, _w, _key = simulate_update(simulated, "del", element)
-        nodes = trie_nodes(batched, merged, inserted, removed, emptied, simulated)
+            simulated = simulate_update(*simulated, "del", element)[:2]
+        roots = [root for root, _digest in (batched, merged, inserted, removed, emptied, simulated)]
+        nodes = trie_nodes(*roots)
+        branches = [node for node in nodes if len(node) == 5]
+        # every other node is a leaf, which is its key, or EMPTY: no leaf is
+        # a container the collector could track
+        others = [node for node in nodes if len(node) != 5]
+        assert all(node.__class__ is bytes and len(node) == 32 or node is tree.EMPTY for node in others)
+        assert not any(map(gc.is_tracked, others))
+        # a branch holds its bit, two nodes and their two digests
+        assert all(
+            branch[0].__class__ is int and branch[3].__class__ is bytes is branch[4].__class__ for branch in branches
+        )
         # a collection untracks a tuple only if it examines the tuple's
         # children first, so a fresh trie leaves over several collections
         tracked = None
         while True:
             gc.collect()
-            previous, tracked = tracked, sum(map(gc.is_tracked, nodes))
+            previous, tracked = tracked, sum(map(gc.is_tracked, branches))
             if tracked == previous:
                 break
         assert tracked == 0
-        assert len(nodes) > 5000
+        assert len(branches) > 2500 and len(others) > 2500
+
+
+class TestLeavesAreKeys:
+    """Every leaf of a memory is the very key object its element is keyed by in ``memory.elements``."""
+
+    @staticmethod
+    def assert_leaves_are_keys(memory):
+        keys = {key: key for key in memory.elements}
+        found = leaves(memory.root)
+        assert len(found) == len(keys)
+        assert all(keys[leaf] is leaf for leaf in found)
+
+    def test_after_single_updates(self):
+        elements = [b"e%d" % i for i in range(200)]
+        acc, memory = build_set(elements)
+        for element in elements[::3]:
+            acc = update("del", acc, memory, element).acc_after
+        for element in (b"x%d" % i for i in range(50)):
+            acc = update("add", acc, memory, element).acc_after
+        self.assert_leaves_are_keys(memory)
+
+    def test_after_batches(self):
+        _acc, memory = build_set([b"e%d" % i for i in range(100)])
+        apply_update(memory, Changes(memory, [("add", b"x%d" % i) for i in range(400)]))
+        steps = [("del", b"e%d" % i) for i in range(0, 100, 2)] + [("add", b"y%d" % i) for i in range(300)]
+        apply_update(memory, Changes(memory, steps))
+        self.assert_leaves_are_keys(memory)
+        assert memory.value == tree.digest(memory.root) == canonical_digest(memory.elements)

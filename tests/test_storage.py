@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acctoken.accumulator import BOTTOM, belongs, check_update, decode_witness, tree
+from acctoken.accumulator import BOTTOM, belongs, check_update, decode_witness, element_digest, tree
 from acctoken.accumulator.witness import encoded_length
 from acctoken.erc20 import TokenSystem
 from acctoken.erc20.bundle import BALANCES
 from acctoken.erc20.elements import balance_element, balance_prefix
 from acctoken.errors import AlreadyPresent, NotPresent, StaleAccumulator, StorageError, Unavailable
 from acctoken.storage import FaultPolicy, StorageNetwork
+from reference_verify import canonical_digest
 
 AID = BALANCES
 OWNER = b"\x0a" * 20
@@ -273,6 +274,29 @@ class TestCommit:
         walked.commit({AID: walked.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])})
         assert memory.root == walked._entry(AID).memory.root
 
+    def test_adopted_leaves_are_the_element_keys(self):
+        # every leaf of the adopted root is the very key object that keys its
+        # element, the chain's new leaves and the ones kept from before alike
+        network = fresh_network(elements=[b"aa-%d" % i for i in range(40)])
+        chain = [("del", b"aa-%d" % i) for i in range(0, 40, 3)] + [("add", b"ab-%d" % i) for i in range(30)]
+        end = None
+        for op, element in chain:
+            end, _ = network.build_update_witness(AID, op, element, base=end)
+        _digest, tip_root, _added, _deleted = network._entry(AID).tip
+        network.commit({AID: network.changes(AID, chain)}, {AID: end})
+        memory = network._entry(AID).memory
+        assert memory.root is tip_root
+        keys = {key: key for key in memory.elements}
+        stack, leaves = [memory.root], []
+        while stack:
+            node = stack.pop()
+            if tree.leaf_key(node) is not None:
+                leaves.append(node)
+            elif node:
+                stack += node[1:3]
+        assert len(leaves) == len(keys) == 40 - 14 + 30
+        assert all(keys[leaf] is leaf for leaf in leaves)
+
     @pytest.mark.parametrize("told", [False, True], ids=["none", "other"])
     def test_walks_past_a_tip_of_another_value(self, told):
         # the chain goes on past the batch's value, so the tip is another
@@ -294,10 +318,11 @@ class TestCommit:
         # so a chain there with the batch's keys reaches the batch's value
         network = fresh_network(FaultPolicy.stale(2), [b"aa-1", b"ab-2"])
         entry = network._entry(AID)
-        served = entry.memory.root
+        served, served_value = entry.memory.root, entry.memory.value
         commit(network, "del", b"aa-1")
         commit(network, "add", b"aa-1")
-        assert network._serving_root(entry) is served is not entry.memory.root
+        root, digest = network._serving_root(entry)
+        assert root is served is not entry.memory.root and digest is served_value
         end, _ = network.build_update_witness(AID, "add", b"ac-3")
         _digest, tip_root, _added, _deleted = entry.tip
         network.commit({AID: network.changes(AID, [("add", b"ac-3")])}, {AID: end})
@@ -366,6 +391,51 @@ class TestCommit:
 
 NAMES = ("acc-0", "acc-1", "acc-2")
 UNIVERSE = [b"%s-%d" % (prefix, i) for prefix in (b"aa", b"ab", b"ba") for i in range(5)]
+
+
+class TestRootDigests:
+    """Where no branch holds the root's digest (an empty or a lone-leaf root),
+    ``Memory.value``, the chain tip's digest and ``tree.digest`` of the root
+    still equal the digest of the trie's definition."""
+
+    CASES = {  # start elements, chain of (op, element)
+        "empty": ([], [("add", b"aa-1"), ("del", b"aa-1")]),
+        "lone-leaf": ([], [("add", b"aa-1")]),
+        "delete-to-one-leaf": ([b"aa-1", b"ab-2"], [("del", b"aa-1")]),
+        "delete-to-empty": ([b"aa-1"], [("del", b"aa-1")]),
+    }
+
+    @staticmethod
+    def want(elements):
+        return canonical_digest(map(element_digest, elements))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_tip_and_memory_values(self, case):
+        start, chain = self.CASES[case]
+        network = fresh_network(elements=start)
+        entry = network._entry(AID)
+        memory = entry.memory
+        assert memory.value == tree.digest(memory.root) == self.want(start)
+        final = set(start)
+        end = None
+        for op, element in chain:
+            end, _ = network.build_update_witness(AID, op, element, base=end)
+            final ^= {element}
+        digest, tip_root, _added, _deleted = entry.tip
+        assert digest == end == tree.digest(tip_root) == self.want(final)
+        assert tip_root is tree.EMPTY or tree.leaf_key(tip_root) is not None
+        assert network.commit({AID: network.changes(AID, chain)}, {AID: end}) == {AID: end}
+        assert memory.root is tip_root
+        assert memory.value == tree.digest(memory.root) == network.accumulator_value(AID) == self.want(final)
+        walked = fresh_network(elements=start)
+        assert walked.commit({AID: walked.changes(AID, chain)}) == {AID: end}
+
+    def test_deployment_state(self):
+        system = TokenSystem(OWNER, 1000)
+        balances = system.network._entry(BALANCES).memory
+        assert tree.leaf_key(balances.root) is not None  # one balance tuple: a lone leaf
+        assert balances.value == tree.digest(balances.root) == self.want([balance_element(OWNER, 1000)])
+        assert system.state.balances_acc == balances.value
 
 
 @st.composite
