@@ -96,7 +96,8 @@ class Changes:
     present at that point, NotPresent for deleting one that is absent. An add
     and a later delete of the same element cancel, and so do a delete and a
     later re-add. Like the memory, ``adds`` and ``dels`` map trie keys to
-    elements.
+    elements; a step recorded with the ``key`` object a simulated add made
+    its leaf keeps that object, so the added keys can be the leaves.
     """
 
     __slots__ = ("memory", "epoch", "adds", "dels")
@@ -109,8 +110,10 @@ class Changes:
         for op, element in steps:
             self.record(op, element)
 
-    def record(self, op: str, element: bytes):
-        key = element_digest(element)
+    def record(self, op: str, element: bytes, key: bytes | None = None):
+        """Record one step; ``key``, if given, is ``element``'s digest, not computed again."""
+        if key is None:
+            key = element_digest(element)
         if op == "add":
             if self.dels.pop(key, None) is None:
                 if key in self.adds or key in self.memory.elements:
@@ -142,32 +145,27 @@ def updated_root(memory: Memory, changes: Changes) -> tuple[Node, bytes]:
     return tree.insert_many(root, digest, sorted(changes.adds))
 
 
-def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes, dict | None] | None = None) -> bytes:
+def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes] | None = None) -> bytes:
     """Apply a batch of changes as one epoch; returns the new accumulator value.
 
-    Without ``built`` the new root is walked by ``updated_root``, and the
-    new elements are keyed by the key objects ``changes`` holds, which the
-    walk made the leaves. ``built = (root, digest, keys)`` skips the walk:
-    ``root`` is already the trie of the memory with exactly these changes
-    applied, ``digest`` is its digest, and ``keys``, if given, maps every
-    added key to the ``bytes`` object that is its leaf, which then keys the
-    element too. The caller vouches for ``root``: the storage network
-    passes its chain tip, or a walk whose digest it checked against the
-    value the contract accepted.
+    The new elements are keyed by the key objects ``changes`` holds, which
+    are the new leaves. Without ``built`` the new root is walked by
+    ``updated_root``, which makes them the leaves. ``built = (root, digest)``
+    skips the walk: ``root`` is already the trie of the memory with exactly
+    these changes applied, its new leaves the added keys, and ``digest`` is
+    its digest. The caller vouches for ``root``: the storage network passes
+    its chain tip with the tip's own batch, or a walk whose digest it
+    checked against the value the contract accepted.
     """
     changes.check_current(memory)
     # nothing below can fail: record() checked that every deleted key is
     # present, every added key absent, and that no key is both
-    root, value, keys = built or (*updated_root(memory, changes), None)
+    root, value = built or updated_root(memory, changes)
     memory.root = root
     memory.value = value
     elements = memory.elements
     for key in changes.dels:
         del elements[key]
-    if keys is None:
-        elements.update(changes.adds)
-    else:
-        for key, element in changes.adds.items():
-            elements[keys[key]] = element
+    elements.update(changes.adds)
     memory.epoch += 1
     return value

@@ -15,10 +15,10 @@ InsufficientAllowance, matching the verdicts the accumulator token produces.
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .erc20.contract import LogRecord
+from .erc20.bundle import ERC20_NAME, OpTag
+from .erc20.contract import LogRecord, TxRecord
 from .erc20.elements import AMOUNT_MAX, ZERO_ADDRESS, check_address, check_amount
-from .erc20.system import TxRecord, abi_calldata
-from .erc20.bundle import OpTag
+from .erc20.system import abi_calldata
 from .erc20.plan import Plan
 from .errors import (
     InsufficientAllowance,
@@ -134,7 +134,7 @@ class BaselineToken:
         trace.calldata = abi_calldata(OpTag.TRANSFER, [sender, to], tokens, (), b"")
         log = LogRecord("Transfer", sender, to, tokens)
         self._log(log)
-        return TxRecord("transfer", log, trace)
+        return TxRecord(ERC20_NAME[OpTag.TRANSFER], log, trace)
 
     def approve(self, owner: bytes, spender: bytes, tokens: int) -> TxRecord:
         check_address(owner), check_address(spender)
@@ -143,7 +143,7 @@ class BaselineToken:
         trace.calldata = abi_calldata(OpTag.APPROVE, [owner, spender], tokens, (), b"")
         log = LogRecord("Approval", owner, spender, tokens)
         self._log(log)
-        return TxRecord("approve", log, trace)
+        return TxRecord(ERC20_NAME[OpTag.APPROVE], log, trace)
 
     def transfer_from(self, spender: bytes, sender: bytes, to: bytes, tokens: int) -> TxRecord:
         check_address(spender), check_address(sender), check_address(to)
@@ -160,7 +160,7 @@ class BaselineToken:
         trace.calldata = abi_calldata(OpTag.TRANSFER_FROM, [spender, sender, to], tokens, (), b"")
         log = LogRecord("Transfer", sender, to, tokens)
         self._log(log)
-        return TxRecord("transfer_from", log, trace)
+        return TxRecord(ERC20_NAME[OpTag.TRANSFER_FROM], log, trace)
 
     def bootstrap(self, plans: Iterable[Plan]):
         """Apply transfer and approve plans by their log records, without transactions.

@@ -3,7 +3,6 @@
 from .scenario import (
     CompareRow,
     CheckpointSamples,
-    OpSample,
     RentRow,
     ResultRow,
     Scenario,
@@ -28,7 +27,6 @@ from .workload import (
 __all__ = [
     "CheckpointSamples",
     "CompareRow",
-    "OpSample",
     "RentRow",
     "ResultRow",
     "Scenario",

@@ -11,8 +11,9 @@ checkpoint's updates as one netted batch per accumulator without proofs, and
 transactions. The state is the one the verified ops reach, and six-figure
 populations stay tractable.
 
-Samples carry raw traces, so one run can be metered under any gas schedule
-after the fact. Each metered transaction of the accumulator token is checked
+The samples are the transactions' own records (``TxRecord``), which carry
+raw traces, so one run can be metered under any gas schedule after the
+fact. Each metered transaction of the accumulator token is checked
 against a shadow ``BaselineToken`` (the mapping oracle; the baseline token is
 its own), and conservation and the contract-key count at every checkpoint.
 The shadow's records of the same transactions are kept as the run's
@@ -25,14 +26,13 @@ from dataclasses import dataclass, field, replace
 
 from ..baseline import BaselineToken
 from ..erc20 import plan
-from ..erc20.contract import CONTRACT_KEYS
+from ..erc20.contract import CONTRACT_KEYS, TxRecord
 from ..erc20.system import TokenSystem
 from ..errors import AcctokenError
-from ..gas import GasSchedule, RentParams, TxTrace, annual_rent, meter_transaction, rent_rate
+from ..gas import GasSchedule, RentParams, annual_rent, meter_transaction, rent_rate
 from ..storage import FaultPolicy
 from .workload import make_address, true_balance
 
-OP_NAMES = {"transfer": "transfer", "approve": "approve", "transfer_from": "transferFrom"}
 ACC = "acc"
 BASELINE = "baseline"
 
@@ -67,26 +67,21 @@ class Scenario:
 
 
 @dataclass
-class OpSample:
-    op: str
-    trace: TxTrace
-    proof_bytes: int
-    verifications: int
-
-
-@dataclass
 class CheckpointSamples:
+    """The records of the transactions a checkpoint metered, in the order they ran."""
+
     n_accounts: int
-    samples: list[OpSample]
+    samples: list[TxRecord]
 
 
 @dataclass
 class ScenarioRun:
-    """A run's samples per checkpoint.
+    """A run's samples per checkpoint: the records its token returned.
 
     An accumulator-token run also holds ``baseline``: the shadow mapping
-    token's run over the transactions the accumulator token accepted, with
-    samples in the same order. A baseline-token run has none.
+    token's run over the transactions the accumulator token accepted, its
+    samples the shadow's records in the same order. A baseline-token run has
+    none.
     """
 
     scenario: Scenario
@@ -224,13 +219,9 @@ def _growth_plans(pop, created, target, deployer_balance):
         yield plan.approve(addr, pop.address(i + 1), APPROVE_ALLOWANCE, plan.Announced(()))
 
 
-def _open_checkpoint(run, n_accounts) -> list[OpSample]:
+def _open_checkpoint(run, n_accounts) -> list[TxRecord]:
     run.checkpoints.append(CheckpointSamples(n_accounts, []))
     return run.checkpoints[-1].samples
-
-
-def _sample(kind, record) -> OpSample:
-    return OpSample(OP_NAMES[kind], record.trace, record.bundle_bytes, record.verifications)
 
 
 def _sample_checkpoint(scenario, system, shadow, pop, n_accounts, run):
@@ -248,9 +239,9 @@ def _sample_checkpoint(scenario, system, shadow, pop, n_accounts, run):
             except AcctokenError:
                 run.dropped += 1
                 continue
-            samples.append(_sample(kind, record))
+            samples.append(record)
             if shadow is not system:
-                shadow_samples.append(_sample(kind, getattr(shadow, kind)(*op_args)))
+                shadow_samples.append(getattr(shadow, kind)(*op_args))
                 _spot_check(system, shadow, op_args)
 
 
@@ -316,7 +307,7 @@ def tabulate(run: ScenarioRun, schedule: GasSchedule) -> list[ResultRow]:
     """Meter a run's samples under ``schedule`` and aggregate per (op, n)."""
     rows = []
     for cp in run.checkpoints:
-        by_op: dict[str, list[OpSample]] = {}
+        by_op: dict[str, list[TxRecord]] = {}
         for sample in cp.samples:
             by_op.setdefault(sample.op, []).append(sample)
         for op, samples in by_op.items():
@@ -327,7 +318,7 @@ def tabulate(run: ScenarioRun, schedule: GasSchedule) -> list[ResultRow]:
                     op=op,
                     gas_mean=sum(gas) / len(gas),
                     gas_p95=_percentile95(gas),
-                    proof_bytes_mean=sum(s.proof_bytes for s in samples) / len(samples),
+                    proof_bytes_mean=sum(s.bundle_bytes for s in samples) / len(samples),
                     verifications=sum(s.verifications for s in samples) / len(samples),
                 )
             )

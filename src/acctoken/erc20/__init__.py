@@ -11,8 +11,8 @@ from .bundle import (
     encode_bundle,
 )
 from .client import TokenClient
-from .contract import CONTRACT_KEYS, AccTokenContract, ContractState, LogRecord
-from .system import TokenSystem, TxRecord, abi_calldata
+from .contract import CONTRACT_KEYS, AccTokenContract, ContractState, LogRecord, TxRecord
+from .system import TokenSystem, abi_calldata
 
 __all__ = [
     "ALLOWED_ADDRESSES",

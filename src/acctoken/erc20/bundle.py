@@ -52,6 +52,11 @@ class OpTag(IntEnum):
     TRANSFER_FROM = 3
 
 
+#: Each op's ERC20 name: its selector's signature, its transaction records
+#: and its result rows use it.
+ERC20_NAME = {OpTag.TRANSFER: "transfer", OpTag.APPROVE: "approve", OpTag.TRANSFER_FROM: "transferFrom"}
+
+
 def purpose(acc_name: str, claim: int) -> int:
     return _ACC_NIBBLE[acc_name] | claim
 

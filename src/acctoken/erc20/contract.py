@@ -25,6 +25,11 @@ contract walks its steps and the entries in lock-step, each entry must
 carry the claim of the step it meets, and the walk must use up every entry
 and every announced word.
 
+An accepted operation returns the transaction's ``TxRecord``, the one record
+type both tokens return: its log, its trace, the bundle's size, the number
+of entries verified and the verified update steps, in chain order, that
+storage is to commit.
+
 Caveat, fresh destinations: the fresh variants of transfer and transferFrom
 prove only that the tuple ``(to, 0)`` is absent, which says nothing about
 ``(to, y)`` for ``y > 0``. A sender may submit a fresh-destination bundle for
@@ -37,13 +42,13 @@ one allowance tuple. With the lifted precondition no membership is checked
 at all, so the same bundle without its membership entries is accepted too.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..accumulator import belongs, check_update
 from ..errors import BundleSchemaMismatch, InvalidProof
 from ..gas import TxTrace
 from . import plan
-from .bundle import MEMBER, STORAGE_OP, OpTag, decode_bundle, purpose
+from .bundle import ERC20_NAME, MEMBER, STORAGE_OP, OpTag, decode_bundle, purpose
 from .elements import check_address, check_amount
 from .plan import LogRecord
 
@@ -72,10 +77,15 @@ class ContractState:
 
 
 @dataclass
-class TxOutcome:
+class TxRecord:
+    """An accepted transaction of either token; the mapping token sends no bundle and commits no updates."""
+
+    op: str  # the op's ERC20 name
     log: LogRecord
-    updates: list[plan.Step]  # verified update steps in chain order, to commit
     trace: TxTrace  # reads, verifier hashes and writes; calldata is the caller's
+    bundle_bytes: int = 0
+    verifications: int = 0  # bundle entries verified
+    updates: list[plan.Step] = field(default_factory=list)  # verified update steps in chain order, to commit
 
 
 class AccTokenContract:
@@ -96,32 +106,32 @@ class AccTokenContract:
 
     # -- operations -------------------------------------------------------------
 
-    def transfer(self, sender: bytes, to: bytes, tokens: int, announced: tuple[int, ...], bundle: bytes) -> TxOutcome:
+    def transfer(self, sender: bytes, to: bytes, tokens: int, announced: tuple[int, ...], bundle: bytes) -> TxRecord:
         check_address(sender), check_address(to)
         check_amount(tokens)
         return self._execute(OpTag.TRANSFER, announced, bundle, sender, to, tokens)
 
-    def approve(self, owner: bytes, spender: bytes, tokens: int, announced: tuple[int, ...], bundle: bytes) -> TxOutcome:
+    def approve(self, owner: bytes, spender: bytes, tokens: int, announced: tuple[int, ...], bundle: bytes) -> TxRecord:
         check_address(owner), check_address(spender)
         check_amount(tokens)
         return self._execute(OpTag.APPROVE, announced, bundle, owner, spender, tokens)
 
     def transfer_from(
         self, spender: bytes, sender: bytes, to: bytes, tokens: int, announced: tuple[int, ...], bundle: bytes
-    ) -> TxOutcome:
+    ) -> TxRecord:
         check_address(spender), check_address(sender), check_address(to)
         check_amount(tokens)
         return self._execute(OpTag.TRANSFER_FROM, announced, bundle, spender, sender, to, tokens)
 
     # -- plan walker ------------------------------------------------------------
 
-    def _execute(self, op: OpTag, announced: tuple[int, ...], data: bytes, *args) -> TxOutcome:
+    def _execute(self, op: OpTag, announced: tuple[int, ...], data: bytes, *args) -> TxRecord:
         """Walk the op's plan and the bundle's entries in lock-step, then commit.
 
         Each step the mode checks takes the next entry, which must carry the
         step's claim; each accumulator is read at the first step that names
         it and written once if updated. The walk must use every entry and
-        every announced word.
+        every announced word. Returns the transaction's record.
         """
         bundle = decode_bundle(data)
         if bundle.op != op:
@@ -165,4 +175,4 @@ class AccTokenContract:
             trace.sstore_update(CONTRACT_KEYS)
         self.state = self.state.with_values(written)
         self.logs.append(log)
-        return TxOutcome(log, updates, trace)
+        return TxRecord(ERC20_NAME[op], log, trace, len(data), index, updates)

@@ -2,10 +2,10 @@
 
 ``TokenSystem`` plays the role of the chain environment: it encodes each
 transaction's bundle once, hands the contract those bytes with the op's
-arguments and announced words, replays the confirmed updates into the
-storage network, and assembles from the same bytes the calldata that gas
-metering sees. A transaction is
-atomic end to end: a rejection at any stage leaves the contract state, the
+arguments and announced words, commits the update steps the contract's
+``TxRecord`` lists to the storage network, and assembles from the same bytes
+the calldata that gas metering sees, on that record's trace. A transaction
+is atomic end to end: a rejection at any stage leaves the contract state, the
 storage memories and the logs untouched. That includes a commit storage
 refuses after the contract accepted: storage refuses every batch of the
 transaction unless each reaches the value the contract accepted, and the
@@ -18,18 +18,16 @@ are committed in one call, each as one storage epoch.
 """
 
 import hashlib
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
 from ..errors import AcctokenError, Overflow, ZeroSupply
-from ..gas import TxTrace
 from ..storage import FaultPolicy, StorageNetwork
 from . import bundle as pb
 from . import plan
-from .bundle import OpTag, ProofBundle, encode_bundle
+from .bundle import ERC20_NAME, OpTag, ProofBundle, encode_bundle
 from .client import TokenClient
-from .contract import AccTokenContract, ContractState, LogRecord, TxOutcome
+from .contract import AccTokenContract, ContractState, LogRecord, TxRecord
 from .elements import (
     ALLOWANCE_ELEMENT_LEN,
     AMOUNT_BYTES,
@@ -45,13 +43,11 @@ from .elements import (
 # lookup keys: a tuple without its amount
 _INDEX_PREFIX_LEN = {pb.BALANCES: BALANCE_ELEMENT_LEN - AMOUNT_BYTES, pb.ALLOWED_BALANCES: ALLOWANCE_ELEMENT_LEN - AMOUNT_BYTES}
 
+# an op's selector is the head of the hash of its signature: its name, its
+# addresses (transferFrom's three) and its amount
 _SELECTORS = {
-    op: hashlib.sha256(signature.encode()).digest()[:4]
-    for op, signature in {
-        OpTag.TRANSFER: "transfer(address,address,uint256)",
-        OpTag.APPROVE: "approve(address,address,uint256)",
-        OpTag.TRANSFER_FROM: "transferFrom(address,address,address,uint256)",
-    }.items()
+    op: hashlib.sha256(f"{name}({'address,' * (3 if op is OpTag.TRANSFER_FROM else 2)}uint256)".encode()).digest()[:4]
+    for op, name in ERC20_NAME.items()
 }
 
 
@@ -65,17 +61,6 @@ def abi_calldata(op: OpTag, addresses: list[bytes], tokens: int, extra_words: tu
         parts.append(word.to_bytes(AMOUNT_BYTES, "big"))
     parts.append(bundle_bytes)
     return b"".join(parts)
-
-
-@dataclass
-class TxRecord:
-    """An accepted transaction of either token; the mapping token sends no bundle."""
-
-    op: str
-    log: LogRecord
-    trace: TxTrace
-    bundle_bytes: int = 0
-    verifications: int = 0
 
 
 class TokenSystem:
@@ -125,24 +110,26 @@ class TokenSystem:
     ) -> TxRecord:
         """Encode the bundle, verify it with the contract's ``execute``, then commit its updates to storage.
 
-        The contract gets the bytes the calldata carries and is metered on.
-        It writes its words and its log before storage commits, so a commit
-        that storage refuses, one that would not reach the values the
-        contract accepted included, puts both back before the error goes on:
-        a contract accepting what storage cannot apply does not part them.
+        The contract gets the bytes the calldata carries and is metered on,
+        and returns the transaction's record; storage commits the record's
+        ``updates``, and the record, with the calldata set on its trace, is
+        what this returns. The contract writes its words and its log before
+        storage commits, so a commit that storage refuses, one that would
+        not reach the values the contract accepted included, puts both back
+        before the error goes on: a contract accepting what storage cannot
+        apply does not part them.
         """
         encoded = encode_bundle(bundle)
         state, logged = self.contract.state, len(self.contract.logs)
-        outcome = execute(*addresses, tokens, bundle.announced, encoded)
+        record = execute(*addresses, tokens, bundle.announced, encoded)
         try:
-            self._commit(outcome.updates, self.contract.state)
+            self._commit(record.updates, self.contract.state)
         except AcctokenError:
             self.contract.state = state
             del self.contract.logs[logged:]
             raise
-        outcome.trace.calldata = abi_calldata(op, addresses, tokens, bundle.announced, encoded)
-        # the contract verifies every entry of an accepted bundle
-        return TxRecord(op.name.lower(), outcome.log, outcome.trace, len(encoded), len(bundle.entries))
+        record.trace.calldata = abi_calldata(op, addresses, tokens, bundle.announced, encoded)
+        return record
 
     def transfer(self, sender: bytes, to: bytes, tokens: int, bundle: ProofBundle | None = None) -> TxRecord:
         if bundle is None:

@@ -20,18 +20,21 @@ the oldest of those roots with an element view that rolls all of those
 changes back. Honest storage keeps no history.
 
 A client builds one bundle at a time, so each accumulator keeps one chain
-tip: the simulated root of its latest ``build_update_witness`` and the
-root's digest, which the build returned (a trie's nodes hold their
-children's digests, so a root that is a lone leaf or empty has its digest
-nowhere else). A build without a base starts a new chain and replaces the
-tip; a build on the tip's digest continues it, taking the digest as the
-root's; any other base is refused. The tip also keeps the chain's keys,
-netted the way ``core.Changes`` nets a batch. A commit is told
-the value the contract accepted; when that is the tip's digest and the
-committed batch has the tip's keys, the tip's root is the root of exactly
-the committed changes (the digest binds the key set, and the trie's layout
-is canonical), so the commit adopts it instead of walking and rehashing the
-same paths again. Any other batch (a bundle built elsewhere, an earlier
+tip: the simulated root of its latest ``build_update_witness``, the root's
+digest, which the build returned (a trie's nodes hold their children's
+digests, so a root that is a lone leaf or empty has its digest nowhere
+else), and the chain's steps as a ``core.Changes`` batch of the memory,
+each step recorded with the key object the simulation made its leaf. The
+batch checks every step against the memory as it is recorded, so a chain
+the memory refutes (one begun on a stale root) is refused at the build. A
+build without a base starts a new chain and replaces the tip; a build on the
+tip's digest continues it, taking the digest as the root's; any other base
+is refused. A commit is told the value the contract accepted; when that is
+the tip's digest and the committed batch has the tip batch's keys, the
+tip's root is the root of exactly the committed changes (the digest binds
+the key set, and the trie's layout is canonical), so the commit installs
+the tip's root with the tip's own batch instead of walking and rehashing
+the same paths again. Any other batch (a bundle built elsewhere, an earlier
 bundle whose chain was superseded, a chain of other keys than the batch's)
 is walked path by path, and refused unless the walk reaches the accepted
 value; deployment and growth have no accepted value. A commit clears the
@@ -126,13 +129,11 @@ class _Registered:
     # (epoch reached, root before, value before, changes) of the commits a
     # stale node lags behind, oldest first
     history: deque = field(default_factory=deque)
-    # (digest, root, added keys, deleted keys) of the latest
-    # build_update_witness, the keys netted the way core.Changes nets a
-    # batch: the next build may continue it, and a commit whose accepted
-    # value is its digest and whose batch has its keys adopts its root and
-    # keys the new elements by the key objects the add steps made leaves
-    # (the added dict maps each key to that object); None after a commit
-    tip: tuple[bytes, Node, dict[bytes, bytes], set[bytes]] | None = None
+    # (digest, root, batch) of the latest build_update_witness chain, the
+    # batch's added keys being the root's new leaves: the next build may
+    # continue it, and a commit whose accepted value is its digest and whose
+    # batch has its keys installs its root and batch; None after a commit
+    tip: tuple[bytes, Node, core.Changes] | None = None
 
 
 class StorageNetwork:
@@ -250,24 +251,19 @@ class StorageNetwork:
         root; passing the value the latest build returned as ``base`` chains
         the op on top of it, which is how clients assemble multi-update
         proof bundles against one snapshot. Any other ``base`` is refused.
+        A step the memory refutes raises AlreadyPresent or NotPresent.
         """
         self._maybe_refuse()
         entry = self._entry(acc)
         if base is None:
-            (root, digest), added, deleted = self._serving_root(entry), {}, set()
+            (root, digest), changes = self._serving_root(entry), core.Changes(entry.memory)
         elif entry.tip is not None and base == entry.tip[0]:
-            digest, root, added, deleted = entry.tip
+            digest, root, changes = entry.tip
         else:
             raise StorageError("unknown base snapshot; rebuild from current")
         new_root, acc_after, witness, key = core.simulate_update(root, digest, op, element)  # an add's new leaf is ``key``
-        if op == "add":
-            if key in deleted:
-                deleted.remove(key)
-            else:
-                added[key] = key
-        elif added.pop(key, None) is None:
-            deleted.add(key)
-        entry.tip = (acc_after, new_root, added, deleted)
+        changes.record(op, element, key)
+        entry.tip = (acc_after, new_root, changes)
         payload = self._serve_bytes(witness)
         predicted = self._serve_bytes(acc_after)
         self.stats.update_builds += 1
@@ -287,11 +283,11 @@ class StorageNetwork:
         ``accepted`` holds the values the contract accepted. Every batch is
         checked before any is installed: it must not be stale, and it must
         reach its accepted value, by the chain tip when the tip's digest is
-        that value and its netted keys are the batch's (the tip's root is
-        then the trie of exactly these changes), or else by a walk. An
-        accumulator accepted without a batch must hold its value already. A
-        batch without an accepted value is walked at install. Returns the new
-        values.
+        that value and its batch has this batch's keys (the tip's root is
+        then the trie of exactly these changes, and the tip's own batch is
+        installed with it), or else by a walk. An accumulator accepted
+        without a batch must hold its value already. A batch without an
+        accepted value is walked at install. Returns the new values.
         """
         accepted = accepted or {}
         staged = {}
@@ -299,10 +295,12 @@ class StorageNetwork:
             entry = self._entry(acc)
             changes.check_current(entry.memory)
             value, tip, built = accepted.get(acc), entry.tip, None
-            if tip and tip[0] == value and tip[2].keys() == changes.adds.keys() and tip[3] == changes.dels.keys():
-                built = tip[1], tip[0], tip[2]
+            if tip and tip[0] == value and (
+                tip[2].adds.keys() == changes.adds.keys() and tip[2].dels.keys() == changes.dels.keys()
+            ):
+                changes, built = tip[2], (tip[1], value)
             elif value:
-                built = *core.updated_root(entry.memory, changes), None
+                built = core.updated_root(entry.memory, changes)
                 if built[1] != value:
                     raise StorageError(f"{acc} changes do not reach the value the contract accepted")
             staged[acc] = entry, changes, built
@@ -311,7 +309,7 @@ class StorageNetwork:
                 raise StorageError(f"{acc} holds another value than the contract accepted")
         return {acc: self._install(*batch) for acc, batch in staged.items()}
 
-    def _install(self, entry: _Registered, changes: core.Changes, built: tuple[Node, bytes, dict | None] | None) -> bytes:
+    def _install(self, entry: _Registered, changes: core.Changes, built: tuple[Node, bytes] | None) -> bytes:
         memory = entry.memory
         # honest storage holds no old root, so the replaced nodes are freed
         # as soon as the commit lands

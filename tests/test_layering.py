@@ -72,6 +72,24 @@ class TestPlanLayer:
         assert not any(module.rsplit(".", 1)[-1] == name for module in found)
 
 
+def constructs(path: Path, name: str) -> bool:
+    """Whether ``path`` calls ``name(...)``, by that name or as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                return True
+    return False
+
+
+class TestOneRecordType:
+    """A transaction's record is made where it happens: by the contract, or by the mapping token."""
+
+    def test_records_are_made_by_the_tokens_alone(self):
+        makers = {str(path.relative_to(PACKAGE)) for path in SOURCES if constructs(path, "TxRecord")}
+        assert makers == {"erc20/contract.py", "baseline.py"}
+
+
 class TestNoCollectorSettings:
     @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(PACKAGE)))
     def test_no_module_imports_gc(self, path):

@@ -147,6 +147,26 @@ def ledger(token):
     return token.state, storage, len(token.contract.logs)
 
 
+class TestRecords:
+    @pytest.mark.parametrize(
+        "kind, args, name",
+        [
+            ("transfer", (HOLDER, DEPLOYER, 1), "transfer"),
+            ("approve", (HOLDER, DEPLOYER, 5), "approve"),
+            ("transfer_from", (SPENDER, HOLDER, DEPLOYER, 1), "transferFrom"),
+        ],
+    )
+    def test_both_tokens_name_the_op_alike(self, kind, args, name):
+        # the records are the samples, and the result rows are grouped by
+        # their op: both tokens must give it the op's ERC20 name
+        acc, base = funded_pair()
+        acc_record, base_record = (getattr(token, kind)(*args) for token in (acc, base))
+        assert type(acc_record) is type(base_record)
+        assert acc_record.op == base_record.op == name
+        assert base_record.bundle_bytes == base_record.verifications == 0 and base_record.updates == []
+        assert acc_record.log == base_record.log
+
+
 class TestMalformedAddress:
     @pytest.mark.parametrize("length", [19, 21])
     @pytest.mark.parametrize(

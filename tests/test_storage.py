@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acctoken.accumulator import BOTTOM, belongs, check_update, decode_witness, element_digest, tree
+from acctoken.accumulator import BOTTOM, belongs, check_update, core, decode_witness, element_digest, tree
 from acctoken.accumulator.witness import encoded_length
 from acctoken.erc20 import TokenSystem
 from acctoken.erc20.bundle import BALANCES
@@ -26,7 +26,7 @@ def commit(network, op, element):
 def ledger(entry):
     """What a refused commit must leave as it was: root, elements, epoch, index, history and tip."""
     memory, tip = entry.memory, entry.tip
-    tip = tip and (tip[0], tip[1], dict(tip[2]), set(tip[3]))
+    tip = tip and (tip[0], tip[1], dict(tip[2].adds), dict(tip[2].dels))
     return memory.root, dict(memory.elements), memory.epoch, dict(entry.index), list(entry.history), tip
 
 
@@ -217,7 +217,7 @@ class TestBuildUpdateWitness:
         for i in range(8):
             mid, _ = network.build_update_witness(AID, "del", b"aa-%d" % i)
             end, _ = network.build_update_witness(AID, "add", b"ab-%d" % i, base=mid)
-        digest, root, _added, _deleted = network._entry(AID).tip
+        digest, root, _batch = network._entry(AID).tip
         assert digest == end == tree.digest(root)
 
     def test_current_value_is_not_a_base(self):
@@ -262,12 +262,12 @@ class TestCommit:
         network = fresh_network(elements=[b"aa-1", b"ab-2"])
         mid, _ = network.build_update_witness(AID, "del", b"aa-1")
         end, _ = network.build_update_witness(AID, "add", b"ac-3", base=mid)
-        _digest, tip_root, added, _deleted = network._entry(AID).tip
+        _digest, tip_root, batch = network._entry(AID).tip
         changes = network.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])
         assert network.commit({AID: changes}, {AID: end}) == {AID: end}
         memory = network._entry(AID).memory
         assert memory.root is tip_root and network._entry(AID).tip is None
-        (key,) = added
+        (key,) = batch.adds
         assert next(k for k in memory.elements if k == key) is key
         assert network.lookup(AID, b"ac") == [b"ac-3"] and network.lookup(AID, b"aa") == []
         walked = fresh_network(elements=[b"aa-1", b"ab-2"])
@@ -282,7 +282,7 @@ class TestCommit:
         end = None
         for op, element in chain:
             end, _ = network.build_update_witness(AID, op, element, base=end)
-        _digest, tip_root, _added, _deleted = network._entry(AID).tip
+        _digest, tip_root, _batch = network._entry(AID).tip
         network.commit({AID: network.changes(AID, chain)}, {AID: end})
         memory = network._entry(AID).memory
         assert memory.root is tip_root
@@ -303,9 +303,9 @@ class TestCommit:
         # value than the one the batch reaches, whether it is told it or not
         network = fresh_network(elements=[b"aa-1"])
         mid, _ = network.build_update_witness(AID, "add", b"ab-2")
-        _digest, mid_root, _added, _deleted = network._entry(AID).tip
+        _digest, mid_root, _batch = network._entry(AID).tip
         network.build_update_witness(AID, "add", b"ac-3", base=mid)
-        _digest, tip_root, _added, _deleted = network._entry(AID).tip
+        _digest, tip_root, _batch = network._entry(AID).tip
         accepted = {AID: mid} if told else None
         commit_value = network.commit({AID: network.changes(AID, [("add", b"ab-2")])}, accepted)[AID]
         root = network._entry(AID).memory.root
@@ -324,7 +324,7 @@ class TestCommit:
         root, digest = network._serving_root(entry)
         assert root is served is not entry.memory.root and digest is served_value
         end, _ = network.build_update_witness(AID, "add", b"ac-3")
-        _digest, tip_root, _added, _deleted = entry.tip
+        _digest, tip_root, _batch = entry.tip
         network.commit({AID: network.changes(AID, [("add", b"ac-3")])}, {AID: end})
         assert entry.memory.root is tip_root
         assert sorted(network.elements(AID)) == [b"aa-1", b"ab-2", b"ac-3"]
@@ -355,23 +355,49 @@ class TestCommit:
         commit(network, "del", b"aa-1")
         mid, _ = network.build_update_witness(AID, "add", b"zz-9")
         end, _ = network.build_update_witness(AID, "del", b"zz-9", base=mid)
-        _digest, tip_root, added, deleted = network._entry(AID).tip
-        assert end == served and not added and not deleted
+        _digest, tip_root, batch = network._entry(AID).tip
+        assert end == served and not batch
         assert network.commit({AID: network.changes(AID, [("add", b"aa-1")])}, {AID: end}) == {AID: end}
         assert network._entry(AID).memory.root is not tip_root
         assert list(network.elements(AID)) == [b"aa-1"] and network.elements(AID, b"aa") == (b"aa-1",)
 
-    def test_tip_nets_its_keys_like_a_batch(self):
+    def test_tip_batch_is_the_chains_changes(self, monkeypatch):
+        # the tip's batch has the adds and deletes a batch of the same steps
+        # has, and every added key is the very leaf the simulation made
         network = fresh_network(elements=[b"aa-1", b"ab-2"])
         steps = [("add", b"ac-3"), ("del", b"ac-3"), ("del", b"aa-1"), ("add", b"aa-1"),
                  ("del", b"ab-2"), ("add", b"ad-4")]
+        leaves, simulate = {}, core.simulate_update
+
+        def spy(root, digest, op, element):
+            result = simulate(root, digest, op, element)
+            leaves[element] = result[3]  # an add's new leaf
+            return result
+
+        monkeypatch.setattr(core, "simulate_update", spy)
         base = None
         for op, element in steps:
             base, _ = network.build_update_witness(AID, op, element, base=base)
-        _digest, _root, added, deleted = network._entry(AID).tip
+        batch = network._entry(AID).tip[2]
         changes = network.changes(AID, steps)
-        assert added.keys() == changes.adds.keys() and deleted == changes.dels.keys()
-        assert all(key is value for key, value in added.items())
+        assert batch.adds == changes.adds and batch.dels == changes.dels
+        assert batch.adds and all(key is leaves[element] for key, element in batch.adds.items())
+
+    def test_a_chain_the_memory_refutes_is_refused_at_the_build(self):
+        # a node lagging one epoch serves the root that still holds aa-1;
+        # the memory no longer does, so deleting it is refused as it is
+        # recorded, and the tip stays as it was
+        network = fresh_network(FaultPolicy.stale(1), [b"aa-1", b"ab-2"])
+        commit(network, "del", b"aa-1")
+        entry = network._entry(AID)
+        before = ledger(entry)
+        with pytest.raises(NotPresent):
+            network.build_update_witness(AID, "del", b"aa-1")
+        assert ledger(entry) == before
+        mid, _ = network.build_update_witness(AID, "add", b"ac-3")
+        with pytest.raises(AlreadyPresent):
+            network.build_update_witness(AID, "add", b"ab-2", base=mid)
+        assert network._entry(AID).tip[0] == mid
 
     def test_an_accumulator_accepted_without_a_batch_must_hold_its_value(self):
         network = fresh_network(elements=[b"aa-1"])
@@ -421,7 +447,7 @@ class TestRootDigests:
         for op, element in chain:
             end, _ = network.build_update_witness(AID, op, element, base=end)
             final ^= {element}
-        digest, tip_root, _added, _deleted = entry.tip
+        digest, tip_root, _batch = entry.tip
         assert digest == end == tree.digest(tip_root) == self.want(final)
         assert tip_root is tree.EMPTY or tree.leaf_key(tip_root) is not None
         assert network.commit({AID: network.changes(AID, chain)}, {AID: end}) == {AID: end}

@@ -19,6 +19,8 @@ from acctoken.erc20 import (
     OpTag,
     ProofBundle,
     TokenSystem,
+    TxRecord,
+    abi_calldata,
     decode_bundle,
     encode_bundle,
     plan,
@@ -28,8 +30,10 @@ from acctoken.erc20.bundle import (
     ALLOWED_ADDRESSES,
     ALLOWED_BALANCES,
     BALANCES,
+    ERC20_NAME,
     MEMBER,
     NON_MEMBER,
+    STORAGE_OP,
     UPDATE_ADD,
     UPDATE_DEL,
     purpose,
@@ -249,6 +253,20 @@ class TestStaleness:
         # rebuilding against the new value succeeds
         system.transfer(A, B, 10)
         assert system.balance_of(B) == 10
+
+    def test_stale_chain_is_refused_at_the_build(self):
+        # the lagged root still holds A's old tuple and the memory does not,
+        # so storage refuses the chain's first step as it records it; the
+        # client reports that as a failed verification, as it did when its
+        # check of the built witness failed
+        system = TokenSystem(A, 1000, policy=FaultPolicy.stale(1))
+        system.bootstrap([plan.transfer(A, B, 10, plan.Announced((1000,)))])
+        with pytest.raises(NotPresent):
+            system.network.build_update_witness(BALANCES, "del", balance_element(A, 1000))
+        before = snapshot(system)
+        with pytest.raises(VerificationFailed, match="cannot build"):
+            system.transfer(A, C, 5)
+        assert snapshot(system) == before
 
     def test_stale_storage_detected_at_build_time(self):
         system = TokenSystem(A, 1000, policy=FaultPolicy.stale(1))
@@ -479,8 +497,8 @@ class TestOneCommitPath:
         assert system.network._entry(BALANCES).tip[0] == system.state.balances_acc
         commits = spy_commits(system)
         system.client.build_transfer(A, B, 5)
-        _digest, _root, added, _deleted = system.network._entry(BALANCES).tip
-        assert sorted(added) == sorted(hashing.element_digest(balance_element(*e)) for e in ((A, 895), (B, 105)))
+        _digest, _root, batch = system.network._entry(BALANCES).tip
+        assert sorted(batch.adds) == sorted(hashing.element_digest(balance_element(*e)) for e in ((A, 895), (B, 105)))
         system.transfer(A, B, 5)
         assert commits == [(BALANCES, True)]
 
@@ -886,6 +904,62 @@ class TestChainTipAdoption:
         system.transfer(A, C, 5, bundle)
         assert commits == [(BALANCES, False)]
         assert accumulator_values(system) == accumulator_values(twin)
+
+
+#: the first four bytes of the SHA-256 of each op's ERC20 signature
+SELECTORS = {
+    OpTag.TRANSFER: bytes.fromhex("3c4098f4"),  # transfer(address,address,uint256)
+    OpTag.APPROVE: bytes.fromhex("b22bd365"),  # approve(address,address,uint256)
+    OpTag.TRANSFER_FROM: bytes.fromhex("6c3d961e"),  # transferFrom(address,address,address,uint256)
+}
+
+
+class TestTxRecord:
+    """The contract's record of a transaction is the one ``TokenSystem`` returns."""
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize("case", FORGERY_CASES)
+    def test_contract_record_matches_bundle_and_plan(self, case, lift):
+        op, args, _other_args = FORGERY_CASES[case]
+        tag = OpTag[op.upper()]
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        bundle = getattr(system.client, "build_" + op)(*args)
+        data = encode_bundle(bundle)
+        record = getattr(system.contract, op)(*args, bundle.announced, data)
+        assert isinstance(record, TxRecord) and record.op == ERC20_NAME[tag]
+        assert record.bundle_bytes == len(data) and record.verifications == len(bundle.entries)
+        _log, steps = plan.PLANS[tag](*args, plan.Announced(bundle.announced))
+        updates = [step for step in steps if step[1] in STORAGE_OP]
+        assert record.updates == updates
+        assert [purpose(acc, claim) for acc, claim, _element in updates] == [
+            entry.purpose for entry in bundle.entries if entry.claimed_after is not None
+        ]
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+    @pytest.mark.parametrize("case", FORGERY_CASES)
+    def test_system_returns_the_contracts_record(self, case, lift, monkeypatch):
+        op, args, _other_args = FORGERY_CASES[case]
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        returned = []
+        execute = getattr(system.contract, op)
+
+        def spy(*call):
+            returned.append(execute(*call))
+            return returned[-1]
+
+        monkeypatch.setattr(system.contract, op, spy)
+        record = getattr(system, op)(*args)
+        assert returned == [record] and returned[0] is record
+        assert record.trace.calldata[:4] == SELECTORS[OpTag[op.upper()]]
+
+    @pytest.mark.parametrize("tag", OpTag, ids=lambda tag: tag.name)
+    def test_selectors_are_the_erc20_ones(self, tag):
+        addresses = [A, B, C][: 3 if tag is OpTag.TRANSFER_FROM else 2]
+        assert abi_calldata(tag, addresses, 1, (), b"")[:4] == SELECTORS[tag]
 
 
 def honest_bundles(case, lift):
