@@ -5,15 +5,23 @@ root (``Memory.value``, a storage chain tip):
 
 - a leaf is its key, the 32-byte ``bytes`` object itself: the one
   ``Memory.elements`` keys the element by;
-- a branch is ``(bit, left, right, left_digest, right_digest)``, splitting
-  at key bit ``bit`` (keys with that bit clear go left);
+- a branch is ``(left, right, body)``, splitting at key bit ``bit`` (keys
+  with that bit clear go left), where ``body`` is the branch's hash preimage
+  ``TAG_INTERNAL || bit || left_digest || right_digest`` (66 bytes);
 - the empty trie is ``EMPTY = ()``.
 
-The kinds are told apart by length (0, 32 and 5). A leaf's digest is
-``sha256(TAG_LEAF + key)``, a branch's is over its bit and its children's
-digests, and a builder returns each node it makes with its digest, so no
-digest is hashed twice or stored in the node it belongs to. ``digest``
-recomputes one from the node, for checks.
+The kinds are told apart by length (0, 32 and 3). A leaf's digest is
+``sha256(TAG_LEAF + key)`` and a branch's is ``sha256(body)``; a builder
+returns each node it makes with its digest, so no digest is hashed twice or
+stored in the node it belongs to. ``digest`` recomputes one from the node,
+for checks.
+
+The body is the preimage rather than a bit and two digest objects because a
+trie holds a branch per key, and one 66-byte ``bytes`` costs less than two
+32-byte ones and the two slots that hold them (176 bytes a branch with its
+3-tuple, against 240 with a 5-tuple). It also holds every witness step
+whole: the step past a branch taken to the right is ``body[1:34]``, its bit
+and left digest; to the left it is the bit byte and ``body[34:]``.
 
 Tuples and shared keys, rather than objects, because a trie holds a node per
 key and per branch and lives as long as the memory does: bytes are never
@@ -47,11 +55,16 @@ from bisect import bisect_left
 
 from ..errors import AlreadyPresent, NotPresent
 from . import hashing
-from .hashing import BIT_MASK, BIT_PREFIX, EMPTY_DIGEST, KEY_BITS, TAG_LEAF, first_diff_bit
+from .hashing import BIT_MASK, BIT_PREFIX, DIGEST_BYTES, EMPTY_DIGEST, KEY_BITS, TAG_LEAF, first_diff_bit
 
 EMPTY = ()
 
 Node = bytes | tuple  # EMPTY, a leaf or a branch, as laid out above
+
+# offsets in a branch's body: its bit, then its left and its right child's digest
+_BIT_AT = len(BIT_PREFIX[0]) - 1
+_LEFT_AT = _BIT_AT + 1
+_RIGHT_AT = _LEFT_AT + DIGEST_BYTES
 
 
 def digest(node: Node) -> bytes:
@@ -60,8 +73,13 @@ def digest(node: Node) -> bytes:
         return hashing.sha256(TAG_LEAF + node)
     if not node:
         return EMPTY_DIGEST
-    bit, _left, _right, left_digest, right_digest = node
-    return hashing.sha256(BIT_PREFIX[bit] + left_digest + right_digest)
+    return hashing.sha256(node[2])
+
+
+def child_digest(branch: tuple, direction: int) -> bytes:
+    """The digest ``branch``'s body holds for its left (0) or right (1) child."""
+    at = _RIGHT_AT if direction else _LEFT_AT
+    return branch[2][at : at + DIGEST_BYTES]
 
 
 def leaf_key(node: Node) -> bytes | None:
@@ -75,49 +93,52 @@ def walk(root: Node, key: bytes):
     path = []
     node = root
     k = int.from_bytes(key, "big")
-    while len(node) == 5:
-        direction = 1 if k & BIT_MASK[node[0]] else 0
+    while len(node) == 3:
+        direction = 1 if k & BIT_MASK[node[2][_BIT_AT]] else 0
         path.append((node, direction))
-        node = node[1 + direction]
+        node = node[direction]
     return path, node
 
 
 def descend(root: Node, key: bytes, bit_bytes, path: list | None = None):
     """Walk along ``key`` once; returns (steps, terminal).
 
-    ``steps`` holds, root first, each branch's bit as ``bit_bytes[bit]`` and
-    then the digest of the sibling the walk did not take; the terminal is a
-    leaf or EMPTY. Given a ``path`` list, the walk also appends each
-    (branch, direction) to it, as ``walk`` does, for ``insert_at`` and
-    ``remove_at``.
+    ``steps`` holds, root first, each branch's step as one ``bytes``: the
+    branch's bit as ``bit_bytes[bit]``, then the digest of the sibling the
+    walk did not take. The terminal is a leaf or EMPTY. Given a ``path``
+    list, the walk also appends each (branch, direction) to it, as ``walk``
+    does, for ``insert_at`` and ``remove_at``.
     """
     steps = []
     node = root
     k = int.from_bytes(key, "big")
-    while len(node) == 5:
-        bit = node[0]
-        direction = 1 if k & BIT_MASK[bit] else 0
-        if path is not None:
-            path.append((node, direction))
-        steps += (bit_bytes[bit], node[4 - direction])
-        node = node[1 + direction]
+    while len(node) == 3:
+        body = node[2]
+        bit = body[_BIT_AT]
+        if k & BIT_MASK[bit]:
+            steps.append(body[_BIT_AT:_RIGHT_AT])
+            if path is not None:
+                path.append((node, 1))
+            node = node[1]
+        else:
+            steps.append(bit_bytes[bit] + body[_RIGHT_AT:])
+            if path is not None:
+                path.append((node, 0))
+            node = node[0]
     return steps, node
 
 
 def _rebuild(path, node: Node, node_digest: bytes) -> tuple[Node, bytes]:
     """Copy the walked ``path``'s branches, bottom up, over a new ``node``; returns the new root and its digest."""
     sha256 = hashing.hashlib.sha256
-    for (bit, left, right, left_digest, right_digest), direction in reversed(path):
+    for (left, right, body), direction in reversed(path):
         if direction:
-            node, node_digest = (
-                (bit, left, node, left_digest, node_digest),
-                sha256(BIT_PREFIX[bit] + left_digest + node_digest).digest(),
-            )
+            body = body[:_RIGHT_AT] + node_digest
+            node = (left, node, body)
         else:
-            node, node_digest = (
-                (bit, node, right, node_digest, right_digest),
-                sha256(BIT_PREFIX[bit] + node_digest + right_digest).digest(),
-            )
+            body = BIT_PREFIX[body[_BIT_AT]] + node_digest + body[_RIGHT_AT:]
+            node = (node, right, body)
+        node_digest = sha256(body).digest()
     return node, node_digest
 
 
@@ -133,22 +154,19 @@ def insert_at(path, terminal: Node, key: bytes, root_digest: bytes) -> tuple[Nod
     # The new branch sits above the first node whose discriminator passes the
     # split bit; everything below it is displaced onto the other side.
     cut = 0
-    while cut < len(path) and path[cut][0][0] < split:
+    while cut < len(path) and path[cut][0][2][_BIT_AT] < split:
         cut += 1
     displaced = path[cut][0] if cut < len(path) else terminal
-    if cut:
-        above, direction = path[cut - 1]
-        displaced_digest = above[3 + direction]
-    else:
-        displaced_digest = root_digest
+    displaced_digest = child_digest(*path[cut - 1]) if cut else root_digest
     leaf_digest = sha256(TAG_LEAF + key).digest()
     # equal-length keys first differ at ``split``, so the smaller has a 0 there
     if key < terminal:
-        node = (split, key, displaced, leaf_digest, displaced_digest)
-        node_digest = sha256(BIT_PREFIX[split] + leaf_digest + displaced_digest).digest()
+        body = BIT_PREFIX[split] + leaf_digest + displaced_digest
+        node = (key, displaced, body)
     else:
-        node = (split, displaced, key, displaced_digest, leaf_digest)
-        node_digest = sha256(BIT_PREFIX[split] + displaced_digest + leaf_digest).digest()
+        body = BIT_PREFIX[split] + displaced_digest + leaf_digest
+        node = (displaced, key, body)
+    node_digest = sha256(body).digest()
     return _rebuild(path[:cut], node, node_digest) if cut else (node, node_digest)
 
 
@@ -163,7 +181,7 @@ def remove_at(path, terminal: Node, key: bytes) -> tuple[Node, bytes]:
     if not path:
         return EMPTY, EMPTY_DIGEST
     branch, direction = path[-1]
-    return _rebuild(path[:-1], branch[2 - direction], branch[4 - direction])
+    return _rebuild(path[:-1], branch[1 - direction], child_digest(branch, 1 - direction))
 
 
 def remove(root: Node, key: bytes) -> tuple[Node, bytes]:
@@ -199,11 +217,8 @@ def _run(keys: list[bytes], ints: list[int], kept: bytes | None = None, kept_dig
             raise _duplicate(key)
         split = KEY_BITS - diff.bit_length()
         while bits[-1] > split:
-            bit, left, left_digest = bits.pop(), lefts.pop(), digests.pop()
-            node, node_digest = (
-                (bit, left, node, left_digest, node_digest),
-                sha256(BIT_PREFIX[bit] + left_digest + node_digest).digest(),
-            )
+            body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
+            node, node_digest = (lefts.pop(), node, body), sha256(body).digest()
         bits.append(split)
         lefts.append(node)
         digests.append(node_digest)
@@ -211,11 +226,8 @@ def _run(keys: list[bytes], ints: list[int], kept: bytes | None = None, kept_dig
         node_digest = kept_digest if key is kept else sha256(TAG_LEAF + key).digest()
         prev = x
     while lefts:
-        bit, left, left_digest = bits.pop(), lefts.pop(), digests.pop()
-        node, node_digest = (
-            (bit, left, node, left_digest, node_digest),
-            sha256(BIT_PREFIX[bit] + left_digest + node_digest).digest(),
-        )
+        body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
+        node, node_digest = (lefts.pop(), node, body), sha256(body).digest()
     return node, node_digest
 
 
@@ -235,13 +247,14 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], ints: list[int], l
         run.insert(at, node)
         run_ints.insert(at, x)
         return _run(run, run_ints, node, node_digest)
-    bit, left, right, left_digest, right_digest = node
+    left, right, body = node
+    bit = body[_BIT_AT]
     if bit == depth:
         split = bit  # nothing above the branch's own bit to disagree on
     else:
         sample = left
-        while len(sample) == 5:
-            sample = sample[1]
+        while len(sample) == 3:
+            sample = sample[0]
         x = int.from_bytes(sample, "big")
         # the sorted keys' common prefix with the subtree is shortest at an end
         split = KEY_BITS - ((ints[lo] ^ x) | (ints[hi - 1] ^ x)).bit_length()
@@ -249,11 +262,13 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], ints: list[int], l
     if split >= bit:
         shift = KEY_BITS - 1 - bit
         mid = bisect_left(ints, (ints[lo] >> shift | 1) << shift, lo, hi)
+        left_digest, right_digest = body[_LEFT_AT:_RIGHT_AT], body[_RIGHT_AT:]
         if mid > lo:
             left, left_digest = _merge(left, left_digest, keys, ints, lo, mid, bit + 1)
         if hi > mid:
             right, right_digest = _merge(right, right_digest, keys, ints, mid, hi, bit + 1)
-        return (bit, left, right, left_digest, right_digest), sha256(BIT_PREFIX[bit] + left_digest + right_digest).digest()
+        body = BIT_PREFIX[bit] + left_digest + right_digest
+        return (left, right, body), sha256(body).digest()
     # the new keys leave the subtree's common prefix at ``split``: a new
     # branch there, with the whole subtree on one side and a run of new keys
     # alone on the other
@@ -265,7 +280,8 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], ints: list[int], l
     else:
         left, left_digest = _merge(node, node_digest, keys, ints, lo, mid, split + 1)
         right, right_digest = _run(keys[mid:hi], ints[mid:hi])
-    return (split, left, right, left_digest, right_digest), sha256(BIT_PREFIX[split] + left_digest + right_digest).digest()
+    body = BIT_PREFIX[split] + left_digest + right_digest
+    return (left, right, body), sha256(body).digest()
 
 
 def insert_many(root: Node, root_digest: bytes, keys: list[bytes]) -> tuple[Node, bytes]:
@@ -287,8 +303,11 @@ class Memory:
     ``root`` is the trie T, made of the nodes laid out in the module
     docstring, and ``value`` is its digest, the accumulator value: the one
     digest no parent holds. ``elements`` is X, mapping each trie key to its
-    element; each key object is also the trie's leaf for it. The trie and
-    the map hold only tuples, bytes and ints, so once the collector has seen
+    element; each key object is also the trie's leaf for it. Per element
+    beyond the first, then, the trie keeps one branch: a 3-tuple and its
+    66-byte body, which is every digest the branch's own hash needs and
+    every witness step past it, so nothing else is kept per node. The trie
+    and the map hold only tuples and bytes, so once the collector has seen
     a settled trie it stops scanning it: a full collection then costs what
     the rest of the heap costs, not what the accumulator's size does.
 

@@ -62,11 +62,12 @@ def encoded_length(kind: int, step_count: int) -> int:
 def pack(kind: int, key: bytes, steps: list[bytes], occupant: bytes | None = None) -> bytes:
     """The wire bytes of a witness.
 
-    ``steps`` holds each step's bit byte (``BIT_BYTE[bit]``) and sibling
-    digest in turn, root first. ``occupant`` is the payload of the kinds that
-    carry one, None for the empty tree.
+    ``steps`` holds each step's bytes, root first: its bit byte
+    (``BIT_BYTE[bit]``) then its sibling digest, as one ``bytes``.
+    ``occupant`` is the payload of the kinds that carry one, None for the
+    empty tree.
     """
-    parts = [BIT_BYTE[kind], key, (len(steps) >> 1).to_bytes(2, "big"), *steps]
+    parts = [BIT_BYTE[kind], key, len(steps).to_bytes(2, "big"), *steps]
     if PAYLOAD_BYTES.get(kind):
         parts.append(occupant if occupant is not None else ZERO_PAYLOAD)
     return b"".join(parts)
@@ -94,7 +95,7 @@ def encode_witness(w: Witness) -> bytes:
     for bit, sibling in w.steps:
         if not 0 <= bit < 256:
             raise ValueError(f"branch bit {bit!r} outside 0..255")
-        steps += (BIT_BYTE[bit], sibling)
+        steps.append(BIT_BYTE[bit] + sibling)
     return pack(w.kind, w.element_digest, steps, w.occupant)
 
 

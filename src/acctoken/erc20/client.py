@@ -45,19 +45,20 @@ class _Lookups:
         self.announced: list[int] = []
 
     def spend(self, acc: str, *key: bytes) -> int:
-        amount = self.lookup[acc](*key)
-        if amount is None:
+        entry = self.lookup[acc](*key)
+        if entry is None:
             if acc == pb.ALLOWED_BALANCES:
                 raise NotApproved("spender was never approved by this owner")
             raise InsufficientBalance("owner holds no balance tuple")
-        self.announced.append(amount)
-        return amount
+        self.announced.append(entry[1])
+        return entry[1]
 
     def prior(self, acc: str, *key: bytes) -> int | None:
-        amount = self.lookup[acc](*key)
-        if amount is not None:
-            self.announced.append(amount)
-        return amount
+        entry = self.lookup[acc](*key)
+        if entry is None:
+            return None
+        self.announced.append(entry[1])
+        return entry[1]
 
 
 class TokenClient:
@@ -81,38 +82,48 @@ class TokenClient:
         return payload
 
     def _lookup_one(self, acc: str, prefix: bytes, decode):
-        """The decoded tuple stored under ``prefix``, or None if there is none."""
+        """The tuple stored under ``prefix`` with its decoding, or None if there is none."""
         found = self.network.lookup(acc, prefix)
         if not found:
             return None
         if len(found) > 1:
             raise VerificationFailed(f"storage holds {len(found)} {acc} tuples under one key")
         try:
-            return decode(found[0])
+            return found[0], decode(found[0])
         except ValueError as exc:
             raise VerificationFailed(f"storage served a malformed {acc} tuple: {exc}") from None
 
-    def _balance_entry(self, owner: bytes) -> int | None:
-        """The owner's accumulated amount, or None if the owner holds no tuple."""
+    def _balance_entry(self, owner: bytes) -> tuple[bytes, int] | None:
+        """The owner's accumulated tuple as served and its amount, or None if the owner holds no tuple."""
         entry = self._lookup_one(pb.BALANCES, balance_prefix(owner), decode_balance_element)
-        if entry is not None and entry[0] != owner:
+        if entry is None:
+            return None
+        element, (holder, amount) = entry
+        if holder != owner:
             raise VerificationFailed("storage answered a balance lookup for the wrong owner")
-        return None if entry is None else entry[1]
+        return element, amount
 
-    def _allowance_entry(self, owner: bytes, spender: bytes) -> int | None:
+    def _allowance_entry(self, owner: bytes, spender: bytes) -> tuple[bytes, int] | None:
+        """The pair's accumulated tuple as served and its amount, or None if there is none."""
         prefix = allowance_prefix(owner, spender)
         entry = self._lookup_one(pb.ALLOWED_BALANCES, prefix, decode_allowance_element)
-        return None if entry is None else entry[2]
+        return None if entry is None else (entry[0], entry[1][2])
 
     # -- verified reads ------------------------------------------------------------
 
     def balance_of(self, owner: bytes) -> int:
-        """Owner's balance, proven against the contract's current accumulator."""
-        amount = self._balance_entry(owner)
-        if amount is None:
+        """Owner's balance, proven against the contract's current accumulator.
+
+        A tuple that decodes and names the owner is proven as served: its
+        bytes are the ones ``balance_element`` would encode from its owner
+        and amount.
+        """
+        entry = self._balance_entry(owner)
+        if entry is None:
             self._fetch_verified(pb.BALANCES, balance_element(owner, 0), 0)
             return 0
-        self._fetch_verified(pb.BALANCES, balance_element(owner, amount), 1)
+        element, amount = entry
+        self._fetch_verified(pb.BALANCES, element, 1)
         return amount
 
     def allowance(self, owner: bytes, spender: bytes) -> int:
@@ -122,9 +133,12 @@ class TokenClient:
             return 0
         if verdict is BOTTOM:
             raise VerificationFailed("pair witness did not verify")
-        amount = self._allowance_entry(owner, spender)
-        if amount is None:
+        entry = self._allowance_entry(owner, spender)
+        if entry is None:
             raise VerificationFailed("approved pair has no allowance tuple in storage")
+        # re-encoded, not proven as served: a served tuple whose pair fields
+        # were corrupted still decodes, and the proof is of the pair asked for
+        amount = entry[1]
         self._fetch_verified(pb.ALLOWED_BALANCES, allowance_element(owner, spender, amount), 1)
         return amount
 

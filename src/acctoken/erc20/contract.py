@@ -48,7 +48,7 @@ from ..accumulator import belongs, check_update
 from ..errors import BundleSchemaMismatch, InvalidProof
 from ..gas import TxTrace
 from . import plan
-from .bundle import ERC20_NAME, MEMBER, STORAGE_OP, OpTag, decode_bundle, purpose
+from .bundle import ACCUMULATORS, ERC20_NAME, MEMBER, STORAGE_OP, OpTag, decode_bundle, purpose
 from .elements import check_address, check_amount
 from .plan import LogRecord
 
@@ -57,8 +57,8 @@ from .plan import LogRecord
 CONTRACT_KEYS = 4
 
 
-def _field(acc_name: str) -> str:
-    return acc_name.replace("-", "_") + "_acc"
+#: accumulator name -> the state field holding its value
+_FIELDS = {name: name.replace("-", "_") + "_acc" for name in ACCUMULATORS}
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,11 @@ class ContractState:
     total_supply: int
 
     def value_of(self, acc_name: str) -> bytes:
-        return getattr(self, _field(acc_name))
+        return getattr(self, _FIELDS[acc_name])
 
     def with_values(self, values: dict[str, bytes]) -> "ContractState":
         """This state with the named accumulators set to new values."""
-        return ContractState(**vars(self) | {_field(name): value for name, value in values.items()})
+        return ContractState(**vars(self) | {_FIELDS[name]: value for name, value in values.items()})
 
 
 @dataclass

@@ -11,10 +11,12 @@ refuses after the contract accepted: storage refuses every batch of the
 transaction unless each reaches the value the contract accepted, and the
 contract is then rolled back, so contract and storage never part.
 
-Every write to storage goes through ``_commit``: the deployment's mint, each
-verified transaction's update steps and ``bootstrap``'s stream of growth
-plans are netted into one batch per accumulator they touch, and the batches
-are committed in one call, each as one storage epoch.
+Every write to storage goes through ``_commit``, one batch per accumulator
+touched, all committed in one call, each as one storage epoch: a verified
+transaction's update steps go as they are, in chain order, so that storage
+can match them with the chain it simulated for the bundle, while the
+deployment's mint and ``bootstrap``'s stream of growth plans are netted as
+they are recorded.
 """
 
 import hashlib
@@ -153,22 +155,28 @@ class TokenSystem:
     # -- commit path -------------------------------------------------------------
 
     def _commit(self, steps: Iterable[plan.Step], accepted: ContractState | None = None) -> dict[str, bytes]:
-        """Commit the update steps among plan ``steps``, one netted batch per accumulator.
+        """Commit the update steps among plan ``steps``, one batch per accumulator.
 
-        All steps are recorded, so checked against storage (``Changes.record``),
-        before storage sees any batch; a batch whose steps cancel out is
-        skipped. ``accepted`` is the contract state that verified the steps,
-        if any: storage installs the batches only if it then holds every
-        value that state holds, and adopts the update chain it simulated for
-        the bundle where it can. Returns the new values of the accumulators
-        committed.
+        ``accepted`` is the contract state that verified the steps, if any:
+        they are then a transaction's verified update steps, handed to
+        storage as they are, per accumulator in chain order, and storage
+        installs them only if it then holds every value that state holds,
+        adopting the update chain it simulated for the bundle when the steps
+        are that chain's. Without it (deployment, growth) every step is
+        recorded, so checked against storage (``Changes.record``) and netted,
+        before storage sees any batch, and a batch whose steps cancel out is
+        skipped. Returns the new values of the accumulators committed.
         """
+        if accepted is not None:
+            chains: dict[str, list[tuple[str, bytes]]] = {}
+            for acc, claim, element in steps:
+                chains.setdefault(acc, []).append((pb.STORAGE_OP[claim], element))
+            return self.network.commit(chains, {name: accepted.value_of(name) for name in pb.ACCUMULATORS})
         batches = {name: self.network.changes(name) for name in pb.ACCUMULATORS}
         for acc, claim, element in steps:
             if claim in pb.STORAGE_OP:
                 batches[acc].record(pb.STORAGE_OP[claim], element)
-        values = None if accepted is None else {name: accepted.value_of(name) for name in pb.ACCUMULATORS}
-        return self.network.commit({name: changes for name, changes in batches.items() if changes}, values)
+        return self.network.commit({name: changes for name, changes in batches.items() if changes})
 
     def bootstrap(self, plans: Iterable[plan.Plan]):
         """Commit the update steps of transfer and approve plans, one batch per accumulator.
@@ -193,7 +201,7 @@ class TokenSystem:
     def check_conservation(self):
         """Balance tuples sum to the supply; at most one tuple per owner and per pair."""
         for name, keyed_by in ((pb.BALANCES, "owner"), (pb.ALLOWED_BALANCES, "(owner, spender) pair")):
-            surplus = len(self.network.elements(name)) - len(self.network.lookup_keys(name))
+            surplus = self.network.surplus(name)
             if surplus:
                 raise AssertionError(f"some {keyed_by} holds more than one {name} tuple ({surplus} surplus)")
         balances = self.network.elements(pb.BALANCES)

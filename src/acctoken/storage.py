@@ -23,38 +23,49 @@ A client builds one bundle at a time, so each accumulator keeps one chain
 tip: the simulated root of its latest ``build_update_witness``, the root's
 digest, which the build returned (a trie's nodes hold their children's
 digests, so a root that is a lone leaf or empty has its digest nowhere
-else), and the chain's steps as a ``core.Changes`` batch of the memory,
-each step recorded with the key object the simulation made its leaf. The
-batch checks every step against the memory as it is recorded, so a chain
-the memory refutes (one begun on a stale root) is refused at the build. A
-build without a base starts a new chain and replaces the tip; a build on the
-tip's digest continues it, taking the digest as the root's; any other base
-is refused. A commit is told the value the contract accepted; when that is
-the tip's digest and the committed batch has the tip batch's keys, the
-tip's root is the root of exactly the committed changes (the digest binds
-the key set, and the trie's layout is canonical), so the commit installs
-the tip's root with the tip's own batch instead of walking and rehashing
-the same paths again. Any other batch (a bundle built elsewhere, an earlier
-bundle whose chain was superseded, a chain of other keys than the batch's)
-is walked path by path, and refused unless the walk reaches the accepted
-value; deployment and growth have no accepted value. A commit clears the
-tips of the accumulators it writes, so a bundle that never lands pins at
-most one simulated root per accumulator.
+else), the chain's steps as a ``core.Changes`` batch of the memory, each
+step recorded with the key object the simulation made its leaf, and the
+(op, element) steps themselves in build order. The batch checks every step
+against the memory as it is recorded, so a chain the memory refutes (one
+begun on a stale root) is refused at the build. A build without a base
+starts a new chain and replaces the tip; a build on the tip's digest
+continues it, taking the digest as the root's; any other base is refused.
 
-An accumulator registered with a lookup prefix length also keeps an index
-from each prefix to the element under it: the token keeps one tuple per
-owner and per pair, so one element per key, stored as itself rather than in
-a one-element set. A commit that puts a second element under a key is still
-applied, as the chain confirmed it, and the key's value becomes a tuple of
-its elements. ``elements`` and ``lookup`` then show every element while
-``lookup_keys`` lists the key once, which is how the integrity checks see
-the surplus.
+A verified transaction commits its update steps, per accumulator in chain
+order, and the value the contract accepted. When that value is the tip's
+digest and the steps are the tip's, byte for byte and in order, the tip's
+root is the root of exactly the committed changes (the digest binds the key
+set, the trie's layout is canonical, and the tip's batch is those steps
+recorded against the memory as it is), so the commit installs the tip's root
+with the tip's own batch: nothing is digested or walked again. Any other
+steps (a bundle built elsewhere, an earlier bundle whose chain was
+superseded, a chain of other steps) are recorded into a batch, walked path by
+path, and refused unless the walk reaches the accepted value. Deployment and
+growth commit ``core.Changes`` batches they recorded themselves, with no
+accepted value, and these are walked at install. A batch that nets to no
+change installs nothing, and a commit clears the tips of the accumulators it
+writes, so a bundle that never lands pins at most one simulated root per
+accumulator.
+
+An accumulator registered with a lookup prefix length also keeps its
+elements in a list, sorted, as its lookup index: every element under one
+prefix is then adjacent to the others, so a lookup is a ``bisect`` and a
+slice, a commit deletes by ``bisect`` and adds by ``insort`` (or, for a
+batch as large as growth's, by extending and sorting), and nothing per
+prefix is kept, the prefixes themselves included. The token keeps one tuple
+per owner and per pair, so one element per prefix; a commit that puts a
+second one under a prefix is still applied, as the chain confirmed it, and
+the element sits beside the first. ``elements`` and ``lookup`` then show
+both, and ``surplus`` counts them, which is how the integrity checks see
+it.
 """
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .accumulator import core
 from .accumulator.hashing import element_digest
@@ -114,26 +125,37 @@ class ServingStats:
     lookup_bytes: int = 0
 
 
-def _held(value) -> tuple[bytes, ...]:
-    """The elements an index value stands for: one element, or a tuple of them."""
-    return (value,) if value.__class__ is bytes else value
+# (op, element) steps of one accumulator, in chain order
+Steps = list[tuple[str, bytes]]
+
+# a commit adding more elements than this to an index extends and sorts it
+# once; fewer are each put in place by ``insort``. Each insort moves the
+# list's tail, and a sort first compares every element: at any index size
+# the two cost the same near 150 adds (timeit, 2-vCPU x86-64)
+_INSORT_MAX = 128
+
+
+class _Tip(NamedTuple):
+    """The latest ``build_update_witness`` chain of an accumulator: the next
+    build may continue it, and a commit of its ``steps`` to its ``value``
+    installs its ``root`` and ``changes``."""
+
+    value: bytes  # the root's digest
+    root: Node
+    changes: core.Changes  # the steps recorded, each added key being a new leaf of the root
+    steps: Steps
 
 
 @dataclass
 class _Registered:
     memory: Memory
     index_prefix_len: int | None
-    # lookup prefix -> the element under it, or a tuple of the elements when
-    # more than one is (a collision the integrity checks report)
-    index: dict = field(default_factory=dict)
+    # every element, sorted: the lookup index, when there is a prefix length
+    index: list[bytes] = field(default_factory=list)
     # (epoch reached, root before, value before, changes) of the commits a
     # stale node lags behind, oldest first
     history: deque = field(default_factory=deque)
-    # (digest, root, batch) of the latest build_update_witness chain, the
-    # batch's added keys being the root's new leaves: the next build may
-    # continue it, and a commit whose accepted value is its digest and whose
-    # batch has its keys installs its root and batch; None after a commit
-    tip: tuple[bytes, Node, core.Changes] | None = None
+    tip: _Tip | None = None  # None after a commit
 
 
 class StorageNetwork:
@@ -182,11 +204,30 @@ class StorageNetwork:
         plen = entry.index_prefix_len
         if plen is None or len(prefix) != plen:
             raise StorageError(f"lookups require a {plen}-byte prefix")
-        return _held(entry.index.get(prefix, ()))
+        index = entry.index
+        lo = hi = bisect_left(index, prefix)
+        while hi < len(index) and index[hi].startswith(prefix):
+            hi += 1
+        return index[lo:hi]
 
-    def lookup_keys(self, acc: str) -> Collection[bytes]:
-        """The lookup prefixes ``elements`` holds anything under now, read-only."""
-        return self._entry(acc).index.keys()
+    def surplus(self, acc: str) -> int:
+        """How many elements ``acc`` holds now beyond one per lookup prefix:
+        the elements less the distinct prefixes.
+
+        Counted along the sorted index, where the elements under one prefix
+        are adjacent, so no set of prefixes is built. A ledger view, like
+        ``elements``.
+        """
+        entry = self._entry(acc)
+        plen = entry.index_prefix_len
+        if plen is None:
+            raise StorageError(f"{acc} has no lookup index")
+        count, last = 0, None
+        for element in entry.index:
+            prefix = element[:plen]
+            count += prefix == last
+            last = prefix
+        return count
 
     # -- fault layer ---------------------------------------------------------
 
@@ -210,9 +251,12 @@ class StorageNetwork:
         return entry.memory.root, entry.memory.value
 
     def _serving_elements(self, acc: str, prefix: bytes) -> list[bytes]:
-        current = self.elements(acc, prefix)  # checks the prefix length
+        current = self.elements(acc, prefix)  # checks the prefix length; a sorted copy
+        history = self._entry(acc).history
+        if not history:
+            return current
         # roll back the commits the served root predates, newest first
-        for _epoch, _root, _digest, changes in reversed(self._entry(acc).history):
+        for _epoch, _root, _digest, changes in reversed(history):
             current = {element for element in current if element_digest(element) not in changes.adds}
             current.update(element for element in changes.dels.values() if element.startswith(prefix))
         return sorted(current)
@@ -220,12 +264,13 @@ class StorageNetwork:
     # -- serving API ---------------------------------------------------------
 
     def lookup(self, acc: str, prefix: bytes) -> list[bytes]:
-        """Accumulated elements whose encoding starts with ``prefix``."""
+        """Accumulated elements whose encoding starts with ``prefix``, sorted."""
         self._maybe_refuse()
-        found = self._serving_elements(acc, prefix)
-        served = [self._serve_bytes(e) for e in found]
+        served = self._serving_elements(acc, prefix)
+        if self.policy.mode == CORRUPT_BITS:
+            served = [self._serve_bytes(e) for e in served]
         self.stats.lookups += 1
-        self.stats.lookup_bytes += sum(len(e) for e in served)
+        self.stats.lookup_bytes += sum(map(len, served))
         return served
 
     def fetch_witness(self, acc: str, element: bytes) -> bytes:
@@ -256,14 +301,15 @@ class StorageNetwork:
         self._maybe_refuse()
         entry = self._entry(acc)
         if base is None:
-            (root, digest), changes = self._serving_root(entry), core.Changes(entry.memory)
-        elif entry.tip is not None and base == entry.tip[0]:
-            digest, root, changes = entry.tip
+            (root, digest), changes, steps = self._serving_root(entry), core.Changes(entry.memory), []
+        elif entry.tip is not None and base == entry.tip.value:
+            digest, root, changes, steps = entry.tip
         else:
             raise StorageError("unknown base snapshot; rebuild from current")
         new_root, acc_after, witness, key = core.simulate_update(root, digest, op, element)  # an add's new leaf is ``key``
         changes.record(op, element, key)
-        entry.tip = (acc_after, new_root, changes)
+        steps.append((op, element))
+        entry.tip = _Tip(acc_after, new_root, changes, steps)
         payload = self._serve_bytes(witness)
         predicted = self._serve_bytes(acc_after)
         self.stats.update_builds += 1
@@ -277,32 +323,41 @@ class StorageNetwork:
         (op, element) ``steps`` recorded; record more with its ``record``."""
         return core.Changes(self._entry(acc).memory, steps)
 
-    def commit(self, batches: dict[str, core.Changes], accepted: dict[str, bytes] | None = None) -> dict[str, bytes]:
+    def commit(
+        self, batches: dict[str, core.Changes | Steps], accepted: dict[str, bytes] | None = None
+    ) -> dict[str, bytes]:
         """Install one transaction's batches, each as one epoch of its accumulator, all or none.
 
+        A batch is a ``core.Changes`` of the accumulator's memory, or the
+        (op, element) steps of a verified transaction in chain order.
         ``accepted`` holds the values the contract accepted. Every batch is
         checked before any is installed: it must not be stale, and it must
         reach its accepted value, by the chain tip when the tip's digest is
-        that value and its batch has this batch's keys (the tip's root is
-        then the trie of exactly these changes, and the tip's own batch is
-        installed with it), or else by a walk. An accumulator accepted
-        without a batch must hold its value already. A batch without an
-        accepted value is walked at install. Returns the new values.
+        that value and the batch is the tip's steps (the tip's root and
+        batch are then installed), or else by a walk. A batch without an
+        accepted value is walked at install. A batch that nets to no change
+        must hold its accepted value already, like an accumulator accepted
+        without a batch, and installs nothing: no epoch, and its tip stays.
+        Returns the value each batch reached.
         """
         accepted = accepted or {}
         staged = {}
-        for acc, changes in batches.items():
+        for acc, batch in batches.items():
             entry = self._entry(acc)
-            changes.check_current(entry.memory)
-            value, tip, built = accepted.get(acc), entry.tip, None
-            if tip and tip[0] == value and (
-                tip[2].adds.keys() == changes.adds.keys() and tip[2].dels.keys() == changes.dels.keys()
-            ):
-                changes, built = tip[2], (tip[1], value)
-            elif value:
-                built = core.updated_root(entry.memory, changes)
-                if built[1] != value:
-                    raise StorageError(f"{acc} changes do not reach the value the contract accepted")
+            memory, value, tip, built = entry.memory, accepted.get(acc), entry.tip, None
+            if batch.__class__ is core.Changes:
+                changes = batch
+            elif tip and tip.value == value and tip.steps == batch:
+                changes, built = tip.changes, (tip.root, value)
+            else:
+                changes = core.Changes(memory, batch)
+            changes.check_current(memory)
+            if not changes:
+                built = memory.root, memory.value
+            elif value is not None and built is None:
+                built = core.updated_root(memory, changes)
+            if value is not None and built[1] != value:
+                raise StorageError(f"{acc} changes do not reach the value the contract accepted")
             staged[acc] = entry, changes, built
         for acc, value in accepted.items():
             if acc not in batches and value != self._entry(acc).memory.value:
@@ -311,6 +366,8 @@ class StorageNetwork:
 
     def _install(self, entry: _Registered, changes: core.Changes, built: tuple[Node, bytes] | None) -> bytes:
         memory = entry.memory
+        if not changes:
+            return memory.value
         # honest storage holds no old root, so the replaced nodes are freed
         # as soon as the commit lands
         lagged = (memory.epoch + 1, memory.root, memory.value, changes) if self._lag else None
@@ -320,20 +377,15 @@ class StorageNetwork:
             history.append(lagged)
             while history[0][0] <= memory.epoch - self._lag:
                 history.popleft()
-        plen = entry.index_prefix_len
-        if plen is not None:
+        if entry.index_prefix_len is not None:
             index = entry.index
             for element in changes.dels.values():
-                if len(element) >= plen:
-                    prefix = element[:plen]
-                    rest = tuple(other for other in _held(index.pop(prefix)) if other != element)
-                    if rest:  # a collision: keep the others
-                        index[prefix] = rest if len(rest) > 1 else rest[0]
-            for element in changes.adds.values():
-                if len(element) >= plen:
-                    prefix = element[:plen]
-                    held = index.setdefault(prefix, element)
-                    if held is not element:  # a second element under the key
-                        index[prefix] = (*_held(held), element)
+                del index[bisect_left(index, element)]
+            if len(changes.adds) > _INSORT_MAX:
+                index += changes.adds.values()
+                index.sort()
+            else:
+                for element in changes.adds.values():
+                    insort(index, element)
         entry.tip = None
         return acc_after

@@ -6,6 +6,8 @@ import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from acctoken.accumulator import (
 )
 from acctoken.accumulator import tree
 from acctoken.accumulator.core import Changes, apply_update
-from acctoken.accumulator.hashing import element_digest, first_diff_bit
+from acctoken.accumulator.hashing import TAG_INTERNAL, element_digest, first_diff_bit
 from acctoken.accumulator.witness import COUNT_AT, HEADER_BYTES, STEP_BYTES, ZERO_PAYLOAD
 from acctoken.errors import (
     AlreadyPresent,
@@ -868,11 +870,11 @@ class TestBatchUpdate:
             if not node:
                 continue
             sample = node
-            while len(sample) == 5:
-                sample = sample[1]
+            while len(sample) == 3:
+                sample = sample[0]
             # a new key falls into a subtree when it has the subtree's common
             # prefix: the bits before a branch's own bit, or a leaf's whole key
-            shift = 256 - node[0] if len(node) == 5 else 0
+            shift = 256 - node[2][1] if len(node) == 3 else 0
             prefix = int.from_bytes(sample, "big") >> shift
             if all(x >> shift != prefix for x in new_ints):
                 assert id(node) in merged_ids
@@ -936,8 +938,8 @@ def trie_nodes(*roots):
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            if len(node) == 5:
-                stack += node[1:3]
+            if len(node) == 3:
+                stack += node[:2]
     return list(seen.values())
 
 
@@ -967,16 +969,14 @@ class TestCollectorFreeNodes:
             simulated = simulate_update(*simulated, "del", element)[:2]
         roots = [root for root, _digest in (batched, merged, inserted, removed, emptied, simulated)]
         nodes = trie_nodes(*roots)
-        branches = [node for node in nodes if len(node) == 5]
+        branches = [node for node in nodes if len(node) == 3]
         # every other node is a leaf, which is its key, or EMPTY: no leaf is
         # a container the collector could track
-        others = [node for node in nodes if len(node) != 5]
+        others = [node for node in nodes if len(node) != 3]
         assert all(node.__class__ is bytes and len(node) == 32 or node is tree.EMPTY for node in others)
         assert not any(map(gc.is_tracked, others))
-        # a branch holds its bit, two nodes and their two digests
-        assert all(
-            branch[0].__class__ is int and branch[3].__class__ is bytes is branch[4].__class__ for branch in branches
-        )
+        # a branch holds two nodes and its body, the bytes of its hash preimage
+        assert all(branch.__class__ is tuple and branch[2].__class__ is bytes for branch in branches)
         # a collection untracks a tuple only if it examines the tuple's
         # children first, so a fresh trie leaves over several collections
         tracked = None
@@ -1015,3 +1015,57 @@ class TestLeavesAreKeys:
         apply_update(memory, Changes(memory, steps))
         self.assert_leaves_are_keys(memory)
         assert memory.value == tree.digest(memory.root) == canonical_digest(memory.elements)
+
+
+class TestBranchIsItsPreimage:
+    """A branch is ``(left, right, body)``, its body the 66 bytes its digest hashes."""
+
+    @staticmethod
+    def assert_layout(memory):
+        keys = {key: key for key in memory.elements}
+        assert tree.digest(memory.root) == memory.value
+        leaves = 0
+        for node in trie_nodes(memory.root):
+            if node.__class__ is bytes:
+                assert keys[node] is node
+                leaves += 1
+            elif node:
+                left, right, body = node
+                assert body.__class__ is bytes and len(body) == 66 and body[:1] == TAG_INTERNAL
+                assert body[2:34] == tree.digest(left) and body[34:] == tree.digest(right)
+                # the two subtrees split at the branch's bit
+                assert first_diff_bit(leaves_of(left), leaves_of(right)) == body[1]
+        assert leaves == len(keys)
+
+    def test_after_single_updates_and_batches(self):
+        elements = [b"e%d" % i for i in range(300)]
+        acc, memory = build_set(elements[:100])
+        self.assert_layout(memory)
+        for element in elements[:100:3]:
+            acc = update("del", acc, memory, element).acc_after
+        apply_update(memory, Changes(memory, [("add", element) for element in elements[100:]]))
+        self.assert_layout(memory)
+        apply_update(memory, Changes(memory, [("del", element) for element in elements[100:250]]))
+        self.assert_layout(memory)
+
+    def test_traced_bytes_per_element(self):
+        # a branch per element beyond the first: its 3-tuple (64 requested
+        # bytes) and its 66-byte body (99); the keys are the leaves, made
+        # before tracing. A branch of five slots and two 32-byte digest
+        # objects took about 210
+        keys = sorted(element_digest(b"%d" % i) for i in range(20_000))
+        tracemalloc.start()
+        try:
+            built = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys)
+            traced, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built[1] == tree.digest(built[0])
+        assert traced / len(keys) < 180
+
+
+def leaves_of(node):
+    """One key under ``node``: its leftmost."""
+    while node.__class__ is not bytes:
+        node = node[0]
+    return node

@@ -26,8 +26,8 @@ def commit(network, op, element):
 def ledger(entry):
     """What a refused commit must leave as it was: root, elements, epoch, index, history and tip."""
     memory, tip = entry.memory, entry.tip
-    tip = tip and (tip[0], tip[1], dict(tip[2].adds), dict(tip[2].dels))
-    return memory.root, dict(memory.elements), memory.epoch, dict(entry.index), list(entry.history), tip
+    tip = tip and (tip.value, tip.root, dict(tip.changes.adds), dict(tip.changes.dels), list(tip.steps))
+    return memory.root, dict(memory.elements), memory.epoch, list(entry.index), list(entry.history), tip
 
 
 def fresh_network(policy=None, elements=()):
@@ -98,9 +98,9 @@ class TestLedgerView:
         network = fresh_network(policy, elements=[b"aa-1", b"aa-2", b"ab-3"])
         commit(network, "del", b"aa-2")
         assert sorted(network.elements(AID)) == [b"aa-1", b"ab-3"]
-        assert network.elements(AID, b"aa") == (b"aa-1",)
-        assert network.elements(AID, b"zz") == ()
-        assert sorted(network.lookup_keys(AID)) == [b"aa", b"ab"]
+        assert network.elements(AID, b"aa") == [b"aa-1"]
+        assert network.elements(AID, b"zz") == []
+        assert network.surplus(AID) == 0
         assert network.stats == type(network.stats)()
         with pytest.raises(StorageError):
             network.elements(AID, b"a")  # wrong prefix length
@@ -113,9 +113,9 @@ class TestCollisions:
         network = fresh_network(elements=[b"aa-1", b"aa-2"])
         network.commit({AID: network.changes(AID, [("add", b"aa-3"), ("add", b"ab-4")])})
         assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2", b"aa-3"]
-        assert sorted(network.elements(AID, b"aa")) == [b"aa-1", b"aa-2", b"aa-3"]
-        assert network.elements(AID, b"ab") == (b"ab-4",)
-        assert len(network.elements(AID)) - len(network.lookup_keys(AID)) == 2
+        assert network.elements(AID, b"aa") == [b"aa-1", b"aa-2", b"aa-3"]
+        assert network.elements(AID, b"ab") == [b"ab-4"]
+        assert network.surplus(AID) == 2
 
     def test_conservation_reports_the_surplus(self):
         system = TokenSystem(OWNER, 1000)
@@ -130,18 +130,19 @@ class TestCollisions:
         network = fresh_network(elements=[b"aa-1", b"aa-2", b"ab-3"])
         commit(network, "del", b"aa-1")
         assert network.lookup(AID, b"aa") == [b"aa-2"]
-        assert network.elements(AID, b"aa") == (b"aa-2",)
+        assert network.elements(AID, b"aa") == [b"aa-2"]
+        assert network.surplus(AID) == 0
         commit(network, "del", b"aa-2")
         assert network.lookup(AID, b"aa") == []
-        assert network.elements(AID, b"aa") == ()
-        assert list(network.lookup_keys(AID)) == [b"ab"]
+        assert network.elements(AID, b"aa") == []
+        assert network.elements(AID, b"ab") == [b"ab-3"] and network.surplus(AID) == 0
 
     def test_replacing_one_in_a_batch(self):
         network = fresh_network(elements=[b"aa-1", b"aa-2"])
         network.commit({AID: network.changes(AID, [("del", b"aa-1"), ("add", b"aa-3")])})
         assert network.lookup(AID, b"aa") == [b"aa-2", b"aa-3"]
         network.commit({AID: network.changes(AID, [("del", b"aa-2"), ("del", b"aa-3"), ("add", b"aa-4")])})
-        assert network.elements(AID, b"aa") == (b"aa-4",)
+        assert network.elements(AID, b"aa") == [b"aa-4"]
 
     def test_stale_node_rolls_back_across_a_collision(self):
         network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
@@ -149,7 +150,7 @@ class TestCollisions:
         assert network.lookup(AID, b"aa") == [b"aa-1"]
         network.commit({AID: network.changes(AID, [("del", b"aa-1"), ("del", b"aa-3")])})
         assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2", b"aa-3"]
-        assert network.elements(AID, b"aa") == (b"aa-2",)
+        assert network.elements(AID, b"aa") == [b"aa-2"]
         commit(network, "add", b"ab-4")
         assert network.lookup(AID, b"aa") == [b"aa-2"]
 
@@ -217,8 +218,8 @@ class TestBuildUpdateWitness:
         for i in range(8):
             mid, _ = network.build_update_witness(AID, "del", b"aa-%d" % i)
             end, _ = network.build_update_witness(AID, "add", b"ab-%d" % i, base=mid)
-        digest, root, _batch = network._entry(AID).tip
-        assert digest == end == tree.digest(root)
+        tip = network._entry(AID).tip
+        assert tip.value == end == tree.digest(tip.root)
 
     def test_current_value_is_not_a_base(self):
         # a chain starts without a base; the current value is not a chain tip
@@ -262,12 +263,11 @@ class TestCommit:
         network = fresh_network(elements=[b"aa-1", b"ab-2"])
         mid, _ = network.build_update_witness(AID, "del", b"aa-1")
         end, _ = network.build_update_witness(AID, "add", b"ac-3", base=mid)
-        _digest, tip_root, batch = network._entry(AID).tip
-        changes = network.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])
-        assert network.commit({AID: changes}, {AID: end}) == {AID: end}
+        tip = network._entry(AID).tip
+        assert network.commit({AID: [("del", b"aa-1"), ("add", b"ac-3")]}, {AID: end}) == {AID: end}
         memory = network._entry(AID).memory
-        assert memory.root is tip_root and network._entry(AID).tip is None
-        (key,) = batch.adds
+        assert memory.root is tip.root and network._entry(AID).tip is None
+        (key,) = tip.changes.adds
         assert next(k for k in memory.elements if k == key) is key
         assert network.lookup(AID, b"ac") == [b"ac-3"] and network.lookup(AID, b"aa") == []
         walked = fresh_network(elements=[b"aa-1", b"ab-2"])
@@ -282,8 +282,8 @@ class TestCommit:
         end = None
         for op, element in chain:
             end, _ = network.build_update_witness(AID, op, element, base=end)
-        _digest, tip_root, _batch = network._entry(AID).tip
-        network.commit({AID: network.changes(AID, chain)}, {AID: end})
+        tip_root = network._entry(AID).tip.root
+        network.commit({AID: chain}, {AID: end})
         memory = network._entry(AID).memory
         assert memory.root is tip_root
         keys = {key: key for key in memory.elements}
@@ -293,7 +293,7 @@ class TestCommit:
             if tree.leaf_key(node) is not None:
                 leaves.append(node)
             elif node:
-                stack += node[1:3]
+                stack += node[:2]
         assert len(leaves) == len(keys) == 40 - 14 + 30
         assert all(keys[leaf] is leaf for leaf in leaves)
 
@@ -303,11 +303,11 @@ class TestCommit:
         # value than the one the batch reaches, whether it is told it or not
         network = fresh_network(elements=[b"aa-1"])
         mid, _ = network.build_update_witness(AID, "add", b"ab-2")
-        _digest, mid_root, _batch = network._entry(AID).tip
+        mid_root = network._entry(AID).tip.root
         network.build_update_witness(AID, "add", b"ac-3", base=mid)
-        _digest, tip_root, _batch = network._entry(AID).tip
+        tip_root = network._entry(AID).tip.root
         accepted = {AID: mid} if told else None
-        commit_value = network.commit({AID: network.changes(AID, [("add", b"ab-2")])}, accepted)[AID]
+        commit_value = network.commit({AID: [("add", b"ab-2")]}, accepted)[AID]
         root = network._entry(AID).memory.root
         assert root is not tip_root and root is not mid_root
         assert root == mid_root and commit_value == tree.digest(mid_root) == mid
@@ -324,11 +324,11 @@ class TestCommit:
         root, digest = network._serving_root(entry)
         assert root is served is not entry.memory.root and digest is served_value
         end, _ = network.build_update_witness(AID, "add", b"ac-3")
-        _digest, tip_root, _batch = entry.tip
-        network.commit({AID: network.changes(AID, [("add", b"ac-3")])}, {AID: end})
+        tip_root = entry.tip.root
+        network.commit({AID: [("add", b"ac-3")]}, {AID: end})
         assert entry.memory.root is tip_root
         assert sorted(network.elements(AID)) == [b"aa-1", b"ab-2", b"ac-3"]
-        assert network.elements(AID, b"ac") == (b"ac-3",)
+        assert network.elements(AID, b"ac") == [b"ac-3"]
 
     def test_walks_a_chain_of_other_keys(self):
         # the accepted value is a chain's for ab-2, the batch adds ac-3:
@@ -338,8 +338,9 @@ class TestCommit:
         entry = network._entry(AID)
         accepted, _ = network.build_update_witness(AID, "add", b"ab-2")
         before = ledger(entry)
-        with pytest.raises(StorageError, match="do not reach the value the contract accepted"):
-            network.commit({AID: network.changes(AID, [("add", b"ac-3")])}, {AID: accepted})
+        for batch in ([("add", b"ac-3")], network.changes(AID, [("add", b"ac-3")])):
+            with pytest.raises(StorageError, match="do not reach the value the contract accepted"):
+                network.commit({AID: batch}, {AID: accepted})
         assert ledger(entry) == before
         value = commit(network, "add", b"ac-3")
         assert value != accepted and value == commit(fresh_network(elements=[b"aa-1"]), "add", b"ac-3")
@@ -355,11 +356,11 @@ class TestCommit:
         commit(network, "del", b"aa-1")
         mid, _ = network.build_update_witness(AID, "add", b"zz-9")
         end, _ = network.build_update_witness(AID, "del", b"zz-9", base=mid)
-        _digest, tip_root, batch = network._entry(AID).tip
-        assert end == served and not batch
-        assert network.commit({AID: network.changes(AID, [("add", b"aa-1")])}, {AID: end}) == {AID: end}
-        assert network._entry(AID).memory.root is not tip_root
-        assert list(network.elements(AID)) == [b"aa-1"] and network.elements(AID, b"aa") == (b"aa-1",)
+        tip = network._entry(AID).tip
+        assert end == served and not tip.changes
+        assert network.commit({AID: [("add", b"aa-1")]}, {AID: end}) == {AID: end}
+        assert network._entry(AID).memory.root is not tip.root
+        assert list(network.elements(AID)) == [b"aa-1"] and network.elements(AID, b"aa") == [b"aa-1"]
 
     def test_tip_batch_is_the_chains_changes(self, monkeypatch):
         # the tip's batch has the adds and deletes a batch of the same steps
@@ -378,8 +379,9 @@ class TestCommit:
         base = None
         for op, element in steps:
             base, _ = network.build_update_witness(AID, op, element, base=base)
-        batch = network._entry(AID).tip[2]
-        changes = network.changes(AID, steps)
+        tip = network._entry(AID).tip
+        batch, changes = tip.changes, network.changes(AID, steps)
+        assert tip.steps == steps
         assert batch.adds == changes.adds and batch.dels == changes.dels
         assert batch.adds and all(key is leaves[element] for key, element in batch.adds.items())
 
@@ -397,7 +399,7 @@ class TestCommit:
         mid, _ = network.build_update_witness(AID, "add", b"ac-3")
         with pytest.raises(AlreadyPresent):
             network.build_update_witness(AID, "add", b"ab-2", base=mid)
-        assert network._entry(AID).tip[0] == mid
+        assert network._entry(AID).tip.value == mid
 
     def test_an_accumulator_accepted_without_a_batch_must_hold_its_value(self):
         network = fresh_network(elements=[b"aa-1"])
@@ -447,10 +449,10 @@ class TestRootDigests:
         for op, element in chain:
             end, _ = network.build_update_witness(AID, op, element, base=end)
             final ^= {element}
-        digest, tip_root, _batch = entry.tip
+        digest, tip_root = entry.tip.value, entry.tip.root
         assert digest == end == tree.digest(tip_root) == self.want(final)
         assert tip_root is tree.EMPTY or tree.leaf_key(tip_root) is not None
-        assert network.commit({AID: network.changes(AID, chain)}, {AID: end}) == {AID: end}
+        assert network.commit({AID: chain}, {AID: end}) == {AID: end}
         assert memory.root is tip_root
         assert memory.value == tree.digest(memory.root) == network.accumulator_value(AID) == self.want(final)
         walked = fresh_network(elements=start)
@@ -472,8 +474,9 @@ def commit_cases(draw):
     element no step touches, so a chain built there reaches another value
     than the batch and is walked past. Some batches are first chained through
     ``build_update_witness``: over their own steps (adopted when the node is
-    honest) or over all but the last. Returns (network, steps per
-    accumulator, the accumulators whose tip the commit must adopt).
+    honest and the steps change something) or over all but the last. Returns
+    (network, steps per accumulator, the accumulators whose tip the commit
+    must adopt).
     """
     lag = draw(st.integers(0, 1))
     network = StorageNetwork(FaultPolicy.stale(lag))
@@ -483,7 +486,7 @@ def commit_cases(draw):
         held = draw(st.sets(st.sampled_from(UNIVERSE), max_size=8))
         network.commit({name: network.changes(name, [("add", element) for element in sorted(held)])})
         network.commit({name: network.changes(name, [("add", b"zz-0")])})
-        batch = []
+        batch, start = [], set(held)
         for element in draw(st.lists(st.sampled_from(UNIVERSE), max_size=6)):
             batch.append(("del" if element in held else "add", element))
             held ^= {element}
@@ -491,7 +494,7 @@ def commit_cases(draw):
         base = None
         for op, element in batch[:chained]:
             base, _ = network.build_update_witness(name, op, element, base=base)
-        if batch and chained == len(batch) and not lag:
+        if held != start and chained == len(batch) and not lag:
             adopting.add(name)
         steps[name] = batch
     return network, steps, adopting
@@ -506,8 +509,11 @@ class TestCommitAllOrNone:
         network, steps, adopting = case
         walked = copy.deepcopy(network)
         right = walked.commit({name: walked.changes(name, batch) for name, batch in steps.items()})
-        batches = {name: network.changes(name, batch) for name, batch in steps.items()}
+        # a verified transaction's batches are its steps; a batch recorded
+        # before an epoch lands (the stale fault) is a Changes
+        batches = {name: network.changes(name, batch) for name, batch in steps.items()} if fault == "stale" else steps
         entries = {name: network._entry(name) for name in steps}
+        changing = {name for name in steps if walked._entry(name).memory.epoch > entries[name].memory.epoch}
         if fault != "none":
             bad = data.draw(st.sampled_from(sorted(steps)))
             accepted = dict(right)
@@ -528,8 +534,81 @@ class TestCommitAllOrNone:
             other = walked._entry(name)
             assert entry.memory.root == other.memory.root and entry.memory.epoch == other.memory.epoch
             assert entry.memory.elements == other.memory.elements and entry.index == other.index
-            adopted = tips[name] is not None and entry.memory.root is tips[name][1]
-            assert entry.tip is None and adopted == (name in adopting)
+            # a batch that changes nothing installs nothing and leaves its tip
+            # (whose root may then be the memory's own)
+            adopted = name in changing and tips[name] is not None and entry.memory.root is tips[name].root
+            assert entry.tip is (None if name in changing else tips[name]) and adopted == (name in adopting)
+
+
+PREFIXES = (b"aa", b"ab", b"ba", b"bb")
+ELEMENTS = [prefix + b"-%d" % i for prefix in PREFIXES for i in range(50)]
+
+
+class TestSortedIndex:
+    """The lookup index is the accumulator's elements, sorted, after any mix of commits."""
+
+    @staticmethod
+    def assert_index(network, states, lag):
+        entry = network._entry(AID)
+        held = list(entry.memory.elements.values())
+        assert entry.index == sorted(held) and set(held) == states[-1]
+        # a node lagging ``lag`` epochs serves the elements as they were then
+        served = states[max(0, len(states) - 1 - lag)]
+        for prefix in PREFIXES + (b"zz",):
+            assert network.elements(AID, prefix) == sorted(e for e in held if e.startswith(prefix))
+            assert network.lookup(AID, prefix) == sorted(e for e in served if e.startswith(prefix))
+        assert network.surplus(AID) == len(held) - len({e[:2] for e in held})
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2), st.data())
+    def test_index_is_the_sorted_elements(self, lag, data):
+        network = fresh_network(FaultPolicy.stale(lag))
+        states = [set()]  # the elements after each epoch
+        for _ in range(data.draw(st.integers(1, 8))):
+            held = states[-1]
+            kind = data.draw(st.sampled_from(["growth", "adopted", "walked", "refused"]))
+            if kind == "growth":  # up to 200 adds at once, so the index is sorted whole or added to by insort
+                absent = sorted(set(ELEMENTS) - held)
+                adds = data.draw(st.permutations(absent))[: data.draw(st.integers(0, len(absent)))]
+                dels = data.draw(st.lists(st.sampled_from(sorted(held)), unique=True, max_size=3)) if held else []
+                batch = network.changes(AID, [("add", e) for e in adds] + [("del", e) for e in dels])
+                after = (held | set(adds)) - set(dels)
+                network.commit({AID: batch})
+            else:
+                steps, after = [], set(held)
+                for element in data.draw(st.lists(st.sampled_from(ELEMENTS), max_size=5)):
+                    steps.append(("del" if element in after else "add", element))
+                    after ^= {element}
+                value = walked_value(network, steps)
+                if kind == "adopted":
+                    chained = None
+                    try:
+                        for op, element in steps:
+                            chained, _ = network.build_update_witness(AID, op, element, base=chained)
+                    except (AlreadyPresent, NotPresent):
+                        assert lag  # the served root is stale; the commit walks
+                    else:
+                        assert chained in (value, None) or lag
+                elif kind == "refused":
+                    before = ledger(network._entry(AID))
+                    with pytest.raises(StorageError):
+                        network.commit({AID: steps}, {AID: bytes(32)})
+                    assert ledger(network._entry(AID)) == before
+                    after = held
+                if kind != "refused":
+                    tip = network._entry(AID).tip
+                    assert network.commit({AID: steps}, {AID: value}) == {AID: value}
+                    if kind == "adopted" and not lag and after != held:
+                        assert network._entry(AID).memory.root is tip.root
+            if after != held:
+                states.append(after)
+            self.assert_index(network, states, lag)
+
+
+def walked_value(network, steps):
+    """The value ``steps`` reach from ``network``'s current elements, on a fresh network."""
+    other = fresh_network(elements=sorted(network.elements(AID)))
+    return other.commit({AID: other.changes(AID, steps)})[AID]
 
 
 class TestCorruptBits:

@@ -494,10 +494,10 @@ class TestOneCommitPath:
         for name in ACCUMULATORS:
             assert system.state.value_of(name) == system.network.accumulator_value(name)
         # no commit cleared its chain; the next bundle still starts a new one
-        assert system.network._entry(BALANCES).tip[0] == system.state.balances_acc
+        assert system.network._entry(BALANCES).tip.value == system.state.balances_acc
         commits = spy_commits(system)
         system.client.build_transfer(A, B, 5)
-        _digest, _root, batch = system.network._entry(BALANCES).tip
+        batch = system.network._entry(BALANCES).tip.changes
         assert sorted(batch.adds) == sorted(hashing.element_digest(balance_element(*e)) for e in ((A, 895), (B, 105)))
         system.transfer(A, B, 5)
         assert commits == [(BALANCES, True)]
@@ -772,8 +772,9 @@ def spy_commits(system):
     commits them path by path (no accepted values, so no tip is adopted and
     nothing is checked) and must reach the same tries, tuple for tuple, the
     same elements and the same indexes. Returns the list of (accumulator,
-    whether the commit adopted the chain tip's root) that the installed
-    batches append to; a refused commit appends nothing.
+    whether the commit adopted the chain tip's root) that the batches
+    installed append to; a refused commit, or a batch that nets to no
+    change, appends nothing.
     """
     network = system.network
     commit = network.commit
@@ -781,10 +782,12 @@ def spy_commits(system):
 
     def checked(batches, accepted=None):
         tips = {acc: network._entry(acc).tip for acc in batches}
+        held = {acc: set(network._entry(acc).memory.elements) for acc in batches}
+        epochs = {acc: network.epoch(acc) for acc in batches}
         twin, twin_batches = copy.deepcopy((network, batches))
         values = commit(batches, accepted)
         StorageNetwork.commit(twin, twin_batches)
-        for acc, changes in batches.items():
+        for acc in batches:
             entry, walked = network._entry(acc), twin._entry(acc)
             root = entry.memory.root
             assert root == walked.memory.root
@@ -792,10 +795,12 @@ def spy_commits(system):
             # batch's own key object in both
             assert root is not walked.memory.root or root is tree.leaf_key(walked.memory.root)
             assert entry.memory.elements == walked.memory.elements and entry.index == walked.index
-            adopted = tips[acc] is not None and root is tips[acc][1]
+            if entry.memory.epoch == epochs[acc]:
+                continue  # nothing installed
+            adopted = tips[acc] is not None and root is tips[acc].root
             if adopted:  # the new elements are keyed by the very objects their leaves hold
                 keys = {key: key for key in entry.memory.elements}
-                for key in changes.adds:
+                for key in keys.keys() - held[acc]:
                     _path, leaf = tree.walk(root, key)
                     assert keys[key] is tree.leaf_key(leaf)
             seen.append((acc, adopted))
