@@ -9,7 +9,7 @@ from .core import SUPPORTED_BITS, UpdateResult, setup, simulate_update, update, 
 from .hashing import EMPTY_DIGEST, element_digest
 from .tree import Memory
 from .verify import BOTTOM, belongs, check_update
-from .witness import Witness, WitnessKind, decode_witness, encode_witness
+from .witness import WitnessKind
 
 __all__ = [
     "BOTTOM",
@@ -17,13 +17,10 @@ __all__ = [
     "Memory",
     "SUPPORTED_BITS",
     "UpdateResult",
-    "Witness",
     "WitnessKind",
     "belongs",
     "check_update",
-    "decode_witness",
     "element_digest",
-    "encode_witness",
     "setup",
     "simulate_update",
     "update",

@@ -73,17 +73,13 @@ def simulate_update(root: Node, root_digest: bytes, op: str, element: bytes) -> 
 
 
 def update(op: str, acc_before: bytes, memory: Memory, element: bytes) -> UpdateResult:
-    """Add or delete ``element``, mutating ``memory`` in place."""
+    """Add or delete ``element`` as one epoch of ``memory``, mutating it in place."""
     if acc_before != memory.value:
         raise StaleAccumulator("accumulator value does not match memory root")
     new_root, acc_after, w, key = simulate_update(memory.root, acc_before, op, element)
-    memory.root = new_root
-    memory.value = acc_after
-    if op == "add":
-        memory.elements[key] = element
-    else:
-        del memory.elements[key]
-    memory.epoch += 1
+    changes = Changes(memory)
+    changes.record(op, element, key)
+    apply_update(memory, changes, (new_root, acc_after))
     return UpdateResult(acc_after, w)
 
 

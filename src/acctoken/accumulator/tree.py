@@ -326,6 +326,3 @@ class Memory:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self.elements

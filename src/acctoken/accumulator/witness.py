@@ -1,4 +1,4 @@
-"""The witness wire layout, and a strict parsed view of it.
+"""The witness wire layout.
 
 Wire layout (bit-exact; golden vectors live in tests/golden/):
 
@@ -14,15 +14,13 @@ key at the point of divergence, or all zeroes when the tree was empty.
 
 These bytes are the only form a witness takes on the running program:
 ``core`` writes them with ``pack`` as it walks the trie, and ``verify``
-reads them in place at the offsets below. ``Witness``, ``encode_witness``
-and ``decode_witness`` are a strict parsed view of the same layout, for
-tests and the reference verifier in tests/reference_verify.py.
+reads them in place at the offsets below. The strict parsed view of the
+same layout (``Witness``, ``encode_witness``, ``decode_witness``) lives with
+the reference verifier in tests/reference_verify.py.
 """
 
-from dataclasses import dataclass
 from enum import IntEnum
 
-from ..errors import WitnessDecodeError
 from .hashing import DIGEST_BYTES
 
 # offsets: the kind byte, the element digest, the step count, then the steps
@@ -71,58 +69,3 @@ def pack(kind: int, key: bytes, steps: list[bytes], occupant: bytes | None = Non
     if PAYLOAD_BYTES.get(kind):
         parts.append(occupant if occupant is not None else ZERO_PAYLOAD)
     return b"".join(parts)
-
-
-@dataclass
-class Witness:
-    """The parsed view of a witness's bytes.
-
-    ``steps`` holds (branch-bit, sibling-digest) pairs from the root down.
-    ``occupant`` is the diverging leaf's key for non-membership and
-    update-add claims, or None when the claim is against the empty tree.
-    """
-
-    kind: WitnessKind
-    element_digest: bytes
-    steps: tuple[tuple[int, bytes], ...]
-    occupant: bytes | None = None
-
-
-def encode_witness(w: Witness) -> bytes:
-    if not 0 <= w.kind < 256:
-        raise ValueError(f"witness kind {w.kind!r} outside 0..255")
-    steps = []
-    for bit, sibling in w.steps:
-        if not 0 <= bit < 256:
-            raise ValueError(f"branch bit {bit!r} outside 0..255")
-        steps.append(BIT_BYTE[bit] + sibling)
-    return pack(w.kind, w.element_digest, steps, w.occupant)
-
-
-def decode_witness(data: bytes) -> Witness:
-    """Strict inverse of encode_witness; raises WitnessDecodeError otherwise."""
-    if len(data) < HEADER_BYTES:
-        raise WitnessDecodeError("witness shorter than header")
-    try:
-        kind = WitnessKind(data[KIND_AT])
-    except ValueError:
-        raise WitnessDecodeError(f"unknown witness kind {data[KIND_AT]}") from None
-    digest = data[KEY_AT:COUNT_AT]
-    count = int.from_bytes(data[COUNT_AT:HEADER_BYTES], "big")
-    if count > MAX_STEPS:
-        raise WitnessDecodeError(f"step count {count} exceeds key width")
-    expected = encoded_length(kind, count)
-    if len(data) != expected:
-        raise WitnessDecodeError(
-            f"witness length {len(data)} != expected {expected} for kind {kind}"
-        )
-    steps = []
-    off = HEADER_BYTES
-    for _ in range(count):
-        steps.append((data[off], data[off + 1 : off + STEP_BYTES]))
-        off += STEP_BYTES
-    occupant = None
-    if PAYLOAD_BYTES[kind]:
-        tail = data[off:]
-        occupant = None if tail == ZERO_PAYLOAD else tail
-    return Witness(kind, digest, tuple(steps), occupant)

@@ -17,16 +17,10 @@ from typing import Iterable
 
 from .erc20.bundle import ERC20_NAME, OpTag
 from .erc20.contract import LogRecord, TxRecord
-from .erc20.elements import AMOUNT_MAX, ZERO_ADDRESS, check_address, check_amount
+from .erc20.elements import ZERO_ADDRESS, check_address, check_amount, check_supply
 from .erc20.system import abi_calldata
 from .erc20.plan import Plan
-from .errors import (
-    InsufficientAllowance,
-    InsufficientBalance,
-    NotApproved,
-    Overflow,
-    ZeroSupply,
-)
+from .errors import InsufficientAllowance, InsufficientBalance, NotApproved
 from .gas import TxTrace
 
 
@@ -57,10 +51,7 @@ class BaselineToken:
     @classmethod
     def deploy(cls, deployer: bytes, total: int, keep_logs: bool = True) -> "BaselineToken":
         check_address(deployer)
-        if total == 0:
-            raise ZeroSupply("deployment needs a positive total supply")
-        if not 0 < total <= AMOUNT_MAX:
-            raise Overflow(f"total supply {total} outside uint256 range")
+        check_supply(total)
         token = cls(balances={deployer: total}, total_supply=total, keep_logs=keep_logs)
         token._log(LogRecord("Transfer", ZERO_ADDRESS, deployer, total))
         return token

@@ -14,15 +14,7 @@ from .scenario import (
     run_scenario,
     tabulate,
 )
-from .workload import (
-    WorkloadOp,
-    apply_op,
-    effective_allowances,
-    effective_balances,
-    generate_workload,
-    make_address,
-    run_workload,
-)
+from .workload import effective_allowances, effective_balances, make_address
 
 __all__ = [
     "CheckpointSamples",
@@ -31,17 +23,13 @@ __all__ = [
     "ResultRow",
     "Scenario",
     "ScenarioRun",
-    "WorkloadOp",
-    "apply_op",
     "compare",
     "effective_allowances",
     "effective_balances",
-    "generate_workload",
     "make_address",
     "rent_report",
     "rows_from_csv",
     "rows_to_csv",
     "run_scenario",
-    "run_workload",
     "tabulate",
 ]

@@ -52,7 +52,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _parse_checkpoints(args) -> tuple[int, ...]:
     if args.checkpoints:
         return args.checkpoints
-    if args.max_accounts:
+    if args.max_accounts is not None:
         # eight even steps up to the maximum; small maxima give fewer
         return tuple(sorted({args.max_accounts * i // 8 for i in range(1, 9)} - {0}))
     raise SystemExit("provide --checkpoints or --max-accounts")
@@ -81,14 +81,17 @@ def _cmd_run(args) -> int:
         else:
             schedule_kwargs[field] = True
     schedule = replace(schedule, **schedule_kwargs)
-    scenario = Scenario(
-        token=args.token,
-        checkpoints=_parse_checkpoints(args),
-        ops_per_checkpoint=args.ops,
-        seed=args.seed,
-        lift=lift,
-        fault=fault,
-    )
+    try:
+        scenario = Scenario(
+            token=args.token,
+            checkpoints=_parse_checkpoints(args),
+            ops_per_checkpoint=args.ops,
+            seed=args.seed,
+            lift=lift,
+            fault=fault,
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
     run = run_scenario(scenario)
     rows = tabulate(run, schedule)
     csv_text = rows_to_csv(rows)
@@ -122,10 +125,13 @@ def _cmd_compare(args) -> int:
 def _cmd_rent(args) -> int:
     pairs = _load_config(args.config)
     params = rent_from_config(pairs)
-    if args.smax_gib:
-        params = replace(params, s_max_bytes=args.smax_gib * GIB)
     key_counts = args.keys or [4]
-    rows = rent_report(params, key_counts, args.total_keys)
+    try:
+        if args.smax_gib is not None:
+            params = replace(params, s_max_bytes=args.smax_gib * GIB)
+        rows = rent_report(params, key_counts, args.total_keys)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     header = f"{'k_total':>16} {'wei/key/year':>20}" + "".join(f" {'rent@' + str(k) + 'keys':>24}" for k in key_counts)
     print(header)
     for row in rows:
@@ -153,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--toggles", default="", help=f"comma-separated: {', '.join(sorted(TOGGLES))}")
     run.add_argument("--config", default=None, help="key=value config file")
     run.add_argument("--out", default=None, help="CSV output path (stdout when omitted)")
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=_cmd_run, usage_error=run.error)
 
     cmp_ = sub.add_parser("compare", help="per-op gas ratios between two result CSVs")
     cmp_.add_argument("file_a")
@@ -165,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     rent.add_argument("--keys", type=_parse_int, action="append", default=[], help="contract key count (repeatable)")
     rent.add_argument("--total-keys", type=_parse_ints, required=True, help="comma-separated system key counts")
     rent.add_argument("--config", default=None)
-    rent.set_defaults(func=_cmd_rent)
+    rent.set_defaults(func=_cmd_rent, usage_error=rent.error)
 
     dump = sub.add_parser("dump-config", help="print the default schedule/rent/fault config")
     dump.set_defaults(func=_cmd_dump_config)

@@ -64,6 +64,8 @@ class Scenario:
             raise ValueError("checkpoints must be positive")
         if SUPPLY < GRANT * self.checkpoints[-1] + 1:
             raise ValueError("supply cannot fund the final checkpoint")
+        if self.ops_per_checkpoint < 0:
+            raise ValueError("ops_per_checkpoint must be non-negative")
 
 
 @dataclass

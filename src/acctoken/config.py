@@ -45,7 +45,16 @@ def parse_config(text: str) -> dict[str, str]:
     return pairs
 
 
-def _build(cls, section: str, pairs: dict[str, str]):
+#: each config section's class, key prefix and heading, in dump order
+_SECTIONS = {
+    GasSchedule: ("schedule", "gas schedule"),
+    RentParams: ("rent", "storage rent"),
+    FaultPolicy: ("storage", "storage network fault policy"),
+}
+
+
+def _build(cls, pairs: dict[str, str]):
+    section = _SECTIONS[cls][0]
     defaults = cls()
     names = {f.name for f in fields(cls)}
     kwargs = {}
@@ -60,27 +69,22 @@ def _build(cls, section: str, pairs: dict[str, str]):
 
 
 def schedule_from_config(pairs: dict[str, str]) -> GasSchedule:
-    return _build(GasSchedule, "schedule", pairs)
+    return _build(GasSchedule, pairs)
 
 
 def rent_from_config(pairs: dict[str, str]) -> RentParams:
-    return _build(RentParams, "rent", pairs)
+    return _build(RentParams, pairs)
 
 
 def fault_from_config(pairs: dict[str, str]) -> FaultPolicy:
-    return _build(FaultPolicy, "storage", pairs)
+    return _build(FaultPolicy, pairs)
 
 
 def dump_defaults() -> str:
-    lines = ["# gas schedule"]
-    for f in fields(GasSchedule):
-        lines.append(f"schedule.{f.name} = {_format_value(getattr(GasSchedule(), f.name))}")
-    lines.append("")
-    lines.append("# storage rent")
-    for f in fields(RentParams):
-        lines.append(f"rent.{f.name} = {_format_value(getattr(RentParams(), f.name))}")
-    lines.append("")
-    lines.append("# storage network fault policy")
-    for f in fields(FaultPolicy):
-        lines.append(f"storage.{f.name} = {_format_value(getattr(FaultPolicy(), f.name))}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for cls, (section, heading) in _SECTIONS.items():
+        defaults = cls()
+        lines = [f"# {heading}"]
+        lines.extend(f"{section}.{f.name} = {_format_value(getattr(defaults, f.name))}" for f in fields(cls))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

@@ -11,7 +11,7 @@ Allowances carry the owner as well as the spender so that two owners
 approving the same spender stay distinct elements.
 """
 
-from ..errors import InvalidAddress, Overflow
+from ..errors import InvalidAddress, Overflow, ZeroSupply
 
 ADDRESS_BYTES = 20
 AMOUNT_BYTES = 32
@@ -44,6 +44,13 @@ def check_amount(value: int) -> int:
     if not 0 <= value <= AMOUNT_MAX:
         raise Overflow(f"amount {value} outside uint256 range")
     return value
+
+
+def check_supply(total: int) -> int:
+    """A deployment's total supply: an amount other than zero."""
+    if total == 0:
+        raise ZeroSupply("deployment needs a positive total supply")
+    return check_amount(total)
 
 
 def balance_element(owner: bytes, amount: int) -> bytes:

@@ -23,7 +23,7 @@ import hashlib
 from itertools import chain
 from typing import Iterable
 
-from ..errors import AcctokenError, Overflow, ZeroSupply
+from ..errors import AcctokenError
 from ..storage import FaultPolicy, StorageNetwork
 from . import bundle as pb
 from . import plan
@@ -33,12 +33,12 @@ from .contract import AccTokenContract, ContractState, LogRecord, TxRecord
 from .elements import (
     ALLOWANCE_ELEMENT_LEN,
     AMOUNT_BYTES,
-    AMOUNT_MAX,
     BALANCE_ELEMENT_LEN,
     ZERO_ADDRESS,
     balance_element,
     check_address,
     check_amount,
+    check_supply,
     decode_balance_element,
 )
 
@@ -76,10 +76,7 @@ class TokenSystem:
         lift_checkupdate_precondition: bool = False,
     ):
         check_address(deployer)
-        if total == 0:
-            raise ZeroSupply("deployment needs a positive total supply")
-        if not 0 < total <= AMOUNT_MAX:
-            raise Overflow(f"total supply {total} outside uint256 range")
+        check_supply(total)
         self.network = StorageNetwork(policy)
         for name in pb.ACCUMULATORS:
             self.network.register(name, index_prefix_len=_INDEX_PREFIX_LEN.get(name))

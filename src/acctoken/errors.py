@@ -27,10 +27,6 @@ class NotPresent(AccumulatorError):
     """Delete requested for an element that is not accumulated."""
 
 
-class WitnessDecodeError(AccumulatorError, ValueError):
-    """Witness bytes do not parse under the canonical encoding."""
-
-
 # -- storage network --------------------------------------------------------
 
 class StorageError(AcctokenError):

@@ -14,7 +14,7 @@ total key count up to a high watermark, and scales linearly beyond it.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 BASE_CATEGORY = "base"
 CALLDATA_CATEGORY = "calldata"
@@ -55,14 +55,9 @@ class GasSchedule:
     def __post_init__(self):
         if self.mode not in (FLAT, SCALED):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        for name in (
-            "base_tx_gas", "calldata_zero_gas", "calldata_nonzero_gas",
-            "sload_flat", "sstore_new_flat", "sstore_update_flat",
-            "sha256_base", "sha256_per_word", "keccak_base", "keccak_per_word",
-            "precompile_call_gas", "read_access_factor", "write_amplification",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):
+            if f.type is int and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
     @property
     def write_access_factor(self) -> int:

@@ -1,7 +1,8 @@
 """The reference verifiers: ``belongs`` and ``check_update`` written as folds
-over the node hashes below, one step at a time.
+over the node hashes below, one step at a time, and the strict parsed view of
+the witness wire layout they read.
 
-Each parses the witness bytes into the strict ``Witness`` view with
+Each verifier parses the witness bytes into a ``Witness`` with
 ``decode_witness`` first. ``acctoken.accumulator.verify`` computes the same
 verdicts reading the bytes in place, with the key turned into an int once
 and SHA-256 inlined at each level. The property in ``test_accumulator.py``
@@ -9,11 +10,84 @@ requires both to agree, verdict for verdict and ``hashed`` length for
 ``hashed`` length, on honest and forged witness bytes.
 """
 
+from dataclasses import dataclass
+
 from acctoken.accumulator import hashing
 from acctoken.accumulator.hashing import BIT_PREFIX, EMPTY_DIGEST, TAG_LEAF, element_digest, first_diff_bit
 from acctoken.accumulator.verify import BOTTOM
-from acctoken.accumulator.witness import Witness, WitnessKind, decode_witness
-from acctoken.errors import WitnessDecodeError
+from acctoken.accumulator.witness import (
+    BIT_BYTE,
+    COUNT_AT,
+    HEADER_BYTES,
+    KEY_AT,
+    KIND_AT,
+    MAX_STEPS,
+    PAYLOAD_BYTES,
+    STEP_BYTES,
+    ZERO_PAYLOAD,
+    WitnessKind,
+    encoded_length,
+    pack,
+)
+
+
+class WitnessDecodeError(ValueError):
+    """Witness bytes do not parse under the canonical encoding."""
+
+
+@dataclass
+class Witness:
+    """The parsed view of a witness's bytes.
+
+    ``steps`` holds (branch-bit, sibling-digest) pairs from the root down.
+    ``occupant`` is the diverging leaf's key for non-membership and
+    update-add claims, or None when the claim is against the empty tree.
+    """
+
+    kind: WitnessKind
+    element_digest: bytes
+    steps: tuple[tuple[int, bytes], ...]
+    occupant: bytes | None = None
+
+
+def encode_witness(w: Witness) -> bytes:
+    if not 0 <= w.kind < 256:
+        raise ValueError(f"witness kind {w.kind!r} outside 0..255")
+    steps = []
+    for bit, sibling in w.steps:
+        if not 0 <= bit < 256:
+            raise ValueError(f"branch bit {bit!r} outside 0..255")
+        steps.append(BIT_BYTE[bit] + sibling)
+    return pack(w.kind, w.element_digest, steps, w.occupant)
+
+
+def decode_witness(data: bytes) -> Witness:
+    """Strict inverse of encode_witness; raises WitnessDecodeError otherwise."""
+    if len(data) < HEADER_BYTES:
+        raise WitnessDecodeError("witness shorter than header")
+    try:
+        kind = WitnessKind(data[KIND_AT])
+    except ValueError:
+        raise WitnessDecodeError(f"unknown witness kind {data[KIND_AT]}") from None
+    digest = data[KEY_AT:COUNT_AT]
+    count = int.from_bytes(data[COUNT_AT:HEADER_BYTES], "big")
+    if count > MAX_STEPS:
+        raise WitnessDecodeError(f"step count {count} exceeds key width")
+    expected = encoded_length(kind, count)
+    if len(data) != expected:
+        raise WitnessDecodeError(
+            f"witness length {len(data)} != expected {expected} for kind {kind}"
+        )
+    steps = []
+    off = HEADER_BYTES
+    for _ in range(count):
+        steps.append((data[off], data[off + 1 : off + STEP_BYTES]))
+        off += STEP_BYTES
+    occupant = None
+    if PAYLOAD_BYTES[kind]:
+        tail = data[off:]
+        occupant = None if tail == ZERO_PAYLOAD else tail
+    return Witness(kind, digest, tuple(steps), occupant)
 
 
 # The node hashes go through ``hashing.hashlib`` looked up at call time, as the
@@ -103,7 +177,7 @@ def _on_search_path(leaf_key: bytes, path_key: bytes, steps) -> bool:
 def belongs(acc: bytes, element: bytes, w, hashed=None):
     try:
         w = _as_witness(w)
-    except (WitnessDecodeError, TypeError, ValueError):
+    except (TypeError, ValueError):
         return BOTTOM
     try:
         return _belongs(acc, element, w, *(_PLAIN if hashed is None else metered(hashed)))
@@ -136,7 +210,7 @@ def _belongs(acc: bytes, element: bytes, w: Witness, digest, leaf, branch):
 def check_update(acc_before: bytes, acc_after: bytes, element: bytes, w, hashed=None) -> int:
     try:
         w = _as_witness(w)
-    except (WitnessDecodeError, TypeError, ValueError):
+    except (TypeError, ValueError):
         return 0
     try:
         return _check_update(acc_before, acc_after, element, w, *(_PLAIN if hashed is None else metered(hashed)))

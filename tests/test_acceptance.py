@@ -17,7 +17,6 @@ from acctoken.accumulator import (
     BOTTOM,
     belongs,
     check_update,
-    decode_witness,
     setup,
     update,
     witness,
@@ -28,12 +27,10 @@ from acctoken.bench import (
     compare,
     effective_allowances,
     effective_balances,
-    generate_workload,
     make_address,
     run_scenario,
     tabulate,
 )
-from acctoken.bench.workload import apply_op, run_workload
 from acctoken.erc20 import CONTRACT_KEYS, TokenSystem
 from acctoken.gas import (
     SCALED,
@@ -44,6 +41,8 @@ from acctoken.gas import (
     sload_cost,
 )
 from acctoken.storage import FaultPolicy
+from random_workload import apply_op, generate_workload, run_workload
+from reference_verify import decode_witness
 
 SEED = 2024
 FIG_CHECKPOINTS = (8192, 16384, 32768, 65536, 131072, 400000)

@@ -15,12 +15,9 @@ from hypothesis import strategies as st
 from acctoken.accumulator import (
     BOTTOM,
     EMPTY_DIGEST,
-    Witness,
     WitnessKind,
     belongs,
     check_update,
-    decode_witness,
-    encode_witness,
     setup,
     simulate_update,
     update,
@@ -39,7 +36,7 @@ from acctoken.errors import (
 )
 
 import reference_verify
-from reference_verify import canonical_digest
+from reference_verify import Witness, canonical_digest, decode_witness, encode_witness
 
 
 def build_set(elements, bits=256):

@@ -294,6 +294,27 @@ class TestCli:
         assert args.total_keys == (10**6, 42 * 10**8, 15 * 10**9)
         assert build_parser().parse_args(["run", "--token", "acc", "--max-accounts", str(big)]).max_accounts == big
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--token", "baseline", "--checkpoints", "10,5"], "strictly increasing"),
+            (["run", "--token", "baseline", "--checkpoints", "10", "--ops", "-1"], "ops_per_checkpoint must be non-negative"),
+            (["run", "--token", "baseline", "--max-accounts", "0"], "checkpoints must be non-empty"),
+            (["run", "--token", "baseline", "--max-accounts", "-8"], "checkpoints must be positive"),
+            (["rent", "--total-keys", "-5"], "key count must be non-negative"),
+            (["rent", "--keys", "5", "--total-keys", "4"], "contract keys must lie within the system total"),
+            (["rent", "--smax-gib", "0", "--total-keys", "1e6"], "capacity parameters must be positive"),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exited:
+            main(argv + (["--out", str(out)] if argv[0] == "run" else []))
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bench " + argv[0]) and message in err
+        assert not out.exists()
+
     def test_unknown_toggle_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--token", "acc", "--checkpoints", "8", "--toggles", "warp-speed"])

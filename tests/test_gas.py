@@ -1,6 +1,7 @@
 """Gas schedules, transaction metering and the storage-rent function."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -229,5 +230,8 @@ class TestConfig:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             GasSchedule(mode="turbo")
-        with pytest.raises(ValueError):
-            GasSchedule(base_tx_gas=-1)
+        counts = [f.name for f in fields(GasSchedule) if type(getattr(GasSchedule(), f.name)) is int]
+        assert len(counts) == 13
+        for name in counts:
+            with pytest.raises(ValueError, match=name):
+                GasSchedule(**{name: -1})

@@ -3,19 +3,12 @@
 import pytest
 
 from acctoken.baseline import BaselineToken
-from acctoken.bench.workload import (
-    WorkloadOp,
-    apply_op,
-    effective_allowances,
-    effective_balances,
-    generate_workload,
-    make_address,
-    run_workload,
-)
+from acctoken.bench import effective_allowances, effective_balances, make_address
 from acctoken.erc20 import TokenSystem
 from acctoken.erc20.bundle import ACCUMULATORS
 from acctoken.errors import BundleSchemaMismatch, InvalidAddress, TokenError, Unavailable
 from acctoken.storage import FaultPolicy
+from random_workload import WorkloadOp, apply_op, generate_workload, run_workload
 
 DEPLOYER = make_address(0)
 SUPPLY = 10**12

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acctoken.accumulator import BOTTOM, belongs, check_update, core, decode_witness, element_digest, tree
+from acctoken.accumulator import BOTTOM, belongs, check_update, core, element_digest, tree
 from acctoken.accumulator.witness import encoded_length
 from acctoken.erc20 import TokenSystem
 from acctoken.erc20.bundle import BALANCES
 from acctoken.erc20.elements import balance_element, balance_prefix
 from acctoken.errors import AlreadyPresent, NotPresent, StaleAccumulator, StorageError, Unavailable
 from acctoken.storage import FaultPolicy, StorageNetwork
-from reference_verify import canonical_digest
+from reference_verify import canonical_digest, decode_witness
 
 AID = BALANCES
 OWNER = b"\x0a" * 20

@@ -7,11 +7,8 @@ import pytest
 
 from acctoken.accumulator import (
     EMPTY_DIGEST,
-    Witness,
     WitnessKind,
-    decode_witness,
     element_digest,
-    encode_witness,
     setup,
     update,
     witness,
@@ -28,7 +25,8 @@ from acctoken.erc20.bundle import (
     MEMBER,
     UPDATE_ADD,
 )
-from acctoken.errors import BundleSchemaMismatch, InvalidProof, WitnessDecodeError
+from acctoken.errors import BundleSchemaMismatch, InvalidProof
+from reference_verify import Witness, WitnessDecodeError, decode_witness, encode_witness
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "witness_vectors.json").read_text()
