@@ -16,17 +16,19 @@ callback, they call it at each hash site, just before the hash is made,
 with the hash's input length; the contract meters gas from these calls. The
 verdict never depends on the callback.
 
-An accepted update witness proves its own precondition. Both kinds fold a
-leaf along the element's own search path up to ``acc_before`` (the element's
-for a delete, the occupant's for an add, or the tree is empty), as ``belongs``
-does. So when ``check_update`` returns 1 the element was present before a
-delete and absent before an add, and its key, steps and occupant get that
-verdict from ``belongs`` as a (non)membership witness against ``acc_before``.
+An accepted update witness proves its own precondition by construction.
+``check_update`` reads its before-state with the reader ``belongs`` uses,
+``_terminal``: an update witness is read as its precondition witness
+(``witness.PRECONDITION``: membership before a delete, non-membership
+before an add), and the terminal leaf that reader returns is folded up to
+``acc_before`` exactly as ``belongs`` folds it up to ``acc``. So when
+``check_update`` returns 1, ``belongs`` gives the same witness with its
+precondition kind the same verdict against ``acc_before``.
 """
 
 from . import hashing
 from .hashing import BIT_MASK, BIT_PREFIX, DIGEST_BYTES, EMPTY_DIGEST, KEY_BITS, TAG_INTERNAL, TAG_LEAF
-from .witness import COUNT_AT, HEADER_BYTES, KIND_AT, KEY_AT, MAX_STEPS, PAYLOAD_BYTES, STEP_BYTES, ZERO_PAYLOAD, WitnessKind
+from .witness import COUNT_AT, HEADER_BYTES, KEY_AT, KIND_AT, MAX_STEPS, PAYLOAD_BYTES, PRECONDITION, STEP_BYTES, ZERO_PAYLOAD, WitnessKind
 
 
 class _Bottom:
@@ -46,21 +48,27 @@ BOTTOM = _Bottom()
 # the kinds as plain ints, which the kind byte is compared with on every call
 _MEMBERSHIP = WitnessKind.MEMBERSHIP.value
 _NON_MEMBERSHIP = WitnessKind.NON_MEMBERSHIP.value
-_UPDATE_ADD = WitnessKind.UPDATE_ADD.value
-_UPDATE_DEL = WitnessKind.UPDATE_DEL.value
+# ``belongs`` reads each (non)membership witness as its own kind
+_AS_ITSELF = {_MEMBERSHIP: _MEMBERSHIP, _NON_MEMBERSHIP: _NON_MEMBERSHIP}
 
 # SHA-256 input lengths of a leaf and of a branch over two 32-byte digests
 _LEAF_BYTES = len(TAG_LEAF) + DIGEST_BYTES
 _BRANCH_BYTES = len(BIT_PREFIX[0]) + 2 * DIGEST_BYTES
 
 
-def _opened(element: bytes, w, hashed):
-    """(kind, end of the steps, mask, key, key as an int) for the witness
-    bytes ``w``: the mask holds the bits of its steps over a key read as an
-    int (see ``hashing.BIT_MASK``). None unless ``w`` is ``bytes`` of a known
-    kind and at most ``MAX_STEPS`` steps, exactly as long as that kind and
-    count make it, its bits rise strictly and its key is ``element``'s
-    digest, which is hashed last."""
+def _terminal(element: bytes, w, hashed, kinds: dict[int, int]):
+    """Read the witness bytes ``w`` as a (non)membership witness of the tree
+    before any update, of the kind ``kinds`` maps its kind byte to: an update
+    witness reads as its precondition's kind (``PRECONDITION``). Returns
+    (verdict, end of the steps, mask, key as an int, terminal node, split):
+    the verdict is 1 for membership and 0 for non-membership; the mask holds
+    the steps' bits (see ``hashing.BIT_MASK``); the terminal node is the
+    hashed leaf of the key or of the occupant, or the empty digest of the
+    empty tree; ``split`` is the first bit where the occupant differs from
+    the key. None when no tree can match: unless ``w`` is ``bytes`` of a
+    known kind, exactly as long as its kind and count (at most
+    ``MAX_STEPS``) make it, with rising bits and ``element``'s digest as its
+    key (hashed once the layout checks)."""
     if w.__class__ is not bytes or len(w) < HEADER_BYTES:
         return None
     kind = w[KIND_AT]
@@ -76,12 +84,32 @@ def _opened(element: bytes, w, hashed):
             return None
         prev = bit
         mask |= BIT_MASK[bit]
+    sha256 = hashing.hashlib.sha256
     if hashed is not None:
         hashed(len(element))
-    key = hashing.hashlib.sha256(element).digest()
+    key = sha256(element).digest()
     if not w.startswith(key, KEY_AT):
         return None
-    return kind, end, mask, key, int.from_bytes(key, "big")
+    kind = kinds.get(kind)
+    k = int.from_bytes(key, "big")
+    if kind == _MEMBERSHIP:
+        verdict, leaf, split = 1, key, None
+    elif kind == _NON_MEMBERSHIP:
+        occupant = w[end:]
+        if occupant == ZERO_PAYLOAD:  # only the empty tree has no leaf to fold
+            return (0, end, mask, k, EMPTY_DIGEST, None) if end == HEADER_BYTES else None
+        # a genuine terminal leaf is another key's that agrees with the
+        # element's at every branch bit, so the first bit where they differ,
+        # ``split``, is no step's bit
+        diff = k ^ int.from_bytes(occupant, "big")
+        if not diff or diff & mask:
+            return None
+        verdict, leaf, split = 0, occupant, KEY_BITS - diff.bit_length()
+    else:
+        return None
+    if hashed is not None:
+        hashed(_LEAF_BYTES)
+    return verdict, end, mask, k, sha256(TAG_LEAF + leaf).digest(), split
 
 
 def _fold(node: bytes, w: bytes, start: int, end: int, k: int, sha256, hashed) -> bytes:
@@ -105,27 +133,11 @@ def belongs(acc: bytes, element: bytes, w, hashed=None):
     ``hashed``, if given, is called with each SHA-256 input length.
     """
     try:
-        opened = _opened(element, w, hashed)
-        if opened is None:
+        read = _terminal(element, w, hashed, _AS_ITSELF)
+        if read is None:
             return BOTTOM
-        kind, end, mask, key, k = opened
-        if kind == _MEMBERSHIP:
-            leaf, verdict = key, 1
-        elif kind == _NON_MEMBERSHIP:
-            occupant = w[end:]
-            if occupant == ZERO_PAYLOAD:  # only the empty tree has no leaf to fold
-                return 0 if end == HEADER_BYTES and acc == EMPTY_DIGEST else BOTTOM
-            # a genuine terminal leaf is another key's that agrees with the
-            # element's at every branch bit (no steps: nothing to agree on)
-            if occupant == key or mask and (k ^ int.from_bytes(occupant, "big")) & mask:
-                return BOTTOM
-            leaf, verdict = occupant, 0
-        else:
-            return BOTTOM
-        sha256 = hashing.hashlib.sha256
-        if hashed is not None:
-            hashed(_LEAF_BYTES)
-        root = _fold(sha256(TAG_LEAF + leaf).digest(), w, HEADER_BYTES, end, k, sha256, hashed)
+        verdict, end, _mask, k, node, _split = read
+        root = _fold(node, w, HEADER_BYTES, end, k, hashing.hashlib.sha256, hashed)
         return verdict if root == acc else BOTTOM
     except Exception:
         return BOTTOM
@@ -137,65 +149,39 @@ def check_update(acc_before: bytes, acc_after: bytes, element: bytes, w, hashed=
     ``hashed``, if given, is called with each SHA-256 input length.
     """
     try:
-        opened = _opened(element, w, hashed)
-        if opened is None:
+        read = _terminal(element, w, hashed, PRECONDITION)
+        if read is None:
             return 0
-        kind, end, mask, key, k = opened
+        present, end, mask, k, node, split = read
         sha256 = hashing.hashlib.sha256
-        if kind == _UPDATE_ADD:
-            occupant = w[end:]
-            if occupant == ZERO_PAYLOAD:
-                if end != HEADER_BYTES or acc_before != EMPTY_DIGEST:
-                    return 0
-                if hashed is not None:
-                    hashed(_LEAF_BYTES)
-                return 1 if acc_after == sha256(TAG_LEAF + key).digest() else 0
-            if occupant == key:
+        if present:  # a delete: the leaf's parent collapses and its sibling takes its place
+            before = _fold(node, w, HEADER_BYTES, end, k, sha256, hashed)
+            last = end - STEP_BYTES
+            after = EMPTY_DIGEST if end == HEADER_BYTES else _fold(w[last + 1 : end], w, HEADER_BYTES, last, k, sha256, hashed)
+        elif split is None:  # an add to the empty tree: the new leaf is the whole after-tree
+            if node != acc_before:
                 return 0
-            diff = k ^ int.from_bytes(occupant, "big")
-            # The occupant agrees with the element at every branch bit, so the
-            # first bit where they differ, ``split``, is no step's bit.
-            if diff & mask:
-                return 0
-            split = KEY_BITS - diff.bit_length()
+            if hashed is not None:
+                hashed(_LEAF_BYTES)
+            return 1 if acc_after == sha256(TAG_LEAF + w[KEY_AT:COUNT_AT]).digest() else 0
+        else:
             # Steps are root-first with rising bits. Below ``split`` the
             # occupant's subtree is the same in both trees; in the after-tree
             # it is paired with the new leaf at that bit, and the steps above
             # (up to offset ``mid``) lead to both roots.
             mid = HEADER_BYTES + STEP_BYTES * (mask >> (KEY_BITS - split)).bit_count()
+            below = _fold(node, w, mid, end, k, sha256, hashed)
             if hashed is not None:
                 hashed(_LEAF_BYTES)
-            before = _fold(sha256(TAG_LEAF + occupant).digest(), w, mid, end, k, sha256, hashed)
-            if hashed is not None:
-                hashed(_LEAF_BYTES)
-            new_leaf = sha256(TAG_LEAF + key).digest()
+            new_leaf = sha256(TAG_LEAF + w[KEY_AT:COUNT_AT]).digest()
             if hashed is not None:
                 hashed(_BRANCH_BYTES)
             if k & BIT_MASK[split]:
-                after = sha256(BIT_PREFIX[split] + before + new_leaf).digest()
+                joined = sha256(BIT_PREFIX[split] + below + new_leaf).digest()
             else:
-                after = sha256(BIT_PREFIX[split] + new_leaf + before).digest()
-            for off in range(mid - STEP_BYTES, HEADER_BYTES - 1, -STEP_BYTES):
-                bit = w[off]
-                prefix, sibling, one = BIT_PREFIX[bit], w[off + 1 : off + STEP_BYTES], k & BIT_MASK[bit]
-                if hashed is not None:
-                    hashed(_BRANCH_BYTES)
-                before = sha256(prefix + sibling + before if one else prefix + before + sibling).digest()
-                if hashed is not None:
-                    hashed(_BRANCH_BYTES)
-                after = sha256(prefix + sibling + after if one else prefix + after + sibling).digest()
-            return 1 if before == acc_before and after == acc_after else 0
-        if kind == _UPDATE_DEL:
-            if hashed is not None:
-                hashed(_LEAF_BYTES)
-            before = _fold(sha256(TAG_LEAF + key).digest(), w, HEADER_BYTES, end, k, sha256, hashed)
-            # Removing the leaf collapses its parent; the sibling takes its place.
-            if end == HEADER_BYTES:
-                after = EMPTY_DIGEST
-            else:
-                last = end - STEP_BYTES
-                after = _fold(w[last + 1 : end], w, HEADER_BYTES, last, k, sha256, hashed)
-            return 1 if before == acc_before and after == acc_after else 0
-        return 0
+                joined = sha256(BIT_PREFIX[split] + new_leaf + below).digest()
+            before = _fold(below, w, HEADER_BYTES, mid, k, sha256, hashed)
+            after = _fold(joined, w, HEADER_BYTES, mid, k, sha256, hashed)
+        return 1 if before == acc_before and after == acc_after else 0
     except Exception:
         return 0

@@ -48,6 +48,14 @@ PAYLOAD_BYTES = {
     WitnessKind.UPDATE_DEL.value: 0,
 }
 
+#: the kind of each update witness -> the kind of what it proves of the tree
+#: before the update: absence before an add, presence before a delete; the
+#: two kinds of each pair share a layout, so only the kind byte differs
+PRECONDITION = {
+    WitnessKind.UPDATE_ADD.value: WitnessKind.NON_MEMBERSHIP.value,
+    WitnessKind.UPDATE_DEL.value: WitnessKind.MEMBERSHIP.value,
+}
+
 #: the one-byte encoding of each branch bit (and of each kind)
 BIT_BYTE = tuple(bytes((bit,)) for bit in range(256))
 
@@ -69,3 +77,9 @@ def pack(kind: int, key: bytes, steps: list[bytes], occupant: bytes | None = Non
     if PAYLOAD_BYTES.get(kind):
         parts.append(occupant if occupant is not None else ZERO_PAYLOAD)
     return b"".join(parts)
+
+
+def precondition_witness(w: bytes) -> bytes:
+    """The update witness ``w`` as the (non)membership witness of its
+    precondition (``PRECONDITION``): the same bytes under the other kind byte."""
+    return BIT_BYTE[PRECONDITION[w[KIND_AT]]] + w[KIND_AT + 1 :]

@@ -55,26 +55,31 @@ def _parse_checkpoints(args) -> tuple[int, ...]:
     if args.max_accounts is not None:
         # eight even steps up to the maximum; small maxima give fewer
         return tuple(sorted({args.max_accounts * i // 8 for i in range(1, 9)} - {0}))
-    raise SystemExit("provide --checkpoints or --max-accounts")
+    args.usage_error("provide --checkpoints or --max-accounts")
 
 
-def _load_config(path: str | None):
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+def _load_config(args, *sections):
+    """Each of ``sections`` built from the ``--config`` file (defaults without
+    one); a file that cannot be read or holds a bad value is a usage error."""
+    try:
+        pairs = {}
+        if args.config is not None:
+            with open(args.config, encoding="utf-8") as handle:
+                pairs = parse_config(handle.read())
+        return [section(pairs) for section in sections]
+    except (OSError, ValueError) as exc:
+        args.usage_error(f"--config {args.config}: {exc}")
 
 
 def _cmd_run(args) -> int:
-    pairs = _load_config(args.config)
-    schedule = schedule_from_config(pairs)
-    fault = fault_from_config(pairs)
+    schedule, fault = _load_config(args, schedule_from_config, fault_from_config)
     toggles = [t for t in (args.toggles.split(",") if args.toggles else []) if t]
     lift = False
-    schedule_kwargs = {"mode": SCALED if args.schedule == "scaled" else FLAT}
+    # the flag overrides the config file's mode only when it is given
+    schedule_kwargs = {} if args.schedule is None else {"mode": args.schedule}
     for toggle in toggles:
         if toggle not in TOGGLES:
-            raise SystemExit(f"unknown toggle {toggle!r}; valid: {', '.join(sorted(TOGGLES))}")
+            args.usage_error(f"unknown toggle {toggle!r}; valid: {', '.join(sorted(TOGGLES))}")
         field = TOGGLES[toggle]
         if field is None:
             lift = True
@@ -106,12 +111,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _read_rows(args, path: str):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return rows_from_csv(handle.read())
+    except (OSError, ValueError) as exc:
+        args.usage_error(f"{path}: {exc}")
+
+
 def _cmd_compare(args) -> int:
-    with open(args.file_a, encoding="utf-8") as handle:
-        rows_a = rows_from_csv(handle.read())
-    with open(args.file_b, encoding="utf-8") as handle:
-        rows_b = rows_from_csv(handle.read())
-    table = compare(rows_a, rows_b)
+    try:
+        table = compare(_read_rows(args, args.file_a), _read_rows(args, args.file_b))
+    except ValueError as exc:
+        args.usage_error(str(exc))
     print(f"{'op':>14} {'n':>9} {'gas_a':>14} {'gas_b':>14} {'a/b':>8}  verdict")
     for row in table:
         verdict = "b cheaper" if row.ratio_a_over_b > 1 else "a cheaper" if row.ratio_a_over_b < 1 else "equal"
@@ -123,8 +135,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_rent(args) -> int:
-    pairs = _load_config(args.config)
-    params = rent_from_config(pairs)
+    (params,) = _load_config(args, rent_from_config)
     key_counts = args.keys or [4]
     try:
         if args.smax_gib is not None:
@@ -151,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="grow a population and meter sampled operations")
     run.add_argument("--token", choices=("acc", "baseline"), required=True)
-    run.add_argument("--schedule", choices=("flat", "scaled"), default="flat")
+    run.add_argument("--schedule", choices=(FLAT, SCALED), default=None, help="overrides schedule.mode (default flat)")
     run.add_argument("--max-accounts", type=_parse_int, default=None)
     run.add_argument("--checkpoints", type=_parse_ints, default=None, help="comma-separated account counts")
     run.add_argument("--ops", type=int, default=100, help="sampled ops per kind per checkpoint")
@@ -164,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="per-op gas ratios between two result CSVs")
     cmp_.add_argument("file_a")
     cmp_.add_argument("file_b")
-    cmp_.set_defaults(func=_cmd_compare)
+    cmp_.set_defaults(func=_cmd_compare, usage_error=cmp_.error)
 
     rent = sub.add_parser("rent", help="tabulate rent rates over a key-count sweep")
     rent.add_argument("--smax-gib", type=int, default=None)

@@ -21,7 +21,7 @@ The shadow's records of the same transactions are kept as the run's
 """
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from ..baseline import BaselineToken
@@ -109,13 +109,13 @@ class _Population:
     The pool holds every approved ``(owner, spender)`` pair once, in the
     order of approval; the sampled ops read it by index (``pair``) and by
     membership (``approved``). Growth to ``created`` accounts approves
-    ``(i, i + 1)`` for each new ``i``, so the pool is runs of growth pairs
-    between runs of sampled pairs, and the growth pairs have a closed form:
-    ``(i, i + 1)`` is approved for every ``1 <= i <= created``, and index
-    ``j`` of a growth run that starts at index ``s`` with owner ``o`` is
-    ``(o + j - s, o + j - s + 1)``. Only the sampled pairs and where each
-    run starts are stored. A sampled pair's owner already exists, so growth
-    never approves a pair that was sampled first.
+    ``(i, i + 1)`` for each new ``i``, in order, so the growth pairs have a
+    closed form: ``(i, i + 1)`` is approved for every ``1 <= i <= created``,
+    and the g-th growth pair in the pool (from 0) is ``(g + 1, g + 2)``. Only
+    the sampled pairs and their indices in the pool are stored; a pool index
+    that is no sampled pair's, with j sampled pairs before it, is growth pair
+    ``index - j``. A sampled pair's owner already exists, so growth never
+    approves a pair that was sampled first.
     """
 
     def __init__(self):
@@ -124,26 +124,16 @@ class _Population:
         self.pair_count = 0
         self._sampled: list[tuple[int, int]] = []
         self._sampled_set: set[tuple[int, int]] = set()
-        # each run's first index in the pool, and its kind and base: a growth
-        # run's first owner, or a sampled run's first position in _sampled,
-        # minus that index
-        self._run_starts: list[int] = []
-        self._runs: list[tuple[bool, int]] = []
+        self._sampled_at: list[int] = []  # each sampled pair's index in the pool
 
     def address(self, index: int) -> bytes:
         while len(self.addresses) <= index:
             self.addresses.append(make_address(len(self.addresses)))
         return self.addresses[index]
 
-    def _open_run(self, growth: bool, first: int):
-        if not self._runs or self._runs[-1][0] != growth:
-            self._run_starts.append(self.pair_count)
-            self._runs.append((growth, first - self.pair_count))
-
     def grow(self, target: int):
         """Approve ``(i, i + 1)`` for every new account ``created < i <= target``."""
         if target > self.created:
-            self._open_run(True, self.created + 1)
             self.pair_count += target - self.created
             self.created = target
 
@@ -154,9 +144,9 @@ class _Population:
             return
         if not 1 <= owner <= self.created:
             raise ValueError(f"owner {owner} is not an account yet")
-        self._open_run(False, len(self._sampled))
         self._sampled.append(pair)
         self._sampled_set.add(pair)
+        self._sampled_at.append(self.pair_count)
         self.pair_count += 1
 
     def approved(self, owner: int, spender: int) -> bool:
@@ -168,10 +158,10 @@ class _Population:
         """The ``index``-th approved pair, ``0 <= index < pair_count``."""
         if not 0 <= index < self.pair_count:
             raise IndexError(f"pair index {index} out of range")
-        growth, base = self._runs[bisect_right(self._run_starts, index) - 1]
-        if growth:
-            return (base + index, base + index + 1)
-        return self._sampled[base + index]
+        j = bisect_left(self._sampled_at, index)
+        if j < len(self._sampled_at) and self._sampled_at[j] == index:
+            return self._sampled[j]
+        return (index - j + 1, index - j + 2)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioRun:

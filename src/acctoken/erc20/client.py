@@ -10,6 +10,7 @@ bytes and passes the same bytes on, never a re-encoding of them.
 """
 
 from ..accumulator import BOTTOM, belongs, check_update
+from ..accumulator.witness import KIND_AT, precondition_witness
 from ..errors import AlreadyPresent, InsufficientBalance, NotApproved, NotPresent, VerificationFailed
 from ..storage import StorageNetwork
 from . import bundle as pb
@@ -26,11 +27,6 @@ from .elements import (
     decode_balance_element,
     pair_element,
 )
-
-
-#: update claim -> the claim its witness also proves against its before-value;
-#: the witness kinds of each pair share a layout, so only the kind byte differs
-_PRECONDITION = {pb.UPDATE_DEL: pb.MEMBER, pb.UPDATE_ADD: pb.NON_MEMBER}
 
 
 class _Lookups:
@@ -151,8 +147,8 @@ class TokenClient:
         in the order the contract will verify and commit. The first one is
         checked against the current value, so it proves its element's
         (non)membership there too: an entry for that element is its payload
-        with the kind byte of the implied claim (``_PRECONDITION``). The other
-        entries are fetched and checked.
+        read as its precondition witness (``precondition_witness``). The
+        other entries are fetched and checked.
         """
         lookups = _Lookups(self)
         _log, plan_steps = plan.PLANS[op](*args, lookups)
@@ -172,8 +168,8 @@ class TokenClient:
             if check_update(running, predicted, element, payload) != 1:
                 raise VerificationFailed(f"update witness for {acc} did not verify")
             if base is None:
-                implied = _PRECONDITION[claim]
-                proven[acc, implied, element] = bytes((implied,)) + payload[1:]
+                implied = precondition_witness(payload)
+                proven[acc, implied[KIND_AT], element] = implied
             updates.append(BundleEntry(pb.purpose(acc, claim), payload, predicted))
             chained[acc] = predicted
         for step in () if self.lift else steps:

@@ -27,7 +27,7 @@ from acctoken.accumulator import (
 from acctoken.accumulator import tree
 from acctoken.accumulator.core import Changes, apply_update
 from acctoken.accumulator.hashing import TAG_INTERNAL, element_digest, first_diff_bit
-from acctoken.accumulator.witness import COUNT_AT, HEADER_BYTES, STEP_BYTES, ZERO_PAYLOAD
+from acctoken.accumulator.witness import COUNT_AT, HEADER_BYTES, PRECONDITION, STEP_BYTES, ZERO_PAYLOAD
 from acctoken.errors import (
     AlreadyPresent,
     NotPresent,
@@ -36,6 +36,7 @@ from acctoken.errors import (
 )
 
 import reference_verify
+from hash_recorder import RecordingHashlib
 from reference_verify import Witness, canonical_digest, decode_witness, encode_witness
 
 
@@ -274,18 +275,6 @@ class TestTamperSoundness:
             assert check_update(acc2, removed.acc_after, b"tamper-add", mutated) == 0
 
 
-class _RecordingHashlib:
-    """Stands in for ``hashlib`` inside ``accumulator.hashing``; records SHA-256 input lengths."""
-
-    def __init__(self, real):
-        self.real = real
-        self.lengths = []
-
-    def sha256(self, data=b""):
-        self.lengths.append(len(data))
-        return self.real.sha256(data)
-
-
 class TestHashProfile:
     """The sizes the ``hashed`` callback reports must mirror the verifier's actual hashing."""
 
@@ -294,7 +283,7 @@ class TestHashProfile:
         """Run ``fn`` once; return its verdict, the hashlib input lengths and the reported ones."""
         import acctoken.accumulator.hashing as hashing_module
 
-        recorder = _RecordingHashlib(hashing_module.hashlib)
+        recorder = RecordingHashlib(hashing_module.hashlib)
         reported = []
         hashing_module.hashlib = recorder
         try:
@@ -343,7 +332,7 @@ class TestHashReport:
     def hashlib_lengths(fn, *args):
         import acctoken.accumulator.hashing as hashing_module
 
-        recorder = _RecordingHashlib(hashing_module.hashlib)
+        recorder = RecordingHashlib(hashing_module.hashlib)
         hashing_module.hashlib = recorder
         try:
             result = fn(*args)
@@ -589,7 +578,7 @@ class TestUpdateProvesPrecondition:
             deleted = raw[0] == WitnessKind.UPDATE_DEL
             assert (element in elements) == deleted
             # the (non)membership kind of the same layout differs in byte 0 only
-            kind = WitnessKind.MEMBERSHIP if deleted else WitnessKind.NON_MEMBERSHIP
+            kind = PRECONDITION[raw[0]]
             assert belongs(acc_before, element, bytes((kind,)) + raw[1:]) == (1 if deleted else 0)
 
 
@@ -845,7 +834,7 @@ class TestBatchUpdate:
         """``tree.insert_many(root, digest, keys)`` and the number of SHA-256 calls it made."""
         import acctoken.accumulator.hashing as hashing_module
 
-        recorder = _RecordingHashlib(hashing_module.hashlib)
+        recorder = RecordingHashlib(hashing_module.hashlib)
         hashing_module.hashlib = recorder
         try:
             merged = tree.insert_many(root, digest, keys)

@@ -215,6 +215,10 @@ class TestRentReport:
             assert row.annual_rent_wei[4] == annual_rent(params, 4, k_total)
 
 
+#: a results CSV of one transfer row at ``n`` accounts
+RESULTS = "n,op,gas_mean,gas_p95,proof_bytes_mean,verifications\n{n},transfer,1.0,1,0.0,0.0\n"
+
+
 class TestCli:
     def test_run_writes_deterministic_csv(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"
@@ -304,6 +308,10 @@ class TestCli:
             (["rent", "--total-keys", "-5"], "key count must be non-negative"),
             (["rent", "--keys", "5", "--total-keys", "4"], "contract keys must lie within the system total"),
             (["rent", "--smax-gib", "0", "--total-keys", "1e6"], "capacity parameters must be positive"),
+            (["run", "--token", "baseline", "--checkpoints", "8", "--toggles", "warp-speed"], "unknown toggle 'warp-speed'"),
+            (["run", "--token", "baseline", "--checkpoints", "8", "--config", "no-such-dir/bench.conf"], "No such file"),
+            (["rent", "--total-keys", "1e6", "--config", "no-such-dir/bench.conf"], "No such file"),
+            (["run", "--token", "baseline"], "provide --checkpoints or --max-accounts"),
         ],
     )
     def test_bad_values_are_usage_errors(self, argv, message, tmp_path, capsys):
@@ -318,6 +326,54 @@ class TestCli:
     def test_unknown_toggle_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--token", "acc", "--checkpoints", "8", "--toggles", "warp-speed"])
+
+    def test_config_file_sets_the_schedule_mode(self, tmp_path, capsys):
+        # the config's mode stands unless --schedule is given
+        config = tmp_path / "scaled.conf"
+        config.write_text("schedule.mode = scaled\n")
+        argv = ["run", "--token", "baseline", "--checkpoints", "64", "--ops", "2", "--seed", "1"]
+        outputs = {}
+        for name, extra in {
+            "config": ["--config", str(config)],
+            "flag": ["--schedule", "scaled"],
+            "flat": [],
+            "override": ["--config", str(config), "--schedule", "flat"],
+        }.items():
+            out = tmp_path / f"{name}.csv"
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            outputs[name] = out.read_bytes()
+        capsys.readouterr()
+        assert outputs["config"] == outputs["flag"] != outputs["flat"] == outputs["override"]
+
+    @pytest.mark.parametrize(
+        "files, argv, message",
+        [
+            ({"bad.conf": "schedule.sload_flat = x\n"}, ["run", "--config", "bad.conf"], "invalid literal for int()"),
+            ({"bad.conf": "schedule.sload_flat = -3\n"}, ["run", "--config", "bad.conf"], "sload_flat must be non-negative"),
+            (
+                {"a.csv": RESULTS.format(n=8), "b.csv": "n,op,gas\n8,transfer,1.0\n"},
+                ["compare", "a.csv", "b.csv"],
+                "unrecognized results CSV header",
+            ),
+            (
+                {"a.csv": RESULTS.format(n=8), "b.csv": RESULTS.format(n=16)},
+                ["compare", "a.csv", "b.csv"],
+                "different (op, checkpoint) grids",
+            ),
+        ],
+        ids=["config-not-an-int", "config-negative", "compare-header", "compare-grids"],
+    )
+    def test_bad_files_are_usage_errors(self, files, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        if argv[0] == "run":
+            argv = [*argv[:1], "--token", "baseline", "--checkpoints", "8", *argv[1:]]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bench " + argv[0]) and message in err
 
     def test_config_file_round_trip(self, tmp_path, capsys):
         config = tmp_path / "bench.conf"

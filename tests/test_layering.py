@@ -121,17 +121,24 @@ def parsed(module: str) -> ast.Module:
     return ast.parse(MODULES[module].read_text(), str(MODULES[module]))
 
 
-def defined(module: str) -> set[str]:
-    """The public names ``module`` defines at top level."""
-    names = set()
+def bindings(module: str) -> dict[str, ast.stmt]:
+    """Each name ``module`` binds at top level by a definition or an
+    assignment, with the statement that binds it."""
+    found = {}
     for node in parsed(module).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Assign):
-            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return {name for name in names if not name.startswith("_")}
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names = (name.id for name in ast.walk(target) if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
+                found.update((name, node) for name in names)
+    return found
+
+
+def defined(module: str) -> set[str]:
+    """The public names ``module`` defines at top level."""
+    return {name for name in bindings(module) if not name.startswith("_")}
 
 
 def origin(module: str, name: str) -> tuple[str, str | None] | None:
@@ -141,7 +148,7 @@ def origin(module: str, name: str) -> tuple[str, str | None] | None:
         return None
     if f"{module}.{name}" in MODULES:
         return f"{module}.{name}", None
-    if name in defined(module):
+    if name in bindings(module):
         return module, name
     for node in parsed(module).body:
         if isinstance(node, ast.ImportFrom):
@@ -162,30 +169,57 @@ def global_loads(node: ast.AST, local: frozenset = frozenset()) -> set[str]:
     return set().union(*(global_loads(child, local) for child in ast.iter_child_nodes(node)))
 
 
-def run_by_program() -> set[tuple[str, str]]:
-    """Every ``(module, name)`` that a module of the package other than an
-    ``__init__`` reads: by name in its own module, imported, or as an
-    attribute of an imported module. A re-export is not a use."""
-    used = set()
+def reads(module: str, statement: ast.stmt) -> set[tuple[str, str]]:
+    """Every ``(module, name)`` of the package that ``statement``, at top level
+    in ``module``, reads: by name, imported inside it, or as an attribute of
+    an imported module."""
+    path = MODULES[module]
+    modules = {}  # local name -> imported submodule
+    for node in [*parsed(module).body, *ast.walk(statement)]:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                found = origin(source_of(path, node), alias.name)
+                if found and found[1] is None:
+                    modules[alias.asname or alias.name] = found[0]
+    found = {origin(module, name) for name in global_loads(statement)}
+    for node in ast.walk(statement):
+        if isinstance(node, ast.ImportFrom):
+            found.update(origin(source_of(path, node), alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            found.add(origin(modules[node.value.id], node.attr))
+    return {name for name in found if name and name[1] is not None}
+
+
+def program_graph() -> tuple[set[tuple[str, str]], dict[tuple[str, str], set[tuple[str, str]]]]:
+    """What a module of the package other than an ``__init__`` runs on import
+    (the reads of its top-level statements that bind no name, such as a
+    ``__main__`` block), and what each of its top-level names reads. A
+    re-export is not a use, and neither is an import until a read needs it."""
+    entry, edges = set(), {}
     for module, path in MODULES.items():
         if path.name == "__init__.py":
             continue
-        modules = {}
-        for node in ast.walk(parsed(module)):
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    found = origin(source_of(path, node), alias.name)
-                    if found and found[1] is None:
-                        modules[alias.asname or alias.name] = found[0]
-                    elif found:
-                        used.add(found)
-        used.update((module, name) for name in global_loads(parsed(module)))
-        for node in ast.walk(parsed(module)):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
-                found = origin(modules[node.value.id], node.attr)
-                if found:
-                    used.add(found)
-    return used
+        bound = bindings(module)
+        for statement in parsed(module).body:
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                continue
+            names = [name for name, node in bound.items() if node is statement]
+            for name in names:
+                edges.setdefault((module, name), set()).update(reads(module, statement))
+            if not names:
+                entry |= reads(module, statement)
+    return entry, edges
+
+
+def reachable(roots, edges) -> set[tuple[str, str]]:
+    """``roots`` and every name they read, and every name those read, to a fixpoint."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(edges.get(name, ()))
+    return seen
 
 
 #: The public names the program itself never reads, each with who needs it.
@@ -200,19 +234,21 @@ API = {
 
 
 class TestProgramRunsItsNames:
-    """``src/`` holds what the program runs: a public top-level name is read
-    by the program, or ``API`` lists it and says who needs it."""
+    """``src/`` holds what the program runs: a public top-level name is
+    reached from what the program runs, or from a name ``API`` lists with who
+    needs it. A name read only by names that nothing reaches is not run, so
+    a chain of test-only names shows whole."""
 
     def test_every_public_name_is_run_or_listed(self):
-        used = run_by_program()
-        unused = {
-            f"{module}.{name}"
-            for module, path in MODULES.items()
-            if path.name != "__init__.py"
-            for name in defined(module)
-            if (module, name) not in used
+        entry, edges = program_graph()
+        assert entry, "nothing in src/ runs on its own: no __main__ block was read"
+        run = reachable(entry, edges)
+        api = {tuple(name.rsplit(".", 1)) for name in API}
+        kept = reachable(entry | api, edges)
+        public = {
+            (module, name) for module, path in MODULES.items() if path.name != "__init__.py" for name in defined(module)
         }
-        unlisted = sorted(unused - API.keys())
+        unlisted = sorted(".".join(name) for name in public - kept)
         assert not unlisted, f"run by nothing in src/ and not listed in API: {unlisted}"
-        stale = sorted(API.keys() - unused)
+        stale = sorted(".".join(name) for name in api & run | api - public)
         assert not stale, f"listed in API but run by src/, or gone: {stale}"

@@ -1,7 +1,6 @@
 """Accumulator token: contract verification, client builds, atomicity."""
 
 import copy
-import hashlib
 from dataclasses import replace
 
 import pytest
@@ -58,6 +57,7 @@ from acctoken.gas import HASH, SLOAD, SSTORE_UPDATE
 from acctoken.storage import FaultPolicy, StorageNetwork
 
 import reference_verify
+from hash_recorder import RecordingHashlib
 
 A = bytes.fromhex("aa" * 20)
 B = bytes.fromhex("bb" * 20)
@@ -1200,15 +1200,6 @@ METERED_ACCESSES = {
 }
 
 
-class _RecordingHashlib:
-    def __init__(self):
-        self.lengths = []
-
-    def sha256(self, data=b""):
-        self.lengths.append(len(data))
-        return hashlib.sha256(data)
-
-
 class TestContractMetering:
     """An accepted transaction's trace holds the reads, hashes and writes the contract made."""
 
@@ -1220,7 +1211,7 @@ class TestContractMetering:
         system.transfer(A, B, 100)
         system.approve(A, S, 50)
         bundle = getattr(system.client, "build_" + op)(*args)
-        recorder = _RecordingHashlib()
+        recorder = RecordingHashlib()
         monkeypatch.setattr(hashing, "hashlib", recorder)
         outcome = getattr(system.contract, op)(*args, bundle.announced, encode_bundle(bundle))
         monkeypatch.undo()
