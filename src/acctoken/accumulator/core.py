@@ -15,7 +15,7 @@ from ..errors import AlreadyPresent, NotPresent, StaleAccumulator, UnsupportedPa
 from . import tree
 from .hashing import DIGEST_BYTES, element_digest
 from .tree import Memory, Node
-from .witness import BIT_BYTE, WitnessKind, pack
+from .witness import WitnessKind, pack
 
 SUPPORTED_BITS = DIGEST_BYTES * 8
 
@@ -39,7 +39,7 @@ def setup(security_parameter_bits: int) -> tuple[bytes, Memory]:
 def witness_for_root(root: Node, element: bytes) -> bytes:
     """(Non)membership witness bytes for ``element`` against an arbitrary root snapshot."""
     key = element_digest(element)
-    steps, terminal = tree.descend(root, key, BIT_BYTE)
+    steps, terminal = tree.descend(root, key)
     if terminal == key:
         return pack(WitnessKind.MEMBERSHIP, key, steps)
     return pack(WitnessKind.NON_MEMBERSHIP, key, steps, tree.leaf_key(terminal))
@@ -62,7 +62,7 @@ def simulate_update(root: Node, root_digest: bytes, op: str, element: bytes) -> 
     """
     key = element_digest(element)
     path = []
-    steps, terminal = tree.descend(root, key, BIT_BYTE, path)
+    steps, terminal = tree.descend(root, key, path)
     if op == "add":
         new_root, new_digest = tree.insert_at(path, terminal, key, root_digest)
         return new_root, new_digest, pack(WitnessKind.UPDATE_ADD, key, steps, tree.leaf_key(terminal)), key

@@ -28,8 +28,11 @@ def element_digest(element: bytes) -> bytes:
     return hashlib.sha256(element).digest()
 
 
+#: the one-byte encoding of each branch bit (and of each witness kind)
+BIT_BYTE = tuple(bytes((b,)) for b in range(KEY_BITS))
+
 #: preimage prefix of a branch splitting at each bit: tag, then the bit
-BIT_PREFIX = tuple(TAG_INTERNAL + bytes((b,)) for b in range(KEY_BITS))
+BIT_PREFIX = tuple(TAG_INTERNAL + BIT_BYTE[b] for b in range(KEY_BITS))
 
 
 EMPTY_DIGEST = sha256(TAG_EMPTY)

@@ -55,7 +55,7 @@ from bisect import bisect_left
 
 from ..errors import AlreadyPresent, NotPresent
 from . import hashing
-from .hashing import BIT_MASK, BIT_PREFIX, DIGEST_BYTES, EMPTY_DIGEST, KEY_BITS, TAG_LEAF, first_diff_bit
+from .hashing import BIT_BYTE, BIT_MASK, BIT_PREFIX, DIGEST_BYTES, EMPTY_DIGEST, KEY_BITS, TAG_LEAF, first_diff_bit
 
 EMPTY = ()
 
@@ -87,27 +87,15 @@ def leaf_key(node: Node) -> bytes | None:
     return node if node.__class__ is bytes else None
 
 
-def walk(root: Node, key: bytes):
-    """Descend along ``key``; returns ([(branch, direction)...], terminal),
-    where the terminal is a leaf or EMPTY."""
-    path = []
-    node = root
-    k = int.from_bytes(key, "big")
-    while len(node) == 3:
-        direction = 1 if k & BIT_MASK[node[2][_BIT_AT]] else 0
-        path.append((node, direction))
-        node = node[direction]
-    return path, node
-
-
-def descend(root: Node, key: bytes, bit_bytes, path: list | None = None):
+def descend(root: Node, key: bytes, path: list | None = None):
     """Walk along ``key`` once; returns (steps, terminal).
 
-    ``steps`` holds, root first, each branch's step as one ``bytes``: the
-    branch's bit as ``bit_bytes[bit]``, then the digest of the sibling the
-    walk did not take. The terminal is a leaf or EMPTY. Given a ``path``
-    list, the walk also appends each (branch, direction) to it, as ``walk``
-    does, for ``insert_at`` and ``remove_at``.
+    ``steps`` holds, root first, each branch's step as one ``bytes``, as a
+    witness carries it: the branch's bit byte, then the digest of the
+    sibling the walk did not take. The terminal is a leaf or EMPTY. Given a
+    ``path`` list, the walk also appends each (branch, direction) to it, for
+    ``insert_at`` and ``remove_at``; ``insert`` and ``remove`` walk this way
+    too, and drop the steps.
     """
     steps = []
     node = root
@@ -121,7 +109,7 @@ def descend(root: Node, key: bytes, bit_bytes, path: list | None = None):
                 path.append((node, 1))
             node = node[1]
         else:
-            steps.append(bit_bytes[bit] + body[_RIGHT_AT:])
+            steps.append(BIT_BYTE[bit] + body[_RIGHT_AT:])
             if path is not None:
                 path.append((node, 0))
             node = node[0]
@@ -171,7 +159,9 @@ def insert_at(path, terminal: Node, key: bytes, root_digest: bytes) -> tuple[Nod
 
 
 def insert(root: Node, root_digest: bytes, key: bytes) -> tuple[Node, bytes]:
-    return insert_at(*walk(root, key), key, root_digest)
+    path = []
+    _steps, terminal = descend(root, key, path)
+    return insert_at(path, terminal, key, root_digest)
 
 
 def remove_at(path, terminal: Node, key: bytes) -> tuple[Node, bytes]:
@@ -185,7 +175,9 @@ def remove_at(path, terminal: Node, key: bytes) -> tuple[Node, bytes]:
 
 
 def remove(root: Node, key: bytes) -> tuple[Node, bytes]:
-    return remove_at(*walk(root, key), key)
+    path = []
+    _steps, terminal = descend(root, key, path)
+    return remove_at(path, terminal, key)
 
 
 def _duplicate(key: bytes):

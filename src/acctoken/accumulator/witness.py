@@ -21,7 +21,7 @@ the reference verifier in tests/reference_verify.py.
 
 from enum import IntEnum
 
-from .hashing import DIGEST_BYTES
+from .hashing import BIT_BYTE, DIGEST_BYTES
 
 # offsets: the kind byte, the element digest, the step count, then the steps
 KIND_AT = 0
@@ -55,9 +55,6 @@ PRECONDITION = {
     WitnessKind.UPDATE_ADD.value: WitnessKind.NON_MEMBERSHIP.value,
     WitnessKind.UPDATE_DEL.value: WitnessKind.MEMBERSHIP.value,
 }
-
-#: the one-byte encoding of each branch bit (and of each kind)
-BIT_BYTE = tuple(bytes((bit,)) for bit in range(256))
 
 
 def encoded_length(kind: int, step_count: int) -> int:

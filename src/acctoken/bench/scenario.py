@@ -20,6 +20,7 @@ The shadow's records of the same transactions are kept as the run's
 ``baseline``, so one growth meters both tokens.
 """
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -338,9 +339,11 @@ def rows_from_csv(text: str) -> list[ResultRow]:
     rows = []
     for line in lines[1:]:
         n, op, gas_mean, gas_p95, proof_bytes, verifications = line.split(",")
-        rows.append(
-            ResultRow(int(n), op, float(gas_mean), int(gas_p95), float(proof_bytes), float(verifications))
-        )
+        row = ResultRow(int(n), op, float(gas_mean), int(gas_p95), float(proof_bytes), float(verifications))
+        # every metered op pays gas, and ``compare`` divides by the mean
+        if not 0 < row.gas_mean < math.inf:
+            raise ValueError(f"gas_mean {gas_mean} of ({op}, {n}) is not a positive finite amount")
+        rows.append(row)
     return rows
 
 

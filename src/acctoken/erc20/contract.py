@@ -27,8 +27,8 @@ and every announced word.
 
 An accepted operation returns the transaction's ``TxRecord``, the one record
 type both tokens return: its log, its trace, the bundle's size, the number
-of entries verified and the verified update steps, in chain order, that
-storage is to commit.
+of entries verified and, for each accumulator it writes, the verified update
+steps in chain order: the batches storage commits.
 
 Caveat, fresh destinations: the fresh variants of transfer and transferFrom
 prove only that the tuple ``(to, 0)`` is absent, which says nothing about
@@ -85,7 +85,9 @@ class TxRecord:
     trace: TxTrace  # reads, verifier hashes and writes; calldata is the caller's
     bundle_bytes: int = 0
     verifications: int = 0  # bundle entries verified
-    updates: list[plan.Step] = field(default_factory=list)  # verified update steps in chain order, to commit
+    # accumulator -> its verified (op, element) update steps in chain order:
+    # the batches storage commits, one per accumulator written
+    updates: dict[str, list[tuple[str, bytes]]] = field(default_factory=dict)
 
 
 class AccTokenContract:
@@ -140,11 +142,10 @@ class AccTokenContract:
         log, steps = plan.PLANS[op](*args, words)
 
         trace = TxTrace()
-        accs, written, updates = {}, {}, []
+        accs, chains = {}, {}
         entries = bundle.entries
         index = 0
-        for step in steps:
-            acc, claim, element = step
+        for acc, claim, element in steps:
             if acc not in accs:
                 trace.sload(CONTRACT_KEYS)
                 accs[acc] = self.state.value_of(acc)
@@ -163,16 +164,16 @@ class AccTokenContract:
             if not ok:
                 raise InvalidProof(index)
             if update_op:
-                accs[acc] = written[acc] = entry.claimed_after
-                updates.append(step)
+                accs[acc] = entry.claimed_after
+                chains.setdefault(acc, []).append((STORAGE_OP[claim], element))
             index += 1
         if index != len(entries):
             raise BundleSchemaMismatch(f"{len(entries) - index} entries left after the op's last step")
         if words.read != len(announced):
             raise BundleSchemaMismatch(f"{len(announced) - words.read} announced words left after the op's last step")
 
-        for _ in written:
+        for _ in chains:
             trace.sstore_update(CONTRACT_KEYS)
-        self.state = self.state.with_values(written)
+        self.state = self.state.with_values({acc: accs[acc] for acc in chains})
         self.logs.append(log)
-        return TxRecord(ERC20_NAME[op], log, trace, len(data), index, updates)
+        return TxRecord(ERC20_NAME[op], log, trace, len(data), index, chains)

@@ -28,12 +28,11 @@ ZERO_ADDRESS = b"\x00" * ADDRESS_BYTES
 
 
 def check_address(addr: bytes) -> bytes:
-    # exact types first: growth checks millions; anything else takes the full checks
-    if addr.__class__ is bytes and len(addr) == ADDRESS_BYTES:
-        return addr
-    if not isinstance(addr, (bytes, bytearray)) or len(addr) != ADDRESS_BYTES:
-        raise InvalidAddress("addresses are 20-byte strings")
-    return bytes(addr)
+    """``addr`` itself if it is a 20-byte ``bytes``: immutable, so it keys a
+    mapping and encodes as it is; anything else (a ``bytearray`` too) is refused."""
+    if addr.__class__ is not bytes or len(addr) != ADDRESS_BYTES:
+        raise InvalidAddress("addresses are 20-byte bytes objects")
+    return addr
 
 
 def check_amount(value: int) -> int:

@@ -7,6 +7,9 @@ The contract walks them in lock-step with a bundle's entries, so they are
 the bundle schema: one entry per step, each carrying its step's claim. The
 client builds bundles from them, and ``TokenSystem`` commits their update
 steps (a verified transaction's and ``bootstrap``'s growth stream alike).
+``mint`` is deployment's plan, its one step the deployer's balance tuple;
+it is not a transaction, so ``PLANS`` does not list it, and ``TokenSystem``
+bootstraps it.
 
 Steps are made lazily, so amounts are read and guards run where the plan
 says. ``amounts.spend(acc, *key)`` gives an amount the op draws on;
@@ -30,7 +33,7 @@ from .bundle import (
     UPDATE_DEL,
     OpTag,
 )
-from .elements import allowance_element, balance_element, check_amount, pair_element
+from .elements import ZERO_ADDRESS, allowance_element, balance_element, check_amount, pair_element
 
 
 @dataclass(slots=True)
@@ -137,6 +140,12 @@ def _transfer_from_steps(spender: bytes, sender: bytes, to: bytes, tokens: int, 
 
 def transfer_from(spender: bytes, sender: bytes, to: bytes, tokens: int, amounts) -> Plan:
     return LogRecord("Transfer", sender, to, tokens), _transfer_from_steps(spender, sender, to, tokens, amounts)
+
+
+def mint(owner: bytes, total: int) -> Plan:
+    """Deployment: the whole supply credited to ``owner``, from the zero address."""
+    steps = [(BALANCES, UPDATE_ADD, balance_element(owner, total))]
+    return LogRecord("Transfer", ZERO_ADDRESS, owner, total), iter(steps)
 
 
 PLANS = {OpTag.TRANSFER: transfer, OpTag.APPROVE: approve, OpTag.TRANSFER_FROM: transfer_from}

@@ -11,16 +11,16 @@ refuses after the contract accepted: storage refuses every batch of the
 transaction unless each reaches the value the contract accepted, and the
 contract is then rolled back, so contract and storage never part.
 
-Every write to storage goes through ``_commit``, one batch per accumulator
-touched, all committed in one call, each as one storage epoch: a verified
-transaction's update steps go as they are, in chain order, so that storage
-can match them with the chain it simulated for the bundle, while the
-deployment's mint and ``bootstrap``'s stream of growth plans are netted as
-they are recorded.
+Storage is written in two ways, each one ``StorageNetwork.commit`` of one
+batch per accumulator written, each batch one storage epoch. A verified
+transaction commits the chains the contract's record carries, its update
+steps per accumulator in chain order, so that storage can match them with
+the chain it simulated for the bundle. ``bootstrap`` commits plans nothing
+proves, netted as they are recorded; deployment is its first call, with the
+deployer's ``plan.mint``.
 """
 
 import hashlib
-from itertools import chain
 from typing import Iterable
 
 from ..errors import AcctokenError
@@ -29,13 +29,11 @@ from . import bundle as pb
 from . import plan
 from .bundle import ERC20_NAME, OpTag, ProofBundle, encode_bundle
 from .client import TokenClient
-from .contract import AccTokenContract, ContractState, LogRecord, TxRecord
+from .contract import AccTokenContract, ContractState, TxRecord
 from .elements import (
     ALLOWANCE_ELEMENT_LEN,
     AMOUNT_BYTES,
     BALANCE_ELEMENT_LEN,
-    ZERO_ADDRESS,
-    balance_element,
     check_address,
     check_amount,
     check_supply,
@@ -78,12 +76,11 @@ class TokenSystem:
         check_address(deployer)
         check_supply(total)
         self.network = StorageNetwork(policy)
-        for name in pb.ACCUMULATORS:
-            self.network.register(name, index_prefix_len=_INDEX_PREFIX_LEN.get(name))
-        self._commit([(pb.BALANCES, pb.UPDATE_ADD, balance_element(deployer, total))])
-        state = ContractState(*(self.network.accumulator_value(name) for name in pb.ACCUMULATORS), total)
-        self.contract = AccTokenContract(state, lift_checkupdate_precondition)
-        self.contract.logs.append(LogRecord("Transfer", ZERO_ADDRESS, deployer, total))
+        empty = [self.network.register(name, index_prefix_len=_INDEX_PREFIX_LEN.get(name)) for name in pb.ACCUMULATORS]
+        self.contract = AccTokenContract(ContractState(*empty, total), lift_checkupdate_precondition)
+        log, steps = plan.mint(deployer, total)
+        self.bootstrap([(log, steps)])
+        self.contract.logs.append(log)
         self.client = TokenClient(self.contract, self.network)
         self.deployer = deployer
 
@@ -121,8 +118,9 @@ class TokenSystem:
         encoded = encode_bundle(bundle)
         state, logged = self.contract.state, len(self.contract.logs)
         record = execute(*addresses, tokens, bundle.announced, encoded)
+        accepted = self.contract.state
         try:
-            self._commit(record.updates, self.contract.state)
+            self.network.commit(record.updates, {name: accepted.value_of(name) for name in pb.ACCUMULATORS})
         except AcctokenError:
             self.contract.state = state
             del self.contract.logs[logged:]
@@ -149,49 +147,30 @@ class TokenSystem:
             OpTag.TRANSFER_FROM, [spender, sender, to], tokens, bundle, self.contract.transfer_from
         )
 
-    # -- commit path -------------------------------------------------------------
-
-    def _commit(self, steps: Iterable[plan.Step], accepted: ContractState | None = None) -> dict[str, bytes]:
-        """Commit the update steps among plan ``steps``, one batch per accumulator.
-
-        ``accepted`` is the contract state that verified the steps, if any:
-        they are then a transaction's verified update steps, handed to
-        storage as they are, per accumulator in chain order, and storage
-        installs them only if it then holds every value that state holds,
-        adopting the update chain it simulated for the bundle when the steps
-        are that chain's. Without it (deployment, growth) every step is
-        recorded, so checked against storage (``Changes.record``) and netted,
-        before storage sees any batch, and a batch whose steps cancel out is
-        skipped. Returns the new values of the accumulators committed.
-        """
-        if accepted is not None:
-            chains: dict[str, list[tuple[str, bytes]]] = {}
-            for acc, claim, element in steps:
-                chains.setdefault(acc, []).append((pb.STORAGE_OP[claim], element))
-            return self.network.commit(chains, {name: accepted.value_of(name) for name in pb.ACCUMULATORS})
-        batches = {name: self.network.changes(name) for name in pb.ACCUMULATORS}
-        for acc, claim, element in steps:
-            if claim in pb.STORAGE_OP:
-                batches[acc].record(pb.STORAGE_OP[claim], element)
-        return self.network.commit({name: changes for name, changes in batches.items() if changes})
+    # -- bootstrap ---------------------------------------------------------------
 
     def bootstrap(self, plans: Iterable[plan.Plan]):
-        """Commit the update steps of transfer and approve plans, one batch per accumulator.
+        """Commit the update steps of plans nothing proves, one batch per accumulator.
 
-        Bootstrap tooling for population growth, not transactions: nothing is
-        proved and no log is emitted. The plans are consumed as a stream, so
-        the deployer's intermediate balance tuples cancel out in the batch.
-        Each plan's guards and amount check run before anything is
-        committed, so a rejected stream leaves the contract and storage as
-        they were. The state reached is the one the verified ops reach.
+        Deployment is the first call, with the deployer's mint; population
+        growth bootstraps its transfer and approve plans. Not transactions:
+        nothing is proved and no log is emitted. The plans are consumed as a
+        stream and each step is recorded into its accumulator's batch, so
+        checked against storage (``Changes.record``) and netted, and the
+        deployer's intermediate balance tuples cancel out; a batch whose
+        steps cancel out is skipped. Each plan's amount is checked before
+        its steps are made, and its guards run as they are, all before
+        anything is committed, so a rejected stream leaves the contract and
+        storage as they were. The state reached is the one the verified ops reach.
         """
-
-        def checked():
-            for log, plan_steps in plans:
-                check_amount(log.amount)
-                yield plan_steps
-
-        self.contract.state = self.contract.state.with_values(self._commit(chain.from_iterable(checked())))
+        batches = {name: self.network.changes(name) for name in pb.ACCUMULATORS}
+        for log, steps in plans:
+            check_amount(log.amount)
+            for acc, claim, element in steps:
+                if claim in pb.STORAGE_OP:
+                    batches[acc].record(pb.STORAGE_OP[claim], element)
+        values = self.network.commit({name: changes for name, changes in batches.items() if changes})
+        self.contract.state = self.contract.state.with_values(values)
 
     # -- integrity hooks ------------------------------------------------------
 

@@ -360,8 +360,13 @@ class TestCli:
                 ["compare", "a.csv", "b.csv"],
                 "different (op, checkpoint) grids",
             ),
+            (
+                {"a.csv": RESULTS.format(n=8), "z.csv": RESULTS.format(n=8).replace(",1.0,", ",0.00,")},
+                ["compare", "a.csv", "z.csv"],
+                "gas_mean 0.00 of (transfer, 8) is not a positive finite amount",
+            ),
         ],
-        ids=["config-not-an-int", "config-negative", "compare-header", "compare-grids"],
+        ids=["config-not-an-int", "config-negative", "compare-header", "compare-grids", "compare-zero-gas"],
     )
     def test_bad_files_are_usage_errors(self, files, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -78,6 +78,29 @@ class TestPlanLayer:
         assert not any(module.rsplit(".", 1)[-1] == name for module in found)
 
 
+ELEMENT_ENCODERS = {"balance_element", "allowance_element", "pair_element"}
+
+
+def encodes_elements(path: Path) -> bool:
+    """Whether ``path`` imports an element encoder or reads one as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.alias) and node.name in ELEMENT_ENCODERS:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr in ELEMENT_ENCODERS:
+            return True
+    return False
+
+
+class TestTransitionsLiveInPlans:
+    """A state transition is written once, in ``erc20/plan.py``: outside the
+    encoders' own module, only the plans encode the tuples an op writes, and
+    the client the tuples it reads verified."""
+
+    def test_only_plans_and_client_encode_elements(self):
+        encoders = {str(path.relative_to(PACKAGE)) for path in SOURCES if encodes_elements(path)}
+        assert encoders - {"erc20/elements.py"} == {"erc20/plan.py", "erc20/client.py"}
+
+
 def constructs(path: Path, name: str) -> bool:
     """Whether ``path`` calls ``name(...)``, by that name or as an attribute."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -156,7 +156,7 @@ class TestRecords:
         acc_record, base_record = (getattr(token, kind)(*args) for token in (acc, base))
         assert type(acc_record) is type(base_record)
         assert acc_record.op == base_record.op == name
-        assert base_record.bundle_bytes == base_record.verifications == 0 and base_record.updates == []
+        assert base_record.bundle_bytes == base_record.verifications == 0 and base_record.updates == {}
         assert acc_record.log == base_record.log
 
 
@@ -181,6 +181,25 @@ class TestMalformedAddress:
             before = ledger(token)
             assert apply_op(token, op) is InvalidAddress
             assert ledger(token) == before
+
+    @pytest.mark.parametrize(
+        "kind, args",
+        [("transfer", (HOLDER, DEPLOYER, 1)), ("approve", (HOLDER, DEPLOYER, 5)), ("transfer_from", (SPENDER, HOLDER, DEPLOYER, 1))],
+    )
+    def test_bytearray_is_refused(self, kind, args):
+        # the right length but a mutable type: refused, not converted, so no
+        # mapping key and no log field ever holds one
+        for slot in range(len(args) - 1):
+            op = WorkloadOp(kind, tuple(bytearray(arg) if i == slot else arg for i, arg in enumerate(args)))
+            for token in funded_pair():
+                before = ledger(token)
+                assert apply_op(token, op) is InvalidAddress
+                assert ledger(token) == before
+
+    @pytest.mark.parametrize("deploy", [TokenSystem, BaselineToken.deploy], ids=["acc", "baseline"])
+    def test_bytearray_deployer_is_refused(self, deploy):
+        with pytest.raises(InvalidAddress):
+            deploy(bytearray(DEPLOYER), SUPPLY)
 
 
 class TestKnownDivergence:

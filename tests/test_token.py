@@ -802,7 +802,7 @@ def spy_commits(system):
             if adopted:  # the new elements are keyed by the very objects their leaves hold
                 keys = {key: key for key in entry.memory.elements}
                 for key in keys.keys() - held[acc]:
-                    _path, leaf = tree.walk(root, key)
+                    _steps, leaf = tree.descend(root, key)
                     assert keys[key] is tree.leaf_key(leaf)
             seen.append((acc, adopted))
         return values
@@ -938,7 +938,10 @@ class TestTxRecord:
         assert record.bundle_bytes == len(data) and record.verifications == len(bundle.entries)
         _log, steps = plan.PLANS[tag](*args, plan.Announced(bundle.announced))
         updates = [step for step in steps if step[1] in STORAGE_OP]
-        assert record.updates == updates
+        chains = {}  # per accumulator written, its steps in chain order
+        for acc, claim, element in updates:
+            chains.setdefault(acc, []).append((STORAGE_OP[claim], element))
+        assert record.updates == chains
         assert [purpose(acc, claim) for acc, claim, _element in updates] == [
             entry.purpose for entry in bundle.entries if entry.claimed_after is not None
         ]
