@@ -108,6 +108,8 @@ def _cmd_run(args) -> int:
         sys.stdout.write(csv_text)
     if run.dropped:
         print(f"dropped {run.dropped} sampled transactions under the fault policy", file=sys.stderr)
+        by_class = ", ".join(f"{name} {count}" for name, count in sorted(run.drops.items()))
+        print(f"dropped by error class under storage.mode = {fault.mode}: {by_class}", file=sys.stderr)
     return 0
 
 

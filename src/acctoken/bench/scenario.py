@@ -23,6 +23,7 @@ The shadow's records of the same transactions are kept as the run's
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from ..baseline import BaselineToken
@@ -90,6 +91,7 @@ class ScenarioRun:
     scenario: Scenario
     checkpoints: list[CheckpointSamples]
     dropped: int = 0
+    drops: Counter = field(default_factory=Counter)  # dropped samples by error class name
     conservation_checks: int = 0
     baseline: "ScenarioRun | None" = None
 
@@ -229,8 +231,9 @@ def _sample_checkpoint(scenario, system, shadow, pop, n_accounts, run):
                 continue
             try:
                 record = getattr(system, kind)(*op_args)
-            except AcctokenError:
+            except AcctokenError as exc:
                 run.dropped += 1
+                run.drops[type(exc).__name__] += 1
                 continue
             samples.append(record)
             if shadow is not system:
@@ -336,15 +339,17 @@ def rows_from_csv(text: str) -> list[ResultRow]:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized results CSV header")
-    rows = []
+    rows = {}
     for line in lines[1:]:
         n, op, gas_mean, gas_p95, proof_bytes, verifications = line.split(",")
         row = ResultRow(int(n), op, float(gas_mean), int(gas_p95), float(proof_bytes), float(verifications))
         # every metered op pays gas, and ``compare`` divides by the mean
         if not 0 < row.gas_mean < math.inf:
             raise ValueError(f"gas_mean {gas_mean} of ({op}, {n}) is not a positive finite amount")
-        rows.append(row)
-    return rows
+        # ``compare`` pairs rows by (op, n), so a second row would be paired by argument order
+        if rows.setdefault((op, row.n_accounts), row) is not row:
+            raise ValueError(f"more than one row for ({op}, {n})")
+    return list(rows.values())
 
 
 # -- comparison and rent tables ---------------------------------------------------

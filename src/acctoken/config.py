@@ -1,8 +1,8 @@
 """Flat key=value config files for gas schedules, rent parameters and faults.
 
-Format: one ``section.key = value`` pair per line, ``#`` comments, blank
-lines ignored. ``dump_defaults()`` emits every knob with its default so a
-dumped file round-trips losslessly.
+Format: one ``section.key = value`` pair per line, each key at most once,
+``#`` comments, blank lines ignored. ``dump_defaults()`` emits every knob
+with its default so a dumped file round-trips losslessly.
 """
 
 from dataclasses import fields
@@ -33,7 +33,8 @@ def _parse_value(raw: str, target_type):
 
 
 def parse_config(text: str) -> dict[str, str]:
-    pairs = {}
+    """The file's ``key = value`` pairs; a key given on a second line is an error, not an override."""
+    pairs, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -41,7 +42,11 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ValueError(f"line {lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
+        pairs[key] = value.strip()
     return pairs
 
 

@@ -7,16 +7,29 @@ Update witnesses are chained on the simulated roots the storage keeps for
 the chain being built, in the same order the contract will verify and commit
 them. A bundle's entries are the payloads as served: the client verifies
 bytes and passes the same bytes on, never a re-encoding of them.
+
+A verified read looks its tuple up in storage, then proves what it read. The
+client remembers, per accumulator, the elements its reads proved members and
+the value they were proven against, and fetches a membership witness only
+for an element it does not remember as a member of the contract's current
+value. The remembered set stays a subset of the set that value commits to:
+each element was proven by ``belongs`` against it, and the value moves on
+only by ``follow``, with a chain the contract verified, whose deletions are
+the only steps that can take a member out. A value the client did not follow
+(``bootstrap``, another submitter) starts an empty set at its first proof;
+the digest binds the set, so a value seen again commits to the same set.
+Non-membership is not remembered, and bundles are always built from served
+witnesses, which the contract needs as bytes.
 """
 
 from ..accumulator import BOTTOM, belongs, check_update
 from ..accumulator.witness import KIND_AT, precondition_witness
 from ..errors import AlreadyPresent, InsufficientBalance, NotApproved, NotPresent, VerificationFailed
-from ..storage import StorageNetwork
+from ..storage import StorageNetwork, Steps
 from . import bundle as pb
 from . import plan
 from .bundle import BundleEntry, OpTag, ProofBundle
-from .contract import AccTokenContract
+from .contract import AccTokenContract, ContractState
 from .elements import (
     allowance_element,
     allowance_prefix,
@@ -62,6 +75,45 @@ class TokenClient:
         self.contract = contract
         self.network = network
         self.lift = contract.lift
+        # accumulator -> (value, elements proven members of it by reads)
+        self._proven: dict[str, tuple[bytes, set[bytes]]] = {}
+
+    # -- remembered proofs --------------------------------------------------------
+
+    def follow(self, before: ContractState, after: ContractState, updates: dict[str, Steps]):
+        """Carry the remembered members over one accepted transaction whose ``updates`` storage committed.
+
+        ``updates`` are the verified chains of the contract's record, which
+        moved each accumulator from its value in ``before`` to its value in
+        ``after``; a set remembered against another value is left as it is.
+        """
+        for acc, steps in updates.items():
+            value, members = self._proven.get(acc, (None, None))
+            if value != before.value_of(acc):
+                continue
+            for op, element in steps:
+                if op == "del":
+                    members.discard(element)
+            self._proven[acc] = after.value_of(acc), members
+
+    def _remembered(self, name: str, element: bytes) -> bool:
+        """Whether ``element`` is remembered as a member of ``name``'s current value."""
+        value, members = self._proven.get(name, (None, ()))
+        return value == self.contract.state.value_of(name) and element in members
+
+    def _remember(self, name: str, element: bytes):
+        """Remember ``element``, just proven a member of ``name``'s current value."""
+        value = self.contract.state.value_of(name)
+        remembered = self._proven.get(name)
+        if remembered is None or remembered[0] != value:
+            self._proven[name] = remembered = value, set()
+        remembered[1].add(element)
+
+    def _prove_member(self, name: str, element: bytes):
+        """Prove ``element`` a member of ``name``'s current value, by a fetched witness unless remembered."""
+        if not self._remembered(name, element):
+            self._fetch_verified(name, element, 1)
+            self._remember(name, element)
 
     # -- verified fetch helpers -------------------------------------------------
 
@@ -119,23 +171,26 @@ class TokenClient:
             self._fetch_verified(pb.BALANCES, balance_element(owner, 0), 0)
             return 0
         element, amount = entry
-        self._fetch_verified(pb.BALANCES, element, 1)
+        self._prove_member(pb.BALANCES, element)
         return amount
 
     def allowance(self, owner: bytes, spender: bytes) -> int:
         """Spender's remaining allowance from owner, proven like balance_of."""
-        _, verdict = self._fetch_verdict(pb.ALLOWED_ADDRESSES, pair_element(owner, spender))
-        if verdict == 0:
-            return 0
-        if verdict is BOTTOM:
-            raise VerificationFailed("pair witness did not verify")
+        pair = pair_element(owner, spender)
+        if not self._remembered(pb.ALLOWED_ADDRESSES, pair):
+            _, verdict = self._fetch_verdict(pb.ALLOWED_ADDRESSES, pair)
+            if verdict == 0:
+                return 0
+            if verdict is BOTTOM:
+                raise VerificationFailed("pair witness did not verify")
+            self._remember(pb.ALLOWED_ADDRESSES, pair)
         entry = self._allowance_entry(owner, spender)
         if entry is None:
             raise VerificationFailed("approved pair has no allowance tuple in storage")
         # re-encoded, not proven as served: a served tuple whose pair fields
         # were corrupted still decodes, and the proof is of the pair asked for
         amount = entry[1]
-        self._fetch_verified(pb.ALLOWED_BALANCES, allowance_element(owner, spender, amount), 1)
+        self._prove_member(pb.ALLOWED_BALANCES, allowance_element(owner, spender, amount))
         return amount
 
     # -- bundle building ----------------------------------------------------------

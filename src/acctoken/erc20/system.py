@@ -18,6 +18,11 @@ steps per accumulator in chain order, so that storage can match them with
 the chain it simulated for the bundle. ``bootstrap`` commits plans nothing
 proves, netted as they are recorded; deployment is its first call, with the
 deployer's ``plan.mint``.
+
+Once storage has committed a verified transaction, the client follows its
+chains (``TokenClient.follow``): the members its reads proved stay proven
+across the transaction, less the elements the chains delete. Nothing else
+moves the client's remembered values, so a bootstrap is not followed.
 """
 
 import hashlib
@@ -113,7 +118,8 @@ class TokenSystem:
         storage commits, so a commit that storage refuses, one that would
         not reach the values the contract accepted included, puts both back
         before the error goes on: a contract accepting what storage cannot
-        apply does not part them.
+        apply does not part them. A commit that lands is followed by the
+        client.
         """
         encoded = encode_bundle(bundle)
         state, logged = self.contract.state, len(self.contract.logs)
@@ -125,6 +131,7 @@ class TokenSystem:
             self.contract.state = state
             del self.contract.logs[logged:]
             raise
+        self.client.follow(state, accepted, record.updates)
         record.trace.calldata = abi_calldata(op, addresses, tokens, bundle.announced, encoded)
         return record
 

@@ -195,6 +195,30 @@ class TestFaultScenario:
         run.scenario.fault  # growth still reached the checkpoint
         assert run.checkpoints[0].n_accounts == 32
 
+    @pytest.mark.parametrize(
+        "fault, named",
+        [(FaultPolicy.unavailable(0.5, seed=77), "Unavailable"), (FaultPolicy.corrupt_bits(0.02, seed=5), "VerificationFailed")],
+        ids=["unavailable", "corrupt-bits"],
+    )
+    def test_drops_are_counted_by_error_class(self, fault, named):
+        run = run_scenario(Scenario(token="acc", checkpoints=(32,), ops_per_checkpoint=6, seed=3, fault=fault))
+        assert run.dropped > 0
+        assert sum(run.drops.values()) == run.dropped
+        assert named in run.drops
+
+    def test_bench_run_prints_the_drops_by_class(self, tmp_path, capsys):
+        config = tmp_path / "refusing.conf"
+        config.write_text("storage.mode = unavailable\nstorage.probability = 0.5\nstorage.seed = 77\n")
+        out = tmp_path / "acc.csv"
+        argv = ["run", "--token", "acc", "--checkpoints", "32", "--ops", "6", "--seed", "3", "--out", str(out)]
+        assert main(argv + ["--config", str(config)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("dropped ") and err[0].endswith(" sampled transactions under the fault policy")
+        dropped = int(err[0].split()[1])
+        assert err[1].startswith("dropped by error class under storage.mode = unavailable: Unavailable ")
+        named = dict(item.rsplit(" ", 1) for item in err[1].split(": ", 1)[1].split(", "))
+        assert sum(map(int, named.values())) == dropped
+
 
 class TestRentReport:
     def test_rows_reproduce_rent_examples(self):
@@ -351,6 +375,12 @@ class TestCli:
             ({"bad.conf": "schedule.sload_flat = x\n"}, ["run", "--config", "bad.conf"], "invalid literal for int()"),
             ({"bad.conf": "schedule.sload_flat = -3\n"}, ["run", "--config", "bad.conf"], "sload_flat must be non-negative"),
             (
+                # the second value would otherwise win silently
+                {"bad.conf": "schedule.mode = scaled\n# flat after all\nschedule.mode = flat\n"},
+                ["run", "--config", "bad.conf"],
+                "line 3: schedule.mode is already set on line 1",
+            ),
+            (
                 {"a.csv": RESULTS.format(n=8), "b.csv": "n,op,gas\n8,transfer,1.0\n"},
                 ["compare", "a.csv", "b.csv"],
                 "unrecognized results CSV header",
@@ -365,8 +395,17 @@ class TestCli:
                 ["compare", "a.csv", "z.csv"],
                 "gas_mean 0.00 of (transfer, 8) is not a positive finite amount",
             ),
+            (
+                # compare would pair both rows with b's one, or keep only the last, by argument order
+                {"a.csv": RESULTS.format(n=8) + "8,transfer,2.0,2,0.0,0.0\n", "b.csv": RESULTS.format(n=8)},
+                ["compare", "b.csv", "a.csv"],
+                "more than one row for (transfer, 8)",
+            ),
         ],
-        ids=["config-not-an-int", "config-negative", "compare-header", "compare-grids", "compare-zero-gas"],
+        ids=[
+            "config-not-an-int", "config-negative", "config-key-twice",
+            "compare-header", "compare-grids", "compare-zero-gas", "compare-duplicate-row",
+        ],
     )
     def test_bad_files_are_usage_errors(self, files, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

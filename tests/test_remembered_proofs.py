@@ -1,0 +1,179 @@
+"""Remembered read proofs: a read fetches a witness only for an element it has not proven, and stays sound.
+
+The client remembers the elements its reads proved members of each
+accumulator, against the value they were proven for, and follows the chains
+of the transactions its system commits. The stateful test runs one
+``TokenSystem`` through writes of its own client, which the client follows,
+and through changes it does not follow: a second submitter that executes on
+the contract and commits the record's chains to storage itself, and
+bootstrap plans. Reads go to the node the last ``serve`` rule picked: the
+system's storage, served honestly or with flipped bits, or a lagging node,
+a copy of that storage from before its latest commit. A lagging node serves
+superseded tuples, so a client that kept one as a proven member past the
+chain that deleted it, or past a value it did not follow, would return it.
+After every step each read returns the ledger's value or raises.
+"""
+
+import copy
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from acctoken.bench import effective_allowances
+from acctoken.bench.workload import true_balance
+from acctoken.erc20 import TokenClient, TokenSystem, encode_bundle, plan
+from acctoken.erc20.bundle import ACCUMULATORS, ALLOWED_BALANCES, BALANCES
+from acctoken.erc20.elements import allowance_prefix, balance_prefix, decode_allowance_element, decode_balance_element
+from acctoken.errors import AcctokenError
+from acctoken.storage import CORRUPT_BITS, HONEST, STALE, FaultPolicy
+
+A = bytes.fromhex("aa" * 20)
+B = bytes.fromhex("bb" * 20)
+C = bytes.fromhex("cc" * 20)
+S = bytes.fromhex("55" * 20)
+
+ACCOUNTS = (A, B, C)
+PAIRS = tuple((owner, spender) for owner in ACCOUNTS for spender in ACCOUNTS if owner != spender)
+OPS = {"transfer": 2, "approve": 2, "transfer_from": 3}  # op -> addresses it takes
+
+accounts = st.sampled_from(ACCOUNTS)
+amounts = st.integers(0, 25)
+
+
+class RememberedProofs(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.system = TokenSystem(A, 100)
+        # every account funded and every pair approved, so that most writes land
+        self.system.bootstrap(
+            [plan.transfer(A, B, 30, plan.Announced([100])), plan.transfer(A, C, 30, plan.Announced([70]))]
+            + [plan.approve(owner, spender, 20, plan.Announced([])) for owner, spender in PAIRS]
+        )
+        self.other = TokenClient(self.system.contract, self.system.network)  # the second submitter's client
+        self.lagging = copy.deepcopy(self.system.network)
+        self.mode = HONEST
+
+    def _route(self):
+        network = self.system.network
+        network.policy = FaultPolicy.corrupt_bits(0.02) if self.mode == CORRUPT_BITS else FaultPolicy.honest()
+        self.system.client.network = self.lagging if self.mode == STALE else network
+
+    def _commits(self, write):
+        """Run ``write``; once it has committed, the lagging node is the storage from before it."""
+        network = self.system.network
+        before, epochs = copy.deepcopy(network), [network.epoch(name) for name in ACCUMULATORS]
+        try:
+            write()
+        except AcctokenError:
+            return
+        if epochs != [network.epoch(name) for name in ACCUMULATORS]:
+            self.lagging = before
+            self.lagging.policy = FaultPolicy.honest()
+            self._route()
+
+    @rule(mode=st.sampled_from((HONEST, STALE, CORRUPT_BITS)))
+    def serve(self, mode):
+        self.mode = mode
+        self._route()
+
+    @rule(op=st.sampled_from(sorted(OPS)), addresses=st.lists(accounts, min_size=3, max_size=3), tokens=amounts)
+    def submit(self, op, addresses, tokens):
+        args = addresses[: OPS[op]]
+        self._commits(lambda: getattr(self.system, op)(*args, tokens))
+
+    @rule(op=st.sampled_from(sorted(OPS)), addresses=st.lists(accounts, min_size=3, max_size=3), tokens=amounts)
+    def other_submits(self, op, addresses, tokens):
+        """Another submitter's transaction, which the client does not follow."""
+        args = addresses[: OPS[op]]
+
+        def submit():
+            bundle = getattr(self.other, "build_" + op)(*args, tokens)
+            record = getattr(self.system.contract, op)(*args, tokens, bundle.announced, encode_bundle(bundle))
+            accepted = self.system.state
+            self.system.network.commit(record.updates, {name: accepted.value_of(name) for name in ACCUMULATORS})
+
+        self._commits(submit)
+
+    @rule(sender=accounts, to=accounts, tokens=amounts, owner=accounts, spender=accounts, allowance=amounts)
+    def bootstrap(self, sender, to, tokens, owner, spender, allowance):
+        """A transfer and an approval through ``bootstrap``, announced from the ledger; not followed."""
+        network = self.system.network
+        prior_balance = [decode_balance_element(e)[1] for e in network.elements(BALANCES, balance_prefix(to))]
+        prior_allowance = [
+            decode_allowance_element(e)[2] for e in network.elements(ALLOWED_BALANCES, allowance_prefix(owner, spender))
+        ]
+        plans = [
+            plan.transfer(sender, to, tokens, plan.Announced([true_balance(self.system, sender), *prior_balance])),
+            plan.approve(owner, spender, allowance, plan.Announced(prior_allowance)),
+        ]
+        self._commits(lambda: self.system.bootstrap(plans))
+
+    @invariant()
+    def contract_and_storage_agree(self):
+        for name in ACCUMULATORS:
+            assert self.system.network.accumulator_value(name) == self.system.state.value_of(name)
+
+    @invariant()
+    def reads_return_the_ledger_or_raise(self):
+        allowances = effective_allowances(self.system)
+        reads = [(self.system.balance_of, (owner,), true_balance(self.system, owner)) for owner in ACCOUNTS]
+        reads += [(self.system.allowance, pair, allowances.get(pair, 0)) for pair in PAIRS]
+        for read, args, want in reads:
+            try:
+                got = read(*args)
+            except AcctokenError:
+                continue
+            assert got == want, f"{read.__name__} read {got}, the ledger holds {want} ({self.mode} storage)"
+
+
+RememberedProofs.TestCase.settings = settings(max_examples=150, stateful_step_count=20, deadline=None)
+TestRememberedProofs = RememberedProofs.TestCase
+
+
+def other_submits_transfer(system, sender, to, tokens):
+    """A transfer built by another client and committed without the system, so its client does not follow it."""
+    bundle = TokenClient(system.contract, system.network).build_transfer(sender, to, tokens)
+    record = system.contract.transfer(sender, to, tokens, bundle.announced, encode_bundle(bundle))
+    system.network.commit(record.updates, {name: system.state.value_of(name) for name in ACCUMULATORS})
+
+
+class TestRepeatedReads:
+    def test_a_repeated_read_fetches_no_witness(self):
+        system = TokenSystem(A, 1000)
+        system.approve(A, S, 50)
+        assert (system.balance_of(A), system.allowance(A, S)) == (1000, 50)
+        fetches = system.network.stats.witness_fetches
+        assert (system.balance_of(A), system.allowance(A, S)) == (1000, 50)
+        assert system.network.stats.witness_fetches == fetches
+
+    def test_a_changed_tuple_is_fetched_again(self):
+        system = TokenSystem(A, 1000)
+        assert system.balance_of(A) == 1000
+        system.transfer(A, B, 100)
+        fetches = system.network.stats.witness_fetches
+        assert system.balance_of(A) == 900
+        assert system.network.stats.witness_fetches == fetches + 1
+
+    def test_a_followed_write_keeps_what_it_did_not_delete(self):
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        assert (system.balance_of(A), system.balance_of(C)) == (900, 0)
+        system.transfer(B, C, 10)  # deletes B's tuple, not A's
+        system.approve(A, S, 50)  # writes no balance tuple
+        fetches = system.network.stats.witness_fetches
+        assert system.balance_of(A) == 900
+        assert system.network.stats.witness_fetches == fetches
+        assert system.balance_of(S) == 0  # non-membership is not remembered
+        assert system.network.stats.witness_fetches == fetches + 1
+
+    def test_a_value_not_followed_is_proven_again(self):
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        assert system.balance_of(B) == 100
+        other_submits_transfer(system, A, C, 100)  # B's tuple stays, the value moves
+        fetches = system.network.stats.witness_fetches
+        assert system.balance_of(B) == 100
+        assert system.network.stats.witness_fetches == fetches + 1
+        assert system.balance_of(B) == 100
+        assert system.network.stats.witness_fetches == fetches + 1
