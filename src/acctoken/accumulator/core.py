@@ -134,34 +134,47 @@ class Changes:
 
 def updated_root(memory: Memory, changes: Changes) -> tuple[Node, bytes]:
     """The trie of ``memory`` with current ``changes`` applied, and its
-    digest; the persistent trie leaves ``memory`` as it is."""
+    digest, as ``apply_update`` walks it; the persistent trie leaves
+    ``memory`` as it is, and as it holds its root, the walk frees nothing."""
     root, digest = memory.root, memory.value
     for key in changes.dels:
         root, digest = tree.remove(root, key)
     return tree.insert_many(root, digest, sorted(changes.adds))
 
 
+def _let_go(memory: Memory) -> Node:
+    """``memory``'s root, which the memory stops holding: passed straight
+    on, it is the only reference this module keeps."""
+    root, memory.root = memory.root, tree.EMPTY
+    return root
+
+
 def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes] | None = None) -> bytes:
     """Apply a batch of changes as one epoch; returns the new accumulator value.
 
     The new elements are keyed by the key objects ``changes`` holds, which
-    are the new leaves. Without ``built`` the new root is walked by
-    ``updated_root``, which makes them the leaves. ``built = (root, digest)``
-    skips the walk: ``root`` is already the trie of the memory with exactly
-    these changes applied, its new leaves the added keys, and ``digest`` is
-    its digest. The caller vouches for ``root``: the storage network passes
-    its chain tip with the tip's own batch, or a walk whose digest it
-    checked against the value the contract accepted.
+    are the new leaves. Without ``built`` the memory's trie is walked as
+    ``updated_root`` walks it, which makes them the leaves, but the memory
+    lets go of its root before the merge: when nothing else holds the old
+    root (a lagging storage node's history, a chain tip), the merge frees
+    each node it replaces as it goes (see ``tree``). ``built = (root,
+    digest)`` skips the walk: ``root`` is already the trie of the memory
+    with exactly these changes applied, its new leaves the added keys, and
+    ``digest`` is its digest. The caller vouches for ``root``: the storage
+    network passes its chain tip with the tip's own batch, or a walk whose
+    digest it checked against the value the contract accepted.
     """
     changes.check_current(memory)
     # nothing below can fail: record() checked that every deleted key is
     # present, every added key absent, and that no key is both
-    root, value = built or updated_root(memory, changes)
-    memory.root = root
-    memory.value = value
+    if built is None:
+        for key in changes.dels:
+            memory.root, memory.value = tree.remove(memory.root, key)
+        built = tree.insert_many(_let_go(memory), memory.value, sorted(changes.adds))
+    memory.root, memory.value = built
     elements = memory.elements
     for key in changes.dels:
         del elements[key]
     elements.update(changes.adds)
     memory.epoch += 1
-    return value
+    return memory.value

@@ -41,14 +41,24 @@ key set, which makes the root digest history independent.
 the trie in one pass, reusing every subtree no new key falls into and
 hashing each new node once, and the canonical layout makes its root equal,
 bit for bit, to the root of inserting the same keys one at a time. The merge
-reads the batch as big-endian ints once. At a branch it splits the batch's
-range with ``bisect`` on the ints at the branch's bit; where a range leaves a
+reads the batch as the sorted bytes it is: equal-length keys sort as their
+big-endian ints do, so at a branch it splits the batch's range with
+``bisect`` on the keys themselves, against the smallest key with the
+branch's bit set. It makes ints only for the XORs: where a range leaves a
 subtree's common prefix, the split bit is the top set bit (``bit_length``)
 of the XORs of the range's ends with a key of the subtree. A range that
 lands where the trie has no node, or meets a leaf (taking the leaf in), is
-built in one stack pass: the trie of sorted keys is the Cartesian tree of the
-split bits of adjacent keys. A range of one key takes the path-copying
-``insert``.
+built in one stack pass, which reads each key as an int once: the trie of
+sorted keys is the Cartesian tree of the split bits of adjacent keys. A range
+of one key takes the path-copying ``insert``.
+
+The merge frees the nodes it replaces as it goes, when it may: it drops each
+old branch as soon as it has unpacked it and hands each child on as the only
+reference it holds. Given the only reference to the old root, the merge
+therefore holds at any moment only the old subtrees it has still to visit
+beside the new nodes it has built. A caller that keeps the old root (a
+lagging storage node's history, a staging walk that must leave the memory
+as it is) keeps every old node alive, as before.
 """
 
 from bisect import bisect_left
@@ -184,10 +194,10 @@ def _duplicate(key: bytes):
     return AlreadyPresent(f"element digest {key.hex()} already accumulated")
 
 
-def _run(keys: list[bytes], ints: list[int], kept: bytes | None = None, kept_digest: bytes | None = None):
-    """The trie of the sorted ``keys`` alone (``ints`` are their values), and
-    its digest, in one stack pass; ``kept``, a leaf already in the trie that
-    is among ``keys``, keeps its ``kept_digest`` rather than being hashed again.
+def _run(keys: list[bytes], kept: bytes | None = None, kept_digest: bytes | None = None):
+    """The trie of the sorted ``keys`` alone, and its digest, in one stack
+    pass; ``kept``, a leaf already in the trie that is among ``keys``, keeps
+    its ``kept_digest`` rather than being hashed again.
 
     The trie of a sorted run is the Cartesian tree of the split bits of
     adjacent keys, the smallest bit at the root: ``bits``, ``lefts`` and
@@ -197,13 +207,15 @@ def _run(keys: list[bytes], ints: list[int], kept: bytes | None = None, kept_dig
     key before it.
     """
     sha256 = hashing.hashlib.sha256
-    pairs = zip(keys, ints)
-    node, prev = next(pairs)
+    keys = iter(keys)
+    node = next(keys)
     node_digest = kept_digest if node is kept else sha256(TAG_LEAF + node).digest()
+    prev = int.from_bytes(node, "big")
     bits = [-1]  # below every split bit, so the spine's foot never closes
     lefts: list[Node] = []
     digests: list[bytes] = []
-    for key, x in pairs:
+    for key in keys:
+        x = int.from_bytes(key, "big")
         diff = prev ^ x
         if not diff:
             raise _duplicate(key)
@@ -223,55 +235,64 @@ def _run(keys: list[bytes], ints: list[int], kept: bytes | None = None, kept_dig
     return node, node_digest
 
 
-def _merge(node: Node, node_digest: bytes, keys: list[bytes], ints: list[int], lo: int, hi: int, depth: int):
+def _first_set(x: int, bit: int) -> bytes:
+    """The smallest key that agrees with the key ``x`` before ``bit`` and has ``bit`` set."""
+    shift = KEY_BITS - 1 - bit
+    return ((x >> shift | 1) << shift).to_bytes(DIGEST_BYTES, "big")
+
+
+def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, depth: int):
     """The trie of ``node``'s keys plus ``keys[lo:hi]``, all of which agree on
-    every bit before ``depth``, and its digest; ``node_digest`` is ``node``'s."""
+    every bit before ``depth``, and its digest; ``node_digest`` is ``node``'s.
+
+    Every reference this frame takes to an old branch goes as soon as the
+    branch is unpacked, and each child is handed on as a temporary, which
+    the callee's frame takes over: so when the caller gave up ``node``, each
+    branch the merge replaces is freed as soon as the merge has unpacked it.
+    """
     if hi - lo < 2:
         # walking one key's path and copying it is cheaper than recursing
         return insert(node, node_digest, keys[lo]) if hi > lo else (node, node_digest)
     if not node:
-        return _run(keys[lo:hi], ints[lo:hi])
+        return _run(keys[lo:hi])
     if node.__class__ is bytes:
         # a leaf: the keys and the leaf's own key form one run
-        x = int.from_bytes(node, "big")
-        at = bisect_left(ints, x, lo, hi) - lo
-        run, run_ints = keys[lo:hi], ints[lo:hi]
-        run.insert(at, node)
-        run_ints.insert(at, x)
-        return _run(run, run_ints, node, node_digest)
-    left, right, body = node
+        run = keys[lo:hi]
+        run.insert(bisect_left(run, node), node)
+        return _run(run, node, node_digest)
+    body = node[2]
     bit = body[_BIT_AT]
+    first = int.from_bytes(keys[lo], "big")
     if bit == depth:
         split = bit  # nothing above the branch's own bit to disagree on
     else:
-        sample = left
+        sample = node[0]
         while len(sample) == 3:
             sample = sample[0]
         x = int.from_bytes(sample, "big")
         # the sorted keys' common prefix with the subtree is shortest at an end
-        split = KEY_BITS - ((ints[lo] ^ x) | (ints[hi - 1] ^ x)).bit_length()
+        split = KEY_BITS - ((first ^ x) | (int.from_bytes(keys[hi - 1], "big") ^ x)).bit_length()
     sha256 = hashing.hashlib.sha256
     if split >= bit:
-        shift = KEY_BITS - 1 - bit
-        mid = bisect_left(ints, (ints[lo] >> shift | 1) << shift, lo, hi)
-        left_digest, right_digest = body[_LEFT_AT:_RIGHT_AT], body[_RIGHT_AT:]
-        if mid > lo:
-            left, left_digest = _merge(left, left_digest, keys, ints, lo, mid, bit + 1)
-        if hi > mid:
-            right, right_digest = _merge(right, right_digest, keys, ints, mid, hi, bit + 1)
+        mid = bisect_left(keys, _first_set(first, bit), lo, hi)
+        kids = [node[0], node[1]]
+        del node
+        left, left_digest = _merge(kids.pop(0), body[_LEFT_AT:_RIGHT_AT], keys, lo, mid, bit + 1)
+        right, right_digest = _merge(kids.pop(), body[_RIGHT_AT:], keys, mid, hi, bit + 1)
         body = BIT_PREFIX[bit] + left_digest + right_digest
         return (left, right, body), sha256(body).digest()
     # the new keys leave the subtree's common prefix at ``split``: a new
     # branch there, with the whole subtree on one side and a run of new keys
     # alone on the other
-    shift = KEY_BITS - 1 - split
-    mid = bisect_left(ints, (ints[lo] >> shift | 1) << shift, lo, hi)
-    if x >> shift & 1:
-        left, left_digest = _run(keys[lo:mid], ints[lo:mid])
-        right, right_digest = _merge(node, node_digest, keys, ints, mid, hi, split + 1)
+    mid = bisect_left(keys, _first_set(first, split), lo, hi)
+    kids = [node]
+    del node
+    if x & BIT_MASK[split]:
+        left, left_digest = _run(keys[lo:mid])
+        right, right_digest = _merge(kids.pop(), node_digest, keys, mid, hi, split + 1)
     else:
-        left, left_digest = _merge(node, node_digest, keys, ints, lo, mid, split + 1)
-        right, right_digest = _run(keys[mid:hi], ints[mid:hi])
+        left, left_digest = _merge(kids.pop(), node_digest, keys, lo, mid, split + 1)
+        right, right_digest = _run(keys[mid:hi])
     body = BIT_PREFIX[split] + left_digest + right_digest
     return (left, right, body), sha256(body).digest()
 
@@ -281,12 +302,17 @@ def insert_many(root: Node, root_digest: bytes, keys: list[bytes]) -> tuple[Node
     inserted, and its digest; raises AlreadyPresent on a key that is present
     already or listed twice.
 
-    One pass down the trie with the keys read as ints once (see the module
+    One pass down the trie, reading the keys as bytes (see the module
     docstring): each branch some key falls into is rebuilt over its merged
     children, every subtree no key falls into is kept as it is, and each
-    range that meets a leaf or empty space is built in one stack pass.
+    range that meets a leaf or empty space is built in one stack pass. The
+    merge keeps no reference to a branch it has unpacked, and neither does
+    this frame to ``root``: called with the only reference to ``root`` (an
+    argument nothing else holds), it frees each branch it replaces as it goes.
     """
-    return _merge(root, root_digest, keys, [int.from_bytes(key, "big") for key in keys], 0, len(keys), 0)
+    held = [root]
+    del root
+    return _merge(held.pop(), root_digest, keys, 0, len(keys), 0)
 
 
 class Memory:

@@ -2,14 +2,15 @@
 
 Balances and allowances live directly in contract storage; every map access
 is reported to the gas meter as one storage-key operation carrying the
-contract's key count at that moment. Zeroed entries are deleted, mirroring
-storage-release semantics, so the key count tracks live entries only.
+contract's key count at that moment. A zeroed entry releases its storage
+key, so the key count tracks live (nonzero) entries only: a zeroed balance
+is deleted, and a zeroed allowance stays in ``allowed`` at zero and leaves
+``live_allowances``. ``allowed`` thus holds every pair ever approved, once,
+and its keys classify a failed transferFrom as NotApproved (pair never
+approved) versus InsufficientAllowance, matching the verdicts the
+accumulator token produces.
 
 ``bootstrap`` grows a population through the same writes, unmetered.
-
-``ever_approved`` is bookkeeping, not a storage key: it only classifies a
-failed transferFrom as NotApproved (pair never approved) versus
-InsufficientAllowance, matching the verdicts the accumulator token produces.
 """
 
 from dataclasses import dataclass, field
@@ -39,9 +40,10 @@ _UNTRACED = _Untraced()
 @dataclass
 class BaselineToken:
     balances: dict[bytes, int] = field(default_factory=dict)
+    # every pair ever approved, zeroed ones included; ``live_allowances`` counts the nonzero ones
     allowed: dict[tuple[bytes, bytes], int] = field(default_factory=dict)
     total_supply: int = 0
-    ever_approved: set[tuple[bytes, bytes]] = field(default_factory=set)
+    live_allowances: int = 0
     logs: list[LogRecord] = field(default_factory=list)
     # large population-growth runs disable retention to bound memory;
     # log_count still tracks emissions
@@ -63,7 +65,7 @@ class BaselineToken:
 
     @property
     def key_count(self) -> int:
-        return len(self.balances) + len(self.allowed)
+        return len(self.balances) + self.live_allowances
 
     # -- views -----------------------------------------------------------------
 
@@ -76,16 +78,21 @@ class BaselineToken:
     # -- storage helpers ---------------------------------------------------------
 
     def _write(self, trace: TxTrace, mapping: dict, key, value: int):
-        """Store ``value`` under ``key`` in ``mapping`` (balances or allowances); a zero deletes the entry."""
-        if key in mapping:
+        """Store ``value`` under ``key`` in ``mapping`` (balances or
+        allowances); a zero releases the storage key, by deleting a balance
+        and by zeroing an allowance, whose pair stays approved."""
+        held = mapping.get(key, 0)
+        if held:
             trace.sstore_update(self.key_count)
-            if value == 0:
-                del mapping[key]
-            else:
-                mapping[key] = value
-        elif value != 0:
+        elif value:
             trace.sstore_new(self.key_count)
+        if mapping is self.allowed:
+            self.live_allowances += bool(value) - bool(held)
             mapping[key] = value
+        elif value:
+            mapping[key] = value
+        elif held:
+            del mapping[key]
 
     def _move(self, trace: TxTrace, sender: bytes, to: bytes, tokens: int, spend: tuple | None = None):
         """Debit ``sender`` and credit ``to``; every check runs before the first write.
@@ -109,12 +116,10 @@ class BaselineToken:
         self._write(trace, self.balances, to, to_balance + tokens)
 
     def _approve(self, trace: TxTrace, owner: bytes, spender: bytes, tokens: int):
-        """Set the allowance and mark the pair approved."""
+        """Set the allowance, which marks the pair approved."""
         check_amount(tokens)
         trace.sload(self.key_count)
-        pair = (owner, spender)
-        self._write(trace, self.allowed, pair, tokens)
-        self.ever_approved.add(pair)
+        self._write(trace, self.allowed, (owner, spender), tokens)
 
     # -- operations ---------------------------------------------------------------
 
@@ -142,7 +147,7 @@ class BaselineToken:
         trace = TxTrace()
         trace.sload(self.key_count)
         pair = (sender, spender)
-        if pair not in self.ever_approved:
+        if pair not in self.allowed:
             raise NotApproved("spender was never approved by this owner")
         allowed = self.allowed.get(pair, 0)
         if allowed < tokens:

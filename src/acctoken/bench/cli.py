@@ -99,6 +99,13 @@ def _cmd_run(args) -> int:
         args.usage_error(str(exc))
     run = run_scenario(scenario)
     rows = tabulate(run, schedule)
+    by_class = ", ".join(f"{name} {count}" for name, count in sorted(run.drops.items()))
+    if run.dropped and not rows:
+        # a header-only table is no result: ``bench compare`` would refuse it far from the cause
+        args.usage_error(
+            f"all {run.dropped} sampled transactions dropped under storage.mode = {fault.mode}, "
+            f"so there is no row to write; dropped by error class: {by_class}"
+        )
     csv_text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -108,7 +115,6 @@ def _cmd_run(args) -> int:
         sys.stdout.write(csv_text)
     if run.dropped:
         print(f"dropped {run.dropped} sampled transactions under the fault policy", file=sys.stderr)
-        by_class = ", ".join(f"{name} {count}" for name, count in sorted(run.drops.items()))
         print(f"dropped by error class under storage.mode = {fault.mode}: {by_class}", file=sys.stderr)
     return 0
 

@@ -169,15 +169,22 @@ class TokenSystem:
         its steps are made, and its guards run as they are, all before
         anything is committed, so a rejected stream leaves the contract and
         storage as they were. The state reached is the one the verified ops reach.
+        The batches are handed to storage with nothing else holding them, so
+        each goes as it lands.
         """
+        values = self.network.commit(self._recorded(plans))
+        self.contract.state = self.contract.state.with_values(values)
+
+    def _recorded(self, plans: Iterable[plan.Plan]) -> dict:
+        """``bootstrap``'s batches: the plans' update steps, one batch per
+        accumulator, those that net to no change left out."""
         batches = {name: self.network.changes(name) for name in pb.ACCUMULATORS}
         for log, steps in plans:
             check_amount(log.amount)
             for acc, claim, element in steps:
                 if claim in pb.STORAGE_OP:
                     batches[acc].record(pb.STORAGE_OP[claim], element)
-        values = self.network.commit({name: changes for name, changes in batches.items() if changes})
-        self.contract.state = self.contract.state.with_values(values)
+        return {name: changes for name, changes in batches.items() if changes}
 
     # -- integrity hooks ------------------------------------------------------
 

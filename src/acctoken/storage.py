@@ -13,11 +13,14 @@ Clients are expected to detect bad payloads via ``belongs``.
 A commit takes one transaction's batches, one per accumulator it writes
 (population growth commits a whole checkpoint's), and installs each as one
 epoch, all or none: if any batch is stale or does not reach the value the
-contract accepted, nothing is installed. Each accumulator keeps only the
-history its fault policy can serve: a node that lags ``k`` epochs keeps its
-last ``k`` commits, each with the root before it and its changes, and serves
-the oldest of those roots with an element view that rolls all of those
-changes back. Honest storage keeps no history.
+contract accepted, nothing is installed. Every batch is checked before the
+first is installed, and once checked, each is kept only until it lands.
+Each accumulator keeps only the history its fault policy can serve: a node
+that lags ``k`` epochs keeps its last ``k`` commits, each with the root
+before it and its changes, and serves the oldest of those roots with an
+element view that rolls all of those changes back. The lag is read from the
+policy when it is used, so a policy assigned to a live network takes effect
+at once. Honest storage keeps no history.
 
 A client builds one bundle at a time, so each accumulator keeps one chain
 tip: the simulated root of its latest ``build_update_witness``, the root's
@@ -42,10 +45,13 @@ steps (a bundle built elsewhere, an earlier bundle whose chain was
 superseded, a chain of other steps) are recorded into a batch, walked path by
 path, and refused unless the walk reaches the accepted value. Deployment and
 growth commit ``core.Changes`` batches they recorded themselves, with no
-accepted value, and these are walked at install. A batch that nets to no
-change installs nothing, and a commit clears the tips of the accumulators it
-writes, so a bundle that never lands pins at most one simulated root per
-accumulator.
+accepted value, and these are walked at install. Such a walk cannot fail:
+recording the batch checked each step against the memory. A batch that nets
+to no change installs nothing, and a commit clears the tips of the
+accumulators it writes, so a bundle that never lands pins at most one
+simulated root per accumulator. The tip is cleared before the walk, and the
+memory hands the walk its trie: unless a lagging node's history holds the
+old root, the walk frees each node it replaces as it goes.
 
 An accumulator registered with a lookup prefix length also keeps its
 elements in a list, sorted, as its lookup index: every element under one
@@ -152,8 +158,8 @@ class _Registered:
     index_prefix_len: int | None
     # every element, sorted: the lookup index, when there is a prefix length
     index: list[bytes] = field(default_factory=list)
-    # (epoch reached, root before, value before, changes) of the commits a
-    # stale node lags behind, oldest first
+    # (root before, value before, changes) of the commits a stale node lags
+    # behind, oldest first
     history: deque = field(default_factory=deque)
     tip: _Tip | None = None  # None after a commit
 
@@ -166,7 +172,6 @@ class StorageNetwork:
         self._rng = random.Random(self.policy.seed)
         self._entries: dict[str, _Registered] = {}
         self.stats = ServingStats()
-        self._lag = self.policy.lag_epochs if self.policy.mode == STALE else 0
 
     # -- registry ----------------------------------------------------------
 
@@ -183,12 +188,6 @@ class StorageNetwork:
             return self._entries[acc]
         except KeyError:
             raise StorageError(f"{acc} not registered") from None
-
-    def accumulator_value(self, acc: str) -> bytes:
-        return self._entry(acc).memory.value
-
-    def epoch(self, acc: str) -> int:
-        return self._entry(acc).memory.epoch
 
     # -- ledger view -------------------------------------------------------------
 
@@ -244,19 +243,30 @@ class StorageNetwork:
                 out[i] ^= self._rng.randrange(1, 256)
         return bytes(out)
 
+    def _lag(self) -> int:
+        """How many epochs the node lags, read from the policy as it is now."""
+        return self.policy.lag_epochs if self.policy.mode == STALE else 0
+
+    def _behind(self, entry: _Registered) -> list:
+        """The commits the served view predates, oldest first: the last
+        ``_lag()`` of those the history holds."""
+        lag = self._lag()
+        return list(entry.history)[-lag:] if lag else []
+
     def _serving_root(self, entry: _Registered) -> tuple[Node, bytes]:
         """The root the node serves, and its digest."""
-        if entry.history:
-            return entry.history[0][1:3]
+        behind = self._behind(entry)
+        if behind:
+            return behind[0][:2]
         return entry.memory.root, entry.memory.value
 
     def _serving_elements(self, acc: str, prefix: bytes) -> list[bytes]:
         current = self.elements(acc, prefix)  # checks the prefix length; a sorted copy
-        history = self._entry(acc).history
-        if not history:
+        behind = self._behind(self._entry(acc))
+        if not behind:
             return current
         # roll back the commits the served root predates, newest first
-        for _epoch, _root, _digest, changes in reversed(history):
+        for _root, _digest, changes in reversed(behind):
             current = {element for element in current if element_digest(element) not in changes.adds}
             current.update(element for element in changes.dels.values() if element.startswith(prefix))
         return sorted(current)
@@ -339,44 +349,57 @@ class StorageNetwork:
         must hold its accepted value already, like an accumulator accepted
         without a batch, and installs nothing: no epoch, and its tip stays.
         Returns the value each batch reached.
+
+        Once every batch is checked, this keeps each one only until it is
+        installed; a caller that hands over ``batches`` with nothing else
+        holding them (``TokenSystem.bootstrap`` does) has each go as it lands.
         """
         accepted = accepted or {}
-        staged = {}
-        for acc, batch in batches.items():
-            entry = self._entry(acc)
-            memory, value, tip, built = entry.memory, accepted.get(acc), entry.tip, None
-            if batch.__class__ is core.Changes:
-                changes = batch
-            elif tip and tip.value == value and tip.steps == batch:
-                changes, built = tip.changes, (tip.root, value)
-            else:
-                changes = core.Changes(memory, batch)
-            changes.check_current(memory)
-            if not changes:
-                built = memory.root, memory.value
-            elif value is not None and built is None:
-                built = core.updated_root(memory, changes)
-            if value is not None and built[1] != value:
-                raise StorageError(f"{acc} changes do not reach the value the contract accepted")
-            staged[acc] = entry, changes, built
+        staged = {acc: self._staged(acc, batch, accepted.get(acc)) for acc, batch in batches.items()}
         for acc, value in accepted.items():
             if acc not in batches and value != self._entry(acc).memory.value:
                 raise StorageError(f"{acc} holds another value than the contract accepted")
-        return {acc: self._install(*batch) for acc, batch in staged.items()}
+        del batches
+        return {acc: self._install(*staged.pop(acc)) for acc in list(staged)}
+
+    def _staged(self, acc: str, batch: core.Changes | Steps, value: bytes | None):
+        """Check one of ``commit``'s batches, whose accepted value is
+        ``value``; returns the accumulator's entry, the batch as a
+        ``core.Changes`` and the (root, digest) it reaches, or None for a
+        batch to be walked at install."""
+        entry = self._entry(acc)
+        memory, tip, built = entry.memory, entry.tip, None
+        if batch.__class__ is core.Changes:
+            changes = batch
+        elif tip and tip.value == value and tip.steps == batch:
+            changes, built = tip.changes, (tip.root, value)
+        else:
+            changes = core.Changes(memory, batch)
+        changes.check_current(memory)
+        if not changes:
+            built = memory.root, memory.value
+        elif value is not None and built is None:
+            built = core.updated_root(memory, changes)
+        if value is not None and built[1] != value:
+            raise StorageError(f"{acc} changes do not reach the value the contract accepted")
+        return entry, changes, built
 
     def _install(self, entry: _Registered, changes: core.Changes, built: tuple[Node, bytes] | None) -> bytes:
         memory = entry.memory
         if not changes:
             return memory.value
-        # honest storage holds no old root, so the replaced nodes are freed
-        # as soon as the commit lands
-        lagged = (memory.epoch + 1, memory.root, memory.value, changes) if self._lag else None
+        # a stale node keeps the old root to serve; honest storage holds none,
+        # and drops the chain tip before the walk, so the walk frees the nodes
+        # it replaces as it goes
+        lag = self._lag()
+        lagged = (memory.root, memory.value, changes) if lag else None
+        entry.tip = None
         acc_after = core.apply_update(memory, changes, built)
+        history = entry.history
         if lagged:
-            history = entry.history
             history.append(lagged)
-            while history[0][0] <= memory.epoch - self._lag:
-                history.popleft()
+        while len(history) > lag:
+            history.popleft()
         if entry.index_prefix_len is not None:
             index = entry.index
             for element in changes.dels.values():
@@ -387,5 +410,4 @@ class StorageNetwork:
             else:
                 for element in changes.adds.values():
                     insort(index, element)
-        entry.tip = None
         return acc_after

@@ -160,15 +160,26 @@ class TestKeyAccounting:
         assert A not in token.balances
         assert token.key_count == 1
 
-    def test_zeroed_allowance_entry_is_deleted(self):
+    def test_zeroed_allowance_keeps_its_pair(self):
         token = BaselineToken.deploy(A, 1000)
         token.approve(A, S, 50)
-        token.approve(A, S, 0)
-        assert (A, S) not in token.allowed
+        # the zero releases the pair's storage key, and the pair stays approved
+        record = token.approve(A, S, 0)
+        assert record.trace.events == [(SLOAD, 2), (SSTORE_UPDATE, 2)]
+        assert token.allowed == {(A, S): 0} and token.key_count == 1
         assert token.allowance(A, S) == 0
-        # the pair stays spendable-from-zero: approvals can resume
-        token.approve(A, S, 9)
-        assert token.allowance(A, S) == 9
+        with pytest.raises(InsufficientAllowance):
+            token.transfer_from(S, A, B, 1)
+        with pytest.raises(NotApproved):
+            token.transfer_from(C, A, B, 1)
+        # a zero for a pair never approved writes nothing, and approves it
+        assert token.approve(B, S, 0).trace.events == [(SLOAD, 1)]
+        assert token.key_count == 1
+        with pytest.raises(InsufficientAllowance):
+            token.transfer_from(S, B, A, 1)
+        # approvals resume from zero with a new storage key
+        assert token.approve(A, S, 9).trace.events == [(SLOAD, 1), (SSTORE_NEW, 1)]
+        assert token.allowance(A, S) == 9 and token.key_count == 2
 
     def test_log_retention_flag(self):
         token = BaselineToken.deploy(A, 1000, keep_logs=False)
@@ -178,7 +189,7 @@ class TestKeyAccounting:
 
 
 def ledger(token):
-    return dict(token.balances), dict(token.allowed), set(token.ever_approved), token.key_count, token.log_count
+    return dict(token.balances), dict(token.allowed), token.key_count, token.log_count
 
 
 def funded():
@@ -198,8 +209,9 @@ class TestBootstrap:
         token.bootstrap([plan.transfer(A, C, 30, NO_WORDS), plan.approve(C, S, 5, NO_WORDS),
                          plan.transfer(B, D, 100, NO_WORDS), plan.approve(B, S, 0, NO_WORDS)])
         assert token.balances == {A: 870, C: 30, D: 100}
-        assert token.allowed == {(C, S): 5}
-        assert token.ever_approved == {(B, S), (C, S)}
+        # B's pair for S stays approved at zero, which holds no storage key
+        assert token.allowed == {(B, S): 0, (C, S): 5}
+        assert token.key_count == 4
         assert token.log_count == 3  # the deployment and the two transactions
         token.check_conservation()
 

@@ -219,6 +219,21 @@ class TestFaultScenario:
         named = dict(item.rsplit(" ", 1) for item in err[1].split(": ", 1)[1].split(", "))
         assert sum(map(int, named.values())) == dropped
 
+    def test_bench_run_refuses_when_every_sample_drops(self, tmp_path, capsys):
+        config = tmp_path / "corrupting.conf"
+        config.write_text("storage.mode = corrupt-bits\nstorage.rate = 0.02\n")
+        out = tmp_path / "acc.csv"
+        argv = ["run", "--token", "acc", "--checkpoints", "64", "--ops", "10", "--seed", "3", "--out", str(out)]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--config", str(config)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bench run")
+        assert "sampled transactions dropped under storage.mode = corrupt-bits, so there is no row to write" in err
+        named = dict(item.rsplit(" ", 1) for item in err.rsplit("dropped by error class: ", 1)[1].strip().split(", "))
+        assert sum(map(int, named.values())) == int(err.split("error: all ", 1)[1].split()[0]) > 0
+        assert not out.exists()
+
 
 class TestRentReport:
     def test_rows_reproduce_rent_examples(self):

@@ -1,6 +1,7 @@
 """Static layering rules, read from the source with ``ast``; nothing here imports the program."""
 
 import ast
+import copy
 from functools import cache
 from pathlib import Path
 
@@ -213,12 +214,59 @@ def reads(module: str, statement: ast.stmt) -> set[tuple[str, str]]:
     return {name for name in found if name and name[1] is not None}
 
 
-def program_graph() -> tuple[set[tuple[str, str]], dict[tuple[str, str], set[tuple[str, str]]]]:
+def public_methods(module: str) -> dict[str, ast.FunctionDef]:
+    """The public methods of the classes ``module`` defines at top level, as
+    ``Class.method``, each with its definition."""
+    found = {}
+    for node in parsed(module).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+def without_public_methods(statement: ast.stmt) -> ast.stmt:
+    """A class statement less its public methods, which are read on their
+    own; any other statement as it is."""
+    if not isinstance(statement, ast.ClassDef):
+        return statement
+    kept = copy.copy(statement)
+    kept.body = [
+        item
+        for item in statement.body
+        if not (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"))
+    ]
+    return kept
+
+
+def attribute_names(node: ast.AST) -> set[str]:
+    """The attribute names ``node`` reads; where it also looks an attribute
+    up by a computed name (``getattr(system, kind)``), every string it holds
+    that could be one."""
+    found, strings, dispatches = set(), set(), False
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            found.add(child.attr)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str) and child.value.isidentifier():
+            strings.add(child.value)
+        elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "getattr":
+            dispatches |= len(child.args) > 1 and not isinstance(child.args[1], ast.Constant)
+    return found | strings if dispatches else found
+
+
+ENTRY = ("", "")  # the node for what a module runs on import
+
+
+def program_graph() -> tuple[dict, dict]:
     """What a module of the package other than an ``__init__`` runs on import
     (the reads of its top-level statements that bind no name, such as a
-    ``__main__`` block), and what each of its top-level names reads. A
-    re-export is not a use, and neither is an import until a read needs it."""
-    entry, edges = set(), {}
+    ``__main__`` block: the edges of ``ENTRY``), what each of its top-level
+    names reads, and what each public method of its classes reads, the
+    method named ``(module, "Class.method")``. Returns each node's edges, and
+    the attribute names each node reads. A re-export is not a use, and
+    neither is an import until a read needs it."""
+    edges, attributes = {ENTRY: set()}, {ENTRY: set()}
     for module, path in MODULES.items():
         if path.name == "__init__.py":
             continue
@@ -226,52 +274,88 @@ def program_graph() -> tuple[set[tuple[str, str]], dict[tuple[str, str], set[tup
         for statement in parsed(module).body:
             if isinstance(statement, (ast.Import, ast.ImportFrom)):
                 continue
-            names = [name for name, node in bound.items() if node is statement]
+            names = [(module, name) for name, node in bound.items() if node is statement] or [ENTRY]
+            own = without_public_methods(statement)
             for name in names:
-                edges.setdefault((module, name), set()).update(reads(module, statement))
-            if not names:
-                entry |= reads(module, statement)
-    return entry, edges
+                edges.setdefault(name, set()).update(reads(module, own))
+                attributes.setdefault(name, set()).update(attribute_names(own))
+        for name, method in public_methods(module).items():
+            edges[module, name] = reads(module, method)
+            attributes[module, name] = attribute_names(method)
+    return edges, attributes
 
 
-def reachable(roots, edges) -> set[tuple[str, str]]:
-    """``roots`` and every name they read, and every name those read, to a fixpoint."""
-    seen, todo = set(), list(roots)
+def reachable(roots, edges, attributes) -> set[tuple[str, str]]:
+    """``roots`` and every name they read, and every name those read, to a
+    fixpoint; a public method counts as read once its class is and some
+    node reached reads an attribute of its name. Attributes are matched by
+    name alone, as the program's types are not known statically."""
+    seen, read, todo = set(), set(), list(roots)
+    methods = {(module, name) for module, name in edges if "." in name}
     while todo:
-        name = todo.pop()
-        if name not in seen:
-            seen.add(name)
-            todo.extend(edges.get(name, ()))
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                read |= attributes.get(name, set())
+                todo.extend(edges.get(name, ()))
+        todo = [
+            (module, name)
+            for module, name in methods - seen
+            if (module, name.split(".")[0]) in seen and name.split(".")[1] in read
+        ]
     return seen
 
 
-#: The public names the program itself never reads, each with who needs it.
+def split_name(dotted: str) -> tuple[str, str]:
+    """``(module, name)`` of a dotted name in the package; the name may be ``Class.method``."""
+    module = max((module for module in MODULES if dotted.startswith(module + ".")), key=len)
+    return module, dotted[len(module) + 1 :]
+
+
+#: The public names, and public methods, the program itself never reads, each with who needs it.
 API = {
     "acctoken.accumulator.core.update": "paper API: the accumulator's update algorithm, one step as one epoch",
     "acctoken.accumulator.core.witness": "paper API: the accumulator's witness algorithm against the current memory",
     "acctoken.accumulator.tree.digest": "test checks: a node's digest recomputed from the layout this module defines",
     "acctoken.bench.workload.effective_allowances": "benchmark API: perfbench's final-state check against the oracle",
     "acctoken.bench.workload.effective_balances": "benchmark API: perfbench's final-state check against the oracle",
+    "acctoken.erc20.bundle.ProofBundle.purposes": "test checks: a bundle's entry purposes in order, against its plan's claims",
+    "acctoken.gas.GasSchedule.scaled": "benchmark API: perfbench's growth tabulates under the flat schedule and this one",
     "acctoken.gas.derive_base_rent": "paper rent model: the default base rent from cloud storage prices, checked by the acceptance gate",
+    "acctoken.storage.FaultPolicy.corrupt_bits": "fault API: the fault tests' policy for a corruption rate; configs name modes",
+    "acctoken.storage.FaultPolicy.stale": "fault API: the fault tests' policy for a lag; configs name modes",
+    "acctoken.storage.FaultPolicy.unavailable": "fault API: the fault tests' policy for a refusal probability; configs name modes",
 }
 
 
 class TestProgramRunsItsNames:
-    """``src/`` holds what the program runs: a public top-level name is
-    reached from what the program runs, or from a name ``API`` lists with who
-    needs it. A name read only by names that nothing reaches is not run, so
-    a chain of test-only names shows whole."""
+    """``src/`` holds what the program runs: a public top-level name, and a
+    public method of a class, is reached from what the program runs, or from
+    a name ``API`` lists with who needs it. A name read only by names that
+    nothing reaches is not run, so a chain of test-only names shows whole."""
 
     def test_every_public_name_is_run_or_listed(self):
-        entry, edges = program_graph()
-        assert entry, "nothing in src/ runs on its own: no __main__ block was read"
-        run = reachable(entry, edges)
-        api = {tuple(name.rsplit(".", 1)) for name in API}
-        kept = reachable(entry | api, edges)
+        edges, attributes = program_graph()
+        assert edges[ENTRY], "nothing in src/ runs on its own: no __main__ block was read"
+        run = reachable([ENTRY], edges, attributes)
+        api = {split_name(name) for name in API}
+        kept = reachable([ENTRY, *api], edges, attributes)
         public = {
-            (module, name) for module, path in MODULES.items() if path.name != "__init__.py" for name in defined(module)
+            (module, name)
+            for module, path in MODULES.items()
+            if path.name != "__init__.py"
+            for name in defined(module) | set(public_methods(module))
         }
         unlisted = sorted(".".join(name) for name in public - kept)
         assert not unlisted, f"run by nothing in src/ and not listed in API: {unlisted}"
         stale = sorted(".".join(name) for name in api & run | api - public)
         assert not stale, f"listed in API but run by src/, or gone: {stale}"
+
+    def test_methods_are_reached_through_their_class(self):
+        # the rule would pass vacuously if no method were ever read
+        edges, attributes = program_graph()
+        run = reachable([ENTRY], edges, attributes)
+        assert ("acctoken.storage", "StorageNetwork.commit") in run
+        assert ("acctoken.erc20.system", "TokenSystem.transfer_from") in run  # read by ``getattr`` dispatch
+        assert ("acctoken.storage", "FaultPolicy.stale") not in run

@@ -9,6 +9,7 @@ from acctoken.erc20.bundle import ACCUMULATORS
 from acctoken.errors import BundleSchemaMismatch, InvalidAddress, TokenError, Unavailable
 from acctoken.storage import FaultPolicy
 from random_workload import WorkloadOp, apply_op, generate_workload, run_workload
+from storage_views import accumulator_epoch, accumulator_value
 
 DEPLOYER = make_address(0)
 SUPPLY = 10**12
@@ -135,8 +136,9 @@ def funded_pair():
 def ledger(token):
     """Everything an op could change: contract words, storage values and epochs, logs; or the maps and logs."""
     if isinstance(token, BaselineToken):
-        return dict(token.balances), dict(token.allowed), set(token.ever_approved), token.log_count
-    storage = tuple((token.network.accumulator_value(name), token.network.epoch(name)) for name in ACCUMULATORS)
+        return dict(token.balances), dict(token.allowed), token.key_count, token.log_count
+    network = token.network
+    storage = tuple((accumulator_value(network, name), accumulator_epoch(network, name)) for name in ACCUMULATORS)
     return token.state, storage, len(token.contract.logs)
 
 

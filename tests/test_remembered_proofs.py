@@ -27,6 +27,7 @@ from acctoken.erc20.bundle import ACCUMULATORS, ALLOWED_BALANCES, BALANCES
 from acctoken.erc20.elements import allowance_prefix, balance_prefix, decode_allowance_element, decode_balance_element
 from acctoken.errors import AcctokenError
 from acctoken.storage import CORRUPT_BITS, HONEST, STALE, FaultPolicy
+from storage_views import accumulator_epoch, accumulator_value
 
 A = bytes.fromhex("aa" * 20)
 B = bytes.fromhex("bb" * 20)
@@ -62,12 +63,12 @@ class RememberedProofs(RuleBasedStateMachine):
     def _commits(self, write):
         """Run ``write``; once it has committed, the lagging node is the storage from before it."""
         network = self.system.network
-        before, epochs = copy.deepcopy(network), [network.epoch(name) for name in ACCUMULATORS]
+        before, epochs = copy.deepcopy(network), [accumulator_epoch(network, name) for name in ACCUMULATORS]
         try:
             write()
         except AcctokenError:
             return
-        if epochs != [network.epoch(name) for name in ACCUMULATORS]:
+        if epochs != [accumulator_epoch(network, name) for name in ACCUMULATORS]:
             self.lagging = before
             self.lagging.policy = FaultPolicy.honest()
             self._route()
@@ -112,7 +113,7 @@ class RememberedProofs(RuleBasedStateMachine):
     @invariant()
     def contract_and_storage_agree(self):
         for name in ACCUMULATORS:
-            assert self.system.network.accumulator_value(name) == self.system.state.value_of(name)
+            assert accumulator_value(self.system.network, name) == self.system.state.value_of(name)
 
     @invariant()
     def reads_return_the_ledger_or_raise(self):

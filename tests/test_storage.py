@@ -14,6 +14,7 @@ from acctoken.erc20.elements import balance_element, balance_prefix
 from acctoken.errors import AlreadyPresent, NotPresent, StaleAccumulator, StorageError, Unavailable
 from acctoken.storage import FaultPolicy, StorageNetwork
 from reference_verify import canonical_digest, decode_witness
+from storage_views import accumulator_epoch, accumulator_value
 
 AID = BALANCES
 OWNER = b"\x0a" * 20
@@ -42,7 +43,7 @@ class TestRegistry:
     def test_register_returns_initial_value(self):
         network = StorageNetwork()
         acc0 = network.register(AID)
-        assert acc0 == network.accumulator_value(AID)
+        assert acc0 == accumulator_value(network, AID)
 
     def test_double_register_rejected(self):
         network = fresh_network()
@@ -58,13 +59,13 @@ class TestRegistry:
 class TestHonestServing:
     def test_fetch_member(self):
         network = fresh_network(elements=[b"aa-1", b"ab-2"])
-        acc = network.accumulator_value(AID)
+        acc = accumulator_value(network, AID)
         payload = network.fetch_witness(AID, b"aa-1")
         assert belongs(acc, b"aa-1", payload) == 1
 
     def test_fetch_non_member(self):
         network = fresh_network(elements=[b"aa-1"])
-        acc = network.accumulator_value(AID)
+        acc = accumulator_value(network, AID)
         assert belongs(acc, b"zz", network.fetch_witness(AID, b"zz")) == 0
 
     def test_lookup_by_prefix(self):
@@ -158,7 +159,7 @@ class TestCollisions:
 class TestBuildUpdateWitness:
     def test_prediction_matches_commit(self):
         network = fresh_network(elements=[b"aa-1"])
-        acc = network.accumulator_value(AID)
+        acc = accumulator_value(network, AID)
         predicted, payload = network.build_update_witness(AID, "add", b"ab-9")
         assert check_update(acc, predicted, b"ab-9", payload) == 1
         committed = commit(network, "add", b"ab-9")
@@ -166,10 +167,10 @@ class TestBuildUpdateWitness:
 
     def test_build_does_not_mutate(self):
         network = fresh_network(elements=[b"aa-1"])
-        before = network.accumulator_value(AID)
+        before = accumulator_value(network, AID)
         network.build_update_witness(AID, "add", b"ab-9")
-        assert network.accumulator_value(AID) == before
-        assert network.epoch(AID) == 1
+        assert accumulator_value(network, AID) == before
+        assert accumulator_epoch(network, AID) == 1
 
     def test_build_mirrors_preconditions(self):
         network = fresh_network(elements=[b"aa-1"])
@@ -181,7 +182,7 @@ class TestBuildUpdateWitness:
     def test_chained_builds_compose(self):
         # del then add, second witness computed on the post-first snapshot
         network = fresh_network(elements=[b"aa-100"])
-        acc = network.accumulator_value(AID)
+        acc = accumulator_value(network, AID)
         mid, w_del = network.build_update_witness(AID, "del", b"aa-100")
         end, w_add = network.build_update_witness(AID, "add", b"aa-70", base=mid)
         assert check_update(acc, mid, b"aa-100", w_del) == 1
@@ -225,13 +226,13 @@ class TestBuildUpdateWitness:
         # a chain starts without a base; the current value is not a chain tip
         network = fresh_network(elements=[b"aa-1"])
         with pytest.raises(StorageError):
-            network.build_update_witness(AID, "add", b"ab-2", base=network.accumulator_value(AID))
+            network.build_update_witness(AID, "add", b"ab-2", base=accumulator_value(network, AID))
 
 
 class TestCommit:
     def test_round_trip_and_inverse(self):
         network = fresh_network()
-        acc0 = network.accumulator_value(AID)
+        acc0 = accumulator_value(network, AID)
         commit(network, "add", b"aa-1")
         assert commit(network, "del", b"aa-1") == acc0
 
@@ -245,7 +246,7 @@ class TestCommit:
     def test_batch_is_one_epoch(self):
         network = fresh_network(elements=[b"aa-1"])
         network.commit({AID: network.changes(AID, [("add", b"ab-2"), ("del", b"aa-1"), ("add", b"ac-3")])})
-        assert network.epoch(AID) == 2
+        assert accumulator_epoch(network, AID) == 2
         assert network.lookup(AID, b"aa") == []
         assert network.lookup(AID, b"ac") == [b"ac-3"]
 
@@ -352,7 +353,7 @@ class TestCommit:
         # aa-1; a chain there that adds and deletes zz-9 ends on the value a
         # batch re-adding aa-1 reaches, but nets to no keys
         network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
-        served = network.accumulator_value(AID)
+        served = accumulator_value(network, AID)
         commit(network, "del", b"aa-1")
         mid, _ = network.build_update_witness(AID, "add", b"zz-9")
         end, _ = network.build_update_witness(AID, "del", b"zz-9", base=mid)
@@ -403,8 +404,8 @@ class TestCommit:
 
     def test_an_accumulator_accepted_without_a_batch_must_hold_its_value(self):
         network = fresh_network(elements=[b"aa-1"])
-        entry, held = network._entry(AID), network.accumulator_value(AID)
-        assert network.commit({}, {AID: held}) == {} and network.epoch(AID) == 1
+        entry, held = network._entry(AID), accumulator_value(network, AID)
+        assert network.commit({}, {AID: held}) == {} and accumulator_epoch(network, AID) == 1
         before = ledger(entry)
         with pytest.raises(StorageError, match="holds another value than the contract accepted"):
             network.commit({}, {AID: bytes(32)})
@@ -414,7 +415,7 @@ class TestCommit:
         network = fresh_network()
         commit(network, "add", b"aa-1")
         commit(network, "add", b"ab-2")
-        assert network.epoch(AID) == 2
+        assert accumulator_epoch(network, AID) == 2
 
 
 NAMES = ("acc-0", "acc-1", "acc-2")
@@ -454,7 +455,7 @@ class TestRootDigests:
         assert tip_root is tree.EMPTY or tree.leaf_key(tip_root) is not None
         assert network.commit({AID: chain}, {AID: end}) == {AID: end}
         assert memory.root is tip_root
-        assert memory.value == tree.digest(memory.root) == network.accumulator_value(AID) == self.want(final)
+        assert memory.value == tree.digest(memory.root) == accumulator_value(network, AID) == self.want(final)
         walked = fresh_network(elements=start)
         assert walked.commit({AID: walked.changes(AID, chain)}) == {AID: end}
 
@@ -614,13 +615,13 @@ def walked_value(network, steps):
 class TestCorruptBits:
     def test_full_corruption_detected_by_client(self):
         network = fresh_network(FaultPolicy.corrupt_bits(1.0, seed=3), [b"aa-1"])
-        acc = network.accumulator_value(AID)
+        acc = accumulator_value(network, AID)
         payload = network.fetch_witness(AID, b"aa-1")
         assert belongs(acc, b"aa-1", payload) is BOTTOM
 
     def test_partial_corruption_never_verifies_wrongly(self):
         network = fresh_network(FaultPolicy.corrupt_bits(0.10, seed=4), [b"aa-%d" % i for i in range(32)])
-        acc = network.accumulator_value(AID)
+        acc = accumulator_value(network, AID)
         clean = 0
         for i in range(32):
             verdict = belongs(acc, b"aa-%d" % i, network.fetch_witness(AID, b"aa-%d" % i))
@@ -640,11 +641,11 @@ class TestCorruptBits:
 class TestStale:
     def test_witness_lags_one_epoch(self):
         network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
-        acc_now = network.accumulator_value(AID)
+        acc_now = accumulator_value(network, AID)
         commit(network, "add", b"ab-2")
         payload = network.fetch_witness(AID, b"ab-2")
         # served against the pre-commit snapshot: fails for the current value
-        assert belongs(network.accumulator_value(AID), b"ab-2", payload) is BOTTOM
+        assert belongs(accumulator_value(network, AID), b"ab-2", payload) is BOTTOM
         assert belongs(acc_now, b"ab-2", payload) == 0
 
     def test_stale_lookup_rolls_back_elements(self):
@@ -656,7 +657,7 @@ class TestStale:
 
     def test_batch_is_served_whole_while_stale(self):
         network = fresh_network(FaultPolicy.stale(1), [b"aa-1", b"aa-2"])
-        before = network.accumulator_value(AID)
+        before = accumulator_value(network, AID)
         batch = network.changes(AID, [("del", b"aa-1"), ("add", b"aa-3"), ("add", b"ab-4")])
         batch.record("add", b"aa-5")
         batch.record("del", b"aa-5")
@@ -676,9 +677,24 @@ class TestStale:
             network = fresh_network(FaultPolicy.stale(lag), [b"aa-%d" % i for i in range(6)])
             assert len(network._entry(AID).history) == lag  # the commits it lags behind
 
+    def test_a_policy_assigned_to_a_live_network_takes_effect(self):
+        network = fresh_network(elements=[b"aa-1"])
+        before = accumulator_value(network, AID)
+        network.policy = FaultPolicy.stale(1)
+        commit(network, "add", b"ab-2")
+        assert belongs(before, b"ab-2", network.fetch_witness(AID, b"ab-2")) == 0
+        assert network.lookup(AID, b"ab") == []
+        # back to honest: the current value at once, and the history goes at the next commit
+        network.policy = FaultPolicy.honest()
+        after = accumulator_value(network, AID)
+        assert belongs(after, b"ab-2", network.fetch_witness(AID, b"ab-2")) == 1
+        assert network.lookup(AID, b"ab") == [b"ab-2"]
+        commit(network, "add", b"ac-3")
+        assert not network._entry(AID).history
+
     def test_zero_lag_is_honest(self):
         network = fresh_network(FaultPolicy.stale(0), [b"aa-1"])
-        acc = network.accumulator_value(AID)
+        acc = accumulator_value(network, AID)
         assert belongs(acc, b"aa-1", network.fetch_witness(AID, b"aa-1")) == 1
 
 

@@ -58,6 +58,7 @@ from acctoken.storage import FaultPolicy, StorageNetwork
 
 import reference_verify
 from hash_recorder import RecordingHashlib
+from storage_views import accumulator_epoch, accumulator_value
 
 A = bytes.fromhex("aa" * 20)
 B = bytes.fromhex("bb" * 20)
@@ -68,7 +69,8 @@ S = bytes.fromhex("55" * 20)
 
 def snapshot(system):
     state = system.contract.state
-    storage = tuple((system.network.accumulator_value(name), system.network.epoch(name)) for name in ACCUMULATORS)
+    network = system.network
+    storage = tuple((accumulator_value(network, name), accumulator_epoch(network, name)) for name in ACCUMULATORS)
     return state, storage, len(system.contract.logs)
 
 
@@ -446,11 +448,11 @@ class TestLockStep:
         ):
             getattr(system, op)(*args)
             for name in ACCUMULATORS:
-                assert system.state.value_of(name) == system.network.accumulator_value(name)
+                assert system.state.value_of(name) == accumulator_value(system.network, name)
 
 
 def epochs(system):
-    return {name: system.network.epoch(name) for name in ACCUMULATORS}
+    return {name: accumulator_epoch(system.network, name) for name in ACCUMULATORS}
 
 
 class TestOneCommitPath:
@@ -493,7 +495,7 @@ class TestOneCommitPath:
         system.transfer(A, B, 0)
         assert epochs(system) == before
         for name in ACCUMULATORS:
-            assert system.state.value_of(name) == system.network.accumulator_value(name)
+            assert system.state.value_of(name) == accumulator_value(system.network, name)
         # no commit cleared its chain; the next bundle still starts a new one
         assert system.network._entry(BALANCES).tip.value == system.state.balances_acc
         commits = spy_commits(system)
@@ -505,7 +507,7 @@ class TestOneCommitPath:
 
 
 def accumulator_values(system):
-    return [system.network.accumulator_value(name) for name in ACCUMULATORS]
+    return [accumulator_value(system.network, name) for name in ACCUMULATORS]
 
 
 def announced(*words):
@@ -562,7 +564,7 @@ class TestFastPathEquivalence:
             getattr(verified, kind)(*args)
         assert fast.state == verified.state
         assert accumulator_values(fast) == accumulator_values(verified)
-        assert [fast.network.epoch(name) for name in ACCUMULATORS] == [2, 1, 1]
+        assert [accumulator_epoch(fast.network, name) for name in ACCUMULATORS] == [2, 1, 1]
         assert effective_balances(fast) == {A: 845, B: 105, D: 50}
 
         # the mapping token reaches through its bootstrap what its transactions reach
@@ -570,11 +572,11 @@ class TestFastPathEquivalence:
         mapped.bootstrap(plans())
         for kind, args in ops:
             getattr(transacted, kind)(*args)
-        for attribute in ("balances", "allowed", "ever_approved", "key_count"):
+        for attribute in ("balances", "allowed", "key_count"):
             assert getattr(mapped, attribute) == getattr(transacted, attribute), attribute
         assert mapped.balances == {A: 845, B: 105, D: 50}
-        assert mapped.allowed == {(C, B): 1}
-        assert mapped.ever_approved == {(B, S), (C, B)}
+        # both approved pairs stay, B's for S at zero, which holds no storage key
+        assert mapped.allowed == {(B, S): 0, (C, B): 1}
         assert mapped.key_count == 4
         assert mapped.log_count == 1  # the deployment's; bootstrap logs nothing
         assert effective_balances(fast) == effective_balances(mapped)
@@ -784,7 +786,7 @@ def spy_commits(system):
     def checked(batches, accepted=None):
         tips = {acc: network._entry(acc).tip for acc in batches}
         held = {acc: set(network._entry(acc).memory.elements) for acc in batches}
-        epochs = {acc: network.epoch(acc) for acc in batches}
+        epochs = {acc: accumulator_epoch(network, acc) for acc in batches}
         twin, twin_batches = copy.deepcopy((network, batches))
         values = commit(batches, accepted)
         StorageNetwork.commit(twin, twin_batches)
