@@ -64,7 +64,7 @@ def simulate_update(root: Node, root_digest: bytes, op: str, element: bytes) -> 
     path = []
     steps, terminal = tree.descend(root, key, path)
     if op == "add":
-        new_root, new_digest = tree.insert_at(path, terminal, key, root_digest)
+        new_root, new_digest = tree.insert_at(path, terminal, key, root, root_digest)
         return new_root, new_digest, pack(WitnessKind.UPDATE_ADD, key, steps, tree.leaf_key(terminal)), key
     if op == "del":
         new_root, new_digest = tree.remove_at(path, terminal, key)
@@ -157,10 +157,10 @@ def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes] | N
     ``updated_root`` walks it, which makes them the leaves, but the memory
     lets go of its root before the merge: when nothing else holds the old
     root (a lagging storage node's history, a chain tip), the merge frees
-    each node it replaces as it goes (see ``tree``). ``built = (root,
-    digest)`` skips the walk: ``root`` is already the trie of the memory
-    with exactly these changes applied, its new leaves the added keys, and
-    ``digest`` is its digest. The caller vouches for ``root``: the storage
+    each tuple branch and each region of rows it replaces as it goes (see
+    ``tree``). ``built = (root, digest)`` skips the walk: ``root`` is
+    already the trie of the memory with exactly these changes applied, its
+    new leaves the added keys, and ``digest`` is its digest. The caller vouches for ``root``: the storage
     network passes its chain tip with the tip's own batch, or a walk whose
     digest it checked against the value the contract accepted.
     """

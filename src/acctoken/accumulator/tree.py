@@ -8,39 +8,63 @@ root (``Memory.value``, a storage chain tip):
 - a branch is ``(left, right, body)``, splitting at key bit ``bit`` (keys
   with that bit clear go left), where ``body`` is the branch's hash preimage
   ``TAG_INTERNAL || bit || left_digest || right_digest`` (66 bytes);
+- a branch may also be a row of a region, named by a handle ``(region,
+  row)`` (below);
 - the empty trie is ``EMPTY = ()``.
 
-The kinds are told apart by length (0, 32 and 3). A leaf's digest is
+The kinds are told apart by length (0, 32, 2 and 3). A leaf's digest is
 ``sha256(TAG_LEAF + key)`` and a branch's is ``sha256(body)``; a builder
 returns each node it makes with its digest, so no digest is hashed twice or
-stored in the node it belongs to. ``digest`` recomputes one from the node,
-for checks.
+stored in the node it belongs to.
 
-The body is the preimage rather than a bit and two digest objects because a
-trie holds a branch per key, and one 66-byte ``bytes`` costs less than two
-32-byte ones and the two slots that hold them (176 bytes a branch with its
-3-tuple, against 240 with a 5-tuple). It also holds every witness step
-whole: the step past a branch taken to the right is ``body[1:34]``, its bit
-and left digest; to the left it is the bit byte and ``body[34:]``.
+The body is the preimage rather than a bit and two digest objects because
+one 66-byte ``bytes`` costs less than two 32-byte ones and the slots that
+hold them. It also holds every witness step whole: the step past a branch
+taken to the right is ``body[1:34]``, its bit and left digest; to the left
+it is the bit byte and ``body[34:]``.
 
-Tuples and shared keys, rather than objects, because a trie holds a node per
-key and per branch and lives as long as the memory does: bytes are never
-tracked by the cyclic garbage collector, and a tuple that holds only bytes,
-ints and untracked tuples can be dropped from its lists, so collections stop
-rescanning the whole trie, while an instance (a slotted one too) stays
-tracked for its whole life. CPython drops such a tuple only when a
-collection examines it after its children, so a fresh trie leaves the
-collector over a few collections, bottom up.
+Regions. The batch merge (``insert_many``) writes every branch at bit
+``REGION_BIT`` or deeper as a row of a region, ``(kids, bodies, leaves)``:
+``bodies`` holds the rows' 66-byte bodies end to end, ``kids`` each row's
+left and right child id as native 32-bit ints (a row index, or ``~i`` for
+the ``i``-th key of ``leaves``), and ``leaves`` is the tuple of the region's
+keys, the leaves themselves. A region holds one maximal subtree whose
+branches are all at ``REGION_BIT`` or deeper, that is the keys that share
+their first byte, and its rows point only at its own rows and keys. Rows are
+written in post-order, so each subtree's rows are a run of rows ending at
+its root, and its keys a run of ``leaves``, in key order: a subtree is
+copied as three slices, with its child ids shifted. A tuple branch reaches a
+region through a handle, ``(region, row)``. A branch thus costs its 66 body
+bytes, 8 bytes of child ids and 8 of key slot, against 163 traced bytes as a
+3-tuple and its body. The per-op path copies (``insert``, ``remove``,
+``insert_at``, ``remove_at``) stay tuples: ``descend`` reads a row it passes
+as a tuple branch over handles to its children, and the copies are built
+over those.
 
-Nodes are immutable; updates copy the touched nodes and share everything
-else, so old roots stay valid for free. The compressed layout
+Tuples, bytes and shared keys, rather than objects, because a trie holds a
+node per key and per branch and lives as long as the memory does: bytes are
+never tracked by the cyclic garbage collector, and a tuple that holds only
+bytes, ints and untracked tuples can be dropped from its lists, so
+collections stop rescanning the whole trie, while an instance (a slotted one
+too) stays tracked for its whole life. That is why a region keeps its child
+ids as ``bytes`` and reads them through a ``memoryview``: an ``array`` or a
+``memoryview`` is tracked. CPython drops a tuple only when a collection
+examines it after its children, so a fresh trie leaves the collector over a
+few collections, bottom up.
+
+Nodes and rows are immutable; updates copy the touched nodes and share
+everything else, so old roots stay valid for free. The compressed layout
 (branches exist only where keys actually diverge) is canonical for a given
 key set, which makes the root digest history independent.
 
 ``insert_many`` relies on that: it merges a sorted batch of new keys into
 the trie in one pass, reusing every subtree no new key falls into and
 hashing each new node once, and the canonical layout makes its root equal,
-bit for bit, to the root of inserting the same keys one at a time. The merge
+bit for bit, to the root of inserting the same keys one at a time. Above
+``REGION_BIT`` it unpacks the tuple branches the keys fall into and builds
+new ones; a region that two or more keys fall into it rewrites into a new
+region, copying the old subtrees no key falls into without hashing them,
+and a region no key falls into it keeps whole, by its handle. The merge
 reads the batch as the sorted bytes it is: equal-length keys sort as their
 big-endian ints do, so at a branch it splits the batch's range with
 ``bisect`` on the keys themselves, against the smallest key with the
@@ -48,19 +72,23 @@ branch's bit set. It makes ints only for the XORs: where a range leaves a
 subtree's common prefix, the split bit is the top set bit (``bit_length``)
 of the XORs of the range's ends with a key of the subtree. A range that
 lands where the trie has no node, or meets a leaf (taking the leaf in), is
-built in one stack pass, which reads each key as an int once: the trie of
-sorted keys is the Cartesian tree of the split bits of adjacent keys. A range
-of one key takes the path-copying ``insert``.
+built in one stack pass per first byte, which reads each key as an int
+once: the trie of sorted keys is the Cartesian tree of the split bits of
+adjacent keys. A range of one key that reaches a tuple branch or a region's
+handle on its own takes the path-copying ``insert``.
 
 The merge frees the nodes it replaces as it goes, when it may: it drops each
-old branch as soon as it has unpacked it and hands each child on as the only
-reference it holds. Given the only reference to the old root, the merge
-therefore holds at any moment only the old subtrees it has still to visit
-beside the new nodes it has built. A caller that keeps the old root (a
-lagging storage node's history, a staging walk that must leave the memory
-as it is) keeps every old node alive, as before.
+old tuple branch as soon as it has unpacked it and hands each child on as
+the only reference it holds, and drops each old region once it has written
+its new one. Given the only reference to the old root, the merge therefore
+holds at any moment only the old subtrees it has still to visit, at most
+one of them a region it is rewriting, beside the new nodes it has built. A
+caller that keeps the old root (a lagging storage node's history, a staging
+walk that must leave the memory as it is) keeps every old node alive, as
+before.
 """
 
+from array import array
 from bisect import bisect_left
 
 from ..errors import AlreadyPresent, NotPresent
@@ -69,21 +97,25 @@ from .hashing import BIT_BYTE, BIT_MASK, BIT_PREFIX, DIGEST_BYTES, EMPTY_DIGEST,
 
 EMPTY = ()
 
-Node = bytes | tuple  # EMPTY, a leaf or a branch, as laid out above
+Node = bytes | tuple  # EMPTY, a leaf, a branch or a handle, as laid out above
 
 # offsets in a branch's body: its bit, then its left and its right child's digest
 _BIT_AT = len(BIT_PREFIX[0]) - 1
 _LEFT_AT = _BIT_AT + 1
 _RIGHT_AT = _LEFT_AT + DIGEST_BYTES
+_BODY = _RIGHT_AT + DIGEST_BYTES
 
+# The merge writes branches at this bit or deeper as region rows. At 8 the
+# regions are the keys' first bytes: at most 255 tuple branches sit above
+# them, however large the trie, and each region holds about 1/256 of the
+# keys, so rewriting one costs a merge little and holds little of the old
+# trie at a time. A bit nearer the root would leave larger regions to
+# rewrite; one further down, more tuple branches at full cost.
+REGION_BIT = 8
 
-def digest(node: Node) -> bytes:
-    """The digest ``node``'s parent holds for it, recomputed from the node (one hash at most)."""
-    if node.__class__ is bytes:
-        return hashing.sha256(TAG_LEAF + node)
-    if not node:
-        return EMPTY_DIGEST
-    return hashing.sha256(node[2])
+# the smallest bytes past every key with each first byte: the keys of a
+# region end where the sorted keys reach the next of these
+_GROUP_END = tuple(BIT_BYTE[b + 1] for b in range(255)) + (b"\xff" * (DIGEST_BYTES + 1),)
 
 
 def child_digest(branch: tuple, direction: int) -> bytes:
@@ -97,6 +129,18 @@ def leaf_key(node: Node) -> bytes | None:
     return node if node.__class__ is bytes else None
 
 
+def _branch(region: tuple, kids: memoryview, row: int) -> tuple:
+    """Row ``row`` of ``region`` (whose child ids ``kids`` reads) as a tuple
+    branch over its children: handles to its child rows, or its leaves."""
+    leaves = region[2]
+    left, right = kids[2 * row], kids[2 * row + 1]
+    return (
+        (region, left) if left >= 0 else leaves[~left],
+        (region, right) if right >= 0 else leaves[~right],
+        region[1][row * _BODY : (row + 1) * _BODY],
+    )
+
+
 def descend(root: Node, key: bytes, path: list | None = None):
     """Walk along ``key`` once; returns (steps, terminal).
 
@@ -104,8 +148,9 @@ def descend(root: Node, key: bytes, path: list | None = None):
     witness carries it: the branch's bit byte, then the digest of the
     sibling the walk did not take. The terminal is a leaf or EMPTY. Given a
     ``path`` list, the walk also appends each (branch, direction) to it, for
-    ``insert_at`` and ``remove_at``; ``insert`` and ``remove`` walk this way
-    too, and drop the steps.
+    ``insert_at`` and ``remove_at``, a region's row as the tuple branch
+    ``_branch`` reads it; ``insert`` and ``remove`` walk this way too, and
+    drop the steps.
     """
     steps = []
     node = root
@@ -123,6 +168,23 @@ def descend(root: Node, key: bytes, path: list | None = None):
             if path is not None:
                 path.append((node, 0))
             node = node[0]
+    if len(node) == 2:
+        region, row = node
+        kids = memoryview(region[0]).cast("i")
+        bodies = region[1]
+        while row >= 0:
+            at = row * _BODY
+            bit = bodies[at + _BIT_AT]
+            if k & BIT_MASK[bit]:
+                steps.append(bodies[at + _BIT_AT : at + _RIGHT_AT])
+                direction = 1
+            else:
+                steps.append(BIT_BYTE[bit] + bodies[at + _RIGHT_AT : at + _BODY])
+                direction = 0
+            if path is not None:
+                path.append((_branch(region, kids, row), direction))
+            row = kids[2 * row + direction]
+        node = region[2][~row]
     return steps, node
 
 
@@ -140,9 +202,9 @@ def _rebuild(path, node: Node, node_digest: bytes) -> tuple[Node, bytes]:
     return node, node_digest
 
 
-def insert_at(path, terminal: Node, key: bytes, root_digest: bytes) -> tuple[Node, bytes]:
+def insert_at(path, terminal: Node, key: bytes, root: Node, root_digest: bytes) -> tuple[Node, bytes]:
     """The root and digest ``insert`` returns, from the result of walking
-    ``key`` from a root whose digest is ``root_digest``."""
+    ``key`` from ``root``, whose digest is ``root_digest``."""
     sha256 = hashing.hashlib.sha256
     if not terminal:
         return key, sha256(TAG_LEAF + key).digest()
@@ -154,8 +216,13 @@ def insert_at(path, terminal: Node, key: bytes, root_digest: bytes) -> tuple[Nod
     cut = 0
     while cut < len(path) and path[cut][0][2][_BIT_AT] < split:
         cut += 1
-    displaced = path[cut][0] if cut < len(path) else terminal
-    displaced_digest = child_digest(*path[cut - 1]) if cut else root_digest
+    # read from the branch above it, the displaced node is the one the trie
+    # holds, a region's row by its handle, not the tuple ``descend`` read it as
+    if cut:
+        parent, direction = path[cut - 1]
+        displaced, displaced_digest = parent[direction], child_digest(parent, direction)
+    else:
+        displaced, displaced_digest = root, root_digest
     leaf_digest = sha256(TAG_LEAF + key).digest()
     # equal-length keys first differ at ``split``, so the smaller has a 0 there
     if key < terminal:
@@ -171,7 +238,7 @@ def insert_at(path, terminal: Node, key: bytes, root_digest: bytes) -> tuple[Nod
 def insert(root: Node, root_digest: bytes, key: bytes) -> tuple[Node, bytes]:
     path = []
     _steps, terminal = descend(root, key, path)
-    return insert_at(path, terminal, key, root_digest)
+    return insert_at(path, terminal, key, root, root_digest)
 
 
 def remove_at(path, terminal: Node, key: bytes) -> tuple[Node, bytes]:
@@ -194,27 +261,35 @@ def _duplicate(key: bytes):
     return AlreadyPresent(f"element digest {key.hex()} already accumulated")
 
 
-def _run(keys: list[bytes], kept: bytes | None = None, kept_digest: bytes | None = None):
-    """The trie of the sorted ``keys`` alone, and its digest, in one stack
-    pass; ``kept``, a leaf already in the trie that is among ``keys``, keeps
-    its ``kept_digest`` rather than being hashed again.
+def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, leaves: list, kept=None, kept_digest=None):
+    """Write the trie of the sorted ``keys[lo:hi]``, which share their first
+    byte, as rows of the region being built in ``kids``, ``bodies`` and
+    ``leaves``; returns its root's id (a row, or ``~i`` for a lone key, the
+    ``i``-th of ``leaves``) and digest. ``kept``, a leaf already in the trie
+    that is among the keys, keeps its ``kept_digest`` rather than being
+    hashed again.
 
-    The trie of a sorted run is the Cartesian tree of the split bits of
-    adjacent keys, the smallest bit at the root: ``bits``, ``lefts`` and
-    ``digests`` hold the right spine's open branches, each a bit and its
-    finished left subtree with that subtree's digest, bits rising towards the
-    top. A key closes every open branch whose bit exceeds its split from the
-    key before it.
+    One stack pass: the trie of a sorted run is the Cartesian tree of the
+    split bits of adjacent keys, the smallest bit at the root. ``bits``,
+    ``lefts`` and ``digests`` hold the right spine's open branches, each a
+    bit and its finished left subtree's id and digest, bits rising towards
+    the top. A key closes every open branch whose bit exceeds its split from
+    the key before it, and each closed branch is written as the next row.
     """
     sha256 = hashing.hashlib.sha256
-    keys = iter(keys)
-    node = next(keys)
-    node_digest = kept_digest if node is kept else sha256(TAG_LEAF + node).digest()
-    prev = int.from_bytes(node, "big")
+    key = keys[lo]
+    node_digest = kept_digest if key is kept else sha256(TAG_LEAF + key).digest()
+    leaves.append(key)
+    if hi - lo == 1:
+        return ~(len(leaves) - 1), node_digest
+    add_kid, add_leaf = kids.append, leaves.append
+    row, leaf = len(kids) >> 1, len(leaves) - 1
+    node = ~leaf
+    prev = int.from_bytes(key, "big")
     bits = [-1]  # below every split bit, so the spine's foot never closes
-    lefts: list[Node] = []
+    lefts: list[int] = []
     digests: list[bytes] = []
-    for key in keys:
+    for key in keys[lo + 1 : hi]:
         x = int.from_bytes(key, "big")
         diff = prev ^ x
         if not diff:
@@ -222,13 +297,208 @@ def _run(keys: list[bytes], kept: bytes | None = None, kept_digest: bytes | None
         split = KEY_BITS - diff.bit_length()
         while bits[-1] > split:
             body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
-            node, node_digest = (lefts.pop(), node, body), sha256(body).digest()
+            add_kid(lefts.pop())
+            add_kid(node)
+            bodies += body
+            node, node_digest = row, sha256(body).digest()
+            row += 1
         bits.append(split)
         lefts.append(node)
         digests.append(node_digest)
-        node = key
+        leaf += 1
+        add_leaf(key)
+        node = ~leaf
         node_digest = kept_digest if key is kept else sha256(TAG_LEAF + key).digest()
         prev = x
+    while lefts:
+        body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
+        add_kid(lefts.pop())
+        add_kid(node)
+        bodies += body
+        node, node_digest = row, sha256(body).digest()
+        row += 1
+    return node, node_digest
+
+
+def _region(kids: array, bodies: bytearray, leaves: list, root: int) -> tuple:
+    """The handle of the finished region built in ``kids``, ``bodies`` and ``leaves``, at row ``root``."""
+    return (kids.tobytes(), bytes(bodies), tuple(leaves)), root
+
+
+def _copy_rows(src: tuple, src_kids: memoryview, ref: int, kids: array, bodies: bytearray, leaves: list) -> int:
+    """Copy the subtree of ``src`` (whose child ids ``src_kids`` reads) at
+    id ``ref`` into the region being built, as it is, hashing nothing;
+    returns its new id.
+
+    The subtree's keys are the run of ``src``'s leaves from its leftmost to
+    its rightmost, and its rows the run of one fewer rows ending at ``ref``:
+    three slices, the child ids shifted to where the copies land.
+    """
+    src_bodies, src_leaves = src[1], src[2]
+    if ref < 0:
+        leaves.append(src_leaves[~ref])
+        return ~(len(leaves) - 1)
+    first = last = ref
+    while first >= 0:
+        first = src_kids[2 * first]
+    while last >= 0:
+        last = src_kids[2 * last + 1]
+    first, last = ~first, ~last
+    start = ref - (last - first) + 1
+    shift, leaf_shift = (len(kids) >> 1) - start, len(leaves) - first
+    kids.extend([kid + shift if kid >= 0 else kid - leaf_shift for kid in src_kids[2 * start : 2 * ref + 2]])
+    bodies += src_bodies[start * _BODY : (ref + 1) * _BODY]
+    leaves += src_leaves[first : last + 1]
+    return ref + shift
+
+
+def _copy_node(node: Node, kids: array, bodies: bytearray, leaves: list) -> int:
+    """Copy the subtree ``node`` (a leaf, a handle, or a tuple branch over
+    these) into the region being built, hashing nothing; returns its new id."""
+    if node.__class__ is bytes:
+        leaves.append(node)
+        return ~(len(leaves) - 1)
+    if len(node) == 2:
+        region, row = node
+        return _copy_rows(region, memoryview(region[0]).cast("i"), row, kids, bodies, leaves)
+    left = _copy_node(node[0], kids, bodies, leaves)
+    right = _copy_node(node[1], kids, bodies, leaves)
+    kids.append(left)
+    kids.append(right)
+    bodies += node[2]
+    return (len(kids) >> 1) - 1
+
+
+def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: int, depth: int):
+    """The trie of ``node``'s keys plus ``keys[lo:hi]``, which all share
+    their first byte, as one new region, and its digest; ``node`` is a
+    branch at ``REGION_BIT`` or deeper: a handle, or a tuple branch a path
+    copy made over handles, which is first copied into a region of its own.
+
+    The old subtree is walked as ``_merge`` walks a trie: each row some key
+    falls into is written again over its merged children, each range that
+    meets a leaf or empty space is written in one stack pass (``_rows``),
+    and each old subtree no key falls into is copied (``_copy_rows``), not
+    hashed. The new region refers to nothing in the old one, so the old one
+    goes when the caller drops ``node``.
+    """
+    if len(node) == 3:
+        node = _flatten(node)
+    old, ref = node
+    old_kids = memoryview(old[0]).cast("i")
+    old_bodies, old_leaves = old[1], old[2]
+    kids, bodies, leaves = array("i"), bytearray(), []
+    add_kid, add_body, add_leaf = kids.append, bodies.extend, leaves.append
+    sha256 = hashing.hashlib.sha256
+
+    def write(ref: int, ref_digest: bytes, lo: int, hi: int, depth: int):
+        """The new id and digest of the old subtree at ``ref`` with ``keys[lo:hi]`` merged in."""
+        if lo == hi:
+            return _copy_rows(old, old_kids, ref, kids, bodies, leaves), ref_digest
+        if ref < 0:
+            leaf = old_leaves[~ref]
+            if hi - lo == 1:
+                # a leaf and one key, the commonest meeting: one new row above the two
+                key = keys[lo]
+                split = first_diff_bit(key, leaf)
+                if split is None:
+                    raise _duplicate(key)
+                key_digest = sha256(TAG_LEAF + key).digest()
+                if key < leaf:
+                    add_leaf(key)
+                    add_leaf(leaf)
+                    body = BIT_PREFIX[split] + key_digest + ref_digest
+                else:
+                    add_leaf(leaf)
+                    add_leaf(key)
+                    body = BIT_PREFIX[split] + ref_digest + key_digest
+                add_kid(~(len(leaves) - 2))
+                add_kid(~(len(leaves) - 1))
+                add_body(body)
+                return (len(kids) >> 1) - 1, sha256(body).digest()
+            # the keys and the leaf's own key form one run
+            run = keys[lo:hi]
+            run.insert(bisect_left(run, leaf), leaf)
+            return _rows(run, 0, len(run), kids, bodies, leaves, leaf, ref_digest)
+        at = ref * _BODY
+        bit = old_bodies[at + _BIT_AT]
+        first = int.from_bytes(keys[lo], "big")
+        if bit == depth:
+            split = bit
+        else:
+            sample = ref
+            while sample >= 0:
+                sample = old_kids[2 * sample]
+            x = int.from_bytes(old_leaves[~sample], "big")
+            split = KEY_BITS - ((first ^ x) | (int.from_bytes(keys[hi - 1], "big") ^ x)).bit_length()
+        if split >= bit:
+            mid = bisect_left(keys, _first_set(first, bit), lo, hi)
+            left, left_digest = write(old_kids[2 * ref], old_bodies[at + _LEFT_AT : at + _RIGHT_AT], lo, mid, bit + 1)
+            right, right_digest = write(old_kids[2 * ref + 1], old_bodies[at + _RIGHT_AT : at + _BODY], mid, hi, bit + 1)
+        else:
+            # a new row at ``split``: the old subtree on one side, a run of new keys alone on the other
+            bit = split
+            mid = bisect_left(keys, _first_set(first, split), lo, hi)
+            if x & BIT_MASK[split]:
+                left, left_digest = _rows(keys, lo, mid, kids, bodies, leaves)
+                right, right_digest = write(ref, ref_digest, mid, hi, split + 1)
+            else:
+                left, left_digest = write(ref, ref_digest, lo, mid, split + 1)
+                right, right_digest = _rows(keys, mid, hi, kids, bodies, leaves)
+        body = BIT_PREFIX[bit] + left_digest + right_digest
+        add_kid(left)
+        add_kid(right)
+        add_body(body)
+        return (len(kids) >> 1) - 1, sha256(body).digest()
+
+    try:
+        root, root_digest = write(ref, node_digest, lo, hi, depth)
+    finally:
+        del write  # the closure refers to itself: break the cycle, so the old region goes with this frame
+    return _region(kids, bodies, leaves, root), root_digest
+
+
+def _flatten(node: tuple) -> tuple:
+    """A tuple branch a path copy made, copied into a region of its own, hashing nothing; returns its handle."""
+    kids, bodies, leaves = array("i"), bytearray(), []
+    return _region(kids, bodies, leaves, _copy_node(node, kids, bodies, leaves))
+
+
+def _run(keys: list[bytes], kept: bytes | None = None, kept_digest: bytes | None = None):
+    """The trie of the sorted ``keys`` alone, and its digest; ``kept``, a
+    leaf already in the trie that is among ``keys``, keeps its
+    ``kept_digest`` rather than being hashed again.
+
+    The keys that share a first byte form a region (``_rows``), or a lone
+    leaf; above them, the tuple branches are the Cartesian tree of the
+    split bits of adjacent first bytes, built in one stack pass as
+    ``_rows`` builds a region's rows.
+    """
+    sha256 = hashing.hashlib.sha256
+    bits = [-1]
+    lefts: list[Node] = []
+    digests: list[bytes] = []
+    lo, end = 0, len(keys)
+    prev = None
+    while lo < end:
+        first = keys[lo][0]
+        hi = bisect_left(keys, _GROUP_END[first], lo + 1)
+        if prev is not None:
+            split = REGION_BIT - (prev ^ first).bit_length()
+            while bits[-1] > split:
+                body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
+                node, node_digest = (lefts.pop(), node, body), sha256(body).digest()
+            bits.append(split)
+            lefts.append(node)
+            digests.append(node_digest)
+        if hi - lo > 1:
+            kids, bodies, leaves = array("i"), bytearray(), []
+            root, node_digest = _rows(keys, lo, hi, kids, bodies, leaves, kept, kept_digest)
+            node = _region(kids, bodies, leaves, root)
+        else:
+            node = keys[lo]
+            node_digest = kept_digest if node is kept else sha256(TAG_LEAF + node).digest()
+        prev, lo = first, hi
     while lefts:
         body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
         node, node_digest = (lefts.pop(), node, body), sha256(body).digest()
@@ -241,6 +511,19 @@ def _first_set(x: int, bit: int) -> bytes:
     return ((x >> shift | 1) << shift).to_bytes(DIGEST_BYTES, "big")
 
 
+def _leftmost(node: tuple) -> bytes:
+    """The smallest key under the branch ``node``."""
+    while len(node) == 3:
+        node = node[0]
+    if len(node) == 2:
+        region, row = node
+        kids = memoryview(region[0]).cast("i")
+        while row >= 0:
+            row = kids[2 * row]
+        return region[2][~row]
+    return node
+
+
 def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, depth: int):
     """The trie of ``node``'s keys plus ``keys[lo:hi]``, all of which agree on
     every bit before ``depth``, and its digest; ``node_digest`` is ``node``'s.
@@ -248,7 +531,8 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, 
     Every reference this frame takes to an old branch goes as soon as the
     branch is unpacked, and each child is handed on as a temporary, which
     the callee's frame takes over: so when the caller gave up ``node``, each
-    branch the merge replaces is freed as soon as the merge has unpacked it.
+    tuple branch the merge replaces is freed as soon as the merge has
+    unpacked it, and each region as soon as it is rewritten.
     """
     if hi - lo < 2:
         # walking one key's path and copying it is cheaper than recursing
@@ -260,20 +544,24 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, 
         run = keys[lo:hi]
         run.insert(bisect_left(run, node), node)
         return _run(run, node, node_digest)
-    body = node[2]
-    bit = body[_BIT_AT]
+    if len(node) == 3:
+        body = node[2]
+        bit = body[_BIT_AT]
+    else:
+        bit = node[0][1][node[1] * _BODY + _BIT_AT]  # a handle's row
     first = int.from_bytes(keys[lo], "big")
     if bit == depth:
         split = bit  # nothing above the branch's own bit to disagree on
     else:
-        sample = node[0]
-        while len(sample) == 3:
-            sample = sample[0]
-        x = int.from_bytes(sample, "big")
+        x = int.from_bytes(_leftmost(node), "big")
         # the sorted keys' common prefix with the subtree is shortest at an end
         split = KEY_BITS - ((first ^ x) | (int.from_bytes(keys[hi - 1], "big") ^ x)).bit_length()
+    if split >= REGION_BIT and bit >= REGION_BIT:
+        # the subtree and the keys share their first byte: one region holds them
+        return _rewrite(node, node_digest, keys, lo, hi, depth)
     sha256 = hashing.hashlib.sha256
     if split >= bit:
+        # a tuple branch, as every branch above REGION_BIT is
         mid = bisect_left(keys, _first_set(first, bit), lo, hi)
         kids = [node[0], node[1]]
         del node
@@ -303,12 +591,15 @@ def insert_many(root: Node, root_digest: bytes, keys: list[bytes]) -> tuple[Node
     already or listed twice.
 
     One pass down the trie, reading the keys as bytes (see the module
-    docstring): each branch some key falls into is rebuilt over its merged
-    children, every subtree no key falls into is kept as it is, and each
-    range that meets a leaf or empty space is built in one stack pass. The
-    merge keeps no reference to a branch it has unpacked, and neither does
-    this frame to ``root``: called with the only reference to ``root`` (an
-    argument nothing else holds), it frees each branch it replaces as it goes.
+    docstring): each tuple branch some key falls into is rebuilt over its
+    merged children, each region two or more keys fall into is rewritten
+    into a new one, every subtree no key falls into is kept as it is, and
+    each range that meets a leaf or empty space is built in one stack pass,
+    its branches at ``REGION_BIT`` or deeper written as region rows. The
+    merge keeps no reference to a branch it has unpacked or a region it has
+    rewritten, and neither does this frame to ``root``: called with the only
+    reference to ``root`` (an argument nothing else holds), it frees each
+    node it replaces as it goes.
     """
     held = [root]
     del root
@@ -322,12 +613,14 @@ class Memory:
     docstring, and ``value`` is its digest, the accumulator value: the one
     digest no parent holds. ``elements`` is X, mapping each trie key to its
     element; each key object is also the trie's leaf for it. Per element
-    beyond the first, then, the trie keeps one branch: a 3-tuple and its
-    66-byte body, which is every digest the branch's own hash needs and
-    every witness step past it, so nothing else is kept per node. The trie
-    and the map hold only tuples and bytes, so once the collector has seen
-    a settled trie it stops scanning it: a full collection then costs what
-    the rest of the heap costs, not what the accumulator's size does.
+    beyond the first, then, the trie keeps one branch, whose 66-byte body is
+    every digest the branch's own hash needs and every witness step past
+    it, so nothing else is kept per node. What a batch merge built keeps
+    each branch as a region row: its body, 8 bytes of child ids and a key
+    slot; a per-op path copy, as a 3-tuple over its body. The trie and the
+    map hold only tuples and bytes, so once the collector has seen a settled
+    trie it stops scanning it: a full collection then costs what the rest
+    of the heap costs, not what the accumulator's size does.
 
     Single writer: updates must be externally serialized. Concurrent
     read-only witness extraction against a quiescent memory is safe, and old

@@ -70,10 +70,10 @@ class BaselineToken:
     # -- views -----------------------------------------------------------------
 
     def balance_of(self, owner: bytes) -> int:
-        return self.balances.get(owner, 0)
+        return self.balances.get(check_address(owner), 0)
 
     def allowance(self, owner: bytes, spender: bytes) -> int:
-        return self.allowed.get((owner, spender), 0)
+        return self.allowed.get((check_address(owner), check_address(spender)), 0)
 
     # -- storage helpers ---------------------------------------------------------
 

@@ -51,7 +51,11 @@ to no change installs nothing, and a commit clears the tips of the
 accumulators it writes, so a bundle that never lands pins at most one
 simulated root per accumulator. The tip is cleared before the walk, and the
 memory hands the walk its trie: unless a lagging node's history holds the
-old root, the walk frees each node it replaces as it goes.
+old root, the walk frees what it replaces as it goes, each tuple branch as
+it unpacks it and each region of rows (what a batch merge writes, see
+``accumulator.tree``) once it has written the region that replaces it. A
+chain tip is a path copy: tuples over the memory's nodes and rows, so a
+tip that never lands keeps its root valid, as rows never change.
 
 An accumulator registered with a lookup prefix length also keeps its
 elements in a list, sorted, as its lookup index: every element under one

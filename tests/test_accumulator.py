@@ -37,6 +37,7 @@ from acctoken.errors import (
 
 import reference_verify
 from hash_recorder import RecordingHashlib
+from trie_layout import body, children, held, identity, is_branch, leaves, leftmost, node_digest, nodes, read_out
 from reference_verify import Witness, canonical_digest, decode_witness, encode_witness
 
 
@@ -729,7 +730,7 @@ class TestServedBytesCanonical:
             assert belongs(acc, element, raw) == reference_verify.belongs(acc, element, raw) == (1 if present else 0)
             root, after, raw, key = simulate_update(memory.root, acc, "del" if present else "add", element)
             assert encode_witness(decode_witness(raw)) == raw and raw[1:33] == key
-            assert after == tree.digest(root)
+            assert after == node_digest(root)
             assert check_update(acc, after, element, raw) == reference_verify.check_update(acc, after, element, raw) == 1
 
 
@@ -819,9 +820,9 @@ class TestBatchUpdate:
         sequential = root, digest
         for key in new:
             sequential = tree.insert_many(*sequential, [key])
-        assert digest == tree.digest(root) == canonical_digest(old)
-        assert merged == sequential
-        assert merged[1] == tree.digest(merged[0]) == canonical_digest(old + new)
+        assert digest == node_digest(root) == canonical_digest(old)
+        assert read_out(merged[0]) == read_out(sequential[0]) and merged[1] == sequential[1]
+        assert merged[1] == node_digest(merged[0]) == canonical_digest(old + new)
 
     def test_keys_differing_in_the_last_bit(self):
         head = bytes(31)
@@ -846,24 +847,29 @@ class TestBatchUpdate:
         root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old))
         (merged, merged_digest), hashes = self.merge_counting_hashes(root, digest, sorted(new))
         assert merged_digest == canonical_digest(old + new)
-        old_nodes = trie_nodes(root)
-        merged_ids = {id(node) for node in trie_nodes(merged)}
-        old_ids = {id(node) for node in old_nodes}
+        old_nodes, merged_nodes = nodes(root), nodes(merged)
+        old_ids = {identity(node) for node in old_nodes}
+        merged_ids = {identity(node) for node in merged_nodes}
+        old_rows = {body(node) for node in old_nodes if is_branch(node)}
+        merged_rows = {body(node) for node in merged_nodes if len(node) == 2}
+
+        def reused(node, ids, rows):
+            # a tuple subtree, a leaf or a region kept whole is the old node
+            # itself; a row a rewritten region copied is an old row's content
+            return identity(node) in ids or len(node) == 2 and body(node) in rows
+
         # every node the merge made is hashed once, and nothing else is hashed
-        assert hashes == sum(id(node) not in old_ids for node in trie_nodes(merged))
+        assert hashes == sum(not reused(node, old_ids, old_rows) for node in merged_nodes)
         new_ints = [int.from_bytes(key, "big") for key in new]
         for node in old_nodes:
             if not node:
                 continue
-            sample = node
-            while len(sample) == 3:
-                sample = sample[0]
             # a new key falls into a subtree when it has the subtree's common
             # prefix: the bits before a branch's own bit, or a leaf's whole key
-            shift = 256 - node[2][1] if len(node) == 3 else 0
-            prefix = int.from_bytes(sample, "big") >> shift
+            shift = 256 - body(node)[1] if is_branch(node) else 0
+            prefix = int.from_bytes(leftmost(node), "big") >> shift
             if all(x >> shift != prefix for x in new_ints):
-                assert id(node) in merged_ids
+                assert reused(node, merged_ids, merged_rows)
 
     @given(crafted_keys())
     @settings(max_examples=200, deadline=None)
@@ -917,22 +923,6 @@ class TestBatchUpdate:
         assert (memory.root, memory.elements, memory.epoch) == before
 
 
-def trie_nodes(*roots):
-    """Every distinct node reachable from ``roots``: branches, leaves and EMPTY."""
-    seen, stack = {}, list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            if len(node) == 3:
-                stack += node[:2]
-    return list(seen.values())
-
-
-def leaves(root):
-    return [node for node in trie_nodes(root) if node.__class__ is bytes]
-
-
 class TestCollectorFreeNodes:
     def test_no_node_stays_tracked(self):
         rng = random.Random(11)
@@ -954,21 +944,24 @@ class TestCollectorFreeNodes:
         for element in kept[:100] + elements[2600:2650]:
             simulated = simulate_update(*simulated, "del", element)[:2]
         roots = [root for root, _digest in (batched, merged, inserted, removed, emptied, simulated)]
-        nodes = trie_nodes(*roots)
-        branches = [node for node in nodes if len(node) == 3]
+        found = nodes(*roots)
+        branches = [node for node in found if is_branch(node)]
         # every other node is a leaf, which is its key, or EMPTY: no leaf is
         # a container the collector could track
-        others = [node for node in nodes if len(node) != 3]
+        others = [node for node in found if not is_branch(node)]
         assert all(node.__class__ is bytes and len(node) == 32 or node is tree.EMPTY for node in others)
         assert not any(map(gc.is_tracked, others))
         # a branch holds two nodes and its body, the bytes of its hash preimage
-        assert all(branch.__class__ is tuple and branch[2].__class__ is bytes for branch in branches)
-        # a collection untracks a tuple only if it examines the tuple's
-        # children first, so a fresh trie leaves over several collections
+        assert all(body(branch).__class__ is bytes for branch in branches)
+        # what the tries' branches hold: tuple branches, handles and regions
+        # with their parts; a collection untracks a tuple only if it examines
+        # the tuple's children first, so a fresh trie leaves over several
+        # collections
+        parts = held(*roots)
         tracked = None
         while True:
             gc.collect()
-            previous, tracked = tracked, sum(map(gc.is_tracked, branches))
+            previous, tracked = tracked, sum(map(gc.is_tracked, parts))
             if tracked == previous:
                 break
         assert tracked == 0
@@ -1000,7 +993,7 @@ class TestLeavesAreKeys:
         steps = [("del", b"e%d" % i) for i in range(0, 100, 2)] + [("add", b"y%d" % i) for i in range(300)]
         apply_update(memory, Changes(memory, steps))
         self.assert_leaves_are_keys(memory)
-        assert memory.value == tree.digest(memory.root) == canonical_digest(memory.elements)
+        assert memory.value == node_digest(memory.root) == canonical_digest(memory.elements)
 
 
 class TestBranchIsItsPreimage:
@@ -1009,18 +1002,19 @@ class TestBranchIsItsPreimage:
     @staticmethod
     def assert_layout(memory):
         keys = {key: key for key in memory.elements}
-        assert tree.digest(memory.root) == memory.value
+        assert node_digest(memory.root) == memory.value
         leaves = 0
-        for node in trie_nodes(memory.root):
+        for node in nodes(memory.root):
             if node.__class__ is bytes:
                 assert keys[node] is node
                 leaves += 1
             elif node:
-                left, right, body = node
-                assert body.__class__ is bytes and len(body) == 66 and body[:1] == TAG_INTERNAL
-                assert body[2:34] == tree.digest(left) and body[34:] == tree.digest(right)
+                left, right = children(node)
+                preimage = body(node)
+                assert preimage.__class__ is bytes and len(preimage) == 66 and preimage[:1] == TAG_INTERNAL
+                assert preimage[2:34] == node_digest(left) and preimage[34:] == node_digest(right)
                 # the two subtrees split at the branch's bit
-                assert first_diff_bit(leaves_of(left), leaves_of(right)) == body[1]
+                assert first_diff_bit(leftmost(left), leftmost(right)) == preimage[1]
         assert leaves == len(keys)
 
     def test_after_single_updates_and_batches(self):
@@ -1035,10 +1029,11 @@ class TestBranchIsItsPreimage:
         self.assert_layout(memory)
 
     def test_traced_bytes_per_element(self):
-        # a branch per element beyond the first: its 3-tuple (64 requested
-        # bytes) and its 66-byte body (99); the keys are the leaves, made
-        # before tracing. A branch of five slots and two 32-byte digest
-        # objects took about 210
+        # a branch per element beyond the first. As a 3-tuple (64 requested
+        # bytes) and its 66-byte body (99) it took about 163 bytes, and a
+        # branch of five slots and two 32-byte digest objects about 210; the
+        # region rows a batch writes take less (``TestRegions``). The keys
+        # are the leaves, made before tracing
         keys = sorted(element_digest(b"%d" % i) for i in range(20_000))
         tracemalloc.start()
         try:
@@ -1046,12 +1041,68 @@ class TestBranchIsItsPreimage:
             traced, _peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert built[1] == tree.digest(built[0])
+        assert built[1] == node_digest(built[0])
         assert traced / len(keys) < 180
 
 
-def leaves_of(node):
-    """One key under ``node``: its leftmost."""
-    while node.__class__ is not bytes:
-        node = node[0]
-    return node
+class TestRegions:
+    """The batch merge writes the branches at ``tree.REGION_BIT`` or deeper
+    as region rows; the tries it builds serve what one insert at a time
+    builds, byte for byte."""
+
+    def test_traced_bytes_per_element(self):
+        # a row per element beyond the first: its 66-byte body and 8 bytes
+        # of child ids, and the key's slot in its region's key tuple (82),
+        # plus each region's and each tuple branch's share above it
+        keys = sorted(element_digest(b"%d" % i) for i in range(20_000))
+        tracemalloc.start()
+        try:
+            built = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys)
+            traced, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built[1] == node_digest(built[0])
+        assert any(len(node) == 2 for node in nodes(built[0]))
+        assert traced / len(keys) < 110
+
+    @staticmethod
+    def assert_serve_alike(batched, single, rng):
+        """The two memories hold one trie, and serve the same witnesses and update simulations."""
+        assert batched.value == single.value and read_out(batched.root) == read_out(single.root)
+        present = list(batched.elements.values())
+        probes = rng.sample(present, min(len(present), 12)) + [rng.randbytes(8) for _ in range(6)]
+        for element in probes:
+            assert witness_for_root(batched.root, element) == witness_for_root(single.root, element)
+            op = "del" if element in batched.elements.values() else "add"
+            (root, *served), (other_root, *other_served) = (
+                simulate_update(memory.root, memory.value, op, element) for memory in (batched, single)
+            )
+            assert served == other_served and read_out(root) == read_out(other_root)
+
+    # at 120 keys or more, two share a first byte, and so a region, but for
+    # odds of about 1e-12
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(120, 300), min_size=2, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_batches_serve_what_single_inserts_serve(self, seed, sizes):
+        rng = random.Random(seed)
+        _, batched = setup(256)
+        _, single = setup(256)
+        for i, size in enumerate(sizes):
+            steps = [("add", rng.randbytes(8)) for _ in range(size)]
+            apply_update(batched, Changes(batched, steps))
+            one_at_a_time(single, steps)
+            self.assert_serve_alike(batched, single, rng)
+            if i:
+                continue
+            # path copies through a region: a delete of one of its keys, and
+            # an add of a key with its first byte; the next batch then
+            # merges over tuples laid over the region's rows
+            rows = [node for node in nodes(batched.root) if len(node) == 2]
+            assert rows
+            key = leftmost(rows[0])
+            added = next(e for e in iter(lambda: rng.randbytes(8), None) if element_digest(e)[0] == key[0])
+            for step in (("del", batched.elements[key]), ("add", added)):
+                for memory in (batched, single):
+                    update(step[0], memory.value, memory, step[1])
+            assert any(len(node) == 3 and body(node)[1] >= tree.REGION_BIT for node in nodes(batched.root))
+            self.assert_serve_alike(batched, single, rng)

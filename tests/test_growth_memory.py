@@ -7,7 +7,6 @@ it replaced.
 """
 
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -16,6 +15,7 @@ from acctoken.accumulator import belongs, element_digest, tree
 from acctoken.accumulator.hashing import EMPTY_DIGEST
 from acctoken.storage import FaultPolicy, StorageNetwork
 from storage_views import accumulator_value
+from trie_layout import nodes, trie_bytes
 
 AID = "acc"
 N = 2**12
@@ -24,17 +24,6 @@ N = 2**12
 # the batch read as ints); one that frees them as it goes, about 0.17 (its
 # own temporaries: the sorted keys, the element map's and the index's growth)
 HELD_SHARE = 0.3
-
-
-def trie_bytes(root) -> int:
-    """What the trie's branches take (its leaves are the element keys, which the memory keeps anyway)."""
-    total, todo = 0, [root]
-    while todo:
-        node = todo.pop()
-        if len(node) == 3:
-            total += sys.getsizeof(node) + sys.getsizeof(node[2])
-            todo += node[:2]
-    return total
 
 
 def elements(seed: int, count: int) -> list[bytes]:
@@ -61,7 +50,13 @@ def grown_network(policy=None) -> StorageNetwork:
     network = StorageNetwork(policy)
     network.register(AID, index_prefix_len=2)
     network.commit({AID: network.changes(AID, [("add", element) for element in elements(1, N)])})
+    assert regions(network) >= 200  # the growth batch wrote its branches as region rows
     return network
+
+
+def regions(network) -> int:
+    """How many regions the accumulator's trie reaches."""
+    return len({id(node[0]) for node in nodes(network._entry(AID).memory.root) if len(node) == 2})
 
 
 class TestGrowthCommitPeaksAtWhatItKeeps:
@@ -97,7 +92,7 @@ class TestGrowthCommitPeaksAtWhatItKeeps:
         old = trie_bytes(network._entry(AID).memory.root)
         batch = network.changes(AID, [("add", element) for element in elements(2, N)])
         assert overshoot(lambda: network.commit({AID: batch})) < HELD_SHARE * old
-        assert network._entry(AID).tip is None
+        assert network._entry(AID).tip is None and regions(network) >= 200
 
 
 class TestLaggingNodeAfterAFreeingMerge:
@@ -107,10 +102,13 @@ class TestLaggingNodeAfterAFreeingMerge:
         network = grown_network(FaultPolicy.stale(lag))
         lagged = accumulator_value(network, AID)
         old, new = elements(1, N), elements(2, N)
+        lagged_regions = {id(node[0]) for node in nodes(network._entry(AID).memory.root) if len(node) == 2}
         for part in range(lag):
             batch = new[part * N // lag : (part + 1) * N // lag]
             network.commit({AID: network.changes(AID, [("add", element) for element in batch])})
         assert accumulator_value(network, AID) != lagged
+        # the batches rewrote every region of the lagged root into new ones
+        assert not lagged_regions & {id(node[0]) for node in nodes(network._entry(AID).memory.root) if len(node) == 2}
         for element in old[:: N // 16]:
             assert belongs(lagged, element, network.fetch_witness(AID, element)) == 1
         for element in new[:: N // 16]:

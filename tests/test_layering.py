@@ -317,7 +317,6 @@ def split_name(dotted: str) -> tuple[str, str]:
 API = {
     "acctoken.accumulator.core.update": "paper API: the accumulator's update algorithm, one step as one epoch",
     "acctoken.accumulator.core.witness": "paper API: the accumulator's witness algorithm against the current memory",
-    "acctoken.accumulator.tree.digest": "test checks: a node's digest recomputed from the layout this module defines",
     "acctoken.bench.workload.effective_allowances": "benchmark API: perfbench's final-state check against the oracle",
     "acctoken.bench.workload.effective_balances": "benchmark API: perfbench's final-state check against the oracle",
     "acctoken.erc20.bundle.ProofBundle.purposes": "test checks: a bundle's entry purposes in order, against its plan's claims",

@@ -198,6 +198,20 @@ class TestMalformedAddress:
                 assert apply_op(token, op) is InvalidAddress
                 assert ledger(token) == before
 
+    @pytest.mark.parametrize(
+        "bad", [b"\x07" * 19, b"\x07" * 21, b"x", bytearray(20), bytearray(HOLDER), "h" * 20], ids=repr
+    )
+    @pytest.mark.parametrize(
+        "view, args", [("balance_of", (None,)), ("allowance", (None, SPENDER)), ("allowance", (HOLDER, None))]
+    )
+    def test_views_refuse_it(self, view, args, bad):
+        # every address slot of every view, on both tokens, as the ops do
+        for token in funded_pair():
+            before = ledger(token)
+            with pytest.raises(InvalidAddress):
+                getattr(token, view)(*(bad if arg is None else arg for arg in args))
+            assert ledger(token) == before
+
     @pytest.mark.parametrize("deploy", [TokenSystem, BaselineToken.deploy], ids=["acc", "baseline"])
     def test_bytearray_deployer_is_refused(self, deploy):
         with pytest.raises(InvalidAddress):

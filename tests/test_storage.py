@@ -15,6 +15,7 @@ from acctoken.errors import AlreadyPresent, NotPresent, StaleAccumulator, Storag
 from acctoken.storage import FaultPolicy, StorageNetwork
 from reference_verify import canonical_digest, decode_witness
 from storage_views import accumulator_epoch, accumulator_value
+from trie_layout import children, node_digest, read_out
 
 AID = BALANCES
 OWNER = b"\x0a" * 20
@@ -220,7 +221,7 @@ class TestBuildUpdateWitness:
             mid, _ = network.build_update_witness(AID, "del", b"aa-%d" % i)
             end, _ = network.build_update_witness(AID, "add", b"ab-%d" % i, base=mid)
         tip = network._entry(AID).tip
-        assert tip.value == end == tree.digest(tip.root)
+        assert tip.value == end == node_digest(tip.root)
 
     def test_current_value_is_not_a_base(self):
         # a chain starts without a base; the current value is not a chain tip
@@ -273,7 +274,7 @@ class TestCommit:
         assert network.lookup(AID, b"ac") == [b"ac-3"] and network.lookup(AID, b"aa") == []
         walked = fresh_network(elements=[b"aa-1", b"ab-2"])
         walked.commit({AID: walked.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])})
-        assert memory.root == walked._entry(AID).memory.root
+        assert read_out(memory.root) == read_out(walked._entry(AID).memory.root)
 
     def test_adopted_leaves_are_the_element_keys(self):
         # every leaf of the adopted root is the very key object that keys its
@@ -293,8 +294,8 @@ class TestCommit:
             node = stack.pop()
             if tree.leaf_key(node) is not None:
                 leaves.append(node)
-            elif node:
-                stack += node[:2]
+            else:
+                stack += children(node)
         assert len(leaves) == len(keys) == 40 - 14 + 30
         assert all(keys[leaf] is leaf for leaf in leaves)
 
@@ -311,7 +312,7 @@ class TestCommit:
         commit_value = network.commit({AID: [("add", b"ab-2")]}, accepted)[AID]
         root = network._entry(AID).memory.root
         assert root is not tip_root and root is not mid_root
-        assert root == mid_root and commit_value == tree.digest(mid_root) == mid
+        assert read_out(root) == read_out(mid_root) and commit_value == node_digest(mid_root) == mid
 
     def test_adopts_a_chain_begun_on_a_stale_root(self):
         # the stale node serves the root before its last two commits, which
@@ -424,7 +425,7 @@ UNIVERSE = [b"%s-%d" % (prefix, i) for prefix in (b"aa", b"ab", b"ba") for i in 
 
 class TestRootDigests:
     """Where no branch holds the root's digest (an empty or a lone-leaf root),
-    ``Memory.value``, the chain tip's digest and ``tree.digest`` of the root
+    ``Memory.value``, the chain tip's digest and the layout reader's digest of the root
     still equal the digest of the trie's definition."""
 
     CASES = {  # start elements, chain of (op, element)
@@ -444,18 +445,18 @@ class TestRootDigests:
         network = fresh_network(elements=start)
         entry = network._entry(AID)
         memory = entry.memory
-        assert memory.value == tree.digest(memory.root) == self.want(start)
+        assert memory.value == node_digest(memory.root) == self.want(start)
         final = set(start)
         end = None
         for op, element in chain:
             end, _ = network.build_update_witness(AID, op, element, base=end)
             final ^= {element}
         digest, tip_root = entry.tip.value, entry.tip.root
-        assert digest == end == tree.digest(tip_root) == self.want(final)
+        assert digest == end == node_digest(tip_root) == self.want(final)
         assert tip_root is tree.EMPTY or tree.leaf_key(tip_root) is not None
         assert network.commit({AID: chain}, {AID: end}) == {AID: end}
         assert memory.root is tip_root
-        assert memory.value == tree.digest(memory.root) == accumulator_value(network, AID) == self.want(final)
+        assert memory.value == node_digest(memory.root) == accumulator_value(network, AID) == self.want(final)
         walked = fresh_network(elements=start)
         assert walked.commit({AID: walked.changes(AID, chain)}) == {AID: end}
 
@@ -463,7 +464,7 @@ class TestRootDigests:
         system = TokenSystem(OWNER, 1000)
         balances = system.network._entry(BALANCES).memory
         assert tree.leaf_key(balances.root) is not None  # one balance tuple: a lone leaf
-        assert balances.value == tree.digest(balances.root) == self.want([balance_element(OWNER, 1000)])
+        assert balances.value == node_digest(balances.root) == self.want([balance_element(OWNER, 1000)])
         assert system.state.balances_acc == balances.value
 
 
@@ -533,7 +534,7 @@ class TestCommitAllOrNone:
         assert network.commit(batches, right) == right
         for name, entry in entries.items():
             other = walked._entry(name)
-            assert entry.memory.root == other.memory.root and entry.memory.epoch == other.memory.epoch
+            assert read_out(entry.memory.root) == read_out(other.memory.root) and entry.memory.epoch == other.memory.epoch
             assert entry.memory.elements == other.memory.elements and entry.index == other.index
             # a batch that changes nothing installs nothing and leaves its tip
             # (whose root may then be the memory's own)
