@@ -1,5 +1,11 @@
 """Manager-side accumulator operations: setup, witness, update, and batched
-commits (``Changes`` netted per element, applied by ``apply_update``).
+commits (``Changes`` netted per key, applied by ``apply_update``).
+
+A key holds one element (``hashing``). The trie stores keys only, so the
+builders read what its leaves hold through ``held``, which maps a key of
+the root they walk to its element (a memory's ``elements``, or a view of
+them at an older or simulated root); under whole-element keys they read
+nothing.
 
 A witness leaves this module as its wire bytes (see ``witness``): each
 builder walks the trie once and packs the walk's branch bits and sibling
@@ -12,8 +18,8 @@ imports this module or the tree, so verifiers can run without any memory.
 from dataclasses import dataclass
 
 from ..errors import AlreadyPresent, NotPresent, StaleAccumulator, UnsupportedParameter
-from . import tree
-from .hashing import DIGEST_BYTES, element_digest
+from . import hashing, tree
+from .hashing import DIGEST_BYTES, TAG_LEAF, element_digest
 from .tree import Memory, Node
 from .witness import WitnessKind, pack
 
@@ -26,47 +32,77 @@ class UpdateResult:
     witness: bytes
 
 
-def setup(security_parameter_bits: int) -> tuple[bytes, Memory]:
-    """Initial accumulator value for the empty set, plus fresh memory."""
+def setup(security_parameter_bits: int, key_len: int | None = None) -> tuple[bytes, Memory]:
+    """Initial accumulator value for the empty set, plus fresh memory keying
+    elements by their first ``key_len`` bytes (whole when None)."""
     if security_parameter_bits != SUPPORTED_BITS:
         raise UnsupportedParameter(
             f"only {SUPPORTED_BITS}-bit digests are supported, got {security_parameter_bits}"
         )
-    memory = Memory()
+    memory = Memory(key_len)
     return memory.value, memory
 
 
-def witness_for_root(root: Node, element: bytes) -> bytes:
-    """(Non)membership witness bytes for ``element`` against an arbitrary root snapshot."""
-    key = element_digest(element)
-    steps, terminal = tree.descend(root, key)
-    if terminal == key:
+def _leaves(key_len: int | None, held):
+    """``tree``'s ``leaf``: the digest of the leaf at a key, holding what ``held`` maps the key to."""
+    sha256 = hashing.hashlib.sha256
+    if key_len is None:  # the key is the element's digest
+        return lambda key: sha256(TAG_LEAF + key + key).digest()
+    return lambda key: sha256(TAG_LEAF + key + sha256(held(key)).digest()).digest()
+
+
+def _occupant(terminal: Node, key_len: int | None, held) -> bytes | None:
+    """The payload naming the leaf ``terminal``, its key then its element's digest; None for the empty trie."""
+    key = tree.leaf_key(terminal)
+    return key and key + (key if key_len is None else element_digest(held(key)))
+
+
+def _walk(root: Node, element: bytes, key_len: int | None, held, path=None):
+    """Walk ``element``'s key from ``root`` (see ``tree.descend``): the key,
+    the steps, the terminal, and whether that is the leaf holding ``element``."""
+    key = element_digest(element[:key_len])
+    steps, terminal = tree.descend(root, key, path)
+    return key, steps, terminal, terminal == key and (key_len is None or held(key) == element)
+
+
+def witness_for_root(root: Node, element: bytes, key_len: int | None = None, held=None) -> bytes:
+    """(Non)membership witness bytes for ``element`` against an arbitrary
+    root snapshot, whose leaves hold what ``held`` maps their keys to; when
+    ``element``'s key holds another element, the key's path with that leaf
+    as its occupant, which no verifier accepts."""
+    key, steps, terminal, member = _walk(root, element, key_len, held)
+    if member:
         return pack(WitnessKind.MEMBERSHIP, key, steps)
-    return pack(WitnessKind.NON_MEMBERSHIP, key, steps, tree.leaf_key(terminal))
+    return pack(WitnessKind.NON_MEMBERSHIP, key, steps, _occupant(terminal, key_len, held))
 
 
 def witness(acc: bytes, memory: Memory, element: bytes) -> bytes:
     if acc != memory.value:
         raise StaleAccumulator("accumulator value does not match memory root")
-    return witness_for_root(memory.root, element)
+    return witness_for_root(memory.root, element, memory.key_len, memory.elements.get)
 
 
-def simulate_update(root: Node, root_digest: bytes, op: str, element: bytes) -> tuple[Node, bytes, bytes, bytes]:
-    """Apply add/del to a root snapshot whose digest is ``root_digest``;
-    returns (new root, its digest, update witness bytes, the element's key).
+def simulate_update(
+    root: Node, root_digest: bytes, op: str, element: bytes, key_len: int | None = None, held=None
+) -> tuple[Node, bytes, bytes, bytes]:
+    """Apply add/del to a root snapshot whose digest is ``root_digest`` and
+    whose leaves hold what ``held`` maps their keys to; returns (new root,
+    its digest, update witness bytes, the element's key).
 
     The witness records the element's search path under the old root, from
     which a verifier recomputes both the before- and after-roots; the new
     root is rebuilt from the same walk that wrote the witness. After an add,
     the new leaf is the returned key object.
     """
-    key = element_digest(element)
     path = []
-    steps, terminal = tree.descend(root, key, path)
+    key, steps, terminal, member = _walk(root, element, key_len, held, path)
     if op == "add":
-        new_root, new_digest = tree.insert_at(path, terminal, key, root, root_digest)
-        return new_root, new_digest, pack(WitnessKind.UPDATE_ADD, key, steps, tree.leaf_key(terminal)), key
+        leaf_digest = _leaves(key_len, lambda _key: element)(key)
+        new_root, new_digest = tree.insert_at(path, terminal, key, leaf_digest, root, root_digest)
+        return new_root, new_digest, pack(WitnessKind.UPDATE_ADD, key, steps, _occupant(terminal, key_len, held)), key
     if op == "del":
+        if not member:
+            raise NotPresent(f"key {key.hex()} does not hold the element")
         new_root, new_digest = tree.remove_at(path, terminal, key)
         return new_root, new_digest, pack(WitnessKind.UPDATE_DEL, key, steps), key
     raise ValueError(f"unknown update op {op!r}")
@@ -76,7 +112,7 @@ def update(op: str, acc_before: bytes, memory: Memory, element: bytes) -> Update
     """Add or delete ``element`` as one epoch of ``memory``, mutating it in place."""
     if acc_before != memory.value:
         raise StaleAccumulator("accumulator value does not match memory root")
-    new_root, acc_after, w, key = simulate_update(memory.root, acc_before, op, element)
+    new_root, acc_after, w, key = simulate_update(memory.root, acc_before, op, element, memory.key_len, memory.elements.get)
     changes = Changes(memory)
     changes.record(op, element, key)
     apply_update(memory, changes, (new_root, acc_after))
@@ -84,16 +120,19 @@ def update(op: str, acc_before: bytes, memory: Memory, element: bytes) -> Update
 
 
 class Changes:
-    """Adds and deletes for one memory, netted per element as they are recorded.
+    """Adds and deletes for one memory, netted per key as they are recorded.
 
     Each step is checked against the memory plus the steps recorded before
     it, so a batch that would fail applied one step at a time raises here,
-    before anything changes: AlreadyPresent for adding an element that is
-    present at that point, NotPresent for deleting one that is absent. An add
-    and a later delete of the same element cancel, and so do a delete and a
-    later re-add. Like the memory, ``adds`` and ``dels`` map trie keys to
-    elements; a step recorded with the ``key`` object a simulated add made
-    its leaf keeps that object, so the added keys can be the leaves.
+    before anything changes: AlreadyPresent for an add under a key that holds
+    an element at that point, NotPresent for a delete that names another
+    element than its key holds, or none. An add and a later delete of the
+    same element cancel, and so do a delete and a later re-add of it; a
+    delete and a later add of another element under its key are a replace,
+    and both stay. Like the memory, ``adds`` and ``dels`` map trie keys to
+    elements, the ones the keys hold after and before. A step recorded with
+    the ``key`` object a simulated add made its leaf keeps that object, so
+    the added keys can be the leaves.
     """
 
     __slots__ = ("memory", "epoch", "adds", "dels")
@@ -107,19 +146,23 @@ class Changes:
             self.record(op, element)
 
     def record(self, op: str, element: bytes, key: bytes | None = None):
-        """Record one step; ``key``, if given, is ``element``'s digest, not computed again."""
+        """Record one step; ``key``, if given, is ``element``'s key, not computed again."""
         if key is None:
-            key = element_digest(element)
+            key = element_digest(element[: self.memory.key_len])
+        adds, dels = self.adds, self.dels
+        held = adds[key] if key in adds else None if key in dels else self.memory.elements.get(key)
         if op == "add":
-            if self.dels.pop(key, None) is None:
-                if key in self.adds or key in self.memory.elements:
-                    raise AlreadyPresent(f"element digest {key.hex()} already accumulated")
-                self.adds[key] = element
+            if held is not None:
+                raise AlreadyPresent(f"key {key.hex()} already holds an element")
+            if dels.get(key) == element:
+                del dels[key]
+            else:
+                adds[key] = element
         elif op == "del":
-            if self.adds.pop(key, None) is None:
-                if key in self.dels or key not in self.memory.elements:
-                    raise NotPresent(f"element digest {key.hex()} not accumulated")
-                self.dels[key] = element
+            if held != element:
+                raise NotPresent(f"key {key.hex()} does not hold the element")
+            if adds.pop(key, None) is None:
+                dels[key] = element
         else:
             raise ValueError(f"unknown update op {op!r}")
 
@@ -132,14 +175,16 @@ class Changes:
         return len(self.adds) + len(self.dels)
 
 
-def updated_root(memory: Memory, changes: Changes) -> tuple[Node, bytes]:
-    """The trie of ``memory`` with current ``changes`` applied, and its
-    digest, as ``apply_update`` walks it; the persistent trie leaves
-    ``memory`` as it is, and as it holds its root, the walk frees nothing."""
-    root, digest = memory.root, memory.value
+def updated_root(root: Node, digest: bytes, changes: Changes) -> tuple[Node, bytes]:
+    """The trie ``root`` of the memory of ``changes``, whose digest is
+    ``digest``, with the changes applied, and its digest. The persistent
+    trie leaves ``root`` as it is; given the only reference to it, the merge
+    frees what it replaces as it goes (see ``tree.insert_many``)."""
     for key in changes.dels:
         root, digest = tree.remove(root, key)
-    return tree.insert_many(root, digest, sorted(changes.adds))
+    held = [root]
+    del root
+    return tree.insert_many(held.pop(), digest, sorted(changes.adds), _leaves(changes.memory.key_len, changes.adds.get))
 
 
 def _let_go(memory: Memory) -> Node:
@@ -153,28 +198,26 @@ def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes] | N
     """Apply a batch of changes as one epoch; returns the new accumulator value.
 
     The new elements are keyed by the key objects ``changes`` holds, which
-    are the new leaves. Without ``built`` the memory's trie is walked as
-    ``updated_root`` walks it, which makes them the leaves, but the memory
-    lets go of its root before the merge: when nothing else holds the old
-    root (a lagging storage node's history, a chain tip), the merge frees
-    each tuple branch and each region of rows it replaces as it goes (see
-    ``tree``). ``built = (root, digest)`` skips the walk: ``root`` is
-    already the trie of the memory with exactly these changes applied, its
-    new leaves the added keys, and ``digest`` is its digest. The caller vouches for ``root``: the storage
+    are the new leaves. Without ``built`` the memory's trie is walked by
+    ``updated_root``, which makes them the leaves, and the memory lets go of
+    its root first: when nothing else holds the old root (a lagging storage
+    node's history, a chain tip), the merge frees each tuple branch and each
+    region of rows it replaces as it goes (see ``tree``). ``built = (root,
+    digest)`` skips the walk: ``root`` is already the trie of the memory with
+    exactly these changes applied, its new leaves the added keys, and
+    ``digest`` is its digest. The caller vouches for ``root``: the storage
     network passes its chain tip with the tip's own batch, or a walk whose
     digest it checked against the value the contract accepted.
     """
     changes.check_current(memory)
-    # nothing below can fail: record() checked that every deleted key is
-    # present, every added key absent, and that no key is both
-    if built is None:
-        for key in changes.dels:
-            memory.root, memory.value = tree.remove(memory.root, key)
-        built = tree.insert_many(_let_go(memory), memory.value, sorted(changes.adds))
-    memory.root, memory.value = built
+    # nothing below can fail: record() checked that every deleted key holds
+    # its element, and that every added key is absent once the deletes are
+    # done. The element map changes first, so that its growth is made
+    # beside the old trie, before the merge frees that and builds the new
     elements = memory.elements
     for key in changes.dels:
         del elements[key]
     elements.update(changes.adds)
     memory.epoch += 1
+    memory.root, memory.value = built or updated_root(_let_go(memory), memory.value, changes)
     return memory.value

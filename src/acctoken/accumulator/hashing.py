@@ -2,6 +2,12 @@
 
 Every node digest is domain-separated with a one-byte tag so that leaf,
 internal and empty-tree preimages can never collide across roles.
+
+An accumulator keys each element by the SHA-256 of its first ``key_len``
+bytes, its lookup prefix: ``element_digest(element[:key_len])``, of all of
+it when ``key_len`` is None. A key holds one element, and a leaf commits to
+both: its digest is ``sha256(TAG_LEAF || key || sha256(element))``, where
+under whole-element keys ``sha256(element)`` is the key itself.
 """
 
 # Every SHA-256 the accumulator computes, here and in ``tree`` and ``verify``,
@@ -24,7 +30,7 @@ def sha256(data: bytes) -> bytes:
 
 
 def element_digest(element: bytes) -> bytes:
-    """32-byte trie key of an element's canonical byte encoding."""
+    """The 32-byte digest of an element's canonical byte encoding."""
     return hashlib.sha256(element).digest()
 
 

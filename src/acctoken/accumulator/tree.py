@@ -1,4 +1,4 @@
-"""Compressed binary Merkle trie over 32-byte element digests.
+"""Compressed binary Merkle trie over 32-byte element keys.
 
 A node's digest is held by its parent, and the root's by whoever holds the
 root (``Memory.value``, a storage chain tip):
@@ -13,9 +13,12 @@ root (``Memory.value``, a storage chain tip):
 - the empty trie is ``EMPTY = ()``.
 
 The kinds are told apart by length (0, 32, 2 and 3). A leaf's digest is
-``sha256(TAG_LEAF + key)`` and a branch's is ``sha256(body)``; a builder
-returns each node it makes with its digest, so no digest is hashed twice or
-stored in the node it belongs to.
+``sha256(TAG_LEAF + key + element digest)`` (see ``hashing``) and a
+branch's is ``sha256(body)``; a builder returns each node it makes with its
+digest, so no digest is hashed twice or stored in the node it belongs to.
+The trie holds keys only: a builder takes each new leaf's digest from its
+caller, by a ``leaf`` function of the key, and an old leaf's from its
+parent's body.
 
 The body is the preimage rather than a bit and two digest objects because
 one 66-byte ``bytes`` costs less than two 32-byte ones and the slots that
@@ -93,7 +96,7 @@ from bisect import bisect_left
 
 from ..errors import AlreadyPresent, NotPresent
 from . import hashing
-from .hashing import BIT_BYTE, BIT_MASK, BIT_PREFIX, DIGEST_BYTES, EMPTY_DIGEST, KEY_BITS, TAG_LEAF, first_diff_bit
+from .hashing import BIT_BYTE, BIT_MASK, BIT_PREFIX, DIGEST_BYTES, EMPTY_DIGEST, KEY_BITS, first_diff_bit
 
 EMPTY = ()
 
@@ -202,12 +205,13 @@ def _rebuild(path, node: Node, node_digest: bytes) -> tuple[Node, bytes]:
     return node, node_digest
 
 
-def insert_at(path, terminal: Node, key: bytes, root: Node, root_digest: bytes) -> tuple[Node, bytes]:
+def insert_at(path, terminal: Node, key: bytes, leaf_digest: bytes, root: Node, root_digest: bytes) -> tuple[Node, bytes]:
     """The root and digest ``insert`` returns, from the result of walking
-    ``key`` from ``root``, whose digest is ``root_digest``."""
+    ``key``, whose new leaf's digest is ``leaf_digest``, from ``root``,
+    whose digest is ``root_digest``."""
     sha256 = hashing.hashlib.sha256
     if not terminal:
-        return key, sha256(TAG_LEAF + key).digest()
+        return key, leaf_digest
     split = first_diff_bit(key, terminal)
     if split is None:
         raise _duplicate(key)
@@ -223,7 +227,6 @@ def insert_at(path, terminal: Node, key: bytes, root: Node, root_digest: bytes) 
         displaced, displaced_digest = parent[direction], child_digest(parent, direction)
     else:
         displaced, displaced_digest = root, root_digest
-    leaf_digest = sha256(TAG_LEAF + key).digest()
     # equal-length keys first differ at ``split``, so the smaller has a 0 there
     if key < terminal:
         body = BIT_PREFIX[split] + leaf_digest + displaced_digest
@@ -235,10 +238,10 @@ def insert_at(path, terminal: Node, key: bytes, root: Node, root_digest: bytes) 
     return _rebuild(path[:cut], node, node_digest) if cut else (node, node_digest)
 
 
-def insert(root: Node, root_digest: bytes, key: bytes) -> tuple[Node, bytes]:
+def insert(root: Node, root_digest: bytes, key: bytes, leaf_digest: bytes) -> tuple[Node, bytes]:
     path = []
     _steps, terminal = descend(root, key, path)
-    return insert_at(path, terminal, key, root, root_digest)
+    return insert_at(path, terminal, key, leaf_digest, root, root_digest)
 
 
 def remove_at(path, terminal: Node, key: bytes) -> tuple[Node, bytes]:
@@ -261,13 +264,13 @@ def _duplicate(key: bytes):
     return AlreadyPresent(f"element digest {key.hex()} already accumulated")
 
 
-def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, leaves: list, kept=None, kept_digest=None):
+def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, leaves: list, leaf, kept=None, kept_digest=None):
     """Write the trie of the sorted ``keys[lo:hi]``, which share their first
     byte, as rows of the region being built in ``kids``, ``bodies`` and
     ``leaves``; returns its root's id (a row, or ``~i`` for a lone key, the
-    ``i``-th of ``leaves``) and digest. ``kept``, a leaf already in the trie
-    that is among the keys, keeps its ``kept_digest`` rather than being
-    hashed again.
+    ``i``-th of ``leaves``) and digest. A new key's leaf digest is
+    ``leaf(key)``; ``kept``, a leaf already in the trie that is among the
+    keys, keeps its ``kept_digest``.
 
     One stack pass: the trie of a sorted run is the Cartesian tree of the
     split bits of adjacent keys, the smallest bit at the root. ``bits``,
@@ -278,13 +281,13 @@ def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, l
     """
     sha256 = hashing.hashlib.sha256
     key = keys[lo]
-    node_digest = kept_digest if key is kept else sha256(TAG_LEAF + key).digest()
+    node_digest = kept_digest if key is kept else leaf(key)
     leaves.append(key)
     if hi - lo == 1:
         return ~(len(leaves) - 1), node_digest
     add_kid, add_leaf = kids.append, leaves.append
-    row, leaf = len(kids) >> 1, len(leaves) - 1
-    node = ~leaf
+    row, at = len(kids) >> 1, len(leaves) - 1
+    node = ~at
     prev = int.from_bytes(key, "big")
     bits = [-1]  # below every split bit, so the spine's foot never closes
     lefts: list[int] = []
@@ -305,10 +308,10 @@ def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, l
         bits.append(split)
         lefts.append(node)
         digests.append(node_digest)
-        leaf += 1
+        at += 1
         add_leaf(key)
-        node = ~leaf
-        node_digest = kept_digest if key is kept else sha256(TAG_LEAF + key).digest()
+        node = ~at
+        node_digest = kept_digest if key is kept else leaf(key)
         prev = x
     while lefts:
         body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
@@ -369,7 +372,7 @@ def _copy_node(node: Node, kids: array, bodies: bytearray, leaves: list) -> int:
     return (len(kids) >> 1) - 1
 
 
-def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: int, depth: int):
+def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: int, depth: int, leaf):
     """The trie of ``node``'s keys plus ``keys[lo:hi]``, which all share
     their first byte, as one new region, and its digest; ``node`` is a
     branch at ``REGION_BIT`` or deeper: a handle, or a tuple branch a path
@@ -396,20 +399,20 @@ def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: in
         if lo == hi:
             return _copy_rows(old, old_kids, ref, kids, bodies, leaves), ref_digest
         if ref < 0:
-            leaf = old_leaves[~ref]
+            old_leaf = old_leaves[~ref]
             if hi - lo == 1:
                 # a leaf and one key, the commonest meeting: one new row above the two
                 key = keys[lo]
-                split = first_diff_bit(key, leaf)
+                split = first_diff_bit(key, old_leaf)
                 if split is None:
                     raise _duplicate(key)
-                key_digest = sha256(TAG_LEAF + key).digest()
-                if key < leaf:
+                key_digest = leaf(key)
+                if key < old_leaf:
                     add_leaf(key)
-                    add_leaf(leaf)
+                    add_leaf(old_leaf)
                     body = BIT_PREFIX[split] + key_digest + ref_digest
                 else:
-                    add_leaf(leaf)
+                    add_leaf(old_leaf)
                     add_leaf(key)
                     body = BIT_PREFIX[split] + ref_digest + key_digest
                 add_kid(~(len(leaves) - 2))
@@ -418,8 +421,8 @@ def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: in
                 return (len(kids) >> 1) - 1, sha256(body).digest()
             # the keys and the leaf's own key form one run
             run = keys[lo:hi]
-            run.insert(bisect_left(run, leaf), leaf)
-            return _rows(run, 0, len(run), kids, bodies, leaves, leaf, ref_digest)
+            run.insert(bisect_left(run, old_leaf), old_leaf)
+            return _rows(run, 0, len(run), kids, bodies, leaves, leaf, old_leaf, ref_digest)
         at = ref * _BODY
         bit = old_bodies[at + _BIT_AT]
         first = int.from_bytes(keys[lo], "big")
@@ -440,11 +443,11 @@ def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: in
             bit = split
             mid = bisect_left(keys, _first_set(first, split), lo, hi)
             if x & BIT_MASK[split]:
-                left, left_digest = _rows(keys, lo, mid, kids, bodies, leaves)
+                left, left_digest = _rows(keys, lo, mid, kids, bodies, leaves, leaf)
                 right, right_digest = write(ref, ref_digest, mid, hi, split + 1)
             else:
                 left, left_digest = write(ref, ref_digest, lo, mid, split + 1)
-                right, right_digest = _rows(keys, mid, hi, kids, bodies, leaves)
+                right, right_digest = _rows(keys, mid, hi, kids, bodies, leaves, leaf)
         body = BIT_PREFIX[bit] + left_digest + right_digest
         add_kid(left)
         add_kid(right)
@@ -464,10 +467,10 @@ def _flatten(node: tuple) -> tuple:
     return _region(kids, bodies, leaves, _copy_node(node, kids, bodies, leaves))
 
 
-def _run(keys: list[bytes], kept: bytes | None = None, kept_digest: bytes | None = None):
-    """The trie of the sorted ``keys`` alone, and its digest; ``kept``, a
-    leaf already in the trie that is among ``keys``, keeps its
-    ``kept_digest`` rather than being hashed again.
+def _run(keys: list[bytes], leaf, kept: bytes | None = None, kept_digest: bytes | None = None):
+    """The trie of the sorted ``keys`` alone, and its digest; a new key's
+    leaf digest is ``leaf(key)``, and ``kept``, a leaf already in the trie
+    that is among ``keys``, keeps its ``kept_digest``.
 
     The keys that share a first byte form a region (``_rows``), or a lone
     leaf; above them, the tuple branches are the Cartesian tree of the
@@ -493,11 +496,11 @@ def _run(keys: list[bytes], kept: bytes | None = None, kept_digest: bytes | None
             digests.append(node_digest)
         if hi - lo > 1:
             kids, bodies, leaves = array("i"), bytearray(), []
-            root, node_digest = _rows(keys, lo, hi, kids, bodies, leaves, kept, kept_digest)
+            root, node_digest = _rows(keys, lo, hi, kids, bodies, leaves, leaf, kept, kept_digest)
             node = _region(kids, bodies, leaves, root)
         else:
             node = keys[lo]
-            node_digest = kept_digest if node is kept else sha256(TAG_LEAF + node).digest()
+            node_digest = kept_digest if node is kept else leaf(node)
         prev, lo = first, hi
     while lefts:
         body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
@@ -524,7 +527,7 @@ def _leftmost(node: tuple) -> bytes:
     return node
 
 
-def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, depth: int):
+def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, depth: int, leaf):
     """The trie of ``node``'s keys plus ``keys[lo:hi]``, all of which agree on
     every bit before ``depth``, and its digest; ``node_digest`` is ``node``'s.
 
@@ -536,14 +539,14 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, 
     """
     if hi - lo < 2:
         # walking one key's path and copying it is cheaper than recursing
-        return insert(node, node_digest, keys[lo]) if hi > lo else (node, node_digest)
+        return insert(node, node_digest, keys[lo], leaf(keys[lo])) if hi > lo else (node, node_digest)
     if not node:
-        return _run(keys[lo:hi])
+        return _run(keys[lo:hi], leaf)
     if node.__class__ is bytes:
         # a leaf: the keys and the leaf's own key form one run
         run = keys[lo:hi]
         run.insert(bisect_left(run, node), node)
-        return _run(run, node, node_digest)
+        return _run(run, leaf, node, node_digest)
     if len(node) == 3:
         body = node[2]
         bit = body[_BIT_AT]
@@ -558,15 +561,15 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, 
         split = KEY_BITS - ((first ^ x) | (int.from_bytes(keys[hi - 1], "big") ^ x)).bit_length()
     if split >= REGION_BIT and bit >= REGION_BIT:
         # the subtree and the keys share their first byte: one region holds them
-        return _rewrite(node, node_digest, keys, lo, hi, depth)
+        return _rewrite(node, node_digest, keys, lo, hi, depth, leaf)
     sha256 = hashing.hashlib.sha256
     if split >= bit:
         # a tuple branch, as every branch above REGION_BIT is
         mid = bisect_left(keys, _first_set(first, bit), lo, hi)
         kids = [node[0], node[1]]
         del node
-        left, left_digest = _merge(kids.pop(0), body[_LEFT_AT:_RIGHT_AT], keys, lo, mid, bit + 1)
-        right, right_digest = _merge(kids.pop(), body[_RIGHT_AT:], keys, mid, hi, bit + 1)
+        left, left_digest = _merge(kids.pop(0), body[_LEFT_AT:_RIGHT_AT], keys, lo, mid, bit + 1, leaf)
+        right, right_digest = _merge(kids.pop(), body[_RIGHT_AT:], keys, mid, hi, bit + 1, leaf)
         body = BIT_PREFIX[bit] + left_digest + right_digest
         return (left, right, body), sha256(body).digest()
     # the new keys leave the subtree's common prefix at ``split``: a new
@@ -576,19 +579,19 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, 
     kids = [node]
     del node
     if x & BIT_MASK[split]:
-        left, left_digest = _run(keys[lo:mid])
-        right, right_digest = _merge(kids.pop(), node_digest, keys, mid, hi, split + 1)
+        left, left_digest = _run(keys[lo:mid], leaf)
+        right, right_digest = _merge(kids.pop(), node_digest, keys, mid, hi, split + 1, leaf)
     else:
-        left, left_digest = _merge(kids.pop(), node_digest, keys, lo, mid, split + 1)
-        right, right_digest = _run(keys[mid:hi])
+        left, left_digest = _merge(kids.pop(), node_digest, keys, lo, mid, split + 1, leaf)
+        right, right_digest = _run(keys[mid:hi], leaf)
     body = BIT_PREFIX[split] + left_digest + right_digest
     return (left, right, body), sha256(body).digest()
 
 
-def insert_many(root: Node, root_digest: bytes, keys: list[bytes]) -> tuple[Node, bytes]:
+def insert_many(root: Node, root_digest: bytes, keys: list[bytes], leaf) -> tuple[Node, bytes]:
     """``root`` (whose digest is ``root_digest``) with the sorted ``keys``
-    inserted, and its digest; raises AlreadyPresent on a key that is present
-    already or listed twice.
+    inserted, each new leaf's digest being ``leaf(key)``, and its digest;
+    raises AlreadyPresent on a key that is present already or listed twice.
 
     One pass down the trie, reading the keys as bytes (see the module
     docstring): each tuple branch some key falls into is rebuilt over its
@@ -603,7 +606,7 @@ def insert_many(root: Node, root_digest: bytes, keys: list[bytes]) -> tuple[Node
     """
     held = [root]
     del root
-    return _merge(held.pop(), root_digest, keys, 0, len(keys), 0)
+    return _merge(held.pop(), root_digest, keys, 0, len(keys), 0, leaf)
 
 
 class Memory:
@@ -611,8 +614,10 @@ class Memory:
 
     ``root`` is the trie T, made of the nodes laid out in the module
     docstring, and ``value`` is its digest, the accumulator value: the one
-    digest no parent holds. ``elements`` is X, mapping each trie key to its
-    element; each key object is also the trie's leaf for it. Per element
+    digest no parent holds. ``elements`` is X, mapping each trie key to the
+    one element it holds; each key object is also the trie's leaf for it.
+    ``key_len`` is how an element is keyed (see ``hashing``): by its
+    first ``key_len`` bytes, or whole when None. Per element
     beyond the first, then, the trie keeps one branch, whose 66-byte body is
     every digest the branch's own hash needs and every witness step past
     it, so nothing else is kept per node. What a batch merge built keeps
@@ -627,9 +632,10 @@ class Memory:
     roots remain valid because nodes are never mutated.
     """
 
-    __slots__ = ("root", "value", "elements", "epoch")
+    __slots__ = ("root", "value", "elements", "epoch", "key_len")
 
-    def __init__(self):
+    def __init__(self, key_len: int | None = None):
+        self.key_len = key_len
         self.root: Node = EMPTY
         self.value = EMPTY_DIGEST
         self.elements: dict[bytes, bytes] = {}

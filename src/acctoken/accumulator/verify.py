@@ -5,11 +5,15 @@ are functions of their arguments only, safe to call on arbitrary adversarial
 input. Malformed input, and any witness that is not ``bytes``, yields BOTTOM
 (belongs) or 0 (check_update), never an exception.
 
-Each reads the wire bytes in place, at the offsets ``witness`` lays out: it
-checks the header and the exact length, reads the steps' bits as every
-33rd byte to check that they rise and to build a mask of them over the
-element's key read as an int, then folds up the path at step offsets with
-one inline SHA-256 per level (made through ``hashing.hashlib``; see there).
+Each takes the accumulator's ``key_len`` (see ``hashing``) and reads the
+wire bytes in place, at the offsets ``witness`` lays out: it checks the
+header and the exact length, reads the steps' bits as every 33rd byte to
+check that they rise and to build a mask of them over the element's key
+read as an int, then folds up the path at step offsets with one inline
+SHA-256 per level (made through ``hashing.hashlib``; see there). A key holds
+one leaf, which commits to its element: ``belongs`` gives 1 only for the
+leaf under the element's key holding it, 0 only when the key is absent, and
+BOTTOM for a leaf under the key holding another element.
 A step's bytes are its branch bit then its sibling, so on a 1-side the
 preimage takes the step's bytes whole after the tag. Given a ``hashed``
 callback, they call it at each hash site, just before the hash is made,
@@ -28,7 +32,7 @@ precondition kind the same verdict against ``acc_before``.
 
 from . import hashing
 from .hashing import BIT_MASK, BIT_PREFIX, DIGEST_BYTES, EMPTY_DIGEST, KEY_BITS, TAG_INTERNAL, TAG_LEAF
-from .witness import COUNT_AT, HEADER_BYTES, KEY_AT, KIND_AT, MAX_STEPS, PAYLOAD_BYTES, PRECONDITION, STEP_BYTES, ZERO_PAYLOAD, WitnessKind
+from .witness import COUNT_AT, HEADER_BYTES, KEY_AT, KIND_AT, MAX_STEPS, OCCUPANT_BYTES, PAYLOAD_BYTES, PRECONDITION, STEP_BYTES, ZERO_PAYLOAD, WitnessKind
 
 
 class _Bottom:
@@ -51,24 +55,37 @@ _NON_MEMBERSHIP = WitnessKind.NON_MEMBERSHIP.value
 # ``belongs`` reads each (non)membership witness as its own kind
 _AS_ITSELF = {_MEMBERSHIP: _MEMBERSHIP, _NON_MEMBERSHIP: _NON_MEMBERSHIP}
 
-# SHA-256 input lengths of a leaf and of a branch over two 32-byte digests
-_LEAF_BYTES = len(TAG_LEAF) + DIGEST_BYTES
+# SHA-256 input lengths of a leaf (a key and a digest) and of a branch
+_LEAF_BYTES = len(TAG_LEAF) + OCCUPANT_BYTES
 _BRANCH_BYTES = len(BIT_PREFIX[0]) + 2 * DIGEST_BYTES
 
 
-def _terminal(element: bytes, w, hashed, kinds: dict[int, int]):
+def _leaf(element: bytes, key: bytes, key_len, sha256, hashed) -> bytes:
+    # the digest of the leaf at ``key`` holding ``element`` (see ``hashing``)
+    held = key
+    if key_len is not None:
+        if hashed is not None:
+            hashed(len(element))
+        held = sha256(element).digest()
+    if hashed is not None:
+        hashed(_LEAF_BYTES)
+    return sha256(TAG_LEAF + key + held).digest()
+
+
+def _terminal(element: bytes, w, hashed, kinds: dict[int, int], key_len):
     """Read the witness bytes ``w`` as a (non)membership witness of the tree
     before any update, of the kind ``kinds`` maps its kind byte to: an update
     witness reads as its precondition's kind (``PRECONDITION``). Returns
     (verdict, end of the steps, mask, key as an int, terminal node, split):
     the verdict is 1 for membership and 0 for non-membership; the mask holds
     the steps' bits (see ``hashing.BIT_MASK``); the terminal node is the
-    hashed leaf of the key or of the occupant, or the empty digest of the
-    empty tree; ``split`` is the first bit where the occupant differs from
-    the key. None when no tree can match: unless ``w`` is ``bytes`` of a
-    known kind, exactly as long as its kind and count (at most
-    ``MAX_STEPS``) make it, with rising bits and ``element``'s digest as its
-    key (hashed once the layout checks)."""
+    hashed leaf of the key holding ``element`` or of the occupant, or the
+    empty digest of the empty tree; ``split`` is the first bit where the
+    occupant's key differs from the element's. None when no tree can match:
+    unless ``w`` is ``bytes`` of a known kind, exactly as long as its kind
+    and count (at most ``MAX_STEPS``) make it, with rising bits and
+    ``element``'s key as its key (hashed once the layout checks), and, for
+    non-membership, an occupant under another key."""
     if w.__class__ is not bytes or len(w) < HEADER_BYTES:
         return None
     kind = w[KIND_AT]
@@ -85,31 +102,31 @@ def _terminal(element: bytes, w, hashed, kinds: dict[int, int]):
         prev = bit
         mask |= BIT_MASK[bit]
     sha256 = hashing.hashlib.sha256
+    prefix = element[:key_len]
     if hashed is not None:
-        hashed(len(element))
-    key = sha256(element).digest()
+        hashed(len(prefix))
+    key = sha256(prefix).digest()
     if not w.startswith(key, KEY_AT):
         return None
     kind = kinds.get(kind)
     k = int.from_bytes(key, "big")
     if kind == _MEMBERSHIP:
-        verdict, leaf, split = 1, key, None
-    elif kind == _NON_MEMBERSHIP:
-        occupant = w[end:]
-        if occupant == ZERO_PAYLOAD:  # only the empty tree has no leaf to fold
-            return (0, end, mask, k, EMPTY_DIGEST, None) if end == HEADER_BYTES else None
-        # a genuine terminal leaf is another key's that agrees with the
-        # element's at every branch bit, so the first bit where they differ,
-        # ``split``, is no step's bit
-        diff = k ^ int.from_bytes(occupant, "big")
-        if not diff or diff & mask:
-            return None
-        verdict, leaf, split = 0, occupant, KEY_BITS - diff.bit_length()
-    else:
+        return 1, end, mask, k, _leaf(element, key, key_len, sha256, hashed), None
+    if kind != _NON_MEMBERSHIP:
+        return None
+    occupant = w[end:]
+    if occupant == ZERO_PAYLOAD:  # only the empty tree has no leaf to fold
+        return (0, end, mask, k, EMPTY_DIGEST, None) if end == HEADER_BYTES else None
+    # a genuine terminal leaf is another key's that agrees with the element's
+    # at every branch bit, so the first bit where they differ, ``split``, is
+    # no step's bit; a leaf under the element's own key, whatever element it
+    # holds, proves no absence
+    diff = k ^ int.from_bytes(occupant[:DIGEST_BYTES], "big")
+    if not diff or diff & mask:
         return None
     if hashed is not None:
         hashed(_LEAF_BYTES)
-    return verdict, end, mask, k, sha256(TAG_LEAF + leaf).digest(), split
+    return 0, end, mask, k, sha256(TAG_LEAF + occupant).digest(), KEY_BITS - diff.bit_length()
 
 
 def _fold(node: bytes, w: bytes, start: int, end: int, k: int, sha256, hashed) -> bytes:
@@ -127,13 +144,14 @@ def _fold(node: bytes, w: bytes, start: int, end: int, k: int, sha256, hashed) -
     return node
 
 
-def belongs(acc: bytes, element: bytes, w, hashed=None):
+def belongs(acc: bytes, element: bytes, w, hashed=None, key_len: int | None = None):
     """1 for a valid membership witness, 0 for non-membership, BOTTOM otherwise.
 
-    ``hashed``, if given, is called with each SHA-256 input length.
+    ``hashed``, if given, is called with each SHA-256 input length;
+    ``key_len`` is the accumulator's (see ``hashing``).
     """
     try:
-        read = _terminal(element, w, hashed, _AS_ITSELF)
+        read = _terminal(element, w, hashed, _AS_ITSELF, key_len)
         if read is None:
             return BOTTOM
         verdict, end, _mask, k, node, _split = read
@@ -143,13 +161,14 @@ def belongs(acc: bytes, element: bytes, w, hashed=None):
         return BOTTOM
 
 
-def check_update(acc_before: bytes, acc_after: bytes, element: bytes, w, hashed=None) -> int:
+def check_update(acc_before: bytes, acc_after: bytes, element: bytes, w, hashed=None, key_len: int | None = None) -> int:
     """1 iff ``w`` proves acc_before --add/del element--> acc_after.
 
-    ``hashed``, if given, is called with each SHA-256 input length.
+    ``hashed``, if given, is called with each SHA-256 input length;
+    ``key_len`` is the accumulator's (see ``hashing``).
     """
     try:
-        read = _terminal(element, w, hashed, PRECONDITION)
+        read = _terminal(element, w, hashed, PRECONDITION, key_len)
         if read is None:
             return 0
         present, end, mask, k, node, split = read
@@ -158,22 +177,16 @@ def check_update(acc_before: bytes, acc_after: bytes, element: bytes, w, hashed=
             before = _fold(node, w, HEADER_BYTES, end, k, sha256, hashed)
             last = end - STEP_BYTES
             after = EMPTY_DIGEST if end == HEADER_BYTES else _fold(w[last + 1 : end], w, HEADER_BYTES, last, k, sha256, hashed)
-        elif split is None:  # an add to the empty tree: the new leaf is the whole after-tree
-            if node != acc_before:
-                return 0
-            if hashed is not None:
-                hashed(_LEAF_BYTES)
-            return 1 if acc_after == sha256(TAG_LEAF + w[KEY_AT:COUNT_AT]).digest() else 0
-        else:
+        else:  # an add
+            new_leaf = _leaf(element, w[KEY_AT:COUNT_AT], key_len, sha256, hashed)
+            if split is None:  # to the empty tree: the new leaf is the whole after-tree
+                return 1 if node == acc_before and acc_after == new_leaf else 0
             # Steps are root-first with rising bits. Below ``split`` the
             # occupant's subtree is the same in both trees; in the after-tree
             # it is paired with the new leaf at that bit, and the steps above
             # (up to offset ``mid``) lead to both roots.
             mid = HEADER_BYTES + STEP_BYTES * (mask >> (KEY_BITS - split)).bit_count()
             below = _fold(node, w, mid, end, k, sha256, hashed)
-            if hashed is not None:
-                hashed(_LEAF_BYTES)
-            new_leaf = sha256(TAG_LEAF + w[KEY_AT:COUNT_AT]).digest()
             if hashed is not None:
                 hashed(_BRANCH_BYTES)
             if k & BIT_MASK[split]:

@@ -2,15 +2,17 @@
 
 Wire layout (bit-exact; golden vectors live in tests/golden/):
 
-    header  = kind(1) || element-digest(32) || step-count(2, big-endian)
+    header  = kind(1) || element-key(32) || step-count(2, big-endian)
     step    = branch-bit(1) || sibling-digest(32)          (root-first order)
-    payload = occupant-leaf-digest(32)                     (kinds 2 and 3 only)
+    payload = occupant-key(32) || occupant-element-digest(32)  (kinds 2 and 3 only)
 
 Steps record the discriminator bit index of each branch on the element's
-search path; the turn taken at a branch is the element digest's bit at that
+search path; the turn taken at a branch is the element key's bit at that
 index, so no separate direction flag is carried. Non-membership and
-update-add witnesses always end with a 32-byte payload: the occupant leaf's
-key at the point of divergence, or all zeroes when the tree was empty.
+update-add witnesses always end with a 64-byte payload: the terminal leaf
+at the point of divergence, as its key and the digest of the element it
+holds (``hashing``: the two halves of the leaf's preimage after its tag), or
+all zeroes when the tree was empty.
 
 These bytes are the only form a witness takes on the running program:
 ``core`` writes them with ``pack`` as it walks the trie, and ``verify``
@@ -29,7 +31,8 @@ KEY_AT = 1
 COUNT_AT = KEY_AT + DIGEST_BYTES
 HEADER_BYTES = COUNT_AT + 2
 STEP_BYTES = 1 + DIGEST_BYTES
-ZERO_PAYLOAD = b"\x00" * DIGEST_BYTES
+OCCUPANT_BYTES = 2 * DIGEST_BYTES
+ZERO_PAYLOAD = b"\x00" * OCCUPANT_BYTES
 MAX_STEPS = 256
 
 
@@ -43,8 +46,8 @@ class WitnessKind(IntEnum):
 #: trailing payload bytes of each kind; a kind not listed here is unknown
 PAYLOAD_BYTES = {
     WitnessKind.MEMBERSHIP.value: 0,
-    WitnessKind.NON_MEMBERSHIP.value: DIGEST_BYTES,
-    WitnessKind.UPDATE_ADD.value: DIGEST_BYTES,
+    WitnessKind.NON_MEMBERSHIP.value: OCCUPANT_BYTES,
+    WitnessKind.UPDATE_ADD.value: OCCUPANT_BYTES,
     WitnessKind.UPDATE_DEL.value: 0,
 }
 
@@ -67,8 +70,8 @@ def pack(kind: int, key: bytes, steps: list[bytes], occupant: bytes | None = Non
 
     ``steps`` holds each step's bytes, root first: its bit byte
     (``BIT_BYTE[bit]``) then its sibling digest, as one ``bytes``.
-    ``occupant`` is the payload of the kinds that carry one, None for the
-    empty tree.
+    ``occupant`` is the payload of the kinds that carry one, the terminal
+    leaf's key and element digest as one ``bytes``; None for the empty tree.
     """
     parts = [BIT_BYTE[kind], key, len(steps).to_bytes(2, "big"), *steps]
     if PAYLOAD_BYTES.get(kind):

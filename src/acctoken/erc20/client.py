@@ -8,11 +8,13 @@ the chain being built, in the same order the contract will verify and commit
 them. A bundle's entries are the payloads as served: the client verifies
 bytes and passes the same bytes on, never a re-encoding of them.
 
-A verified read looks its tuple up in storage, then proves what it read. The
-client remembers, per accumulator, the elements its reads proved members and
-the value they were proven against, and fetches a membership witness only
-for an element it does not remember as a member of the contract's current
-value. The remembered set stays a subset of the set that value commits to:
+A verified read looks its tuple up in storage, then proves what it read: a
+tuple's membership, or, when storage names none, the absence of the owner's
+or the pair's key (``bundle.KEY_LEN``), which fails for a tuple storage
+withholds. The client remembers, per accumulator, the elements its reads
+proved members and the value they were proven against, and fetches a
+membership witness only for an element it does not remember as a member of
+the contract's current value. The remembered set stays a subset of the set that value commits to:
 each element was proven by ``belongs`` against it, and the value moves on
 only by ``follow``, with a chain the contract verified, whose deletions are
 the only steps that can take a member out. A value the client did not follow
@@ -22,7 +24,7 @@ Non-membership is not remembered, and bundles are always built from served
 witnesses, which the contract needs as bytes.
 """
 
-from ..accumulator import BOTTOM, belongs, check_update
+from ..accumulator import belongs, check_update
 from ..accumulator.witness import KIND_AT, precondition_witness
 from ..errors import AlreadyPresent, InsufficientBalance, NotApproved, NotPresent, VerificationFailed
 from ..storage import StorageNetwork, Steps
@@ -38,8 +40,14 @@ from .elements import (
     check_amount,
     decode_allowance_element,
     decode_balance_element,
-    pair_element,
 )
+
+
+# accumulator -> (the lookup prefix of a tuple's key, the tuple's encoding, its amount)
+_TUPLES = {
+    pb.BALANCES: (balance_prefix, balance_element, lambda element: decode_balance_element(element)[1]),
+    pb.ALLOWED_BALANCES: (allowance_prefix, allowance_element, lambda element: decode_allowance_element(element)[2]),
+}
 
 
 class _Lookups:
@@ -50,24 +58,22 @@ class _Lookups:
     """
 
     def __init__(self, client: "TokenClient"):
-        self.lookup = {pb.BALANCES: client._balance_entry, pb.ALLOWED_BALANCES: client._allowance_entry}
+        self.amount = client._amount
         self.announced: list[int] = []
 
     def spend(self, acc: str, *key: bytes) -> int:
-        entry = self.lookup[acc](*key)
-        if entry is None:
+        amount = self.prior(acc, *key)
+        if amount is None:
             if acc == pb.ALLOWED_BALANCES:
                 raise NotApproved("spender was never approved by this owner")
             raise InsufficientBalance("owner holds no balance tuple")
-        self.announced.append(entry[1])
-        return entry[1]
+        return amount
 
     def prior(self, acc: str, *key: bytes) -> int | None:
-        entry = self.lookup[acc](*key)
-        if entry is None:
-            return None
-        self.announced.append(entry[1])
-        return entry[1]
+        amount = self.amount(acc, *key)
+        if amount is not None:
+            self.announced.append(amount)
+        return amount
 
 
 class TokenClient:
@@ -117,81 +123,50 @@ class TokenClient:
 
     # -- verified fetch helpers -------------------------------------------------
 
-    def _fetch_verdict(self, name: str, element: bytes):
-        """Fetch a (non)membership witness; return its payload with its verdict."""
-        payload = self.network.fetch_witness(name, element)
-        return payload, belongs(self.contract.state.value_of(name), element, payload)
-
     def _fetch_verified(self, name: str, element: bytes, want: int):
         """Fetch a (non)membership witness and insist on the expected verdict."""
-        payload, verdict = self._fetch_verdict(name, element)
-        if verdict is BOTTOM or verdict != want:
+        payload = self.network.fetch_witness(name, element)
+        verdict = belongs(self.contract.state.value_of(name), element, payload, key_len=pb.KEY_LEN[name])
+        if verdict != want:  # BOTTOM equals neither verdict
             raise VerificationFailed(f"witness for {name} verified to {verdict!r}, expected {want}")
         return payload
 
-    def _lookup_one(self, acc: str, prefix: bytes, decode):
-        """The tuple stored under ``prefix`` with its decoding, or None if there is none."""
-        found = self.network.lookup(acc, prefix)
+    def _amount(self, acc: str, *key: bytes) -> int | None:
+        """The amount of the tuple storage serves under ``key`` (an owner, or
+        an owner and a spender), or None if it serves none."""
+        prefix, _encode, amount_of = _TUPLES[acc]
+        found = self.network.lookup(acc, prefix(*key))
         if not found:
             return None
-        if len(found) > 1:
-            raise VerificationFailed(f"storage holds {len(found)} {acc} tuples under one key")
         try:
-            return found[0], decode(found[0])
+            return amount_of(found[0])
         except ValueError as exc:
             raise VerificationFailed(f"storage served a malformed {acc} tuple: {exc}") from None
 
-    def _balance_entry(self, owner: bytes) -> tuple[bytes, int] | None:
-        """The owner's accumulated tuple as served and its amount, or None if the owner holds no tuple."""
-        entry = self._lookup_one(pb.BALANCES, balance_prefix(owner), decode_balance_element)
-        if entry is None:
-            return None
-        element, (holder, amount) = entry
-        if holder != owner:
-            raise VerificationFailed("storage answered a balance lookup for the wrong owner")
-        return element, amount
-
-    def _allowance_entry(self, owner: bytes, spender: bytes) -> tuple[bytes, int] | None:
-        """The pair's accumulated tuple as served and its amount, or None if there is none."""
-        prefix = allowance_prefix(owner, spender)
-        entry = self._lookup_one(pb.ALLOWED_BALANCES, prefix, decode_allowance_element)
-        return None if entry is None else (entry[0], entry[1][2])
-
     # -- verified reads ------------------------------------------------------------
 
-    def balance_of(self, owner: bytes) -> int:
-        """Owner's balance, proven against the contract's current accumulator.
-
-        A tuple that decodes and names the owner is proven as served: its
-        bytes are the ones ``balance_element`` would encode from its owner
-        and amount.
-        """
-        entry = self._balance_entry(owner)
-        if entry is None:
-            self._fetch_verified(pb.BALANCES, balance_element(owner, 0), 0)
+    def _read(self, acc: str, *key: bytes) -> int:
+        """The amount of ``key``'s tuple, proven against the contract's current
+        accumulator: the membership of the tuple encoded from ``key`` and the
+        served amount (a served tuple whose key fields were corrupted still
+        decodes), or, when storage serves none, the absence of the key, so 0."""
+        _prefix, encode, _amount_of = _TUPLES[acc]
+        amount = self._amount(acc, *key)
+        if amount is None:
+            self._fetch_verified(acc, encode(*key, 0), 0)
             return 0
-        element, amount = entry
-        self._prove_member(pb.BALANCES, element)
+        self._prove_member(acc, encode(*key, amount))
         return amount
+
+    def balance_of(self, owner: bytes) -> int:
+        """Owner's balance, proven against the contract's current accumulator."""
+        return self._read(pb.BALANCES, owner)
 
     def allowance(self, owner: bytes, spender: bytes) -> int:
-        """Spender's remaining allowance from owner, proven like balance_of."""
-        pair = pair_element(owner, spender)
-        if not self._remembered(pb.ALLOWED_ADDRESSES, pair):
-            _, verdict = self._fetch_verdict(pb.ALLOWED_ADDRESSES, pair)
-            if verdict == 0:
-                return 0
-            if verdict is BOTTOM:
-                raise VerificationFailed("pair witness did not verify")
-            self._remember(pb.ALLOWED_ADDRESSES, pair)
-        entry = self._allowance_entry(owner, spender)
-        if entry is None:
-            raise VerificationFailed("approved pair has no allowance tuple in storage")
-        # re-encoded, not proven as served: a served tuple whose pair fields
-        # were corrupted still decodes, and the proof is of the pair asked for
-        amount = entry[1]
-        self._prove_member(pb.ALLOWED_BALANCES, allowance_element(owner, spender, amount))
-        return amount
+        """Spender's remaining allowance from owner, proven like balance_of:
+        an approval adds its pair and the pair's allowance tuple together,
+        so the tuple is read alone."""
+        return self._read(pb.ALLOWED_BALANCES, owner, spender)
 
     # -- bundle building ----------------------------------------------------------
 
@@ -220,7 +195,7 @@ class TokenClient:
             except (AlreadyPresent, NotPresent) as exc:  # a corrupted lookup named a tuple it cannot update
                 raise VerificationFailed(f"storage cannot build the {acc} update: {exc}") from None
             running = self.contract.state.value_of(acc) if base is None else base
-            if check_update(running, predicted, element, payload) != 1:
+            if check_update(running, predicted, element, payload, key_len=pb.KEY_LEN[acc]) != 1:
                 raise VerificationFailed(f"update witness for {acc} did not verify")
             if base is None:
                 implied = precondition_witness(payload)

@@ -9,7 +9,10 @@ establish current balances and allowances, then a chain of publicly
 verifiable update witnesses whose final value becomes the stored
 accumulator. Witnesses bind element digests only, so the amounts behind them
 arrive as the announced words and are authenticated by the digest check
-inside the verifier. The verifiers decide from a witness's kind byte which
+inside the verifier. Each accumulator keys its elements as ``KEY_LEN``
+says, a tuple by its owner or pair, so a key holds one tuple: a
+non-membership claim on ``(to, 0)`` proves that ``to`` holds no tuple at
+all, and an update-add proves its key free. The verifiers decide from a witness's kind byte which
 claim they check, so every entry's witness must be of the kind its purpose
 byte claims (the claims are the ``WitnessKind`` members); an update-del
 witness in an update-add slot would otherwise verify, and the storage commit
@@ -29,17 +32,6 @@ An accepted operation returns the transaction's ``TxRecord``, the one record
 type both tokens return: its log, its trace, the bundle's size, the number
 of entries verified and, for each accumulator it writes, the verified update
 steps in chain order: the batches storage commits.
-
-Caveat, fresh destinations: the fresh variants of transfer and transferFrom
-prove only that the tuple ``(to, 0)`` is absent, which says nothing about
-``(to, y)`` for ``y > 0``. A sender may submit a fresh-destination bundle for
-a recipient who already holds a balance, and the contract accepts it: the
-recipient then holds two balance tuples. The supply is still conserved, but
-client reads of that owner fail with VerificationFailed, and
-``TokenSystem.check_conservation`` raises, because it also checks that each
-owner holds at most one balance tuple and each (owner, spender) pair at most
-one allowance tuple. With the lifted precondition no membership is checked
-at all, so the same bundle without its membership entries is accepted too.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +40,7 @@ from ..accumulator import belongs, check_update
 from ..errors import BundleSchemaMismatch, InvalidProof
 from ..gas import TxTrace
 from . import plan
-from .bundle import ACCUMULATORS, ERC20_NAME, MEMBER, STORAGE_OP, OpTag, decode_bundle, purpose
+from .bundle import ACCUMULATORS, ERC20_NAME, KEY_LEN, MEMBER, STORAGE_OP, OpTag, decode_bundle, purpose
 from .elements import check_address, check_amount
 from .plan import LogRecord
 
@@ -157,10 +149,11 @@ class AccTokenContract:
             entry = entries[index]
             if entry.witness[0] != claim:  # the verifiers pick the claim they check from the kind
                 raise InvalidProof(index)
+            key_len = KEY_LEN[acc]
             if update_op:
-                ok = check_update(accs[acc], entry.claimed_after, element, entry.witness, trace.hash) == 1
+                ok = check_update(accs[acc], entry.claimed_after, element, entry.witness, trace.hash, key_len) == 1
             else:  # BOTTOM compares unequal to both verdicts
-                ok = belongs(accs[acc], element, entry.witness, trace.hash) == (1 if claim == MEMBER else 0)
+                ok = belongs(accs[acc], element, entry.witness, trace.hash, key_len) == (1 if claim == MEMBER else 0)
             if not ok:
                 raise InvalidProof(index)
             if update_op:

@@ -27,8 +27,9 @@ tip: the simulated root of its latest ``build_update_witness``, the root's
 digest, which the build returned (a trie's nodes hold their children's
 digests, so a root that is a lone leaf or empty has its digest nowhere
 else), the chain's steps as a ``core.Changes`` batch of the memory, each
-step recorded with the key object the simulation made its leaf, and the
-(op, element) steps themselves in build order. The batch checks every step
+step recorded with the key object the simulation made its leaf, the
+(op, element) steps themselves in build order, and the element each key of
+the root holds: the chain's adds, else the served view's. The batch checks every step
 against the memory as it is recorded, so a chain the memory refutes (one
 begun on a stale root) is refused at the build. A build without a base
 starts a new chain and replaces the tip; a build on the tip's digest
@@ -57,23 +58,14 @@ it unpacks it and each region of rows (what a batch merge writes, see
 chain tip is a path copy: tuples over the memory's nodes and rows, so a
 tip that never lands keeps its root valid, as rows never change.
 
-An accumulator registered with a lookup prefix length also keeps its
-elements in a list, sorted, as its lookup index: every element under one
-prefix is then adjacent to the others, so a lookup is a ``bisect`` and a
-slice, a commit deletes by ``bisect`` and adds by ``insort`` (or, for a
-batch as large as growth's, by extending and sorting), and nothing per
-prefix is kept, the prefixes themselves included. The token keeps one tuple
-per owner and per pair, so one element per prefix; a commit that puts a
-second one under a prefix is still applied, as the chain confirmed it, and
-the element sits beside the first. ``elements`` and ``lookup`` then show
-both, and ``surplus`` counts them, which is how the integrity checks see
-it.
+An accumulator is registered with its key length (``accumulator.hashing``),
+so a lookup of a prefix reads the one element the prefix's key holds; one
+keyed by whole elements has no lookup.
 """
 
 import random
-from bisect import bisect_left, insort
 from collections import deque
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -138,11 +130,14 @@ class ServingStats:
 # (op, element) steps of one accumulator, in chain order
 Steps = list[tuple[str, bytes]]
 
-# a commit adding more elements than this to an index extends and sorts it
-# once; fewer are each put in place by ``insort``. Each insort moves the
-# list's tail, and a sort first compares every element: at any index size
-# the two cost the same near 150 adds (timeit, 2-vCPU x86-64)
-_INSORT_MAX = 128
+# the element each key of some root holds, None for a key it does not hold (a
+# ``core`` builder's ``held``)
+Held = Callable[[bytes], bytes | None]
+
+
+def _chained(adds: dict[bytes, bytes], served: Held) -> Held:
+    """What a chain's keys hold: its ``adds``, as they grow, else what the root it began on held."""
+    return lambda key: adds.get(key) or served(key)
 
 
 class _Tip(NamedTuple):
@@ -154,14 +149,12 @@ class _Tip(NamedTuple):
     root: Node
     changes: core.Changes  # the steps recorded, each added key being a new leaf of the root
     steps: Steps
+    held: Held  # the element each key of the root holds
 
 
 @dataclass
 class _Registered:
     memory: Memory
-    index_prefix_len: int | None
-    # every element, sorted: the lookup index, when there is a prefix length
-    index: list[bytes] = field(default_factory=list)
     # (root before, value before, changes) of the commits a stale node lags
     # behind, oldest first
     history: deque = field(default_factory=deque)
@@ -179,12 +172,12 @@ class StorageNetwork:
 
     # -- registry ----------------------------------------------------------
 
-    def register(self, acc: str, index_prefix_len: int | None = None) -> bytes:
-        """Set up a fresh accumulator named ``acc``; returns its initial value."""
+    def register(self, acc: str, key_len: int | None = None) -> bytes:
+        """Set up a fresh accumulator named ``acc`` keyed by ``key_len``; returns its initial value."""
         if acc in self._entries:
             raise StorageError(f"{acc} already registered")
-        acc0, memory = core.setup(256)
-        self._entries[acc] = _Registered(memory=memory, index_prefix_len=index_prefix_len)
+        acc0, memory = core.setup(256, key_len)
+        self._entries[acc] = _Registered(memory=memory)
         return acc0
 
     def _entry(self, acc: str) -> _Registered:
@@ -196,7 +189,7 @@ class StorageNetwork:
     # -- ledger view -------------------------------------------------------------
 
     def elements(self, acc: str, prefix: bytes | None = None) -> Collection[bytes]:
-        """The elements ``acc`` holds now, read-only: all of them, or those under one lookup ``prefix``.
+        """The elements ``acc`` holds now, read-only: all of them, or the one under a lookup ``prefix``, if any.
 
         The ledger view for integrity checks, not the served view: no fault
         applies and ``stats`` counts nothing.
@@ -204,33 +197,16 @@ class StorageNetwork:
         entry = self._entry(acc)
         if prefix is None:
             return entry.memory.elements.values()
-        plen = entry.index_prefix_len
-        if plen is None or len(prefix) != plen:
-            raise StorageError(f"lookups require a {plen}-byte prefix")
-        index = entry.index
-        lo = hi = bisect_left(index, prefix)
-        while hi < len(index) and index[hi].startswith(prefix):
-            hi += 1
-        return index[lo:hi]
+        return self._under(entry, prefix, entry.memory.elements.get)
 
-    def surplus(self, acc: str) -> int:
-        """How many elements ``acc`` holds now beyond one per lookup prefix:
-        the elements less the distinct prefixes.
-
-        Counted along the sorted index, where the elements under one prefix
-        are adjacent, so no set of prefixes is built. A ledger view, like
-        ``elements``.
-        """
-        entry = self._entry(acc)
-        plen = entry.index_prefix_len
-        if plen is None:
-            raise StorageError(f"{acc} has no lookup index")
-        count, last = 0, None
-        for element in entry.index:
-            prefix = element[:plen]
-            count += prefix == last
-            last = prefix
-        return count
+    @staticmethod
+    def _under(entry: _Registered, prefix: bytes, held: Held) -> list[bytes]:
+        """What ``held`` maps a lookup ``prefix``'s key to, as a list of 0 or 1 elements."""
+        key_len = entry.memory.key_len
+        if key_len is None or len(prefix) != key_len:
+            raise StorageError(f"lookups require a {key_len}-byte prefix")
+        element = held(element_digest(prefix))
+        return [] if element is None else [element]
 
     # -- fault layer ---------------------------------------------------------
 
@@ -257,30 +233,32 @@ class StorageNetwork:
         lag = self._lag()
         return list(entry.history)[-lag:] if lag else []
 
-    def _serving_root(self, entry: _Registered) -> tuple[Node, bytes]:
-        """The root the node serves, and its digest."""
+    def _serving(self, entry: _Registered) -> tuple[Node, bytes, Held]:
+        """The root the node serves, its digest, and the element each of its keys holds."""
+        elements = entry.memory.elements
         behind = self._behind(entry)
-        if behind:
-            return behind[0][:2]
-        return entry.memory.root, entry.memory.value
-
-    def _serving_elements(self, acc: str, prefix: bytes) -> list[bytes]:
-        current = self.elements(acc, prefix)  # checks the prefix length; a sorted copy
-        behind = self._behind(self._entry(acc))
         if not behind:
-            return current
-        # roll back the commits the served root predates, newest first
-        for _root, _digest, changes in reversed(behind):
-            current = {element for element in current if element_digest(element) not in changes.adds}
-            current.update(element for element in changes.dels.values() if element.startswith(prefix))
-        return sorted(current)
+            return entry.memory.root, entry.memory.value, elements.get
+
+        def held(key: bytes) -> bytes | None:
+            # roll back the commits the served root predates, newest first
+            element = elements.get(key)
+            for _root, _digest, changes in reversed(behind):
+                if key in changes.dels:
+                    element = changes.dels[key]
+                elif key in changes.adds:
+                    element = None
+            return element
+
+        return behind[0][0], behind[0][1], held
 
     # -- serving API ---------------------------------------------------------
 
     def lookup(self, acc: str, prefix: bytes) -> list[bytes]:
-        """Accumulated elements whose encoding starts with ``prefix``, sorted."""
+        """The accumulated element whose encoding starts with ``prefix``, as a list of it, or an empty list."""
         self._maybe_refuse()
-        served = self._serving_elements(acc, prefix)
+        entry = self._entry(acc)
+        served = self._under(entry, prefix, self._serving(entry)[2])
         if self.policy.mode == CORRUPT_BITS:
             served = [self._serve_bytes(e) for e in served]
         self.stats.lookups += 1
@@ -291,7 +269,8 @@ class StorageNetwork:
         """Serialized (non)membership witness for ``element``."""
         self._maybe_refuse()
         entry = self._entry(acc)
-        payload = self._serve_bytes(core.witness_for_root(self._serving_root(entry)[0], element))
+        root, _digest, held = self._serving(entry)
+        payload = self._serve_bytes(core.witness_for_root(root, element, entry.memory.key_len, held))
         self.stats.witness_fetches += 1
         self.stats.witness_bytes += len(payload)
         return payload
@@ -315,15 +294,18 @@ class StorageNetwork:
         self._maybe_refuse()
         entry = self._entry(acc)
         if base is None:
-            (root, digest), changes, steps = self._serving_root(entry), core.Changes(entry.memory), []
+            root, digest, served = self._serving(entry)
+            changes, steps = core.Changes(entry.memory), []
+            held = _chained(changes.adds, served)
         elif entry.tip is not None and base == entry.tip.value:
-            digest, root, changes, steps = entry.tip
+            digest, root, changes, steps, held = entry.tip
         else:
             raise StorageError("unknown base snapshot; rebuild from current")
-        new_root, acc_after, witness, key = core.simulate_update(root, digest, op, element)  # an add's new leaf is ``key``
+        # an add's new leaf is ``key``
+        new_root, acc_after, witness, key = core.simulate_update(root, digest, op, element, entry.memory.key_len, held)
         changes.record(op, element, key)
         steps.append((op, element))
-        entry.tip = _Tip(acc_after, new_root, changes, steps)
+        entry.tip = _Tip(acc_after, new_root, changes, steps, held)
         payload = self._serve_bytes(witness)
         predicted = self._serve_bytes(acc_after)
         self.stats.update_builds += 1
@@ -383,7 +365,7 @@ class StorageNetwork:
         if not changes:
             built = memory.root, memory.value
         elif value is not None and built is None:
-            built = core.updated_root(memory, changes)
+            built = core.updated_root(memory.root, memory.value, changes)
         if value is not None and built[1] != value:
             raise StorageError(f"{acc} changes do not reach the value the contract accepted")
         return entry, changes, built
@@ -404,14 +386,4 @@ class StorageNetwork:
             history.append(lagged)
         while len(history) > lag:
             history.popleft()
-        if entry.index_prefix_len is not None:
-            index = entry.index
-            for element in changes.dels.values():
-                del index[bisect_left(index, element)]
-            if len(changes.adds) > _INSORT_MAX:
-                index += changes.adds.values()
-                index.sort()
-            else:
-                for element in changes.adds.values():
-                    insort(index, element)
         return acc_after

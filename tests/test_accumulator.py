@@ -27,7 +27,7 @@ from acctoken.accumulator import (
 from acctoken.accumulator import tree
 from acctoken.accumulator.core import Changes, apply_update
 from acctoken.accumulator.hashing import TAG_INTERNAL, element_digest, first_diff_bit
-from acctoken.accumulator.witness import COUNT_AT, HEADER_BYTES, PRECONDITION, STEP_BYTES, ZERO_PAYLOAD
+from acctoken.accumulator.witness import COUNT_AT, HEADER_BYTES, OCCUPANT_BYTES, PRECONDITION, STEP_BYTES, ZERO_PAYLOAD
 from acctoken.errors import (
     AlreadyPresent,
     NotPresent,
@@ -37,12 +37,12 @@ from acctoken.errors import (
 
 import reference_verify
 from hash_recorder import RecordingHashlib
-from trie_layout import body, children, held, identity, is_branch, leaves, leftmost, node_digest, nodes, read_out
-from reference_verify import Witness, canonical_digest, decode_witness, encode_witness
+from trie_layout import body, children, held, identity, is_branch, leaves, leftmost, node_digest, nodes, read_out, whole_leaf
+from reference_verify import Witness, canonical_digest, decode_witness, encode_witness, keyed
 
 
-def build_set(elements, bits=256):
-    acc, memory = setup(bits)
+def build_set(elements, bits=256, key_len=None):
+    acc, memory = setup(bits, key_len)
     for element in elements:
         acc = update("add", acc, memory, element).acc_after
     return acc, memory
@@ -377,15 +377,15 @@ class TestWitnessSizes:
     def test_empty_set_non_membership_size(self):
         acc, memory = setup(256)
         w = witness(acc, memory, b"whatever")
-        # header (35) plus the fixed 32-byte empty-tree payload
-        assert len(w) == 67
+        # header (35) plus the fixed 64-byte empty-tree payload
+        assert len(w) == 99
         assert w[HEADER_BYTES:] == ZERO_PAYLOAD
 
     def test_size_linear_in_steps(self):
         acc, memory = build_set([bytes([i]) for i in range(64)])
         for probe in (bytes([3]), bytes([40]), b"absent"):
             w = witness(acc, memory, probe)
-            payload = 32 if w[0] == WitnessKind.NON_MEMBERSHIP else 0
+            payload = 64 if w[0] == WitnessKind.NON_MEMBERSHIP else 0
             assert len(w) == 35 + 33 * len(decode_witness(w).steps) + payload
 
     def test_mean_size_at_2_16(self, large_tree_2_16):
@@ -594,34 +594,53 @@ def with_occupant(raw: bytes, occupant: bytes) -> bytes:
     """``raw`` with ``occupant`` as its payload, of the kind with a payload that has its layout."""
     if raw[0] in _WITH_PAYLOAD:
         return bytes((_WITH_PAYLOAD[raw[0]],)) + raw[1:] + occupant
-    return raw[:-32] + occupant
+    return raw[:-OCCUPANT_BYTES] + occupant
+
+
+_PAYLOADS = st.binary(min_size=OCCUPANT_BYTES, max_size=OCCUPANT_BYTES)
+
+
+def held_by(memory):
+    """What a builder reads of ``memory``'s leaves: the element each key holds."""
+    return memory.elements.get
 
 
 @st.composite
 def verifier_calls(draw):
-    """A ``belongs`` or ``check_update`` call, as (name, arguments), honest or forged.
+    """A ``belongs`` or ``check_update`` call, as (name, arguments, key length), honest or forged.
 
-    The witness is the bytes the builders return for its element, on the
-    set itself or on a set that differs from it by one other element. It may
-    then be forged, at byte level: a flipped bit; another element's steps;
-    its steps cut or extended, with the count word adjusted or left stale;
-    each kind byte 0-5 and 9, with the payload fitted to the new kind or
-    not; the element's own key as occupant; a zero occupant with steps; a
-    repeated bit byte; or two bit bytes, or two whole steps, swapped.
+    The set is keyed by whole elements or by a 1- or 2-byte prefix, so under
+    a prefix the element's key may hold another element. The witness is the
+    bytes the builders return for its element, on the set itself or on a
+    set that differs from it by one other element, added, deleted or put in
+    place of the one its key holds. It may then be forged, at byte level: a
+    flipped bit; another element's steps; its steps cut or extended, with
+    the count word adjusted or left stale; each kind byte 0-5 and 9, with
+    the payload fitted to the new kind or not; the element's own key as
+    occupant; a zero occupant with steps; a repeated bit byte; or two bit
+    bytes, or two whole steps, swapped.
     """
+    key_len = draw(st.sampled_from([None, None, 1, 2]))
     size = draw(st.sampled_from([0, 1, 1, 2, 3, 8]))
-    elements = draw(st.lists(_ELEMENTS, min_size=size, max_size=size, unique=True))
+    elements = draw(st.lists(_ELEMENTS, min_size=size, max_size=size, unique_by=lambda e: e[:key_len]))
     element = draw(st.sampled_from(elements) | _ELEMENTS) if elements else draw(_ELEMENTS)
-    source = set(elements)
+    source = {element_digest(e[:key_len]): e for e in elements}
     if draw(st.booleans()):
-        source ^= {draw(_ELEMENTS.filter(lambda other: other != element))}
-    acc, _memory = build_set(sorted(elements))
-    _acc, memory = build_set(sorted(source))
-    if draw(st.booleans()):
+        other = draw(_ELEMENTS.filter(lambda other: other != element))
+        key = element_digest(other[:key_len])
+        if source.get(key) == other:
+            del source[key]
+        else:
+            source[key] = other
+    acc, _memory = build_set(sorted(elements), key_len=key_len)
+    _acc, memory = build_set(sorted(source.values()), key_len=key_len)
+    held = source.get(element_digest(element[:key_len]))
+    if draw(st.booleans()) or held not in (None, element):  # an add under a taken key has no witness
         name, claim = "belongs", (acc, element)
-        raw = witness_for_root(memory.root, element)
+        raw = witness_for_root(memory.root, element, key_len, held_by(memory))
     else:
-        _root, after, raw, _key = simulate_update(memory.root, memory.value, "del" if element in source else "add", element)
+        op = "del" if held == element else "add"
+        _root, after, raw, _key = simulate_update(memory.root, memory.value, op, element, key_len, held_by(memory))
         name, claim = "check_update", (acc, after, element)
 
     forgery = draw(st.sampled_from(_FORGERIES))
@@ -630,7 +649,7 @@ def verifier_calls(draw):
     if forgery == "flip":
         raw = flip_bit(raw, draw(st.integers(0, len(raw) * 8 - 1)))
     elif forgery == "foreign":
-        raw = with_steps(raw, split_steps(witness_for_root(memory.root, draw(_ELEMENTS))))
+        raw = with_steps(raw, split_steps(witness_for_root(memory.root, draw(_ELEMENTS), key_len, held_by(memory))))
     elif forgery == "cut":
         k = draw(st.integers(1, len(steps) + 1))
         raw = with_steps(raw, steps[k:] if draw(st.booleans()) else steps[:-k], count)
@@ -643,12 +662,12 @@ def verifier_calls(draw):
         if draw(st.booleans()):  # fit the payload to the new kind
             has, wants = raw[0] in (2, 3), kind in (2, 3)
             if has and not wants:
-                forged = forged[:-32]
+                forged = forged[:-OCCUPANT_BYTES]
             elif wants and not has:
-                forged += draw(st.sampled_from([ZERO_PAYLOAD, raw[1:33]]) | _DIGESTS)
+                forged += draw(st.sampled_from([ZERO_PAYLOAD, raw[1:33] * 2]) | _PAYLOADS)
         raw = forged
-    elif forgery == "occupant-is-key":
-        raw = with_occupant(raw, raw[1:33])
+    elif forgery == "occupant-is-key":  # with its own digest, or another
+        raw = with_occupant(raw, raw[1:33] + draw(st.just(element_digest(element)) | _DIGESTS))
     elif forgery == "zero-occupant":
         raw = with_occupant(with_steps(raw, steps or [draw(_STEPS)]), ZERO_PAYLOAD)
     elif forgery == "repeated-bit" and steps:
@@ -666,7 +685,7 @@ def verifier_calls(draw):
         else:
             steps[i], steps[j] = steps[j], steps[i]
         raw = with_steps(raw, steps)
-    return name, (*claim, raw)
+    return name, (*claim, raw), key_len
 
 
 class TestReferenceEquivalence:
@@ -676,12 +695,12 @@ class TestReferenceEquivalence:
     @given(verifier_calls())
     @settings(max_examples=600, deadline=None)
     def test_same_verdict_and_hash_sequence(self, call):
-        name, args = call
+        name, args, key_len = call
         kernel, reference = {"belongs": belongs, "check_update": check_update}[name], getattr(reference_verify, name)
         reported, expected = [], []
-        verdict = kernel(*args, reported.append)  # never raises: a raise fails the test
-        assert verdict == reference(*args, expected.append) and reported == expected
-        assert kernel(*args) == verdict
+        verdict = kernel(*args, reported.append, key_len=key_len)  # never raises: a raise fails the test
+        assert verdict == reference(*args, expected.append, key_len=key_len) and reported == expected
+        assert kernel(*args, key_len=key_len) == verdict
         assert verdict in (0, 1) or verdict is BOTTOM
 
     def test_only_bytes_are_witnesses(self):
@@ -705,33 +724,47 @@ class TestReferenceEquivalence:
 
 @st.composite
 def served_sets(draw):
-    """A set of 0, 1, 2 or many elements, and elements to serve witnesses for, present and absent."""
+    """A key length, a set of 0, 1, 2 or many elements, and elements to serve
+    witnesses for: present, absent, and, under a prefix, under a taken key."""
+    key_len = draw(st.sampled_from([None, 1, 2]))
     size = draw(st.sampled_from([0, 1, 2, 40]))
-    elements = draw(st.lists(st.binary(min_size=1, max_size=8), min_size=size, max_size=size, unique=True))
+    elements = draw(
+        st.lists(st.binary(min_size=1, max_size=8), min_size=size, max_size=size, unique_by=lambda e: e[:key_len])
+    )
     probes = draw(st.lists(_ELEMENTS, min_size=1, max_size=3))
     if elements:
         probes += draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3))
-    return elements, probes
+    return key_len, elements, probes
 
 
 class TestServedBytesCanonical:
     """Every payload the builders return is the canonical encoding of its parsed
-    view, and the reference verifier accepts it with the kernel's verdict."""
+    view, and the reference verifier accepts it with the kernel's verdict:
+    1 for a member, 0 for an absent key, BOTTOM for a key holding another element."""
 
     @given(served_sets())
     @settings(max_examples=150, deadline=None)
     def test_payloads_are_canonical(self, case):
-        elements, probes = case
-        acc, memory = build_set(elements)
+        key_len, elements, probes = case
+        acc, memory = build_set(elements, key_len=key_len)
         for element in probes:
-            present = element in elements
-            raw = witness_for_root(memory.root, element)
+            held = memory.elements.get(element_digest(element[:key_len]))
+            want = 1 if held == element else 0 if held is None else BOTTOM
+            raw = witness_for_root(memory.root, element, key_len, held_by(memory))
             assert encode_witness(decode_witness(raw)) == raw
-            assert belongs(acc, element, raw) == reference_verify.belongs(acc, element, raw) == (1 if present else 0)
-            root, after, raw, key = simulate_update(memory.root, acc, "del" if present else "add", element)
+            verdicts = belongs(acc, element, raw, key_len=key_len), reference_verify.belongs(acc, element, raw, key_len=key_len)
+            assert verdicts == (want, want)
+            op = "del" if held == element else "add"
+            if want is BOTTOM:
+                with pytest.raises(AlreadyPresent):
+                    simulate_update(memory.root, acc, op, element, key_len, held_by(memory))
+                continue
+            root, after, raw, key = simulate_update(memory.root, acc, op, element, key_len, held_by(memory))
             assert encode_witness(decode_witness(raw)) == raw and raw[1:33] == key
-            assert after == node_digest(root)
-            assert check_update(acc, after, element, raw) == reference_verify.check_update(acc, after, element, raw) == 1
+            leaves_after = keyed(set(memory.elements.values()) ^ {element}, key_len)
+            assert after == node_digest(root, leaves_after) == canonical_digest(leaves_after, leaves_after)
+            checks = (fn(acc, after, element, raw, key_len=key_len) for fn in (check_update, reference_verify.check_update))
+            assert tuple(checks) == (1, 1)
 
 
 def bytewise_first_diff_bit(a: bytes, b: bytes) -> int | None:
@@ -771,16 +804,28 @@ def one_at_a_time(memory, steps):
 
 @st.composite
 def batches(draw):
-    """(initial set, valid add/del steps): elements come from a small pool, so
-    repeated picks give add-then-delete and delete-then-re-add pairs."""
+    """(key length, initial set, valid add/del steps, final set): elements
+    come from a small pool, so repeated picks give add-then-delete and
+    delete-then-re-add pairs, and, keyed by a 1-byte prefix, replaces: the
+    delete of the element a key holds, then the add of another under it."""
+    key_len = draw(st.sampled_from([None, 1]))
     pool = draw(st.lists(st.binary(max_size=6), unique=True, max_size=16))
-    present = set(draw(st.sets(st.sampled_from(pool)))) if pool else set()
-    initial = sorted(present)
+    held = {}  # key -> the element it holds
+    for element in sorted(draw(st.sets(st.sampled_from(pool)))) if pool else ():
+        held.setdefault(element_digest(element[:key_len]), element)
+    initial = sorted(held.values())
     steps = []
     for element in draw(st.lists(st.sampled_from(pool), max_size=40)) if pool else ():
-        steps.append(("del" if element in present else "add", element))
-        present ^= {element}
-    return initial, steps, present
+        key = element_digest(element[:key_len])
+        if held.get(key) == element:
+            steps.append(("del", element))
+            del held[key]
+            continue
+        if key in held:
+            steps.append(("del", held[key]))
+        steps.append(("add", element))
+        held[key] = element
+    return key_len, initial, steps, set(held.values())
 
 
 @st.composite
@@ -802,12 +847,13 @@ class TestBatchUpdate:
     @given(batches())
     @settings(max_examples=300, deadline=None)
     def test_batch_root_equals_sequential_root(self, batch):
-        initial, steps, final = batch
-        _, batched = build_set(initial)
-        _, sequential = build_set(initial)
+        key_len, initial, steps, final = batch
+        _, batched = build_set(initial, key_len=key_len)
+        _, sequential = build_set(initial, key_len=key_len)
         acc = apply_update(batched, Changes(batched, steps))
         one_at_a_time(sequential, steps)
-        assert acc == batched.value == sequential.value == canonical_digest(map(element_digest, final))
+        leaves_after = keyed(final, key_len)
+        assert acc == batched.value == sequential.value == canonical_digest(leaves_after, leaves_after)
         assert batched.elements == sequential.elements
         assert batched.epoch == len(initial) + 1
 
@@ -815,11 +861,11 @@ class TestBatchUpdate:
     @settings(max_examples=300, deadline=None)
     def test_merge_with_shared_prefixes(self, split_keys):
         old, new = split_keys
-        root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old))
-        merged = tree.insert_many(root, digest, sorted(new))
+        root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old), whole_leaf)
+        merged = tree.insert_many(root, digest, sorted(new), whole_leaf)
         sequential = root, digest
         for key in new:
-            sequential = tree.insert_many(*sequential, [key])
+            sequential = tree.insert_many(*sequential, [key], whole_leaf)
         assert digest == node_digest(root) == canonical_digest(old)
         assert read_out(merged[0]) == read_out(sequential[0]) and merged[1] == sequential[1]
         assert merged[1] == node_digest(merged[0]) == canonical_digest(old + new)
@@ -827,24 +873,24 @@ class TestBatchUpdate:
     def test_keys_differing_in_the_last_bit(self):
         head = bytes(31)
         keys = [head + bytes([b]) for b in range(256)]
-        root = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys[::2])
-        assert tree.insert_many(*root, keys[1::2])[1] == canonical_digest(keys)
+        root = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys[::2], whole_leaf)
+        assert tree.insert_many(*root, keys[1::2], whole_leaf)[1] == canonical_digest(keys)
 
     @staticmethod
     def merge_counting_hashes(root, digest, keys):
-        """``tree.insert_many(root, digest, keys)`` and the number of SHA-256 calls it made."""
+        """``tree.insert_many(root, digest, keys, whole_leaf)`` and the number of SHA-256 calls it made."""
         import acctoken.accumulator.hashing as hashing_module
 
         recorder = RecordingHashlib(hashing_module.hashlib)
         hashing_module.hashlib = recorder
         try:
-            merged = tree.insert_many(root, digest, keys)
+            merged = tree.insert_many(root, digest, keys, whole_leaf)
         finally:
             hashing_module.hashlib = recorder.real
         return merged, len(recorder.lengths)
 
     def assert_hashed_once_and_reused(self, old, new):
-        root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old))
+        root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old), whole_leaf)
         (merged, merged_digest), hashes = self.merge_counting_hashes(root, digest, sorted(new))
         assert merged_digest == canonical_digest(old + new)
         old_nodes, merged_nodes = nodes(root), nodes(merged)
@@ -898,9 +944,9 @@ class TestBatchUpdate:
             Changes(memory, [("del", b"a"), ("add", b"a"), ("add", b"a")])
         key = element_digest(b"a")
         with pytest.raises(AlreadyPresent):
-            tree.insert_many(memory.root, memory.value, [key])
+            tree.insert_many(memory.root, memory.value, [key], whole_leaf)
         with pytest.raises(AlreadyPresent):
-            tree.insert_many(tree.EMPTY, EMPTY_DIGEST, [key, key])
+            tree.insert_many(tree.EMPTY, EMPTY_DIGEST, [key, key], whole_leaf)
 
     def test_absent_delete_rejected(self):
         _, memory = build_set([b"a"])
@@ -910,6 +956,30 @@ class TestBatchUpdate:
             Changes(memory, [("del", b"a"), ("del", b"a")])
         with pytest.raises(NotPresent):  # absent again after the add is taken back
             Changes(memory, [("add", b"b"), ("del", b"b"), ("del", b"b")])
+
+    def test_a_key_holds_one_element(self):
+        # keyed by a 2-byte prefix, aa-1 and aa-2 share a key
+        _, memory = build_set([b"aa-1", b"ab-2"], key_len=2)
+        key = element_digest(b"aa-1"[:2])
+        with pytest.raises(AlreadyPresent):
+            Changes(memory, [("add", b"aa-2")])
+        with pytest.raises(NotPresent):  # the key holds another element
+            Changes(memory, [("del", b"aa-2")])
+        with pytest.raises(NotPresent):  # after a replace, the key holds the new one
+            Changes(memory, [("del", b"aa-1"), ("add", b"aa-2"), ("del", b"aa-1")])
+        assert not Changes(memory, [("del", b"aa-1"), ("add", b"aa-1")])
+        taken_back = Changes(memory, [("del", b"aa-1"), ("add", b"aa-2"), ("del", b"aa-2")])
+        assert taken_back.dels == {key: b"aa-1"} and not taken_back.adds
+        replace = Changes(memory, [("del", b"aa-1"), ("add", b"aa-2")])
+        assert replace.dels == {key: b"aa-1"} and replace.adds == {key: b"aa-2"}
+        acc = apply_update(memory, replace)
+        leaves_after = keyed([b"aa-2", b"ab-2"], 2)
+        assert acc == canonical_digest(leaves_after, leaves_after)
+        assert sorted(memory.elements.values()) == [b"aa-2", b"ab-2"]
+        assert belongs(acc, b"aa-2", witness(acc, memory, b"aa-2"), key_len=2) == 1
+        # the key's path, with the leaf holding aa-2 as its occupant: no verdict
+        assert belongs(acc, b"aa-1", witness(acc, memory, b"aa-1"), key_len=2) is BOTTOM
+        assert belongs(acc, b"ac-1", witness(acc, memory, b"ac-1"), key_len=2) == 0
 
     def test_rejected_batch_leaves_memory_untouched(self):
         _, memory = build_set([b"a", b"b", b"c"])
@@ -928,15 +998,16 @@ class TestCollectorFreeNodes:
         rng = random.Random(11)
         elements = [rng.randbytes(12) for _ in range(3000)]
         keys = sorted(map(element_digest, elements[:2500]))
-        batched = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys[::2])
-        merged = tree.insert_many(*batched, keys[1::2])
+        batched = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys[::2], whole_leaf)
+        merged = tree.insert_many(*batched, keys[1::2], whole_leaf)
         inserted = batched
         for element in elements[2500:2600]:
-            inserted = tree.insert(*inserted, element_digest(element))
+            key = element_digest(element)
+            inserted = tree.insert(*inserted, key, whole_leaf(key))
         removed = merged
         for key in keys[:300]:
             removed = tree.remove(removed[0], key)
-        emptied = tree.remove(tree.insert(tree.EMPTY, EMPTY_DIGEST, keys[0])[0], keys[0])
+        emptied = tree.remove(tree.insert(tree.EMPTY, EMPTY_DIGEST, keys[0], whole_leaf(keys[0]))[0], keys[0])
         simulated = removed
         for element in elements[2600:2700]:
             simulated = simulate_update(*simulated, "add", element)[:2]
@@ -1037,7 +1108,7 @@ class TestBranchIsItsPreimage:
         keys = sorted(element_digest(b"%d" % i) for i in range(20_000))
         tracemalloc.start()
         try:
-            built = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys)
+            built = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys, whole_leaf)
             traced, _peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1057,7 +1128,7 @@ class TestRegions:
         keys = sorted(element_digest(b"%d" % i) for i in range(20_000))
         tracemalloc.start()
         try:
-            built = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys)
+            built = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, keys, whole_leaf)
             traced, _peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

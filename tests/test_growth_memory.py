@@ -15,7 +15,7 @@ from acctoken.accumulator import belongs, element_digest, tree
 from acctoken.accumulator.hashing import EMPTY_DIGEST
 from acctoken.storage import FaultPolicy, StorageNetwork
 from storage_views import accumulator_value
-from trie_layout import nodes, trie_bytes
+from trie_layout import nodes, trie_bytes, whole_leaf
 
 AID = "acc"
 N = 2**12
@@ -48,7 +48,7 @@ def overshoot(commit) -> int:
 
 def grown_network(policy=None) -> StorageNetwork:
     network = StorageNetwork(policy)
-    network.register(AID, index_prefix_len=2)
+    network.register(AID)  # whole-element keys: the elements' 2-byte heads repeat
     network.commit({AID: network.changes(AID, [("add", element) for element in elements(1, N)])})
     assert regions(network) >= 200  # the growth batch wrote its branches as region rows
     return network
@@ -67,16 +67,16 @@ class TestGrowthCommitPeaksAtWhatItKeeps:
         # it peaks 0.2-0.35 of the old trie above that; one that holds the
         # old trie until it returns, about the whole of it.
         old_keys, new_keys = (sorted(map(element_digest, elements(seed, N))) for seed in (1, 2))
-        trie = list(tree.insert_many(tree.EMPTY, EMPTY_DIGEST, old_keys))  # [root, digest]
+        trie = list(tree.insert_many(tree.EMPTY, EMPTY_DIGEST, old_keys, whole_leaf))  # [root, digest]
         old = trie_bytes(trie[0])
         merged = []
 
         def merge():
             digest = trie.pop()
-            merged.append(tree.insert_many(trie.pop(), digest, new_keys))
+            merged.append(tree.insert_many(trie.pop(), digest, new_keys, whole_leaf))
 
         assert overshoot(merge) < 0.1 * old
-        assert merged[0][1] == tree.insert_many(*tree.insert_many(tree.EMPTY, EMPTY_DIGEST, old_keys), new_keys)[1]
+        assert merged[0][1] == tree.insert_many(*tree.insert_many(tree.EMPTY, EMPTY_DIGEST, old_keys, whole_leaf), new_keys, whole_leaf)[1]
 
     def test_a_batch_of_n_adds_into_n_keys(self, traced):
         network = grown_network()
@@ -113,5 +113,3 @@ class TestLaggingNodeAfterAFreeingMerge:
             assert belongs(lagged, element, network.fetch_witness(AID, element)) == 1
         for element in new[:: N // 16]:
             assert belongs(lagged, element, network.fetch_witness(AID, element)) == 0
-        prefix = new[0][:2]
-        assert network.lookup(AID, prefix) == sorted(e for e in old if e.startswith(prefix))

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acctoken.accumulator import BOTTOM, belongs, check_update, core, element_digest, tree
+from acctoken.accumulator import BOTTOM, belongs, check_update, core, tree
 from acctoken.accumulator.witness import encoded_length
 from acctoken.erc20 import TokenSystem
-from acctoken.erc20.bundle import BALANCES
+from acctoken.erc20.bundle import BALANCES, KEY_LEN
 from acctoken.erc20.elements import balance_element, balance_prefix
 from acctoken.errors import AlreadyPresent, NotPresent, StaleAccumulator, StorageError, Unavailable
 from acctoken.storage import FaultPolicy, StorageNetwork
-from reference_verify import canonical_digest, decode_witness
+from reference_verify import canonical_digest, decode_witness, keyed
 from storage_views import accumulator_epoch, accumulator_value
 from trie_layout import children, node_digest, read_out
 
@@ -26,15 +26,17 @@ def commit(network, op, element):
 
 
 def ledger(entry):
-    """What a refused commit must leave as it was: root, elements, epoch, index, history and tip."""
+    """What a refused commit must leave as it was: root, elements, epoch, history and tip."""
     memory, tip = entry.memory, entry.tip
     tip = tip and (tip.value, tip.root, dict(tip.changes.adds), dict(tip.changes.dels), list(tip.steps))
-    return memory.root, dict(memory.elements), memory.epoch, list(entry.index), list(entry.history), tip
+    return memory.root, dict(memory.elements), memory.epoch, list(entry.history), tip
 
 
-def fresh_network(policy=None, elements=()):
+def fresh_network(policy=None, elements=(), key_len=None):
+    """A network holding ``elements`` in one accumulator, keyed by whole
+    elements, or by their first ``key_len`` bytes (``b"aa-1"`` by ``b"aa"``)."""
     network = StorageNetwork(policy)
-    network.register(AID, index_prefix_len=2)
+    network.register(AID, key_len)
     for element in elements:
         commit(network, "add", element)
     return network
@@ -70,11 +72,13 @@ class TestHonestServing:
         assert belongs(acc, b"zz", network.fetch_witness(AID, b"zz")) == 0
 
     def test_lookup_by_prefix(self):
-        network = fresh_network(elements=[b"aa-1", b"aa-2", b"ab-3"])
-        assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2"]
+        network = fresh_network(elements=[b"aa-1", b"ab-3"], key_len=2)
+        assert network.lookup(AID, b"aa") == [b"aa-1"]
         assert network.lookup(AID, b"zz") == []
         with pytest.raises(StorageError):
             network.lookup(AID, b"a")  # wrong prefix length
+        with pytest.raises(StorageError):  # whole-element keys have no prefix
+            fresh_network(elements=[b"aa-1"]).lookup(AID, b"aa")
 
     def test_byte_accounting_tracks_witness_sizes(self):
         network = fresh_network(elements=[b"aa-%d" % i for i in range(50)])
@@ -97,64 +101,14 @@ class TestLedgerView:
         ids=["honest", "stale", "corrupt-bits", "unavailable"],
     )
     def test_reads_current_elements_without_faults_or_counts(self, policy):
-        network = fresh_network(policy, elements=[b"aa-1", b"aa-2", b"ab-3"])
-        commit(network, "del", b"aa-2")
+        network = fresh_network(policy, elements=[b"aa-1", b"ba-2", b"ab-3"], key_len=2)
+        commit(network, "del", b"ba-2")
         assert sorted(network.elements(AID)) == [b"aa-1", b"ab-3"]
         assert network.elements(AID, b"aa") == [b"aa-1"]
-        assert network.elements(AID, b"zz") == []
-        assert network.surplus(AID) == 0
+        assert network.elements(AID, b"ba") == network.elements(AID, b"zz") == []
         assert network.stats == type(network.stats)()
         with pytest.raises(StorageError):
             network.elements(AID, b"a")  # wrong prefix length
-
-
-class TestCollisions:
-    """More than one element under one lookup key: the index keeps them all."""
-
-    def test_lookup_and_elements_return_every_element(self):
-        network = fresh_network(elements=[b"aa-1", b"aa-2"])
-        network.commit({AID: network.changes(AID, [("add", b"aa-3"), ("add", b"ab-4")])})
-        assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2", b"aa-3"]
-        assert network.elements(AID, b"aa") == [b"aa-1", b"aa-2", b"aa-3"]
-        assert network.elements(AID, b"ab") == [b"ab-4"]
-        assert network.surplus(AID) == 2
-
-    def test_conservation_reports_the_surplus(self):
-        system = TokenSystem(OWNER, 1000)
-        system.network.commit({BALANCES: system.network.changes(BALANCES, [("add", balance_element(OWNER, 0))])})
-        assert sorted(system.network.elements(BALANCES, balance_prefix(OWNER))) == [
-            balance_element(OWNER, 0), balance_element(OWNER, 1000)
-        ]
-        with pytest.raises(AssertionError, match=r"more than one balances tuple \(1 surplus\)"):
-            system.check_conservation()
-
-    def test_deleting_one_leaves_the_other(self):
-        network = fresh_network(elements=[b"aa-1", b"aa-2", b"ab-3"])
-        commit(network, "del", b"aa-1")
-        assert network.lookup(AID, b"aa") == [b"aa-2"]
-        assert network.elements(AID, b"aa") == [b"aa-2"]
-        assert network.surplus(AID) == 0
-        commit(network, "del", b"aa-2")
-        assert network.lookup(AID, b"aa") == []
-        assert network.elements(AID, b"aa") == []
-        assert network.elements(AID, b"ab") == [b"ab-3"] and network.surplus(AID) == 0
-
-    def test_replacing_one_in_a_batch(self):
-        network = fresh_network(elements=[b"aa-1", b"aa-2"])
-        network.commit({AID: network.changes(AID, [("del", b"aa-1"), ("add", b"aa-3")])})
-        assert network.lookup(AID, b"aa") == [b"aa-2", b"aa-3"]
-        network.commit({AID: network.changes(AID, [("del", b"aa-2"), ("del", b"aa-3"), ("add", b"aa-4")])})
-        assert network.elements(AID, b"aa") == [b"aa-4"]
-
-    def test_stale_node_rolls_back_across_a_collision(self):
-        network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
-        network.commit({AID: network.changes(AID, [("add", b"aa-2"), ("add", b"aa-3")])})
-        assert network.lookup(AID, b"aa") == [b"aa-1"]
-        network.commit({AID: network.changes(AID, [("del", b"aa-1"), ("del", b"aa-3")])})
-        assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2", b"aa-3"]
-        assert network.elements(AID, b"aa") == [b"aa-2"]
-        commit(network, "add", b"ab-4")
-        assert network.lookup(AID, b"aa") == [b"aa-2"]
 
 
 class TestBuildUpdateWitness:
@@ -248,8 +202,7 @@ class TestCommit:
         network = fresh_network(elements=[b"aa-1"])
         network.commit({AID: network.changes(AID, [("add", b"ab-2"), ("del", b"aa-1"), ("add", b"ac-3")])})
         assert accumulator_epoch(network, AID) == 2
-        assert network.lookup(AID, b"aa") == []
-        assert network.lookup(AID, b"ac") == [b"ac-3"]
+        assert sorted(network.elements(AID)) == [b"ab-2", b"ac-3"]
 
     def test_rejected_commit_leaves_storage_untouched(self):
         network = fresh_network(FaultPolicy.stale(1), [b"aa-1", b"ab-2"])
@@ -271,7 +224,7 @@ class TestCommit:
         assert memory.root is tip.root and network._entry(AID).tip is None
         (key,) = tip.changes.adds
         assert next(k for k in memory.elements if k == key) is key
-        assert network.lookup(AID, b"ac") == [b"ac-3"] and network.lookup(AID, b"aa") == []
+        assert sorted(network.elements(AID)) == [b"ab-2", b"ac-3"]
         walked = fresh_network(elements=[b"aa-1", b"ab-2"])
         walked.commit({AID: walked.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])})
         assert read_out(memory.root) == read_out(walked._entry(AID).memory.root)
@@ -323,14 +276,13 @@ class TestCommit:
         served, served_value = entry.memory.root, entry.memory.value
         commit(network, "del", b"aa-1")
         commit(network, "add", b"aa-1")
-        root, digest = network._serving_root(entry)
+        root, digest, _held = network._serving(entry)
         assert root is served is not entry.memory.root and digest is served_value
         end, _ = network.build_update_witness(AID, "add", b"ac-3")
         tip_root = entry.tip.root
         network.commit({AID: [("add", b"ac-3")]}, {AID: end})
         assert entry.memory.root is tip_root
         assert sorted(network.elements(AID)) == [b"aa-1", b"ab-2", b"ac-3"]
-        assert network.elements(AID, b"ac") == [b"ac-3"]
 
     def test_walks_a_chain_of_other_keys(self):
         # the accepted value is a chain's for ab-2, the batch adds ac-3:
@@ -362,7 +314,7 @@ class TestCommit:
         assert end == served and not tip.changes
         assert network.commit({AID: [("add", b"aa-1")]}, {AID: end}) == {AID: end}
         assert network._entry(AID).memory.root is not tip.root
-        assert list(network.elements(AID)) == [b"aa-1"] and network.elements(AID, b"aa") == [b"aa-1"]
+        assert list(network.elements(AID)) == [b"aa-1"]
 
     def test_tip_batch_is_the_chains_changes(self, monkeypatch):
         # the tip's batch has the adds and deletes a batch of the same steps
@@ -372,8 +324,8 @@ class TestCommit:
                  ("del", b"ab-2"), ("add", b"ad-4")]
         leaves, simulate = {}, core.simulate_update
 
-        def spy(root, digest, op, element):
-            result = simulate(root, digest, op, element)
+        def spy(root, digest, op, element, *held):
+            result = simulate(root, digest, op, element, *held)
             leaves[element] = result[3]  # an add's new leaf
             return result
 
@@ -420,7 +372,28 @@ class TestCommit:
 
 
 NAMES = ("acc-0", "acc-1", "acc-2")
-UNIVERSE = [b"%s-%d" % (prefix, i) for prefix in (b"aa", b"ab", b"ba") for i in range(5)]
+PREFIXES = (b"aa", b"ab", b"ba", b"bb", b"ca", b"cb")
+# keyed by their 2-byte prefix, the elements of one prefix share a key
+UNIVERSE = [b"%s-%d" % (prefix, i) for prefix in PREFIXES for i in range(3)]
+
+
+def steps_to(held: dict, picks) -> list:
+    """Valid (op, element) steps, one or two per pick, and ``held`` (prefix
+    -> element) moved along: a held pick is deleted, one under a free
+    prefix added, and one under a taken prefix replaces the element there,
+    a delete then an add."""
+    steps = []
+    for element in picks:
+        prefix = element[:2]
+        if held.get(prefix) == element:
+            steps.append(("del", element))
+            del held[prefix]
+            continue
+        if prefix in held:
+            steps.append(("del", held[prefix]))
+        steps.append(("add", element))
+        held[prefix] = element
+    return steps
 
 
 class TestRootDigests:
@@ -436,8 +409,9 @@ class TestRootDigests:
     }
 
     @staticmethod
-    def want(elements):
-        return canonical_digest(map(element_digest, elements))
+    def want(elements, key_len=None):
+        leaves = keyed(elements, key_len)
+        return canonical_digest(leaves, leaves)
 
     @pytest.mark.parametrize("case", CASES)
     def test_tip_and_memory_values(self, case):
@@ -464,7 +438,8 @@ class TestRootDigests:
         system = TokenSystem(OWNER, 1000)
         balances = system.network._entry(BALANCES).memory
         assert tree.leaf_key(balances.root) is not None  # one balance tuple: a lone leaf
-        assert balances.value == node_digest(balances.root) == self.want([balance_element(OWNER, 1000)])
+        deployed, key_len = [balance_element(OWNER, 1000)], KEY_LEN[BALANCES]
+        assert balances.value == node_digest(balances.root, keyed(deployed, key_len)) == self.want(deployed, key_len)
         assert system.state.balances_acc == balances.value
 
 
@@ -484,14 +459,12 @@ def commit_cases(draw):
     network = StorageNetwork(FaultPolicy.stale(lag))
     steps, adopting = {}, set()
     for name in NAMES[: draw(st.integers(1, 3))]:
-        network.register(name, index_prefix_len=2)
-        held = draw(st.sets(st.sampled_from(UNIVERSE), max_size=8))
-        network.commit({name: network.changes(name, [("add", element) for element in sorted(held)])})
+        network.register(name, 2)
+        held = {}
+        network.commit({name: network.changes(name, steps_to(held, draw(st.lists(st.sampled_from(UNIVERSE), max_size=8))))})
         network.commit({name: network.changes(name, [("add", b"zz-0")])})
-        batch, start = [], set(held)
-        for element in draw(st.lists(st.sampled_from(UNIVERSE), max_size=6)):
-            batch.append(("del" if element in held else "add", element))
-            held ^= {element}
+        start = dict(held)
+        batch = steps_to(held, draw(st.lists(st.sampled_from(UNIVERSE), max_size=6)))
         chained = draw(st.sampled_from([0, len(batch), len(batch) - 1]))
         base = None
         for op, element in batch[:chained]:
@@ -523,7 +496,7 @@ class TestCommitAllOrNone:
                 accepted[bad] = bytes([right[bad][0] ^ 1]) + right[bad][1:]
             else:  # an epoch lands after the batches were recorded; with no
                 # accepted values (as in growth) only the staleness check refuses
-                network.commit({bad: network.changes(bad, [("add", b"zz-1")])})
+                network.commit({bad: network.changes(bad, [("add", b"zy-1")])})
                 accepted = None
             before = {name: ledger(entry) for name, entry in entries.items()}
             with pytest.raises((StorageError, StaleAccumulator)):
@@ -535,82 +508,96 @@ class TestCommitAllOrNone:
         for name, entry in entries.items():
             other = walked._entry(name)
             assert read_out(entry.memory.root) == read_out(other.memory.root) and entry.memory.epoch == other.memory.epoch
-            assert entry.memory.elements == other.memory.elements and entry.index == other.index
+            assert entry.memory.elements == other.memory.elements
             # a batch that changes nothing installs nothing and leaves its tip
             # (whose root may then be the memory's own)
             adopted = name in changing and tips[name] is not None and entry.memory.root is tips[name].root
             assert entry.tip is (None if name in changing else tips[name]) and adopted == (name in adopting)
 
 
-PREFIXES = (b"aa", b"ab", b"ba", b"bb")
-ELEMENTS = [prefix + b"-%d" % i for prefix in PREFIXES for i in range(50)]
-
-
-class TestSortedIndex:
-    """The lookup index is the accumulator's elements, sorted, after any mix of commits."""
-
-    @staticmethod
-    def assert_index(network, states, lag):
-        entry = network._entry(AID)
-        held = list(entry.memory.elements.values())
-        assert entry.index == sorted(held) and set(held) == states[-1]
-        # a node lagging ``lag`` epochs serves the elements as they were then
-        served = states[max(0, len(states) - 1 - lag)]
-        for prefix in PREFIXES + (b"zz",):
-            assert network.elements(AID, prefix) == sorted(e for e in held if e.startswith(prefix))
-            assert network.lookup(AID, prefix) == sorted(e for e in served if e.startswith(prefix))
-        assert network.surplus(AID) == len(held) - len({e[:2] for e in held})
+class TestLookupReadsTheKey:
+    """``lookup`` and ``elements(acc, prefix)`` read the one element a
+    prefix's key holds, after any mix of commits: the current one, or under
+    ``stale(lag)`` the one the lagged root held, whose witnesses the node
+    serves."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2), st.data())
-    def test_index_is_the_sorted_elements(self, lag, data):
-        network = fresh_network(FaultPolicy.stale(lag))
-        states = [set()]  # the elements after each epoch
+    def test_reads_match_a_model(self, lag, data):
+        network = fresh_network(FaultPolicy.stale(lag), key_len=2)
+        states = [({}, accumulator_value(network, AID))]  # (prefix -> element, value) after each epoch
         for _ in range(data.draw(st.integers(1, 8))):
-            held = states[-1]
-            kind = data.draw(st.sampled_from(["growth", "adopted", "walked", "refused"]))
-            if kind == "growth":  # up to 200 adds at once, so the index is sorted whole or added to by insort
-                absent = sorted(set(ELEMENTS) - held)
-                adds = data.draw(st.permutations(absent))[: data.draw(st.integers(0, len(absent)))]
-                dels = data.draw(st.lists(st.sampled_from(sorted(held)), unique=True, max_size=3)) if held else []
-                batch = network.changes(AID, [("add", e) for e in adds] + [("del", e) for e in dels])
-                after = (held | set(adds)) - set(dels)
-                network.commit({AID: batch})
+            held = dict(states[-1][0])
+            steps = steps_to(held, data.draw(st.lists(st.sampled_from(UNIVERSE), max_size=6)))
+            how = data.draw(st.sampled_from(["recorded", "adopted", "walked"]))
+            if how == "recorded":
+                network.commit({AID: network.changes(AID, steps)})
             else:
-                steps, after = [], set(held)
-                for element in data.draw(st.lists(st.sampled_from(ELEMENTS), max_size=5)):
-                    steps.append(("del" if element in after else "add", element))
-                    after ^= {element}
                 value = walked_value(network, steps)
-                if kind == "adopted":
+                if how == "adopted" and not lag:  # a lagging node builds on its old root, and the commit walks
                     chained = None
-                    try:
-                        for op, element in steps:
-                            chained, _ = network.build_update_witness(AID, op, element, base=chained)
-                    except (AlreadyPresent, NotPresent):
-                        assert lag  # the served root is stale; the commit walks
-                    else:
-                        assert chained in (value, None) or lag
-                elif kind == "refused":
-                    before = ledger(network._entry(AID))
-                    with pytest.raises(StorageError):
-                        network.commit({AID: steps}, {AID: bytes(32)})
-                    assert ledger(network._entry(AID)) == before
-                    after = held
-                if kind != "refused":
-                    tip = network._entry(AID).tip
-                    assert network.commit({AID: steps}, {AID: value}) == {AID: value}
-                    if kind == "adopted" and not lag and after != held:
-                        assert network._entry(AID).memory.root is tip.root
-            if after != held:
-                states.append(after)
-            self.assert_index(network, states, lag)
+                    for op, element in steps:
+                        chained, _ = network.build_update_witness(AID, op, element, base=chained)
+                network.commit({AID: steps}, {AID: value})
+            if held != states[-1][0]:
+                states.append((held, accumulator_value(network, AID)))
+            served, served_value = states[max(0, len(states) - 1 - lag)]
+            for prefix in PREFIXES + (b"zz",):
+                now, then = states[-1][0].get(prefix), served.get(prefix)
+                assert network.elements(AID, prefix) == ([now] if now else [])
+                assert network.lookup(AID, prefix) == ([then] if then else [])
+            for element in UNIVERSE:
+                then = served.get(element[:2])
+                want = 1 if then == element else 0 if then is None else BOTTOM
+                assert belongs(served_value, element, network.fetch_witness(AID, element), key_len=2) == want
 
 
 def walked_value(network, steps):
     """The value ``steps`` reach from ``network``'s current elements, on a fresh network."""
-    other = fresh_network(elements=sorted(network.elements(AID)))
+    other = fresh_network(elements=sorted(network.elements(AID)), key_len=2)
     return other.commit({AID: other.changes(AID, steps)})[AID]
+
+
+class TestOneElementPerKey:
+    """Keyed by a 2-byte prefix, aa-1 and aa-2 share a key, which holds one of them."""
+
+    def test_a_taken_key_refuses_an_add_and_a_foreign_delete(self):
+        network = fresh_network(elements=[b"aa-1", b"ab-2"], key_len=2)
+        before = ledger(network._entry(AID))
+        with pytest.raises(AlreadyPresent):
+            network.changes(AID, [("add", b"aa-2")])
+        with pytest.raises(NotPresent):
+            network.changes(AID, [("del", b"aa-2")])
+        with pytest.raises(AlreadyPresent):
+            network.build_update_witness(AID, "add", b"aa-2")
+        with pytest.raises(NotPresent):
+            network.build_update_witness(AID, "del", b"aa-2")
+        assert ledger(network._entry(AID)) == before
+
+    def test_a_witness_under_a_taken_key_proves_nothing(self):
+        # asked about aa-2, storage serves aa's path, whose leaf holds aa-1
+        network = fresh_network(elements=[b"aa-1", b"ab-2"], key_len=2)
+        acc = accumulator_value(network, AID)
+        payload = network.fetch_witness(AID, b"aa-2")
+        assert decode_witness(payload).occupant == payload[1:33]
+        assert belongs(acc, b"aa-2", payload, key_len=2) is BOTTOM
+        assert belongs(acc, b"aa-1", network.fetch_witness(AID, b"aa-1"), key_len=2) == 1
+        assert belongs(acc, b"ac-1", network.fetch_witness(AID, b"ac-1"), key_len=2) == 0
+
+    def test_a_replace_is_a_delete_then_an_add(self):
+        network = fresh_network(elements=[b"aa-1", b"ab-2"], key_len=2)
+        before = accumulator_value(network, AID)
+        mid, w_del = network.build_update_witness(AID, "del", b"aa-1")
+        end, w_add = network.build_update_witness(AID, "add", b"aa-2", base=mid)
+        assert check_update(before, mid, b"aa-1", w_del, key_len=2) == 1
+        assert check_update(mid, end, b"aa-2", w_add, key_len=2) == 1
+        network.policy = FaultPolicy.stale(1)
+        assert network.commit({AID: [("del", b"aa-1"), ("add", b"aa-2")]}, {AID: end}) == {AID: end}
+        assert network.elements(AID, b"aa") == [b"aa-2"]
+        # the node lags one epoch: it serves aa-1 under aa, and its witnesses
+        assert network.lookup(AID, b"aa") == [b"aa-1"]
+        assert belongs(before, b"aa-1", network.fetch_witness(AID, b"aa-1"), key_len=2) == 1
+        assert belongs(before, b"aa-2", network.fetch_witness(AID, b"aa-2"), key_len=2) is BOTTOM
 
 
 class TestCorruptBits:
@@ -650,27 +637,28 @@ class TestStale:
         assert belongs(acc_now, b"ab-2", payload) == 0
 
     def test_stale_lookup_rolls_back_elements(self):
-        network = fresh_network(FaultPolicy.stale(1), [b"aa-1"])
-        commit(network, "add", b"aa-2")
+        network = fresh_network(FaultPolicy.stale(1), [b"aa-1"], key_len=2)
+        network.commit({AID: network.changes(AID, [("del", b"aa-1"), ("add", b"aa-2")])})
         assert network.lookup(AID, b"aa") == [b"aa-1"]
         commit(network, "add", b"ab-3")
-        assert sorted(network.lookup(AID, b"aa")) == [b"aa-1", b"aa-2"]
+        assert network.lookup(AID, b"aa") == [b"aa-2"]
+        assert network.lookup(AID, b"ab") == []
 
     def test_batch_is_served_whole_while_stale(self):
-        network = fresh_network(FaultPolicy.stale(1), [b"aa-1", b"aa-2"])
+        network = fresh_network(FaultPolicy.stale(1), [b"aa-1", b"ba-2"], key_len=2)
         before = accumulator_value(network, AID)
-        batch = network.changes(AID, [("del", b"aa-1"), ("add", b"aa-3"), ("add", b"ab-4")])
-        batch.record("add", b"aa-5")
-        batch.record("del", b"aa-5")
+        batch = network.changes(AID, [("del", b"aa-1"), ("add", b"ac-3"), ("add", b"ab-4")])
+        batch.record("add", b"ad-5")
+        batch.record("del", b"ad-5")
         after = network.commit({AID: batch})[AID]
         # the served root and the served element view are both the pre-batch ones
-        assert belongs(before, b"aa-1", network.fetch_witness(AID, b"aa-1")) == 1
-        assert belongs(before, b"aa-3", network.fetch_witness(AID, b"aa-3")) == 0
-        assert network.lookup(AID, b"aa") == [b"aa-1", b"aa-2"]
+        assert belongs(before, b"aa-1", network.fetch_witness(AID, b"aa-1"), key_len=2) == 1
+        assert belongs(before, b"ac-3", network.fetch_witness(AID, b"ac-3"), key_len=2) == 0
+        assert network.lookup(AID, b"aa") == [b"aa-1"]
         assert network.lookup(AID, b"ab") == []
-        commit(network, "add", b"ac-6")
-        assert belongs(after, b"aa-3", network.fetch_witness(AID, b"aa-3")) == 1
-        assert network.lookup(AID, b"aa") == [b"aa-2", b"aa-3"]
+        commit(network, "add", b"ae-6")
+        assert belongs(after, b"ac-3", network.fetch_witness(AID, b"ac-3"), key_len=2) == 1
+        assert network.lookup(AID, b"aa") == []
         assert network.lookup(AID, b"ab") == [b"ab-4"]
 
     def test_history_keeps_what_the_lag_serves(self):
@@ -679,16 +667,16 @@ class TestStale:
             assert len(network._entry(AID).history) == lag  # the commits it lags behind
 
     def test_a_policy_assigned_to_a_live_network_takes_effect(self):
-        network = fresh_network(elements=[b"aa-1"])
+        network = fresh_network(elements=[b"aa-1"], key_len=2)
         before = accumulator_value(network, AID)
         network.policy = FaultPolicy.stale(1)
         commit(network, "add", b"ab-2")
-        assert belongs(before, b"ab-2", network.fetch_witness(AID, b"ab-2")) == 0
+        assert belongs(before, b"ab-2", network.fetch_witness(AID, b"ab-2"), key_len=2) == 0
         assert network.lookup(AID, b"ab") == []
         # back to honest: the current value at once, and the history goes at the next commit
         network.policy = FaultPolicy.honest()
         after = accumulator_value(network, AID)
-        assert belongs(after, b"ab-2", network.fetch_witness(AID, b"ab-2")) == 1
+        assert belongs(after, b"ab-2", network.fetch_witness(AID, b"ab-2"), key_len=2) == 1
         assert network.lookup(AID, b"ab") == [b"ab-2"]
         commit(network, "add", b"ac-3")
         assert not network._entry(AID).history

@@ -29,6 +29,7 @@ from acctoken.erc20.bundle import (
     ALLOWED_BALANCES,
     BALANCES,
     ERC20_NAME,
+    KEY_LEN,
     MEMBER,
     NON_MEMBER,
     STORAGE_OP,
@@ -487,7 +488,7 @@ class TestOneCommitPath:
         assert lagging.state.balances_acc != old
         for owner, amount in ((A, 900), (B, 100)):
             element = balance_element(owner, amount)
-            assert belongs(old, element, lagging.network.fetch_witness(BALANCES, element)) == 1
+            assert belongs(old, element, lagging.network.fetch_witness(BALANCES, element), key_len=KEY_LEN[BALANCES]) == 1
 
     def test_zero_transfer_to_holder_commits_nothing(self):
         system = TokenSystem(A, 1000)
@@ -502,7 +503,8 @@ class TestOneCommitPath:
         commits = spy_commits(system)
         system.client.build_transfer(A, B, 5)
         batch = system.network._entry(BALANCES).tip.changes
-        assert sorted(batch.adds) == sorted(hashing.element_digest(balance_element(*e)) for e in ((A, 895), (B, 105)))
+        keys = (hashing.element_digest(balance_element(*e)[: KEY_LEN[BALANCES]]) for e in ((A, 895), (B, 105)))
+        assert sorted(batch.adds) == sorted(keys)
         system.transfer(A, B, 5)
         assert commits == [(BALANCES, True)]
 
@@ -607,40 +609,79 @@ class TestFastPathEquivalence:
 
 def fresh_bundle_for_holder(system, sender, to, tokens):
     """The fresh-destination bundle a client builds when it ignores ``to``'s tuple."""
-    honest_lookup = system.client._balance_entry
-    system.client._balance_entry = lambda owner: None if owner == to else honest_lookup(owner)
+    honest_lookup = system.client._amount
+    system.client._amount = lambda acc, *key: None if key == (to,) else honest_lookup(acc, *key)
     try:
         return system.client.build_transfer(sender, to, tokens)
     finally:
-        del system.client._balance_entry
+        del system.client._amount
+
+
+def withhold(system, owner):
+    """Make ``system``'s storage leave ``owner``'s balance tuple out of every lookup; witnesses stay honest."""
+    lookup, hidden = system.network.lookup, balance_prefix(owner)
+    system.network.lookup = lambda acc, prefix: [] if prefix == hidden else lookup(acc, prefix)
+
+
+LIFT = pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
 
 
 class TestOneTuplePerKey:
-    def test_second_balance_tuple_is_detected(self):
-        # a fresh-destination transfer to a holder is still accepted (it only
-        # proves that (to, 0) is absent); the invariant checks must notice
-        system = TokenSystem(A, 1000)
+    """A tuple's key is its owner or pair, and a key holds one tuple: a
+    non-membership proof of ``(to, 0)`` proves that ``to`` holds no tuple,
+    so neither a read nor a transfer can be told that a holder holds none."""
+
+    @LIFT
+    def test_a_withheld_tuple_fails_the_zero_read(self, lift):
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
         system.transfer(A, B, 100)
-        system.transfer(A, B, 10, fresh_bundle_for_holder(system, A, B, 10))
-        assert true_balance(system, B) == 110
-        assert effective_balances(system)[B] == 110
-        with pytest.raises(AssertionError, match="more than one balances tuple"):
-            system.check_conservation()
+        withhold(system, B)
         with pytest.raises(VerificationFailed):
             system.balance_of(B)
+        assert system.balance_of(A) == 900
 
-    def test_second_allowance_tuple_is_detected(self):
-        system = TokenSystem(A, 1000)
-        system.approve(A, S, 50)
-        # planted straight into storage: no bundle schema can add it
-        system.network.commit(
-            {ALLOWED_BALANCES: system.network.changes(ALLOWED_BALANCES, [("add", allowance_element(A, S, 7))])}
-        )
-        assert effective_allowances(system)[(A, S)] == 57
-        with pytest.raises(AssertionError, match="more than one allowed-balances tuple"):
-            system.check_conservation()
+    @LIFT
+    def test_a_transfer_to_a_withheld_holder_drops(self, lift):
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+        system.transfer(A, B, 100)
+        withhold(system, B)
+        before = snapshot(system)
         with pytest.raises(VerificationFailed):
-            system.allowance(A, S)
+            system.transfer(A, B, 10)
+        assert snapshot(system) == before
+        system.check_conservation()
+        del system.network.lookup
+        system.transfer(A, B, 10)
+        assert true_balance(system, B) == 110
+
+    @LIFT
+    def test_a_fresh_bundle_for_a_holder_is_refused(self, lift):
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+        system.transfer(A, B, 100)
+        # storage serves B's key path, whose leaf holds (B, 100): no witness
+        # proves (B, 0) absent, and none adds (B, 10) beside it
+        with pytest.raises(VerificationFailed):
+            fresh_bundle_for_holder(system, A, B, 10)
+        # a fresh bundle built where B holds nothing proves nothing here
+        twin = TokenSystem(A, 1000, lift_checkupdate_precondition=lift)
+        twin.transfer(A, C, 100)
+        bundle = twin.client.build_transfer(A, B, 10)
+        assert bundle.announced == (900,)
+        before = snapshot(system)
+        with pytest.raises(InvalidProof):
+            system.transfer(A, B, 10, bundle)
+        assert snapshot(system) == before
+
+    def test_a_second_tuple_is_refused_at_the_record(self):
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        system.approve(A, S, 50)
+        before = snapshot(system)
+        for acc, element in ((BALANCES, balance_element(B, 7)), (ALLOWED_BALANCES, allowance_element(A, S, 7))):
+            with pytest.raises(AlreadyPresent):
+                system.network.changes(acc, [("add", element)])
+        assert snapshot(system) == before
+        assert (system.balance_of(B), system.allowance(A, S)) == (100, 50)
 
 
 def update_chain(system, acc, ops):
@@ -655,19 +696,16 @@ def update_chain(system, acc, ops):
 class TestWitnessKindMatchesClaim:
     """An update witness of the other kind verifies as its own kind, so the contract must check the kind.
 
-    Without that check both bundles below are accepted, the contract writes
-    its words and its log, and the storage commit of the swapped step fails.
+    With the precondition lifted nothing proves a fresh destination's key
+    free, so without that check the first bundle below is accepted, the
+    contract writes its words and its log, and the storage commit of the
+    swapped step fails.
     """
 
     def swapped_bundle(self, system):
-        """C's fresh transfer of 7 to B, whose add of (B, 7) carries the update-del witness of B's tuple."""
+        """C's fresh transfer of 7 to B, lifted, whose add of (B, 7) carries the update-del witness of B's tuple."""
         system.transfer(A, B, 7)
         system.transfer(A, C, 100)
-        # the fresh variant: (C, 100) is a member and (B, 0) is not
-        membership = [
-            BundleEntry(purpose(BALANCES, claim), system.network.fetch_witness(BALANCES, element))
-            for claim, element in ((MEMBER, balance_element(C, 100)), (NON_MEMBER, balance_element(B, 0)))
-        ]
         chain = update_chain(
             system,
             BALANCES,
@@ -679,10 +717,10 @@ class TestWitnessKindMatchesClaim:
         )
         claims = (UPDATE_DEL, UPDATE_ADD, UPDATE_ADD)
         updates = [BundleEntry(purpose(BALANCES, claim), w, after) for claim, (after, w) in zip(claims, chain)]
-        return ProofBundle(OpTag.TRANSFER, membership + updates, (100,))
+        return ProofBundle(OpTag.TRANSFER, updates, (100,))
 
     def test_update_del_witness_in_an_update_add_slot(self):
-        system = TokenSystem(A, 1000)
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=True)
         bundle = self.swapped_bundle(system)
         before = snapshot(system)
         with pytest.raises(InvalidProof):
@@ -692,7 +730,7 @@ class TestWitnessKindMatchesClaim:
     def test_a_commit_storage_refuses_is_rolled_back(self, monkeypatch):
         # without the kind check the contract accepts the bundle and writes
         # its words and its log; storage then refuses to add (B, 7) twice
-        system = TokenSystem(A, 1000)
+        system = TokenSystem(A, 1000, lift_checkupdate_precondition=True)
         bundle = self.swapped_bundle(system)
         before = snapshot(system)
         monkeypatch.setattr(WitnessKind, "__ne__", lambda kind, other: False)
@@ -704,22 +742,22 @@ class TestWitnessKindMatchesClaim:
         system.transfer(C, B, 7)  # contract and storage still move together
 
     def test_update_add_witness_in_an_update_del_slot_lifted(self):
+        # B holds nothing, so an add of (B, y1) has a witness; no chain can
+        # go on to add (B, y1 - 1) under the key (B, y1) then holds, so the
+        # bundle carries the steps storage can build
         system = TokenSystem(A, 1000, lift_checkupdate_precondition=True)
-        system.transfer(A, B, 100)
-        y1 = 10**6  # announced for B, who holds 100
+        y1 = 10**6  # announced for B
         chain = update_chain(
             system,
             BALANCES,
             [
                 ("add", balance_element(B, y1)),  # in the slot of the delete of (B, y1)
-                ("del", balance_element(A, 900)),
-                ("add", balance_element(B, y1 - 1)),
-                ("add", balance_element(A, 901)),
+                ("del", balance_element(A, 1000)),
             ],
         )
-        claims = (UPDATE_DEL, UPDATE_DEL, UPDATE_ADD, UPDATE_ADD)
+        claims = (UPDATE_DEL, UPDATE_DEL)
         entries = [BundleEntry(purpose(BALANCES, claim), w, after) for claim, (after, w) in zip(claims, chain)]
-        bundle = ProofBundle(OpTag.TRANSFER, entries, (y1, 900))
+        bundle = ProofBundle(OpTag.TRANSFER, entries, (y1, 1000))
         before = snapshot(system)
         with pytest.raises(InvalidProof):
             system.transfer(B, A, 1, bundle)
@@ -775,11 +813,10 @@ def spy_commits(system):
     Before each commit the network and the batches are copied; the copy
     commits them path by path (no accepted values, so no tip is adopted and
     nothing is checked) and must reach the same tries, branch for branch as
-    the layout reader reads them out, the
-    same elements and the same indexes. Returns the list of (accumulator,
-    whether the commit adopted the chain tip's root) that the batches
-    installed append to; a refused commit, or a batch that nets to no
-    change, appends nothing.
+    the layout reader reads them out, and the same elements. Returns the
+    list of (accumulator, whether the commit adopted the chain tip's root)
+    that the batches installed append to; a refused commit, or a batch that
+    nets to no change, appends nothing.
     """
     network = system.network
     commit = network.commit
@@ -799,7 +836,7 @@ def spy_commits(system):
             # the walk built its own branches; a lone-leaf root is the
             # batch's own key object in both
             assert root is not walked.memory.root or root is tree.leaf_key(walked.memory.root)
-            assert entry.memory.elements == walked.memory.elements and entry.index == walked.index
+            assert entry.memory.elements == walked.memory.elements
             if entry.memory.epoch == epochs[acc]:
                 continue  # nothing installed
             adopted = tips[acc] is not None and root is tips[acc].root

@@ -94,7 +94,9 @@ class TestHeaderLayout:
     def test_non_membership_payload_is_trailing(self):
         acc, memory, _, _ = rebuild_golden_state()
         raw = witness(acc, memory, b"zeta")
-        assert raw[-32:] == decode_witness(raw).occupant
+        w = decode_witness(raw)
+        # the occupant leaf's key, then the digest of the element it holds
+        assert raw[-64:] == w.occupant + w.held
 
     def test_size_matches_encoding(self):
         acc, memory, _, _ = rebuild_golden_state()

@@ -37,10 +37,18 @@ def body(node) -> bytes:
     return bodies[66 * row : 66 * row + 66]
 
 
-def node_digest(node) -> bytes:
-    """The digest a node's parent holds for it, recomputed from the node."""
+def whole_leaf(key: bytes) -> bytes:
+    """The digest of a leaf under whole-element keys, where the key is the
+    element's digest: ``tree``'s ``leaf`` for tries of such keys alone."""
+    return sha256(TAG_LEAF + key + key)
+
+
+def node_digest(node, held: dict | None = None) -> bytes:
+    """The digest a node's parent holds for it, recomputed from the node; a
+    leaf holds ``held[key]``, the digest of its element, or its key itself
+    (whole-element keys) without ``held``."""
     if node.__class__ is bytes:
-        return sha256(TAG_LEAF + node)
+        return sha256(TAG_LEAF + node + (node if held is None else held[node]))
     return sha256(body(node)) if node else EMPTY_DIGEST
 
 
