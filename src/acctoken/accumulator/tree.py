@@ -247,7 +247,7 @@ def insert(root: Node, root_digest: bytes, key: bytes, leaf_digest: bytes) -> tu
 def remove_at(path, terminal: Node, key: bytes) -> tuple[Node, bytes]:
     """The root and digest ``remove`` returns, from the result of walking ``key``."""
     if terminal != key:
-        raise NotPresent(f"element digest {key.hex()} not accumulated")
+        raise NotPresent(f"key {key.hex()} holds no element")
     if not path:
         return EMPTY, EMPTY_DIGEST
     branch, direction = path[-1]
@@ -261,7 +261,7 @@ def remove(root: Node, key: bytes) -> tuple[Node, bytes]:
 
 
 def _duplicate(key: bytes):
-    return AlreadyPresent(f"element digest {key.hex()} already accumulated")
+    return AlreadyPresent(f"key {key.hex()} already holds an element")
 
 
 def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, leaves: list, leaf, kept=None, kept_digest=None):

@@ -14,14 +14,14 @@ or the pair's key (``bundle.KEY_LEN``), which fails for a tuple storage
 withholds. The client remembers, per accumulator, the elements its reads
 proved members and the value they were proven against, and fetches a
 membership witness only for an element it does not remember as a member of
-the contract's current value. The remembered set stays a subset of the set that value commits to:
-each element was proven by ``belongs`` against it, and the value moves on
-only by ``follow``, with a chain the contract verified, whose deletions are
-the only steps that can take a member out. A value the client did not follow
-(``bootstrap``, another submitter) starts an empty set at its first proof;
-the digest binds the set, so a value seen again commits to the same set.
-Non-membership is not remembered, and bundles are always built from served
-witnesses, which the contract needs as bytes.
+the contract's current value. The remembered set stays a subset of the set
+that value commits to: each element was proven by ``belongs`` against it, and
+the value moves on only by ``follow``, with a chain the contract verified,
+whose deletions are the only steps that can take a member out. A value the
+client did not follow (``bootstrap``, another submitter) starts an empty set
+at its first proof; the digest binds the set, so a value seen again commits
+to the same set. Non-membership is not remembered, and bundles are always
+built from served witnesses, which the contract needs as bytes.
 """
 
 from ..accumulator import belongs, check_update
@@ -102,24 +102,17 @@ class TokenClient:
                     members.discard(element)
             self._proven[acc] = after.value_of(acc), members
 
-    def _remembered(self, name: str, element: bytes) -> bool:
-        """Whether ``element`` is remembered as a member of ``name``'s current value."""
-        value, members = self._proven.get(name, (None, ()))
-        return value == self.contract.state.value_of(name) and element in members
-
-    def _remember(self, name: str, element: bytes):
-        """Remember ``element``, just proven a member of ``name``'s current value."""
+    def _prove_member(self, name: str, element: bytes):
+        """Prove ``element`` a member of ``name``'s current value, by a fetched
+        witness unless it is remembered as one, and remember it."""
         value = self.contract.state.value_of(name)
         remembered = self._proven.get(name)
+        if remembered is not None and remembered[0] == value and element in remembered[1]:
+            return
+        self._fetch_verified(name, element, 1)
         if remembered is None or remembered[0] != value:
             self._proven[name] = remembered = value, set()
         remembered[1].add(element)
-
-    def _prove_member(self, name: str, element: bytes):
-        """Prove ``element`` a member of ``name``'s current value, by a fetched witness unless remembered."""
-        if not self._remembered(name, element):
-            self._fetch_verified(name, element, 1)
-            self._remember(name, element)
 
     # -- verified fetch helpers -------------------------------------------------
 

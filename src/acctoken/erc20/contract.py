@@ -9,10 +9,10 @@ establish current balances and allowances, then a chain of publicly
 verifiable update witnesses whose final value becomes the stored
 accumulator. Witnesses bind element digests only, so the amounts behind them
 arrive as the announced words and are authenticated by the digest check
-inside the verifier. Each accumulator keys its elements as ``KEY_LEN``
-says, a tuple by its owner or pair, so a key holds one tuple: a
-non-membership claim on ``(to, 0)`` proves that ``to`` holds no tuple at
-all, and an update-add proves its key free. The verifiers decide from a witness's kind byte which
+inside the verifier. Each accumulator keys its tuples as ``KEY_LEN`` says, by
+owner or by pair, so a key holds one tuple: a non-membership claim on
+``(to, 0)`` proves that ``to`` holds no tuple, and an update-add proves its
+key free. The verifiers decide from a witness's kind byte which
 claim they check, so every entry's witness must be of the kind its purpose
 byte claims (the claims are the ``WitnessKind`` members); an update-del
 witness in an update-add slot would otherwise verify, and the storage commit

@@ -29,11 +29,12 @@ digests, so a root that is a lone leaf or empty has its digest nowhere
 else), the chain's steps as a ``core.Changes`` batch of the memory, each
 step recorded with the key object the simulation made its leaf, the
 (op, element) steps themselves in build order, and the element each key of
-the root holds: the chain's adds, else the served view's. The batch checks every step
-against the memory as it is recorded, so a chain the memory refutes (one
-begun on a stale root) is refused at the build. A build without a base
-starts a new chain and replaces the tip; a build on the tip's digest
-continues it, taking the digest as the root's; any other base is refused.
+the root holds: the chain's adds, else the served view's. The batch checks
+every step against the memory as it is recorded, so a chain the memory
+refutes (one begun on a stale root) is refused at the build. A build
+without a base starts a new chain and replaces the tip; a build on the
+tip's digest continues it, taking the digest as the root's; any other base
+is refused.
 
 A verified transaction commits its update steps, per accumulator in chain
 order, and the value the contract accepted. When that value is the tip's
@@ -137,7 +138,7 @@ Held = Callable[[bytes], bytes | None]
 
 def _chained(adds: dict[bytes, bytes], served: Held) -> Held:
     """What a chain's keys hold: its ``adds``, as they grow, else what the root it began on held."""
-    return lambda key: adds.get(key) or served(key)
+    return lambda key: adds[key] if key in adds else served(key)
 
 
 class _Tip(NamedTuple):

@@ -21,8 +21,8 @@ AID = "acc"
 N = 2**12
 # a commit that keeps every node it replaces until it returns peaks about
 # 0.65-0.75 of the old trie above its final size (the replaced branches, and
-# the batch read as ints); one that frees them as it goes, about 0.17 (its
-# own temporaries: the sorted keys, the element map's and the index's growth)
+# the batch read as ints); one that frees them as it goes, about 0.1 (its own
+# temporaries, the sorted keys: the element map grows before the merge)
 HELD_SHARE = 0.3
 
 

@@ -10,7 +10,7 @@ from acctoken.accumulator import BOTTOM, belongs, check_update, core, tree
 from acctoken.accumulator.witness import encoded_length
 from acctoken.erc20 import TokenSystem
 from acctoken.erc20.bundle import BALANCES, KEY_LEN
-from acctoken.erc20.elements import balance_element, balance_prefix
+from acctoken.erc20.elements import balance_element
 from acctoken.errors import AlreadyPresent, NotPresent, StaleAccumulator, StorageError, Unavailable
 from acctoken.storage import FaultPolicy, StorageNetwork
 from reference_verify import canonical_digest, decode_witness, keyed
