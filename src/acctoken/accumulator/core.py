@@ -97,7 +97,7 @@ def simulate_update(
     path = []
     key, steps, terminal, member = _walk(root, element, key_len, held, path)
     if op == "add":
-        leaf_digest = _leaves(key_len, lambda _key: element)(key)
+        leaf_digest = _leaves(key_len, lambda _key: element)(key)  # the new leaf holds ``element``
         new_root, new_digest = tree.insert_at(path, terminal, key, leaf_digest, root, root_digest)
         return new_root, new_digest, pack(WitnessKind.UPDATE_ADD, key, steps, _occupant(terminal, key_len, held)), key
     if op == "del":
