@@ -1,7 +1,7 @@
 """bench: run token benchmarks, compare results, tabulate rent.
 
     bench run --token acc --schedule scaled --checkpoints 50000,100000 \
-        --seed 7 --out acc.csv
+        --seed 7 --out acc.csv --split acc-split.csv
     bench compare baseline.csv acc.csv
     bench rent --smax-gib 500 --keys 4 --keys 400001 --total-keys 1e6,1e9
     bench dump-config
@@ -19,10 +19,12 @@ from ..gas import FLAT, GIB, SCALED
 from .scenario import (
     Scenario,
     compare,
+    gas_split,
     rent_report,
     rows_from_csv,
     rows_to_csv,
     run_scenario,
+    split_to_csv,
     tabulate,
 )
 
@@ -113,6 +115,10 @@ def _cmd_run(args) -> int:
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         sys.stdout.write(csv_text)
+    if args.split:
+        with open(args.split, "w", encoding="utf-8", newline="") as handle:
+            handle.write(split_to_csv(gas_split(run, schedule)))
+        print(f"wrote the gas and proof-byte split of {len(rows)} rows to {args.split}", file=sys.stderr)
     if run.dropped:
         print(f"dropped {run.dropped} sampled transactions under the fault policy", file=sys.stderr)
         print(f"dropped by error class under storage.mode = {fault.mode}: {by_class}", file=sys.stderr)
@@ -178,6 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--toggles", default="", help=f"comma-separated: {', '.join(sorted(TOGGLES))}")
     run.add_argument("--config", default=None, help="key=value config file")
     run.add_argument("--out", default=None, help="CSV output path (stdout when omitted)")
+    run.add_argument(
+        "--split", default=None, help="also write, per (op, n), mean gas by category, SHA-256 calls and proof bytes by entry"
+    )
     run.set_defaults(func=_cmd_run, usage_error=run.error)
 
     cmp_ = sub.add_parser("compare", help="per-op gas ratios between two result CSVs")

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field, replace
 
 from ..baseline import BaselineToken
 from ..erc20 import plan
+from ..erc20.bundle import ACCUMULATORS, CLAIM_NAMES, decode_bundle, purpose_accumulator, purpose_claim
 from ..erc20.contract import CONTRACT_KEYS, TxRecord
 from ..erc20.system import TokenSystem
 from ..errors import AcctokenError
-from ..gas import GasSchedule, RentParams, annual_rent, meter_transaction, rent_rate
+from ..gas import CATEGORIES, HASH_CATEGORY, GasSchedule, RentParams, annual_rent, meter_transaction, rent_rate
 from ..storage import FaultPolicy
 from .workload import make_address, true_balance
 
@@ -350,6 +351,93 @@ def rows_from_csv(text: str) -> list[ResultRow]:
         if rows.setdefault((op, row.n_accounts), row) is not row:
             raise ValueError(f"more than one row for ({op}, {n})")
     return list(rows.values())
+
+
+# -- where the gas and the proof bytes go ---------------------------------------
+
+#: a bundle's frame (op tag and entry count), which no entry holds
+FRAME_BYTES = 2
+
+#: the proof-byte columns of a split, one per (accumulator, claim)
+ENTRY_COLUMNS = tuple((acc, claim) for acc in ACCUMULATORS for claim in CLAIM_NAMES)
+
+
+@dataclass
+class SplitRow:
+    """Per (op, n): the mean gas of each ``GasReceipt.breakdown`` category,
+    which sum to the results row's ``gas_mean``; the mean count of metered
+    SHA-256 calls; and the mean bundle bytes of the frame and of each
+    (accumulator, claim), its entries' purpose bytes, witnesses and claimed
+    values, which sum to the row's ``proof_bytes_mean``."""
+
+    n_accounts: int
+    op: str
+    gas: dict[str, float]
+    sha256_calls: float
+    frame_bytes: float
+    entry_bytes: dict[tuple[str, int], float]
+
+
+def _entry_bytes(record: TxRecord, sizes: Counter):
+    """Add the bytes per (accumulator, claim) of the bundle ``record`` carried
+    to ``sizes``, read back from the calldata's tail, where the bundle bytes
+    the contract was given ride."""
+    for entry in decode_bundle(record.trace.calldata[-record.bundle_bytes :]).entries:
+        claimed = 0 if entry.claimed_after is None else len(entry.claimed_after)
+        sizes[purpose_accumulator(entry.purpose), purpose_claim(entry.purpose)] += 1 + len(entry.witness) + claimed
+
+
+def gas_split(run: ScenarioRun, schedule: GasSchedule) -> list[SplitRow]:
+    """Meter a run's samples under ``schedule`` and split each (op, n)'s mean
+    gas by category and its proof bytes by entry, in ``tabulate``'s row order."""
+    rows = []
+    for cp in run.checkpoints:
+        by_op: dict[str, list[TxRecord]] = {}
+        for sample in cp.samples:
+            by_op.setdefault(sample.op, []).append(sample)
+        for op, samples in by_op.items():
+            gas, hashes, bundled, sizes = Counter(), 0, 0, Counter()
+            for sample in samples:
+                receipt = meter_transaction(schedule, sample.trace)
+                gas.update(receipt.breakdown)
+                hashes += receipt.counts[HASH_CATEGORY]
+                if sample.bundle_bytes:  # the mapping token sends none
+                    bundled += 1
+                    _entry_bytes(sample, sizes)
+            count = len(samples)
+            rows.append(
+                SplitRow(
+                    cp.n_accounts,
+                    op,
+                    {category: gas[category] / count for category in CATEGORIES},
+                    hashes / count,
+                    FRAME_BYTES * bundled / count,
+                    {column: sizes[column] / count for column in ENTRY_COLUMNS},
+                )
+            )
+    rows.sort(key=lambda r: (r.op, r.n_accounts))
+    return rows
+
+
+SPLIT_HEADER = ",".join(
+    [
+        "n",
+        "op",
+        *(f"gas.{category}" for category in CATEGORIES),
+        "sha256_calls",
+        "bytes.frame",
+        *(f"bytes.{acc}.{CLAIM_NAMES[claim]}" for acc, claim in ENTRY_COLUMNS),
+    ]
+)
+
+
+def split_to_csv(rows: list[SplitRow]) -> str:
+    lines = [SPLIT_HEADER]
+    for r in rows:
+        cells = [str(r.n_accounts), r.op, *(r.gas[category] for category in CATEGORIES), r.sha256_calls, r.frame_bytes]
+        cells += [r.entry_bytes[column] for column in ENTRY_COLUMNS]
+        lines.append(",".join(cell if isinstance(cell, str) else f"{cell:.2f}" for cell in cells))
+    return "\n".join(lines) + "\n"
 
 
 # -- comparison and rent tables ---------------------------------------------------

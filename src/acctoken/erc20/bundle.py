@@ -49,7 +49,8 @@ NON_MEMBER = WitnessKind.NON_MEMBERSHIP
 UPDATE_ADD = WitnessKind.UPDATE_ADD
 UPDATE_DEL = WitnessKind.UPDATE_DEL
 
-_CLAIMS = (MEMBER, NON_MEMBER, UPDATE_ADD, UPDATE_DEL)
+#: each claim's name in reports
+CLAIM_NAMES = {MEMBER: "member", NON_MEMBER: "non-member", UPDATE_ADD: "add", UPDATE_DEL: "del"}
 
 #: The storage operation behind each update claim; other claims are memberships.
 STORAGE_OP = {UPDATE_ADD: "add", UPDATE_DEL: "del"}
@@ -142,14 +143,14 @@ def decode_bundle(data: bytes) -> ProofBundle:
             raise BundleSchemaMismatch(f"bundle truncated at entry {index}")
         p = data[off]
         purpose_accumulator(p)
-        if purpose_claim(p) not in _CLAIMS:
+        if purpose_claim(p) not in CLAIM_NAMES:
             raise BundleSchemaMismatch(f"purpose {p:#x} carries no claim")
         off += 1
         header = data[off : off + HEADER_BYTES]
         if len(header) < HEADER_BYTES:
             raise BundleSchemaMismatch(f"bundle truncated at entry {index}")
         kind, step_count = header[KIND_AT], int.from_bytes(header[COUNT_AT:HEADER_BYTES], "big")
-        if kind not in _CLAIMS or step_count > MAX_STEPS:
+        if kind not in CLAIM_NAMES or step_count > MAX_STEPS:
             raise InvalidProof(index, f"witness header names kind {kind} with {step_count} steps")
         end = off + encoded_length(kind, step_count)
         if end > len(data):

@@ -21,6 +21,8 @@ CALLDATA_CATEGORY = "calldata"
 HASH_CATEGORY = "hashing"
 READ_CATEGORY = "storage-read"
 WRITE_CATEGORY = "storage-write"
+#: a receipt's breakdown, in this order
+CATEGORIES = (BASE_CATEGORY, CALLDATA_CATEGORY, HASH_CATEGORY, READ_CATEGORY, WRITE_CATEGORY)
 
 FLAT = "flat"
 SCALED = "scaled"
@@ -141,14 +143,10 @@ def calldata_cost(schedule: GasSchedule, calldata: bytes) -> int:
 
 
 def meter_transaction(schedule: GasSchedule, trace: TxTrace) -> GasReceipt:
-    breakdown = {
-        BASE_CATEGORY: schedule.base_tx_gas,
-        CALLDATA_CATEGORY: calldata_cost(schedule, trace.calldata),
-        HASH_CATEGORY: 0,
-        READ_CATEGORY: 0,
-        WRITE_CATEGORY: 0,
-    }
-    counts = {k: 0 for k in breakdown}
+    breakdown = dict.fromkeys(CATEGORIES, 0)
+    breakdown[BASE_CATEGORY] = schedule.base_tx_gas
+    breakdown[CALLDATA_CATEGORY] = calldata_cost(schedule, trace.calldata)
+    counts = dict.fromkeys(CATEGORIES, 0)
     counts[BASE_CATEGORY] = 1
     counts[CALLDATA_CATEGORY] = len(trace.calldata)
     for kind, arg in trace.events:

@@ -16,7 +16,8 @@ from acctoken.bench import (
     tabulate,
 )
 from acctoken.bench.cli import _parse_checkpoints, build_parser, main
-from acctoken.bench.scenario import GRANT, SUPPLY, _Population
+from acctoken.bench.scenario import GRANT, SUPPLY, _Population, gas_split
+from acctoken.erc20.bundle import ALLOWED_ADDRESSES, CLAIM_NAMES, MEMBER
 from acctoken.gas import FLAT, SCALED, GasSchedule, RentParams, annual_rent, rent_rate
 from acctoken.storage import FaultPolicy
 
@@ -252,6 +253,56 @@ class TestRentReport:
         for row, k_total in zip(rent_report(params, [4], totals), totals):
             assert row.rate_wei_per_key_year == rent_rate(params, k_total)
             assert row.annual_rent_wei[4] == annual_rent(params, 4, k_total)
+
+
+def csv_table(path) -> list[dict[str, str]]:
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+class TestGasSplit:
+    """``bench run --split`` says where each row's gas and proof bytes went:
+    its categories sum to the results CSV's ``gas_mean``, and its byte
+    columns to ``proof_bytes_mean``, under either schedule and each toggle."""
+
+    @pytest.mark.parametrize("token", ["acc", "baseline"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--schedule", "scaled"],
+            ["--toggles", "remove-precompile-call-cost"],
+            ["--toggles", "equalize-hash-costs"],
+            ["--toggles", "lift-precondition"],
+            ["--schedule", "scaled", "--toggles", "remove-precompile-call-cost,equalize-hash-costs,lift-precondition"],
+        ],
+        ids=["flat", "scaled", "no-precompile", "keccak", "lifted", "scaled-all"],
+    )
+    def test_split_sums_to_the_results_row(self, tmp_path, capsys, token, flags):
+        out, split = tmp_path / "results.csv", tmp_path / "split.csv"
+        argv = ["run", "--token", token, "--checkpoints", "24,48", "--ops", "3", "--seed", "5", *flags]
+        assert main(argv + ["--out", str(out), "--split", str(split)]) == 0
+        capsys.readouterr()
+        results, parts = csv_table(out), csv_table(split)
+        assert [(r["n"], r["op"]) for r in parts] == [(r["n"], r["op"]) for r in results] and len(results) == 6
+        for row, part in zip(results, parts):
+            gas = sum(float(v) for k, v in part.items() if k.startswith("gas."))
+            assert gas == pytest.approx(float(row["gas_mean"]), abs=0.05)
+            proof = sum(float(v) for k, v in part.items() if k.startswith("bytes."))
+            assert proof == pytest.approx(float(row["proof_bytes_mean"]), abs=0.2)
+            assert (float(part["sha256_calls"]) > 0) == (token == "acc")
+
+    def test_hashing_is_the_metered_calls(self, small_acc_run):
+        schedule = GasSchedule(remove_precompile_call_cost=True, equalize_hash_costs=True)
+        for row in gas_split(small_acc_run, schedule):
+            # without the call cost each hash costs 30 plus 6 per word, and
+            # the verifiers hash at most three words (a branch) a call
+            assert 36 * row.sha256_calls <= row.gas["hashing"] <= 48 * row.sha256_calls
+
+    def test_bytes_land_in_the_claims_each_op_makes(self, small_acc_run):
+        columns = {row.op: {column for column, size in row.entry_bytes.items() if size} for row in gas_split(small_acc_run, GasSchedule())}
+        assert all((ALLOWED_ADDRESSES, claim) not in columns["transfer"] for claim in CLAIM_NAMES)
+        assert (ALLOWED_ADDRESSES, MEMBER) in columns["transferFrom"]
 
 
 #: a results CSV of one transfer row at ``n`` accounts
