@@ -123,8 +123,9 @@ class AccTokenContract:
         """Walk the op's plan and the bundle's entries in lock-step, then commit.
 
         Each step the mode checks takes the next entry, which must carry the
-        step's claim; each accumulator is read at the first step that names
-        it and written once if updated. The walk must use every entry and
+        step's claim; each accumulator is read at the first such step that
+        names it, so a lifted transferFrom reads no allowed-addresses, and
+        written once if updated. The walk must use every entry and
         every announced word. Returns the transaction's record.
         """
         bundle = decode_bundle(data)
@@ -138,12 +139,12 @@ class AccTokenContract:
         entries = bundle.entries
         index = 0
         for acc, claim, element in steps:
-            if acc not in accs:
-                trace.sload(CONTRACT_KEYS)
-                accs[acc] = self.state.value_of(acc)
             update_op = claim in STORAGE_OP
             if self.lift and not update_op:
                 continue
+            if acc not in accs:
+                trace.sload(CONTRACT_KEYS)
+                accs[acc] = self.state.value_of(acc)
             if index == len(entries) or entries[index].purpose != purpose(acc, claim):
                 raise BundleSchemaMismatch(f"entry {index} does not carry the expected claim")
             entry = entries[index]
