@@ -285,13 +285,53 @@ def program_graph() -> tuple[dict, dict]:
     return edges, attributes
 
 
+def class_attributes() -> dict[str, set[str]]:
+    """Each class of the package, by name, with the attribute names it binds:
+    its methods and properties, its class-level names (fields and
+    ``__slots__`` included) and what its methods assign on ``self``."""
+    found = {}
+    for module in MODULES:
+        for node in parsed(module).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = found.setdefault(node.name, set())
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names.update(target.id for target in targets if isinstance(target, ast.Name))
+                    if any(isinstance(target, ast.Name) and target.id == "__slots__" for target in targets):
+                        names.update(ast.literal_eval(item.value))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) and getattr(sub.value, "id", None) == "self":
+                    names.add(sub.attr)
+    return found
+
+
+def shared_names() -> set[str]:
+    """The attribute names two or more classes of the package bind."""
+    owners = {}
+    for attrs in class_attributes().values():
+        for name in attrs:
+            owners[name] = owners.get(name, 0) + 1
+    return {name for name, count in owners.items() if count > 1}
+
+
 def reachable(roots, edges, attributes) -> set[tuple[str, str]]:
     """``roots`` and every name they read, and every name those read, to a
     fixpoint; a public method counts as read once its class is and some
     node reached reads an attribute of its name. Attributes are matched by
-    name alone, as the program's types are not known statically."""
+    name, as the program's types are not known statically, so a read of a
+    name two classes bind (``shared_names``) does not say whose it is: a
+    method of such a name counts only if ``SHARED`` lists its class."""
     seen, read, todo = set(), set(), list(roots)
-    methods = {(module, name) for module, name in edges if "." in name}
+    shared = shared_names()
+    methods = {
+        (module, name)
+        for module, name in edges
+        if "." in name and (name.split(".")[1] not in shared or name.split(".")[0] in SHARED.get(name.split(".")[1], ()))
+    }
     while todo:
         while todo:
             name = todo.pop()
@@ -358,3 +398,96 @@ class TestProgramRunsItsNames:
         assert ("acctoken.storage", "StorageNetwork.commit") in run
         assert ("acctoken.erc20.system", "TokenSystem.transfer_from") in run  # read by ``getattr`` dispatch
         assert ("acctoken.storage", "FaultPolicy.stale") not in run
+
+
+#: The public method names that two or more classes of the package bind as
+#: attributes, each with the classes whose method of that name the program
+#: runs: a read of such a name does not say whose it is. A method whose
+#: name another class binds too (a field, a slot, another method) is run
+#: only if listed here; ``StorageNetwork.epoch``, a test-only method beside
+#: the ``epoch`` of memories and batches, would not be.
+SHARED = {
+    "allowance": {"BaselineToken", "TokenClient", "TokenSystem"},
+    "approve": {"AccTokenContract", "BaselineToken", "TokenSystem"},
+    "balance_of": {"BaselineToken", "TokenClient", "TokenSystem"},
+    "bootstrap": {"BaselineToken", "TokenSystem"},
+    "changes": {"StorageNetwork"},
+    "check_conservation": {"BaselineToken", "TokenSystem"},
+    "elements": {"StorageNetwork"},
+    "prior": {"Announced", "_Lookups"},
+    "sload": {"TxTrace", "_Untraced"},
+    "spend": {"Announced", "_Lookups"},
+    "sstore_new": {"TxTrace"},
+    "sstore_update": {"TxTrace"},
+    "state": {"TokenSystem"},
+    "total_supply": {"AccTokenContract", "TokenSystem"},
+    "transfer": {"AccTokenContract", "BaselineToken", "TokenSystem"},
+    "transfer_from": {"AccTokenContract", "BaselineToken", "TokenSystem"},
+}
+
+
+def unrun_names() -> tuple[list[str], list[str]]:
+    """The public names and methods that nothing in ``src/`` runs and ``API``
+    does not list, and the ``API`` and ``SHARED`` entries that are stale: an
+    ``API`` name that ``src/`` runs or that is gone, a ``SHARED`` name that
+    fewer than two classes bind, or a class listed for a name it has no
+    public method of."""
+    edges, attributes = program_graph()
+    run = reachable([ENTRY], edges, attributes)
+    api = {split_name(name) for name in API}
+    kept = reachable([ENTRY, *api], edges, attributes)
+    public = {
+        (module, name)
+        for module, path in MODULES.items()
+        if path.name != "__init__.py"
+        for name in defined(module) | set(public_methods(module))
+    }
+    unlisted = sorted(".".join(name) for name in public - kept)
+    stale = sorted(".".join(name) for name in api & run | api - public)
+    methods = {name for module, name in public if "." in name}
+    shared = shared_names()
+    stale += sorted(
+        f"SHARED {name}: {owner}"
+        for name, owners in SHARED.items()
+        for owner in owners
+        if name not in shared or f"{owner}.{name}" not in methods
+    )
+    return unlisted, stale
+
+
+class TestProgramRunsItsNames:
+    """``src/`` holds what the program runs: a public top-level name, and a
+    public method of a class, is reached from what the program runs, or from
+    a name ``API`` lists with who needs it. A name read only by names that
+    nothing reaches is not run, so a chain of test-only names shows whole."""
+
+    def test_every_public_name_is_run_or_listed(self):
+        edges, _attributes = program_graph()
+        assert edges[ENTRY], "nothing in src/ runs on its own: no __main__ block was read"
+        unlisted, stale = unrun_names()
+        assert not unlisted, f"run by nothing in src/ and not listed in API: {unlisted}"
+        assert not stale, f"listed in API or SHARED but run by src/, or gone: {stale}"
+
+    def test_methods_are_reached_through_their_class(self):
+        # the rule would pass vacuously if no method were ever read
+        edges, attributes = program_graph()
+        run = reachable([ENTRY], edges, attributes)
+        assert ("acctoken.storage", "StorageNetwork.commit") in run
+        assert ("acctoken.erc20.system", "TokenSystem.transfer_from") in run  # read by ``getattr`` dispatch
+        assert ("acctoken.storage", "FaultPolicy.stale") not in run
+
+    def test_a_method_sharing_a_read_name_is_caught(self, monkeypatch):
+        # plant a test-only ``StorageNetwork.epoch``: ``src/`` reads ``.epoch``
+        # only on memories and batches, which is no call of it
+        module = "acctoken.storage"
+        tree = copy.deepcopy(parsed(module))
+        (network,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "StorageNetwork")
+        network.body.append(ast.parse("def epoch(self, acc):\n    return self._entry(acc).memory.epoch").body[0])
+        real = parsed
+        monkeypatch.setitem(globals(), "parsed", lambda name: tree if name == module else real(name))
+        assert "epoch" in shared_names()
+        unlisted, _stale = unrun_names()
+        assert unlisted == ["acctoken.storage.StorageNetwork.epoch"]
+        # matched by name alone, as the rule did before, a read of ``.epoch`` hid it
+        monkeypatch.setitem(SHARED, "epoch", {"StorageNetwork"})
+        assert unrun_names()[0] == []
