@@ -15,6 +15,7 @@ The verification half (belongs / check_update) lives in ``verify`` and never
 imports this module or the tree, so verifiers can run without any memory.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..errors import AlreadyPresent, NotPresent, StaleAccumulator, UnsupportedParameter
@@ -82,19 +83,34 @@ def witness(acc: bytes, memory: Memory, element: bytes) -> bytes:
     return witness_for_root(memory.root, element, memory.key_len, memory.elements.get)
 
 
+def _check_same_key(old: bytes, new: bytes, key_len: int | None):
+    """Raise ValueError unless ``new`` takes ``old``'s key: their lookup prefixes are equal."""
+    if new[:key_len] != old[:key_len]:
+        raise ValueError("a replace keeps its element's key")
+
+
 def simulate_update(
-    root: Node, root_digest: bytes, op: str, element: bytes, key_len: int | None = None, held=None
+    root: Node, root_digest: bytes, op: str, element, key_len: int | None = None, held=None
 ) -> tuple[Node, bytes, bytes, bytes]:
-    """Apply add/del to a root snapshot whose digest is ``root_digest`` and
-    whose leaves hold what ``held`` maps their keys to; returns (new root,
-    its digest, update witness bytes, the element's key).
+    """Apply add/del/replace to a root snapshot whose digest is
+    ``root_digest`` and whose leaves hold what ``held`` maps their keys to;
+    returns (new root, its digest, update witness bytes, the element's key).
+    A replace's ``element`` is the pair (old, new) of elements under one key.
 
     The witness records the element's search path under the old root, from
     which a verifier recomputes both the before- and after-roots; the new
-    root is rebuilt from the same walk that wrote the witness. After an add,
-    the new leaf is the returned key object.
+    root is rebuilt from the same walk that wrote the witness. After an add
+    or a replace, the new leaf is the returned key object.
     """
     path = []
+    if op == "replace":  # the key's leaf holds the old element, and then the new one
+        old, new = element
+        key, steps, _terminal, member = _walk(root, old, key_len, held, path)
+        if not member:
+            raise NotPresent(f"key {key.hex()} does not hold the element")
+        _check_same_key(old, new, key_len)
+        new_root, new_digest = tree.replace_at(path, key, _leaves(key_len, lambda _key: new)(key))
+        return new_root, new_digest, pack(WitnessKind.UPDATE_REPLACE, key, steps), key
     key, steps, terminal, member = _walk(root, element, key_len, held, path)
     if op == "add":
         leaf_digest = _leaves(key_len, lambda _key: element)(key)  # the new leaf holds ``element``
@@ -108,8 +124,9 @@ def simulate_update(
     raise ValueError(f"unknown update op {op!r}")
 
 
-def update(op: str, acc_before: bytes, memory: Memory, element: bytes) -> UpdateResult:
-    """Add or delete ``element`` as one epoch of ``memory``, mutating it in place."""
+def update(op: str, acc_before: bytes, memory: Memory, element) -> UpdateResult:
+    """Add or delete ``element``, or replace the pair's old element by its new
+    one, as one epoch of ``memory``, mutating it in place."""
     if acc_before != memory.value:
         raise StaleAccumulator("accumulator value does not match memory root")
     new_root, acc_after, w, key = simulate_update(memory.root, acc_before, op, element, memory.key_len, memory.elements.get)
@@ -126,13 +143,15 @@ class Changes:
     it, so a batch that would fail applied one step at a time raises here,
     before anything changes: AlreadyPresent for an add under a key that holds
     an element at that point, NotPresent for a delete that names another
-    element than its key holds, or none. An add and a later delete of the
-    same element cancel, and so do a delete and a later re-add of it; a
-    delete and a later add of another element under its key are a replace,
-    and both stay. Like the memory, ``adds`` and ``dels`` map trie keys to
+    element than its key holds, or none. A replace of an (old, new) pair is
+    recorded as the delete of old and the add of new under its key. An add
+    and a later delete of the same element cancel, and so do a delete and a
+    later re-add of it; a delete and a later add of another element under
+    its key are a replace, and both stay: the held element and its
+    successor. Like the memory, ``adds`` and ``dels`` map trie keys to
     elements, the ones the keys hold after and before. A step recorded with
-    the ``key`` object a simulated add made its leaf keeps that object, so
-    the added keys can be the leaves.
+    the ``key`` object a simulated add or replace made its leaf keeps that
+    object, so the added keys can be the leaves.
     """
 
     __slots__ = ("memory", "epoch", "adds", "dels")
@@ -145,8 +164,16 @@ class Changes:
         for op, element in steps:
             self.record(op, element)
 
-    def record(self, op: str, element: bytes, key: bytes | None = None):
+    def record(self, op: str, element, key: bytes | None = None):
         """Record one step; ``key``, if given, is ``element``'s key, not computed again."""
+        if op == "replace":
+            old, new = element
+            _check_same_key(old, new, self.memory.key_len)
+            if key is None:
+                key = element_digest(old[: self.memory.key_len])
+            self.record("del", old, key)
+            self.record("add", new, key)
+            return
         if key is None:
             key = element_digest(element[: self.memory.key_len])
         adds, dels = self.adds, self.dels
@@ -180,11 +207,18 @@ def updated_root(root: Node, digest: bytes, changes: Changes) -> tuple[Node, byt
     ``digest``, with the changes applied, and its digest. The persistent
     trie leaves ``root`` as it is; given the only reference to it, the merge
     frees what it replaces as it goes (see ``tree.insert_many``)."""
+    adds = changes.adds
+    leaf = _leaves(changes.memory.key_len, adds.get)
+    keys = sorted(adds)
     for key in changes.dels:
-        root, digest = tree.remove(root, key)
+        if key in adds:  # a replace: the key's path is rehashed, its leaf the added key object
+            key = keys.pop(bisect_left(keys, key))
+            root, digest = tree.replace(root, key, leaf(key))
+        else:
+            root, digest = tree.remove(root, key)
     held = [root]
     del root
-    return tree.insert_many(held.pop(), digest, sorted(changes.adds), _leaves(changes.memory.key_len, changes.adds.get))
+    return tree.insert_many(held.pop(), digest, keys, leaf)
 
 
 def _let_go(memory: Memory) -> Node:

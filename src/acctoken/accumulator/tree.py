@@ -42,7 +42,8 @@ bytes, 8 bytes of child ids and 8 of key slot, against 163 traced bytes as a
 3-tuple and its body. The per-op path copies (``insert``, ``remove``,
 ``insert_at``, ``remove_at``) stay tuples: ``descend`` reads a row it passes
 as a tuple branch over handles to its children, and the copies are built
-over those.
+over those. A replace (``replace``, ``replace_at``) copies the path to a
+leaf and rehashes it, as the leaf now holds another element.
 
 Tuples, bytes and shared keys, rather than objects, because a trie holds a
 node per key and per branch and lives as long as the memory does: bytes are
@@ -151,9 +152,9 @@ def descend(root: Node, key: bytes, path: list | None = None):
     witness carries it: the branch's bit byte, then the digest of the
     sibling the walk did not take. The terminal is a leaf or EMPTY. Given a
     ``path`` list, the walk also appends each (branch, direction) to it, for
-    ``insert_at`` and ``remove_at``, a region's row as the tuple branch
-    ``_branch`` reads it; ``insert`` and ``remove`` walk this way too, and
-    drop the steps.
+    ``insert_at``, ``remove_at`` and ``replace_at``, a region's row as the
+    tuple branch ``_branch`` reads it; ``insert``, ``remove`` and
+    ``replace`` walk this way too, and drop the steps.
     """
     steps = []
     node = root
@@ -242,6 +243,21 @@ def insert(root: Node, root_digest: bytes, key: bytes, leaf_digest: bytes) -> tu
     path = []
     _steps, terminal = descend(root, key, path)
     return insert_at(path, terminal, key, leaf_digest, root, root_digest)
+
+
+def replace_at(path, key: bytes, leaf_digest: bytes) -> tuple[Node, bytes]:
+    """The root and digest after the leaf at ``key``, where the walked
+    ``path`` ends, is given the digest ``leaf_digest``: the path is copied
+    and rehashed over the leaf ``key``, and the trie keeps its shape."""
+    return _rebuild(path, key, leaf_digest)
+
+
+def replace(root: Node, key: bytes, leaf_digest: bytes) -> tuple[Node, bytes]:
+    path = []
+    _steps, terminal = descend(root, key, path)
+    if terminal != key:
+        raise NotPresent(f"key {key.hex()} holds no element")
+    return replace_at(path, key, leaf_digest)
 
 
 def remove_at(path, terminal: Node, key: bytes) -> tuple[Node, bytes]:

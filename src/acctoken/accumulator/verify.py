@@ -23,11 +23,20 @@ verdict never depends on the callback.
 An accepted update witness proves its own precondition by construction.
 ``check_update`` reads its before-state with the reader ``belongs`` uses,
 ``_terminal``: an update witness is read as its precondition witness
-(``witness.PRECONDITION``: membership before a delete, non-membership
-before an add), and the terminal leaf that reader returns is folded up to
-``acc_before`` exactly as ``belongs`` folds it up to ``acc``. So when
-``check_update`` returns 1, ``belongs`` gives the same witness with its
-precondition kind the same verdict against ``acc_before``.
+(``witness.PRECONDITION``: membership before a delete or a replace,
+non-membership before an add), and the terminal leaf that reader returns is
+folded up to ``acc_before`` exactly as ``belongs`` folds it up to ``acc``.
+So when ``check_update`` returns 1, ``belongs`` gives the same witness with
+its precondition kind the same verdict against ``acc_before``.
+
+An update-replace names two elements, the pair (old, new), whose lookup
+prefixes are equal, so both sit under one key: it folds the key's leaf
+holding the old element up to ``acc_before`` and the leaf holding the new
+one, along the same steps, up to ``acc_after``. It cannot add or remove a
+key, so the after-tree holds the same keys, one of them with another
+element. The kind byte says which form the element takes: a pair for a
+replace, one element for any other kind; the other form is 0 before any
+hash.
 """
 
 from . import hashing
@@ -52,6 +61,7 @@ BOTTOM = _Bottom()
 # the kinds as plain ints, which the kind byte is compared with on every call
 _MEMBERSHIP = WitnessKind.MEMBERSHIP.value
 _NON_MEMBERSHIP = WitnessKind.NON_MEMBERSHIP.value
+_REPLACE_BYTE = bytes((WitnessKind.UPDATE_REPLACE.value,))
 # ``belongs`` reads each (non)membership witness as its own kind
 _AS_ITSELF = {_MEMBERSHIP: _MEMBERSHIP, _NON_MEMBERSHIP: _NON_MEMBERSHIP}
 
@@ -161,19 +171,32 @@ def belongs(acc: bytes, element: bytes, w, hashed=None, key_len: int | None = No
         return BOTTOM
 
 
-def check_update(acc_before: bytes, acc_after: bytes, element: bytes, w, hashed=None, key_len: int | None = None) -> int:
-    """1 iff ``w`` proves acc_before --add/del element--> acc_after.
+def check_update(acc_before: bytes, acc_after: bytes, element, w, hashed=None, key_len: int | None = None) -> int:
+    """1 iff ``w`` proves acc_before --add/del element--> acc_after, or, for
+    an update-replace witness, where ``element`` is the pair (old, new),
+    acc_before --old replaced by new--> acc_after.
 
     ``hashed``, if given, is called with each SHA-256 input length;
     ``key_len`` is the accumulator's (see ``hashing``).
     """
     try:
+        replaced = element.__class__ is tuple
+        if replaced != (w.__class__ is bytes and w[KIND_AT : KIND_AT + 1] == _REPLACE_BYTE):
+            return 0
+        if replaced:  # equal lookup prefixes: the new element takes the old one's key
+            element, new = element
+            if new.__class__ is not bytes or new[:key_len] != element[:key_len]:
+                return 0
         read = _terminal(element, w, hashed, PRECONDITION, key_len)
         if read is None:
             return 0
         present, end, mask, k, node, split = read
         sha256 = hashing.hashlib.sha256
-        if present:  # a delete: the leaf's parent collapses and its sibling takes its place
+        if replaced:  # the key's leaf, rehashed over the same steps
+            new_leaf = _leaf(new, w[KEY_AT:COUNT_AT], key_len, sha256, hashed)
+            before = _fold(node, w, HEADER_BYTES, end, k, sha256, hashed)
+            after = _fold(new_leaf, w, HEADER_BYTES, end, k, sha256, hashed)
+        elif present:  # a delete: the leaf's parent collapses and its sibling takes its place
             before = _fold(node, w, HEADER_BYTES, end, k, sha256, hashed)
             last = end - STEP_BYTES
             after = EMPTY_DIGEST if end == HEADER_BYTES else _fold(w[last + 1 : end], w, HEADER_BYTES, last, k, sha256, hashed)

@@ -6,6 +6,12 @@ Wire layout (bit-exact; golden vectors live in tests/golden/):
     step    = branch-bit(1) || sibling-digest(32)          (root-first order)
     payload = occupant-key(32) || occupant-element-digest(32)  (kinds 2 and 3 only)
 
+Kinds: 1 membership, 2 non-membership, 3 update-add, 4 update-del and 5
+update-replace. Membership, update-del and update-replace carry the header
+and steps only: the path to the leaf under the element's key. An
+update-replace rewrites that leaf to hold another element under the same
+key, so the trie's shape does not change and one path proves both trees.
+
 Steps record the discriminator bit index of each branch on the element's
 search path; the turn taken at a branch is the element key's bit at that
 index, so no separate direction flag is carried. Non-membership and
@@ -41,6 +47,7 @@ class WitnessKind(IntEnum):
     NON_MEMBERSHIP = 2
     UPDATE_ADD = 3
     UPDATE_DEL = 4
+    UPDATE_REPLACE = 5
 
 
 #: trailing payload bytes of each kind; a kind not listed here is unknown
@@ -49,14 +56,17 @@ PAYLOAD_BYTES = {
     WitnessKind.NON_MEMBERSHIP.value: OCCUPANT_BYTES,
     WitnessKind.UPDATE_ADD.value: OCCUPANT_BYTES,
     WitnessKind.UPDATE_DEL.value: 0,
+    WitnessKind.UPDATE_REPLACE.value: 0,
 }
 
 #: the kind of each update witness -> the kind of what it proves of the tree
-#: before the update: absence before an add, presence before a delete; the
-#: two kinds of each pair share a layout, so only the kind byte differs
+#: before the update: absence before an add, presence before a delete, and
+#: presence of the old element before a replace; the kinds of each pair
+#: share a layout, so only the kind byte differs
 PRECONDITION = {
     WitnessKind.UPDATE_ADD.value: WitnessKind.NON_MEMBERSHIP.value,
     WitnessKind.UPDATE_DEL.value: WitnessKind.MEMBERSHIP.value,
+    WitnessKind.UPDATE_REPLACE.value: WitnessKind.MEMBERSHIP.value,
 }
 
 

@@ -7,8 +7,9 @@ Wire layout (the byte length feeds calldata gas metering):
 
 The purpose byte binds a witness to its role: the high nibble names the
 accumulator (1 balances, 2 approved pairs, 3 allowances), the low nibble the
-claim (1 membership, 2 non-membership, 3 update-add, 4 update-del). Witness
-bytes are self-delimiting, so entries parse without extra length fields.
+claim (1 membership, 2 non-membership, 3 update-add, 4 update-del, 5
+update-replace). Witness bytes are self-delimiting, so entries parse without
+extra length fields.
 
 An entry holds its witness as bytes: the payload storage served and the
 client verified, or, for a membership entry derived from an accumulator's
@@ -48,12 +49,19 @@ MEMBER = WitnessKind.MEMBERSHIP
 NON_MEMBER = WitnessKind.NON_MEMBERSHIP
 UPDATE_ADD = WitnessKind.UPDATE_ADD
 UPDATE_DEL = WitnessKind.UPDATE_DEL
+UPDATE_REPLACE = WitnessKind.UPDATE_REPLACE
 
 #: each claim's name in reports
-CLAIM_NAMES = {MEMBER: "member", NON_MEMBER: "non-member", UPDATE_ADD: "add", UPDATE_DEL: "del"}
+CLAIM_NAMES = {
+    MEMBER: "member",
+    NON_MEMBER: "non-member",
+    UPDATE_ADD: "add",
+    UPDATE_DEL: "del",
+    UPDATE_REPLACE: "replace",
+}
 
 #: The storage operation behind each update claim; other claims are memberships.
-STORAGE_OP = {UPDATE_ADD: "add", UPDATE_DEL: "del"}
+STORAGE_OP = {UPDATE_ADD: "add", UPDATE_DEL: "del", UPDATE_REPLACE: "replace"}
 
 
 class OpTag(IntEnum):

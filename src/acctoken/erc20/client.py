@@ -17,7 +17,8 @@ membership witness only for an element it does not remember as a member of
 the contract's current value. The remembered set stays a subset of the set
 that value commits to: each element was proven by ``belongs`` against it, and
 the value moves on only by ``follow``, with a chain the contract verified,
-whose deletions are the only steps that can take a member out. A value the
+whose deletions and replacements are the only steps that can take a member
+out: ``follow`` drops the element each deletes or replaces. A value the
 client did not follow (``bootstrap``, another submitter) starts an empty set
 at its first proof; the digest binds the set, so a value seen again commits
 to the same set. Non-membership is not remembered, and bundles are always
@@ -100,6 +101,8 @@ class TokenClient:
             for op, element in steps:
                 if op == "del":
                     members.discard(element)
+                elif op == "replace":  # its old element is no member after it
+                    members.discard(element[0])
             self._proven[acc] = after.value_of(acc), members
 
     def _prove_member(self, name: str, element: bytes):
@@ -190,9 +193,9 @@ class TokenClient:
             running = self.contract.state.value_of(acc) if base is None else base
             if check_update(running, predicted, element, payload, key_len=pb.KEY_LEN[acc]) != 1:
                 raise VerificationFailed(f"update witness for {acc} did not verify")
-            if base is None:
+            if base is None:  # of a replace, the old element's membership
                 implied = precondition_witness(payload)
-                proven[acc, implied[KIND_AT], element] = implied
+                proven[acc, implied[KIND_AT], element[0] if claim == pb.UPDATE_REPLACE else element] = implied
             updates.append(BundleEntry(pb.purpose(acc, claim), payload, predicted))
             chained[acc] = predicted
         for step in () if self.lift else steps:

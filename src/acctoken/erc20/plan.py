@@ -3,6 +3,9 @@
 ``transfer``, ``approve`` and ``transfer_from`` take the op's arguments and an
 ``amounts`` source and return the log record and the steps, ``(accumulator,
 claim, element)`` triples: membership claims, then updates in chain order.
+A tuple that changes under its key (an owner's balance, a pair's allowance)
+is one replace step, whose element is the pair (old tuple, new tuple); a
+tuple under a key that held none is an add.
 The contract walks them in lock-step with a bundle's entries, so they are
 the bundle schema: one entry per step, each carrying its step's claim. The
 client builds bundles from them, and ``TokenSystem`` commits their update
@@ -30,7 +33,7 @@ from .bundle import (
     MEMBER,
     NON_MEMBER,
     UPDATE_ADD,
-    UPDATE_DEL,
+    UPDATE_REPLACE,
     OpTag,
 )
 from .elements import ZERO_ADDRESS, allowance_element, balance_element, check_amount, pair_element
@@ -44,7 +47,7 @@ class LogRecord:
     amount: int
 
 
-Step = tuple[str, int, bytes]  # (accumulator, claim, element)
+Step = tuple[str, int, bytes | tuple[bytes, bytes]]  # (accumulator, claim, element or a replace's pair)
 Plan = tuple[LogRecord, Iterator[Step]]  # (log record, steps)
 
 
@@ -93,11 +96,9 @@ def _move(sender: bytes, to: bytes, tokens: int, amounts) -> Iterator[Step]:
     to_tuple = balance_element(to, y2)
     yield (BALANCES, NON_MEMBER if fresh else MEMBER, to_tuple)
     check_amount(y2 + tokens)
-    yield (BALANCES, UPDATE_DEL, sender_tuple)
-    if not fresh:
-        yield (BALANCES, UPDATE_DEL, to_tuple)
-    yield (BALANCES, UPDATE_ADD, balance_element(sender, y1 - tokens))
-    yield (BALANCES, UPDATE_ADD, balance_element(to, y2 + tokens))
+    yield (BALANCES, UPDATE_REPLACE, (sender_tuple, balance_element(sender, y1 - tokens)))
+    credited = balance_element(to, y2 + tokens)
+    yield (BALANCES, UPDATE_ADD, credited) if fresh else (BALANCES, UPDATE_REPLACE, (to_tuple, credited))
 
 
 def _transfer_steps(sender: bytes, to: bytes, tokens: int, amounts) -> Iterator[Step]:
@@ -111,15 +112,16 @@ def transfer(sender: bytes, to: bytes, tokens: int, amounts) -> Plan:
 
 def _approve_steps(owner: bytes, spender: bytes, tokens: int, amounts) -> Iterator[Step]:
     old = amounts.prior(ALLOWED_BALANCES, owner, spender)
+    allowance = allowance_element(owner, spender, tokens)
     if old is None:
         pair = pair_element(owner, spender)
         yield (ALLOWED_ADDRESSES, NON_MEMBER, pair)
         yield (ALLOWED_ADDRESSES, UPDATE_ADD, pair)
+        yield (ALLOWED_BALANCES, UPDATE_ADD, allowance)
     else:
         old_allowance = allowance_element(owner, spender, old)
         yield (ALLOWED_BALANCES, MEMBER, old_allowance)
-        yield (ALLOWED_BALANCES, UPDATE_DEL, old_allowance)
-    yield (ALLOWED_BALANCES, UPDATE_ADD, allowance_element(owner, spender, tokens))
+        yield (ALLOWED_BALANCES, UPDATE_REPLACE, (old_allowance, allowance))
 
 
 def approve(owner: bytes, spender: bytes, tokens: int, amounts) -> Plan:
@@ -134,8 +136,7 @@ def _transfer_from_steps(spender: bytes, sender: bytes, to: bytes, tokens: int, 
     yield (ALLOWED_BALANCES, MEMBER, old_allowance)
     _cover(allowed, tokens, InsufficientAllowance, "allowance")
     yield from _move(sender, to, tokens, amounts)
-    yield (ALLOWED_BALANCES, UPDATE_DEL, old_allowance)
-    yield (ALLOWED_BALANCES, UPDATE_ADD, allowance_element(sender, spender, allowed - tokens))
+    yield (ALLOWED_BALANCES, UPDATE_REPLACE, (old_allowance, allowance_element(sender, spender, allowed - tokens)))
 
 
 def transfer_from(spender: bytes, sender: bytes, to: bytes, tokens: int, amounts) -> Plan:

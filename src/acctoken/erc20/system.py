@@ -21,8 +21,9 @@ deployer's ``plan.mint``.
 
 Once storage has committed a verified transaction, the client follows its
 chains (``TokenClient.follow``): the members its reads proved stay proven
-across the transaction, less the elements the chains delete. Nothing else
-moves the client's remembered values, so a bootstrap is not followed.
+across the transaction, less the elements the chains delete or replace.
+Nothing else moves the client's remembered values, so a bootstrap is not
+followed.
 """
 
 import hashlib

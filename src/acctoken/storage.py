@@ -128,8 +128,9 @@ class ServingStats:
     lookup_bytes: int = 0
 
 
-# (op, element) steps of one accumulator, in chain order
-Steps = list[tuple[str, bytes]]
+# (op, element) steps of one accumulator, in chain order; a replace's
+# element is the pair (old, new) of elements under one key
+Steps = list[tuple[str, bytes | tuple[bytes, bytes]]]
 
 # the element each key of some root holds, None for a key it does not hold (a
 # ``core`` builder's ``held``)
@@ -280,10 +281,10 @@ class StorageNetwork:
         self,
         acc: str,
         op: str,
-        element: bytes,
+        element: bytes | tuple[bytes, bytes],
         base: bytes | None = None,
     ) -> tuple[bytes, bytes]:
-        """Simulate ``op`` without mutating memory.
+        """Simulate ``op`` (add, del, or replace of an (old, new) pair under one key) without mutating memory.
 
         Returns (predicted accumulator value after the op, serialized update
         witness). Without a ``base`` the op starts a new chain on the served
@@ -302,7 +303,7 @@ class StorageNetwork:
             digest, root, changes, steps, held = entry.tip
         else:
             raise StorageError("unknown base snapshot; rebuild from current")
-        # an add's new leaf is ``key``
+        # an add's or a replace's new leaf is ``key``
         new_root, acc_after, witness, key = core.simulate_update(root, digest, op, element, entry.memory.key_len, held)
         changes.record(op, element, key)
         steps.append((op, element))

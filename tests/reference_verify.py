@@ -15,7 +15,10 @@ an element by the SHA-256 of its first ``key_len`` bytes (of all of it when
 ``d`` is the SHA-256 of the element the leaf holds (the key itself under
 whole-element keys). A key holds one leaf: membership needs the leaf under
 the element's key to hold the element, and non-membership a leaf under
-another key, whatever element it holds.
+another key, whatever element it holds. An update-replace claim names two
+elements, (old, new), with equal lookup prefixes, so one key: the leaf
+under it holds old in the tree before and new in the tree after, over the
+same siblings. Any other claim names one element.
 """
 
 from dataclasses import dataclass
@@ -241,18 +244,22 @@ def _belongs(acc: bytes, element: bytes, w: Witness, key_len, digest, leaf, bran
     return BOTTOM
 
 
-def check_update(acc_before: bytes, acc_after: bytes, element: bytes, w, hashed=None, key_len=None) -> int:
+def check_update(acc_before: bytes, acc_after: bytes, element, w, hashed=None, key_len=None) -> int:
     try:
         w = _as_witness(w)
     except (TypeError, ValueError):
         return 0
+    if (w.kind == WitnessKind.UPDATE_REPLACE) != (type(element) is tuple):
+        return 0  # a replace claim names a pair, any other claim one element
     try:
         return _check_update(acc_before, acc_after, element, w, key_len, *(_PLAIN if hashed is None else metered(hashed)))
     except Exception:
         return 0
 
 
-def _check_update(acc_before: bytes, acc_after: bytes, element: bytes, w: Witness, key_len, digest, leaf, branch) -> int:
+def _check_update(acc_before: bytes, acc_after: bytes, element, w: Witness, key_len, digest, leaf, branch) -> int:
+    if w.kind == WitnessKind.UPDATE_REPLACE:
+        return _check_replace(acc_before, acc_after, *element, w, key_len, digest, leaf, branch)
     if not _well_formed(w) or not _keyed(element, w, key_len, digest):
         return 0
     key = w.element_key
@@ -288,3 +295,17 @@ def _check_update(acc_before: bytes, acc_after: bytes, element: bytes, w: Witnes
             after = _fold(w.steps[-1][1], w.steps[:-1], key, branch)
         return 1 if before == acc_before and after == acc_after else 0
     return 0
+
+
+def _check_replace(acc_before: bytes, acc_after: bytes, old: bytes, new: bytes, w: Witness, key_len, digest, leaf, branch) -> int:
+    # equal lookup prefixes are equal keys, so no hash of the new one is needed
+    if type(new) is not bytes or new[:key_len] != old[:key_len]:
+        return 0
+    if not _well_formed(w) or not _keyed(old, w, key_len, digest):
+        return 0
+    key = w.element_key
+    old_leaf = leaf(key, _held(old, key, key_len, digest))
+    new_leaf = leaf(key, _held(new, key, key_len, digest))
+    before = _fold(old_leaf, w.steps, key, branch)
+    after = _fold(new_leaf, w.steps, key, branch)
+    return 1 if before == acc_before and after == acc_after else 0

@@ -330,13 +330,13 @@ class TestHashReport:
     """The verifiers' ``hashed`` callback reports exactly the SHA-256 inputs they hash."""
 
     @staticmethod
-    def hashlib_lengths(fn, *args):
+    def hashlib_lengths(fn, *args, **kwargs):
         import acctoken.accumulator.hashing as hashing_module
 
         recorder = RecordingHashlib(hashing_module.hashlib)
         hashing_module.hashlib = recorder
         try:
-            result = fn(*args)
+            result = fn(*args, **kwargs)
         finally:
             hashing_module.hashlib = recorder.real
         return result, sorted(recorder.lengths)
@@ -349,28 +349,34 @@ class TestHashReport:
     def test_callback_sizes_equal_hashlib_lengths(self, elements, probe):
         elements.discard(probe)
         acc, memory = build_set(elements)
-        cases = [(belongs, acc, probe, witness(acc, memory, probe))]  # non-membership
+        # (verifier, key length, claim and witness)
+        cases = [(belongs, None, (acc, probe, witness(acc, memory, probe)))]  # non-membership
         if elements:  # membership and deletion need a present element
             member = min(elements)
-            cases.append((belongs, acc, member, witness(acc, memory, member)))
+            cases.append((belongs, None, (acc, member, witness(acc, memory, member))))
         added = update("add", acc, memory, probe)
-        cases.append((check_update, acc, added.acc_after, probe, added.witness))
+        cases.append((check_update, None, (acc, added.acc_after, probe, added.witness)))
         if elements:
             removed = update("del", added.acc_after, memory, member)
-            cases.append((check_update, added.acc_after, removed.acc_after, member, removed.witness))
-        assert {args[-1][0] for _fn, *args in cases} == (
+            cases.append((check_update, None, (added.acc_after, removed.acc_after, member, removed.witness)))
+            # a replace needs a prefix key: here each element's first byte
+            acc_k, keyed = build_set({bytes((i,)) + e for i, e in enumerate(sorted(elements))}, key_len=1)
+            pair = (b"\x00" + member, b"\x00" + probe)
+            replaced = update("replace", acc_k, keyed, pair)
+            cases.append((check_update, 1, (acc_k, replaced.acc_after, pair, replaced.witness)))
+        assert {args[-1][0] for _fn, _key_len, args in cases} == (
             set(WitnessKind) if elements else {WitnessKind.NON_MEMBERSHIP, WitnessKind.UPDATE_ADD}
         )
         wrong = b"\x5a" * 32
-        for fn, acc_arg, *rest in cases:
+        for fn, key_len, (acc_arg, *rest) in cases:
             # the genuine claim, then the same witness against a wrong accumulator value
             for args in ((acc_arg, *rest), (wrong, *rest)):
-                plain = fn(*args)
+                plain = fn(*args, key_len=key_len)
                 reported = []
-                verdict, seen = self.hashlib_lengths(fn, *args, reported.append)
+                verdict, seen = self.hashlib_lengths(fn, *args, reported.append, key_len=key_len)
                 assert verdict == plain
                 assert sorted(reported) == seen
-            assert fn(acc_arg, *rest) in (0, 1)
+            assert fn(acc_arg, *rest, key_len=key_len) in (0, 1)
 
 
 class TestWitnessSizes:
@@ -587,7 +593,11 @@ _FORGERIES = ("none", "flip", "foreign", "cut", "extend", "kind", "occupant-is-k
               "repeated-bit", "swapped-bits")
 
 # the kind with a payload that shares each payload-free kind's steps
-_WITH_PAYLOAD = {WitnessKind.MEMBERSHIP: WitnessKind.NON_MEMBERSHIP, WitnessKind.UPDATE_DEL: WitnessKind.UPDATE_ADD}
+_WITH_PAYLOAD = {
+    WitnessKind.MEMBERSHIP: WitnessKind.NON_MEMBERSHIP,
+    WitnessKind.UPDATE_DEL: WitnessKind.UPDATE_ADD,
+    WitnessKind.UPDATE_REPLACE: WitnessKind.UPDATE_ADD,
+}
 
 
 def with_occupant(raw: bytes, occupant: bytes) -> bytes:
@@ -613,7 +623,9 @@ def verifier_calls(draw):
     a prefix the element's key may hold another element. The witness is the
     bytes the builders return for its element, on the set itself or on a
     set that differs from it by one other element, added, deleted or put in
-    place of the one its key holds. It may then be forged, at byte level: a
+    place of the one its key holds; an update is an add, a delete, or a
+    replace of what the element's key holds, by the element or by another
+    element under its key. It may then be forged, at byte level: a
     flipped bit; another element's steps; its steps cut or extended, with
     the count word adjusted or left stale; each kind byte 0-5 and 9, with
     the payload fitted to the new kind or not; the element's own key as
@@ -635,7 +647,17 @@ def verifier_calls(draw):
     acc, _memory = build_set(sorted(elements), key_len=key_len)
     _acc, memory = build_set(sorted(source.values()), key_len=key_len)
     held = source.get(element_digest(element[:key_len]))
-    if draw(st.booleans()) or held not in (None, element):  # an add under a taken key has no witness
+    if held is not None and draw(st.booleans()):
+        # a replace of what the key holds, by the element or, when the key is
+        # its prefix, by another element under it (whole-element keys
+        # replace an element by itself)
+        new = element
+        if held == element and key_len is not None and len(element) >= key_len:
+            new = element[:key_len] + draw(st.binary(max_size=4))
+        pair = (held, new)
+        _root, after, raw, _key = simulate_update(memory.root, memory.value, "replace", pair, key_len, held_by(memory))
+        name, claim = "check_update", (acc, after, pair)
+    elif draw(st.booleans()) or held not in (None, element):  # an add under a taken key has no witness
         name, claim = "belongs", (acc, element)
         raw = witness_for_root(memory.root, element, key_len, held_by(memory))
     else:
@@ -709,7 +731,7 @@ class TestReferenceEquivalence:
         acc, memory = build_set([b"a", b"b", b"c"])
         calls = [(belongs, (acc, b"a"), 1), (belongs, (acc, b"z"), 0)]
         calls = [(fn, (*claim, witness(acc, memory, claim[1])), want) for fn, claim, want in calls]
-        for op, element in (("add", b"z"), ("del", b"a")):
+        for op, element in (("add", b"z"), ("del", b"a"), ("replace", (b"b", b"b"))):
             _root, after, raw, _key = simulate_update(memory.root, acc, op, element)
             calls.append((check_update, (acc, after, element, raw), 1))
         for fn, (*claim, raw), want in calls:

@@ -35,6 +35,7 @@ from acctoken.erc20.bundle import (
     STORAGE_OP,
     UPDATE_ADD,
     UPDATE_DEL,
+    UPDATE_REPLACE,
     purpose,
     purpose_claim,
 )
@@ -146,20 +147,19 @@ class TestTransfer:
             system.transfer(A, B, 1001)
         assert snapshot(system) == before
 
-    def test_transfer_between_existing_accounts_has_six_entries(self):
+    def test_transfer_between_existing_accounts_has_four_entries(self):
         system = TokenSystem(A, 1000)
         system.transfer(A, B, 100)
         bundle = system.client.build_transfer(A, B, 50)
         claims = [purpose_claim(p) for p in bundle.purposes()]
-        assert claims.count(MEMBER) == 2
-        assert claims.count(UPDATE_ADD) + claims.count(UPDATE_DEL) == 4
+        # each balance changes under its owner's key: one replace each
+        assert claims == [MEMBER, MEMBER, UPDATE_REPLACE, UPDATE_REPLACE]
 
     def test_fresh_destination_uses_non_membership(self):
         system = TokenSystem(A, 1000)
         bundle = system.client.build_transfer(A, B, 50)
         claims = [purpose_claim(p) for p in bundle.purposes()]
-        assert claims.count(MEMBER) == 1 and claims.count(NON_MEMBER) == 1
-        assert len(bundle.entries) == 5
+        assert claims == [MEMBER, NON_MEMBER, UPDATE_REPLACE, UPDATE_ADD]
         system.transfer(A, B, 50, bundle)
         assert system.balance_of(B) == 50
 
@@ -300,7 +300,7 @@ class TestApprove:
         system.approve(A, S, 50)
         bundle = system.client.build_approve(A, S, 20)
         claims = [purpose_claim(p) for p in bundle.purposes()]
-        assert claims == [MEMBER, UPDATE_DEL, UPDATE_ADD]
+        assert claims == [MEMBER, UPDATE_REPLACE]
         system.approve(A, S, 20, bundle)
         assert system.allowance(A, S) == 20  # replaced, not summed
 
@@ -361,9 +361,7 @@ class TestTransferFrom:
         system.approve(A, S, 50)
         bundle = system.client.build_transfer_from(S, A, B, 20)
         claims = [purpose_claim(p) for p in bundle.purposes()]
-        assert claims.count(MEMBER) == 4
-        assert claims.count(UPDATE_ADD) + claims.count(UPDATE_DEL) == 6
-        assert len(bundle.entries) == 10
+        assert claims == [MEMBER] * 4 + [UPDATE_REPLACE] * 3
         system.transfer_from(S, A, B, 20, bundle)
 
     def test_full_allowance_spend_keeps_zero_tuple(self):
@@ -710,12 +708,11 @@ class TestWitnessKindMatchesClaim:
             system,
             BALANCES,
             [
-                ("del", balance_element(C, 100)),
-                ("add", balance_element(C, 93)),
+                ("replace", (balance_element(C, 100), balance_element(C, 93))),
                 ("del", balance_element(B, 7)),  # in the slot of the add of (B, 7)
             ],
         )
-        claims = (UPDATE_DEL, UPDATE_ADD, UPDATE_ADD)
+        claims = (UPDATE_REPLACE, UPDATE_ADD)
         updates = [BundleEntry(purpose(BALANCES, claim), w, after) for claim, (after, w) in zip(claims, chain)]
         return ProofBundle(OpTag.TRANSFER, updates, (100,))
 
@@ -741,21 +738,20 @@ class TestWitnessKindMatchesClaim:
         system.check_conservation()
         system.transfer(C, B, 7)  # contract and storage still move together
 
-    def test_update_add_witness_in_an_update_del_slot_lifted(self):
-        # B holds nothing, so an add of (B, y1) has a witness; no chain can
-        # go on to add (B, y1 - 1) under the key (B, y1) then holds, so the
-        # bundle carries the steps storage can build
+    def test_update_add_witness_in_an_update_replace_slot_lifted(self):
+        # B holds nothing, so an add of (B, y1) has a witness, and verified
+        # as an add it would move the value on as a replace of (B, y1) does not
         system = TokenSystem(A, 1000, lift_checkupdate_precondition=True)
         y1 = 10**6  # announced for B
         chain = update_chain(
             system,
             BALANCES,
             [
-                ("add", balance_element(B, y1)),  # in the slot of the delete of (B, y1)
-                ("del", balance_element(A, 1000)),
+                ("add", balance_element(B, y1)),  # in the slot of the replace of (B, y1)
+                ("replace", (balance_element(A, 1000), balance_element(A, 1001))),
             ],
         )
-        claims = (UPDATE_DEL, UPDATE_DEL)
+        claims = (UPDATE_REPLACE, UPDATE_REPLACE)
         entries = [BundleEntry(purpose(BALANCES, claim), w, after) for claim, (after, w) in zip(claims, chain)]
         bundle = ProofBundle(OpTag.TRANSFER, entries, (y1, 1000))
         before = snapshot(system)
@@ -778,7 +774,7 @@ class TestChainTip:
         last_from = system.client.build_transfer_from(S, A, B, 1)
         tips = {name: system.network._entry(name).tip for name in ACCUMULATORS}
         assert tips[ALLOWED_ADDRESSES] is None  # no update on it since the last commit
-        assert tips[BALANCES][0] == last_from.entries[-3].claimed_after != last.entries[-1].claimed_after
+        assert tips[BALANCES][0] == last_from.entries[-2].claimed_after != last.entries[-1].claimed_after
         assert tips[ALLOWED_BALANCES][0] == last_from.entries[-1].claimed_after
         with pytest.raises(StorageError):  # the chain of an earlier bundle is gone
             system.network.build_update_witness(BALANCES, "del", balance_element(A, 9797), base=last.entries[-1].claimed_after)
@@ -918,7 +914,7 @@ class TestChainTipAdoption:
         system.approve(A, S, 50)
         other = system.client.build_transfer_from(S, A, B, 7)
         own = system.client.build_transfer_from(S, A, B, 5)
-        allowance_updates = {purpose(ALLOWED_BALANCES, UPDATE_DEL), purpose(ALLOWED_BALANCES, UPDATE_ADD)}
+        allowance_updates = {purpose(ALLOWED_BALANCES, UPDATE_REPLACE)}
         entries = [theirs if mine.purpose in allowance_updates else mine
                    for mine, theirs in zip(own.entries, other.entries)]
         monkeypatch.setattr("acctoken.erc20.contract.check_update", lambda *args: 1)
@@ -1056,12 +1052,12 @@ class TestSemanticForgery:
 
 # op variant -> (entries, entries when lifted, announced words) of its honest bundle
 HONEST_COUNTS = {
-    "transfer-standard": (6, 4, 2),
-    "transfer-fresh": (5, 3, 1),
-    "approve-again": (3, 2, 1),
+    "transfer-standard": (4, 2, 2),
+    "transfer-fresh": (4, 2, 1),
+    "approve-again": (2, 1, 1),
     "approve-first": (3, 2, 0),
-    "transfer_from-standard": (10, 6, 3),
-    "transfer_from-fresh": (9, 5, 2),
+    "transfer_from-standard": (7, 3, 3),
+    "transfer_from-fresh": (7, 3, 2),
 }
 
 
@@ -1193,7 +1189,8 @@ class TestDerivedMembership:
         _log, steps = plan.PLANS[bundle.op](*args, plan.Announced(bundle.announced))
         steps = list(steps)
         membership = [(acc, element) for acc, claim, element in steps if claim in (MEMBER, NON_MEMBER)]
-        updates = [(acc, element) for acc, claim, element in steps if claim in (UPDATE_ADD, UPDATE_DEL)]
+        # the element whose (non)membership each update proves: a replace's old one
+        updates = [(acc, element[0] if claim == UPDATE_REPLACE else element) for acc, claim, element in steps if claim in STORAGE_OP]
         first_update = {}
         for (acc, element), entry in reversed(list(zip(updates, bundle.entries[len(membership) :]))):
             first_update[acc] = (element, entry.witness)

@@ -7,6 +7,7 @@ import pytest
 
 from acctoken.accumulator import (
     EMPTY_DIGEST,
+    check_update,
     WitnessKind,
     element_digest,
     setup,
@@ -72,6 +73,22 @@ class TestGoldenVectors:
         result = update("del", acc, memory, b"beta")
         assert result.witness.hex() == GOLDEN["update_del_beta_hex"]
         assert result.acc_after.hex() == GOLDEN["acc_after_del_hex"]
+
+    def test_replace_witness_bytes(self):
+        # a replace needs a prefix key: the golden elements keyed by their first bytes
+        key_len = GOLDEN["replace_key_len"]
+        acc, memory = setup(256, key_len)
+        for name in GOLDEN["elements"]:
+            acc = update("add", acc, memory, name.encode()).acc_after
+        assert acc.hex() == GOLDEN["acc_before_replace_hex"]
+        old, new = (name.encode() for name in GOLDEN["replace_pair"])
+        member = witness(acc, memory, old)
+        result = update("replace", acc, memory, (old, new))
+        assert result.witness.hex() == GOLDEN["update_replace_alpha_hex"]
+        assert result.acc_after.hex() == GOLDEN["acc_after_replace_hex"]
+        # the old element's membership witness, under another kind byte
+        assert result.witness[0] == WitnessKind.UPDATE_REPLACE and result.witness[1:] == member[1:]
+        assert check_update(acc, result.acc_after, (old, new), result.witness, key_len=key_len) == 1
 
     def test_empty_non_membership_bytes(self):
         acc, memory = setup(256)
