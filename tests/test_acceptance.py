@@ -10,11 +10,13 @@ everything is seeded and deterministic.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from acctoken.accumulator import (
     BOTTOM,
+    WitnessKind,
     belongs,
     check_update,
     setup,
@@ -207,58 +209,75 @@ class TestCriterion4AccumulatorProperties:
         for probe in rng.sample(sorted(shadow), 100):
             assert belongs(acc_r, probe, witness(acc_r, mem_r, probe)) == 1
 
-        # per-byte tamper fuzzing across witness kinds
-        mutations = 0
+        # per-byte tamper fuzzing across witness kinds, on an accumulator
+        # keyed by whole elements and on two keyed by a lookup prefix of a
+        # balance tuple's and an allowance tuple's length (21 and 41 bytes)
+        mutations = Counter()  # (key length, witness kind) -> mutants
         forgeries = 0
+        masks = (0x01, 0x02, 0x08, 0x10, 0x40, 0x80, 0xAA, 0xFF)
+
+        def fuzz(raw, rejected, key_len):
+            nonlocal forgeries
+            for position in range(len(raw)):
+                for mask in masks:
+                    mutated = bytearray(raw)
+                    mutated[position] ^= mask
+                    forgeries += not rejected(bytes(mutated))
+            mutations[key_len, WitnessKind(raw[0]).name.lower()] += len(raw) * len(masks)
+
         small_elements = [rng.randbytes(12) for _ in range(128)]
         acc_s, mem_s = _build(small_elements)
-        probes = [(e, True) for e in small_elements[:40]] + [
-            (rng.randbytes(9), False) for _ in range(20)
-        ]
-        masks = (0x01, 0x02, 0x08, 0x10, 0x40, 0x80, 0xAA, 0xFF)
-        for element, _member in probes:
-            raw = witness(acc_s, mem_s, element)
-            for position in range(len(raw)):
-                for mask in masks:
-                    mutated = bytearray(raw)
-                    mutated[position] ^= mask
-                    mutations += 1
-                    if belongs(acc_s, element, bytes(mutated)) is not BOTTOM:
-                        forgeries += 1
+        probes = small_elements[:40] + [rng.randbytes(9) for _ in range(20)]
+        for element in probes:
+            fuzz(witness(acc_s, mem_s, element), lambda w: belongs(acc_s, element, w) is BOTTOM, None)
         running = acc_s
         victims = [rng.randbytes(11) for _ in range(12)]
-        for element in victims:
-            result = update("add", running, mem_s, element)
-            raw = result.witness
-            for position in range(len(raw)):
-                for mask in masks:
-                    mutated = bytearray(raw)
-                    mutated[position] ^= mask
-                    mutations += 1
-                    if check_update(running, result.acc_after, element, bytes(mutated)) != 0:
-                        forgeries += 1
+        for op, element in [("add", e) for e in victims] + [("del", e) for e in victims[:6]]:
+            result = update(op, running, mem_s, element)
+            fuzz(result.witness, lambda w: check_update(running, result.acc_after, element, w) == 0, None)
             running = result.acc_after
-        for element in victims[:6]:
-            result = update("del", running, mem_s, element)
-            raw = result.witness
-            for position in range(len(raw)):
-                for mask in masks:
-                    mutated = bytearray(raw)
-                    mutated[position] ^= mask
-                    mutations += 1
-                    if check_update(running, result.acc_after, element, bytes(mutated)) != 0:
-                        forgeries += 1
-            running = result.acc_after
+
+        for key_len in (21, 41):
+            tuples = [rng.randbytes(key_len) + rng.randbytes(32) for _ in range(64)]
+            acc_k, mem_k = _build(tuples, key_len)
+            # members, absent keys, and keys holding another tuple than the probe
+            probes = tuples[:8] + [rng.randbytes(key_len + 32) for _ in range(4)]
+            probes += [t[:key_len] + rng.randbytes(32) for t in tuples[8:12]]
+            for element in probes:
+                fuzz(witness(acc_k, mem_k, element), lambda w: belongs(acc_k, element, w, key_len=key_len) is BOTTOM, key_len)
+            running = acc_k
+            fresh = [rng.randbytes(key_len + 32) for _ in range(3)]
+            steps = [("add", t) for t in fresh] + [("del", t) for t in tuples[12:15]]
+            steps += [("replace", (t, t[:key_len] + rng.randbytes(32))) for t in tuples[15:21]]
+            for op, element in steps:
+                result = update(op, running, mem_k, element)
+                fuzz(
+                    result.witness,
+                    lambda w: check_update(running, result.acc_after, element, w, key_len=key_len) == 0,
+                    key_len,
+                )
+                running = result.acc_after
+
+        total = sum(mutations.values())
+        by_keys = ", ".join(
+            f"{'whole' if k is None else f'{k}-byte'} keys {sum(n for (kl, _kind), n in mutations.items() if kl == k)}"
+            for k in (None, 21, 41)
+        )
+        by_kind = ", ".join(
+            f"{kind} {sum(n for (_kl, kd), n in mutations.items() if kd == kind)}"
+            for kind in sorted({kind for _kl, kind in mutations})
+        )
+        assert all(n for (_kl, kind), n in mutations.items()) and len({kind for _kl, kind in mutations}) == len(WitnessKind)
         report(
             4,
-            mutations >= 100_000 and forgeries == 0,
+            total >= 100_000 and forgeries == 0,
             f"completeness/history/log-size hold at 2^16; "
-            f"{mutations} mutated witnesses, {forgeries} accepted forgeries",
+            f"{total} mutated witnesses ({by_keys}; {by_kind}), {forgeries} accepted forgeries",
         )
 
 
-def _build(elements):
-    acc, memory = setup(256)
+def _build(elements, key_len=None):
+    acc, memory = setup(256, key_len)
     for element in elements:
         acc = update("add", acc, memory, element).acc_after
     return acc, memory

@@ -16,9 +16,10 @@ After every step each read returns the ledger's value or raises.
 
 import copy
 
-from hypothesis import settings
+import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 from acctoken.bench import effective_allowances
 from acctoken.bench.workload import true_balance
@@ -130,6 +131,32 @@ class RememberedProofs(RuleBasedStateMachine):
 
 RememberedProofs.TestCase.settings = settings(max_examples=150, stateful_step_count=20, deadline=None)
 TestRememberedProofs = RememberedProofs.TestCase
+
+
+def follow_keeping_replaced(client, before, after, updates):
+    """A mutant ``TokenClient.follow`` that drops what a chain deletes but
+    keeps the old element of each replace as a member of the new value."""
+    for acc, steps in updates.items():
+        value, members = client._proven.get(acc, (None, None))
+        if value != before.value_of(acc):
+            continue
+        for op, element in steps:
+            if op == "del":
+                members.discard(element)
+        client._proven[acc] = after.value_of(acc), members
+
+
+class TestMutantFollow:
+    def test_the_machine_kills_a_follow_that_keeps_replaced_elements(self, monkeypatch):
+        # every write to a held tuple is a replace, so the mutant remembers a
+        # superseded tuple, and a lagging node serves it to the next read
+        monkeypatch.setattr(TokenClient, "follow", follow_keeping_replaced)
+        # a fixed search, which stops at the first failing program
+        found = settings(
+            max_examples=150, stateful_step_count=40, deadline=None, derandomize=True, database=None, phases=[Phase.generate]
+        )
+        with pytest.raises(AssertionError, match="the ledger holds"):
+            run_state_machine_as_test(RememberedProofs, settings=found)
 
 
 def other_submits_transfer(system, sender, to, tokens):

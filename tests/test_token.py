@@ -1267,3 +1267,124 @@ class TestContractMetering:
             reads = LIFTED_READS.get(case, reads)
         assert (kinds.count(SLOAD), kinds.count(SSTORE_UPDATE)) == (reads, writes)
         assert len(kinds) == len(hashed) + reads + writes
+
+
+LIFT_MODES = pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
+
+
+def with_entry(bundle, index, entry):
+    """``bundle`` with its ``index``-th entry replaced by ``entry``."""
+    entries = list(bundle.entries)
+    entries[index] = entry
+    return replace(bundle, entries=entries)
+
+
+class TestReplaceAdversary:
+    """A client that submits its own bundles cannot put a replace where its
+    plan has another update, another update where it has a replace, a
+    replace to another element than the plan's, or a replace built on a
+    value the contract no longer holds. Each is refused, in normal and in
+    lifted mode, with contract state, storage epochs and logs unchanged.
+    Where the contract's kind check would catch a swap, the verifier
+    refuses it too: a replace names a pair, any other update one element."""
+
+    def refused(self, system, op, args, bundle, error):
+        before = snapshot(system)
+        with pytest.raises(error) as raised:
+            getattr(system, op)(*args, bundle)
+        assert snapshot(system) == before
+        return raised.value
+
+    def refused_without_kind_check(self, system, op, args, bundle, monkeypatch):
+        # with the contract's check of the kind byte switched off, check_update refuses the swap itself
+        with monkeypatch.context() as patched:
+            patched.setattr(WitnessKind, "__ne__", lambda kind, other: False)
+            self.refused(system, op, args, bundle, InvalidProof)
+
+    @LIFT_MODES
+    def test_a_replace_in_an_add_slot(self, lift, monkeypatch):
+        # A's fresh transfer of 25 to C ends with the add of (C, 25); a replace
+        # of B's tuple, chained on A's replace, takes its slot
+        system, op, args, honest, _other = honest_bundles("transfer-fresh", lift)
+        (_, _), (after, w) = update_chain(
+            system,
+            BALANCES,
+            [
+                ("replace", (balance_element(A, 900), balance_element(A, 875))),
+                ("replace", (balance_element(B, 100), balance_element(B, 125))),
+            ],
+        )
+        add_slot = len(honest.entries) - 1
+        assert purpose_claim(honest.entries[add_slot].purpose) == UPDATE_ADD
+        as_add = with_entry(honest, add_slot, BundleEntry(purpose(BALANCES, UPDATE_ADD), w, after))
+        assert self.refused(system, op, args, as_add, InvalidProof).step == add_slot
+        self.refused_without_kind_check(system, op, args, as_add, monkeypatch)
+        as_replace = with_entry(honest, add_slot, BundleEntry(purpose(BALANCES, UPDATE_REPLACE), w, after))
+        self.refused(system, op, args, as_replace, BundleSchemaMismatch)
+        getattr(system, op)(*args, honest)
+
+    @LIFT_MODES
+    def test_a_replace_in_a_del_slot(self, lift):
+        # no plan has a del slot: every write to a held key is a replace, so
+        # an entry that claims a delete, of any witness, leaves the lock-step walk
+        system, op, args, honest, _other = honest_bundles("transfer-standard", lift)
+        slot = len(honest.entries) - 2  # the replace of A's tuple
+        entry = honest.entries[slot]
+        self.refused(system, op, args, with_entry(honest, slot, replace(entry, purpose=purpose(BALANCES, UPDATE_DEL))), BundleSchemaMismatch)
+        getattr(system, op)(*args, honest)
+
+    @LIFT_MODES
+    @pytest.mark.parametrize("update_op", ["add", "del"])
+    def test_an_add_or_del_in_a_replace_slot(self, lift, update_op, monkeypatch):
+        # A's transfer of 25 to B replaces A's tuple, then B's; the add of a
+        # fresh tuple or the delete of A's takes the slot of A's replace
+        system, op, args, honest, _other = honest_bundles("transfer-standard", lift)
+        element = balance_element(D, 5) if update_op == "add" else balance_element(A, 900)
+        ((after, w),) = update_chain(system, BALANCES, [(update_op, element)])
+        slot = len(honest.entries) - 2
+        assert purpose_claim(honest.entries[slot].purpose) == UPDATE_REPLACE
+        forged = with_entry(honest, slot, BundleEntry(purpose(BALANCES, UPDATE_REPLACE), w, after))
+        assert self.refused(system, op, args, forged, InvalidProof).step == slot
+        self.refused_without_kind_check(system, op, args, forged, monkeypatch)
+        claim = UPDATE_ADD if update_op == "add" else UPDATE_DEL
+        self.refused(system, op, args, with_entry(honest, slot, BundleEntry(purpose(BALANCES, claim), w, after)), BundleSchemaMismatch)
+        getattr(system, op)(*args, honest)
+
+    @LIFT_MODES
+    @pytest.mark.parametrize("case", ["transfer-standard", "approve-again", "transfer_from-standard"])
+    def test_a_replace_to_another_element(self, case, lift):
+        # the bundle for one more token carries, as each accumulator's first
+        # replace, the same witness, which walks the old tuple's path, and
+        # claims the value it reaches with another new tuple, which the
+        # plan's new tuple does not reach
+        system, op, args, honest, _other = honest_bundles(case, lift)
+        more = getattr(system.client, "build_" + op)(*args[:-1], args[-1] + 1)
+        slots = [
+            i
+            for i, entry in enumerate(honest.entries)
+            if purpose_claim(entry.purpose) == UPDATE_REPLACE and more.entries[i].witness == entry.witness
+        ]
+        assert len(slots) == (2 if op == "transfer_from" else 1)
+        for slot in slots:
+            assert more.entries[slot].claimed_after != honest.entries[slot].claimed_after
+            forged = with_entry(honest, slot, more.entries[slot])
+            assert self.refused(system, op, args, forged, InvalidProof).step == slot
+        getattr(system, op)(*args, honest)
+
+    @LIFT_MODES
+    def test_a_replace_on_a_stale_value(self, lift):
+        # A's transfer to B is built, then C's transfer to D lands: A's and
+        # B's tuples and the announced words still hold, the value does not
+        system, op, args, honest, _other = honest_bundles("transfer-standard", lift)
+        system.transfer(A, C, 10)
+        stale = system.client.build_transfer(*args)
+        system.transfer(C, D, 1)
+        updates = [entry for entry in stale.entries if purpose_claim(entry.purpose) == UPDATE_REPLACE]
+        # memberships proven against the current value, so the first stale entry is the replace
+        fresh = [
+            BundleEntry(purpose(BALANCES, MEMBER), system.network.fetch_witness(BALANCES, balance_element(owner, amount)))
+            for owner, amount in ((A, 890), (B, 100))
+        ]
+        forged = replace(stale, entries=([] if lift else fresh) + updates)
+        assert self.refused(system, op, args, forged, InvalidProof).step == (0 if lift else 2)
+        getattr(system, op)(*args)
