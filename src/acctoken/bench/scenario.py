@@ -300,26 +300,31 @@ def _percentile95(values: list[int]) -> int:
     return ordered[index]
 
 
+def _by_op(run: ScenarioRun):
+    """Each (op, n)'s samples, as (n, op, samples), ordered by op, then n."""
+    groups: dict[tuple[str, int], list[TxRecord]] = {}
+    for cp in run.checkpoints:
+        for sample in cp.samples:
+            groups.setdefault((sample.op, cp.n_accounts), []).append(sample)
+    for op, n_accounts in sorted(groups):
+        yield n_accounts, op, groups[op, n_accounts]
+
+
 def tabulate(run: ScenarioRun, schedule: GasSchedule) -> list[ResultRow]:
     """Meter a run's samples under ``schedule`` and aggregate per (op, n)."""
     rows = []
-    for cp in run.checkpoints:
-        by_op: dict[str, list[TxRecord]] = {}
-        for sample in cp.samples:
-            by_op.setdefault(sample.op, []).append(sample)
-        for op, samples in by_op.items():
-            gas = [meter_transaction(schedule, s.trace).total for s in samples]
-            rows.append(
-                ResultRow(
-                    n_accounts=cp.n_accounts,
-                    op=op,
-                    gas_mean=sum(gas) / len(gas),
-                    gas_p95=_percentile95(gas),
-                    proof_bytes_mean=sum(s.bundle_bytes for s in samples) / len(samples),
-                    verifications=sum(s.verifications for s in samples) / len(samples),
-                )
+    for n_accounts, op, samples in _by_op(run):
+        gas = [meter_transaction(schedule, s.trace).total for s in samples]
+        rows.append(
+            ResultRow(
+                n_accounts=n_accounts,
+                op=op,
+                gas_mean=sum(gas) / len(gas),
+                gas_p95=_percentile95(gas),
+                proof_bytes_mean=sum(s.bundle_bytes for s in samples) / len(samples),
+                verifications=sum(s.verifications for s in samples) / len(samples),
             )
-    rows.sort(key=lambda r: (r.op, r.n_accounts))
+        )
     return rows
 
 
@@ -391,31 +396,26 @@ def gas_split(run: ScenarioRun, schedule: GasSchedule) -> list[SplitRow]:
     """Meter a run's samples under ``schedule`` and split each (op, n)'s mean
     gas by category and its proof bytes by entry, in ``tabulate``'s row order."""
     rows = []
-    for cp in run.checkpoints:
-        by_op: dict[str, list[TxRecord]] = {}
-        for sample in cp.samples:
-            by_op.setdefault(sample.op, []).append(sample)
-        for op, samples in by_op.items():
-            gas, hashes, bundled, sizes = Counter(), 0, 0, Counter()
-            for sample in samples:
-                receipt = meter_transaction(schedule, sample.trace)
-                gas.update(receipt.breakdown)
-                hashes += receipt.counts[HASH_CATEGORY]
-                if sample.bundle_bytes:  # the mapping token sends none
-                    bundled += 1
-                    _entry_bytes(sample, sizes)
-            count = len(samples)
-            rows.append(
-                SplitRow(
-                    cp.n_accounts,
-                    op,
-                    {category: gas[category] / count for category in CATEGORIES},
-                    hashes / count,
-                    FRAME_BYTES * bundled / count,
-                    {column: sizes[column] / count for column in ENTRY_COLUMNS},
-                )
+    for n_accounts, op, samples in _by_op(run):
+        gas, hashes, bundled, sizes = Counter(), 0, 0, Counter()
+        for sample in samples:
+            receipt = meter_transaction(schedule, sample.trace)
+            gas.update(receipt.breakdown)
+            hashes += receipt.counts[HASH_CATEGORY]
+            if sample.bundle_bytes:  # the mapping token sends none
+                bundled += 1
+                _entry_bytes(sample, sizes)
+        count = len(samples)
+        rows.append(
+            SplitRow(
+                n_accounts,
+                op,
+                {category: gas[category] / count for category in CATEGORIES},
+                hashes / count,
+                FRAME_BYTES * bundled / count,
+                {column: sizes[column] / count for column in ENTRY_COLUMNS},
             )
-    rows.sort(key=lambda r: (r.op, r.n_accounts))
+        )
     return rows
 
 
