@@ -2,7 +2,8 @@
 
 Five-algorithm interface: setup, witness, belongs, update, check_update.
 The accumulator value is 32 bytes; witnesses are hash paths of expected
-O(log n) length with publicly verifiable additions and deletions.
+O(log n) length with publicly verifiable additions, deletions and in-place
+replacements of the element under a key.
 """
 
 from .core import SUPPORTED_BITS, UpdateResult, setup, simulate_update, update, witness, witness_for_root

@@ -185,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", default=None, help="key=value config file")
     run.add_argument("--out", default=None, help="CSV output path (stdout when omitted)")
     run.add_argument(
-        "--split", default=None, help="also write, per (op, n), mean gas by category, SHA-256 calls and proof bytes by entry"
+        "--split",
+        default=None,
+        help="also write, per (op, n), the mean gas by category, SHA-256 calls and proof bytes by entry",
     )
     run.set_defaults(func=_cmd_run, usage_error=run.error)
 

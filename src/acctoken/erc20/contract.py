@@ -11,12 +11,15 @@ accumulator. Witnesses bind element digests only, so the amounts behind them
 arrive as the announced words and are authenticated by the digest check
 inside the verifier. Each accumulator keys its tuples as ``KEY_LEN`` says, by
 owner or by pair, so a key holds one tuple: a non-membership claim on
-``(to, 0)`` proves that ``to`` holds no tuple, and an update-add proves its
-key free. The verifiers decide from a witness's kind byte which
+``(to, 0)`` proves that ``to`` holds no tuple, an update-add proves its key
+free, and an update-replace proves that its key held the old tuple and then
+holds the new one. The verifiers decide from a witness's kind byte which
 claim they check, so every entry's witness must be of the kind its purpose
 byte claims (the claims are the ``WitnessKind`` members); an update-del
 witness in an update-add slot would otherwise verify, and the storage commit
-of that step would then fail after the contract had moved on.
+of that step would then fail after the contract had moved on. A replace
+step's element is the pair (old, new) the plan names, so ``check_update``
+refuses any other kind there too.
 
 Any failed step aborts the transaction with state untouched; a bundle built
 against a value the contract no longer holds fails as ``InvalidProof`` like
