@@ -193,7 +193,7 @@ class TokenClient:
             running = self.contract.state.value_of(acc) if base is None else base
             if check_update(running, predicted, element, payload, key_len=pb.KEY_LEN[acc]) != 1:
                 raise VerificationFailed(f"update witness for {acc} did not verify")
-            if base is None:  # of a replace, the old element's membership
+            if base is None:  # it proves its precondition: of a replace, the old element's membership
                 implied = precondition_witness(payload)
                 proven[acc, implied[KIND_AT], element[0] if claim == pb.UPDATE_REPLACE else element] = implied
             updates.append(BundleEntry(pb.purpose(acc, claim), payload, predicted))

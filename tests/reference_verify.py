@@ -297,7 +297,9 @@ def _check_update(acc_before: bytes, acc_after: bytes, element, w: Witness, key_
     return 0
 
 
-def _check_replace(acc_before: bytes, acc_after: bytes, old: bytes, new: bytes, w: Witness, key_len, digest, leaf, branch) -> int:
+def _check_replace(
+    acc_before: bytes, acc_after: bytes, old: bytes, new: bytes, w: Witness, key_len, digest, leaf, branch
+) -> int:
     # equal lookup prefixes are equal keys, so no hash of the new one is needed
     if type(new) is not bytes or new[:key_len] != old[:key_len]:
         return 0

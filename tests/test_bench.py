@@ -300,7 +300,8 @@ class TestGasSplit:
             assert 36 * row.sha256_calls <= row.gas["hashing"] <= 48 * row.sha256_calls
 
     def test_bytes_land_in_the_claims_each_op_makes(self, small_acc_run):
-        columns = {row.op: {column for column, size in row.entry_bytes.items() if size} for row in gas_split(small_acc_run, GasSchedule())}
+        rows = gas_split(small_acc_run, GasSchedule())
+        columns = {row.op: {column for column, size in row.entry_bytes.items() if size} for row in rows}
         assert all((ALLOWED_ADDRESSES, claim) not in columns["transfer"] for claim in CLAIM_NAMES)
         assert (ALLOWED_ADDRESSES, MEMBER) in columns["transferFrom"]
 

@@ -304,8 +304,9 @@ def class_attributes() -> dict[str, set[str]]:
                     if any(isinstance(target, ast.Name) and target.id == "__slots__" for target in targets):
                         names.update(ast.literal_eval(item.value))
             for sub in ast.walk(node):
-                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) and getattr(sub.value, "id", None) == "self":
-                    names.add(sub.attr)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                    if getattr(sub.value, "id", None) == "self":
+                        names.add(sub.attr)
     return found
 
 
@@ -327,11 +328,12 @@ def reachable(roots, edges, attributes) -> set[tuple[str, str]]:
     method of such a name counts only if ``SHARED`` lists its class."""
     seen, read, todo = set(), set(), list(roots)
     shared = shared_names()
-    methods = {
-        (module, name)
-        for module, name in edges
-        if "." in name and (name.split(".")[1] not in shared or name.split(".")[0] in SHARED.get(name.split(".")[1], ()))
-    }
+    methods = set()
+    for module, name in edges:
+        if "." in name:
+            owner, method = name.split(".")
+            if method not in shared or owner in SHARED.get(method, ()):
+                methods.add((module, name))
     while todo:
         while todo:
             name = todo.pop()

@@ -153,7 +153,7 @@ class TestMutantFollow:
         monkeypatch.setattr(TokenClient, "follow", follow_keeping_replaced)
         # a fixed search, which stops at the first failing program
         found = settings(
-            max_examples=150, stateful_step_count=40, deadline=None, derandomize=True, database=None, phases=[Phase.generate]
+            max_examples=150, stateful_step_count=10, deadline=None, derandomize=True, database=None, phases=[Phase.generate]
         )
         with pytest.raises(AssertionError, match="the ledger holds"):
             run_state_machine_as_test(RememberedProofs, settings=found)

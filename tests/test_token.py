@@ -1190,7 +1190,9 @@ class TestDerivedMembership:
         steps = list(steps)
         membership = [(acc, element) for acc, claim, element in steps if claim in (MEMBER, NON_MEMBER)]
         # the element whose (non)membership each update proves: a replace's old one
-        updates = [(acc, element[0] if claim == UPDATE_REPLACE else element) for acc, claim, element in steps if claim in STORAGE_OP]
+        updates = [
+            (acc, element[0] if claim == UPDATE_REPLACE else element) for acc, claim, element in steps if claim in STORAGE_OP
+        ]
         first_update = {}
         for (acc, element), entry in reversed(list(zip(updates, bundle.entries[len(membership) :]))):
             first_update[acc] = (element, entry.witness)
@@ -1330,7 +1332,8 @@ class TestReplaceAdversary:
         system, op, args, honest, _other = honest_bundles("transfer-standard", lift)
         slot = len(honest.entries) - 2  # the replace of A's tuple
         entry = honest.entries[slot]
-        self.refused(system, op, args, with_entry(honest, slot, replace(entry, purpose=purpose(BALANCES, UPDATE_DEL))), BundleSchemaMismatch)
+        as_del = with_entry(honest, slot, replace(entry, purpose=purpose(BALANCES, UPDATE_DEL)))
+        self.refused(system, op, args, as_del, BundleSchemaMismatch)
         getattr(system, op)(*args, honest)
 
     @LIFT_MODES
@@ -1347,7 +1350,8 @@ class TestReplaceAdversary:
         assert self.refused(system, op, args, forged, InvalidProof).step == slot
         self.refused_without_kind_check(system, op, args, forged, monkeypatch)
         claim = UPDATE_ADD if update_op == "add" else UPDATE_DEL
-        self.refused(system, op, args, with_entry(honest, slot, BundleEntry(purpose(BALANCES, claim), w, after)), BundleSchemaMismatch)
+        as_itself = with_entry(honest, slot, BundleEntry(purpose(BALANCES, claim), w, after))
+        self.refused(system, op, args, as_itself, BundleSchemaMismatch)
         getattr(system, op)(*args, honest)
 
     @LIFT_MODES
@@ -1381,10 +1385,8 @@ class TestReplaceAdversary:
         system.transfer(C, D, 1)
         updates = [entry for entry in stale.entries if purpose_claim(entry.purpose) == UPDATE_REPLACE]
         # memberships proven against the current value, so the first stale entry is the replace
-        fresh = [
-            BundleEntry(purpose(BALANCES, MEMBER), system.network.fetch_witness(BALANCES, balance_element(owner, amount)))
-            for owner, amount in ((A, 890), (B, 100))
-        ]
+        members = (balance_element(A, 890), balance_element(B, 100))
+        fresh = [BundleEntry(purpose(BALANCES, MEMBER), system.network.fetch_witness(BALANCES, m)) for m in members]
         forged = replace(stale, entries=([] if lift else fresh) + updates)
         assert self.refused(system, op, args, forged, InvalidProof).step == (0 if lift else 2)
         getattr(system, op)(*args)
