@@ -20,8 +20,8 @@ from .erc20.bundle import ERC20_NAME, OpTag
 from .erc20.contract import LogRecord, TxRecord
 from .erc20.elements import ZERO_ADDRESS, check_address, check_amount, check_supply
 from .erc20.system import abi_calldata
-from .erc20.plan import Plan
-from .errors import InsufficientAllowance, InsufficientBalance, NotApproved
+from .erc20.plan import Growth, Plan
+from .errors import AlreadyPresent, InsufficientAllowance, InsufficientBalance, NotApproved
 from .gas import TxTrace
 
 
@@ -159,22 +159,51 @@ class BaselineToken:
         return TxRecord(ERC20_NAME[OpTag.TRANSFER_FROM], log, trace)
 
     def bootstrap(self, plans: Iterable[Plan]):
-        """Apply transfer and approve plans by their log records, without transactions.
+        """Apply plans by their records, without transactions.
 
-        The mapping token's counterpart of ``TokenSystem.bootstrap``, for
-        population growth: a Transfer moves a balance and an Approval sets
-        an allowance, through the writes the transactions use. The plans'
-        steps are not read, and no trace, calldata or log is made. Each plan
-        runs its op's amount and cover checks before it writes, so a refused
-        plan writes nothing; the plans before it stay applied. A transferFrom
-        plan's log is a Transfer too, so it would move the balance and leave
-        the allowance: give those as transactions.
+        The mapping token's counterpart of ``TokenSystem.bootstrap``: a
+        Transfer moves a balance and an Approval sets an allowance, through
+        the writes the transactions use, and a ``plan.grow`` record writes
+        its net changes (``_grow``). The plans' steps are not read, and no
+        trace, calldata or log is made. Each plan runs its checks before it
+        writes, so a refused plan writes nothing; the plans before it stay
+        applied. A transferFrom plan's log is a Transfer too, so it would
+        move the balance and leave the allowance: give those as
+        transactions.
         """
-        for log, _steps in plans:
-            if log.event == "Transfer":
-                self._move(_UNTRACED, log.addr_from, log.addr_to, log.amount)
+        for record, _steps in plans:
+            if record.__class__ is Growth:
+                self._grow(record)
+            elif record.event == "Transfer":
+                self._move(_UNTRACED, record.addr_from, record.addr_to, record.amount)
             else:
-                self._approve(_UNTRACED, log.addr_from, log.addr_to, log.amount)
+                self._approve(_UNTRACED, record.addr_from, record.addr_to, record.amount)
+
+    def _grow(self, growth: Growth):
+        """Write a growth's net changes: one debit of the deployer, one credit
+        per account and one allowance per pair.
+
+        The checks of the transfers and approvals it nets run first: the
+        amounts, the deployer's cover of the whole debit, and that each
+        account is new, as the accumulator token's adds require: listed
+        once, not the deployer, holding no balance and no approved pair.
+        """
+        deployer, grant, allowance = growth.deployer, check_amount(growth.grant), check_amount(growth.allowance)
+        balances, allowed = self.balances, self.allowed
+        pairs = list(zip(growth.accounts, growth.spenders, strict=True))
+        from_balance = balances.get(deployer, 0)
+        debit = grant * len(pairs)
+        if from_balance < debit:
+            raise InsufficientBalance(f"balance {from_balance} cannot cover {debit}")
+        accounts = {account for account, _spender in pairs}
+        if len(accounts) < len(pairs) or deployer in accounts or any(
+            pair[0] in balances or pair in allowed for pair in pairs
+        ):
+            raise AlreadyPresent("a growth's accounts are new: listed once, holding no balance, approving no one yet")
+        self._write(_UNTRACED, balances, deployer, from_balance - debit)
+        for pair in pairs:
+            self._write(_UNTRACED, balances, pair[0], grant)
+            self._write(_UNTRACED, allowed, pair, allowance)
 
     # -- integrity ------------------------------------------------------------------
 

@@ -4,12 +4,13 @@ A scenario grows the account set to each checkpoint with funded transfers
 from the deployer plus one approval per new account (account i approves
 account i+1), then meters a fixed number of sampled transfer / approve /
 transferFrom transactions at the checkpoint. Sampled transactions run the
-full proof path. Growth is one stream of plans of the same transfers and
-approvals, with two bootstraps: ``TokenSystem.bootstrap`` commits each
-checkpoint's updates as one netted batch per accumulator without proofs, and
-``BaselineToken.bootstrap`` applies the plans' logs as map writes without
-transactions. The state is the one the verified ops reach, and six-figure
-populations stay tractable.
+full proof path. Growth to a checkpoint is one plan, ``plan.grow``, of the
+net changes of those transfers and approvals: one write of the deployer's
+balance, then each new account's balance, pair and allowance. Both tokens
+bootstrap it: ``TokenSystem.bootstrap`` commits its steps as one netted
+batch per accumulator without proofs, and ``BaselineToken.bootstrap``
+applies its record as map writes without transactions. The state is the one
+the verified ops reach, and six-figure populations stay tractable.
 
 The samples are the transactions' own records (``TxRecord``), which carry
 raw traces, so one run can be metered under any gas schedule after the
@@ -192,27 +193,23 @@ def run_scenario(scenario: Scenario) -> ScenarioRun:
 
 
 def _grow(system, shadow, pop, target):
-    deployer_balance = shadow.balance_of(pop.address(0))
-    system.bootstrap(_growth_plans(pop, pop.created, target, deployer_balance))
-    if shadow is not system:
-        shadow.bootstrap(_growth_plans(pop, pop.created, target, deployer_balance))
-    pop.grow(target)
-
-
-def _growth_plans(pop, created, target, deployer_balance):
-    """Plans of the growth ops for accounts ``created+1..target``.
-
-    The one plan stream growth gives every token of a run, each to its own
-    ``bootstrap``. The deployer funds each new account from
-    ``deployer_balance``, its balance before growth, and announces the
-    running count.
-    """
+    """Grow the population to ``target`` accounts: one ``plan.grow`` of the
+    new accounts, each approving the next, that every token of the run
+    bootstraps. The deployer's balance before growth is the shadow's."""
     deployer = pop.address(0)
-    for i in range(created + 1, target + 1):
-        addr = pop.address(i)
-        yield plan.transfer(deployer, addr, GRANT, plan.Announced((deployer_balance,)))
-        deployer_balance -= GRANT
-        yield plan.approve(addr, pop.address(i + 1), APPROVE_ALLOWANCE, plan.Announced(()))
+    pop.address(target + 1)  # the last new account's spender
+    growth = plan.grow(
+        deployer,
+        shadow.balance_of(deployer),
+        pop.addresses[pop.created + 1 : target + 1],
+        pop.addresses[pop.created + 2 : target + 2],
+        GRANT,
+        APPROVE_ALLOWANCE,
+    )
+    system.bootstrap([growth])
+    if shadow is not system:
+        shadow.bootstrap([growth])
+    pop.grow(target)
 
 
 def _open_checkpoint(run, n_accounts) -> list[TxRecord]:

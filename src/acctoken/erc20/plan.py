@@ -9,21 +9,25 @@ tuple under a key that held none is an add.
 The contract walks them in lock-step with a bundle's entries, so they are
 the bundle schema: one entry per step, each carrying its step's claim. The
 client builds bundles from them, and ``TokenSystem`` commits their update
-steps (a verified transaction's and ``bootstrap``'s growth stream alike).
+steps (a verified transaction's and ``bootstrap``'s alike).
 ``mint`` is deployment's plan, its one step the deployer's balance tuple;
-it is not a transaction, so ``PLANS`` does not list it, and ``TokenSystem``
-bootstraps it.
+``grow`` is population growth's, the net changes of a run of new accounts
+that the deployer funds and that each approve a spender. Neither is a
+transaction, so ``PLANS`` does not list them; ``TokenSystem`` bootstraps
+their steps, and the mapping token (``BaselineToken.bootstrap``) applies
+their records.
 
 Steps are made lazily, so amounts are read and guards run where the plan
-says. ``amounts.spend(acc, *key)`` gives an amount the op draws on;
-``amounts.prior(acc, *key)`` gives the tuple the op replaces, or None, which
-picks the variant (standard or fresh destination, approval again or first).
-Each op reads one prior amount, after its spent ones; the non-None amounts,
-in order, are the announced words.
+says; a plan checks its own amount before its first step. ``amounts.spend(acc,
+*key)`` gives an amount the op draws on; ``amounts.prior(acc, *key)`` gives
+the tuple the op replaces, or None, which picks the variant (standard or
+fresh destination, approval again or first). Each op reads one prior amount,
+after its spent ones; the non-None amounts, in order, are the announced
+words.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..errors import BundleSchemaMismatch, InsufficientAllowance, InsufficientBalance
 from .bundle import (
@@ -47,8 +51,22 @@ class LogRecord:
     amount: int
 
 
+@dataclass(frozen=True, slots=True)
+class Growth:
+    """The record of a growth plan: ``deployer``, which holds ``balance``,
+    grants ``grant`` to each of ``accounts``, and each account approves the
+    spender at its index in ``spenders`` for ``allowance``."""
+
+    deployer: bytes
+    balance: int
+    grant: int
+    allowance: int
+    accounts: Sequence[bytes]
+    spenders: Sequence[bytes]
+
+
 Step = tuple[str, int, bytes | tuple[bytes, bytes]]  # (accumulator, claim, element or a replace's pair)
-Plan = tuple[LogRecord, Iterator[Step]]  # (log record, steps)
+Plan = tuple[LogRecord | Growth, Iterator[Step]]  # (record, steps)
 
 
 class Announced:
@@ -102,6 +120,7 @@ def _move(sender: bytes, to: bytes, tokens: int, amounts) -> Iterator[Step]:
 
 
 def _transfer_steps(sender: bytes, to: bytes, tokens: int, amounts) -> Iterator[Step]:
+    check_amount(tokens)
     _check_distinct(sender, to)
     yield from _move(sender, to, tokens, amounts)
 
@@ -111,6 +130,7 @@ def transfer(sender: bytes, to: bytes, tokens: int, amounts) -> Plan:
 
 
 def _approve_steps(owner: bytes, spender: bytes, tokens: int, amounts) -> Iterator[Step]:
+    check_amount(tokens)
     old = amounts.prior(ALLOWED_BALANCES, owner, spender)
     allowance = allowance_element(owner, spender, tokens)
     if old is None:
@@ -129,6 +149,7 @@ def approve(owner: bytes, spender: bytes, tokens: int, amounts) -> Plan:
 
 
 def _transfer_from_steps(spender: bytes, sender: bytes, to: bytes, tokens: int, amounts) -> Iterator[Step]:
+    check_amount(tokens)
     _check_distinct(sender, to)
     allowed = amounts.spend(ALLOWED_BALANCES, sender, spender)
     old_allowance = allowance_element(sender, spender, allowed)
@@ -147,6 +168,38 @@ def mint(owner: bytes, total: int) -> Plan:
     """Deployment: the whole supply credited to ``owner``, from the zero address."""
     steps = [(BALANCES, UPDATE_ADD, balance_element(owner, total))]
     return LogRecord("Transfer", ZERO_ADDRESS, owner, total), iter(steps)
+
+
+def _growth_steps(growth: Growth) -> Iterator[Step]:
+    deployer, balance, grant = growth.deployer, growth.balance, growth.grant
+    check_amount(grant)
+    check_amount(growth.allowance)
+    debit = grant * len(growth.accounts)
+    _cover(balance, debit, InsufficientBalance, "balance")
+    yield (BALANCES, UPDATE_REPLACE, (balance_element(deployer, balance), balance_element(deployer, balance - debit)))
+    for account, spender in zip(growth.accounts, growth.spenders, strict=True):
+        yield (BALANCES, UPDATE_ADD, balance_element(account, grant))
+        yield (ALLOWED_ADDRESSES, UPDATE_ADD, pair_element(account, spender))
+        yield (ALLOWED_BALANCES, UPDATE_ADD, allowance_element(account, spender, growth.allowance))
+
+
+def grow(
+    deployer: bytes, balance: int, accounts: Sequence[bytes], spenders: Sequence[bytes], grant: int, allowance: int
+) -> Plan:
+    """Population growth: ``deployer``, holding ``balance``, funds each new
+    account of ``accounts`` with ``grant``, and each approves its spender in
+    ``spenders`` for ``allowance``, as a first transfer to it and a first
+    approval would; the steps are the net changes of those ops.
+
+    Those are one replace of the deployer's balance tuple, by the whole
+    debit, then each account's balance tuple, its pair and its allowance,
+    each an add. The deployer's cover is checked once, for the whole debit,
+    and each add is refused where its key holds a tuple already, as the
+    ops' fresh variants are. Nothing proves the steps, so they carry no
+    membership claims.
+    """
+    growth = Growth(deployer, balance, grant, allowance, accounts, spenders)
+    return growth, _growth_steps(growth)
 
 
 PLANS = {OpTag.TRANSFER: transfer, OpTag.APPROVE: approve, OpTag.TRANSFER_FROM: transfer_from}

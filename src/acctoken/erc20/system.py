@@ -36,7 +36,7 @@ from . import plan
 from .bundle import ERC20_NAME, OpTag, ProofBundle, encode_bundle
 from .client import TokenClient
 from .contract import AccTokenContract, ContractState, TxRecord
-from .elements import AMOUNT_BYTES, check_address, check_amount, check_supply, decode_balance_element
+from .elements import AMOUNT_BYTES, check_address, check_supply, decode_balance_element
 
 # an op's selector is the head of the hash of its signature: its name, its
 # addresses (transferFrom's three) and its amount
@@ -149,18 +149,20 @@ class TokenSystem:
     def bootstrap(self, plans: Iterable[plan.Plan]):
         """Commit the update steps of plans nothing proves, one batch per accumulator.
 
-        Deployment is the first call, with the deployer's mint; population
-        growth bootstraps its transfer and approve plans. Not transactions:
-        nothing is proved and no log is emitted. The plans are consumed as a
-        stream and each step is recorded into its accumulator's batch, so
-        checked against storage (``Changes.record``) and netted, and the
-        deployer's intermediate balance tuples cancel out; a batch whose
-        steps cancel out is skipped. Each plan's amount is checked before
-        its steps are made, and its guards run as they are, all before
-        anything is committed, so a rejected stream leaves the contract and
-        storage as they were. The state reached is the one the verified ops reach.
-        The batches are handed to storage with nothing else holding them, so
-        each goes as it lands.
+        Deployment is the first call, with the deployer's ``plan.mint``;
+        population growth bootstraps one ``plan.grow`` per checkpoint, its
+        net changes: one replace of the deployer's balance tuple and three
+        adds per new account. Any transfer and approve plans may be given
+        too. Not transactions: nothing is proved and no log is emitted. The
+        plans are consumed as a stream and each update step is recorded
+        into its accumulator's batch, so checked against storage
+        (``Changes.record``) and netted; a batch whose steps cancel out is
+        skipped. Each plan checks its amount before its first step and runs
+        its guards as its steps are made, all before anything is committed,
+        so a rejected stream leaves the contract and storage as they were.
+        The state reached is the one the verified ops reach. The batches
+        are handed to storage with nothing else holding them, so each goes
+        as it lands.
         """
         values = self.network.commit(self._recorded(plans))
         self.contract.state = self.contract.state.with_values(values)
@@ -169,8 +171,7 @@ class TokenSystem:
         """``bootstrap``'s batches: the plans' update steps, one batch per
         accumulator, those that net to no change left out."""
         batches = {name: self.network.changes(name) for name in pb.ACCUMULATORS}
-        for log, steps in plans:
-            check_amount(log.amount)
+        for _record, steps in plans:
             for acc, claim, element in steps:
                 if claim in pb.STORAGE_OP:
                     batches[acc].record(pb.STORAGE_OP[claim], element)

@@ -956,6 +956,47 @@ class TestBatchUpdate:
         new = [bytes([rng.randrange(*first_bytes)]) + rng.randbytes(31) for _ in range(count)]
         self.assert_hashed_once_and_reused(old, new)
 
+    SPINE_ROWS = 10
+
+    @staticmethod
+    def region_key(rng, bits) -> bytes:
+        """A key in the region of first byte 0x80 whose next bits are ``bits``, the rest drawn from ``rng``."""
+        rest = 248 - len(bits)
+        x = 0x80 << 248 | int("".join(map(str, bits)) or "0", 2) << rest | rng.getrandbits(rest)
+        return x.to_bytes(32, "big")
+
+    @pytest.mark.parametrize("meets", ["leaf", "row"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+    def test_one_key_meeting_a_row_at_every_depth(self, monkeypatch, side, meets):
+        # a region whose rows form a spine, at every other bit from bit 8 down:
+        # key i leaves it at row i, and the last key ends it
+        rng = random.Random(f"{side}:{meets}")
+        rows, off = self.SPINE_ROWS, 1 - side
+        spine = [self.region_key(rng, [side] * 2 * i + [off]) for i in range(rows)]
+        spine.append(self.region_key(rng, [side] * 2 * rows))
+        # a key off the spine at row 0 gives the region two keys, so the
+        # other one's range is one key meeting row 1 of the spine
+        beside = (int.from_bytes(spine[0], "big") ^ 1).to_bytes(32, "big")
+        descents = []
+        real = tree._write_one
+        monkeypatch.setattr(tree, "_write_one", lambda *args: descents.append(args[2]) or real(*args))
+        for depth in range(1, rows + 1):
+            if meets == "leaf":  # down the spine to key ``depth``'s leaf, which it splits from at its last bit
+                key = (int.from_bytes(spine[depth], "big") ^ 1).to_bytes(32, "big")
+            else:  # off the spine just above row ``depth``, so the new row displaces that row's subtree
+                key = self.region_key(rng, [side] * (2 * depth - 1) + [off])
+            new = sorted([beside, key])
+            root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(spine), whole_leaf)
+            sequential = root, digest
+            for one in new:
+                sequential = tree.insert(*sequential, one, whole_leaf(one))
+            descents.clear()
+            merged = tree.insert_many(root, digest, new, whole_leaf)
+            assert len(descents) == 1  # the one-key range took one descent
+            assert merged[1] == sequential[1] == canonical_digest(spine + new)
+            assert read_out(merged[0]) == read_out(sequential[0])
+            self.assert_hashed_once_and_reused(spine, new)
+
     def test_duplicate_add_rejected(self):
         _, memory = build_set([b"a"])
         with pytest.raises(AlreadyPresent):

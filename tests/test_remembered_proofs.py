@@ -129,7 +129,11 @@ class RememberedProofs(RuleBasedStateMachine):
             assert got == want, f"{read.__name__} read {got}, the ledger holds {want} ({self.mode} storage)"
 
 
-RememberedProofs.TestCase.settings = settings(max_examples=150, stateful_step_count=20, deadline=None)
+# a fixed search: the same 100 programs of up to 30 steps on every run, a
+# budget at which ``TestMutantFollow`` checks that the search finds a follow
+# that keeps replaced elements
+BUDGET = settings(max_examples=100, stateful_step_count=30, deadline=None, derandomize=True, database=None)
+RememberedProofs.TestCase.settings = BUDGET
 TestRememberedProofs = RememberedProofs.TestCase
 
 
@@ -151,12 +155,9 @@ class TestMutantFollow:
         # every write to a held tuple is a replace, so the mutant remembers a
         # superseded tuple, and a lagging node serves it to the next read
         monkeypatch.setattr(TokenClient, "follow", follow_keeping_replaced)
-        # a fixed search, which stops at the first failing program
-        found = settings(
-            max_examples=150, stateful_step_count=10, deadline=None, derandomize=True, database=None, phases=[Phase.generate]
-        )
+        # TestRememberedProofs's own search, stopped at the first failing program
         with pytest.raises(AssertionError, match="the ledger holds"):
-            run_state_machine_as_test(RememberedProofs, settings=found)
+            run_state_machine_as_test(RememberedProofs, settings=settings(BUDGET, phases=[Phase.generate]))
 
 
 def other_submits_transfer(system, sender, to, tokens):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from acctoken.accumulator import WitnessKind, belongs, hashing, tree
 from acctoken.baseline import BaselineToken
 from acctoken.bench import effective_allowances, effective_balances
-from acctoken.bench.workload import true_balance
+from acctoken.bench.workload import make_address, true_balance
 from acctoken.erc20 import (
     CONTRACT_KEYS,
     BundleEntry,
@@ -67,6 +67,7 @@ A = bytes.fromhex("aa" * 20)
 B = bytes.fromhex("bb" * 20)
 C = bytes.fromhex("cc" * 20)
 D = bytes.fromhex("dd" * 20)
+E = bytes.fromhex("ee" * 20)
 S = bytes.fromhex("55" * 20)
 
 
@@ -603,6 +604,99 @@ class TestFastPathEquivalence:
         with pytest.raises(error):
             system.bootstrap(plans)
         assert snapshot(system) == before
+
+
+GROWN = [make_address(i) for i in range(32)]  # the deployer, then the accounts growth adds
+
+
+def per_account_growth(created, target, deployer_balance, grant, allowance):
+    """The ops a growth of ``GROWN[created + 1 : target + 1]`` nets, one plan
+    each: the deployer's transfer of ``grant`` to each new account, then the
+    account's first approval of the next; the oracle ``plan.grow`` is checked
+    against."""
+    deployer = GROWN[0]
+    for i in range(created + 1, target + 1):
+        yield plan.transfer(deployer, GROWN[i], grant, announced(deployer_balance))
+        deployer_balance -= grant
+        yield plan.approve(GROWN[i], GROWN[i + 1], allowance, announced())
+
+
+class TestGrowthPlan:
+    """``plan.grow``, growth's net changes, reaches what the ops it nets reach."""
+
+    def test_netted_growth_reaches_the_per_account_stream(self):
+        deployer = GROWN[0]
+        netted, streamed = TokenSystem(deployer, 10**6), TokenSystem(deployer, 10**6)
+        mapped, mapped_streamed = BaselineToken.deploy(deployer, 10**6), BaselineToken.deploy(deployer, 10**6)
+        created = 0
+        for target in (1, 4, 11, 30):
+            balance = mapped.balance_of(deployer)
+            growth = plan.grow(deployer, balance, GROWN[created + 1 : target + 1], GROWN[created + 2 : target + 2], 100, 7)
+            epochs_before = [accumulator_epoch(netted.network, name) for name in ACCUMULATORS]
+            netted.bootstrap([growth])
+            mapped.bootstrap([growth])
+            streamed.bootstrap(per_account_growth(created, target, balance, 100, 7))
+            mapped_streamed.bootstrap(per_account_growth(created, target, balance, 100, 7))
+            # one batch per accumulator, as the stream commits
+            assert [accumulator_epoch(netted.network, name) for name in ACCUMULATORS] == [e + 1 for e in epochs_before]
+            assert accumulator_values(netted) == accumulator_values(streamed)
+            assert netted.state == streamed.state
+            for attribute in ("balances", "allowed", "key_count"):
+                assert getattr(mapped, attribute) == getattr(mapped_streamed, attribute), attribute
+            assert effective_balances(netted) == mapped.balances
+            # verified ops between checkpoints: the next growth starts from a
+            # state growth alone does not reach
+            for token in (netted, streamed, mapped, mapped_streamed):
+                token.transfer(GROWN[1], GROWN[target], 30) if target > 1 else token.transfer(deployer, GROWN[1], 5)
+                token.approve(GROWN[1], GROWN[target], 0)
+            created = target
+        assert accumulator_values(netted) == accumulator_values(streamed)
+        for attribute in ("balances", "allowed", "key_count"):
+            assert getattr(mapped, attribute) == getattr(mapped_streamed, attribute), attribute
+        assert mapped.key_count == 1 + 30 + 30  # the deployer, 30 accounts and their approvals; the zeroed ones hold no key
+
+    def test_the_plan_is_lazy(self):
+        # nothing is checked until the steps are drawn
+        record, steps = plan.grow(A, 999, [B], [S], 2000, 7)
+        assert isinstance(record, plan.Growth)
+        with pytest.raises(InsufficientBalance):
+            next(steps)
+
+    REFUSED = [
+        # (accounts, spenders, announced balance, grant, allowance, error, the mapping token's error)
+        ([C, D], [S, S], 999, 10, 5, NotPresent, None),  # A holds 900; the mapping token reads no announced words
+        ([C, D], [S, S], 900, 500, 5, InsufficientBalance, InsufficientBalance),
+        ([C, B], [S, S], 900, 10, 5, AlreadyPresent, AlreadyPresent),  # B holds a balance
+        ([C, E], [S, S], 900, 10, 5, AlreadyPresent, AlreadyPresent),  # E approved S already
+        ([C, C], [S, D], 900, 10, 5, AlreadyPresent, AlreadyPresent),  # listed twice
+        ([C, A], [S, S], 900, 10, 5, AlreadyPresent, AlreadyPresent),  # the deployer
+        ([C, D], [S, S], 900, 2**256, 5, Overflow, Overflow),
+        ([C, D], [S, S], 900, -1, 5, Overflow, Overflow),  # would credit the deployer
+        ([C, D], [S, S], 900, 10, 2**256, Overflow, Overflow),
+    ]
+
+    @pytest.mark.parametrize(
+        "accounts, spenders, balance, grant, allowance, error, mapped_error",
+        REFUSED,
+        ids=["wrong-balance", "overspend", "holder", "approved-pair", "listed-twice", "deployer",
+             "grant-above-uint256", "negative-grant", "allowance-above-uint256"],
+    )
+    def test_refused_growth_changes_nothing(self, accounts, spenders, balance, grant, allowance, error, mapped_error):
+        system, mapped = TokenSystem(A, 1000), BaselineToken.deploy(A, 1000)
+        for token in (system, mapped):
+            token.transfer(A, B, 100)
+            token.approve(E, S, 3)
+        before = snapshot(system)
+        with pytest.raises(error):
+            system.bootstrap([plan.approve(A, S, 7, announced()), plan.grow(A, balance, accounts, spenders, grant, allowance),
+                              plan.transfer(A, D, 1, announced(900))])
+        assert snapshot(system) == before
+        if mapped_error is None:
+            return
+        ledger = dict(mapped.balances), dict(mapped.allowed), mapped.key_count
+        with pytest.raises(mapped_error):
+            mapped.bootstrap([plan.grow(A, balance, accounts, spenders, grant, allowance)])
+        assert (mapped.balances, mapped.allowed, mapped.key_count) == ledger
 
 
 def fresh_bundle_for_holder(system, sender, to, tokens):
