@@ -21,7 +21,7 @@ from .erc20.contract import LogRecord, TxRecord
 from .erc20.elements import ZERO_ADDRESS, check_address, check_amount, check_supply
 from .erc20.system import abi_calldata
 from .erc20.plan import Growth, Plan
-from .errors import AlreadyPresent, InsufficientAllowance, InsufficientBalance, NotApproved
+from .errors import InsufficientAllowance, InsufficientBalance, NotApproved
 from .gas import TxTrace
 
 
@@ -183,27 +183,22 @@ class BaselineToken:
         """Write a growth's net changes: one debit of the deployer, one credit
         per account and one allowance per pair.
 
-        The checks of the transfers and approvals it nets run first: the
-        amounts, the deployer's cover of the whole debit, and that each
-        account is new, as the accumulator token's adds require: listed
-        once, not the deployer, holding no balance and no approved pair.
+        These are the writes of the transfers and approvals it nets, and the
+        checks of those run first: the amounts, the deployer's cover of the
+        whole debit, and that no credit overflows.
         """
         deployer, grant, allowance = growth.deployer, check_amount(growth.grant), check_amount(growth.allowance)
-        balances, allowed = self.balances, self.allowed
-        pairs = list(zip(growth.accounts, growth.spenders, strict=True))
+        balances = self.balances
         from_balance = balances.get(deployer, 0)
-        debit = grant * len(pairs)
+        debit = grant * len(growth.accounts)
         if from_balance < debit:
             raise InsufficientBalance(f"balance {from_balance} cannot cover {debit}")
-        accounts = {account for account, _spender in pairs}
-        if len(accounts) < len(pairs) or deployer in accounts or any(
-            pair[0] in balances or pair in allowed for pair in pairs
-        ):
-            raise AlreadyPresent("a growth's accounts are new: listed once, holding no balance, approving no one yet")
+        for account in growth.accounts:
+            check_amount(balances.get(account, 0) + grant)
         self._write(_UNTRACED, balances, deployer, from_balance - debit)
-        for pair in pairs:
-            self._write(_UNTRACED, balances, pair[0], grant)
-            self._write(_UNTRACED, allowed, pair, allowance)
+        for account, spender in zip(growth.accounts, growth.spenders):
+            self._write(_UNTRACED, balances, account, balances.get(account, 0) + grant)
+            self._write(_UNTRACED, self.allowed, (account, spender), allowance)
 
     # -- integrity ------------------------------------------------------------------
 

@@ -64,6 +64,10 @@ class Growth:
     accounts: Sequence[bytes]
     spenders: Sequence[bytes]
 
+    def __post_init__(self):
+        if len(self.accounts) != len(self.spenders):
+            raise ValueError("a growth names one spender per account")
+
 
 Step = tuple[str, int, bytes | tuple[bytes, bytes]]  # (accumulator, claim, element or a replace's pair)
 Plan = tuple[LogRecord | Growth, Iterator[Step]]  # (record, steps)
@@ -177,7 +181,7 @@ def _growth_steps(growth: Growth) -> Iterator[Step]:
     debit = grant * len(growth.accounts)
     _cover(balance, debit, InsufficientBalance, "balance")
     yield (BALANCES, UPDATE_REPLACE, (balance_element(deployer, balance), balance_element(deployer, balance - debit)))
-    for account, spender in zip(growth.accounts, growth.spenders, strict=True):
+    for account, spender in zip(growth.accounts, growth.spenders):
         yield (BALANCES, UPDATE_ADD, balance_element(account, grant))
         yield (ALLOWED_ADDRESSES, UPDATE_ADD, pair_element(account, spender))
         yield (ALLOWED_BALANCES, UPDATE_ADD, allowance_element(account, spender, growth.allowance))

@@ -661,15 +661,17 @@ class TestGrowthPlan:
         assert isinstance(record, plan.Growth)
         with pytest.raises(InsufficientBalance):
             next(steps)
+        with pytest.raises(ValueError):  # but a spender for each account is a growth's shape
+            plan.grow(A, 999, [B, C], [S], 20, 7)
 
     REFUSED = [
         # (accounts, spenders, announced balance, grant, allowance, error, the mapping token's error)
         ([C, D], [S, S], 999, 10, 5, NotPresent, None),  # A holds 900; the mapping token reads no announced words
         ([C, D], [S, S], 900, 500, 5, InsufficientBalance, InsufficientBalance),
-        ([C, B], [S, S], 900, 10, 5, AlreadyPresent, AlreadyPresent),  # B holds a balance
-        ([C, E], [S, S], 900, 10, 5, AlreadyPresent, AlreadyPresent),  # E approved S already
-        ([C, C], [S, D], 900, 10, 5, AlreadyPresent, AlreadyPresent),  # listed twice
-        ([C, A], [S, S], 900, 10, 5, AlreadyPresent, AlreadyPresent),  # the deployer
+        ([C, B], [S, S], 900, 10, 5, AlreadyPresent, None),  # B holds a balance
+        ([C, E], [S, S], 900, 10, 5, AlreadyPresent, None),  # E approved S already
+        ([C, C], [S, D], 900, 10, 5, AlreadyPresent, None),  # listed twice
+        ([C, A], [S, S], 900, 10, 5, AlreadyPresent, None),  # the deployer
         ([C, D], [S, S], 900, 2**256, 5, Overflow, Overflow),
         ([C, D], [S, S], 900, -1, 5, Overflow, Overflow),  # would credit the deployer
         ([C, D], [S, S], 900, 10, 2**256, Overflow, Overflow),
@@ -682,8 +684,8 @@ class TestGrowthPlan:
              "grant-above-uint256", "negative-grant", "allowance-above-uint256"],
     )
     def test_refused_growth_changes_nothing(self, accounts, spenders, balance, grant, allowance, error, mapped_error):
-        system, mapped = TokenSystem(A, 1000), BaselineToken.deploy(A, 1000)
-        for token in (system, mapped):
+        system, mapped, transacted = TokenSystem(A, 1000), BaselineToken.deploy(A, 1000), BaselineToken.deploy(A, 1000)
+        for token in (system, mapped, transacted):
             token.transfer(A, B, 100)
             token.approve(E, S, 3)
         before = snapshot(system)
@@ -691,12 +693,19 @@ class TestGrowthPlan:
             system.bootstrap([plan.approve(A, S, 7, announced()), plan.grow(A, balance, accounts, spenders, grant, allowance),
                               plan.transfer(A, D, 1, announced(900))])
         assert snapshot(system) == before
-        if mapped_error is None:
-            return
         ledger = dict(mapped.balances), dict(mapped.allowed), mapped.key_count
-        with pytest.raises(mapped_error):
-            mapped.bootstrap([plan.grow(A, balance, accounts, spenders, grant, allowance)])
-        assert (mapped.balances, mapped.allowed, mapped.key_count) == ledger
+        if mapped_error is not None:
+            with pytest.raises(mapped_error):
+                mapped.bootstrap([plan.grow(A, balance, accounts, spenders, grant, allowance)])
+            assert (mapped.balances, mapped.allowed, mapped.key_count) == ledger
+            return
+        # the mapping token needs no account to be new: it writes what the ops a growth nets write
+        mapped.bootstrap([plan.grow(A, balance, accounts, spenders, grant, allowance)])
+        for account, spender in zip(accounts, spenders):
+            transacted.transfer(A, account, grant)
+            transacted.approve(account, spender, allowance)
+        for attribute in ("balances", "allowed", "key_count"):
+            assert getattr(mapped, attribute) == getattr(transacted, attribute), attribute
 
 
 def fresh_bundle_for_holder(system, sender, to, tokens):
