@@ -36,7 +36,9 @@ branches are all at ``REGION_BIT`` or deeper, that is the keys that share
 their first byte, and its rows point only at its own rows and keys. Rows are
 written in post-order, so each subtree's rows are a run of rows ending at
 its root, and its keys a run of ``leaves``, in key order: a subtree is
-copied as three slices, with its child ids shifted. A tuple branch reaches a
+copied as three slices, with its child ids shifted, and the digests of its
+nodes are read in one scan of its rows, each from its parent's body (the
+root's from the region's parent), when it is rebuilt. A tuple branch reaches a
 region through a handle, ``(region, row)``. A branch thus costs its 66 body
 bytes, 8 bytes of child ids and 8 of key slot, against 163 traced bytes as a
 3-tuple and its body. The per-op path copies (``insert``, ``remove``,
@@ -66,13 +68,28 @@ the trie in one pass, reusing every subtree no new key falls into and
 hashing each new node once, and the canonical layout makes its root equal,
 bit for bit, to the root of inserting the same keys one at a time. Above
 ``REGION_BIT`` it unpacks the tuple branches the keys fall into and builds
-new ones; a region that two or more keys fall into it rewrites into a new
-region, copying the old subtrees no key falls into without hashing them,
-and a region no key falls into it keeps whole, by its handle. The merge
-reads the batch as the sorted bytes it is: equal-length keys sort as their
-big-endian ints do, so at a branch it splits the batch's range with
-``bisect`` on the keys themselves, against the smallest key with the
-branch's bit set. It makes ints only for the XORs: where a range leaves a
+new ones; a region no key falls into it keeps whole, by its handle, and a
+region that two or more keys fall into it writes again as a new region.
+
+A region that gains at least half as many new keys as it holds is rebuilt:
+the sorted union of its old and new keys is written in one stack pass
+(below). Each old leaf takes the digest its parent's body holds, and a
+rebuilt row whose body equals an old row's takes that row's digest from a
+map gathered in one scan of the old rows, the root row's (which the
+region's parent holds) included. A body is its row's preimage, so it equals
+an old one exactly when no new key falls under the row: a rebuild hashes
+the nodes the walk below would, and no others. Against that walk, on 2^15
+new random keys in one process (2-vCPU x86-64, Python 3.11), a rebuild took
+0.78 of the time at one new key per old key, 0.85 at 1/2, 0.93 at 1/3, 1.02
+at 1/4 and 1.25 at 1/7: from 1/2 it is well ahead, and each region of a
+doubling growth (each checkpoint doubles the accounts) gains about as many
+keys as it holds. A sparser region is walked as the merge walks a trie,
+copying the old subtrees no key falls into without hashing them.
+
+The merge reads the batch as the sorted bytes it is: equal-length keys
+sort as their big-endian ints do, so at a branch it splits the batch's
+range with ``bisect`` on the keys themselves, against the smallest key with
+the branch's bit set. It makes ints only for the XORs: where a range leaves a
 subtree's common prefix, the split bit is the top set bit (``bit_length``)
 of the XORs of the range's ends with a key of the subtree. A range that
 lands where the trie has no node, or meets a leaf (taking the leaf in), is
@@ -80,7 +97,7 @@ built in one stack pass per first byte, which reads each key as an int
 once: the trie of sorted keys is the Cartesian tree of the split bits of
 adjacent keys. A range of one key that reaches a tuple branch or a region's
 handle on its own takes the path-copying ``insert``; one that meets a row
-of a region being rewritten is written in one descent (``_write_one``): the
+of a sparse region's walk is written in one descent (``_write_one``): the
 leaf its bits reach gives the split, the untouched siblings along its path
 are copied, and the new rows are written bottom up, so it costs the depth of
 its path, where splitting the range level by level, finding each subtree's
@@ -285,13 +302,14 @@ def _duplicate(key: bytes):
     return AlreadyPresent(f"key {key.hex()} already holds an element")
 
 
-def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, leaves: list, leaf, kept=None, kept_digest=None):
+def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, leaves: list, leaf, known: dict | None = None):
     """Write the trie of the sorted ``keys[lo:hi]``, which share their first
     byte, as rows of the region being built in ``kids``, ``bodies`` and
     ``leaves``; returns its root's id (a row, or ``~i`` for a lone key, the
-    ``i``-th of ``leaves``) and digest. A new key's leaf digest is
-    ``leaf(key)``; ``kept``, a leaf already in the trie that is among the
-    keys, keeps its ``kept_digest``.
+    ``i``-th of ``leaves``) and digest. A key's leaf digest is ``leaf(key)``
+    (``_digests`` gives old leaves theirs); ``known``, given, maps the bodies
+    of old rows to their digests, and a row written again as it was takes
+    its digest from there instead of being hashed.
 
     One stack pass: the trie of a sorted run is the Cartesian tree of the
     split bits of adjacent keys, the smallest bit at the root. ``bits``,
@@ -302,7 +320,7 @@ def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, l
     """
     sha256 = hashing.hashlib.sha256
     key = keys[lo]
-    node_digest = kept_digest if key is kept else leaf(key)
+    node_digest = leaf(key)
     leaves.append(key)
     if hi - lo == 1:
         return ~(len(leaves) - 1), node_digest
@@ -324,7 +342,7 @@ def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, l
             add_kid(lefts.pop())
             add_kid(node)
             bodies += body
-            node, node_digest = row, sha256(body).digest()
+            node, node_digest = row, known and known.get(body) or sha256(body).digest()
             row += 1
         bits.append(split)
         lefts.append(node)
@@ -332,21 +350,40 @@ def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, l
         at += 1
         add_leaf(key)
         node = ~at
-        node_digest = kept_digest if key is kept else leaf(key)
+        node_digest = leaf(key)
         prev = x
     while lefts:
         body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
         add_kid(lefts.pop())
         add_kid(node)
         bodies += body
-        node, node_digest = row, sha256(body).digest()
+        node, node_digest = row, known and known.get(body) or sha256(body).digest()
         row += 1
     return node, node_digest
+
+
+def _digests(old: dict, keys: list[bytes], leaf):
+    """The leaf digest function of a run of old leaves and the new ``keys``:
+    ``old`` maps each old leaf to the digest its parent's body holds, and it
+    is given each new key's ``leaf(key)``, made here once."""
+    old.update(zip(keys, map(leaf, keys)))
+    return old.__getitem__
 
 
 def _region(kids: array, bodies: bytearray, leaves: list, root: int) -> tuple:
     """The handle of the finished region built in ``kids``, ``bodies`` and ``leaves``, at row ``root``."""
     return (kids.tobytes(), bytes(bodies), tuple(leaves)), root
+
+
+def _span(kids: memoryview, ref: int) -> tuple[int, int]:
+    """The first and the last key under row ``ref`` of a region whose child
+    ids ``kids`` reads, by their index in its keys."""
+    first = last = ref
+    while first >= 0:
+        first = kids[2 * first]
+    while last >= 0:
+        last = kids[2 * last + 1]
+    return ~first, ~last
 
 
 def _copy_rows(src: tuple, src_kids: memoryview, ref: int, kids: array, bodies: bytearray, leaves: list) -> int:
@@ -362,12 +399,7 @@ def _copy_rows(src: tuple, src_kids: memoryview, ref: int, kids: array, bodies: 
         leaves.append(src[2][~ref])
         return ~(len(leaves) - 1)
     src_bodies, src_leaves = src[1], src[2]
-    first = last = ref
-    while first >= 0:
-        first = src_kids[2 * first]
-    while last >= 0:
-        last = src_kids[2 * last + 1]
-    first, last = ~first, ~last
+    first, last = _span(src_kids, ref)
     start = ref - (last - first) + 1
     shift, leaf_shift = (len(kids) >> 1) - start, len(leaves) - first
     kids.extend([kid + shift if kid >= 0 else kid - leaf_shift for kid in src_kids[2 * start : 2 * ref + 2]])
@@ -469,13 +501,17 @@ def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: in
     branch at ``REGION_BIT`` or deeper: a handle, or a tuple branch a path
     copy made over handles, which is first copied into a region of its own.
 
-    The old subtree is walked as ``_merge`` walks a trie: each row some key
+    Given at least half as many new keys as it holds, the old subtree is
+    rebuilt: its keys and the new ones are written in one stack pass
+    (``_rows``), and each old leaf and each old row written again as it was
+    takes its digest from the map ``_known`` reads off the old rows. A
+    sparser one is walked as ``_merge`` walks a trie: each row some key
     falls into is written again over its merged children, each range that
-    meets a leaf or empty space is written in one stack pass (``_rows``),
-    each range of one key that meets a row in one descent (``_write_one``),
-    and each old subtree no key falls into is copied (``_copy_rows``), not
-    hashed. The new region refers to nothing in the old one, so the old one
-    goes when the caller drops ``node``.
+    meets a leaf or empty space is written in one stack pass, each range of
+    one key that meets a row in one descent (``_write_one``), and each old
+    subtree no key falls into is copied (``_copy_rows``), not hashed. The
+    new region refers to nothing in the old one, so the old one goes when
+    the caller drops ``node``.
     """
     if len(node) == 3:
         node = _flatten(node)
@@ -483,6 +519,14 @@ def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: in
     old_kids = memoryview(old[0]).cast("i")
     old_bodies, old_leaves = old[1], old[2]
     kids, bodies, leaves = array("i"), bytearray(), []
+    first, last = _span(old_kids, ref)
+    if 2 * (hi - lo) > last - first:
+        # at least half as many new keys as old: one stack pass over them all
+        known = _known(old, old_kids, ref, node_digest, ref - (last - first) + 1)
+        run = [*old_leaves[first : last + 1], *keys[lo:hi]]
+        run.sort()
+        root, root_digest = _rows(run, 0, len(run), kids, bodies, leaves, _digests(known, keys[lo:hi], leaf), known)
+        return _region(kids, bodies, leaves, root), root_digest
     add_kid, add_body, add_leaf = kids.append, bodies.extend, leaves.append
     sha256 = hashing.hashlib.sha256
 
@@ -515,8 +559,9 @@ def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: in
                 return (len(kids) >> 1) - 1, sha256(body).digest()
             # the keys and the leaf's own key form one run
             run = keys[lo:hi]
+            digest = _digests({old_leaf: ref_digest}, run, leaf)
             run.insert(bisect_left(run, old_leaf), old_leaf)
-            return _rows(run, 0, len(run), kids, bodies, leaves, leaf, old_leaf, ref_digest)
+            return _rows(run, 0, len(run), kids, bodies, leaves, digest)
         at = ref * _BODY
         bit = old_bodies[at + _BIT_AT]
         first = int.from_bytes(keys[lo], "big")
@@ -555,16 +600,28 @@ def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: in
     return _region(kids, bodies, leaves, root), root_digest
 
 
+def _known(region: tuple, kids: memoryview, ref: int, ref_digest: bytes, start: int) -> dict:
+    """The digest of every node of ``region``'s subtree at row ``ref`` (whose
+    child ids ``kids`` reads), whose digest is ``ref_digest`` and whose rows
+    start at ``start``: each leaf's by its key and each row's by its body, as
+    its parent's body holds it, and the root row's, ``ref_digest``."""
+    bodies, leaves = region[1], region[2]
+    slots = [bodies[at : at + DIGEST_BYTES] for row in range(start * _BODY, (ref + 1) * _BODY, _BODY) for at in (row + _LEFT_AT, row + _RIGHT_AT)]
+    nodes = [leaves[~kid] if kid < 0 else bodies[kid * _BODY : (kid + 1) * _BODY] for kid in kids[2 * start : 2 * ref + 2]]
+    known = dict(zip(nodes, slots))
+    known[bodies[ref * _BODY : (ref + 1) * _BODY]] = ref_digest
+    return known
+
+
 def _flatten(node: tuple) -> tuple:
     """A tuple branch a path copy made, copied into a region of its own, hashing nothing; returns its handle."""
     kids, bodies, leaves = array("i"), bytearray(), []
     return _region(kids, bodies, leaves, _copy_node(node, kids, bodies, leaves))
 
 
-def _run(keys: list[bytes], leaf, kept: bytes | None = None, kept_digest: bytes | None = None):
-    """The trie of the sorted ``keys`` alone, and its digest; a new key's
-    leaf digest is ``leaf(key)``, and ``kept``, a leaf already in the trie
-    that is among ``keys``, keeps its ``kept_digest``.
+def _run(keys: list[bytes], leaf):
+    """The trie of the sorted ``keys`` alone, and its digest; a key's leaf
+    digest is ``leaf(key)``.
 
     The keys that share a first byte form a region (``_rows``), or a lone
     leaf; above them, the tuple branches are the Cartesian tree of the
@@ -590,11 +647,11 @@ def _run(keys: list[bytes], leaf, kept: bytes | None = None, kept_digest: bytes 
             digests.append(node_digest)
         if hi - lo > 1:
             kids, bodies, leaves = array("i"), bytearray(), []
-            root, node_digest = _rows(keys, lo, hi, kids, bodies, leaves, leaf, kept, kept_digest)
+            root, node_digest = _rows(keys, lo, hi, kids, bodies, leaves, leaf)
             node = _region(kids, bodies, leaves, root)
         else:
             node = keys[lo]
-            node_digest = kept_digest if node is kept else leaf(node)
+            node_digest = leaf(node)
         prev, lo = first, hi
     while lefts:
         body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
@@ -639,8 +696,9 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, 
     if node.__class__ is bytes:
         # a leaf: the keys and the leaf's own key form one run
         run = keys[lo:hi]
+        digest = _digests({node: node_digest}, run, leaf)
         run.insert(bisect_left(run, node), node)
-        return _run(run, leaf, node, node_digest)
+        return _run(run, digest)
     if len(node) == 3:
         body = node[2]
         bit = body[_BIT_AT]
@@ -689,10 +747,13 @@ def insert_many(root: Node, root_digest: bytes, keys: list[bytes], leaf) -> tupl
 
     One pass down the trie, reading the keys as bytes (see the module
     docstring): each tuple branch some key falls into is rebuilt over its
-    merged children, each region two or more keys fall into is rewritten
-    into a new one, every subtree no key falls into is kept as it is, and
-    each range that meets a leaf or empty space is built in one stack pass,
-    its branches at ``REGION_BIT`` or deeper written as region rows. The
+    merged children, each region two or more keys fall into is written
+    again as a new one (in one stack pass over its old and new keys when
+    they are at least half as many as it held, by a walk that copies its
+    untouched subtrees when fewer), every subtree no key falls into is kept
+    as it is, and each range that meets a leaf or empty space is built in
+    one stack pass, its branches at ``REGION_BIT`` or deeper written as
+    region rows. Only the new nodes are hashed. The
     merge keeps no reference to a branch it has unpacked or a region it has
     rewritten, and neither does this frame to ``root``: called with the only
     reference to ``root`` (an argument nothing else holds), it frees each

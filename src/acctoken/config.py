@@ -33,7 +33,9 @@ def _parse_value(raw: str, target_type):
 
 
 def parse_config(text: str) -> dict[str, str]:
-    """The file's ``key = value`` pairs; a key given on a second line is an error, not an override."""
+    """The file's ``key = value`` pairs; a key given on a second line, or
+    outside every section, is an error, not an override or a no-op."""
+    sections = {section for section, _heading in _SECTIONS.values()}
     pairs, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -43,6 +45,8 @@ def parse_config(text: str) -> dict[str, str]:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key.partition(".")[0] not in sections:
+            raise ValueError(f"line {lineno}: unknown key {key!r}, not in a section of {', '.join(sorted(sections))}")
         if key in lines:
             raise ValueError(f"line {lineno}: {key} is already set on line {lines[key]}")
         lines[key] = lineno

@@ -911,8 +911,11 @@ class TestBatchUpdate:
             hashing_module.hashlib = recorder.real
         return merged, len(recorder.lengths)
 
-    def assert_hashed_once_and_reused(self, old, new):
-        root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old), whole_leaf)
+    def assert_hashed_once_and_reused(self, old, new, trie=None):
+        """Merge ``new`` into the trie of ``old`` (``trie``, a root and its
+        digest, when a merge alone did not build it) and check what the
+        merge hashed and what it kept."""
+        root, digest = trie or tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old), whole_leaf)
         (merged, merged_digest), hashes = self.merge_counting_hashes(root, digest, sorted(new))
         assert merged_digest == canonical_digest(old + new)
         old_nodes, merged_nodes = nodes(root), nodes(merged)
@@ -923,8 +926,11 @@ class TestBatchUpdate:
 
         def reused(node, ids, rows):
             # a tuple subtree, a leaf or a region kept whole is the old node
-            # itself; a row a rewritten region copied is an old row's content
-            return identity(node) in ids or len(node) == 2 and body(node) in rows
+            # itself; a row a rewritten region copied is an old row's content,
+            # and so is one written from a tuple branch a path copy left in it
+            if identity(node) in ids:
+                return True
+            return is_branch(node) and (len(node) == 2 or body(node)[1] >= tree.REGION_BIT) and body(node) in rows
 
         # every node the merge made is hashed once, and nothing else is hashed
         assert hashes == sum(not reused(node, old_ids, old_rows) for node in merged_nodes)
@@ -996,6 +1002,72 @@ class TestBatchUpdate:
             assert merged[1] == sequential[1] == canonical_digest(spine + new)
             assert read_out(merged[0]) == read_out(sequential[0])
             self.assert_hashed_once_and_reused(spine, new)
+
+    @staticmethod
+    def counting_rebuilds(monkeypatch) -> list:
+        """The old subtrees rebuilt in one stack pass from here on, one entry per region."""
+        rebuilt = []
+        real = tree._known
+        monkeypatch.setattr(tree, "_known", lambda *args: rebuilt.append(args[2]) or real(*args))
+        return rebuilt
+
+    OLD_IN_REGION = 24
+
+    @pytest.mark.parametrize("where", ["among", "beside"])
+    @pytest.mark.parametrize("count", [11, 12, 13], ids=["below-half", "half", "above-half"])
+    def test_region_rebuilt_from_half_as_many_new_keys(self, monkeypatch, count, where):
+        # the old keys of region 0x80 share their next four bits, so its root
+        # row is at bit 12 or deeper: new keys "beside" them leave that
+        # prefix at bit 8, and the old subtree is written again whole, its
+        # root row too; keys in two other regions stay as they are
+        rng = random.Random(f"{count}:{where}")
+        old = [self.region_key(rng, [1, 0, 1, 0]) for _ in range(self.OLD_IN_REGION)]
+        old += [bytes([head]) + rng.randbytes(31) for head in (0x10, 0x10, 0x10, 0xC0)]
+        new = [self.region_key(rng, [1, 0, 1, 0] if where == "among" else [0]) for _ in range(count)]
+        root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old), whole_leaf)
+        sequential = root, digest
+        for key in new:
+            sequential = tree.insert(*sequential, key, whole_leaf(key))
+        rebuilt = self.counting_rebuilds(monkeypatch)
+        merged = tree.insert_many(root, digest, sorted(new), whole_leaf)
+        # rebuilt when the batch brings at least half as many keys as the region holds
+        assert len(rebuilt) == (2 * count >= self.OLD_IN_REGION)
+        assert merged[1] == sequential[1] == canonical_digest(old + new)
+        assert read_out(merged[0]) == read_out(sequential[0])
+        self.assert_hashed_once_and_reused(old, new)
+
+    def test_rebuilt_region_reached_through_a_path_copy(self, monkeypatch):
+        # a verified insert leaves its path in region 0x80 as tuple branches
+        # over handles; a dense batch then rebuilds the region from them
+        rng = random.Random(3)
+        old = [self.region_key(rng, []) for _ in range(20)] + [b"\x10" + rng.randbytes(31) for _ in range(5)]
+        root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old[1:]), whole_leaf)
+        trie = tree.insert(root, digest, old[0], whole_leaf(old[0]))
+        assert any(len(node) == 3 and body(node)[1] >= tree.REGION_BIT for node in nodes(trie[0]))
+        new = [self.region_key(rng, []) for _ in range(12)]
+        sequential = trie
+        for key in new:
+            sequential = tree.insert(*sequential, key, whole_leaf(key))
+        rebuilt = self.counting_rebuilds(monkeypatch)
+        merged = tree.insert_many(*trie, sorted(new), whole_leaf)
+        assert len(rebuilt) == 1
+        assert merged[1] == sequential[1] == canonical_digest(old + new)
+        assert read_out(merged[0]) == read_out(sequential[0])
+        self.assert_hashed_once_and_reused(old, new, trie)
+
+    @pytest.mark.parametrize("twice", ["listed-twice", "present"])
+    def test_rebuilt_region_refuses_a_key_held_twice(self, monkeypatch, twice):
+        rng = random.Random(twice)
+        old = sorted(self.region_key(rng, []) for _ in range(16))
+        new = [self.region_key(rng, []) for _ in range(12)]
+        new.append(new[5] if twice == "listed-twice" else old[7])
+        root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, old, whole_leaf)
+        before = read_out(root)
+        rebuilt = self.counting_rebuilds(monkeypatch)
+        with pytest.raises(AlreadyPresent):
+            tree.insert_many(root, digest, sorted(new), whole_leaf)
+        assert len(rebuilt) == 1
+        assert read_out(root) == before and node_digest(root) == digest == canonical_digest(old)
 
     def test_duplicate_add_rejected(self):
         _, memory = build_set([b"a"])

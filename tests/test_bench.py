@@ -448,6 +448,13 @@ class TestCli:
                 "line 3: schedule.mode is already set on line 1",
             ),
             (
+                # a misspelt section would otherwise leave the flat schedule in force
+                {"bad.conf": "rent.u_low = 0.1\nschedul.mode = scaled\n"},
+                ["run", "--config", "bad.conf"],
+                "line 2: unknown key 'schedul.mode'",
+            ),
+            ({"bad.conf": "mode = scaled\n"}, ["rent", "--total-keys", "1e6", "--config", "bad.conf"], "line 1: unknown key 'mode'"),
+            (
                 {"a.csv": RESULTS.format(n=8), "b.csv": "n,op,gas\n8,transfer,1.0\n"},
                 ["compare", "a.csv", "b.csv"],
                 "unrecognized results CSV header",
@@ -470,7 +477,7 @@ class TestCli:
             ),
         ],
         ids=[
-            "config-not-an-int", "config-negative", "config-key-twice",
+            "config-not-an-int", "config-negative", "config-key-twice", "config-unknown-section", "config-no-section",
             "compare-header", "compare-grids", "compare-zero-gas", "compare-duplicate-row",
         ],
     )
