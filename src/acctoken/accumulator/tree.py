@@ -81,10 +81,12 @@ an old one exactly when no new key falls under the row: a rebuild hashes
 the nodes the walk below would, and no others. Against that walk, on 2^15
 new random keys in one process (2-vCPU x86-64, Python 3.11), a rebuild took
 0.78 of the time at one new key per old key, 0.85 at 1/2, 0.93 at 1/3, 1.02
-at 1/4 and 1.25 at 1/7: from 1/2 it is well ahead, and each region of a
-doubling growth (each checkpoint doubles the accounts) gains about as many
-keys as it holds. A sparser region is walked as the merge walks a trie,
-copying the old subtrees no key falls into without hashing them.
+at 1/4 and 1.25 at 1/7: from 1/2 it is well ahead. A growth from 2^13 to
+2^17 accounts, doubling at each checkpoint, rewrites 3,072 regions, with
+0.90, 1.00 and 1.11 new keys per old key at the quartiles: all but 4 are
+rebuilt, and those 4 (0.44-0.49) are all that a rule anywhere from 1/4 to
+1/2 would decide otherwise. A sparser region is walked as the merge walks a
+trie, copying the old subtrees no key falls into without hashing them.
 
 The merge reads the batch as the sorted bytes it is: equal-length keys
 sort as their big-endian ints do, so at a branch it splits the batch's
