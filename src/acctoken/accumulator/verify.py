@@ -10,10 +10,17 @@ wire bytes in place, at the offsets ``witness`` lays out: it checks the
 header and the exact length, reads the steps' bits as every 33rd byte to
 check that they rise and to build a mask of them over the element's key
 read as an int, then folds up the path at step offsets with one inline
-SHA-256 per level (made through ``hashing.hashlib``; see there). A key holds
-one leaf, which commits to its element: ``belongs`` gives 1 only for the
-leaf under the element's key holding it, 0 only when the key is absent, and
-BOTTOM for a leaf under the key holding another element.
+SHA-256 per level (made through ``hashing.hashlib``; see there).
+``check_update`` folds the node of the tree before the update and the node
+of the tree after it up the steps they share in one loop, both hashes of a
+level from one read of its step: a replace shares every step, an add the
+steps above the bit where the new leaf splits off, and a delete every step
+above the last, whose branch collapses. It makes the hashes two separate
+folds would make, interleaved; every branch hash has one input length, so
+the lengths it reports come in the order two separate folds would report
+them. A key holds one leaf, which commits to its element: ``belongs`` gives
+1 only for the leaf under the element's key holding it, 0 only when the key
+is absent, and BOTTOM for a leaf under the key holding another element.
 A step's bytes are its branch bit then its sibling, so on a 1-side the
 preimage takes the step's bytes whole after the tag. Given a ``hashed``
 callback, they call it at each hash site, just before the hash is made,
@@ -154,6 +161,25 @@ def _fold(node: bytes, w: bytes, start: int, end: int, k: int, sha256, hashed) -
     return node
 
 
+def _fold_both(before: bytes, after: bytes, w: bytes, start: int, end: int, k: int, sha256, hashed) -> tuple[bytes, bytes]:
+    # ``_fold`` of two nodes at one place in the trees before and after an
+    # update, up the same steps, in one pass: each step's branch bit and
+    # sibling are read once for both, and the before-node is hashed first.
+    for off in range(end - STEP_BYTES, start - 1, -STEP_BYTES):
+        bit = w[off]
+        if k & BIT_MASK[bit]:
+            head, tail = TAG_INTERNAL + w[off : off + STEP_BYTES], b""
+        else:
+            head, tail = BIT_PREFIX[bit], w[off + 1 : off + STEP_BYTES]
+        if hashed is not None:
+            hashed(_BRANCH_BYTES)
+        before = sha256(head + before + tail).digest()
+        if hashed is not None:
+            hashed(_BRANCH_BYTES)
+        after = sha256(head + after + tail).digest()
+    return before, after
+
+
 def belongs(acc: bytes, element: bytes, w, hashed=None, key_len: int | None = None):
     """1 for a valid membership witness, 0 for non-membership, BOTTOM otherwise.
 
@@ -194,12 +220,14 @@ def check_update(acc_before: bytes, acc_after: bytes, element, w, hashed=None, k
         sha256 = hashing.hashlib.sha256
         if replaced:  # the key's leaf, rehashed over the same steps
             new_leaf = _leaf(new, w[KEY_AT:COUNT_AT], key_len, sha256, hashed)
-            before = _fold(node, w, HEADER_BYTES, end, k, sha256, hashed)
-            after = _fold(new_leaf, w, HEADER_BYTES, end, k, sha256, hashed)
+            before, after = _fold_both(node, new_leaf, w, HEADER_BYTES, end, k, sha256, hashed)
         elif present:  # a delete: the leaf's parent collapses and its sibling takes its place
-            before = _fold(node, w, HEADER_BYTES, end, k, sha256, hashed)
-            last = end - STEP_BYTES
-            after = EMPTY_DIGEST if end == HEADER_BYTES else _fold(w[last + 1 : end], w, HEADER_BYTES, last, k, sha256, hashed)
+            if end == HEADER_BYTES:
+                before, after = node, EMPTY_DIGEST
+            else:
+                last = end - STEP_BYTES
+                parent = _fold(node, w, last, end, k, sha256, hashed)
+                before, after = _fold_both(parent, w[last + 1 : end], w, HEADER_BYTES, last, k, sha256, hashed)
         else:  # an add
             new_leaf = _leaf(element, w[KEY_AT:COUNT_AT], key_len, sha256, hashed)
             if split is None:  # to the empty tree: the new leaf is the whole after-tree
@@ -216,8 +244,7 @@ def check_update(acc_before: bytes, acc_after: bytes, element, w, hashed=None, k
                 joined = sha256(BIT_PREFIX[split] + below + new_leaf).digest()
             else:
                 joined = sha256(BIT_PREFIX[split] + new_leaf + below).digest()
-            before = _fold(below, w, HEADER_BYTES, mid, k, sha256, hashed)
-            after = _fold(joined, w, HEADER_BYTES, mid, k, sha256, hashed)
+            before, after = _fold_both(below, joined, w, HEADER_BYTES, mid, k, sha256, hashed)
         return 1 if before == acc_before and after == acc_after else 0
     except Exception:
         return 0

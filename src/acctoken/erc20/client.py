@@ -8,21 +8,28 @@ the chain being built, in the same order the contract will verify and commit
 them. A bundle's entries are the payloads as served: the client verifies
 bytes and passes the same bytes on, never a re-encoding of them.
 
-A verified read looks its tuple up in storage, then proves what it read: a
-tuple's membership, or, when storage names none, the absence of the owner's
-or the pair's key (``bundle.KEY_LEN``), which fails for a tuple storage
-withholds. The client remembers, per accumulator, the elements its reads
-proved members and the value they were proven against, and fetches a
-membership witness only for an element it does not remember as a member of
-the contract's current value. The remembered set stays a subset of the set
-that value commits to: each element was proven by ``belongs`` against it, and
-the value moves on only by ``follow``, with a chain the contract verified,
-whose deletions and replacements are the only steps that can take a member
-out: ``follow`` drops the element each deletes or replaces. A value the
-client did not follow (``bootstrap``, another submitter) starts an empty set
-at its first proof; the digest binds the set, so a value seen again commits
-to the same set. Non-membership is not remembered, and bundles are always
-built from served witnesses, which the contract needs as bytes.
+A verified read of a key the client does not remember looks its tuple up in
+storage, then proves what it read: a tuple's membership, or, when storage
+names none, the absence of the owner's or the pair's key
+(``bundle.KEY_LEN``), which fails for a tuple storage withholds. The client
+remembers, per accumulator, the value its reads were proven against and, by
+lookup prefix, the one element each read proved a member under that key. A
+key holds one leaf, so while the remembered value is the contract's current
+one, the element remembered under a key is the tuple its owner holds, and a
+read of that key returns its amount and asks storage nothing.
+
+``follow`` carries the map over each transaction the system commits, with
+the chains the contract verified: a remembered key takes the new element of
+a replace under it, a delete makes the client forget the key, and no key
+the client has not read is ever added, so its memory stays bounded by its
+reads. Non-membership is not remembered. The map stays sound: each element
+was proven by ``belongs`` against the value it is bound to, and that value
+moves on only by ``follow``, with a chain the contract verified, whose
+replaces and deletes are the only steps that can change what a held key
+holds. A value the client did not follow (``bootstrap``, another submitter)
+starts an empty map at its first proof; the digest binds the set, so a
+value seen again commits to the same tuples. Bundles are always built from
+lookups and served witnesses, which the contract needs as bytes.
 """
 
 from ..accumulator import belongs, check_update
@@ -82,40 +89,33 @@ class TokenClient:
         self.contract = contract
         self.network = network
         self.lift = contract.lift
-        # accumulator -> (value, elements proven members of it by reads)
-        self._proven: dict[str, tuple[bytes, set[bytes]]] = {}
+        # accumulator -> (value, {lookup prefix: the element reads proved a member of it under that key})
+        self._proven: dict[str, tuple[bytes, dict[bytes, bytes]]] = {}
 
     # -- remembered proofs --------------------------------------------------------
 
     def follow(self, before: ContractState, after: ContractState, updates: dict[str, Steps]):
-        """Carry the remembered members over one accepted transaction whose ``updates`` storage committed.
+        """Carry the remembered keys over one accepted transaction whose ``updates`` storage committed.
 
         ``updates`` are the verified chains of the contract's record, which
         moved each accumulator from its value in ``before`` to its value in
-        ``after``; a set remembered against another value is left as it is.
+        ``after``; a map remembered against another value is left as it is.
+        A remembered key takes the new element of a replace under it and is
+        forgotten by a delete; no other key is added.
         """
         for acc, steps in updates.items():
-            value, members = self._proven.get(acc, (None, None))
+            value, held = self._proven.get(acc, (None, None))
             if value != before.value_of(acc):
                 continue
+            key_len = pb.KEY_LEN[acc]
             for op, element in steps:
-                if op == "del":
-                    members.discard(element)
-                elif op == "replace":  # its old element is no member after it
-                    members.discard(element[0])
-            self._proven[acc] = after.value_of(acc), members
-
-    def _prove_member(self, name: str, element: bytes):
-        """Prove ``element`` a member of ``name``'s current value, by a fetched
-        witness unless it is remembered as one, and remember it."""
-        value = self.contract.state.value_of(name)
-        remembered = self._proven.get(name)
-        if remembered is not None and remembered[0] == value and element in remembered[1]:
-            return
-        self._fetch_verified(name, element, 1)
-        if remembered is None or remembered[0] != value:
-            self._proven[name] = remembered = value, set()
-        remembered[1].add(element)
+                if op == "replace":
+                    key = element[0][:key_len]
+                    if key in held:
+                        held[key] = element[1]
+                elif op == "del":
+                    held.pop(element[:key_len], None)
+            self._proven[acc] = after.value_of(acc), held
 
     # -- verified fetch helpers -------------------------------------------------
 
@@ -143,15 +143,28 @@ class TokenClient:
 
     def _read(self, acc: str, *key: bytes) -> int:
         """The amount of ``key``'s tuple, proven against the contract's current
-        accumulator: the membership of the tuple encoded from ``key`` and the
-        served amount (a served tuple whose key fields were corrupted still
-        decodes), or, when storage serves none, the absence of the key, so 0."""
-        _prefix, encode, _amount_of = _TUPLES[acc]
+        accumulator. A key remembered against that value is read from memory,
+        with no request. Otherwise storage is asked: the membership of the
+        tuple encoded from ``key`` and the served amount is proven (a served
+        tuple whose key fields were corrupted still decodes) and remembered,
+        or, when storage serves none, the absence of the key, so 0."""
+        prefix, encode, amount_of = _TUPLES[acc]
+        held_at = prefix(*key)
+        value = self.contract.state.value_of(acc)
+        remembered = self._proven.get(acc)
+        if remembered is not None and remembered[0] == value:
+            element = remembered[1].get(held_at)
+            if element is not None:
+                return amount_of(element)
         amount = self._amount(acc, *key)
         if amount is None:
             self._fetch_verified(acc, encode(*key, 0), 0)
             return 0
-        self._prove_member(acc, encode(*key, amount))
+        element = encode(*key, amount)
+        self._fetch_verified(acc, element, 1)
+        if remembered is None or remembered[0] != value:
+            self._proven[acc] = remembered = value, {}
+        remembered[1][held_at] = element
         return amount
 
     def balance_of(self, owner: bytes) -> int:

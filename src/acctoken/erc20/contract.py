@@ -138,6 +138,7 @@ class AccTokenContract:
         log, steps = plan.PLANS[op](*args, words)
 
         trace = TxTrace()
+        hashed = trace.hashes.append
         accs, chains = {}, {}
         entries = bundle.entries
         index = 0
@@ -155,9 +156,9 @@ class AccTokenContract:
                 raise InvalidProof(index)
             key_len = KEY_LEN[acc]
             if update_op:
-                ok = check_update(accs[acc], entry.claimed_after, element, entry.witness, trace.hash, key_len) == 1
+                ok = check_update(accs[acc], entry.claimed_after, element, entry.witness, hashed, key_len) == 1
             else:  # BOTTOM compares unequal to both verdicts
-                ok = belongs(accs[acc], element, entry.witness, trace.hash, key_len) == (1 if claim == MEMBER else 0)
+                ok = belongs(accs[acc], element, entry.witness, hashed, key_len) == (1 if claim == MEMBER else 0)
             if not ok:
                 raise InvalidProof(index)
             if update_op:

@@ -20,10 +20,10 @@ proves, netted as they are recorded; deployment is its first call, with the
 deployer's ``plan.mint``.
 
 Once storage has committed a verified transaction, the client follows its
-chains (``TokenClient.follow``): the members its reads proved stay proven
-across the transaction, less the elements the chains delete or replace.
-Nothing else moves the client's remembered values, so a bootstrap is not
-followed.
+chains (``TokenClient.follow``): each key its reads proved stays remembered
+across the transaction, holding the new element of a replace under it, and
+a key the chains delete is forgotten; no key is added. Nothing else moves
+the client's remembered values, so a bootstrap is not followed.
 """
 
 import hashlib

@@ -14,6 +14,7 @@ total key count up to a high watermark, and scales linearly beyond it.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
 BASE_CATEGORY = "base"
@@ -103,19 +104,21 @@ def hash_cost(schedule: GasSchedule, input_bytes: int) -> int:
 SLOAD = "sload"
 SSTORE_NEW = "sstore_new"
 SSTORE_UPDATE = "sstore_update"
-HASH = "hash"
 
 
 @dataclass
 class TxTrace:
-    """What a transaction did: calldata plus storage/hash ops in order.
+    """What a transaction did: calldata, storage ops in order, and hashes in order.
 
-    Storage events carry the contract's key count at execution time, hash
-    events the input length in bytes.
+    Storage events carry the contract's key count at execution time.
+    ``hashes`` holds each SHA-256 input length in bytes; the contract hands
+    its ``append`` to the verifiers as their ``hashed`` callback, so the
+    verifiers meter through a builtin.
     """
 
     calldata: bytes = b""
     events: list[tuple[str, int]] = field(default_factory=list)
+    hashes: list[int] = field(default_factory=list)
 
     def sload(self, n_keys: int):
         self.events.append((SLOAD, n_keys))
@@ -125,9 +128,6 @@ class TxTrace:
 
     def sstore_update(self, n_keys: int):
         self.events.append((SSTORE_UPDATE, n_keys))
-
-    def hash(self, input_bytes: int):
-        self.events.append((HASH, input_bytes))
 
 
 @dataclass
@@ -159,11 +159,11 @@ def meter_transaction(schedule: GasSchedule, trace: TxTrace) -> GasReceipt:
         elif kind == SSTORE_UPDATE:
             breakdown[WRITE_CATEGORY] += sstore_cost(schedule, "update", arg)
             counts[WRITE_CATEGORY] += 1
-        elif kind == HASH:
-            breakdown[HASH_CATEGORY] += hash_cost(schedule, arg)
-            counts[HASH_CATEGORY] += 1
         else:
             raise ValueError(f"unknown trace event {kind!r}")
+    # a hash's price depends on its input length only, and few lengths occur
+    breakdown[HASH_CATEGORY] = sum(hash_cost(schedule, n) * times for n, times in Counter(trace.hashes).items())
+    counts[HASH_CATEGORY] = len(trace.hashes)
     return GasReceipt(total=sum(breakdown.values()), breakdown=breakdown, counts=counts)
 
 

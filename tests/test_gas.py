@@ -105,16 +105,22 @@ class TestMetering:
         assert receipt.breakdown["base"] == 21_000
 
     def test_receipt_total_equals_breakdown_sum(self):
-        trace = TxTrace(calldata=b"\x00\x01\x02")
+        trace = TxTrace(calldata=b"\x00\x01\x02", hashes=[64])
         trace.sload(10)
         trace.sstore_new(10)
         trace.sstore_update(11)
-        trace.hash(64)
         receipt = meter_transaction(SCALED_SCHEDULE, trace)
         assert receipt.total == sum(receipt.breakdown.values())
         assert receipt.counts["storage-read"] == 1
         assert receipt.counts["storage-write"] == 2
         assert receipt.counts["hashing"] == 1
+
+    def test_each_hash_priced_by_its_input_length(self):
+        hashes = [20, 65, 65, 100, 32, 65]
+        for schedule in (FLAT_SCHEDULE, SCALED_SCHEDULE, GasSchedule(equalize_hash_costs=True)):
+            receipt = meter_transaction(schedule, TxTrace(hashes=hashes))
+            assert receipt.breakdown["hashing"] == sum(hash_cost(schedule, n) for n in hashes)
+            assert receipt.counts["hashing"] == len(hashes)
 
     def test_calldata_pricing(self):
         trace = TxTrace(calldata=b"\x00" * 10 + b"\xff" * 3)
@@ -122,9 +128,8 @@ class TestMetering:
         assert receipt.breakdown["calldata"] == 10 * 4 + 3 * 68
 
     def test_deterministic(self):
-        trace = TxTrace(calldata=b"abc")
+        trace = TxTrace(calldata=b"abc", hashes=[100])
         trace.sload(5)
-        trace.hash(100)
         first = meter_transaction(SCALED_SCHEDULE, trace)
         second = meter_transaction(SCALED_SCHEDULE, trace)
         assert first == second

@@ -1,7 +1,7 @@
-"""Remembered read proofs: a read fetches a witness only for an element it has not proven, and stays sound.
+"""Remembered read proofs: a read asks storage nothing for a key it has proven, and stays sound.
 
-The client remembers the elements its reads proved members of each
-accumulator, against the value they were proven for, and follows the chains
+The client remembers, by key, the element its reads proved a member of each
+accumulator, against the value it was proven for, and follows the chains
 of the transactions its system commits. The stateful test runs one
 ``TokenSystem`` through writes of its own client, which the client follows,
 and through changes it does not follow: a second submitter that executes on
@@ -9,9 +9,11 @@ the contract and commits the record's chains to storage itself, and
 bootstrap plans. Reads go to the node the last ``serve`` rule picked: the
 system's storage, served honestly or with flipped bits, or a lagging node,
 a copy of that storage from before its latest commit. A lagging node serves
-superseded tuples, so a client that kept one as a proven member past the
-chain that deleted it, or past a value it did not follow, would return it.
-After every step each read returns the ledger's value or raises.
+superseded tuples, so a client that proved one against a value it did not
+follow would return it; and a remembered key is read with no request, so a
+client whose memory holds a superseded tuple, or another key's tuple, under
+a key returns it whatever the node. After every step each read returns the
+ledger's value or raises.
 """
 
 import copy
@@ -24,9 +26,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_stat
 from acctoken.bench import effective_allowances
 from acctoken.bench.workload import true_balance
 from acctoken.erc20 import TokenClient, TokenSystem, encode_bundle, plan
-from acctoken.erc20.bundle import ACCUMULATORS, ALLOWED_BALANCES, BALANCES
+from acctoken.erc20.bundle import ACCUMULATORS, ALLOWED_BALANCES, BALANCES, KEY_LEN
 from acctoken.erc20.elements import allowance_prefix, balance_prefix, decode_allowance_element, decode_balance_element
-from acctoken.errors import AcctokenError
+from acctoken.errors import AcctokenError, Unavailable
 from acctoken.storage import CORRUPT_BITS, HONEST, STALE, FaultPolicy
 from storage_views import accumulator_epoch, accumulator_value
 
@@ -130,34 +132,68 @@ class RememberedProofs(RuleBasedStateMachine):
 
 
 # a fixed search: the same 100 programs of up to 30 steps on every run, a
-# budget at which ``TestMutantFollow`` checks that the search finds a follow
-# that keeps replaced elements
+# budget at which ``TestMutantFollow`` checks that the search finds each
+# mutant ``follow``
 BUDGET = settings(max_examples=100, stateful_step_count=30, deadline=None, derandomize=True, database=None)
 RememberedProofs.TestCase.settings = BUDGET
 TestRememberedProofs = RememberedProofs.TestCase
 
 
+def _key_of(acc, op, element):
+    # the key a chain step is under: a replace's pair shares one
+    return (element[0] if op == "replace" else element)[: KEY_LEN[acc]]
+
+
 def follow_keeping_replaced(client, before, after, updates):
-    """A mutant ``TokenClient.follow`` that drops what a chain deletes but
-    keeps the old element of each replace as a member of the new value."""
+    """A mutant ``TokenClient.follow`` that forgets what a chain deletes but
+    keeps the old element of each replace under its key."""
     for acc, steps in updates.items():
-        value, members = client._proven.get(acc, (None, None))
+        value, held = client._proven.get(acc, (None, None))
         if value != before.value_of(acc):
             continue
         for op, element in steps:
             if op == "del":
-                members.discard(element)
-        client._proven[acc] = after.value_of(acc), members
+                held.pop(_key_of(acc, op, element), None)
+        client._proven[acc] = after.value_of(acc), held
+
+
+def follow_filing_under_previous_key(client, before, after, updates):
+    """A mutant ``TokenClient.follow`` that files each replace's new element
+    under the key of the step before it in the chain (the first step's under
+    the last step's key), so a transfer's sender tuple lands under the
+    recipient's key, and the recipient's under the sender's."""
+    for acc, steps in updates.items():
+        value, held = client._proven.get(acc, (None, None))
+        if value != before.value_of(acc):
+            continue
+        keys = [_key_of(acc, op, element) for op, element in steps]
+        for i, (op, element) in enumerate(steps):
+            if op == "del":
+                held.pop(keys[i], None)
+            elif op == "replace" and keys[i - 1] in held:
+                held[keys[i - 1]] = element[1]
+        client._proven[acc] = after.value_of(acc), held
+
+
+def killed_by_the_ledger_check(monkeypatch, mutant):
+    """Run TestRememberedProofs's own search with ``mutant`` as ``follow``,
+    stopped at the first failing program, which must fail a read's "the
+    ledger holds" check, not crash."""
+    monkeypatch.setattr(TokenClient, "follow", mutant)
+    with pytest.raises(AssertionError, match="the ledger holds"):
+        run_state_machine_as_test(RememberedProofs, settings=settings(BUDGET, phases=[Phase.generate]))
 
 
 class TestMutantFollow:
+    # every write to a held tuple is a replace, and a remembered key is read
+    # with no request, so a key a mutant leaves holding another tuple is
+    # read to a value the ledger does not hold
+
     def test_the_machine_kills_a_follow_that_keeps_replaced_elements(self, monkeypatch):
-        # every write to a held tuple is a replace, so the mutant remembers a
-        # superseded tuple, and a lagging node serves it to the next read
-        monkeypatch.setattr(TokenClient, "follow", follow_keeping_replaced)
-        # TestRememberedProofs's own search, stopped at the first failing program
-        with pytest.raises(AssertionError, match="the ledger holds"):
-            run_state_machine_as_test(RememberedProofs, settings=settings(BUDGET, phases=[Phase.generate]))
+        killed_by_the_ledger_check(monkeypatch, follow_keeping_replaced)
+
+    def test_the_machine_kills_a_follow_that_files_a_tuple_under_another_key(self, monkeypatch):
+        killed_by_the_ledger_check(monkeypatch, follow_filing_under_previous_key)
 
 
 def other_submits_transfer(system, sender, to, tokens):
@@ -176,19 +212,37 @@ class TestRepeatedReads:
         assert (system.balance_of(A), system.allowance(A, S)) == (1000, 50)
         assert system.network.stats.witness_fetches == fetches
 
-    def test_a_changed_tuple_is_fetched_again(self):
+    def test_a_followed_replace_is_read_with_no_request(self):
         system = TokenSystem(A, 1000)
         assert system.balance_of(A) == 1000
-        system.transfer(A, B, 100)
-        fetches = system.network.stats.witness_fetches
+        system.transfer(A, B, 100)  # replaces A's tuple under A's remembered key
+        stats = system.network.stats
+        requests = stats.lookups, stats.witness_fetches
         assert system.balance_of(A) == 900
-        assert system.network.stats.witness_fetches == fetches + 1
+        assert (stats.lookups, stats.witness_fetches) == requests
+
+    def test_a_remembered_read_answers_while_storage_refuses_every_request(self):
+        system = TokenSystem(A, 1000)
+        system.approve(A, S, 50)
+        assert (system.balance_of(A), system.allowance(A, S)) == (1000, 50)
+        system.network.policy = FaultPolicy.unavailable(1.0)
+        assert (system.balance_of(A), system.allowance(A, S)) == (1000, 50)
+        with pytest.raises(Unavailable):
+            system.balance_of(B)  # never read, so asked of storage
+
+    def test_a_zero_read_still_asks_storage(self):
+        system = TokenSystem(A, 1000)
+        stats = system.network.stats
+        for _ in range(2):
+            requests = stats.lookups, stats.witness_fetches
+            assert system.balance_of(B) == 0
+            assert (stats.lookups, stats.witness_fetches) == (requests[0] + 1, requests[1] + 1)
 
     def test_a_followed_write_keeps_what_it_did_not_delete(self):
         system = TokenSystem(A, 1000)
         system.transfer(A, B, 100)
         assert (system.balance_of(A), system.balance_of(C)) == (900, 0)
-        system.transfer(B, C, 10)  # deletes B's tuple, not A's
+        system.transfer(B, C, 10)  # writes B's and C's tuples, not A's
         system.approve(A, S, 50)  # writes no balance tuple
         fetches = system.network.stats.witness_fetches
         assert system.balance_of(A) == 900

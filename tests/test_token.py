@@ -55,7 +55,7 @@ from acctoken.errors import (
     VerificationFailed,
     ZeroSupply,
 )
-from acctoken.gas import HASH, SLOAD, SSTORE_UPDATE
+from acctoken.gas import SLOAD, SSTORE_UPDATE
 from acctoken.storage import FaultPolicy, StorageNetwork
 
 import reference_verify
@@ -1365,13 +1365,12 @@ class TestContractMetering:
         outcome = getattr(system.contract, op)(*args, bundle.announced, encode_bundle(bundle))
         monkeypatch.undo()
         kinds = [kind for kind, _arg in outcome.trace.events]
-        hashed = sorted(arg for kind, arg in outcome.trace.events if kind == HASH)
-        assert recorder.lengths and hashed == sorted(recorder.lengths)
+        assert recorder.lengths and outcome.trace.hashes == recorder.lengths  # each hash, in the order made
         reads, writes = METERED_ACCESSES[case]
         if lift:
             reads = LIFTED_READS.get(case, reads)
         assert (kinds.count(SLOAD), kinds.count(SSTORE_UPDATE)) == (reads, writes)
-        assert len(kinds) == len(hashed) + reads + writes
+        assert len(kinds) == reads + writes
 
 
 LIFT_MODES = pytest.mark.parametrize("lift", [False, True], ids=["normal", "lifted"])
