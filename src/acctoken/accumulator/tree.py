@@ -98,12 +98,9 @@ lands where the trie has no node, or meets a leaf (taking the leaf in), is
 built in one stack pass per first byte, which reads each key as an int
 once: the trie of sorted keys is the Cartesian tree of the split bits of
 adjacent keys. A range of one key that reaches a tuple branch or a region's
-handle on its own takes the path-copying ``insert``; one that meets a row
-of a sparse region's walk is written in one descent (``_write_one``): the
-leaf its bits reach gives the split, the untouched siblings along its path
-are copied, and the new rows are written bottom up, so it costs the depth of
-its path, where splitting the range level by level, finding each subtree's
-common prefix afresh, would cost its square.
+handle on its own takes the path-copying ``insert``; in a sparse region's
+walk it is split level by level like any other range, and where it meets
+the leaf its bits reach, one new row goes above the two.
 
 The merge frees the nodes it replaces as it goes, when it may: it drops each
 old tuple branch as soon as it has unpacked it and hands each child on as
@@ -427,76 +424,6 @@ def _copy_node(node: Node, kids: array, bodies: bytearray, leaves: list) -> int:
     return (len(kids) >> 1) - 1
 
 
-def _write_one(src: tuple, src_kids: memoryview, ref: int, ref_digest: bytes, key: bytes, leaf, kids: array, bodies: bytearray, leaves: list):
-    """Write the subtree of ``src`` (whose child ids ``src_kids`` reads) at
-    row ``ref``, whose digest is ``ref_digest``, with ``key`` inserted, into
-    the region being built; returns its new id and digest.
-
-    One descent, as ``insert`` walks a trie: the key's bits lead to a leaf,
-    and its first bit that differs from the key's is the split. The new row
-    at the split goes above the first row on the path whose bit passes it,
-    over that row's subtree (or the leaf) and the key's leaf. The rows above
-    are written again over it, bottom up, and every sibling the path leaves
-    is copied (``_copy_rows``); post-order puts the copied left siblings
-    first, top down, and each copied right sibling just before its row.
-    """
-    src_bodies, src_leaves = src[1], src[2]
-    k = int.from_bytes(key, "big")
-    path = []  # the rows from ``ref`` down
-    row = ref
-    while row >= 0:
-        path.append(row)
-        row = src_kids[2 * row + (1 if k & BIT_MASK[src_bodies[row * _BODY + _BIT_AT]] else 0)]
-    terminal = src_leaves[~row]
-    diff = k ^ int.from_bytes(terminal, "big")
-    if not diff:
-        raise _duplicate(key)
-    split = KEY_BITS - diff.bit_length()
-    # the rows above the new one, whose bits are below the split; the bits rise down the path
-    cut = len(path)
-    while cut and src_bodies[path[cut - 1] * _BODY + _BIT_AT] > split:
-        row = path[cut - 1]
-        cut -= 1
-    lefts = []  # the copied left siblings of the rows above the cut that the key passes on the right
-    for above in path[:cut]:
-        if k & BIT_MASK[src_bodies[above * _BODY + _BIT_AT]]:
-            lefts.append(_copy_rows(src, src_kids, src_kids[2 * above], kids, bodies, leaves))
-    if cut:
-        parent = path[cut - 1]
-        at = parent * _BODY + (_RIGHT_AT if src_kids[2 * parent + 1] == row else _LEFT_AT)
-        displaced_digest = src_bodies[at : at + DIGEST_BYTES]
-    else:
-        displaced_digest = ref_digest
-    key_digest = leaf(key)
-    if key < terminal:
-        leaves.append(key)
-        left = ~(len(leaves) - 1)
-        right = _copy_rows(src, src_kids, row, kids, bodies, leaves)
-        body = BIT_PREFIX[split] + key_digest + displaced_digest
-    else:
-        left = _copy_rows(src, src_kids, row, kids, bodies, leaves)
-        leaves.append(key)
-        right = ~(len(leaves) - 1)
-        body = BIT_PREFIX[split] + displaced_digest + key_digest
-    sha256 = hashing.hashlib.sha256
-    while True:
-        kids.append(left)
-        kids.append(right)
-        bodies += body
-        node, node_digest = (len(kids) >> 1) - 1, sha256(body).digest()
-        if not cut:
-            return node, node_digest
-        cut -= 1
-        row = path[cut]
-        at = row * _BODY
-        if k & BIT_MASK[src_bodies[at + _BIT_AT]]:
-            left, right = lefts.pop(), node
-            body = src_bodies[at : at + _RIGHT_AT] + node_digest
-        else:
-            left, right = node, _copy_rows(src, src_kids, src_kids[2 * row + 1], kids, bodies, leaves)
-            body = src_bodies[at : at + _LEFT_AT] + node_digest + src_bodies[at + _RIGHT_AT : at + _BODY]
-
-
 def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: int, depth: int, leaf):
     """The trie of ``node``'s keys plus ``keys[lo:hi]``, which all share
     their first byte, as one new region, and its digest; ``node`` is a
@@ -509,8 +436,7 @@ def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: in
     takes its digest from the map ``_known`` reads off the old rows. A
     sparser one is walked as ``_merge`` walks a trie: each row some key
     falls into is written again over its merged children, each range that
-    meets a leaf or empty space is written in one stack pass, each range of
-    one key that meets a row in one descent (``_write_one``), and each old
+    meets a leaf or empty space is written in one stack pass, and each old
     subtree no key falls into is copied (``_copy_rows``), not hashed. The
     new region refers to nothing in the old one, so the old one goes when
     the caller drops ``node``.
@@ -536,8 +462,6 @@ def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: in
         """The new id and digest of the old subtree at ``ref`` with ``keys[lo:hi]`` merged in."""
         if lo == hi:
             return _copy_rows(old, old_kids, ref, kids, bodies, leaves), ref_digest
-        if hi - lo == 1 and ref >= 0:
-            return _write_one(old, old_kids, ref, ref_digest, keys[lo], leaf, kids, bodies, leaves)
         if ref < 0:
             old_leaf = old_leaves[~ref]
             if hi - lo == 1:

@@ -28,8 +28,9 @@ moves on only by ``follow``, with a chain the contract verified, whose
 replaces and deletes are the only steps that can change what a held key
 holds. A value the client did not follow (``bootstrap``, another submitter)
 starts an empty map at its first proof; the digest binds the set, so a
-value seen again commits to the same tuples. Bundles are always built from
-lookups and served witnesses, which the contract needs as bytes.
+value seen again commits to the same tuples. A bundle takes a remembered
+key's amount from the map too, and its other amounts from lookups; its
+witnesses are always served, as the contract needs them as bytes.
 """
 
 from ..accumulator import belongs, check_update
@@ -59,14 +60,17 @@ _TUPLES = {
 
 
 class _Lookups:
-    """Amounts for a plan, read by storage lookups while one bundle is built.
+    """Amounts for a plan while one bundle is built: a key the client
+    remembers against the contract's current value is read from memory,
+    and any other by a storage lookup. The contract checks every announced
+    amount against the bundle's proofs.
 
     Lookups are the only storage requests made during the plan walk, so a
     guard on a spent amount fails before any witness is fetched or built.
     """
 
     def __init__(self, client: "TokenClient"):
-        self.amount = client._amount
+        self.client = client
         self.announced: list[int] = []
 
     def spend(self, acc: str, *key: bytes) -> int:
@@ -78,7 +82,10 @@ class _Lookups:
         return amount
 
     def prior(self, acc: str, *key: bytes) -> int | None:
-        amount = self.amount(acc, *key)
+        prefix, _encode, amount_of = _TUPLES[acc]
+        held = self.client._held(acc)
+        element = held.get(prefix(*key)) if held else None
+        amount = self.client._amount(acc, *key) if element is None else amount_of(element)
         if amount is not None:
             self.announced.append(amount)
         return amount
@@ -117,6 +124,12 @@ class TokenClient:
                     held.pop(element[:key_len], None)
             self._proven[acc] = after.value_of(acc), held
 
+    def _held(self, acc: str) -> dict[bytes, bytes] | None:
+        """The elements remembered for ``acc`` by lookup prefix, while they are
+        bound to the contract's current value; None when they are not."""
+        value, held = self._proven.get(acc, (None, None))
+        return held if value == self.contract.state.value_of(acc) else None
+
     # -- verified fetch helpers -------------------------------------------------
 
     def _fetch_verified(self, name: str, element: bytes, want: int):
@@ -150,21 +163,19 @@ class TokenClient:
         or, when storage serves none, the absence of the key, so 0."""
         prefix, encode, amount_of = _TUPLES[acc]
         held_at = prefix(*key)
-        value = self.contract.state.value_of(acc)
-        remembered = self._proven.get(acc)
-        if remembered is not None and remembered[0] == value:
-            element = remembered[1].get(held_at)
-            if element is not None:
-                return amount_of(element)
+        held = self._held(acc)
+        if held and held_at in held:
+            return amount_of(held[held_at])
         amount = self._amount(acc, *key)
         if amount is None:
             self._fetch_verified(acc, encode(*key, 0), 0)
             return 0
         element = encode(*key, amount)
         self._fetch_verified(acc, element, 1)
-        if remembered is None or remembered[0] != value:
-            self._proven[acc] = remembered = value, {}
-        remembered[1][held_at] = element
+        if held is None:
+            held = {}
+            self._proven[acc] = self.contract.state.value_of(acc), held
+        held[held_at] = element
         return amount
 
     def balance_of(self, owner: bytes) -> int:

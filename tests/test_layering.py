@@ -135,6 +135,42 @@ def test_rules_see_the_package():
     assert reaches(imports(source("storage.py")), "acctoken.accumulator.core")
 
 
+# -- one binding per name --------------------------------------------------------------
+
+TESTS = Path(__file__).resolve().parent
+
+
+def rebound_definitions(path: Path) -> list[str]:
+    """Each ``def`` or ``class`` in ``path`` whose name its module, or its
+    class, has bound by a ``def`` or ``class`` already: the later one hides
+    the earlier, so pytest collects only the last test class of a name."""
+    found = []
+    scopes = [("", ast.parse(path.read_text(), str(path)).body)]
+    for scope, body in scopes:
+        seen = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    found.append(f"{scope}{node.name} (line {node.lineno})")
+                seen.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((f"{scope}{node.name}.", node.body))
+    return found
+
+
+class TestOneDefinitionPerName:
+    @pytest.mark.parametrize(
+        "path", SOURCES + sorted(TESTS.rglob("*.py")), ids=lambda path: str(path.relative_to(PACKAGE.parent.parent))
+    )
+    def test_no_name_is_defined_twice(self, path):
+        assert not rebound_definitions(path)
+
+    def test_a_second_definition_is_caught(self, tmp_path):
+        path = tmp_path / "twice.py"
+        path.write_text("class A:\n    def f(self): ...\n    def f(self): ...\n\n\nclass A: ...\n")
+        assert rebound_definitions(path) == ["A (line 6)", "A.f (line 3)"]
+
+
 # -- what the program runs ----------------------------------------------------------
 
 MODULES = {module_name(path): path for path in SOURCES}
@@ -368,38 +404,6 @@ API = {
     "acctoken.storage.FaultPolicy.stale": "fault API: the fault tests' policy for a lag; configs name modes",
     "acctoken.storage.FaultPolicy.unavailable": "fault API: the fault tests' policy for a refusal probability; configs name modes",
 }
-
-
-class TestProgramRunsItsNames:
-    """``src/`` holds what the program runs: a public top-level name, and a
-    public method of a class, is reached from what the program runs, or from
-    a name ``API`` lists with who needs it. A name read only by names that
-    nothing reaches is not run, so a chain of test-only names shows whole."""
-
-    def test_every_public_name_is_run_or_listed(self):
-        edges, attributes = program_graph()
-        assert edges[ENTRY], "nothing in src/ runs on its own: no __main__ block was read"
-        run = reachable([ENTRY], edges, attributes)
-        api = {split_name(name) for name in API}
-        kept = reachable([ENTRY, *api], edges, attributes)
-        public = {
-            (module, name)
-            for module, path in MODULES.items()
-            if path.name != "__init__.py"
-            for name in defined(module) | set(public_methods(module))
-        }
-        unlisted = sorted(".".join(name) for name in public - kept)
-        assert not unlisted, f"run by nothing in src/ and not listed in API: {unlisted}"
-        stale = sorted(".".join(name) for name in api & run | api - public)
-        assert not stale, f"listed in API but run by src/, or gone: {stale}"
-
-    def test_methods_are_reached_through_their_class(self):
-        # the rule would pass vacuously if no method were ever read
-        edges, attributes = program_graph()
-        run = reachable([ENTRY], edges, attributes)
-        assert ("acctoken.storage", "StorageNetwork.commit") in run
-        assert ("acctoken.erc20.system", "TokenSystem.transfer_from") in run  # read by ``getattr`` dispatch
-        assert ("acctoken.storage", "FaultPolicy.stale") not in run
 
 
 #: The public method names that two or more classes of the package bind as

@@ -27,7 +27,13 @@ from acctoken.bench import effective_allowances
 from acctoken.bench.workload import true_balance
 from acctoken.erc20 import TokenClient, TokenSystem, encode_bundle, plan
 from acctoken.erc20.bundle import ACCUMULATORS, ALLOWED_BALANCES, BALANCES, KEY_LEN
-from acctoken.erc20.elements import allowance_prefix, balance_prefix, decode_allowance_element, decode_balance_element
+from acctoken.erc20.elements import (
+    allowance_prefix,
+    balance_element,
+    balance_prefix,
+    decode_allowance_element,
+    decode_balance_element,
+)
 from acctoken.errors import AcctokenError, Unavailable
 from acctoken.storage import CORRUPT_BITS, HONEST, STALE, FaultPolicy
 from storage_views import accumulator_epoch, accumulator_value
@@ -260,3 +266,38 @@ class TestRepeatedReads:
         assert system.network.stats.witness_fetches == fetches + 1
         assert system.balance_of(B) == 100
         assert system.network.stats.witness_fetches == fetches + 1
+
+    def test_a_followed_delete_forgets_the_key(self):
+        # no plan deletes a tuple (a debit to zero is a replace), so the
+        # chain is committed and followed here by hand
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        assert system.balance_of(B) == 100
+        before, steps = system.state, [("del", balance_element(B, 100))]
+        after = before.with_values(system.network.commit({BALANCES: steps}))
+        system.client.follow(before, after, {BALANCES: steps})
+        system.contract.state = after
+        lookups = system.network.stats.lookups
+        assert system.balance_of(B) == 0
+        assert system.network.stats.lookups == lookups + 1
+
+
+class TestRememberedAmountsInBundles:
+    def test_a_bundle_reads_remembered_amounts_with_no_lookup(self):
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        assert (system.balance_of(A), system.balance_of(B)) == (900, 100)
+        lookups = system.network.stats.lookups
+        system.transfer(A, B, 10)
+        assert system.network.stats.lookups == lookups
+        assert (system.balance_of(A), system.balance_of(B)) == (890, 110)
+
+    def test_a_bundle_looks_up_a_key_remembered_against_another_value(self):
+        system = TokenSystem(A, 1000)
+        system.transfer(A, B, 100)
+        assert (system.balance_of(A), system.balance_of(B)) == (900, 100)
+        other_submits_transfer(system, A, C, 100)  # the value moves on unfollowed
+        lookups = system.network.stats.lookups
+        system.transfer(A, B, 10)
+        assert system.network.stats.lookups == lookups + 2
+        assert (system.balance_of(A), system.balance_of(B)) == (790, 110)
