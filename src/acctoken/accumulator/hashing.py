@@ -25,10 +25,6 @@ TAG_INTERNAL = b"\x01"
 TAG_EMPTY = b"\x02"
 
 
-def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
 def element_digest(element: bytes) -> bytes:
     """The 32-byte digest of an element's canonical byte encoding."""
     return hashlib.sha256(element).digest()
@@ -41,7 +37,7 @@ BIT_BYTE = tuple(bytes((b,)) for b in range(KEY_BITS))
 BIT_PREFIX = tuple(TAG_INTERNAL + BIT_BYTE[b] for b in range(KEY_BITS))
 
 
-EMPTY_DIGEST = sha256(TAG_EMPTY)
+EMPTY_DIGEST = hashlib.sha256(TAG_EMPTY).digest()
 
 
 #: bit ``b`` of a key read as a big-endian int (``int.from_bytes(key, "big")``)

@@ -35,17 +35,17 @@ keys, the leaves themselves. A region holds one maximal subtree whose
 branches are all at ``REGION_BIT`` or deeper, that is the keys that share
 their first byte, and its rows point only at its own rows and keys. Rows are
 written in post-order, so each subtree's rows are a run of rows ending at
-its root, and its keys a run of ``leaves``, in key order: a subtree is
-copied as three slices, with its child ids shifted, and the digests of its
-nodes are read in one scan of its rows, each from its parent's body (the
-root's from the region's parent), when it is rebuilt. A tuple branch reaches a
-region through a handle, ``(region, row)``. A branch thus costs its 66 body
-bytes, 8 bytes of child ids and 8 of key slot, against 163 traced bytes as a
-3-tuple and its body. The per-op path copies (``insert``, ``remove``,
-``insert_at``, ``remove_at``) stay tuples: ``descend`` reads a row it passes
-as a tuple branch over handles to its children, and the copies are built
-over those. A replace (``replace``, ``replace_at``) copies the path to a
-leaf and rehashes it, as the leaf now holds another element.
+its root, and its keys a run of ``leaves``, in key order: when the subtree
+is rebuilt, its keys are read as one slice and the digests of its nodes in
+one scan of its rows, each from its parent's body (the root's from the
+region's parent). A tuple branch reaches a region through a handle,
+``(region, row)``. A branch thus costs its 66 body bytes, 8 bytes of child
+ids and 8 of key slot, against 163 traced bytes as a 3-tuple and its body.
+The per-op path copies (``insert``, ``remove``, ``insert_at``,
+``remove_at``) stay tuples: ``descend`` reads a row it passes as a tuple
+branch over handles to its children, and the copies are built over those.
+A replace (``replace``, ``replace_at``) copies the path to a leaf and
+rehashes it, as the leaf now holds another element.
 
 Tuples, bytes and shared keys, rather than objects, because a trie holds a
 node per key and per branch and lives as long as the memory does: bytes are
@@ -71,22 +71,24 @@ bit for bit, to the root of inserting the same keys one at a time. Above
 new ones; a region no key falls into it keeps whole, by its handle, and a
 region that two or more keys fall into it writes again as a new region.
 
-A region that gains at least half as many new keys as it holds is rebuilt:
-the sorted union of its old and new keys is written in one stack pass
-(below). Each old leaf takes the digest its parent's body holds, and a
-rebuilt row whose body equals an old row's takes that row's digest from a
-map gathered in one scan of the old rows, the root row's (which the
-region's parent holds) included. A body is its row's preimage, so it equals
-an old one exactly when no new key falls under the row: a rebuild hashes
-the nodes the walk below would, and no others. Against that walk, on 2^15
-new random keys in one process (2-vCPU x86-64, Python 3.11), a rebuild took
-0.78 of the time at one new key per old key, 0.85 at 1/2, 0.93 at 1/3, 1.02
-at 1/4 and 1.25 at 1/7: from 1/2 it is well ahead. A growth from 2^13 to
-2^17 accounts, doubling at each checkpoint, rewrites 3,072 regions, with
-0.90, 1.00 and 1.11 new keys per old key at the quartiles: all but 4 are
-rebuilt, and those 4 (0.44-0.49) are all that a rule anywhere from 1/4 to
-1/2 would decide otherwise. A sparser region is walked as the merge walks a
-trie, copying the old subtrees no key falls into without hashing them.
+A region is rewritten by a rebuild: the sorted union of its old and new
+keys is written in one stack pass (below). Each old leaf takes the digest
+its parent's body holds, and a rebuilt row whose body equals an old row's
+takes that row's digest from a map gathered in one scan of the old rows,
+the root row's (which the region's parent holds) included. A body is its
+row's preimage, so it equals an old one exactly when no new key falls
+under the row: a rebuild hashes only the rows some new key falls under.
+It does read and sort every old key of each region it enters, so its work
+grows with the regions' size and not with the batch's. A doubling growth
+brings about one new key per old key (a growth from 2^13 to 2^17 accounts
+rewrites 3,072 regions, with 0.90, 1.00 and 1.11 at the quartiles). ``bench
+run --max-accounts N`` grows by N/8 at each checkpoint, so from its third
+checkpoint on each growth brings 1/2, 1/3 and down to 1/7 new keys per old
+key: at N = 2^17 its 24 merges take about 4.6 s, the last checkpoint's three
+about 0.95 s (2-vCPU x86-64, Python 3.11). A commit whose chain tip was
+superseded is merged here too (``core.updated_root``), and two new keys that
+share a first byte make it read their whole region: about 0.9 ms at 2^17
+keys.
 
 The merge reads the batch as the sorted bytes it is: equal-length keys
 sort as their big-endian ints do, so at a branch it splits the batch's
@@ -98,9 +100,7 @@ lands where the trie has no node, or meets a leaf (taking the leaf in), is
 built in one stack pass per first byte, which reads each key as an int
 once: the trie of sorted keys is the Cartesian tree of the split bits of
 adjacent keys. A range of one key that reaches a tuple branch or a region's
-handle on its own takes the path-copying ``insert``; in a sparse region's
-walk it is split level by level like any other range, and where it meets
-the leaf its bits reach, one new row goes above the two.
+handle on its own takes the path-copying ``insert``.
 
 The merge frees the nodes it replaces as it goes, when it may: it drops each
 old tuple branch as soon as it has unpacked it and hands each child on as
@@ -385,144 +385,49 @@ def _span(kids: memoryview, ref: int) -> tuple[int, int]:
     return ~first, ~last
 
 
-def _copy_rows(src: tuple, src_kids: memoryview, ref: int, kids: array, bodies: bytearray, leaves: list) -> int:
-    """Copy the subtree of ``src`` (whose child ids ``src_kids`` reads) at
-    id ``ref`` into the region being built, as it is, hashing nothing;
-    returns its new id.
-
-    The subtree's keys are the run of ``src``'s leaves from its leftmost to
-    its rightmost, and its rows the run of one fewer rows ending at ``ref``:
-    three slices, the child ids shifted to where the copies land.
-    """
-    if ref < 0:
-        leaves.append(src[2][~ref])
-        return ~(len(leaves) - 1)
-    src_bodies, src_leaves = src[1], src[2]
-    first, last = _span(src_kids, ref)
-    start = ref - (last - first) + 1
-    shift, leaf_shift = (len(kids) >> 1) - start, len(leaves) - first
-    kids.extend([kid + shift if kid >= 0 else kid - leaf_shift for kid in src_kids[2 * start : 2 * ref + 2]])
-    bodies += src_bodies[start * _BODY : (ref + 1) * _BODY]
-    leaves += src_leaves[first : last + 1]
-    return ref + shift
-
-
-def _copy_node(node: Node, kids: array, bodies: bytearray, leaves: list) -> int:
-    """Copy the subtree ``node`` (a leaf, a handle, or a tuple branch over
-    these) into the region being built, hashing nothing; returns its new id."""
+def _gather(node: Node, node_digest: bytes, keys: list[bytes], known: dict):
+    """Append the keys of the old subtree ``node`` (a leaf, a handle, or a
+    tuple branch a path copy made over these), whose digest is
+    ``node_digest``, to ``keys`` in order, and map each of its leaves and
+    rows to its digest in ``known``, as ``_known`` does: read off the bodies,
+    hashing nothing."""
     if node.__class__ is bytes:
-        leaves.append(node)
-        return ~(len(leaves) - 1)
-    if len(node) == 2:
-        region, row = node
-        return _copy_rows(region, memoryview(region[0]).cast("i"), row, kids, bodies, leaves)
-    left = _copy_node(node[0], kids, bodies, leaves)
-    right = _copy_node(node[1], kids, bodies, leaves)
-    kids.append(left)
-    kids.append(right)
-    bodies += node[2]
-    return (len(kids) >> 1) - 1
+        keys.append(node)
+        known[node] = node_digest
+    elif len(node) == 2:
+        region, ref = node
+        kids = memoryview(region[0]).cast("i")
+        first, last = _span(kids, ref)
+        keys += region[2][first : last + 1]
+        known.update(_known(region, kids, ref, node_digest, ref - (last - first) + 1))
+    else:
+        left, right, body = node
+        known[body] = node_digest
+        _gather(left, body[_LEFT_AT:_RIGHT_AT], keys, known)
+        _gather(right, body[_RIGHT_AT:], keys, known)
 
 
-def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: int, depth: int, leaf):
+def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: int, leaf):
     """The trie of ``node``'s keys plus ``keys[lo:hi]``, which all share
     their first byte, as one new region, and its digest; ``node`` is a
     branch at ``REGION_BIT`` or deeper: a handle, or a tuple branch a path
-    copy made over handles, which is first copied into a region of its own.
+    copy made over handles.
 
-    Given at least half as many new keys as it holds, the old subtree is
-    rebuilt: its keys and the new ones are written in one stack pass
-    (``_rows``), and each old leaf and each old row written again as it was
-    takes its digest from the map ``_known`` reads off the old rows. A
-    sparser one is walked as ``_merge`` walks a trie: each row some key
-    falls into is written again over its merged children, each range that
-    meets a leaf or empty space is written in one stack pass, and each old
-    subtree no key falls into is copied (``_copy_rows``), not hashed. The
-    new region refers to nothing in the old one, so the old one goes when
-    the caller drops ``node``.
+    The old keys and the new ones are written in one stack pass (``_rows``),
+    and each old leaf and each old row written again as it was takes the
+    digest ``_gather`` read for it, so only the rows some new key falls
+    under are hashed. It reads every old key however few the new ones are,
+    so its work grows with the region's size, not with the batch (module
+    docstring). The new region refers to nothing in the old one, so the old
+    one goes when the caller drops ``node``.
     """
-    if len(node) == 3:
-        node = _flatten(node)
-    old, ref = node
-    old_kids = memoryview(old[0]).cast("i")
-    old_bodies, old_leaves = old[1], old[2]
+    run, known = [], {}
+    _gather(node, node_digest, run, known)
+    new = keys[lo:hi]
+    run += new
+    run.sort()
     kids, bodies, leaves = array("i"), bytearray(), []
-    first, last = _span(old_kids, ref)
-    if 2 * (hi - lo) > last - first:
-        # at least half as many new keys as old: one stack pass over them all
-        known = _known(old, old_kids, ref, node_digest, ref - (last - first) + 1)
-        run = [*old_leaves[first : last + 1], *keys[lo:hi]]
-        run.sort()
-        root, root_digest = _rows(run, 0, len(run), kids, bodies, leaves, _digests(known, keys[lo:hi], leaf), known)
-        return _region(kids, bodies, leaves, root), root_digest
-    add_kid, add_body, add_leaf = kids.append, bodies.extend, leaves.append
-    sha256 = hashing.hashlib.sha256
-
-    def write(ref: int, ref_digest: bytes, lo: int, hi: int, depth: int):
-        """The new id and digest of the old subtree at ``ref`` with ``keys[lo:hi]`` merged in."""
-        if lo == hi:
-            return _copy_rows(old, old_kids, ref, kids, bodies, leaves), ref_digest
-        if ref < 0:
-            old_leaf = old_leaves[~ref]
-            if hi - lo == 1:
-                # a leaf and one key, the commonest meeting: one new row above the two
-                key = keys[lo]
-                split = first_diff_bit(key, old_leaf)
-                if split is None:
-                    raise _duplicate(key)
-                key_digest = leaf(key)
-                if key < old_leaf:
-                    add_leaf(key)
-                    add_leaf(old_leaf)
-                    body = BIT_PREFIX[split] + key_digest + ref_digest
-                else:
-                    add_leaf(old_leaf)
-                    add_leaf(key)
-                    body = BIT_PREFIX[split] + ref_digest + key_digest
-                add_kid(~(len(leaves) - 2))
-                add_kid(~(len(leaves) - 1))
-                add_body(body)
-                return (len(kids) >> 1) - 1, sha256(body).digest()
-            # the keys and the leaf's own key form one run
-            run = keys[lo:hi]
-            digest = _digests({old_leaf: ref_digest}, run, leaf)
-            run.insert(bisect_left(run, old_leaf), old_leaf)
-            return _rows(run, 0, len(run), kids, bodies, leaves, digest)
-        at = ref * _BODY
-        bit = old_bodies[at + _BIT_AT]
-        first = int.from_bytes(keys[lo], "big")
-        if bit == depth:
-            split = bit
-        else:
-            sample = ref
-            while sample >= 0:
-                sample = old_kids[2 * sample]
-            x = int.from_bytes(old_leaves[~sample], "big")
-            split = KEY_BITS - ((first ^ x) | (int.from_bytes(keys[hi - 1], "big") ^ x)).bit_length()
-        if split >= bit:
-            mid = bisect_left(keys, _first_set(first, bit), lo, hi)
-            left, left_digest = write(old_kids[2 * ref], old_bodies[at + _LEFT_AT : at + _RIGHT_AT], lo, mid, bit + 1)
-            right, right_digest = write(old_kids[2 * ref + 1], old_bodies[at + _RIGHT_AT : at + _BODY], mid, hi, bit + 1)
-        else:
-            # a new row at ``split``: the old subtree on one side, a run of new keys alone on the other
-            bit = split
-            mid = bisect_left(keys, _first_set(first, split), lo, hi)
-            if x & BIT_MASK[split]:
-                left, left_digest = _rows(keys, lo, mid, kids, bodies, leaves, leaf)
-                right, right_digest = write(ref, ref_digest, mid, hi, split + 1)
-            else:
-                left, left_digest = write(ref, ref_digest, lo, mid, split + 1)
-                right, right_digest = _rows(keys, mid, hi, kids, bodies, leaves, leaf)
-        body = BIT_PREFIX[bit] + left_digest + right_digest
-        add_kid(left)
-        add_kid(right)
-        add_body(body)
-        return (len(kids) >> 1) - 1, sha256(body).digest()
-
-    try:
-        root, root_digest = write(ref, node_digest, lo, hi, depth)
-    finally:
-        del write  # the closure refers to itself: break the cycle, so the old region goes with this frame
+    root, root_digest = _rows(run, 0, len(run), kids, bodies, leaves, _digests(known, new, leaf), known)
     return _region(kids, bodies, leaves, root), root_digest
 
 
@@ -537,12 +442,6 @@ def _known(region: tuple, kids: memoryview, ref: int, ref_digest: bytes, start: 
     known = dict(zip(nodes, slots))
     known[bodies[ref * _BODY : (ref + 1) * _BODY]] = ref_digest
     return known
-
-
-def _flatten(node: tuple) -> tuple:
-    """A tuple branch a path copy made, copied into a region of its own, hashing nothing; returns its handle."""
-    kids, bodies, leaves = array("i"), bytearray(), []
-    return _region(kids, bodies, leaves, _copy_node(node, kids, bodies, leaves))
 
 
 def _run(keys: list[bytes], leaf):
@@ -639,7 +538,7 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, 
         split = KEY_BITS - ((first ^ x) | (int.from_bytes(keys[hi - 1], "big") ^ x)).bit_length()
     if split >= REGION_BIT and bit >= REGION_BIT:
         # the subtree and the keys share their first byte: one region holds them
-        return _rewrite(node, node_digest, keys, lo, hi, depth, leaf)
+        return _rewrite(node, node_digest, keys, lo, hi, leaf)
     sha256 = hashing.hashlib.sha256
     if split >= bit:
         # a tuple branch, as every branch above REGION_BIT is
@@ -674,16 +573,14 @@ def insert_many(root: Node, root_digest: bytes, keys: list[bytes], leaf) -> tupl
     One pass down the trie, reading the keys as bytes (see the module
     docstring): each tuple branch some key falls into is rebuilt over its
     merged children, each region two or more keys fall into is written
-    again as a new one (in one stack pass over its old and new keys when
-    they are at least half as many as it held, by a walk that copies its
-    untouched subtrees when fewer), every subtree no key falls into is kept
-    as it is, and each range that meets a leaf or empty space is built in
-    one stack pass, its branches at ``REGION_BIT`` or deeper written as
-    region rows. Only the new nodes are hashed. The
-    merge keeps no reference to a branch it has unpacked or a region it has
-    rewritten, and neither does this frame to ``root``: called with the only
-    reference to ``root`` (an argument nothing else holds), it frees each
-    node it replaces as it goes.
+    again as a new one, in one stack pass over its old and new keys, every
+    subtree no key falls into is kept as it is, and each range that meets a
+    leaf or empty space is built in one stack pass, its branches at
+    ``REGION_BIT`` or deeper written as region rows. Only the new nodes are
+    hashed. The merge keeps no reference to a branch it has unpacked or a
+    region it has rewritten, and neither does this frame to ``root``:
+    called with the only reference to ``root`` (an argument nothing else
+    holds), it frees each node it replaces as it goes.
     """
     held = [root]
     del root

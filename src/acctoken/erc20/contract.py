@@ -80,9 +80,10 @@ class TxRecord:
     trace: TxTrace  # reads, verifier hashes and writes; calldata is the caller's
     bundle_bytes: int = 0
     verifications: int = 0  # bundle entries verified
-    # accumulator -> its verified (op, element) update steps in chain order:
-    # the batches storage commits, one per accumulator written
-    updates: dict[str, list[tuple[str, bytes]]] = field(default_factory=dict)
+    # accumulator -> its verified (op, element) update steps in chain order,
+    # a replace's element the pair (old, new): the batches storage commits,
+    # one per accumulator written
+    updates: dict[str, list[tuple[str, bytes | tuple[bytes, bytes]]]] = field(default_factory=dict)
 
 
 class AccTokenContract:

@@ -1000,17 +1000,17 @@ class TestBatchUpdate:
 
     @staticmethod
     def counting_rebuilds(monkeypatch) -> list:
-        """The old subtrees rebuilt in one stack pass from here on, one entry per region."""
+        """The regions rewritten from here on, one entry per rewrite: the first byte their keys share."""
         rebuilt = []
-        real = tree._known
-        monkeypatch.setattr(tree, "_known", lambda *args: rebuilt.append(args[2]) or real(*args))
+        real = tree._rewrite
+        monkeypatch.setattr(tree, "_rewrite", lambda *args: rebuilt.append(args[2][args[3]][0]) or real(*args))
         return rebuilt
 
     OLD_IN_REGION = 24
 
     @pytest.mark.parametrize("where", ["among", "beside"])
-    @pytest.mark.parametrize("count", [11, 12, 13], ids=["below-half", "half", "above-half"])
-    def test_region_rebuilt_from_half_as_many_new_keys(self, monkeypatch, count, where):
+    @pytest.mark.parametrize("count", [2, 3, 6, 11, 12, 13])
+    def test_region_rebuilt_once_at_every_density(self, monkeypatch, count, where):
         # the old keys of region 0x80 share their next four bits, so its root
         # row is at bit 12 or deeper: new keys "beside" them leave that
         # prefix at bit 8, and the old subtree is written again whole, its
@@ -1025,27 +1025,28 @@ class TestBatchUpdate:
             sequential = tree.insert(*sequential, key, whole_leaf(key))
         rebuilt = self.counting_rebuilds(monkeypatch)
         merged = tree.insert_many(root, digest, sorted(new), whole_leaf)
-        # rebuilt when the batch brings at least half as many keys as the region holds
-        assert len(rebuilt) == (2 * count >= self.OLD_IN_REGION)
+        # however few keys the batch brings, the region is rewritten once, as a whole
+        assert rebuilt == [0x80]
         assert merged[1] == sequential[1] == canonical_digest(old + new)
         assert read_out(merged[0]) == read_out(sequential[0])
         self.assert_hashed_once_and_reused(old, new)
 
-    def test_rebuilt_region_reached_through_a_path_copy(self, monkeypatch):
+    @pytest.mark.parametrize("count", [2, 12], ids=["sparse", "dense"])
+    def test_rebuilt_region_reached_through_a_path_copy(self, monkeypatch, count):
         # a verified insert leaves its path in region 0x80 as tuple branches
-        # over handles; a dense batch then rebuilds the region from them
+        # over handles and its leaf; a batch then rebuilds the region from them
         rng = random.Random(3)
         old = [self.region_key(rng, []) for _ in range(20)] + [b"\x10" + rng.randbytes(31) for _ in range(5)]
         root, digest = tree.insert_many(tree.EMPTY, EMPTY_DIGEST, sorted(old[1:]), whole_leaf)
         trie = tree.insert(root, digest, old[0], whole_leaf(old[0]))
         assert any(len(node) == 3 and body(node)[1] >= tree.REGION_BIT for node in nodes(trie[0]))
-        new = [self.region_key(rng, []) for _ in range(12)]
+        new = [self.region_key(rng, []) for _ in range(count)]
         sequential = trie
         for key in new:
             sequential = tree.insert(*sequential, key, whole_leaf(key))
         rebuilt = self.counting_rebuilds(monkeypatch)
         merged = tree.insert_many(*trie, sorted(new), whole_leaf)
-        assert len(rebuilt) == 1
+        assert rebuilt == [0x80]
         assert merged[1] == sequential[1] == canonical_digest(old + new)
         assert read_out(merged[0]) == read_out(sequential[0])
         self.assert_hashed_once_and_reused(old, new, trie)

@@ -196,11 +196,6 @@ def bindings(module: str) -> dict[str, ast.stmt]:
     return found
 
 
-def defined(module: str) -> set[str]:
-    """The public names ``module`` defines at top level."""
-    return {name for name in bindings(module) if not name.startswith("_")}
-
-
 def origin(module: str, name: str) -> tuple[str, str | None] | None:
     """Where ``name`` as bound in ``module`` comes from: ``(defining module,
     name)``, ``(submodule, None)`` for a submodule, or None outside the package."""
@@ -433,24 +428,25 @@ SHARED = {
 
 
 def unrun_names() -> tuple[list[str], list[str]]:
-    """The public names and methods that nothing in ``src/`` runs and ``API``
-    does not list, and the ``API`` and ``SHARED`` entries that are stale: an
-    ``API`` name that ``src/`` runs or that is gone, a ``SHARED`` name that
-    fewer than two classes bind, or a class listed for a name it has no
-    public method of."""
+    """The top-level names (public, and module-private ``_name`` ones) and
+    public methods that nothing in ``src/`` runs and ``API`` does not list,
+    and the ``API`` and ``SHARED`` entries that are stale: an ``API`` name
+    that ``src/`` runs or that is gone, a ``SHARED`` name that fewer than two
+    classes bind, or a class listed for a name it has no public method of."""
     edges, attributes = program_graph()
     run = reachable([ENTRY], edges, attributes)
     api = {split_name(name) for name in API}
     kept = reachable([ENTRY, *api], edges, attributes)
-    public = {
+    names = {
         (module, name)
         for module, path in MODULES.items()
         if path.name != "__init__.py"
-        for name in defined(module) | set(public_methods(module))
+        for name in {*bindings(module), *public_methods(module)}
+        if not name.startswith("__")
     }
-    unlisted = sorted(".".join(name) for name in public - kept)
-    stale = sorted(".".join(name) for name in api & run | api - public)
-    methods = {name for module, name in public if "." in name}
+    unlisted = sorted(".".join(name) for name in names - kept)
+    stale = sorted(".".join(name) for name in api & run | api - names)
+    methods = {name for module, name in names if "." in name}
     shared = shared_names()
     stale += sorted(
         f"SHARED {name}: {owner}"
@@ -462,10 +458,11 @@ def unrun_names() -> tuple[list[str], list[str]]:
 
 
 class TestProgramRunsItsNames:
-    """``src/`` holds what the program runs: a public top-level name, and a
-    public method of a class, is reached from what the program runs, or from
-    a name ``API`` lists with who needs it. A name read only by names that
-    nothing reaches is not run, so a chain of test-only names shows whole."""
+    """``src/`` holds what the program runs: a top-level name, public or
+    module-private, and a public method of a class, is reached from what the
+    program runs, or from a name ``API`` lists with who needs it. A name read
+    only by names that nothing reaches is not run, so a chain of test-only
+    names, or of helpers a deleted caller left behind, shows whole."""
 
     def test_every_public_name_is_run_or_listed(self):
         edges, _attributes = program_graph()
@@ -497,3 +494,14 @@ class TestProgramRunsItsNames:
         # matched by name alone, as the rule did before, a read of ``.epoch`` hid it
         monkeypatch.setitem(SHARED, "epoch", {"StorageNetwork"})
         assert unrun_names()[0] == []
+
+    def test_a_private_helper_nothing_reads_is_caught(self, monkeypatch):
+        # plant two module-private helpers in ``tree``, one read only by the
+        # other, which nothing reads: a caller deleted, its helpers left
+        module = "acctoken.accumulator.tree"
+        tree = copy.deepcopy(parsed(module))
+        tree.body += ast.parse("def _flatten(node):\n    return _copy_node(node)\n\n\ndef _copy_node(node):\n    return _span(node, 0)\n").body
+        real = parsed
+        monkeypatch.setitem(globals(), "parsed", lambda name: tree if name == module else real(name))
+        unlisted, _stale = unrun_names()
+        assert unlisted == [f"{module}._copy_node", f"{module}._flatten"]

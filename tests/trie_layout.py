@@ -11,7 +11,8 @@ and walks a trie's distinct nodes.
 
 import sys
 
-from acctoken.accumulator.hashing import EMPTY_DIGEST, TAG_LEAF, sha256
+from acctoken.accumulator import hashing
+from acctoken.accumulator.hashing import EMPTY_DIGEST, TAG_LEAF
 
 
 def is_branch(node) -> bool:
@@ -37,10 +38,13 @@ def body(node) -> bytes:
     return bodies[66 * row : 66 * row + 66]
 
 
+# The hashes go through ``hashing.hashlib`` looked up at call time, as the
+# program's own hashes do, so the tests' recording stand-in counts a leaf
+# digest ``whole_leaf`` makes for a merge as one of the merge's hashes.
 def whole_leaf(key: bytes) -> bytes:
     """The digest of a leaf under whole-element keys, where the key is the
     element's digest: ``tree``'s ``leaf`` for tries of such keys alone."""
-    return sha256(TAG_LEAF + key + key)
+    return hashing.hashlib.sha256(TAG_LEAF + key + key).digest()
 
 
 def node_digest(node, held: dict | None = None) -> bytes:
@@ -48,8 +52,8 @@ def node_digest(node, held: dict | None = None) -> bytes:
     leaf holds ``held[key]``, the digest of its element, or its key itself
     (whole-element keys) without ``held``."""
     if node.__class__ is bytes:
-        return sha256(TAG_LEAF + node + (node if held is None else held[node]))
-    return sha256(body(node)) if node else EMPTY_DIGEST
+        return hashing.hashlib.sha256(TAG_LEAF + node + (node if held is None else held[node])).digest()
+    return hashing.hashlib.sha256(body(node)).digest() if node else EMPTY_DIGEST
 
 
 def identity(node):
