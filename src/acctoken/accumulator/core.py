@@ -17,6 +17,9 @@ imports this module or the tree, so verifiers can run without any memory.
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable
 
 from ..errors import AlreadyPresent, NotPresent, StaleAccumulator, UnsupportedParameter
 from . import hashing, tree
@@ -152,6 +155,10 @@ class Changes:
     elements, the ones the keys hold after and before. A step recorded with
     the ``key`` object a simulated add or replace made its leaf keeps that
     object, so the added keys can be the leaves.
+
+    ``steps``, (op, element) pairs, are recorded a run at a time: each run
+    of consecutive steps of one op goes to ``record_run``, which records it
+    as ``record`` would, step by step.
     """
 
     __slots__ = ("memory", "epoch", "adds", "dels")
@@ -161,8 +168,8 @@ class Changes:
         self.epoch = memory.epoch
         self.adds: dict[bytes, bytes] = {}
         self.dels: dict[bytes, bytes] = {}
-        for op, element in steps:
-            self.record(op, element)
+        for op, run in groupby(steps, itemgetter(0)):
+            self.record_run(op, map(itemgetter(1), run))
 
     def record(self, op: str, element, key: bytes | None = None):
         """Record one step; ``key``, if given, is ``element``'s key, not computed again."""
@@ -192,6 +199,35 @@ class Changes:
                 dels[key] = element
         else:
             raise ValueError(f"unknown update op {op!r}")
+
+    def record_run(self, op: str, elements: Iterable):
+        """Record a run of steps of one ``op``, as ``record`` would one at a time.
+
+        The run's keys are hashed first, each once. A run of adds whose keys
+        are all new (none named twice, none held by the memory or recorded
+        in this batch, as an add or a delete) nets with nothing and is
+        installed in one go; any other run is recorded step by step, its
+        keys handed to ``record``.
+        """
+        elements = list(elements)
+        key_len, sha256 = self.memory.key_len, hashing.hashlib.sha256
+        heads = (old for old, _new in elements) if op == "replace" else elements
+        keys = [sha256(head[:key_len]).digest() for head in heads]
+        adds = self.adds
+        if (
+            op == "add"
+            and self.memory.elements.keys().isdisjoint(keys)
+            and adds.keys().isdisjoint(keys)
+            and self.dels.keys().isdisjoint(keys)
+        ):
+            size = len(adds)
+            adds.update(zip(keys, elements))
+            if len(adds) == size + len(keys):
+                return
+            for key in keys:  # the run names a key twice: take it back, and record it step by step
+                adds.pop(key, None)
+        for element, key in zip(elements, keys):
+            self.record(op, element, key)
 
     def check_current(self, memory: Memory):
         """Raise StaleAccumulator unless these changes were recorded against ``memory`` as it is now."""

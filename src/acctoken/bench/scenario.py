@@ -6,11 +6,13 @@ account i+1), then meters a fixed number of sampled transfer / approve /
 transferFrom transactions at the checkpoint. Sampled transactions run the
 full proof path. Growth to a checkpoint is one plan, ``plan.grow``, of the
 net changes of those transfers and approvals: one write of the deployer's
-balance, then each new account's balance, pair and allowance. Both tokens
-bootstrap it: ``TokenSystem.bootstrap`` commits its steps as one netted
-batch per accumulator without proofs, and ``BaselineToken.bootstrap``
-applies its record as map writes without transactions. The state is the one
-the verified ops reach, and six-figure populations stay tractable.
+balance, then every new account's balance, then every pair, then every
+allowance. Both tokens bootstrap it: ``TokenSystem.bootstrap`` records each
+accumulator's adds as one run and commits them as one netted batch per
+accumulator without proofs, and ``BaselineToken.bootstrap`` applies its
+record as map writes, account by account, without transactions. The state
+is the one the verified ops reach, and six-figure populations stay
+tractable.
 
 The samples are the transactions' own records (``TxRecord``), which carry
 raw traces, so one run can be metered under any gas schedule after the
@@ -132,8 +134,7 @@ class _Population:
         self._sampled_at: list[int] = []  # each sampled pair's index in the pool
 
     def address(self, index: int) -> bytes:
-        while len(self.addresses) <= index:
-            self.addresses.append(make_address(len(self.addresses)))
+        self.addresses.extend(map(make_address, range(len(self.addresses), index + 1)))
         return self.addresses[index]
 
     def grow(self, target: int):

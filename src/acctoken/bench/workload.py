@@ -11,7 +11,7 @@ import hashlib
 
 from ..baseline import BaselineToken
 from ..erc20.bundle import ALLOWED_BALANCES, BALANCES
-from ..erc20.elements import balance_prefix, decode_allowance_element, decode_balance_element
+from ..erc20.elements import balance_amount, balance_prefix, decode_allowance_element, decode_balance_element
 from ..erc20.system import TokenSystem
 
 
@@ -25,7 +25,7 @@ def true_balance(token, owner: bytes) -> int:
         return token.balance_of(owner)
     assert isinstance(token, TokenSystem)
     held = token.network.elements(BALANCES, balance_prefix(owner))
-    return decode_balance_element(held[0])[1] if held else 0
+    return balance_amount(held[0]) if held else 0
 
 
 def effective_balances(token) -> dict[bytes, int]:

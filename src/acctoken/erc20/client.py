@@ -44,17 +44,17 @@ from .contract import AccTokenContract, ContractState
 from .elements import (
     allowance_element,
     allowance_prefix,
+    balance_amount,
     balance_element,
     balance_prefix,
     check_amount,
     decode_allowance_element,
-    decode_balance_element,
 )
 
 
 # accumulator -> (the lookup prefix of a tuple's key, the tuple's encoding, its amount)
 _TUPLES = {
-    pb.BALANCES: (balance_prefix, balance_element, lambda element: decode_balance_element(element)[1]),
+    pb.BALANCES: (balance_prefix, balance_element, balance_amount),
     pb.ALLOWED_BALANCES: (allowance_prefix, allowance_element, lambda element: decode_allowance_element(element)[2]),
 }
 

@@ -9,7 +9,14 @@ collide across accumulators:
 
 Allowances carry the owner as well as the spender so that two owners
 approving the same spender stay distinct elements.
+
+The column encoders (``balance_column``, ``pair_column``,
+``allowance_column``) encode one kind of tuple for a whole list of
+addresses, lazily and in order: each is its scalar encoder mapped over the
+list, refusing what that refuses, with the amount word encoded once.
 """
+
+from typing import Iterable, Iterator
 
 from ..errors import InvalidAddress, Overflow, ZeroSupply
 
@@ -57,9 +64,14 @@ def balance_element(owner: bytes, amount: int) -> bytes:
 
 
 def decode_balance_element(data: bytes) -> tuple[bytes, int]:
+    return data[1 : 1 + ADDRESS_BYTES], balance_amount(data)
+
+
+def balance_amount(data: bytes) -> int:
+    """The amount of a balance tuple, checked as ``decode_balance_element`` checks it."""
     if len(data) != BALANCE_ELEMENT_LEN or data[:1] != BALANCE_TAG:
         raise ValueError("not a balance element")
-    return data[1 : 1 + ADDRESS_BYTES], int.from_bytes(data[1 + ADDRESS_BYTES :], "big")
+    return int.from_bytes(data[1 + ADDRESS_BYTES :], "big")
 
 
 def balance_prefix(owner: bytes) -> bytes:
@@ -89,3 +101,35 @@ def decode_allowance_element(data: bytes) -> tuple[bytes, bytes, int]:
 
 def allowance_prefix(owner: bytes, spender: bytes) -> bytes:
     return ALLOWANCE_TAG + check_address(owner) + check_address(spender)
+
+
+def balance_column(owners: Iterable[bytes], amount: int) -> Iterator[bytes]:
+    """``balance_element(owner, amount)`` for each of ``owners``.
+
+    The first tuple is that encoder's, so it is refused where the encoder
+    refuses it; the rest reuse its amount word, their owners checked.
+    """
+    owners = iter(owners)
+    for owner in owners:  # one turn: the inner loop takes the rest of the owners
+        first = balance_element(owner, amount)
+        yield first
+        word = first[-AMOUNT_BYTES:]
+        for owner in owners:
+            yield BALANCE_TAG + check_address(owner) + word
+
+
+def pair_column(owners: Iterable[bytes], spenders: Iterable[bytes]) -> Iterator[bytes]:
+    """``pair_element(owner, spender)`` for each owner and its spender, in turn."""
+    return map(pair_element, owners, spenders)
+
+
+def allowance_column(owners: Iterable[bytes], spenders: Iterable[bytes], amount: int) -> Iterator[bytes]:
+    """``allowance_element(owner, spender, amount)`` for each owner and its
+    spender, the amount word encoded once, as ``balance_column`` does."""
+    pairs = zip(owners, spenders)
+    for owner, spender in pairs:  # one turn, as in ``balance_column``
+        first = allowance_element(owner, spender, amount)
+        yield first
+        word = first[-AMOUNT_BYTES:]
+        for owner, spender in pairs:
+            yield ALLOWANCE_TAG + check_address(owner) + check_address(spender) + word

@@ -27,6 +27,7 @@ words.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from ..errors import BundleSchemaMismatch, InsufficientAllowance, InsufficientBalance
@@ -40,7 +41,16 @@ from .bundle import (
     UPDATE_REPLACE,
     OpTag,
 )
-from .elements import ZERO_ADDRESS, allowance_element, balance_element, check_amount, pair_element
+from .elements import (
+    ZERO_ADDRESS,
+    allowance_column,
+    allowance_element,
+    balance_column,
+    balance_element,
+    check_amount,
+    pair_column,
+    pair_element,
+)
 
 
 @dataclass(slots=True)
@@ -175,16 +185,19 @@ def mint(owner: bytes, total: int) -> Plan:
 
 
 def _growth_steps(growth: Growth) -> Iterator[Step]:
+    """``grow``'s steps: the deployer's replace, then one column of adds per
+    accumulator, each a run of one (accumulator, claim) that ``bootstrap``
+    records in one go: every new balance tuple, every pair, every allowance."""
     deployer, balance, grant = growth.deployer, growth.balance, growth.grant
     check_amount(grant)
     check_amount(growth.allowance)
     debit = grant * len(growth.accounts)
     _cover(balance, debit, InsufficientBalance, "balance")
     yield (BALANCES, UPDATE_REPLACE, (balance_element(deployer, balance), balance_element(deployer, balance - debit)))
-    for account, spender in zip(growth.accounts, growth.spenders):
-        yield (BALANCES, UPDATE_ADD, balance_element(account, grant))
-        yield (ALLOWED_ADDRESSES, UPDATE_ADD, pair_element(account, spender))
-        yield (ALLOWED_BALANCES, UPDATE_ADD, allowance_element(account, spender, growth.allowance))
+    accounts, spenders = growth.accounts, growth.spenders
+    yield from zip(repeat(BALANCES), repeat(UPDATE_ADD), balance_column(accounts, grant))
+    yield from zip(repeat(ALLOWED_ADDRESSES), repeat(UPDATE_ADD), pair_column(accounts, spenders))
+    yield from zip(repeat(ALLOWED_BALANCES), repeat(UPDATE_ADD), allowance_column(accounts, spenders, growth.allowance))
 
 
 def grow(
@@ -196,10 +209,11 @@ def grow(
     approval would; the steps are the net changes of those ops.
 
     Those are one replace of the deployer's balance tuple, by the whole
-    debit, then each account's balance tuple, its pair and its allowance,
-    each an add. The deployer's cover is checked once, for the whole debit,
-    and each add is refused where its key holds a tuple already, as the
-    ops' fresh variants are. Nothing proves the steps, so they carry no
+    debit, then every account's balance tuple, then every pair, then every
+    allowance, each an add, so that each accumulator's adds come as one
+    run. The deployer's cover is checked once, for the whole debit, and
+    each add is refused where its key holds a tuple already, as the ops'
+    fresh variants are. Nothing proves the steps, so they carry no
     membership claims.
     """
     growth = Growth(deployer, balance, grant, allowance, accounts, spenders)

@@ -27,6 +27,8 @@ the client's remembered values, so a bootstrap is not followed.
 """
 
 import hashlib
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 from ..errors import AcctokenError
@@ -36,7 +38,7 @@ from . import plan
 from .bundle import ERC20_NAME, OpTag, ProofBundle, encode_bundle
 from .client import TokenClient
 from .contract import AccTokenContract, ContractState, TxRecord
-from .elements import AMOUNT_BYTES, check_address, check_supply, decode_balance_element
+from .elements import AMOUNT_BYTES, balance_amount, check_address, check_supply
 
 # an op's selector is the head of the hash of its signature: its name, its
 # addresses (transferFrom's three) and its amount
@@ -151,30 +153,32 @@ class TokenSystem:
 
         Deployment is the first call, with the deployer's ``plan.mint``;
         population growth bootstraps one ``plan.grow`` per checkpoint, its
-        net changes: one replace of the deployer's balance tuple and three
-        adds per new account. Any transfer and approve plans may be given
-        too. Not transactions: nothing is proved and no log is emitted. The
-        plans are consumed as a stream and each update step is recorded
-        into its accumulator's batch, so checked against storage
-        (``Changes.record``) and netted; a batch whose steps cancel out is
-        skipped. Each plan checks its amount before its first step and runs
-        its guards as its steps are made, all before anything is committed,
-        so a rejected stream leaves the contract and storage as they were.
-        The state reached is the one the verified ops reach. The batches
-        are handed to storage with nothing else holding them, so each goes
-        as it lands.
+        net changes: one replace of the deployer's balance tuple, then each
+        accumulator's adds, one per new account, as one run. Any transfer
+        and approve plans may be given too. Not transactions: nothing is
+        proved and no log is emitted. The plans are consumed as a stream,
+        and each run of update steps of one accumulator and claim is
+        recorded into that accumulator's batch (``Changes.record_run``), so
+        checked against storage and netted as its steps would be one at a
+        time; a batch whose steps cancel out is skipped. Each plan checks
+        its amount before its first step and runs its guards as its steps
+        are made, all before anything is committed, so a rejected stream
+        leaves the contract and storage as they were. The state reached is
+        the one the verified ops reach. The batches are handed to storage
+        with nothing else holding them, so each goes as it lands.
         """
         values = self.network.commit(self._recorded(plans))
         self.contract.state = self.contract.state.with_values(values)
 
     def _recorded(self, plans: Iterable[plan.Plan]) -> dict:
-        """``bootstrap``'s batches: the plans' update steps, one batch per
+        """``bootstrap``'s batches: the plans' update steps, read as runs of
+        one (accumulator, claim) and recorded a run at a time, one batch per
         accumulator, those that net to no change left out."""
         batches = {name: self.network.changes(name) for name in pb.ACCUMULATORS}
         for _record, steps in plans:
-            for acc, claim, element in steps:
+            for (acc, claim), run in groupby(steps, itemgetter(0, 1)):
                 if claim in pb.STORAGE_OP:
-                    batches[acc].record(pb.STORAGE_OP[claim], element)
+                    batches[acc].record_run(pb.STORAGE_OP[claim], map(itemgetter(2), run))
         return {name: changes for name, changes in batches.items() if changes}
 
     # -- integrity hooks ------------------------------------------------------
@@ -185,8 +189,7 @@ class TokenSystem:
         At most one tuple per owner and per pair needs no check: it is the
         tries' shape, as each key (``bundle.KEY_LEN``) holds one element.
         """
-        balances = self.network.elements(pb.BALANCES)
-        total = sum(decode_balance_element(e)[1] for e in balances)
+        total = sum(map(balance_amount, self.network.elements(pb.BALANCES)))
         if total != self.contract.total_supply():
             raise AssertionError(
                 f"balance tuples sum to {total}, total supply is {self.contract.total_supply()}"

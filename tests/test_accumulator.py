@@ -1123,6 +1123,98 @@ class TestBatchUpdate:
             Changes(memory, [("del", b"b"), ("add", b"e"), ("add", b"a")])
         assert (memory.root, memory.elements, memory.epoch) == before
 
+# elements keyed by their first two bytes: four keys the memory may hold, and
+# eight it never does, each under three elements
+RUN_ELEMENTS = [bytes((0, k, v)) for k in range(12) for v in range(3)]
+
+
+def recorded(memory, prior, runs, by_run):
+    """``prior`` recorded step by step into a new batch of ``memory`` (a step
+    it refuses is left out), then ``runs``, by ``record_run`` or step by step;
+    returns the batch's adds and dels, or the class of what the runs raised."""
+    changes = Changes(memory)
+    for op, element in prior:
+        try:
+            changes.record(op, element)
+        except (AlreadyPresent, NotPresent, ValueError):
+            pass
+    try:
+        for op, elements in runs:
+            if by_run:
+                changes.record_run(op, iter(elements))
+            else:
+                for element in elements:
+                    changes.record(op, element)
+    except (AlreadyPresent, NotPresent, ValueError) as exc:
+        return type(exc)
+    return changes.adds, changes.dels
+
+
+@st.composite
+def run_element(draw, op):
+    """One ``op``'s element: a replace's pair mostly keeps its key."""
+    old = draw(st.sampled_from(RUN_ELEMENTS))
+    if op != "replace":
+        return old
+    same_key = st.sampled_from([old[:2] + bytes((v,)) for v in range(3)])
+    return old, draw(st.one_of(same_key, same_key, st.sampled_from(RUN_ELEMENTS)))
+
+
+def step_runs(max_size):
+    """Runs of one op each, as ``(op, elements)``."""
+    ops = st.sampled_from(["add", "add", "del", "replace"])
+    return st.lists(ops.flatmap(lambda op: st.tuples(st.just(op), st.lists(run_element(op), max_size=max_size))), max_size=4)
+
+
+class TestRecordRun:
+    """``Changes.record_run`` records a run of one op as ``record`` does, one step at a time."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        held=st.lists(st.sampled_from(RUN_ELEMENTS[:12]), unique_by=lambda e: e[:2], max_size=4),
+        prior=step_runs(3),
+        runs=step_runs(6),
+    )
+    def test_a_run_nets_and_raises_as_its_steps_do(self, held, prior, runs):
+        _acc, memory = setup(256, 2)
+        apply_update(memory, Changes(memory, [("add", element) for element in held]))
+        before = memory.root, memory.value, dict(memory.elements), memory.epoch
+        prior = [(op, element) for op, elements in prior for element in elements]
+        assert recorded(memory, prior, runs, True) == recorded(memory, prior, runs, False)
+        assert (memory.root, memory.value, memory.elements, memory.epoch) == before
+
+    @pytest.mark.parametrize(
+        "prior, run, error",
+        [
+            ([], [b"\x00\x04a", b"\x00\x05a", b"\x00\x04b"], AlreadyPresent),  # a key named twice
+            ([], [b"\x00\x04a", b"\x00\x01b"], AlreadyPresent),  # a held key
+            ([("add", b"\x00\x05a")], [b"\x00\x04a", b"\x00\x05a"], AlreadyPresent),  # a key added before
+            ([("del", b"\x00\x01a")], [b"\x00\x04a", b"\x00\x01a"], None),  # the re-add of a deleted element
+            ([("del", b"\x00\x01a")], [b"\x00\x04a", b"\x00\x01b"], None),  # a replace
+            ([("del", b"\x00\x01a")], [b"\x00\x04a", b"\x00\x05a"], None),  # all new beside a delete
+        ],
+        ids=["named-twice", "held", "added-before", "re-add", "replace", "beside-a-delete"],
+    )
+    def test_named_cases(self, prior, run, error):
+        _acc, memory = setup(256, 2)
+        apply_update(memory, Changes(memory, [("add", b"\x00\x01a")]))
+        one_at_a_time = recorded(memory, prior, [("add", run)], False)
+        assert recorded(memory, prior, [("add", run)], True) == one_at_a_time
+        assert (one_at_a_time is error) if error else isinstance(one_at_a_time, tuple)
+
+    def test_a_run_of_new_keys_is_hashed_once_and_recorded_in_one_go(self, monkeypatch):
+        _acc, memory = setup(256, 2)
+        apply_update(memory, Changes(memory, [("add", b"\x00\x01a")]))
+        changes = Changes(memory, [("replace", (b"\x00\x01a", b"\x00\x01b"))])
+        steps = []
+        monkeypatch.setattr(Changes, "record", lambda self, *step: steps.append(step))
+        hashes = RecordingHashlib()
+        monkeypatch.setattr("acctoken.accumulator.hashing.hashlib", hashes)
+        run = [bytes((1, k, 0)) for k in range(50)]
+        changes.record_run("add", run)
+        assert steps == [] and hashes.lengths == [2] * len(run)
+        assert changes.adds == {element_digest(b"\x00\x01"): b"\x00\x01b"} | {element_digest(e[:2]): e for e in run}
+
 
 class TestCollectorFreeNodes:
     def test_no_node_stays_tracked(self):

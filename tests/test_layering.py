@@ -79,7 +79,14 @@ class TestPlanLayer:
         assert not any(module.rsplit(".", 1)[-1] == name for module in found)
 
 
-ELEMENT_ENCODERS = {"balance_element", "allowance_element", "pair_element"}
+ELEMENT_ENCODERS = {
+    "balance_element",
+    "allowance_element",
+    "pair_element",
+    "balance_column",
+    "allowance_column",
+    "pair_column",
+}
 
 
 def encodes_elements(path: Path) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acctoken.accumulator import WitnessKind, belongs, hashing, tree
+from acctoken.accumulator.core import Changes
 from acctoken.baseline import BaselineToken
 from acctoken.bench import effective_allowances, effective_balances
 from acctoken.bench.workload import make_address, true_balance
@@ -39,7 +40,15 @@ from acctoken.erc20.bundle import (
     purpose,
     purpose_claim,
 )
-from acctoken.erc20.elements import allowance_element, balance_element, balance_prefix
+from acctoken.erc20.elements import (
+    allowance_column,
+    allowance_element,
+    balance_column,
+    balance_element,
+    balance_prefix,
+    pair_column,
+    pair_element,
+)
 from acctoken.errors import (
     AcctokenError,
     AlreadyPresent,
@@ -606,7 +615,7 @@ class TestFastPathEquivalence:
         assert snapshot(system) == before
 
 
-GROWN = [make_address(i) for i in range(32)]  # the deployer, then the accounts growth adds
+GROWN = [make_address(i) for i in range(514)]  # the deployer, then the accounts growth adds
 
 
 def per_account_growth(created, target, deployer_balance, grant, allowance):
@@ -619,6 +628,41 @@ def per_account_growth(created, target, deployer_balance, grant, allowance):
         yield plan.transfer(deployer, GROWN[i], grant, announced(deployer_balance))
         deployer_balance -= grant
         yield plan.approve(GROWN[i], GROWN[i + 1], allowance, announced())
+
+
+# mostly addresses, sometimes what ``check_address`` refuses
+COLUMN_ADDRESSES = st.one_of(
+    st.binary(min_size=20, max_size=20), st.sampled_from([A, B, S]), st.sampled_from([b"\x01" * 19, bytearray(20), None])
+)
+COLUMN_AMOUNTS = st.one_of(st.integers(0, 2**256 - 1), st.sampled_from([0, 2**256 - 1, -1, 2**256, True, 1.5]))
+
+
+def encoded(encode):
+    """The tuples ``encode()`` gives, as a list, or the class of what it raised."""
+    try:
+        return list(encode())
+    except AcctokenError as exc:
+        return type(exc)
+
+
+class TestColumnEncoders:
+    """A column encoder is its tuple's encoder mapped over a list, refusals included."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(COLUMN_ADDRESSES, COLUMN_ADDRESSES), max_size=5), amount=COLUMN_AMOUNTS)
+    def test_a_column_is_its_encoder_element_by_element(self, rows, amount):
+        owners = [owner for owner, _spender in rows]
+        spenders = [spender for _owner, spender in rows]
+        balances = encoded(lambda: [balance_element(owner, amount) for owner in owners])
+        assert encoded(lambda: balance_column(owners, amount)) == balances
+        pairs = encoded(lambda: [pair_element(owner, spender) for owner, spender in rows])
+        assert encoded(lambda: pair_column(owners, spenders)) == pairs
+        allowances = encoded(lambda: [allowance_element(owner, spender, amount) for owner, spender in rows])
+        assert encoded(lambda: allowance_column(owners, spenders, amount)) == allowances
+
+    def test_a_column_is_lazy(self):
+        # nothing is checked until the tuples are drawn
+        balance_column([None], -1), pair_column([None], [S]), allowance_column([A], [None], 2**256)
 
 
 class TestGrowthPlan:
@@ -654,6 +698,26 @@ class TestGrowthPlan:
         for attribute in ("balances", "allowed", "key_count"):
             assert getattr(mapped, attribute) == getattr(mapped_streamed, attribute), attribute
         assert mapped.key_count == 1 + 30 + 30  # the deployer, 30 accounts and their approvals; the zeroed ones hold no key
+
+    def test_a_growths_adds_are_recorded_in_one_go(self, monkeypatch):
+        # after verified ops, as between checkpoints; the deployer's replace
+        # leaves a delete in the balances batch, and the adds beside it still
+        # make no ``record`` call of their own
+        calls = []
+        for size in (64, 512):
+            system = TokenSystem(A, 10**6)
+            system.transfer(A, B, 100)
+            system.approve(B, S, 7)
+            system.transfer_from(S, B, C, 5)
+            growth = plan.grow(A, 10**6 - 100, GROWN[1 : size + 1], GROWN[2 : size + 2], 10, 3)
+            recorded = []
+            record = Changes.record
+            monkeypatch.setattr(Changes, "record", lambda self, *step: recorded.append(step) or record(self, *step))
+            system.bootstrap([growth])
+            monkeypatch.undo()
+            calls.append(len(recorded))
+            assert true_balance(system, GROWN[size]) == 10 and system.allowance(GROWN[size], GROWN[size + 1]) == 3
+        assert calls[0] == calls[1]
 
     def test_the_plan_is_lazy(self):
         # nothing is checked until the steps are drawn
