@@ -4,8 +4,9 @@ commits (``Changes`` netted per key, applied by ``apply_update``).
 A key holds one element (``hashing``). The trie stores keys only, so the
 builders read what its leaves hold through ``held``, which maps a key of
 the root they walk to its element (a memory's ``elements``, or a view of
-them at an older or simulated root); under whole-element keys they read
-nothing.
+them at an older or simulated root). Under whole-element keys they read
+nothing, so no element is kept: a memory and a batch file each such key
+under itself, the key object that is its leaf.
 
 A witness leaves this module as its wire bytes (see ``witness``): each
 builder walks the trie once and packs the walk's branch bits and sibling
@@ -152,9 +153,10 @@ class Changes:
     later re-add of it; a delete and a later add of another element under
     its key are a replace, and both stay: the held element and its
     successor. Like the memory, ``adds`` and ``dels`` map trie keys to
-    elements, the ones the keys hold after and before. A step recorded with
-    the ``key`` object a simulated add or replace made its leaf keeps that
-    object, so the added keys can be the leaves.
+    elements, the ones the keys hold after and before; a whole-element key
+    is filed under itself, so its steps are compared by key. A step
+    recorded with the ``key`` object a simulated add or replace made its
+    leaf keeps that object, so the added keys can be the leaves.
 
     ``steps``, (op, element) pairs, are recorded a run at a time: each run
     of consecutive steps of one op goes to ``record_run``, which records it
@@ -181,8 +183,11 @@ class Changes:
             self.record("del", old, key)
             self.record("add", new, key)
             return
+        key_len = self.memory.key_len
         if key is None:
-            key = element_digest(element[: self.memory.key_len])
+            key = element_digest(element[:key_len])
+        if key_len is None:  # a whole-element key is filed under itself
+            element = key
         adds, dels = self.adds, self.dels
         held = adds[key] if key in adds else None if key in dels else self.memory.elements.get(key)
         if op == "add":
@@ -221,7 +226,7 @@ class Changes:
             and self.dels.keys().isdisjoint(keys)
         ):
             size = len(adds)
-            adds.update(zip(keys, elements))
+            adds.update(zip(keys, keys if key_len is None else elements))
             if len(adds) == size + len(keys):
                 return
             for key in keys:  # the run names a key twice: take it back, and record it step by step

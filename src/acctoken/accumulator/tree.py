@@ -595,7 +595,10 @@ class Memory:
     digest no parent holds. ``elements`` is X, mapping each trie key to the
     one element it holds; each key object is also the trie's leaf for it.
     ``key_len`` is how an element is keyed (see ``hashing``): by its
-    first ``key_len`` bytes, or whole when None. Per element
+    first ``key_len`` bytes, or whole when None. A whole element's key is
+    its digest, which is all the trie and its witnesses read of it, so
+    under whole-element keys X maps each key to itself and keeps no
+    element. Per element
     beyond the first, then, the trie keeps one branch, whose 66-byte body is
     every digest the branch's own hash needs and every witness step past
     it, so nothing else is kept per node. What a batch merge built keeps

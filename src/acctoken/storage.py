@@ -61,7 +61,7 @@ tip that never lands keeps its root valid, as rows never change.
 
 An accumulator is registered with its key length (``accumulator.hashing``),
 so a lookup of a prefix reads the one element the prefix's key holds; one
-keyed by whole elements has no lookup.
+keyed by whole elements has no lookup, and keeps each element's key only.
 """
 
 import random
@@ -191,10 +191,11 @@ class StorageNetwork:
     # -- ledger view -------------------------------------------------------------
 
     def elements(self, acc: str, prefix: bytes | None = None) -> Collection[bytes]:
-        """The elements ``acc`` holds now, read-only: all of them, or the one under a lookup ``prefix``, if any.
+        """What ``acc`` holds now, read-only: all of it, or the element under a lookup ``prefix``, if any.
 
         The ledger view for integrity checks, not the served view: no fault
-        applies and ``stats`` counts nothing.
+        applies and ``stats`` counts nothing. It yields the elements, or
+        under whole-element keys, which keep no element, their keys.
         """
         entry = self._entry(acc)
         if prefix is None:
@@ -205,7 +206,9 @@ class StorageNetwork:
     def _under(entry: _Registered, prefix: bytes, held: Held) -> list[bytes]:
         """What ``held`` maps a lookup ``prefix``'s key to, as a list of 0 or 1 elements."""
         key_len = entry.memory.key_len
-        if key_len is None or len(prefix) != key_len:
+        if key_len is None:
+            raise StorageError("the accumulator is keyed by whole elements and serves no lookup")
+        if len(prefix) != key_len:
             raise StorageError(f"lookups require a {key_len}-byte prefix")
         element = held(element_digest(prefix))
         return [] if element is None else [element]

@@ -34,6 +34,7 @@ from acctoken.errors import (
     StaleAccumulator,
     UnsupportedParameter,
 )
+from acctoken.storage import StorageNetwork
 
 import reference_verify
 from hash_recorder import RecordingHashlib
@@ -89,7 +90,7 @@ class TestWitnessAndBelongs:
             assert belongs(acc, element, witness(acc, memory, element)) == 1
         for _ in range(200):
             probe = rng.randbytes(8)
-            expected = 1 if probe in memory.elements.values() else 0
+            expected = 1 if probe in elements else 0
             assert belongs(acc, probe, witness(acc, memory, probe)) == expected
 
     def test_stale_accumulator_rejected(self):
@@ -417,7 +418,7 @@ class TestLogarithmicPaths:
         rng = random.Random(seed)
         elements = [rng.randbytes(16) for _ in range(n)]
         acc, memory = build_set(elements)
-        self.assert_bounds(acc, memory, list(memory.elements.values()), n.bit_length() - 1)
+        self.assert_bounds(acc, memory, elements, n.bit_length() - 1)
 
     def assert_bounds(self, acc, memory, elements, log2n):
         lengths = sorted(len(decode_witness(witness(acc, memory, e)).steps) for e in elements)
@@ -769,8 +770,9 @@ class TestServedBytesCanonical:
     def test_payloads_are_canonical(self, case):
         key_len, elements, probes = case
         acc, memory = build_set(elements, key_len=key_len)
+        by_key = {element_digest(element[:key_len]): element for element in elements}
         for element in probes:
-            held = memory.elements.get(element_digest(element[:key_len]))
+            held = by_key.get(element_digest(element[:key_len]))
             want = 1 if held == element else 0 if held is None else BOTTOM
             raw = witness_for_root(memory.root, element, key_len, held_by(memory))
             assert encode_witness(decode_witness(raw)) == raw
@@ -783,7 +785,7 @@ class TestServedBytesCanonical:
                 continue
             root, after, raw, key = simulate_update(memory.root, acc, op, element, key_len, held_by(memory))
             assert encode_witness(decode_witness(raw)) == raw and raw[1:33] == key
-            leaves_after = keyed(set(memory.elements.values()) ^ {element}, key_len)
+            leaves_after = keyed(set(elements) ^ {element}, key_len)
             assert after == node_digest(root, leaves_after) == canonical_digest(leaves_after, leaves_after)
             checks = (fn(acc, after, element, raw, key_len=key_len) for fn in (check_update, reference_verify.check_update))
             assert tuple(checks) == (1, 1)
@@ -1290,6 +1292,56 @@ class TestLeavesAreKeys:
         assert memory.value == node_digest(memory.root) == canonical_digest(memory.elements)
 
 
+class TestWholeElementMemoryHoldsKeys:
+    """A memory keyed by whole elements files each key under itself: every
+    value of its ``elements`` is its key, the very object that is the trie's
+    leaf, whichever way the key came in."""
+
+    @staticmethod
+    def assert_values_are_leaves(memory):
+        assert all(value is key for key, value in memory.elements.items())
+        found = leaves(memory.root)
+        assert len(found) == len(memory.elements)
+        assert all(memory.elements[leaf] is leaf for leaf in found)
+
+    def test_after_every_kind_of_commit(self):
+        network = StorageNetwork()
+        network.register("acc")
+        memory = network._entry("acc").memory
+        # a Changes batch, walked at install
+        network.commit({"acc": network.changes("acc", [("add", b"e%d" % i) for i in range(300)])})
+        self.assert_values_are_leaves(memory)
+        # single updates: the simulated root is adopted
+        update("add", memory.value, memory, b"x")
+        update("del", memory.value, memory, b"e0")
+        self.assert_values_are_leaves(memory)
+        # a chain tip the contract accepted is adopted
+        mid, _ = network.build_update_witness("acc", "del", b"e1")
+        end, _ = network.build_update_witness("acc", "add", b"y", base=mid)
+        network.commit({"acc": [("del", b"e1"), ("add", b"y")]}, {"acc": end})
+        self.assert_values_are_leaves(memory)
+        # a superseded chain's steps are walked, and checked against its value
+        mid, _ = network.build_update_witness("acc", "del", b"e2")
+        end, _ = network.build_update_witness("acc", "add", b"z", base=mid)
+        network.build_update_witness("acc", "add", b"other")
+        network.commit({"acc": [("del", b"e2"), ("add", b"z")]}, {"acc": end})
+        self.assert_values_are_leaves(memory)
+        assert memory.value == end == canonical_digest(memory.elements)
+        assert sorted(memory.elements) == sorted(map(element_digest, [b"e%d" % i for i in range(3, 300)] + [b"x", b"y", b"z"]))
+
+    def test_absent_and_present_elements_are_still_refused(self):
+        acc, memory = build_set([b"a", b"b"])
+        with pytest.raises(NotPresent):
+            update("del", acc, memory, b"c")
+        with pytest.raises(AlreadyPresent):
+            update("add", acc, memory, b"a")
+        with pytest.raises(NotPresent):
+            Changes(memory, [("del", b"a"), ("del", b"a")])
+        # a delete and a re-add of one element cancel, compared by key
+        assert not Changes(memory, [("del", b"a"), ("add", b"a")])
+        assert memory.value == acc
+
+
 class TestBranchIsItsPreimage:
     """A branch is ``(left, right, body)``, its body the 66 bytes its digest hashes."""
 
@@ -1360,14 +1412,15 @@ class TestRegions:
         assert traced / len(keys) < 110
 
     @staticmethod
-    def assert_serve_alike(batched, single, rng):
-        """The two memories hold one trie, and serve the same witnesses and update simulations."""
+    def assert_serve_alike(batched, single, present, rng):
+        """The two memories hold one trie, and serve the same witnesses and
+        update simulations; ``present`` lists the elements they hold."""
         assert batched.value == single.value and read_out(batched.root) == read_out(single.root)
-        present = list(batched.elements.values())
+        assert sorted(batched.elements) == sorted(map(element_digest, present))
         probes = rng.sample(present, min(len(present), 12)) + [rng.randbytes(8) for _ in range(6)]
         for element in probes:
             assert witness_for_root(batched.root, element) == witness_for_root(single.root, element)
-            op = "del" if element in batched.elements.values() else "add"
+            op = "del" if element in present else "add"
             (root, *served), (other_root, *other_served) = (
                 simulate_update(memory.root, memory.value, op, element) for memory in (batched, single)
             )
@@ -1381,11 +1434,13 @@ class TestRegions:
         rng = random.Random(seed)
         _, batched = setup(256)
         _, single = setup(256)
+        present = []
         for i, size in enumerate(sizes):
             steps = [("add", rng.randbytes(8)) for _ in range(size)]
             apply_update(batched, Changes(batched, steps))
             one_at_a_time(single, steps)
-            self.assert_serve_alike(batched, single, rng)
+            present += [element for _op, element in steps]
+            self.assert_serve_alike(batched, single, present, rng)
             if i:
                 continue
             # path copies through a region: a delete of one of its keys, and
@@ -1394,9 +1449,12 @@ class TestRegions:
             rows = [node for node in nodes(batched.root) if len(node) == 2]
             assert rows
             key = leftmost(rows[0])
+            deleted = next(e for e in present if element_digest(e) == key)
             added = next(e for e in iter(lambda: rng.randbytes(8), None) if element_digest(e)[0] == key[0])
-            for step in (("del", batched.elements[key]), ("add", added)):
+            for step in (("del", deleted), ("add", added)):
                 for memory in (batched, single):
                     update(step[0], memory.value, memory, step[1])
+            present.remove(deleted)
+            present.append(added)
             assert any(len(node) == 3 and body(node)[1] >= tree.REGION_BIT for node in nodes(batched.root))
-            self.assert_serve_alike(batched, single, rng)
+            self.assert_serve_alike(batched, single, present, rng)

@@ -6,7 +6,9 @@ until it returns peaks above its final size by about the part of the old trie
 it replaced.
 """
 
+import gc
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -93,6 +95,26 @@ class TestGrowthCommitPeaksAtWhatItKeeps:
         batch = network.changes(AID, [("add", element) for element in elements(2, N)])
         assert overshoot(lambda: network.commit({AID: batch})) < HELD_SHARE * old
         assert network._entry(AID).tip is None and regions(network) >= 200
+
+
+class TestWholeElementCommitKeepsKeys:
+    def test_the_memory_holds_no_element(self, traced):
+        # the elements are made while tracing and dropped once committed:
+        # what stays is the trie, one key object per element (the leaf, filed
+        # under itself) and the element map's table. A memory that also
+        # held each 19-byte element would keep about 52 bytes more per key
+        network = StorageNetwork()
+        network.register(AID)
+        gc.collect()
+        before, _peak = tracemalloc.get_traced_memory()
+        steps = [("add", element) for element in elements(1, N)]
+        network.commit({AID: network.changes(AID, steps)})
+        del steps
+        gc.collect()  # a full collection also empties the free lists the merge filled
+        grown = tracemalloc.get_traced_memory()[0] - before
+        memory = network._entry(AID).memory
+        keys = sum(map(sys.getsizeof, memory.elements))
+        assert grown <= trie_bytes(memory.root) + keys + sys.getsizeof(memory.elements) + 8 * N
 
 
 class TestLaggingNodeAfterAFreeingMerge:

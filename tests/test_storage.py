@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acctoken.accumulator import BOTTOM, belongs, check_update, core, tree
+from acctoken.accumulator import BOTTOM, belongs, check_update, core, element_digest, tree
 from acctoken.accumulator.witness import encoded_length
 from acctoken.erc20 import TokenSystem
 from acctoken.erc20.bundle import BALANCES, KEY_LEN
@@ -30,6 +30,11 @@ def ledger(entry):
     memory, tip = entry.memory, entry.tip
     tip = tip and (tip.value, tip.root, dict(tip.changes.adds), dict(tip.changes.dels), list(tip.steps))
     return memory.root, dict(memory.elements), memory.epoch, list(entry.history), tip
+
+
+def keys(*elements):
+    """The sorted keys of whole elements: what a whole-element accumulator's ledger view holds."""
+    return sorted(map(element_digest, elements))
 
 
 def fresh_network(policy=None, elements=(), key_len=None):
@@ -77,7 +82,7 @@ class TestHonestServing:
         assert network.lookup(AID, b"zz") == []
         with pytest.raises(StorageError):
             network.lookup(AID, b"a")  # wrong prefix length
-        with pytest.raises(StorageError):  # whole-element keys have no prefix
+        with pytest.raises(StorageError, match="keyed by whole elements and serves no lookup"):
             fresh_network(elements=[b"aa-1"]).lookup(AID, b"aa")
 
     def test_byte_accounting_tracks_witness_sizes(self):
@@ -107,8 +112,12 @@ class TestLedgerView:
         assert network.elements(AID, b"aa") == [b"aa-1"]
         assert network.elements(AID, b"ba") == network.elements(AID, b"zz") == []
         assert network.stats == type(network.stats)()
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="lookups require a 2-byte prefix"):
             network.elements(AID, b"a")  # wrong prefix length
+        whole = fresh_network(policy, elements=[b"aa-1"])
+        assert list(whole.elements(AID)) == keys(b"aa-1")  # a whole-element accumulator holds keys
+        with pytest.raises(StorageError, match="keyed by whole elements and serves no lookup"):
+            whole.elements(AID, b"aa")
 
 
 class TestBuildUpdateWitness:
@@ -202,7 +211,7 @@ class TestCommit:
         network = fresh_network(elements=[b"aa-1"])
         network.commit({AID: network.changes(AID, [("add", b"ab-2"), ("del", b"aa-1"), ("add", b"ac-3")])})
         assert accumulator_epoch(network, AID) == 2
-        assert sorted(network.elements(AID)) == [b"ab-2", b"ac-3"]
+        assert sorted(network.elements(AID)) == keys(b"ab-2", b"ac-3")
 
     def test_rejected_commit_leaves_storage_untouched(self):
         network = fresh_network(FaultPolicy.stale(1), [b"aa-1", b"ab-2"])
@@ -224,7 +233,7 @@ class TestCommit:
         assert memory.root is tip.root and network._entry(AID).tip is None
         (key,) = tip.changes.adds
         assert next(k for k in memory.elements if k == key) is key
-        assert sorted(network.elements(AID)) == [b"ab-2", b"ac-3"]
+        assert sorted(network.elements(AID)) == keys(b"ab-2", b"ac-3")
         walked = fresh_network(elements=[b"aa-1", b"ab-2"])
         walked.commit({AID: walked.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])})
         assert read_out(memory.root) == read_out(walked._entry(AID).memory.root)
@@ -282,7 +291,7 @@ class TestCommit:
         tip_root = entry.tip.root
         network.commit({AID: [("add", b"ac-3")]}, {AID: end})
         assert entry.memory.root is tip_root
-        assert sorted(network.elements(AID)) == [b"aa-1", b"ab-2", b"ac-3"]
+        assert sorted(network.elements(AID)) == keys(b"aa-1", b"ab-2", b"ac-3")
 
     def test_walks_a_chain_of_other_keys(self):
         # the accepted value is a chain's for ab-2, the batch adds ac-3:
@@ -314,7 +323,7 @@ class TestCommit:
         assert end == served and not tip.changes
         assert network.commit({AID: [("add", b"aa-1")]}, {AID: end}) == {AID: end}
         assert network._entry(AID).memory.root is not tip.root
-        assert list(network.elements(AID)) == [b"aa-1"]
+        assert list(network.elements(AID)) == keys(b"aa-1")
 
     def test_tip_batch_is_the_chains_changes(self, monkeypatch):
         # the tip's batch has the adds and deletes a batch of the same steps
@@ -326,7 +335,8 @@ class TestCommit:
 
         def spy(root, digest, op, element, *held):
             result = simulate(root, digest, op, element, *held)
-            leaves[element] = result[3]  # an add's new leaf
+            if op == "add":
+                leaves[element_digest(element)] = result[3]  # the new leaf
             return result
 
         monkeypatch.setattr(core, "simulate_update", spy)
@@ -337,7 +347,8 @@ class TestCommit:
         batch, changes = tip.changes, network.changes(AID, steps)
         assert tip.steps == steps
         assert batch.adds == changes.adds and batch.dels == changes.dels
-        assert batch.adds and all(key is leaves[element] for key, element in batch.adds.items())
+        # each added key is filed under itself
+        assert batch.adds and all(key is value is leaves[key] for key, value in batch.adds.items())
 
     def test_a_chain_the_memory_refutes_is_refused_at_the_build(self):
         # a node lagging one epoch serves the root that still holds aa-1;
