@@ -1,12 +1,12 @@
 """Manager-side accumulator operations: setup, witness, update, and batched
 commits (``Changes`` netted per key, applied by ``apply_update``).
 
-A key holds one element (``hashing``). The trie stores keys only, so the
-builders read what its leaves hold through ``held``, which maps a key of
-the root they walk to its element (a memory's ``elements``, or a view of
-them at an older or simulated root). Under whole-element keys they read
-nothing, so no element is kept: a memory and a batch file each such key
-under itself, the key object that is its leaf.
+A key holds one element (``hashing``), and the trie's leaf at the key holds
+it too: the leaf is the key followed by the element (``_leaf``), so a
+builder reads what a key holds at the leaf its walk ends at, and a batch's
+checks ask the trie (``tree.find``, ``tree.holds_any``). Under whole-element
+keys the element is all its key says of it, so the leaf is the bare key and
+no element is kept.
 
 A witness leaves this module as its wire bytes (see ``witness``): each
 builder walks the trie once and packs the walk's branch bits and sibling
@@ -18,7 +18,7 @@ imports this module or the tree, so verifiers can run without any memory.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Iterable
 
@@ -48,43 +48,51 @@ def setup(security_parameter_bits: int, key_len: int | None = None) -> tuple[byt
     return memory.value, memory
 
 
-def _leaves(key_len: int | None, held):
-    """``tree``'s ``leaf``: the digest of the leaf at a key, holding what ``held`` maps the key to."""
+def _leaf(element: bytes, key_len: int | None, key: bytes | None = None) -> bytes:
+    """The leaf that holds ``element``: its key (``key``, if given), followed
+    by ``element`` unless it is keyed whole."""
+    if key is None:
+        key = element_digest(element[:key_len])
+    return key if key_len is None else key + element
+
+
+def _leaves(key_len: int | None):
+    """``tree``'s ``leaf``: the digest of a leaf, from the leaf alone."""
     sha256 = hashing.hashlib.sha256
-    if key_len is None:  # the key is the element's digest
-        return lambda key: sha256(TAG_LEAF + key + key).digest()
-    return lambda key: sha256(TAG_LEAF + key + sha256(held(key)).digest()).digest()
+    if key_len is None:  # the bare key, which is the element's digest
+        return lambda leaf: sha256(TAG_LEAF + leaf + leaf).digest()
+    return lambda leaf: sha256(TAG_LEAF + leaf[:DIGEST_BYTES] + sha256(leaf[DIGEST_BYTES:]).digest()).digest()
 
 
-def _occupant(terminal: Node, key_len: int | None, held) -> bytes | None:
+def _occupant(terminal: Node, key_len: int | None) -> bytes | None:
     """The payload naming the leaf ``terminal``, its key then its element's digest; None for the empty trie."""
     key = tree.leaf_key(terminal)
-    return key and key + (key if key_len is None else element_digest(held(key)))
+    return key and key + (key if key_len is None else element_digest(tree.leaf_element(terminal)))
 
 
-def _walk(root: Node, element: bytes, key_len: int | None, held, path=None):
+def _walk(root: Node, element: bytes, key_len: int | None, path=None):
     """Walk ``element``'s key from ``root`` (see ``tree.descend``): the key,
-    the steps, the terminal, and whether that is the leaf holding ``element``."""
+    the leaf that holds ``element``, the steps and the terminal, which is
+    that leaf exactly when ``element`` is a member."""
     key = element_digest(element[:key_len])
     steps, terminal = tree.descend(root, key, path)
-    return key, steps, terminal, terminal == key and (key_len is None or held(key) == element)
+    return key, _leaf(element, key_len, key), steps, terminal
 
 
-def witness_for_root(root: Node, element: bytes, key_len: int | None = None, held=None) -> bytes:
+def witness_for_root(root: Node, element: bytes, key_len: int | None = None) -> bytes:
     """(Non)membership witness bytes for ``element`` against an arbitrary
-    root snapshot, whose leaves hold what ``held`` maps their keys to; when
-    ``element``'s key holds another element, the key's path with that leaf
-    as its occupant, which no verifier accepts."""
-    key, steps, terminal, member = _walk(root, element, key_len, held)
-    if member:
+    root snapshot; when ``element``'s key holds another element, the key's
+    path with that leaf as its occupant, which no verifier accepts."""
+    key, leaf, steps, terminal = _walk(root, element, key_len)
+    if terminal == leaf:
         return pack(WitnessKind.MEMBERSHIP, key, steps)
-    return pack(WitnessKind.NON_MEMBERSHIP, key, steps, _occupant(terminal, key_len, held))
+    return pack(WitnessKind.NON_MEMBERSHIP, key, steps, _occupant(terminal, key_len))
 
 
 def witness(acc: bytes, memory: Memory, element: bytes) -> bytes:
     if acc != memory.value:
         raise StaleAccumulator("accumulator value does not match memory root")
-    return witness_for_root(memory.root, element, memory.key_len, memory.elements.get)
+    return witness_for_root(memory.root, element, memory.key_len)
 
 
 def _check_same_key(old: bytes, new: bytes, key_len: int | None):
@@ -94,37 +102,38 @@ def _check_same_key(old: bytes, new: bytes, key_len: int | None):
 
 
 def simulate_update(
-    root: Node, root_digest: bytes, op: str, element, key_len: int | None = None, held=None
+    root: Node, root_digest: bytes, op: str, element, key_len: int | None = None
 ) -> tuple[Node, bytes, bytes, bytes]:
     """Apply add/del/replace to a root snapshot whose digest is
-    ``root_digest`` and whose leaves hold what ``held`` maps their keys to;
-    returns (new root, its digest, update witness bytes, the element's key).
-    A replace's ``element`` is the pair (old, new) of elements under one key.
+    ``root_digest``; returns (new root, its digest, update witness bytes,
+    the leaf that holds the element). A replace's ``element`` is the pair
+    (old, new) of elements under one key, and its leaf the new one's.
 
     The witness records the element's search path under the old root, from
     which a verifier recomputes both the before- and after-roots; the new
     root is rebuilt from the same walk that wrote the witness. After an add
-    or a replace, the new leaf is the returned key object.
+    or a replace, the returned leaf is the new root's; after a delete, it is
+    the old root's leaf that went.
     """
     path = []
-    if op == "replace":  # the key's leaf holds the old element, and then the new one
+    if op == "replace":  # the key's leaf held the old element, and a new leaf holds the new one
         old, new = element
-        key, steps, _terminal, member = _walk(root, old, key_len, held, path)
-        if not member:
+        key, leaf, steps, terminal = _walk(root, old, key_len, path)
+        if terminal != leaf:
             raise NotPresent(f"key {key.hex()} does not hold the element")
         _check_same_key(old, new, key_len)
-        new_root, new_digest = tree.replace_at(path, key, _leaves(key_len, lambda _key: new)(key))
-        return new_root, new_digest, pack(WitnessKind.UPDATE_REPLACE, key, steps), key
-    key, steps, terminal, member = _walk(root, element, key_len, held, path)
+        leaf = _leaf(new, key_len, key)
+        new_root, new_digest = tree.replace_at(path, leaf, _leaves(key_len)(leaf))
+        return new_root, new_digest, pack(WitnessKind.UPDATE_REPLACE, key, steps), leaf
+    key, leaf, steps, terminal = _walk(root, element, key_len, path)
     if op == "add":
-        leaf_digest = _leaves(key_len, lambda _key: element)(key)  # the new leaf holds ``element``
-        new_root, new_digest = tree.insert_at(path, terminal, key, leaf_digest, root, root_digest)
-        return new_root, new_digest, pack(WitnessKind.UPDATE_ADD, key, steps, _occupant(terminal, key_len, held)), key
+        new_root, new_digest = tree.insert_at(path, terminal, leaf, _leaves(key_len)(leaf), root, root_digest)
+        return new_root, new_digest, pack(WitnessKind.UPDATE_ADD, key, steps, _occupant(terminal, key_len)), leaf
     if op == "del":
-        if not member:
+        if terminal != leaf:
             raise NotPresent(f"key {key.hex()} does not hold the element")
         new_root, new_digest = tree.remove_at(path, terminal, key)
-        return new_root, new_digest, pack(WitnessKind.UPDATE_DEL, key, steps), key
+        return new_root, new_digest, pack(WitnessKind.UPDATE_DEL, key, steps), terminal
     raise ValueError(f"unknown update op {op!r}")
 
 
@@ -133,9 +142,9 @@ def update(op: str, acc_before: bytes, memory: Memory, element) -> UpdateResult:
     one, as one epoch of ``memory``, mutating it in place."""
     if acc_before != memory.value:
         raise StaleAccumulator("accumulator value does not match memory root")
-    new_root, acc_after, w, key = simulate_update(memory.root, acc_before, op, element, memory.key_len, memory.elements.get)
+    new_root, acc_after, w, leaf = simulate_update(memory.root, acc_before, op, element, memory.key_len)
     changes = Changes(memory)
-    changes.record(op, element, key)
+    changes.record(op, element, leaf)
     apply_update(memory, changes, (new_root, acc_after))
     return UpdateResult(acc_after, w)
 
@@ -147,16 +156,18 @@ class Changes:
     it, so a batch that would fail applied one step at a time raises here,
     before anything changes: AlreadyPresent for an add under a key that holds
     an element at that point, NotPresent for a delete that names another
-    element than its key holds, or none. A replace of an (old, new) pair is
-    recorded as the delete of old and the add of new under its key. An add
-    and a later delete of the same element cancel, and so do a delete and a
-    later re-add of it; a delete and a later add of another element under
-    its key are a replace, and both stay: the held element and its
-    successor. Like the memory, ``adds`` and ``dels`` map trie keys to
-    elements, the ones the keys hold after and before; a whole-element key
-    is filed under itself, so its steps are compared by key. A step
-    recorded with the ``key`` object a simulated add or replace made its
-    leaf keeps that object, so the added keys can be the leaves.
+    element than its key holds, or none. What the memory holds is read from
+    its trie: a step asks ``tree.find`` at its key, and a run of adds checks
+    all its keys in one walk (``record_run``). A replace of an (old, new)
+    pair is recorded as the delete of old and the add of new under its key.
+    An add and a later delete of the same element cancel, and so do a
+    delete and a later re-add of it; a delete and a later add of another
+    element under its key are a replace, and both stay: the held element
+    and its successor. ``adds`` and ``dels`` map each key to a leaf (see
+    ``tree``): the new leaf an add puts there, and the trie's leaf a delete
+    takes out. A whole-element key is its own leaf, filed under itself. A
+    step recorded with the ``leaf`` a simulated add or replace made keeps
+    that object, so the added leaves can be the new trie's.
 
     ``steps``, (op, element) pairs, are recorded a run at a time: each run
     of consecutive steps of one op goes to ``record_run``, which records it
@@ -173,66 +184,73 @@ class Changes:
         for op, run in groupby(steps, itemgetter(0)):
             self.record_run(op, map(itemgetter(1), run))
 
-    def record(self, op: str, element, key: bytes | None = None):
-        """Record one step; ``key``, if given, is ``element``'s key, not computed again."""
+    def record(self, op: str, element, leaf: bytes | None = None):
+        """Record one step; ``leaf``, if given, is the leaf that holds
+        ``element`` (a replace's new element), not made again, and an add or
+        a delete then reads nothing else of ``element``."""
+        key_len = self.memory.key_len
         if op == "replace":
             old, new = element
-            _check_same_key(old, new, self.memory.key_len)
-            if key is None:
-                key = element_digest(old[: self.memory.key_len])
-            self.record("del", old, key)
-            self.record("add", new, key)
+            _check_same_key(old, new, key_len)
+            if leaf is None:
+                leaf = _leaf(new, key_len)
+            key = leaf[:DIGEST_BYTES]
+            self.record("del", old, _leaf(old, key_len, key))
+            self.record("add", new, leaf)
             return
-        key_len = self.memory.key_len
-        if key is None:
-            key = element_digest(element[:key_len])
-        if key_len is None:  # a whole-element key is filed under itself
-            element = key
+        if leaf is None:
+            leaf = _leaf(element, key_len)
+        key = leaf[:DIGEST_BYTES]
         adds, dels = self.adds, self.dels
-        held = adds[key] if key in adds else None if key in dels else self.memory.elements.get(key)
+        held = adds[key] if key in adds else None if key in dels else tree.find(self.memory.root, key)
         if op == "add":
             if held is not None:
                 raise AlreadyPresent(f"key {key.hex()} already holds an element")
-            if dels.get(key) == element:
+            if dels.get(key) == leaf:
                 del dels[key]
             else:
-                adds[key] = element
+                adds[key] = leaf
         elif op == "del":
-            if held != element:
+            if held != leaf:
                 raise NotPresent(f"key {key.hex()} does not hold the element")
             if adds.pop(key, None) is None:
-                dels[key] = element
+                dels[key] = held
         else:
             raise ValueError(f"unknown update op {op!r}")
 
     def record_run(self, op: str, elements: Iterable):
         """Record a run of steps of one ``op``, as ``record`` would one at a time.
 
-        The run's keys are hashed first, each once. A run of adds whose keys
-        are all new (none named twice, none held by the memory or recorded
-        in this batch, as an add or a delete) nets with nothing and is
-        installed in one go; any other run is recorded step by step, its
-        keys handed to ``record``.
+        The run's keys are hashed first, each once, and its leaves made, each
+        handed to its step; an add or a delete reads its element from its
+        leaf, so a run of them lets go of its elements before it goes on. A
+        run of adds whose keys are all new (none named twice, none recorded
+        in this batch, as an add or a delete, and none held by the memory,
+        which one walk of its trie checks for all of them, in key order) nets
+        with nothing and is installed in one go; any other run is recorded
+        step by step.
         """
-        elements = list(elements)
+        steps = list(elements)
         key_len, sha256 = self.memory.key_len, hashing.hashlib.sha256
-        heads = (old for old, _new in elements) if op == "replace" else elements
+        heads = (old for old, _new in steps) if op == "replace" else steps
         keys = [sha256(head[:key_len]).digest() for head in heads]
+        if key_len is None:
+            leaves = keys
+        else:
+            news = (new for _old, new in steps) if op == "replace" else steps
+            leaves = list(map(bytes.__add__, keys, news))
+        if op != "replace":
+            steps = repeat(None)
         adds = self.adds
-        if (
-            op == "add"
-            and self.memory.elements.keys().isdisjoint(keys)
-            and adds.keys().isdisjoint(keys)
-            and self.dels.keys().isdisjoint(keys)
-        ):
+        if op == "add" and adds.keys().isdisjoint(keys) and self.dels.keys().isdisjoint(keys):
             size = len(adds)
-            adds.update(zip(keys, keys if key_len is None else elements))
-            if len(adds) == size + len(keys):
+            adds.update(zip(keys, leaves))
+            if len(adds) == size + len(keys) and not tree.holds_any(self.memory.root, keys):
                 return
-            for key in keys:  # the run names a key twice: take it back, and record it step by step
+            for key in keys:  # a key named twice or held: take the run back, and record it step by step
                 adds.pop(key, None)
-        for element, key in zip(elements, keys):
-            self.record(op, element, key)
+        for step, leaf in zip(steps, leaves):
+            self.record(op, step, leaf)
 
     def check_current(self, memory: Memory):
         """Raise StaleAccumulator unless these changes were recorded against ``memory`` as it is now."""
@@ -248,18 +266,26 @@ def updated_root(root: Node, digest: bytes, changes: Changes) -> tuple[Node, byt
     ``digest``, with the changes applied, and its digest. The persistent
     trie leaves ``root`` as it is; given the only reference to it, the merge
     frees what it replaces as it goes (see ``tree.insert_many``)."""
-    adds = changes.adds
-    leaf = _leaves(changes.memory.key_len, adds.get)
-    keys = sorted(adds)
-    for key in changes.dels:
-        if key in adds:  # a replace: the key's path is rehashed, its leaf the added key object
-            key = keys.pop(bisect_left(keys, key))
-            root, digest = tree.replace(root, key, leaf(key))
+    held = [root]
+    del root
+    return _merged(held.pop(), digest, sorted(changes.adds.values()), changes.dels, changes.memory.key_len)
+
+
+def _merged(root: Node, digest: bytes, leaves: list[bytes], dels, key_len: int | None) -> tuple[Node, bytes]:
+    """``updated_root`` of a batch that adds the sorted ``leaves`` and
+    deletes the keys ``dels``: a deleted key that an added leaf holds is
+    a replace, and its path is rehashed over that leaf."""
+    leaf = _leaves(key_len)
+    for key in dels:
+        at = bisect_left(leaves, key)
+        if at < len(leaves) and leaves[at].startswith(key):
+            new = leaves.pop(at)
+            root, digest = tree.replace(root, new, leaf(new))
         else:
             root, digest = tree.remove(root, key)
     held = [root]
     del root
-    return tree.insert_many(held.pop(), digest, keys, leaf)
+    return tree.insert_many(held.pop(), digest, leaves, leaf)
 
 
 def _let_go(memory: Memory) -> Node:
@@ -272,27 +298,29 @@ def _let_go(memory: Memory) -> Node:
 def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes] | None = None) -> bytes:
     """Apply a batch of changes as one epoch; returns the new accumulator value.
 
-    The new elements are keyed by the key objects ``changes`` holds, which
-    are the new leaves. Without ``built`` the memory's trie is walked by
-    ``updated_root``, which makes them the leaves, and the memory lets go of
-    its root first: when nothing else holds the old root (a lagging storage
-    node's history, a chain tip), the merge frees each tuple branch and each
-    region of rows it replaces as it goes (see ``tree``). ``built = (root,
+    The trie is the whole memory, so this installs a new root and nothing
+    else. Without ``built`` the memory's trie is walked as ``updated_root``
+    walks it, which makes the added leaves the trie's, and the memory lets
+    go of its root first: when nothing else holds the old root (a lagging
+    storage node's history, a chain tip), the merge frees each tuple branch
+    and each region of rows it replaces as it goes (see ``tree``). The walk
+    spends the batch: ``changes`` lets go of its added keys before it, and
+    keeps only its deletes. ``built = (root,
     digest)`` skips the walk: ``root`` is already the trie of the memory with
-    exactly these changes applied, its new leaves the added keys, and
-    ``digest`` is its digest. The caller vouches for ``root``: the storage
-    network passes its chain tip with the tip's own batch, or a walk whose
-    digest it checked against the value the contract accepted.
+    exactly these changes applied, and ``digest`` is its digest. The caller
+    vouches for ``root``: the storage network passes its chain tip with the
+    tip's own batch, or a walk whose digest it checked against the value the
+    contract accepted.
     """
     changes.check_current(memory)
     # nothing below can fail: record() checked that every deleted key holds
-    # its element, and that every added key is absent once the deletes are
-    # done. The element map changes first, so that its growth is made
-    # beside the old trie, before the merge frees that and builds the new
-    elements = memory.elements
-    for key in changes.dels:
-        del elements[key]
-    elements.update(changes.adds)
+    # its element, and that every added key is absent once the deletes are done
+    if built is None:
+        # the batch is spent: the merge reads its added leaves, so it lets go
+        # of their keys first, and they go before the new trie grows
+        leaves = sorted(changes.adds.values())
+        changes.adds.clear()
+        built = _merged(_let_go(memory), memory.value, leaves, changes.dels, memory.key_len)
     memory.epoch += 1
-    memory.root, memory.value = built or updated_root(_let_go(memory), memory.value, changes)
+    memory.root, memory.value = built
     return memory.value

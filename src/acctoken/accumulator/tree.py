@@ -3,8 +3,9 @@
 A node's digest is held by its parent, and the root's by whoever holds the
 root (``Memory.value``, a storage chain tip):
 
-- a leaf is its key, the 32-byte ``bytes`` object itself: the one
-  ``Memory.elements`` keys the element by;
+- a leaf is one ``bytes`` object: its 32-byte key followed by the element
+  the key holds, or under whole-element keys, whose element is all its
+  key says of it, the bare key;
 - a branch is ``(left, right, body)``, splitting at key bit ``bit`` (keys
   with that bit clear go left), where ``body`` is the branch's hash preimage
   ``TAG_INTERNAL || bit || left_digest || right_digest`` (66 bytes);
@@ -12,13 +13,23 @@ root (``Memory.value``, a storage chain tip):
   row)`` (below);
 - the empty trie is ``EMPTY = ()``.
 
-The kinds are told apart by length (0, 32, 2 and 3). A leaf's digest is
+The kinds are told apart by class and length: a leaf is ``bytes`` (32 bytes
+or more), the rest are tuples of length 0, 2 and 3. A leaf's digest is
 ``sha256(TAG_LEAF + key + element digest)`` (see ``hashing``) and a
 branch's is ``sha256(body)``; a builder returns each node it makes with its
 digest, so no digest is hashed twice or stored in the node it belongs to.
-The trie holds keys only: a builder takes each new leaf's digest from its
-caller, by a ``leaf`` function of the key, and an old leaf's from its
-parent's body.
+The trie is the whole memory: a builder takes each new leaf's digest from
+its caller, by a ``leaf`` function of the leaf, and an old leaf's from its
+parent's body, and a reader takes an element from the leaf its walk ends
+at (``find``, ``leaves_of``).
+
+Every key comparison and every key integer reads a leaf's first 32 bytes
+(``leaf_key``), never the whole leaf, whose int would shift the key's bits
+past ``BIT_MASK``. Sorted leaves are sorted keys, though: two leaves differ
+within their keys, as keys are unique, so leaves sort as their keys do, and
+a bound of 32 bytes or fewer falls between two leaves exactly where it
+falls between their keys. That is what lets ``bisect`` split a batch of
+leaves at a key bound (``_first_set``, ``_GROUP_END``).
 
 The body is the preimage rather than a bit and two digest objects because
 one 66-byte ``bytes`` costs less than two 32-byte ones and the slots that
@@ -30,22 +41,22 @@ Regions. The batch merge (``insert_many``) writes every branch at bit
 ``REGION_BIT`` or deeper as a row of a region, ``(kids, bodies, leaves)``:
 ``bodies`` holds the rows' 66-byte bodies end to end, ``kids`` each row's
 left and right child id as native 32-bit ints (a row index, or ``~i`` for
-the ``i``-th key of ``leaves``), and ``leaves`` is the tuple of the region's
-keys, the leaves themselves. A region holds one maximal subtree whose
+the ``i``-th leaf of ``leaves``), and ``leaves`` is the tuple of the
+region's leaves themselves. A region holds one maximal subtree whose
 branches are all at ``REGION_BIT`` or deeper, that is the keys that share
-their first byte, and its rows point only at its own rows and keys. Rows are
-written in post-order, so each subtree's rows are a run of rows ending at
-its root, and its keys a run of ``leaves``, in key order: when the subtree
-is rebuilt, its keys are read as one slice and the digests of its nodes in
-one scan of its rows, each from its parent's body (the root's from the
-region's parent). A tuple branch reaches a region through a handle,
+their first byte, and its rows point only at its own rows and leaves. Rows
+are written in post-order, so each subtree's rows are a run of rows ending
+at its root, and its leaves a run of ``leaves``, in key order: when the
+subtree is rebuilt, its leaves are read as one slice and the digests of its
+nodes in one scan of its rows, each from its parent's body (the root's from
+the region's parent). A tuple branch reaches a region through a handle,
 ``(region, row)``. A branch thus costs its 66 body bytes, 8 bytes of child
-ids and 8 of key slot, against 163 traced bytes as a 3-tuple and its body.
+ids and 8 of leaf slot, against 163 traced bytes as a 3-tuple and its body.
 The per-op path copies (``insert``, ``remove``, ``insert_at``,
 ``remove_at``) stay tuples: ``descend`` reads a row it passes as a tuple
 branch over handles to its children, and the copies are built over those.
 A replace (``replace``, ``replace_at``) copies the path to a leaf and
-rehashes it, as the leaf now holds another element.
+rehashes it over the new leaf, which holds another element.
 
 Tuples, bytes and shared keys, rather than objects, because a trie holds a
 node per key and per branch and lives as long as the memory does: bytes are
@@ -63,7 +74,7 @@ everything else, so old roots stay valid for free. The compressed layout
 (branches exist only where keys actually diverge) is canonical for a given
 key set, which makes the root digest history independent.
 
-``insert_many`` relies on that: it merges a sorted batch of new keys into
+``insert_many`` relies on that: it merges a sorted batch of new leaves into
 the trie in one pass, reusing every subtree no new key falls into and
 hashing each new node once, and the canonical layout makes its root equal,
 bit for bit, to the root of inserting the same keys one at a time. Above
@@ -91,16 +102,17 @@ share a first byte make it read their whole region: about 0.9 ms at 2^17
 keys.
 
 The merge reads the batch as the sorted bytes it is: equal-length keys
-sort as their big-endian ints do, so at a branch it splits the batch's
-range with ``bisect`` on the keys themselves, against the smallest key with
-the branch's bit set. It makes ints only for the XORs: where a range leaves a
-subtree's common prefix, the split bit is the top set bit (``bit_length``)
-of the XORs of the range's ends with a key of the subtree. A range that
-lands where the trie has no node, or meets a leaf (taking the leaf in), is
-built in one stack pass per first byte, which reads each key as an int
-once: the trie of sorted keys is the Cartesian tree of the split bits of
-adjacent keys. A range of one key that reaches a tuple branch or a region's
-handle on its own takes the path-copying ``insert``.
+sort as their big-endian ints do, and leaves as their keys, so at a branch
+it splits the batch's range with ``bisect`` on the leaves themselves,
+against the smallest key with the branch's bit set. It makes ints only for
+the XORs: where a range leaves a subtree's common prefix, the split bit is
+the top set bit (``bit_length``) of the XORs of the range's ends with a key
+of the subtree. A range that lands where the trie has no node, or meets a
+leaf (taking the leaf in), is built in one stack pass per first byte, which
+reads each key as an int once: the trie of sorted keys is the Cartesian
+tree of the split bits of adjacent keys. A range of one key that reaches a
+tuple branch or a region's handle on its own takes the path-copying
+``insert``.
 
 The merge frees the nodes it replaces as it goes, when it may: it drops each
 old tuple branch as soon as it has unpacked it and hands each child on as
@@ -115,6 +127,8 @@ before.
 
 from array import array
 from bisect import bisect_left
+from itertools import chain
+from operator import itemgetter
 
 from ..errors import AlreadyPresent, NotPresent
 from . import hashing
@@ -138,9 +152,11 @@ _BODY = _RIGHT_AT + DIGEST_BYTES
 # rewrite; one further down, more tuple branches at full cost.
 REGION_BIT = 8
 
-# the smallest bytes past every key with each first byte: the keys of a
-# region end where the sorted keys reach the next of these
-_GROUP_END = tuple(BIT_BYTE[b + 1] for b in range(255)) + (b"\xff" * (DIGEST_BYTES + 1),)
+# the smallest bytes past every key with each first byte but the last: the
+# leaves of a region end where the sorted leaves reach the next of these (a
+# leaf sorts as its key, so a 1-byte bound falls between leaves as between
+# their keys); the leaves with the last first byte run to the batch's end
+_GROUP_END = tuple(BIT_BYTE[b + 1] for b in range(255))
 
 
 def child_digest(branch: tuple, direction: int) -> bytes:
@@ -150,8 +166,22 @@ def child_digest(branch: tuple, direction: int) -> bytes:
 
 
 def leaf_key(node: Node) -> bytes | None:
-    """The key of a leaf (the leaf itself); None for the empty trie or a branch."""
-    return node if node.__class__ is bytes else None
+    """The key of a leaf, its first 32 bytes; None for the empty trie or a branch."""
+    return node[:DIGEST_BYTES] if node.__class__ is bytes else None
+
+
+def leaf_element(leaf: bytes) -> bytes:
+    """What ``leaf`` holds after its key: its element, or nothing under whole-element keys."""
+    return leaf[DIGEST_BYTES:]
+
+
+# a leaf's key, as ``leaf_key`` reads it, for ``map``
+_key_of = itemgetter(slice(DIGEST_BYTES))
+
+
+def _int(leaf: bytes) -> int:
+    """``leaf``'s key read as a big-endian int."""
+    return int.from_bytes(leaf[:DIGEST_BYTES], "big")
 
 
 def _branch(region: tuple, kids: memoryview, row: int) -> tuple:
@@ -213,6 +243,74 @@ def descend(root: Node, key: bytes, path: list | None = None):
     return steps, node
 
 
+def find(root: Node, key: bytes) -> bytes | None:
+    """The leaf of ``root`` at ``key``, holding the key's element; None if
+    the key holds none. The walk ``descend`` makes, with no steps."""
+    node = root
+    k = int.from_bytes(key, "big")
+    while len(node) == 3:
+        node = node[1] if k & BIT_MASK[node[2][_BIT_AT]] else node[0]
+    if len(node) == 2:
+        region, row = node
+        kids = memoryview(region[0]).cast("i")
+        bodies = region[1]
+        while row >= 0:
+            row = kids[2 * row + (1 if k & BIT_MASK[bodies[row * _BODY + _BIT_AT]] else 0)]
+        node = region[2][~row]
+    return node if node[:DIGEST_BYTES] == key else None
+
+
+def leaves_of(node: Node):
+    """The leaves under ``node``, in key order: the ledger a trie is."""
+    return chain.from_iterable(_leaf_runs(node))
+
+
+def _leaf_runs(node: Node):
+    """The leaves under ``node`` as runs in key order: a lone leaf, or the
+    leaves of a region's subtree, one slice of its leaves."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is bytes:
+            yield (node,)
+        elif len(node) == 3:
+            stack += node[1], node[0]
+        elif node:
+            region, ref = node
+            first, last = _span(memoryview(region[0]).cast("i"), ref)
+            yield region[2][first : last + 1]
+
+
+def holds_any(root: Node, keys) -> bool:
+    """Whether ``root`` holds a leaf at any of ``keys``.
+
+    One walk for all the keys, sorted, not one per key: at a tuple branch
+    the keys are split with ``bisect`` at the smallest key of its subtree's
+    prefix with its bit set, and each subtree of region rows the walk
+    reaches is one run of leaves, whose keys, as a set, are checked against
+    the subtree's keys in one go.
+    """
+    if not root:
+        return False
+    keys = sorted(keys)
+    return _holds_any(root, keys, 0, len(keys))
+
+
+def _holds_any(node: Node, keys: list[bytes], lo: int, hi: int) -> bool:
+    if lo == hi or not node:
+        return False
+    if node.__class__ is bytes:
+        key = node[:DIGEST_BYTES]
+        at = bisect_left(keys, key, lo, hi)
+        return at < hi and keys[at] == key
+    if len(node) == 2:
+        region, ref = node
+        first, last = _span(memoryview(region[0]).cast("i"), ref)
+        return not set(map(_key_of, region[2][first : last + 1])).isdisjoint(keys[lo:hi])
+    mid = bisect_left(keys, _first_set(_int(_leftmost(node)), node[2][_BIT_AT]), lo, hi)
+    return _holds_any(node[0], keys, lo, mid) or _holds_any(node[1], keys, mid, hi)
+
+
 def _rebuild(path, node: Node, node_digest: bytes) -> tuple[Node, bytes]:
     """Copy the walked ``path``'s branches, bottom up, over a new ``node``; returns the new root and its digest."""
     sha256 = hashing.hashlib.sha256
@@ -227,16 +325,16 @@ def _rebuild(path, node: Node, node_digest: bytes) -> tuple[Node, bytes]:
     return node, node_digest
 
 
-def insert_at(path, terminal: Node, key: bytes, leaf_digest: bytes, root: Node, root_digest: bytes) -> tuple[Node, bytes]:
+def insert_at(path, terminal: Node, leaf: bytes, leaf_digest: bytes, root: Node, root_digest: bytes) -> tuple[Node, bytes]:
     """The root and digest ``insert`` returns, from the result of walking
-    ``key``, whose new leaf's digest is ``leaf_digest``, from ``root``,
-    whose digest is ``root_digest``."""
+    ``leaf``'s key, the new leaf's digest being ``leaf_digest``, from
+    ``root``, whose digest is ``root_digest``."""
     sha256 = hashing.hashlib.sha256
     if not terminal:
-        return key, leaf_digest
-    split = first_diff_bit(key, terminal)
+        return leaf, leaf_digest
+    split = first_diff_bit(leaf[:DIGEST_BYTES], terminal[:DIGEST_BYTES])
     if split is None:
-        raise _duplicate(key)
+        raise _duplicate(leaf)
     # The new branch sits above the first node whose discriminator passes the
     # split bit; everything below it is displaced onto the other side.
     cut = 0
@@ -249,41 +347,43 @@ def insert_at(path, terminal: Node, key: bytes, leaf_digest: bytes, root: Node, 
         displaced, displaced_digest = parent[direction], child_digest(parent, direction)
     else:
         displaced, displaced_digest = root, root_digest
-    # equal-length keys first differ at ``split``, so the smaller has a 0 there
-    if key < terminal:
+    # keys first differ at ``split``, so the smaller has a 0 there, and its leaf sorts first
+    if leaf < terminal:
         body = BIT_PREFIX[split] + leaf_digest + displaced_digest
-        node = (key, displaced, body)
+        node = (leaf, displaced, body)
     else:
         body = BIT_PREFIX[split] + displaced_digest + leaf_digest
-        node = (displaced, key, body)
+        node = (displaced, leaf, body)
     node_digest = sha256(body).digest()
     return _rebuild(path[:cut], node, node_digest) if cut else (node, node_digest)
 
 
-def insert(root: Node, root_digest: bytes, key: bytes, leaf_digest: bytes) -> tuple[Node, bytes]:
+def insert(root: Node, root_digest: bytes, leaf: bytes, leaf_digest: bytes) -> tuple[Node, bytes]:
     path = []
-    _steps, terminal = descend(root, key, path)
-    return insert_at(path, terminal, key, leaf_digest, root, root_digest)
+    _steps, terminal = descend(root, leaf[:DIGEST_BYTES], path)
+    return insert_at(path, terminal, leaf, leaf_digest, root, root_digest)
 
 
-def replace_at(path, key: bytes, leaf_digest: bytes) -> tuple[Node, bytes]:
-    """The root and digest after the leaf at ``key``, where the walked
-    ``path`` ends, is given the digest ``leaf_digest``: the path is copied
-    and rehashed over the leaf ``key``, and the trie keeps its shape."""
-    return _rebuild(path, key, leaf_digest)
+def replace_at(path, leaf: bytes, leaf_digest: bytes) -> tuple[Node, bytes]:
+    """The root and digest after the leaf at ``leaf``'s key, where the
+    walked ``path`` ends, is replaced by ``leaf``, whose digest is
+    ``leaf_digest``: the path is copied and rehashed over the new leaf, and
+    the trie keeps its shape."""
+    return _rebuild(path, leaf, leaf_digest)
 
 
-def replace(root: Node, key: bytes, leaf_digest: bytes) -> tuple[Node, bytes]:
+def replace(root: Node, leaf: bytes, leaf_digest: bytes) -> tuple[Node, bytes]:
     path = []
+    key = leaf[:DIGEST_BYTES]
     _steps, terminal = descend(root, key, path)
-    if terminal != key:
+    if terminal[:DIGEST_BYTES] != key:
         raise NotPresent(f"key {key.hex()} holds no element")
-    return replace_at(path, key, leaf_digest)
+    return replace_at(path, leaf, leaf_digest)
 
 
 def remove_at(path, terminal: Node, key: bytes) -> tuple[Node, bytes]:
     """The root and digest ``remove`` returns, from the result of walking ``key``."""
-    if terminal != key:
+    if terminal[:DIGEST_BYTES] != key:
         raise NotPresent(f"key {key.hex()} holds no element")
     if not path:
         return EMPTY, EMPTY_DIGEST
@@ -297,18 +397,18 @@ def remove(root: Node, key: bytes) -> tuple[Node, bytes]:
     return remove_at(path, terminal, key)
 
 
-def _duplicate(key: bytes):
-    return AlreadyPresent(f"key {key.hex()} already holds an element")
+def _duplicate(leaf: bytes):
+    return AlreadyPresent(f"key {leaf[:DIGEST_BYTES].hex()} already holds an element")
 
 
-def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, leaves: list, leaf, known: dict | None = None):
-    """Write the trie of the sorted ``keys[lo:hi]``, which share their first
-    byte, as rows of the region being built in ``kids``, ``bodies`` and
-    ``leaves``; returns its root's id (a row, or ``~i`` for a lone key, the
-    ``i``-th of ``leaves``) and digest. A key's leaf digest is ``leaf(key)``
-    (``_digests`` gives old leaves theirs); ``known``, given, maps the bodies
-    of old rows to their digests, and a row written again as it was takes
-    its digest from there instead of being hashed.
+def _rows(run: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, leaves: list, leaf, known: dict | None = None):
+    """Write the trie of the sorted leaves ``run[lo:hi]``, whose keys share
+    their first byte, as rows of the region being built in ``kids``,
+    ``bodies`` and ``leaves``; returns its root's id (a row, or ``~i`` for a
+    lone leaf, the ``i``-th of ``leaves``) and digest. A leaf's digest is
+    ``leaf(leaf)`` (``_digests`` gives old leaves theirs); ``known``, given,
+    maps the bodies of old rows to their digests, and a row written again as
+    it was takes its digest from there instead of being hashed.
 
     One stack pass: the trie of a sorted run is the Cartesian tree of the
     split bits of adjacent keys, the smallest bit at the root. ``bits``,
@@ -318,23 +418,23 @@ def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, l
     the key before it, and each closed branch is written as the next row.
     """
     sha256 = hashing.hashlib.sha256
-    key = keys[lo]
-    node_digest = leaf(key)
-    leaves.append(key)
+    new = run[lo]
+    node_digest = leaf(new)
+    leaves.append(new)
     if hi - lo == 1:
         return ~(len(leaves) - 1), node_digest
     add_kid, add_leaf = kids.append, leaves.append
     row, at = len(kids) >> 1, len(leaves) - 1
     node = ~at
-    prev = int.from_bytes(key, "big")
+    prev = int.from_bytes(new[:DIGEST_BYTES], "big")
     bits = [-1]  # below every split bit, so the spine's foot never closes
     lefts: list[int] = []
     digests: list[bytes] = []
-    for key in keys[lo + 1 : hi]:
-        x = int.from_bytes(key, "big")
+    for new in run[lo + 1 : hi]:
+        x = int.from_bytes(new[:DIGEST_BYTES], "big")  # the key's, as ``_int`` reads it
         diff = prev ^ x
         if not diff:
-            raise _duplicate(key)
+            raise _duplicate(new)
         split = KEY_BITS - diff.bit_length()
         while bits[-1] > split:
             body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
@@ -347,9 +447,9 @@ def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, l
         lefts.append(node)
         digests.append(node_digest)
         at += 1
-        add_leaf(key)
+        add_leaf(new)
         node = ~at
-        node_digest = leaf(key)
+        node_digest = leaf(new)
         prev = x
     while lefts:
         body = BIT_PREFIX[bits.pop()] + digests.pop() + node_digest
@@ -361,11 +461,11 @@ def _rows(keys: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, l
     return node, node_digest
 
 
-def _digests(old: dict, keys: list[bytes], leaf):
-    """The leaf digest function of a run of old leaves and the new ``keys``:
+def _digests(old: dict, new: list[bytes], leaf):
+    """The leaf digest function of a run of old leaves and the ``new`` ones:
     ``old`` maps each old leaf to the digest its parent's body holds, and it
-    is given each new key's ``leaf(key)``, made here once."""
-    old.update(zip(keys, map(leaf, keys)))
+    is given each new leaf's ``leaf(new)``, made here once."""
+    old.update(zip(new, map(leaf, new)))
     return old.__getitem__
 
 
@@ -375,8 +475,8 @@ def _region(kids: array, bodies: bytearray, leaves: list, root: int) -> tuple:
 
 
 def _span(kids: memoryview, ref: int) -> tuple[int, int]:
-    """The first and the last key under row ``ref`` of a region whose child
-    ids ``kids`` reads, by their index in its keys."""
+    """The first and the last leaf under row ``ref`` of a region whose child
+    ids ``kids`` reads, by their index in its leaves."""
     first = last = ref
     while first >= 0:
         first = kids[2 * first]
@@ -385,57 +485,57 @@ def _span(kids: memoryview, ref: int) -> tuple[int, int]:
     return ~first, ~last
 
 
-def _gather(node: Node, node_digest: bytes, keys: list[bytes], known: dict):
-    """Append the keys of the old subtree ``node`` (a leaf, a handle, or a
+def _gather(node: Node, node_digest: bytes, run: list[bytes], known: dict):
+    """Append the leaves of the old subtree ``node`` (a leaf, a handle, or a
     tuple branch a path copy made over these), whose digest is
-    ``node_digest``, to ``keys`` in order, and map each of its leaves and
+    ``node_digest``, to ``run`` in order, and map each of its leaves and
     rows to its digest in ``known``, as ``_known`` does: read off the bodies,
     hashing nothing."""
     if node.__class__ is bytes:
-        keys.append(node)
+        run.append(node)
         known[node] = node_digest
     elif len(node) == 2:
         region, ref = node
         kids = memoryview(region[0]).cast("i")
         first, last = _span(kids, ref)
-        keys += region[2][first : last + 1]
+        run += region[2][first : last + 1]
         known.update(_known(region, kids, ref, node_digest, ref - (last - first) + 1))
     else:
         left, right, body = node
         known[body] = node_digest
-        _gather(left, body[_LEFT_AT:_RIGHT_AT], keys, known)
-        _gather(right, body[_RIGHT_AT:], keys, known)
+        _gather(left, body[_LEFT_AT:_RIGHT_AT], run, known)
+        _gather(right, body[_RIGHT_AT:], run, known)
 
 
-def _rewrite(node: tuple, node_digest: bytes, keys: list[bytes], lo: int, hi: int, leaf):
-    """The trie of ``node``'s keys plus ``keys[lo:hi]``, which all share
-    their first byte, as one new region, and its digest; ``node`` is a
-    branch at ``REGION_BIT`` or deeper: a handle, or a tuple branch a path
-    copy made over handles.
+def _rewrite(node: tuple, node_digest: bytes, run: list[bytes], lo: int, hi: int, leaf):
+    """The trie of ``node``'s leaves plus the new ones ``run[lo:hi]``, whose
+    keys all share their first byte, as one new region, and its digest;
+    ``node`` is a branch at ``REGION_BIT`` or deeper: a handle, or a tuple
+    branch a path copy made over handles.
 
-    The old keys and the new ones are written in one stack pass (``_rows``),
-    and each old leaf and each old row written again as it was takes the
-    digest ``_gather`` read for it, so only the rows some new key falls
-    under are hashed. It reads every old key however few the new ones are,
-    so its work grows with the region's size, not with the batch (module
-    docstring). The new region refers to nothing in the old one, so the old
-    one goes when the caller drops ``node``.
+    The old leaves and the new ones are written in one stack pass
+    (``_rows``), and each old leaf and each old row written again as it was
+    takes the digest ``_gather`` read for it, so only the rows some new key
+    falls under are hashed. It reads every old leaf however few the new ones
+    are, so its work grows with the region's size, not with the batch
+    (module docstring). The new region refers to nothing in the old one but
+    the leaves, so the old one goes when the caller drops ``node``.
     """
-    run, known = [], {}
-    _gather(node, node_digest, run, known)
-    new = keys[lo:hi]
-    run += new
-    run.sort()
+    merged, known = [], {}
+    _gather(node, node_digest, merged, known)
+    new = run[lo:hi]
+    merged += new
+    merged.sort()
     kids, bodies, leaves = array("i"), bytearray(), []
-    root, root_digest = _rows(run, 0, len(run), kids, bodies, leaves, _digests(known, new, leaf), known)
+    root, root_digest = _rows(merged, 0, len(merged), kids, bodies, leaves, _digests(known, new, leaf), known)
     return _region(kids, bodies, leaves, root), root_digest
 
 
 def _known(region: tuple, kids: memoryview, ref: int, ref_digest: bytes, start: int) -> dict:
     """The digest of every node of ``region``'s subtree at row ``ref`` (whose
     child ids ``kids`` reads), whose digest is ``ref_digest`` and whose rows
-    start at ``start``: each leaf's by its key and each row's by its body, as
-    its parent's body holds it, and the root row's, ``ref_digest``."""
+    start at ``start``: each leaf's by the leaf and each row's by its body,
+    as its parent's body holds it, and the root row's, ``ref_digest``."""
     bodies, leaves = region[1], region[2]
     slots = [bodies[at : at + DIGEST_BYTES] for row in range(start * _BODY, (ref + 1) * _BODY, _BODY) for at in (row + _LEFT_AT, row + _RIGHT_AT)]
     nodes = [leaves[~kid] if kid < 0 else bodies[kid * _BODY : (kid + 1) * _BODY] for kid in kids[2 * start : 2 * ref + 2]]
@@ -444,12 +544,12 @@ def _known(region: tuple, kids: memoryview, ref: int, ref_digest: bytes, start: 
     return known
 
 
-def _run(keys: list[bytes], leaf):
-    """The trie of the sorted ``keys`` alone, and its digest; a key's leaf
-    digest is ``leaf(key)``.
+def _run(run: list[bytes], leaf):
+    """The trie of the sorted leaves ``run`` alone, and its digest; a leaf's
+    digest is ``leaf(leaf)``.
 
-    The keys that share a first byte form a region (``_rows``), or a lone
-    leaf; above them, the tuple branches are the Cartesian tree of the
+    The leaves whose keys share a first byte form a region (``_rows``), or a
+    lone leaf; above them, the tuple branches are the Cartesian tree of the
     split bits of adjacent first bytes, built in one stack pass as
     ``_rows`` builds a region's rows.
     """
@@ -457,11 +557,11 @@ def _run(keys: list[bytes], leaf):
     bits = [-1]
     lefts: list[Node] = []
     digests: list[bytes] = []
-    lo, end = 0, len(keys)
+    lo, end = 0, len(run)
     prev = None
     while lo < end:
-        first = keys[lo][0]
-        hi = bisect_left(keys, _GROUP_END[first], lo + 1)
+        first = run[lo][0]
+        hi = bisect_left(run, _GROUP_END[first], lo + 1) if first < 255 else end
         if prev is not None:
             split = REGION_BIT - (prev ^ first).bit_length()
             while bits[-1] > split:
@@ -472,10 +572,10 @@ def _run(keys: list[bytes], leaf):
             digests.append(node_digest)
         if hi - lo > 1:
             kids, bodies, leaves = array("i"), bytearray(), []
-            root, node_digest = _rows(keys, lo, hi, kids, bodies, leaves, leaf)
+            root, node_digest = _rows(run, lo, hi, kids, bodies, leaves, leaf)
             node = _region(kids, bodies, leaves, root)
         else:
-            node = keys[lo]
+            node = run[lo]
             node_digest = leaf(node)
         prev, lo = first, hi
     while lefts:
@@ -485,13 +585,14 @@ def _run(keys: list[bytes], leaf):
 
 
 def _first_set(x: int, bit: int) -> bytes:
-    """The smallest key that agrees with the key ``x`` before ``bit`` and has ``bit`` set."""
+    """The smallest key that agrees with the key ``x`` before ``bit`` and has
+    ``bit`` set: a leaf sorts below it exactly when the leaf's key does."""
     shift = KEY_BITS - 1 - bit
     return ((x >> shift | 1) << shift).to_bytes(DIGEST_BYTES, "big")
 
 
 def _leftmost(node: tuple) -> bytes:
-    """The smallest key under the branch ``node``."""
+    """The leaf with the smallest key under the branch ``node``."""
     while len(node) == 3:
         node = node[0]
     if len(node) == 2:
@@ -503,9 +604,10 @@ def _leftmost(node: tuple) -> bytes:
     return node
 
 
-def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, depth: int, leaf):
-    """The trie of ``node``'s keys plus ``keys[lo:hi]``, all of which agree on
-    every bit before ``depth``, and its digest; ``node_digest`` is ``node``'s.
+def _merge(node: Node, node_digest: bytes, run: list[bytes], lo: int, hi: int, depth: int, leaf):
+    """The trie of ``node``'s leaves plus the new ones ``run[lo:hi]``, whose
+    keys all agree on every bit before ``depth``, and its digest;
+    ``node_digest`` is ``node``'s.
 
     Every reference this frame takes to an old branch goes as soon as the
     branch is unpacked, and each child is handed on as a temporary, which
@@ -515,65 +617,66 @@ def _merge(node: Node, node_digest: bytes, keys: list[bytes], lo: int, hi: int, 
     """
     if hi - lo < 2:
         # walking one key's path and copying it is cheaper than recursing
-        return insert(node, node_digest, keys[lo], leaf(keys[lo])) if hi > lo else (node, node_digest)
+        return insert(node, node_digest, run[lo], leaf(run[lo])) if hi > lo else (node, node_digest)
     if not node:
-        return _run(keys[lo:hi], leaf)
+        return _run(run[lo:hi], leaf)
     if node.__class__ is bytes:
-        # a leaf: the keys and the leaf's own key form one run
-        run = keys[lo:hi]
-        digest = _digests({node: node_digest}, run, leaf)
-        run.insert(bisect_left(run, node), node)
-        return _run(run, digest)
+        # a leaf: the new leaves and the old one form one run
+        merged = run[lo:hi]
+        digest = _digests({node: node_digest}, merged, leaf)
+        merged.insert(bisect_left(merged, node), node)
+        return _run(merged, digest)
     if len(node) == 3:
         body = node[2]
         bit = body[_BIT_AT]
     else:
         bit = node[0][1][node[1] * _BODY + _BIT_AT]  # a handle's row
-    first = int.from_bytes(keys[lo], "big")
+    first = _int(run[lo])
     if bit == depth:
         split = bit  # nothing above the branch's own bit to disagree on
     else:
-        x = int.from_bytes(_leftmost(node), "big")
+        x = _int(_leftmost(node))
         # the sorted keys' common prefix with the subtree is shortest at an end
-        split = KEY_BITS - ((first ^ x) | (int.from_bytes(keys[hi - 1], "big") ^ x)).bit_length()
+        split = KEY_BITS - ((first ^ x) | (_int(run[hi - 1]) ^ x)).bit_length()
     if split >= REGION_BIT and bit >= REGION_BIT:
         # the subtree and the keys share their first byte: one region holds them
-        return _rewrite(node, node_digest, keys, lo, hi, leaf)
+        return _rewrite(node, node_digest, run, lo, hi, leaf)
     sha256 = hashing.hashlib.sha256
     if split >= bit:
         # a tuple branch, as every branch above REGION_BIT is
-        mid = bisect_left(keys, _first_set(first, bit), lo, hi)
+        mid = bisect_left(run, _first_set(first, bit), lo, hi)
         kids = [node[0], node[1]]
         del node
-        left, left_digest = _merge(kids.pop(0), body[_LEFT_AT:_RIGHT_AT], keys, lo, mid, bit + 1, leaf)
-        right, right_digest = _merge(kids.pop(), body[_RIGHT_AT:], keys, mid, hi, bit + 1, leaf)
+        left, left_digest = _merge(kids.pop(0), body[_LEFT_AT:_RIGHT_AT], run, lo, mid, bit + 1, leaf)
+        right, right_digest = _merge(kids.pop(), body[_RIGHT_AT:], run, mid, hi, bit + 1, leaf)
         body = BIT_PREFIX[bit] + left_digest + right_digest
         return (left, right, body), sha256(body).digest()
     # the new keys leave the subtree's common prefix at ``split``: a new
-    # branch there, with the whole subtree on one side and a run of new keys
-    # alone on the other
-    mid = bisect_left(keys, _first_set(first, split), lo, hi)
+    # branch there, with the whole subtree on one side and a run of new
+    # leaves alone on the other
+    mid = bisect_left(run, _first_set(first, split), lo, hi)
     kids = [node]
     del node
     if x & BIT_MASK[split]:
-        left, left_digest = _run(keys[lo:mid], leaf)
-        right, right_digest = _merge(kids.pop(), node_digest, keys, mid, hi, split + 1, leaf)
+        left, left_digest = _run(run[lo:mid], leaf)
+        right, right_digest = _merge(kids.pop(), node_digest, run, mid, hi, split + 1, leaf)
     else:
-        left, left_digest = _merge(kids.pop(), node_digest, keys, lo, mid, split + 1, leaf)
-        right, right_digest = _run(keys[mid:hi], leaf)
+        left, left_digest = _merge(kids.pop(), node_digest, run, lo, mid, split + 1, leaf)
+        right, right_digest = _run(run[mid:hi], leaf)
     body = BIT_PREFIX[split] + left_digest + right_digest
     return (left, right, body), sha256(body).digest()
 
 
-def insert_many(root: Node, root_digest: bytes, keys: list[bytes], leaf) -> tuple[Node, bytes]:
-    """``root`` (whose digest is ``root_digest``) with the sorted ``keys``
-    inserted, each new leaf's digest being ``leaf(key)``, and its digest;
-    raises AlreadyPresent on a key that is present already or listed twice.
+def insert_many(root: Node, root_digest: bytes, leaves: list[bytes], leaf) -> tuple[Node, bytes]:
+    """``root`` (whose digest is ``root_digest``) with the sorted new
+    ``leaves`` inserted, each new leaf's digest being ``leaf(new)``, and its
+    digest; raises AlreadyPresent on a key that is present already or
+    listed twice.
 
-    One pass down the trie, reading the keys as bytes (see the module
+    One pass down the trie, reading the leaves as bytes (see the module
     docstring): each tuple branch some key falls into is rebuilt over its
     merged children, each region two or more keys fall into is written
-    again as a new one, in one stack pass over its old and new keys, every
+    again as a new one, in one stack pass over its old and new leaves, every
     subtree no key falls into is kept as it is, and each range that meets a
     leaf or empty space is built in one stack pass, its branches at
     ``REGION_BIT`` or deeper written as region rows. Only the new nodes are
@@ -584,7 +687,7 @@ def insert_many(root: Node, root_digest: bytes, keys: list[bytes], leaf) -> tupl
     """
     held = [root]
     del root
-    return _merge(held.pop(), root_digest, keys, 0, len(keys), 0, leaf)
+    return _merge(held.pop(), root_digest, leaves, 0, len(leaves), 0, leaf)
 
 
 class Memory:
@@ -592,35 +695,34 @@ class Memory:
 
     ``root`` is the trie T, made of the nodes laid out in the module
     docstring, and ``value`` is its digest, the accumulator value: the one
-    digest no parent holds. ``elements`` is X, mapping each trie key to the
-    one element it holds; each key object is also the trie's leaf for it.
-    ``key_len`` is how an element is keyed (see ``hashing``): by its
-    first ``key_len`` bytes, or whole when None. A whole element's key is
-    its digest, which is all the trie and its witnesses read of it, so
-    under whole-element keys X maps each key to itself and keeps no
-    element. Per element
-    beyond the first, then, the trie keeps one branch, whose 66-byte body is
-    every digest the branch's own hash needs and every witness step past
-    it, so nothing else is kept per node. What a batch merge built keeps
-    each branch as a region row: its body, 8 bytes of child ids and a key
-    slot; a per-op path copy, as a 3-tuple over its body. The trie and the
-    map hold only tuples and bytes, so once the collector has seen a settled
-    trie it stops scanning it: a full collection then costs what the rest
-    of the heap costs, not what the accumulator's size does.
+    digest no parent holds. X lives in T's leaves: each leaf is its key
+    followed by the one element the key holds, read where a walk ends
+    (``find``, ``leaves_of``). ``key_len`` is how an element is keyed (see
+    ``hashing``): by its first ``key_len`` bytes, or whole when None. A
+    whole element's key is its digest, which is all the trie and its
+    witnesses read of it, so under whole-element keys a leaf is the bare
+    key and keeps no element. Per element beyond the first, then, the trie
+    keeps its leaf and one branch, whose 66-byte body is every digest the
+    branch's own hash needs and every witness step past it, so nothing else
+    is kept per node. What a batch merge built keeps each branch as a region
+    row: its body, 8 bytes of child ids and a leaf slot; a per-op path copy,
+    as a 3-tuple over its body. The trie holds only tuples and bytes, so
+    once the collector has seen a settled trie it stops scanning it: a full
+    collection then costs what the rest of the heap costs, not what the
+    accumulator's size does.
 
     Single writer: updates must be externally serialized. Concurrent
     read-only witness extraction against a quiescent memory is safe, and old
     roots remain valid because nodes are never mutated.
     """
 
-    __slots__ = ("root", "value", "elements", "epoch", "key_len")
+    __slots__ = ("root", "value", "epoch", "key_len")
 
     def __init__(self, key_len: int | None = None):
         self.key_len = key_len
         self.root: Node = EMPTY
         self.value = EMPTY_DIGEST
-        self.elements: dict[bytes, bytes] = {}
         self.epoch = 0
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return sum(1 for _leaf in leaves_of(self.root))

@@ -16,22 +16,24 @@ epoch, all or none: if any batch is stale or does not reach the value the
 contract accepted, nothing is installed. Every batch is checked before the
 first is installed, and once checked, each is kept only until it lands.
 Each accumulator keeps only the history its fault policy can serve: a node
-that lags ``k`` epochs keeps its last ``k`` commits, each with the root
-before it and its changes, and serves the oldest of those roots with an
-element view that rolls all of those changes back. The lag is read from the
-policy when it is used, so a policy assigned to a live network takes effect
-at once. Honest storage keeps no history.
+that lags ``k`` epochs keeps the roots before its last ``k`` commits, each
+with its digest, and serves the oldest of them. An old root's leaves still
+hold the elements they held then (a leaf is its key followed by its element,
+see ``accumulator.tree``, and nodes never change), so the old root alone
+serves its lookups and witnesses. The lag is read from the policy when it
+is used, so a policy assigned to a live network takes effect at once.
+Honest storage keeps no history.
 
 A client builds one bundle at a time, so each accumulator keeps one chain
 tip: the simulated root of its latest ``build_update_witness``, the root's
 digest, which the build returned (a trie's nodes hold their children's
 digests, so a root that is a lone leaf or empty has its digest nowhere
 else), the chain's steps as a ``core.Changes`` batch of the memory, each
-step recorded with the key object the simulation made its leaf, the
-(op, element) steps themselves in build order, and the element each key of
-the root holds: the chain's adds, else the served view's. The batch checks
-every step against the memory as it is recorded, so a chain the memory
-refutes (one begun on a stale root) is refused at the build. A build
+step recorded with the leaf the simulation made, and the (op, element)
+steps themselves in build order. The root's own leaves hold what its keys
+hold, so a build reads nothing else. The batch checks every step against
+the memory as it is recorded, so a chain the memory refutes (one begun on a
+stale root) is refused at the build. A build
 without a base starts a new chain and replaces the tip; a build on the
 tip's digest continues it, taking the digest as the root's; any other base
 is refused.
@@ -60,17 +62,19 @@ chain tip is a path copy: tuples over the memory's nodes and rows, so a
 tip that never lands keeps its root valid, as rows never change.
 
 An accumulator is registered with its key length (``accumulator.hashing``),
-so a lookup of a prefix reads the one element the prefix's key holds; one
-keyed by whole elements has no lookup, and keeps each element's key only.
+so a lookup of a prefix walks the served root to the prefix's key and reads
+the one element its leaf holds; one keyed by whole elements has no lookup,
+and its leaves are their bare keys.
 """
 
 import random
 from collections import deque
-from collections.abc import Callable, Collection
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .accumulator import core
+from .accumulator import tree
 from .accumulator.hashing import element_digest
 from .accumulator.tree import Memory, Node
 from .errors import StorageError, Unavailable
@@ -132,16 +136,6 @@ class ServingStats:
 # element is the pair (old, new) of elements under one key
 Steps = list[tuple[str, bytes | tuple[bytes, bytes]]]
 
-# the element each key of some root holds, None for a key it does not hold (a
-# ``core`` builder's ``held``)
-Held = Callable[[bytes], bytes | None]
-
-
-def _chained(adds: dict[bytes, bytes], served: Held) -> Held:
-    """What a chain's keys hold: its ``adds``, as they grow, else what the root it began on held."""
-    return lambda key: adds[key] if key in adds else served(key)
-
-
 class _Tip(NamedTuple):
     """The latest ``build_update_witness`` chain of an accumulator: the next
     build may continue it, and a commit of its ``steps`` to its ``value``
@@ -149,16 +143,15 @@ class _Tip(NamedTuple):
 
     value: bytes  # the root's digest
     root: Node
-    changes: core.Changes  # the steps recorded, each added key being a new leaf of the root
+    changes: core.Changes  # the steps recorded, each added leaf being a new leaf of the root
     steps: Steps
-    held: Held  # the element each key of the root holds
 
 
 @dataclass
 class _Registered:
     memory: Memory
-    # (root before, value before, changes) of the commits a stale node lags
-    # behind, oldest first
+    # (root before, value before) of the commits a stale node lags behind,
+    # oldest first
     history: deque = field(default_factory=deque)
     tip: _Tip | None = None  # None after a commit
 
@@ -190,28 +183,32 @@ class StorageNetwork:
 
     # -- ledger view -------------------------------------------------------------
 
-    def elements(self, acc: str, prefix: bytes | None = None) -> Collection[bytes]:
-        """What ``acc`` holds now, read-only: all of it, or the element under a lookup ``prefix``, if any.
+    def elements(self, acc: str, prefix: bytes | None = None) -> Iterable[bytes]:
+        """What ``acc`` holds now: all of it, in key order, or the element under a lookup ``prefix``, if any.
 
         The ledger view for integrity checks, not the served view: no fault
-        applies and ``stats`` counts nothing. It yields the elements, or
-        under whole-element keys, which keep no element, their keys.
+        applies and ``stats`` counts nothing. It reads the memory's leaves
+        as it goes, so a whole-ledger scan holds no copy of the ledger, and
+        yields their elements, or under whole-element keys, which keep no
+        element, their keys.
         """
-        entry = self._entry(acc)
+        memory = self._entry(acc).memory
         if prefix is None:
-            return entry.memory.elements.values()
-        return self._under(entry, prefix, entry.memory.elements.get)
+            leaves = tree.leaves_of(memory.root)
+            return leaves if memory.key_len is None else map(tree.leaf_element, leaves)
+        return self._under(memory, memory.root, prefix)
 
     @staticmethod
-    def _under(entry: _Registered, prefix: bytes, held: Held) -> list[bytes]:
-        """What ``held`` maps a lookup ``prefix``'s key to, as a list of 0 or 1 elements."""
-        key_len = entry.memory.key_len
+    def _under(memory: Memory, root: Node, prefix: bytes) -> list[bytes]:
+        """The element the leaf of ``root`` at a lookup ``prefix``'s key
+        holds, as a list of 0 or 1 elements; ``root`` is one of ``memory``'s."""
+        key_len = memory.key_len
         if key_len is None:
             raise StorageError("the accumulator is keyed by whole elements and serves no lookup")
         if len(prefix) != key_len:
             raise StorageError(f"lookups require a {key_len}-byte prefix")
-        element = held(element_digest(prefix))
-        return [] if element is None else [element]
+        leaf = tree.find(root, element_digest(prefix))
+        return [] if leaf is None else [tree.leaf_element(leaf)]
 
     # -- fault layer ---------------------------------------------------------
 
@@ -238,24 +235,12 @@ class StorageNetwork:
         lag = self._lag()
         return list(entry.history)[-lag:] if lag else []
 
-    def _serving(self, entry: _Registered) -> tuple[Node, bytes, Held]:
-        """The root the node serves, its digest, and the element each of its keys holds."""
-        elements = entry.memory.elements
+    def _serving(self, entry: _Registered) -> tuple[Node, bytes]:
+        """The root the node serves and its digest: the memory's, or the
+        oldest root the lag reaches back to, whose leaves hold what they
+        held then."""
         behind = self._behind(entry)
-        if not behind:
-            return entry.memory.root, entry.memory.value, elements.get
-
-        def held(key: bytes) -> bytes | None:
-            # roll back the commits the served root predates, newest first
-            element = elements.get(key)
-            for _root, _digest, changes in reversed(behind):
-                if key in changes.dels:
-                    element = changes.dels[key]
-                elif key in changes.adds:
-                    element = None
-            return element
-
-        return behind[0][0], behind[0][1], held
+        return behind[0] if behind else (entry.memory.root, entry.memory.value)
 
     # -- serving API ---------------------------------------------------------
 
@@ -263,7 +248,7 @@ class StorageNetwork:
         """The accumulated element whose encoding starts with ``prefix``, as a list of it, or an empty list."""
         self._maybe_refuse()
         entry = self._entry(acc)
-        served = self._under(entry, prefix, self._serving(entry)[2])
+        served = self._under(entry.memory, self._serving(entry)[0], prefix)
         if self.policy.mode == CORRUPT_BITS:
             served = [self._serve_bytes(e) for e in served]
         self.stats.lookups += 1
@@ -274,8 +259,8 @@ class StorageNetwork:
         """Serialized (non)membership witness for ``element``."""
         self._maybe_refuse()
         entry = self._entry(acc)
-        root, _digest, held = self._serving(entry)
-        payload = self._serve_bytes(core.witness_for_root(root, element, entry.memory.key_len, held))
+        root, _digest = self._serving(entry)
+        payload = self._serve_bytes(core.witness_for_root(root, element, entry.memory.key_len))
         self.stats.witness_fetches += 1
         self.stats.witness_bytes += len(payload)
         return payload
@@ -299,18 +284,17 @@ class StorageNetwork:
         self._maybe_refuse()
         entry = self._entry(acc)
         if base is None:
-            root, digest, served = self._serving(entry)
+            root, digest = self._serving(entry)
             changes, steps = core.Changes(entry.memory), []
-            held = _chained(changes.adds, served)
         elif entry.tip is not None and base == entry.tip.value:
-            digest, root, changes, steps, held = entry.tip
+            digest, root, changes, steps = entry.tip
         else:
             raise StorageError("unknown base snapshot; rebuild from current")
-        # an add's or a replace's new leaf is ``key``
-        new_root, acc_after, witness, key = core.simulate_update(root, digest, op, element, entry.memory.key_len, held)
-        changes.record(op, element, key)
+        # an add's or a replace's new leaf is ``leaf``
+        new_root, acc_after, witness, leaf = core.simulate_update(root, digest, op, element, entry.memory.key_len)
+        changes.record(op, element, leaf)
         steps.append((op, element))
-        entry.tip = _Tip(acc_after, new_root, changes, steps, held)
+        entry.tip = _Tip(acc_after, new_root, changes, steps)
         payload = self._serve_bytes(witness)
         predicted = self._serve_bytes(acc_after)
         self.stats.update_builds += 1
@@ -383,7 +367,7 @@ class StorageNetwork:
         # and drops the chain tip before the walk, so the walk frees the nodes
         # it replaces as it goes
         lag = self._lag()
-        lagged = (memory.root, memory.value, changes) if lag else None
+        lagged = (memory.root, memory.value) if lag else None
         entry.tip = None
         acc_after = core.apply_update(memory, changes, built)
         history = entry.history

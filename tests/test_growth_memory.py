@@ -15,9 +15,11 @@ import pytest
 
 from acctoken.accumulator import belongs, element_digest, tree
 from acctoken.accumulator.hashing import EMPTY_DIGEST
+from acctoken.erc20.bundle import BALANCES, KEY_LEN
+from acctoken.erc20.elements import balance_element
 from acctoken.storage import FaultPolicy, StorageNetwork
 from storage_views import accumulator_value
-from trie_layout import nodes, trie_bytes, whole_leaf
+from trie_layout import leaves, nodes, trie_bytes, whole_leaf
 
 AID = "acc"
 N = 2**12
@@ -100,21 +102,40 @@ class TestGrowthCommitPeaksAtWhatItKeeps:
 class TestWholeElementCommitKeepsKeys:
     def test_the_memory_holds_no_element(self, traced):
         # the elements are made while tracing and dropped once committed:
-        # what stays is the trie, one key object per element (the leaf, filed
-        # under itself) and the element map's table. A memory that also
-        # held each 19-byte element would keep about 52 bytes more per key
-        network = StorageNetwork()
-        network.register(AID)
-        gc.collect()
-        before, _peak = tracemalloc.get_traced_memory()
-        steps = [("add", element) for element in elements(1, N)]
-        network.commit({AID: network.changes(AID, steps)})
-        del steps
-        gc.collect()  # a full collection also empties the free lists the merge filled
-        grown = tracemalloc.get_traced_memory()[0] - before
-        memory = network._entry(AID).memory
-        keys = sum(map(sys.getsizeof, memory.elements))
-        assert grown <= trie_bytes(memory.root) + keys + sys.getsizeof(memory.elements) + 8 * N
+        # what stays is the trie, its leaves the bare keys. A memory that
+        # also kept a map of its keys would hold about 36 bytes more per key
+        # in its table, and one that held each 19-byte element about 52 more
+        assert grown_by_adds(None, lambda: elements(1, N)) <= 8 * N
+
+
+def grown_by_adds(key_len, made) -> int:
+    """How far a fresh accumulator keyed by ``key_len`` grows the traced
+    heap when one commit adds the elements ``made()`` returns, which are
+    made while tracing and dropped once committed, beyond its trie's
+    branches and leaf objects."""
+    network = StorageNetwork()
+    network.register(AID, key_len)
+    gc.collect()
+    before, _peak = tracemalloc.get_traced_memory()
+    steps = [("add", element) for element in made()]
+    network.commit({AID: network.changes(AID, steps)})
+    del steps
+    gc.collect()  # a full collection also empties the free lists the merge filled
+    grown = tracemalloc.get_traced_memory()[0] - before
+    root = network._entry(AID).memory.root
+    return grown - trie_bytes(root) - sum(map(sys.getsizeof, leaves(root)))
+
+
+class TestPrefixKeyedCommitKeepsLeaves:
+    def test_the_memory_holds_each_element_once(self, traced):
+        # 2^12 balance tuples, keyed by their owner: each leaf is the key
+        # followed by the tuple, and nothing else is kept per tuple. A memory
+        # whose leaves were bare keys and that kept each tuple in a map from
+        # its key holds about 120 bytes more per tuple than those leaves: the
+        # tuple object and the map's table
+        rng = random.Random(5)
+        made = lambda: [balance_element(rng.randbytes(20), 1 + rng.randrange(10**9)) for _ in range(N)]
+        assert grown_by_adds(KEY_LEN[BALANCES], made) <= 8 * N
 
 
 class TestLaggingNodeAfterAFreeingMerge:

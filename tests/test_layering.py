@@ -421,7 +421,6 @@ SHARED = {
     "bootstrap": {"BaselineToken", "TokenSystem"},
     "changes": {"StorageNetwork"},
     "check_conservation": {"BaselineToken", "TokenSystem"},
-    "elements": {"StorageNetwork"},
     "prior": {"Announced", "_Lookups"},
     "sload": {"TxTrace", "_Untraced"},
     "spend": {"Announced", "_Lookups"},

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from acctoken.accumulator import BOTTOM, belongs, check_update, core, element_digest, tree
 from acctoken.accumulator.witness import encoded_length
-from acctoken.erc20 import TokenSystem
-from acctoken.erc20.bundle import BALANCES, KEY_LEN
-from acctoken.erc20.elements import balance_element
+from acctoken.baseline import BaselineToken
+from acctoken.bench.workload import make_address
+from acctoken.erc20 import TokenSystem, plan
+from acctoken.erc20.bundle import ALLOWED_BALANCES, BALANCES, KEY_LEN
+from acctoken.erc20.elements import balance_element, decode_allowance_element, decode_balance_element
 from acctoken.errors import AlreadyPresent, NotPresent, StaleAccumulator, StorageError, Unavailable
 from acctoken.storage import FaultPolicy, StorageNetwork
 from reference_verify import canonical_digest, decode_witness, keyed
 from storage_views import accumulator_epoch, accumulator_value
-from trie_layout import children, node_digest, read_out
+from trie_layout import elements_of, has_regions, leaves, node_digest, nodes, read_out
 
 AID = BALANCES
 OWNER = b"\x0a" * 20
@@ -29,7 +31,7 @@ def ledger(entry):
     """What a refused commit must leave as it was: root, elements, epoch, history and tip."""
     memory, tip = entry.memory, entry.tip
     tip = tip and (tip.value, tip.root, dict(tip.changes.adds), dict(tip.changes.dels), list(tip.steps))
-    return memory.root, dict(memory.elements), memory.epoch, list(entry.history), tip
+    return memory.root, elements_of(memory.root), memory.epoch, list(entry.history), tip
 
 
 def keys(*elements):
@@ -231,35 +233,32 @@ class TestCommit:
         assert network.commit({AID: [("del", b"aa-1"), ("add", b"ac-3")]}, {AID: end}) == {AID: end}
         memory = network._entry(AID).memory
         assert memory.root is tip.root and network._entry(AID).tip is None
-        (key,) = tip.changes.adds
-        assert next(k for k in memory.elements if k == key) is key
+        ((key, leaf),) = tip.changes.adds.items()
+        assert tree.find(memory.root, key) is leaf is key  # keyed whole, the leaf is the bare key
         assert sorted(network.elements(AID)) == keys(b"ab-2", b"ac-3")
         walked = fresh_network(elements=[b"aa-1", b"ab-2"])
         walked.commit({AID: walked.changes(AID, [("del", b"aa-1"), ("add", b"ac-3")])})
         assert read_out(memory.root) == read_out(walked._entry(AID).memory.root)
 
     def test_adopted_leaves_are_the_element_keys(self):
-        # every leaf of the adopted root is the very key object that keys its
-        # element, the chain's new leaves and the ones kept from before alike
+        # every leaf of the adopted root is its element's bare key, the
+        # chain's new leaves (the very objects its simulation made) and the
+        # ones kept from before alike
         network = fresh_network(elements=[b"aa-%d" % i for i in range(40)])
         chain = [("del", b"aa-%d" % i) for i in range(0, 40, 3)] + [("add", b"ab-%d" % i) for i in range(30)]
         end = None
         for op, element in chain:
             end, _ = network.build_update_witness(AID, op, element, base=end)
-        tip_root = network._entry(AID).tip.root
+        tip = network._entry(AID).tip
         network.commit({AID: chain}, {AID: end})
         memory = network._entry(AID).memory
-        assert memory.root is tip_root
-        keys = {key: key for key in memory.elements}
-        stack, leaves = [memory.root], []
-        while stack:
-            node = stack.pop()
-            if tree.leaf_key(node) is not None:
-                leaves.append(node)
-            else:
-                stack += children(node)
-        assert len(leaves) == len(keys) == 40 - 14 + 30
-        assert all(keys[leaf] is leaf for leaf in leaves)
+        assert memory.root is tip.root
+        present = [b"aa-%d" % i for i in range(40) if i % 3] + [b"ab-%d" % i for i in range(30)]
+        found = leaves(memory.root)
+        assert len(found) == len(present) == 40 - 14 + 30
+        assert sorted(found) == keys(*present)
+        assert len(tip.changes.adds) == 30
+        assert all(tree.find(memory.root, key) is leaf is key for key, leaf in tip.changes.adds.items())
 
     @pytest.mark.parametrize("told", [False, True], ids=["none", "other"])
     def test_walks_past_a_tip_of_another_value(self, told):
@@ -285,7 +284,7 @@ class TestCommit:
         served, served_value = entry.memory.root, entry.memory.value
         commit(network, "del", b"aa-1")
         commit(network, "add", b"aa-1")
-        root, digest, _held = network._serving(entry)
+        root, digest = network._serving(entry)
         assert root is served is not entry.memory.root and digest is served_value
         end, _ = network.build_update_witness(AID, "add", b"ac-3")
         tip_root = entry.tip.root
@@ -450,7 +449,7 @@ class TestRootDigests:
         balances = system.network._entry(BALANCES).memory
         assert tree.leaf_key(balances.root) is not None  # one balance tuple: a lone leaf
         deployed, key_len = [balance_element(OWNER, 1000)], KEY_LEN[BALANCES]
-        assert balances.value == node_digest(balances.root, keyed(deployed, key_len)) == self.want(deployed, key_len)
+        assert balances.value == node_digest(balances.root) == self.want(deployed, key_len)
         assert system.state.balances_acc == balances.value
 
 
@@ -519,7 +518,7 @@ class TestCommitAllOrNone:
         for name, entry in entries.items():
             other = walked._entry(name)
             assert read_out(entry.memory.root) == read_out(other.memory.root) and entry.memory.epoch == other.memory.epoch
-            assert entry.memory.elements == other.memory.elements
+            assert elements_of(entry.memory.root) == elements_of(other.memory.root)
             # a batch that changes nothing installs nothing and leaves its tip
             # (whose root may then be the memory's own)
             adopted = name in changing and tips[name] is not None and entry.memory.root is tips[name].root
@@ -696,6 +695,100 @@ class TestStale:
         network = fresh_network(FaultPolicy.stale(0), [b"aa-1"])
         acc = accumulator_value(network, AID)
         assert belongs(acc, b"aa-1", network.fetch_witness(AID, b"aa-1")) == 1
+
+
+class TestLeavesAreTheLedger:
+    """The trie is the whole memory: the elements its leaves hold, read from
+    the trie alone, are what the accumulator holds, whichever way each leaf
+    came in, and an old root a lagging node keeps serves what it held."""
+
+    @staticmethod
+    def assert_ledger(network, acc, expected):
+        root = network._entry(acc).memory.root
+        assert sorted(elements_of(root).values()) == sorted(expected)
+        assert sorted(network.elements(acc)) == sorted(expected)
+
+    def test_growth_regions_and_verified_path_copies(self):
+        accounts = [make_address(i) for i in range(402)]
+        system, oracle = TokenSystem(accounts[0], 10**9), BaselineToken.deploy(accounts[0], 10**9)
+
+        def assert_tokens_agree():
+            for acc, decode, mapping in (
+                (BALANCES, decode_balance_element, oracle.balances),
+                (ALLOWED_BALANCES, decode_allowance_element, oracle.allowed),
+            ):
+                held = map(decode, elements_of(system.network._entry(acc).memory.root).values())
+                nonzero = {tuple(row[:-1]) if len(row) > 2 else row[0]: row[-1] for row in held if row[-1]}
+                assert nonzero == {key: value for key, value in mapping.items() if value}
+
+        growth = plan.grow(accounts[0], 10**9, accounts[1:401], accounts[2:402], 1000, 50)
+        system.bootstrap([growth])
+        oracle.bootstrap([growth])
+        assert all(has_regions(system.network._entry(acc).memory.root) for acc in (BALANCES, ALLOWED_BALANCES))
+        assert_tokens_agree()
+        # verified ops: each commit adopts a chain tip, a path copy over the regions
+        for i in range(1, 40):
+            for token in (system, oracle):
+                token.transfer(accounts[i], accounts[i + 7], 3 * i)
+                token.approve(accounts[i], accounts[i + 1], i)
+                token.transfer_from(accounts[i + 1], accounts[i], accounts[i + 2], i)
+        assert any(
+            node.__class__ is tuple and len(node) == 3 and node[2][1] >= tree.REGION_BIT
+            for node in nodes(system.network._entry(BALANCES).memory.root)
+        )
+        assert_tokens_agree()
+        system.check_conservation()
+
+    def test_adopted_and_walked_chains(self):
+        network = fresh_network(key_len=2)
+        model = {}
+        network.commit({AID: network.changes(AID, steps_to(model, UNIVERSE))})
+        self.assert_ledger(network, AID, model.values())
+        # an adopted chain tip
+        steps = steps_to(model, UNIVERSE[::2])
+        end = None
+        for op, element in steps:
+            end, _ = network.build_update_witness(AID, op, element, base=end)
+        tip = network._entry(AID).tip
+        assert network.commit({AID: steps}, {AID: end}) == {AID: end}
+        assert network._entry(AID).memory.root is tip.root
+        self.assert_ledger(network, AID, model.values())
+        # a superseded chain's steps, walked and checked against its value
+        steps = steps_to(model, UNIVERSE[1::3])
+        end = None
+        for op, element in steps:
+            end, _ = network.build_update_witness(AID, op, element, base=end)
+        network.build_update_witness(AID, "add", b"zz-9")
+        tip = network._entry(AID).tip
+        assert network.commit({AID: steps}, {AID: end}) == {AID: end}
+        assert network._entry(AID).memory.root is not tip.root
+        self.assert_ledger(network, AID, model.values())
+
+    def test_a_lagging_node_serves_its_old_roots_leaves(self):
+        # two growth commits land on a node that lags two epochs: it keeps
+        # the two roots before them, each with its digest and nothing else,
+        # and the older one's leaves still hold what they held
+        network = fresh_network(FaultPolicy.stale(2), key_len=2)
+        first = [b"%c%c-1" % (a, b) for a in b"abcd" for b in b"abcdefgh"]
+        network.commit({AID: network.changes(AID, [("add", element) for element in first])})
+        served = accumulator_value(network, AID)
+        replaced = [(element, element[:3] + b"2") for element in first[::2]]
+        network.commit({AID: network.changes(AID, [("replace", pair) for pair in replaced])})
+        network.commit({AID: network.changes(AID, [("add", b"zz-3"), ("del", first[1])])})
+        history = network._entry(AID).history
+        assert len(history) == 2 and all(entry.__class__ is tuple and len(entry) == 2 for entry in history)
+        assert history[0][1] == served and node_digest(history[0][0]) == served
+        assert sorted(elements_of(history[0][0]).values()) == sorted(first)
+        for element in first:
+            assert network.lookup(AID, element[:2]) == [element]
+            assert belongs(served, element, network.fetch_witness(AID, element), key_len=2) == 1
+        for old, new in replaced:
+            assert belongs(served, new, network.fetch_witness(AID, new), key_len=2) is BOTTOM
+        assert network.lookup(AID, b"zz") == []
+        assert belongs(served, b"zz-3", network.fetch_witness(AID, b"zz-3"), key_len=2) == 0
+        # the ledger view reads the current root
+        now = [new for _old, new in replaced] + [e for e in first[1::2] if e != first[1]] + [b"zz-3"]
+        self.assert_ledger(network, AID, now)
 
 
 class TestUnavailable:

@@ -70,7 +70,7 @@ from acctoken.storage import FaultPolicy, StorageNetwork
 import reference_verify
 from hash_recorder import RecordingHashlib
 from storage_views import accumulator_epoch, accumulator_value
-from trie_layout import read_out
+from trie_layout import elements_of, read_out
 
 A = bytes.fromhex("aa" * 20)
 B = bytes.fromhex("bb" * 20)
@@ -987,7 +987,6 @@ def spy_commits(system):
 
     def checked(batches, accepted=None):
         tips = {acc: network._entry(acc).tip for acc in batches}
-        held = {acc: set(network._entry(acc).memory.elements) for acc in batches}
         epochs = {acc: accumulator_epoch(network, acc) for acc in batches}
         twin, twin_batches = copy.deepcopy((network, batches))
         values = commit(batches, accepted)
@@ -997,17 +996,15 @@ def spy_commits(system):
             root = entry.memory.root
             assert read_out(root) == read_out(walked.memory.root)
             # the walk built its own branches; a lone-leaf root is the
-            # batch's own key object in both
-            assert root is not walked.memory.root or root is tree.leaf_key(walked.memory.root)
-            assert entry.memory.elements == walked.memory.elements
+            # batch's own leaf object in both
+            assert root is not walked.memory.root or tree.leaf_key(root) is not None
+            assert elements_of(root) == elements_of(walked.memory.root)
             if entry.memory.epoch == epochs[acc]:
                 continue  # nothing installed
             adopted = tips[acc] is not None and root is tips[acc].root
-            if adopted:  # the new elements are keyed by the very objects their leaves hold
-                keys = {key: key for key in entry.memory.elements}
-                for key in keys.keys() - held[acc]:
-                    _steps, leaf = tree.descend(root, key)
-                    assert keys[key] is tree.leaf_key(leaf)
+            if adopted:  # the new elements are held by the very leaves the chain's simulation made
+                for key, leaf in tips[acc].changes.adds.items():
+                    assert tree.find(root, key) is leaf
             seen.append((acc, adopted))
         return values
 

@@ -1,18 +1,30 @@
 """How the tests read a trie's layout (``acctoken.accumulator.tree``), in one place.
 
-A node is a leaf (its 32-byte key), EMPTY, a tuple branch ``(left, right,
+A node is a leaf (its 32-byte key followed by the element it holds, or the
+bare key under whole-element keys), EMPTY, a tuple branch ``(left, right,
 body)``, or a handle ``(region, row)`` naming a row of a region ``(kids,
 bodies, leaves)``: ``bodies`` holds the rows' 66-byte bodies end to end,
 ``kids`` each row's two child ids as native 32-bit ints, a row or ``~i`` for
-the ``i``-th key of ``leaves``. The reader gives a node's children (a row's
-as handles it makes, or keys), its body, its digest and the bytes it holds,
-and walks a trie's distinct nodes.
+the ``i``-th leaf of ``leaves``. The reader gives a leaf's key and element
+(``leaf_parts``, the one place a test reads a leaf), a node's children (a
+row's as handles it makes, or leaves), its body, its digest and the bytes
+it holds, walks a trie's distinct nodes, tells whether a trie reaches a
+region (``has_regions``), and reads a trie's leaves as the ledger they are
+(``elements_of``).
 """
 
 import sys
 
 from acctoken.accumulator import hashing
 from acctoken.accumulator.hashing import EMPTY_DIGEST, TAG_LEAF
+
+
+def leaf_parts(leaf: bytes) -> tuple[bytes, bytes | None]:
+    """A leaf's key, its first 32 bytes, and the element it holds after
+    them; None for a bare key, a whole-element key's leaf. (A leaf that held
+    an empty element under a prefix key would read as a bare key; no test's
+    trie holds one where a digest is read from it.)"""
+    return leaf[:32], leaf[32:] or None
 
 
 def is_branch(node) -> bool:
@@ -47,12 +59,14 @@ def whole_leaf(key: bytes) -> bytes:
     return hashing.hashlib.sha256(TAG_LEAF + key + key).digest()
 
 
-def node_digest(node, held: dict | None = None) -> bytes:
+def node_digest(node) -> bytes:
     """The digest a node's parent holds for it, recomputed from the node; a
-    leaf holds ``held[key]``, the digest of its element, or its key itself
-    (whole-element keys) without ``held``."""
+    leaf commits to its key and its element's digest, or a bare key to
+    itself twice."""
     if node.__class__ is bytes:
-        return hashing.hashlib.sha256(TAG_LEAF + node + (node if held is None else held[node])).digest()
+        key, element = leaf_parts(node)
+        held = key if element is None else hashing.hashlib.sha256(element).digest()
+        return hashing.hashlib.sha256(TAG_LEAF + key + held).digest()
     return hashing.hashlib.sha256(body(node)).digest() if node else EMPTY_DIGEST
 
 
@@ -76,11 +90,22 @@ def leaves(root) -> list:
     return [node for node in nodes(root) if node.__class__ is bytes]
 
 
+def has_regions(root) -> bool:
+    """Whether the trie under ``root`` reaches a region of rows, what a batch merge writes."""
+    return any(node.__class__ is tuple and len(node) == 2 for node in nodes(root))
+
+
+def elements_of(root) -> dict:
+    """What the trie under ``root`` holds: each leaf's key mapped to its
+    element, or to the key itself for a bare key (whole-element keys)."""
+    return {key: key if element is None else element for key, element in map(leaf_parts, leaves(root))}
+
+
 def leftmost(node) -> bytes:
-    """One key under ``node``: its leftmost."""
+    """One key under ``node``: its leftmost leaf's."""
     while node.__class__ is not bytes:
         node = children(node)[0]
-    return node
+    return leaf_parts(node)[0]
 
 
 def read_out(node):
@@ -96,8 +121,9 @@ def read_out(node):
 def held(*roots) -> list:
     """Every object the branches of the tries under ``roots`` hold, each
     once: tuple branches and their bodies, the handles a tuple branch or a
-    root holds, and each region with its parts (the keys are the elements'
-    keys, which the memory holds anyway)."""
+    root holds, and each region with its parts, its tuple of leaves among
+    them; not the leaves themselves, which the memory holds as its
+    elements."""
     found, stack = {}, list(roots)
     while stack:
         node = stack.pop()
