@@ -6,7 +6,8 @@ it too: the leaf is the key followed by the element (``_leaf``), so a
 builder reads what a key holds at the leaf its walk ends at, and a batch's
 checks ask the trie (``tree.find``, ``tree.holds_any``). Under whole-element
 keys the element is all its key says of it, so the leaf is the bare key and
-no element is kept.
+no element is kept. A batch keeps a run of new keys as its sorted leaves,
+which the merge reads as they are, with no second sort.
 
 A witness leaves this module as its wire bytes (see ``witness``): each
 builder walks the trie once and packs the walk's branch bits and sibling
@@ -18,14 +19,14 @@ imports this module or the tree, so verifiers can run without any memory.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from typing import Iterable
 
 from ..errors import AlreadyPresent, NotPresent, StaleAccumulator, UnsupportedParameter
 from . import hashing, tree
 from .hashing import DIGEST_BYTES, TAG_LEAF, element_digest
-from .tree import Memory, Node
+from .tree import Memory, Node, key_of
 from .witness import WitnessKind, pack
 
 SUPPORTED_BITS = DIGEST_BYTES * 8
@@ -163,24 +164,31 @@ class Changes:
     An add and a later delete of the same element cancel, and so do a
     delete and a later re-add of it; a delete and a later add of another
     element under its key are a replace, and both stay: the held element
-    and its successor. ``adds`` and ``dels`` map each key to a leaf (see
-    ``tree``): the new leaf an add puts there, and the trie's leaf a delete
-    takes out. A whole-element key is its own leaf, filed under itself. A
-    step recorded with the ``leaf`` a simulated add or replace made keeps
-    that object, so the added leaves can be the new trie's.
+    and its successor.
+
+    The added leaves (see ``tree``) are kept two ways. ``adds`` maps each
+    key a single step added to its new leaf, and ``runs`` holds each run of
+    adds whose keys were all new as one list of its leaves, sorted, with no
+    key object or dict slot per tuple; a later step finds a run's key by
+    ``bisect``, and a delete takes its leaf out of the run. ``dels`` maps
+    each deleted key to the trie's leaf it takes out. A whole-element key
+    is its own leaf, filed under itself. A step recorded with the ``leaf``
+    a simulated add or replace made keeps that object, so the added leaves
+    can be the new trie's.
 
     ``steps``, (op, element) pairs, are recorded a run at a time: each run
     of consecutive steps of one op goes to ``record_run``, which records it
     as ``record`` would, step by step.
     """
 
-    __slots__ = ("memory", "epoch", "adds", "dels")
+    __slots__ = ("memory", "epoch", "adds", "dels", "runs")
 
     def __init__(self, memory: Memory, steps=()):
         self.memory = memory
         self.epoch = memory.epoch
         self.adds: dict[bytes, bytes] = {}
         self.dels: dict[bytes, bytes] = {}
+        self.runs: list[list[bytes]] = []
         for op, run in groupby(steps, itemgetter(0)):
             self.record_run(op, map(itemgetter(1), run))
 
@@ -201,8 +209,14 @@ class Changes:
         if leaf is None:
             leaf = _leaf(element, key_len)
         key = leaf[:DIGEST_BYTES]
-        adds, dels = self.adds, self.dels
-        held = adds[key] if key in adds else None if key in dels else tree.find(self.memory.root, key)
+        adds, dels, run = self.adds, self.dels, None
+        if key in adds:
+            held = adds[key]
+        elif key in dels:
+            held = None
+        else:
+            run, at = self._run_at(key)
+            held = tree.find(self.memory.root, key) if run is None else run[at]
         if op == "add":
             if held is not None:
                 raise AlreadyPresent(f"key {key.hex()} already holds an element")
@@ -213,44 +227,71 @@ class Changes:
         elif op == "del":
             if held != leaf:
                 raise NotPresent(f"key {key.hex()} does not hold the element")
-            if adds.pop(key, None) is None:
+            if run is not None:
+                del run[at]
+            elif adds.pop(key, None) is None:
                 dels[key] = held
         else:
             raise ValueError(f"unknown update op {op!r}")
+
+    def _run_at(self, key: bytes):
+        """The run that holds a leaf at ``key`` and the leaf's index in it; (None, None) if none does."""
+        for run in self.runs:
+            at = _index(run, key)
+            if at is not None:
+                return run, at
+        return None, None
 
     def record_run(self, op: str, elements: Iterable):
         """Record a run of steps of one ``op``, as ``record`` would one at a time.
 
         The run's keys are hashed first, each once, and its leaves made, each
         handed to its step; an add or a delete reads its element from its
-        leaf, so a run of them lets go of its elements before it goes on. A
-        run of adds whose keys are all new (none named twice, none recorded
-        in this batch, as an add or a delete, and none held by the memory,
-        which one walk of its trie checks for all of them, in key order) nets
-        with nothing and is installed in one go; any other run is recorded
-        step by step.
+        leaf, so a run of them lets go of its elements as it goes. A run of
+        adds whose keys are all new (none named twice, none recorded in this
+        batch, as an add, a delete or in a run, and none held by the memory,
+        which one walk of its trie checks for all of them, in key order)
+        nets with nothing and is kept as one of ``runs``, sorted once; any
+        other run, and a lone add, is recorded step by step, in its order.
         """
-        steps = list(elements)
         key_len, sha256 = self.memory.key_len, hashing.hashlib.sha256
-        heads = (old for old, _new in steps) if op == "replace" else steps
-        keys = [sha256(head[:key_len]).digest() for head in heads]
-        if key_len is None:
-            leaves = keys
-        else:
-            news = (new for _old, new in steps) if op == "replace" else steps
-            leaves = list(map(bytes.__add__, keys, news))
-        if op != "replace":
-            steps = repeat(None)
-        adds = self.adds
-        if op == "add" and adds.keys().isdisjoint(keys) and self.dels.keys().isdisjoint(keys):
-            size = len(adds)
-            adds.update(zip(keys, leaves))
-            if len(adds) == size + len(keys) and not tree.holds_any(self.memory.root, keys):
+        if op == "add":
+            if key_len is None:
+                leaves = [sha256(element).digest() for element in elements]
+            else:
+                leaves = [sha256(element[:key_len]).digest() + element for element in elements]
+            run = sorted(leaves)
+            if len(run) > 1 and self._all_new(run):
+                self.runs.append(run)
                 return
-            for key in keys:  # a key named twice or held: take the run back, and record it step by step
-                adds.pop(key, None)
+            del run
+            steps = repeat(None)
+        else:
+            steps = list(elements)
+            heads = (old for old, _new in steps) if op == "replace" else steps
+            keys = [sha256(head[:key_len]).digest() for head in heads]
+            if key_len is None:
+                leaves = keys
+            else:
+                news = (new for _old, new in steps) if op == "replace" else steps
+                leaves = list(map(bytes.__add__, keys, news))
+            if op != "replace":
+                steps = repeat(None)
         for step, leaf in zip(steps, leaves):
             self.record(op, step, leaf)
+
+    def _all_new(self, run: list[bytes]) -> bool:
+        """Whether the sorted leaves ``run`` are at keys that are all new: no
+        two the same, none recorded in this batch and none the memory holds."""
+        if any(map(bytes.startswith, islice(run, 1, None), map(key_of, run))):
+            return False  # a key named twice: its leaves are neighbours
+        if any(_index(run, key) is not None for key in chain(self.adds, self.dels)):
+            return False
+        for other in self.runs:
+            small, large = sorted((run, other), key=len)
+            if any(_index(large, key) is not None for key in map(key_of, small)):
+                return False
+        return not tree.holds_any(self.memory.root, run)
 
     def check_current(self, memory: Memory):
         """Raise StaleAccumulator unless these changes were recorded against ``memory`` as it is now."""
@@ -258,7 +299,13 @@ class Changes:
             raise StaleAccumulator("changes were recorded against another memory state")
 
     def __len__(self) -> int:
-        return len(self.adds) + len(self.dels)
+        return len(self.adds) + len(self.dels) + sum(map(len, self.runs))
+
+
+def _index(run: list[bytes], key: bytes) -> int | None:
+    """The index of the leaf at ``key`` in the sorted leaves ``run``; None if none is there."""
+    at = bisect_left(run, key)
+    return at if at < len(run) and run[at].startswith(key) else None
 
 
 def updated_root(root: Node, digest: bytes, changes: Changes) -> tuple[Node, bytes]:
@@ -268,24 +315,42 @@ def updated_root(root: Node, digest: bytes, changes: Changes) -> tuple[Node, byt
     frees what it replaces as it goes (see ``tree.insert_many``)."""
     held = [root]
     del root
-    return _merged(held.pop(), digest, sorted(changes.adds.values()), changes.dels, changes.memory.key_len)
+    return _merged(held.pop(), digest, changes, False)
 
 
-def _merged(root: Node, digest: bytes, leaves: list[bytes], dels, key_len: int | None) -> tuple[Node, bytes]:
-    """``updated_root`` of a batch that adds the sorted ``leaves`` and
-    deletes the keys ``dels``: a deleted key that an added leaf holds is
-    a replace, and its path is rehashed over that leaf."""
-    leaf = _leaves(key_len)
+def _merged(root: Node, digest: bytes, changes: Changes, spend: bool) -> tuple[Node, bytes]:
+    """``updated_root`` of ``changes``: a deleted key that an added leaf
+    holds is a replace, and its path is rehashed over that leaf; the other
+    added leaves are merged in one pass. They are the runs and the sorted
+    single-step adds in key order, taken as they are when they are one run
+    (see ``_added``). With ``spend``, the batch lets go of its adds and runs
+    before the merge."""
+    adds, dels = changes.adds, changes.dels
+    leaf = _leaves(changes.memory.key_len)
     for key in dels:
-        at = bisect_left(leaves, key)
-        if at < len(leaves) and leaves[at].startswith(key):
-            new = leaves.pop(at)
-            root, digest = tree.replace(root, new, leaf(new))
-        else:
-            root, digest = tree.remove(root, key)
+        new = adds.get(key)
+        root, digest = tree.remove(root, key) if new is None else tree.replace(root, new, leaf(new))
+    leaves = _added(changes.runs, [new for key, new in adds.items() if key not in dels])
+    if spend:
+        adds.clear()
+        changes.runs.clear()
     held = [root]
     del root
     return tree.insert_many(held.pop(), digest, leaves, leaf)
+
+
+def _added(runs: list[list[bytes]], singles: list[bytes]) -> list[bytes]:
+    """The sorted leaves of ``runs`` and of ``singles`` in one sorted list:
+    a lone run as it is, otherwise the sorted singles and each run joined
+    and sorted, which Timsort does by merging the sorted pieces it finds."""
+    if not singles and len(runs) == 1:
+        return runs[0]
+    leaves = sorted(singles)
+    for run in runs:
+        leaves += run
+    if runs:
+        leaves.sort()
+    return leaves
 
 
 def _let_go(memory: Memory) -> Node:
@@ -304,8 +369,8 @@ def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes] | N
     go of its root first: when nothing else holds the old root (a lagging
     storage node's history, a chain tip), the merge frees each tuple branch
     and each region of rows it replaces as it goes (see ``tree``). The walk
-    spends the batch: ``changes`` lets go of its added keys before it, and
-    keeps only its deletes. ``built = (root,
+    spends the batch: ``changes`` lets go of its adds and runs before it,
+    and keeps only its deletes. ``built = (root,
     digest)`` skips the walk: ``root`` is already the trie of the memory with
     exactly these changes applied, and ``digest`` is its digest. The caller
     vouches for ``root``: the storage network passes its chain tip with the
@@ -316,11 +381,9 @@ def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes] | N
     # nothing below can fail: record() checked that every deleted key holds
     # its element, and that every added key is absent once the deletes are done
     if built is None:
-        # the batch is spent: the merge reads its added leaves, so it lets go
-        # of their keys first, and they go before the new trie grows
-        leaves = sorted(changes.adds.values())
-        changes.adds.clear()
-        built = _merged(_let_go(memory), memory.value, leaves, changes.dels, memory.key_len)
+        # the batch is spent: the merge copies its added leaves into the new
+        # trie, so the batch lets go of them first, and they go once merged
+        built = _merged(_let_go(memory), memory.value, changes, True)
     memory.epoch += 1
     memory.root, memory.value = built
     return memory.value

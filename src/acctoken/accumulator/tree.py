@@ -3,9 +3,10 @@
 A node's digest is held by its parent, and the root's by whoever holds the
 root (``Memory.value``, a storage chain tip):
 
-- a leaf is one ``bytes`` object: its 32-byte key followed by the element
-  the key holds, or under whole-element keys, whose element is all its
-  key says of it, the bare key;
+- a leaf is its 32-byte key followed by the element the key holds, or
+  under whole-element keys, whose element is all its key says of it, the
+  bare key: one ``bytes`` object, or where a region holds it, a stretch of
+  the region's ``data`` (below), read out as one slice;
 - a branch is ``(left, right, body)``, splitting at key bit ``bit`` (keys
   with that bit clear go left), where ``body`` is the branch's hash preimage
   ``TAG_INTERNAL || bit || left_digest || right_digest`` (66 bytes);
@@ -13,11 +14,12 @@ root (``Memory.value``, a storage chain tip):
   row)`` (below);
 - the empty trie is ``EMPTY = ()``.
 
-The kinds are told apart by class and length: a leaf is ``bytes`` (32 bytes
-or more), the rest are tuples of length 0, 2 and 3. A leaf's digest is
-``sha256(TAG_LEAF + key + element digest)`` (see ``hashing``) and a
-branch's is ``sha256(body)``; a builder returns each node it makes with its
-digest, so no digest is hashed twice or stored in the node it belongs to.
+The kinds are told apart by class and length: a leaf read out is
+``bytes`` (32 bytes or more), the rest are tuples of length 0, 2 and 3. A
+leaf's digest is ``sha256(TAG_LEAF + key + element digest)`` (see
+``hashing``) and a branch's is ``sha256(body)``; a builder returns each
+node it makes with its digest, so no digest is hashed twice or stored in
+the node it belongs to.
 The trie is the whole memory: a builder takes each new leaf's digest from
 its caller, by a ``leaf`` function of the leaf, and an old leaf's from its
 parent's body, and a reader takes an element from the leaf its walk ends
@@ -38,23 +40,32 @@ taken to the right is ``body[1:34]``, its bit and left digest; to the left
 it is the bit byte and ``body[34:]``.
 
 Regions. The batch merge (``insert_many``) writes every branch at bit
-``REGION_BIT`` or deeper as a row of a region, ``(kids, bodies, leaves)``:
-``bodies`` holds the rows' 66-byte bodies end to end, ``kids`` each row's
-left and right child id as native 32-bit ints (a row index, or ``~i`` for
-the ``i``-th leaf of ``leaves``), and ``leaves`` is the tuple of the
-region's leaves themselves. A region holds one maximal subtree whose
-branches are all at ``REGION_BIT`` or deeper, that is the keys that share
-their first byte, and its rows point only at its own rows and leaves. Rows
-are written in post-order, so each subtree's rows are a run of rows ending
-at its root, and its leaves a run of ``leaves``, in key order: when the
-subtree is rebuilt, its leaves are read as one slice and the digests of its
-nodes in one scan of its rows, each from its parent's body (the root's from
-the region's parent). A tuple branch reaches a region through a handle,
-``(region, row)``. A branch thus costs its 66 body bytes, 8 bytes of child
-ids and 8 of leaf slot, against 163 traced bytes as a 3-tuple and its body.
-The per-op path copies (``insert``, ``remove``, ``insert_at``,
-``remove_at``) stay tuples: ``descend`` reads a row it passes as a tuple
-branch over handles to its children, and the copies are built over those.
+``REGION_BIT`` or deeper as a row of a region, ``(kids, bodies, data,
+ends)``: ``bodies`` holds the rows' 66-byte bodies end to end, ``kids``
+each row's left and right child id as native 32-bit ints (a row index, or
+``~i`` for the region's ``i``-th leaf), ``data`` the region's leaves end to
+end, and ``ends`` each leaf's end offset in ``data`` as a native 32-bit
+unsigned int, so leaf ``i`` is ``data[ends[i - 1]:ends[i]]`` (from 0 for
+the first). Every region has this one layout, whatever its keys. A region
+holds one maximal subtree whose branches are all at ``REGION_BIT`` or
+deeper, that is the keys that share their first byte, and its rows point
+only at its own rows and leaves. Rows are written in post-order, so each
+subtree's rows are a run of rows ending at its root, and its leaves a run
+of the region's, in key order: when the subtree is rebuilt, its leaves are
+read out of one stretch of ``data`` and the digests of its nodes in one
+scan of its rows, each from its parent's body (the root's from the
+region's parent). A tuple branch reaches a region through a handle,
+``(region, row)``. A branch thus costs its 66 body bytes and 8 bytes of
+child ids, against 163 traced bytes as a 3-tuple and its body, and a leaf
+its own bytes and a 4-byte end, against a ``bytes`` object's 33-byte header,
+its rounding to pymalloc's 16-byte blocks and an 8-byte slot. Every reader
+(``descend``, ``find``, ``_branch``, ``_leftmost``, ``_leaf_runs``,
+``_holds_any``, ``_gather``) takes a leaf as one slice of ``data``, made
+when it is read, so a leaf read out of a region twice is two equal
+objects, never the same one. The per-op path copies (``insert``,
+``remove``, ``insert_at``, ``remove_at``) stay tuples: ``descend`` reads a
+row it passes as a tuple branch over handles to its children and its
+leaves read out, and the copies are built over those.
 A replace (``replace``, ``replace_at``) copies the path to a leaf and
 rehashes it over the new leaf, which holds another element.
 
@@ -64,10 +75,10 @@ never tracked by the cyclic garbage collector, and a tuple that holds only
 bytes, ints and untracked tuples can be dropped from its lists, so
 collections stop rescanning the whole trie, while an instance (a slotted one
 too) stays tracked for its whole life. That is why a region keeps its child
-ids as ``bytes`` and reads them through a ``memoryview``: an ``array`` or a
-``memoryview`` is tracked. CPython drops a tuple only when a collection
-examines it after its children, so a fresh trie leaves the collector over a
-few collections, bottom up.
+ids and its leaves' ends as ``bytes`` and reads them through a
+``memoryview``: an ``array`` or a ``memoryview`` is tracked. CPython drops
+a tuple only when a collection examines it after its children, so a fresh
+trie leaves the collector over a few collections, bottom up.
 
 Nodes and rows are immutable; updates copy the touched nodes and share
 everything else, so old roots stay valid for free. The compressed layout
@@ -117,17 +128,19 @@ tuple branch or a region's handle on its own takes the path-copying
 The merge frees the nodes it replaces as it goes, when it may: it drops each
 old tuple branch as soon as it has unpacked it and hands each child on as
 the only reference it holds, and drops each old region once it has written
-its new one. Given the only reference to the old root, the merge therefore
-holds at any moment only the old subtrees it has still to visit, at most
-one of them a region it is rewriting, beside the new nodes it has built. A
-caller that keeps the old root (a lagging storage node's history, a staging
-walk that must leave the memory as it is) keeps every old node alive, as
-before.
+its new one, which copies the leaves it keeps. The batch's leaves are
+copied into the regions that take them too, so they are the caller's to
+let go once the merge returns. Given the only reference to the old root,
+the merge therefore holds at any moment only the old subtrees it has still
+to visit, at most one of them a region it is rewriting, beside the new
+nodes it has built. A caller that keeps the old root (a lagging storage
+node's history, a staging walk that must leave the memory as it is) keeps
+every old node alive, as before.
 """
 
 from array import array
 from bisect import bisect_left
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 
 from ..errors import AlreadyPresent, NotPresent
@@ -176,7 +189,7 @@ def leaf_element(leaf: bytes) -> bytes:
 
 
 # a leaf's key, as ``leaf_key`` reads it, for ``map``
-_key_of = itemgetter(slice(DIGEST_BYTES))
+key_of = itemgetter(slice(DIGEST_BYTES))
 
 
 def _int(leaf: bytes) -> int:
@@ -184,14 +197,33 @@ def _int(leaf: bytes) -> int:
     return int.from_bytes(leaf[:DIGEST_BYTES], "big")
 
 
+def _leaf_at(region: tuple, i: int) -> bytes:
+    """Leaf ``i`` of ``region``, one slice of its ``data``."""
+    ends = memoryview(region[3]).cast("I")
+    return region[2][ends[i - 1] if i else 0 : ends[i]]
+
+
+def _bounds(region: tuple, first: int, last: int) -> list[int]:
+    """Where leaves ``first`` to ``last`` of ``region`` lie in its ``data``:
+    the start of the first, then the end of each."""
+    ends = memoryview(region[3]).cast("I")
+    return ends[first - 1 : last + 1].tolist() if first else [0, *ends[: last + 1]]
+
+
+def _slices(region: tuple, first: int, last: int, skip: int = 0) -> list[bytes]:
+    """Leaves ``first`` to ``last`` of ``region``, each from its byte ``skip`` on, one slice of its ``data`` each."""
+    bounds = _bounds(region, first, last)
+    starts = map(skip.__add__, bounds) if skip else bounds
+    return list(map(region[2].__getitem__, map(slice, starts, bounds[1:])))
+
+
 def _branch(region: tuple, kids: memoryview, row: int) -> tuple:
     """Row ``row`` of ``region`` (whose child ids ``kids`` reads) as a tuple
     branch over its children: handles to its child rows, or its leaves."""
-    leaves = region[2]
     left, right = kids[2 * row], kids[2 * row + 1]
     return (
-        (region, left) if left >= 0 else leaves[~left],
-        (region, right) if right >= 0 else leaves[~right],
+        (region, left) if left >= 0 else _leaf_at(region, ~left),
+        (region, right) if right >= 0 else _leaf_at(region, ~right),
         region[1][row * _BODY : (row + 1) * _BODY],
     )
 
@@ -239,7 +271,7 @@ def descend(root: Node, key: bytes, path: list | None = None):
             if path is not None:
                 path.append((_branch(region, kids, row), direction))
             row = kids[2 * row + direction]
-        node = region[2][~row]
+        node = _leaf_at(region, ~row)
     return steps, node
 
 
@@ -256,59 +288,61 @@ def find(root: Node, key: bytes) -> bytes | None:
         bodies = region[1]
         while row >= 0:
             row = kids[2 * row + (1 if k & BIT_MASK[bodies[row * _BODY + _BIT_AT]] else 0)]
-        node = region[2][~row]
+        node = _leaf_at(region, ~row)
     return node if node[:DIGEST_BYTES] == key else None
 
 
-def leaves_of(node: Node):
-    """The leaves under ``node``, in key order: the ledger a trie is."""
-    return chain.from_iterable(_leaf_runs(node))
+def leaves_of(node: Node, skip: int = 0):
+    """The leaves under ``node``, in key order, the ledger a trie is, each
+    from its byte ``skip`` on: whole, or past ``DIGEST_BYTES`` the elements
+    they hold, each read from its region's data as one slice, with no leaf
+    made first."""
+    return chain.from_iterable(_leaf_runs(node, skip))
 
 
-def _leaf_runs(node: Node):
-    """The leaves under ``node`` as runs in key order: a lone leaf, or the
-    leaves of a region's subtree, one slice of its leaves."""
+def _leaf_runs(node: Node, skip: int = 0):
+    """``leaves_of`` as runs in key order: a lone leaf, or the leaves of a
+    region's subtree, sliced from its data."""
     stack = [node]
     while stack:
         node = stack.pop()
         if node.__class__ is bytes:
-            yield (node,)
+            yield (node[skip:],)
         elif len(node) == 3:
             stack += node[1], node[0]
         elif node:
             region, ref = node
             first, last = _span(memoryview(region[0]).cast("i"), ref)
-            yield region[2][first : last + 1]
+            yield _slices(region, first, last, skip)
 
 
-def holds_any(root: Node, keys) -> bool:
-    """Whether ``root`` holds a leaf at any of ``keys``.
+def holds_any(root: Node, leaves: list[bytes]) -> bool:
+    """Whether ``root`` holds a leaf at the key of any of ``leaves``, which
+    are sorted (bare keys, or leaves, which sort as their keys do).
 
-    One walk for all the keys, sorted, not one per key: at a tuple branch
-    the keys are split with ``bisect`` at the smallest key of its subtree's
-    prefix with its bit set, and each subtree of region rows the walk
-    reaches is one run of leaves, whose keys, as a set, are checked against
-    the subtree's keys in one go.
+    One walk for all of them, not one per key: at a tuple branch the leaves
+    are split with ``bisect`` at the smallest key of its subtree's prefix
+    with its bit set, and each subtree of region rows the walk reaches is
+    one run of leaves, whose keys, as a set, are checked against the
+    subtree's keys in one go.
     """
-    if not root:
-        return False
-    keys = sorted(keys)
-    return _holds_any(root, keys, 0, len(keys))
+    return bool(root) and _holds_any(root, leaves, 0, len(leaves))
 
 
-def _holds_any(node: Node, keys: list[bytes], lo: int, hi: int) -> bool:
+def _holds_any(node: Node, leaves: list[bytes], lo: int, hi: int) -> bool:
     if lo == hi or not node:
         return False
     if node.__class__ is bytes:
         key = node[:DIGEST_BYTES]
-        at = bisect_left(keys, key, lo, hi)
-        return at < hi and keys[at] == key
+        at = bisect_left(leaves, key, lo, hi)
+        return at < hi and leaves[at].startswith(key)
     if len(node) == 2:
         region, ref = node
-        first, last = _span(memoryview(region[0]).cast("i"), ref)
-        return not set(map(_key_of, region[2][first : last + 1])).isdisjoint(keys[lo:hi])
-    mid = bisect_left(keys, _first_set(_int(_leftmost(node)), node[2][_BIT_AT]), lo, hi)
-    return _holds_any(node[0], keys, lo, mid) or _holds_any(node[1], keys, mid, hi)
+        bounds = _bounds(region, *_span(memoryview(region[0]).cast("i"), ref))
+        held = set(map(region[2].__getitem__, map(slice, bounds, map(DIGEST_BYTES.__add__, bounds[:-1]))))
+        return not held.isdisjoint(map(key_of, leaves[lo:hi]))
+    mid = bisect_left(leaves, _first_set(_int(_leftmost(node)), node[2][_BIT_AT]), lo, hi)
+    return _holds_any(node[0], leaves, lo, mid) or _holds_any(node[1], leaves, mid, hi)
 
 
 def _rebuild(path, node: Node, node_digest: bytes) -> tuple[Node, bytes]:
@@ -404,11 +438,12 @@ def _duplicate(leaf: bytes):
 def _rows(run: list[bytes], lo: int, hi: int, kids: array, bodies: bytearray, leaves: list, leaf, known: dict | None = None):
     """Write the trie of the sorted leaves ``run[lo:hi]``, whose keys share
     their first byte, as rows of the region being built in ``kids``,
-    ``bodies`` and ``leaves``; returns its root's id (a row, or ``~i`` for a
-    lone leaf, the ``i``-th of ``leaves``) and digest. A leaf's digest is
-    ``leaf(leaf)`` (``_digests`` gives old leaves theirs); ``known``, given,
-    maps the bodies of old rows to their digests, and a row written again as
-    it was takes its digest from there instead of being hashed.
+    ``bodies`` and ``leaves`` (``_region`` packs them); returns its root's id
+    (a row, or ``~i`` for a lone leaf, the ``i``-th of ``leaves``) and
+    digest. A leaf's digest is ``leaf(leaf)`` (``_digests`` gives old leaves
+    theirs); ``known``, given, maps the bodies of old rows to their digests,
+    and a row written again as it was takes its digest from there instead of
+    being hashed.
 
     One stack pass: the trie of a sorted run is the Cartesian tree of the
     split bits of adjacent keys, the smallest bit at the root. ``bits``,
@@ -470,8 +505,11 @@ def _digests(old: dict, new: list[bytes], leaf):
 
 
 def _region(kids: array, bodies: bytearray, leaves: list, root: int) -> tuple:
-    """The handle of the finished region built in ``kids``, ``bodies`` and ``leaves``, at row ``root``."""
-    return (kids.tobytes(), bytes(bodies), tuple(leaves)), root
+    """The handle of the finished region built in ``kids``, ``bodies`` and
+    ``leaves``, at row ``root``: its leaves are packed into its ``data``,
+    their ends into ``ends``."""
+    ends = array("I", accumulate(map(len, leaves)))
+    return (kids.tobytes(), bytes(bodies), b"".join(leaves), ends.tobytes()), root
 
 
 def _span(kids: memoryview, ref: int) -> tuple[int, int]:
@@ -498,8 +536,9 @@ def _gather(node: Node, node_digest: bytes, run: list[bytes], known: dict):
         region, ref = node
         kids = memoryview(region[0]).cast("i")
         first, last = _span(kids, ref)
-        run += region[2][first : last + 1]
-        known.update(_known(region, kids, ref, node_digest, ref - (last - first) + 1))
+        leaves = _slices(region, first, last)
+        run += leaves
+        _known(region, kids, ref, node_digest, leaves, first, known)
     else:
         left, right, body = node
         known[body] = node_digest
@@ -518,8 +557,8 @@ def _rewrite(node: tuple, node_digest: bytes, run: list[bytes], lo: int, hi: int
     takes the digest ``_gather`` read for it, so only the rows some new key
     falls under are hashed. It reads every old leaf however few the new ones
     are, so its work grows with the region's size, not with the batch
-    (module docstring). The new region refers to nothing in the old one but
-    the leaves, so the old one goes when the caller drops ``node``.
+    (module docstring). The new region copies what it keeps of the old one,
+    so the old one goes when the caller drops ``node``.
     """
     merged, known = [], {}
     _gather(node, node_digest, merged, known)
@@ -531,17 +570,19 @@ def _rewrite(node: tuple, node_digest: bytes, run: list[bytes], lo: int, hi: int
     return _region(kids, bodies, leaves, root), root_digest
 
 
-def _known(region: tuple, kids: memoryview, ref: int, ref_digest: bytes, start: int) -> dict:
-    """The digest of every node of ``region``'s subtree at row ``ref`` (whose
-    child ids ``kids`` reads), whose digest is ``ref_digest`` and whose rows
-    start at ``start``: each leaf's by the leaf and each row's by its body,
-    as its parent's body holds it, and the root row's, ``ref_digest``."""
-    bodies, leaves = region[1], region[2]
+def _known(region: tuple, kids: memoryview, ref: int, ref_digest: bytes, leaves: list[bytes], first: int, known: dict):
+    """Map in ``known`` the digest of every node of ``region``'s subtree at
+    row ``ref`` (whose child ids ``kids`` reads), whose digest is
+    ``ref_digest`` and whose leaves, read out, are ``leaves``, the region's
+    from its ``first`` on: each leaf's by the leaf and each row's by its
+    body, as its parent's body holds it, and the root row's, ``ref_digest``.
+    The subtree's rows, one fewer than its leaves, end at ``ref``."""
+    bodies = region[1]
+    start = ref + 2 - len(leaves)
     slots = [bodies[at : at + DIGEST_BYTES] for row in range(start * _BODY, (ref + 1) * _BODY, _BODY) for at in (row + _LEFT_AT, row + _RIGHT_AT)]
-    nodes = [leaves[~kid] if kid < 0 else bodies[kid * _BODY : (kid + 1) * _BODY] for kid in kids[2 * start : 2 * ref + 2]]
-    known = dict(zip(nodes, slots))
+    nodes = [leaves[~kid - first] if kid < 0 else bodies[kid * _BODY : (kid + 1) * _BODY] for kid in kids[2 * start : 2 * ref + 2]]
+    known.update(zip(nodes, slots))
     known[bodies[ref * _BODY : (ref + 1) * _BODY]] = ref_digest
-    return known
 
 
 def _run(run: list[bytes], leaf):
@@ -600,7 +641,7 @@ def _leftmost(node: tuple) -> bytes:
         kids = memoryview(region[0]).cast("i")
         while row >= 0:
             row = kids[2 * row]
-        return region[2][~row]
+        return _leaf_at(region, ~row)
     return node
 
 
@@ -705,11 +746,12 @@ class Memory:
     keeps its leaf and one branch, whose 66-byte body is every digest the
     branch's own hash needs and every witness step past it, so nothing else
     is kept per node. What a batch merge built keeps each branch as a region
-    row: its body, 8 bytes of child ids and a leaf slot; a per-op path copy,
-    as a 3-tuple over its body. The trie holds only tuples and bytes, so
-    once the collector has seen a settled trie it stops scanning it: a full
-    collection then costs what the rest of the heap costs, not what the
-    accumulator's size does.
+    row, its body and 8 bytes of child ids, and each leaf packed in its
+    region's data with a 4-byte end; a per-op path copy, as a 3-tuple over
+    its body and a leaf object of its own. The trie holds only tuples and
+    bytes, so once the collector has seen a settled trie it stops scanning
+    it: a full collection then costs what the rest of the heap costs, not
+    what the accumulator's size does.
 
     Single writer: updates must be externally serialized. Concurrent
     read-only witness extraction against a quiescent memory is safe, and old
@@ -725,4 +767,4 @@ class Memory:
         self.epoch = 0
 
     def __len__(self) -> int:
-        return sum(1 for _leaf in leaves_of(self.root))
+        return sum(map(len, _leaf_runs(self.root)))

@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 from .accumulator import core
 from .accumulator import tree
-from .accumulator.hashing import element_digest
+from .accumulator.hashing import DIGEST_BYTES, element_digest
 from .accumulator.tree import Memory, Node
 from .errors import StorageError, Unavailable
 
@@ -189,13 +189,13 @@ class StorageNetwork:
         The ledger view for integrity checks, not the served view: no fault
         applies and ``stats`` counts nothing. It reads the memory's leaves
         as it goes, so a whole-ledger scan holds no copy of the ledger, and
-        yields their elements, or under whole-element keys, which keep no
-        element, their keys.
+        yields their elements, each one slice of its region's data with no
+        leaf made first, or under whole-element keys, which keep no element,
+        their keys.
         """
         memory = self._entry(acc).memory
         if prefix is None:
-            leaves = tree.leaves_of(memory.root)
-            return leaves if memory.key_len is None else map(tree.leaf_element, leaves)
+            return tree.leaves_of(memory.root, 0 if memory.key_len is None else DIGEST_BYTES)
         return self._under(memory, memory.root, prefix)
 
     @staticmethod

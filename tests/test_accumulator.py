@@ -25,7 +25,7 @@ from acctoken.accumulator import (
     witness_for_root,
 )
 from acctoken.accumulator import tree
-from acctoken.accumulator.core import Changes, apply_update
+from acctoken.accumulator.core import Changes, apply_update, updated_root
 from acctoken.accumulator.hashing import TAG_INTERNAL, element_digest, first_diff_bit
 from acctoken.accumulator.witness import COUNT_AT, HEADER_BYTES, OCCUPANT_BYTES, PRECONDITION, STEP_BYTES, ZERO_PAYLOAD
 from acctoken.errors import (
@@ -46,6 +46,9 @@ from trie_layout import (
     held,
     identity,
     is_branch,
+    is_leaf,
+    is_row,
+    leaf_of,
     leaf_parts,
     leaves,
     leftmost,
@@ -934,18 +937,23 @@ class TestBatchUpdate:
         old_ids = {identity(node) for node in old_nodes}
         merged_ids = {identity(node) for node in merged_nodes}
         old_rows = {body(node) for node in old_nodes if is_branch(node)}
-        merged_rows = {body(node) for node in merged_nodes if len(node) == 2}
+        merged_rows = {body(node) for node in merged_nodes if is_row(node)}
+        old_leaves = {leaf_of(node) for node in old_nodes if is_leaf(node)}
+        merged_leaves = {leaf_of(node) for node in merged_nodes if is_leaf(node)}
 
-        def reused(node, ids, rows):
-            # a tuple subtree, a leaf or a region kept whole is the old node
-            # itself; a row a rewritten region copied is an old row's content,
-            # and so is one written from a tuple branch a path copy left in it
+        def reused(node, ids, rows, leaves):
+            # a tuple subtree, a leaf of its own or a region kept whole is the
+            # old node itself; a row or a leaf a rewritten region copied is an
+            # old one's content, and so is a row written from a tuple branch a
+            # path copy left in it
             if identity(node) in ids:
                 return True
-            return is_branch(node) and (len(node) == 2 or body(node)[1] >= tree.REGION_BIT) and body(node) in rows
+            if is_leaf(node):
+                return leaf_of(node) in leaves
+            return is_branch(node) and (is_row(node) or body(node)[1] >= tree.REGION_BIT) and body(node) in rows
 
         # every node the merge made is hashed once, and nothing else is hashed
-        assert hashes == sum(not reused(node, old_ids, old_rows) for node in merged_nodes)
+        assert hashes == sum(not reused(node, old_ids, old_rows, old_leaves) for node in merged_nodes)
         new_ints = [int.from_bytes(key, "big") for key in new]
         for node in old_nodes:
             if not node:
@@ -955,7 +963,7 @@ class TestBatchUpdate:
             shift = 256 - body(node)[1] if is_branch(node) else 0
             prefix = int.from_bytes(leftmost(node), "big") >> shift
             if all(x >> shift != prefix for x in new_ints):
-                assert reused(node, merged_ids, merged_rows)
+                assert reused(node, merged_ids, merged_rows, merged_leaves)
 
     @given(crafted_keys())
     @settings(max_examples=200, deadline=None)
@@ -1143,7 +1151,8 @@ RUN_ELEMENTS = [bytes((0, k, v)) for k in range(12) for v in range(3)]
 def recorded(memory, prior, runs, by_run):
     """``prior`` recorded step by step into a new batch of ``memory`` (a step
     it refuses is left out), then ``runs``, by ``record_run`` or step by step;
-    returns the batch's adds and dels, or the class of what the runs raised."""
+    returns the batch's added leaves by key, its deletes and the digest
+    ``updated_root`` reaches with it, or the class of what the runs raised."""
     changes = Changes(memory)
     for op, element in prior:
         try:
@@ -1159,7 +1168,10 @@ def recorded(memory, prior, runs, by_run):
                     changes.record(op, element)
     except (AlreadyPresent, NotPresent, ValueError) as exc:
         return type(exc)
-    return changes.adds, changes.dels
+    added = dict(changes.adds)
+    for run in changes.runs:
+        added.update((leaf_parts(leaf)[0], leaf) for leaf in run)
+    return added, changes.dels, updated_root(memory.root, memory.value, changes)[1]
 
 
 @st.composite
@@ -1176,6 +1188,25 @@ def step_runs(max_size):
     """Runs of one op each, as ``(op, elements)``."""
     ops = st.sampled_from(["add", "add", "del", "replace"])
     return st.lists(ops.flatmap(lambda op: st.tuples(st.just(op), st.lists(run_element(op), max_size=max_size))), max_size=4)
+
+
+@st.composite
+def runs_and_later_steps(draw):
+    """Runs of one op each, as ``step_runs``, then runs that name the
+    elements the first runs added: their deletes, re-adds and replaces,
+    which meet the runs ``record_run`` keeps whole."""
+    runs = draw(step_runs(6))
+    added = [element for op, elements in runs if op == "add" for element in elements]
+    if not added:
+        return runs
+
+    def named(op):
+        if op != "replace":
+            return st.sampled_from(added)
+        return st.sampled_from(added).flatmap(lambda old: st.tuples(st.just(old), st.sampled_from([old[:2] + bytes((v,)) for v in range(3)])))
+
+    ops = st.sampled_from(["add", "del", "del", "replace"])
+    return runs + draw(st.lists(ops.flatmap(lambda op: st.tuples(st.just(op), st.lists(named(op), max_size=4))), max_size=3))
 
 
 def memory_holding(held, built):
@@ -1197,14 +1228,16 @@ PRESENCE_FRESH = [i.to_bytes(2, "big") + b"a" for i in range(600, 700)]
 
 class TestRecordRun:
     """``Changes.record_run`` records a run of one op as ``record`` does, one
-    step at a time, reading what the memory holds from its trie."""
+    step at a time, reading what the memory holds from its trie; a run of
+    new keys is kept as its sorted leaves (``Changes.runs``), which later
+    steps read and change as ``record`` does its adds."""
 
     @pytest.mark.parametrize("built", ["insert_many", "per_op"])
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         held=st.lists(st.sampled_from(RUN_ELEMENTS[:12]), unique_by=lambda e: e[:2], max_size=4),
         prior=step_runs(3),
-        runs=step_runs(6),
+        runs=runs_and_later_steps(),
     )
     def test_a_run_nets_and_raises_as_its_steps_do(self, built, held, prior, runs):
         memory = memory_holding(held, built)
@@ -1231,6 +1264,32 @@ class TestRecordRun:
         one_at_a_time = recorded(memory, prior, [("add", run)], False)
         assert recorded(memory, prior, [("add", run)], True) == one_at_a_time
         assert (one_at_a_time is error) if error else isinstance(one_at_a_time, tuple)
+
+    @pytest.mark.parametrize(
+        "later, error",
+        [
+            ([("del", [b"\x00\x04a"])], None),  # a delete of a run's leaf
+            ([("del", [b"\x00\x04a"]), ("add", [b"\x00\x04a"])], None),  # and its re-add
+            ([("del", [b"\x00\x04a", b"\x00\x05a", b"\x00\x03a"])], None),  # the whole run taken back
+            ([("replace", [(b"\x00\x04a", b"\x00\x04b")])], None),  # a replace of a run's leaf
+            ([("del", [b"\x00\x04b"])], NotPresent),  # another element under a run's key
+            ([("add", [b"\x00\x04b"])], AlreadyPresent),  # an add under a run's key
+            ([("add", [b"\x00\x06a", b"\x00\x05b"])], AlreadyPresent),  # a second run naming a run's key
+            ([("add", [b"\x00\x07a", b"\x00\x06a"]), ("del", [b"\x00\x01a"])], None),  # a second run, a delete
+            ([("replace", [(b"\x00\x01a", b"\x00\x01b")]), ("add", [b"\x00\x06a"])], None),  # a replace beside runs
+        ],
+        ids=["del", "re-add", "all-taken-back", "replace", "del-other", "add-held", "run-held", "second-run", "replace-beside"],
+    )
+    def test_later_steps_on_a_run(self, later, error):
+        _acc, memory = setup(256, 2)
+        apply_update(memory, Changes(memory, [("add", b"\x00\x01a")]))
+        first = ("add", [b"\x00\x04a", b"\x00\x05a", b"\x00\x03a"])
+        one_at_a_time = recorded(memory, [], [first, *later], False)
+        assert recorded(memory, [], [first, *later], True) == one_at_a_time
+        assert (one_at_a_time is error) if error else isinstance(one_at_a_time, tuple)
+        changes = Changes(memory)
+        changes.record_run(*first)
+        assert not changes.adds and changes.runs == [sorted(element_digest(e[:2]) + e for e in first[1])]
 
     @pytest.mark.parametrize("built", ["insert_many", "per_op"])
     @pytest.mark.parametrize(
@@ -1270,7 +1329,7 @@ class TestRecordRun:
         monkeypatch.setattr(tree, "holds_any", lambda root, keys: walks.append(keys) or holds_any(root, keys))
         changes = Changes(memory)
         changes.record_run("add", elements[1::2])
-        assert finds == [] and len(walks) == 1 and len(changes.adds) == 4096
+        assert finds == [] and len(walks) == 1 and not changes.adds and list(map(len, changes.runs)) == [4096]
         # a run naming a held key is recorded step by step, which finds it
         with pytest.raises(AlreadyPresent):
             Changes(memory).record_run("add", elements[1:9:2] + elements[:1])
@@ -1288,7 +1347,8 @@ class TestRecordRun:
         changes.record_run("add", run)
         assert steps == [] and hashes.lengths == [2] * len(run)
         key = element_digest(b"\x00\x01")
-        assert changes.adds == {key: key + b"\x00\x01b"} | {element_digest(e[:2]): element_digest(e[:2]) + e for e in run}
+        assert changes.adds == {key: key + b"\x00\x01b"}
+        assert changes.runs == [sorted(element_digest(e[:2]) + e for e in run)]
 
 
 class TestCollectorFreeNodes:
@@ -1318,8 +1378,8 @@ class TestCollectorFreeNodes:
         # every other node is a leaf, which is its key, or EMPTY: no leaf is
         # a container the collector could track
         others = [node for node in found if not is_branch(node)]
-        assert all(node.__class__ is bytes and len(node) == 32 or node is tree.EMPTY for node in others)
-        assert not any(map(gc.is_tracked, others))
+        assert all(is_leaf(node) and len(leaf_of(node)) == 32 or node is tree.EMPTY for node in others)
+        assert not any(gc.is_tracked(leaf_of(node)) for node in others if is_leaf(node))
         # a branch holds two nodes and its body, the bytes of its hash preimage
         assert all(body(branch).__class__ is bytes for branch in branches)
         # what the tries' branches hold: tuple branches, handles and regions
@@ -1370,14 +1430,15 @@ class TestLeavesAreKeys:
 
 class TestWholeElementMemoryHoldsKeys:
     """A memory keyed by whole elements holds each key as its own leaf: a
-    bare key, the very object ``find`` reads back at it, whichever way the
-    key came in."""
+    bare key, which ``find`` reads back at it, whichever way the key came
+    in; a leaf a path copy holds is the very object ``find`` reads back."""
 
     @staticmethod
     def assert_values_are_leaves(memory):
-        found = leaves(memory.root)
-        assert found and all(leaf_parts(leaf) == (leaf, None) for leaf in found)
-        assert all(tree.find(memory.root, leaf) is leaf for leaf in found)
+        found = [node for node in nodes(memory.root) if is_leaf(node)]
+        assert found and all(leaf_parts(leaf_of(node)) == (leaf_of(node), None) for node in found)
+        assert all(tree.find(memory.root, leaf_of(node)) == leaf_of(node) for node in found)
+        assert all(tree.find(memory.root, node) is node for node in found if node.__class__ is bytes)
 
     def test_after_every_kind_of_commit(self):
         network = StorageNetwork()
@@ -1427,8 +1488,8 @@ class TestBranchIsItsPreimage:
         assert node_digest(memory.root) == memory.value
         leaves = 0
         for node in nodes(memory.root):
-            if node.__class__ is bytes:
-                assert node in keys  # keyed whole, a leaf is its element's bare key
+            if is_leaf(node):
+                assert leaf_of(node) in keys  # keyed whole, a leaf is its element's bare key
                 leaves += 1
             elif node:
                 left, right = children(node)
@@ -1475,8 +1536,11 @@ class TestRegions:
 
     def test_traced_bytes_per_element(self):
         # a row per element beyond the first: its 66-byte body and 8 bytes
-        # of child ids, and the key's slot in its region's key tuple (82),
-        # plus each region's and each tuple branch's share above it
+        # of child ids, and the key's 32 bytes in its region's data and its
+        # 4-byte end (110), plus each region's and each tuple branch's share
+        # above it. The keys, made before tracing, are copied in: the trie
+        # holds no leaf object of its own, where a region that held each
+        # key object in a tuple took about 82 bytes a key beside the key's 65
         keys = sorted(element_digest(b"%d" % i) for i in range(20_000))
         tracemalloc.start()
         try:
@@ -1485,8 +1549,9 @@ class TestRegions:
         finally:
             tracemalloc.stop()
         assert built[1] == node_digest(built[0])
-        assert any(len(node) == 2 for node in nodes(built[0]))
-        assert traced / len(keys) < 110
+        assert any(map(is_row, nodes(built[0])))
+        assert not any(node.__class__ is bytes for node in nodes(built[0]))
+        assert traced / len(keys) < 120
 
     @staticmethod
     def assert_serve_alike(batched, single, present, rng):
@@ -1523,7 +1588,7 @@ class TestRegions:
             # path copies through a region: a delete of one of its keys, and
             # an add of a key with its first byte; the next batch then
             # merges over tuples laid over the region's rows
-            rows = [node for node in nodes(batched.root) if len(node) == 2]
+            rows = [node for node in nodes(batched.root) if is_row(node)]
             assert rows
             key = leftmost(rows[0])
             deleted = next(e for e in present if element_digest(e) == key)

@@ -10,6 +10,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -19,7 +20,7 @@ from acctoken.erc20.bundle import BALANCES, KEY_LEN
 from acctoken.erc20.elements import balance_element
 from acctoken.storage import FaultPolicy, StorageNetwork
 from storage_views import accumulator_value
-from trie_layout import leaves, nodes, trie_bytes, whole_leaf
+from trie_layout import is_row, leaf_bytes, leaves, nodes, trie_bytes, whole_leaf
 
 AID = "acc"
 N = 2**12
@@ -58,9 +59,17 @@ def grown_network(policy=None) -> StorageNetwork:
     return network
 
 
+def added_leaves(batch) -> list:
+    """The leaves ``batch`` adds. Its commit copies them into the new
+    trie's regions and lets them go once it has merged them all; held across
+    the commit, they stay in its end state, so what it peaks above that is
+    the merge's own."""
+    return [*batch.adds.values(), *chain.from_iterable(batch.runs)]
+
+
 def regions(network) -> int:
     """How many regions the accumulator's trie reaches."""
-    return len({id(node[0]) for node in nodes(network._entry(AID).memory.root) if len(node) == 2})
+    return len({id(node[0]) for node in nodes(network._entry(AID).memory.root) if is_row(node)})
 
 
 class TestGrowthCommitPeaksAtWhatItKeeps:
@@ -86,7 +95,9 @@ class TestGrowthCommitPeaksAtWhatItKeeps:
         network = grown_network()
         old = trie_bytes(network._entry(AID).memory.root)
         batch = network.changes(AID, [("add", element) for element in elements(2, N)])
+        kept = added_leaves(batch)
         assert overshoot(lambda: network.commit({AID: batch})) < HELD_SHARE * old
+        assert len(kept) == N
 
     def test_a_pending_chain_tip_does_not_keep_the_old_trie(self, traced):
         # a sampled transaction dropped after its bundle was built leaves its
@@ -95,24 +106,29 @@ class TestGrowthCommitPeaksAtWhatItKeeps:
         network.build_update_witness(AID, "add", b"dropped")
         old = trie_bytes(network._entry(AID).memory.root)
         batch = network.changes(AID, [("add", element) for element in elements(2, N)])
+        kept = added_leaves(batch)
         assert overshoot(lambda: network.commit({AID: batch})) < HELD_SHARE * old
+        assert len(kept) == N
         assert network._entry(AID).tip is None and regions(network) >= 200
 
 
 class TestWholeElementCommitKeepsKeys:
     def test_the_memory_holds_no_element(self, traced):
         # the elements are made while tracing and dropped once committed:
-        # what stays is the trie, its leaves the bare keys. A memory that
-        # also kept a map of its keys would hold about 36 bytes more per key
-        # in its table, and one that held each 19-byte element about 52 more
-        assert grown_by_adds(None, lambda: elements(1, N)) <= 8 * N
+        # what stays is the trie, its leaves the bare keys, each 32 bytes of
+        # its region's data and a 4-byte end. A trie that held each key as
+        # an object of its own would take about 41 bytes more per key (the
+        # object's 33-byte header and its slot in a tuple), one that also
+        # kept a map of its keys about 36 more in its table, and one that
+        # held each 19-byte element about 52 more
+        assert grown_by_adds(None, lambda: elements(1, N)) <= 12 * N
 
 
 def grown_by_adds(key_len, made) -> int:
     """How far a fresh accumulator keyed by ``key_len`` grows the traced
     heap when one commit adds the elements ``made()`` returns, which are
     made while tracing and dropped once committed, beyond its trie's
-    branches and leaf objects."""
+    branches and the bytes of its leaves."""
     network = StorageNetwork()
     network.register(AID, key_len)
     gc.collect()
@@ -123,19 +139,46 @@ def grown_by_adds(key_len, made) -> int:
     gc.collect()  # a full collection also empties the free lists the merge filled
     grown = tracemalloc.get_traced_memory()[0] - before
     root = network._entry(AID).memory.root
-    return grown - trie_bytes(root) - sum(map(sys.getsizeof, leaves(root)))
+    return grown - (trie_bytes(root) - leaf_bytes(root)) - sum(map(len, leaves(root)))
 
 
 class TestPrefixKeyedCommitKeepsLeaves:
     def test_the_memory_holds_each_element_once(self, traced):
         # 2^12 balance tuples, keyed by their owner: each leaf is the key
-        # followed by the tuple, and nothing else is kept per tuple. A memory
-        # whose leaves were bare keys and that kept each tuple in a map from
-        # its key holds about 120 bytes more per tuple than those leaves: the
-        # tuple object and the map's table
+        # followed by the tuple, in its region's data with a 4-byte end, and
+        # nothing else is kept per tuple. A leaf object of its own would take
+        # about 41 bytes more per tuple (its header and its slot in a tuple),
+        # and a memory whose leaves were bare keys and that kept each tuple
+        # in a map from its key about 120 more than that: the tuple object
+        # and the map's table
         rng = random.Random(5)
         made = lambda: [balance_element(rng.randbytes(20), 1 + rng.randrange(10**9)) for _ in range(N)]
-        assert grown_by_adds(KEY_LEN[BALANCES], made) <= 8 * N
+        assert grown_by_adds(KEY_LEN[BALANCES], made) <= 12 * N
+
+
+class TestRecordedGrowthBatchKeepsItsLeaves:
+    def test_a_recorded_run_holds_its_leaves_and_a_slot_each(self, traced):
+        # growth records each checkpoint's adds to an accumulator as one run
+        # before its commit, and the commit's merge reads the run: until
+        # then, the batch holds each tuple's leaf and one list slot, and no
+        # key object (about 65 bytes more per tuple) or dict slot (about 40)
+        key_len = KEY_LEN[BALANCES]
+        rng = random.Random(6)
+        made = [balance_element(rng.randbytes(20), 1 + rng.randrange(10**9)) for _ in range(2 * N)]
+        network = StorageNetwork()
+        network.register(AID, key_len)
+        network.commit({AID: network.changes(AID, [("add", element) for element in made[:N]])})
+        leaves_made = sum(sys.getsizeof(element_digest(element[:key_len]) + element) for element in made[N:])
+        batch = network.changes(AID)
+        gc.collect()
+        before, _peak = tracemalloc.get_traced_memory()
+        batch.record_run("add", iter(made[N:]))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+        # beside the slots, the list's header and the slot ``batch.runs``
+        # gives it, and what the trace itself makes: a few hundred bytes
+        assert grown <= leaves_made + 8 * N + 1024
+        assert len(batch) == N
 
 
 class TestLaggingNodeAfterAFreeingMerge:
@@ -145,13 +188,13 @@ class TestLaggingNodeAfterAFreeingMerge:
         network = grown_network(FaultPolicy.stale(lag))
         lagged = accumulator_value(network, AID)
         old, new = elements(1, N), elements(2, N)
-        lagged_regions = {id(node[0]) for node in nodes(network._entry(AID).memory.root) if len(node) == 2}
+        lagged_regions = {id(node[0]) for node in nodes(network._entry(AID).memory.root) if is_row(node)}
         for part in range(lag):
             batch = new[part * N // lag : (part + 1) * N // lag]
             network.commit({AID: network.changes(AID, [("add", element) for element in batch])})
         assert accumulator_value(network, AID) != lagged
         # the batches rewrote every region of the lagged root into new ones
-        assert not lagged_regions & {id(node[0]) for node in nodes(network._entry(AID).memory.root) if len(node) == 2}
+        assert not lagged_regions & {id(node[0]) for node in nodes(network._entry(AID).memory.root) if is_row(node)}
         for element in old[:: N // 16]:
             assert belongs(lagged, element, network.fetch_witness(AID, element)) == 1
         for element in new[:: N // 16]:

@@ -3,13 +3,19 @@
 A node is a leaf (its 32-byte key followed by the element it holds, or the
 bare key under whole-element keys), EMPTY, a tuple branch ``(left, right,
 body)``, or a handle ``(region, row)`` naming a row of a region ``(kids,
-bodies, leaves)``: ``bodies`` holds the rows' 66-byte bodies end to end,
-``kids`` each row's two child ids as native 32-bit ints, a row or ``~i`` for
-the ``i``-th leaf of ``leaves``. The reader gives a leaf's key and element
+bodies, data, ends)``: ``bodies`` holds the rows' 66-byte bodies end to
+end, ``kids`` each row's two child ids as native 32-bit ints, a row or
+``~i`` for the region's ``i``-th leaf, ``data`` the region's leaves end to
+end and ``ends`` each leaf's end offset in ``data`` as a native 32-bit int.
+
+A leaf a region holds is no object of its own, so this reader names it as
+its parent row's ids do, by a handle ``(region, ~i)``, a packed leaf, and
+reads its bytes out of ``data`` (``leaf_of``); a leaf a tuple branch holds
+is its own ``bytes``. The reader gives a leaf's key and element
 (``leaf_parts``, the one place a test reads a leaf), a node's children (a
-row's as handles it makes, or leaves), its body, its digest and the bytes
-it holds, walks a trie's distinct nodes, tells whether a trie reaches a
-region (``has_regions``), and reads a trie's leaves as the ledger they are
+row's as handles it makes), its body, its digest and the bytes it holds,
+walks a trie's distinct nodes, tells whether a trie reaches a region
+(``has_regions``), and reads a trie's leaves as the ledger they are
 (``elements_of``).
 """
 
@@ -27,26 +33,45 @@ def leaf_parts(leaf: bytes) -> tuple[bytes, bytes | None]:
     return leaf[:32], leaf[32:] or None
 
 
+def is_row(node) -> bool:
+    """Whether ``node`` is a handle to a region's row."""
+    return node.__class__ is tuple and len(node) == 2 and node[1] >= 0
+
+
 def is_branch(node) -> bool:
-    return node.__class__ is tuple and len(node) in (2, 3)
+    return node.__class__ is tuple and len(node) == 3 or is_row(node)
+
+
+def is_leaf(node) -> bool:
+    """Whether ``node`` is a leaf: its own ``bytes``, or a packed leaf ``(region, ~i)``."""
+    return node.__class__ is bytes or node.__class__ is tuple and len(node) == 2 and node[1] < 0
+
+
+def leaf_of(node) -> bytes:
+    """A leaf's bytes: the leaf itself, or a packed leaf's slice of its region's data."""
+    if node.__class__ is bytes:
+        return node
+    (_kids, _bodies, data, ends), ref = node
+    offsets = memoryview(ends).cast("I")
+    return data[offsets[~ref - 1] if ~ref else 0 : offsets[~ref]]
 
 
 def children(node) -> tuple:
-    """A branch's left and right child; () for a leaf or EMPTY."""
-    if node.__class__ is bytes or not node:
+    """A branch's left and right child, a row's as handles, its leaves
+    packed; () for a leaf or EMPTY."""
+    if not is_branch(node):
         return ()
     if len(node) == 3:
         return node[0], node[1]
-    (kids, _bodies, leaves), row = node
-    ids = memoryview(kids).cast("i")[2 * row : 2 * row + 2]
-    return tuple((node[0], kid) if kid >= 0 else leaves[~kid] for kid in ids)
+    region, row = node
+    return tuple((region, kid) for kid in memoryview(region[0]).cast("i")[2 * row : 2 * row + 2])
 
 
 def body(node) -> bytes:
     """A branch's 66-byte body, the preimage of its digest."""
     if len(node) == 3:
         return node[2]
-    (_kids, bodies, _leaves), row = node
+    (_kids, bodies, _data, _ends), row = node
     return bodies[66 * row : 66 * row + 66]
 
 
@@ -63,20 +88,22 @@ def node_digest(node) -> bytes:
     """The digest a node's parent holds for it, recomputed from the node; a
     leaf commits to its key and its element's digest, or a bare key to
     itself twice."""
-    if node.__class__ is bytes:
-        key, element = leaf_parts(node)
+    if is_leaf(node):
+        key, element = leaf_parts(leaf_of(node))
         held = key if element is None else hashing.hashlib.sha256(element).digest()
         return hashing.hashlib.sha256(TAG_LEAF + key + held).digest()
     return hashing.hashlib.sha256(body(node)).digest() if node else EMPTY_DIGEST
 
 
 def identity(node):
-    """What tells nodes apart: the object for a tuple branch, a leaf or EMPTY; the region object and the row for a row."""
+    """What tells nodes apart: the object for a tuple branch, a leaf of its
+    own or EMPTY; for a row, the region object and the row, and for a
+    packed leaf, the region object and ``~i``, its index as its row names it."""
     return (id(node[0]), node[1]) if node.__class__ is tuple and len(node) == 2 else id(node)
 
 
 def nodes(*roots) -> list:
-    """Every distinct node reachable from ``roots``: branches (tuples and rows), leaves and EMPTY."""
+    """Every distinct node reachable from ``roots``: branches (tuples and rows), leaves (own and packed) and EMPTY."""
     seen, stack = {}, list(roots)
     while stack:
         node = stack.pop()
@@ -86,13 +113,14 @@ def nodes(*roots) -> list:
     return list(seen.values())
 
 
-def leaves(root) -> list:
-    return [node for node in nodes(root) if node.__class__ is bytes]
+def leaves(root) -> list[bytes]:
+    """The bytes of every leaf under ``root``."""
+    return [leaf_of(node) for node in nodes(root) if is_leaf(node)]
 
 
 def has_regions(root) -> bool:
     """Whether the trie under ``root`` reaches a region of rows, what a batch merge writes."""
-    return any(node.__class__ is tuple and len(node) == 2 for node in nodes(root))
+    return any(map(is_row, nodes(root)))
 
 
 def elements_of(root) -> dict:
@@ -103,42 +131,60 @@ def elements_of(root) -> dict:
 
 def leftmost(node) -> bytes:
     """One key under ``node``: its leftmost leaf's."""
-    while node.__class__ is not bytes:
+    while not is_leaf(node):
         node = children(node)[0]
-    return leaf_parts(node)[0]
+    return leaf_parts(leaf_of(node))[0]
 
 
 def read_out(node):
     """The trie under ``node`` as plain values: a branch as ``(left, right,
-    body)`` read out in turn, a leaf as its key, EMPTY as (); two tries read
-    out equal when they hold the same layout, however each stores it."""
-    if not is_branch(node):
+    body)`` read out in turn, a leaf as its bytes, EMPTY as (); two tries
+    read out equal when they hold the same layout, however each stores it."""
+    if is_leaf(node):
+        return leaf_of(node)
+    if not node:
         return node
     left, right = children(node)
     return read_out(left), read_out(right), body(node)
 
 
-def held(*roots) -> list:
-    """Every object the branches of the tries under ``roots`` hold, each
-    once: tuple branches and their bodies, the handles a tuple branch or a
-    root holds, and each region with its parts, its tuple of leaves among
-    them; not the leaves themselves, which the memory holds as its
-    elements."""
+def _held(*roots) -> dict:
+    """Every object the tries under ``roots`` hold, each once, by its id, as
+    (object, whether it holds leaves): tuple branches and their bodies, the
+    leaves of their own they hold, the handles a tuple branch or a root
+    holds, and each region with its parts, its leaves' data and ends among
+    them."""
     found, stack = {}, list(roots)
     while stack:
         node = stack.pop()
-        if id(node) in found or node.__class__ is bytes or not node:
+        if id(node) in found or not node:
             continue
-        found[id(node)] = node
+        found[id(node)] = node, node.__class__ is bytes
+        if node.__class__ is bytes:
+            continue
         if len(node) == 3:
-            found[id(node[2])] = node[2]
+            found[id(node[2])] = node[2], False
             stack += node[:2]
         else:
-            for part in (node[0], *node[0]):
-                found[id(part)] = part
-    return list(found.values())
+            region = node[0]
+            found[id(region)] = region, False
+            for at, part in enumerate(region):
+                found[id(part)] = part, at >= 2
+    return found
+
+
+def held(*roots) -> list:
+    """Every object the tries under ``roots`` hold, each once (``_held``)."""
+    return [part for part, _leaves in _held(*roots).values()]
 
 
 def trie_bytes(*roots) -> int:
-    """What the branches of the tries under ``roots`` take."""
+    """What the tries under ``roots`` take, their leaves included."""
     return sum(map(sys.getsizeof, held(*roots)))
+
+
+def leaf_bytes(*roots) -> int:
+    """What the leaves of the tries under ``roots`` take: each region's
+    ``data`` and ``ends``, and each leaf of its own a tuple branch or a root
+    holds."""
+    return sum(sys.getsizeof(part) for part, leaves in _held(*roots).values() if leaves)
