@@ -167,28 +167,30 @@ class Changes:
     and its successor.
 
     The added leaves (see ``tree``) are kept two ways. ``adds`` maps each
-    key a single step added to its new leaf, and ``runs`` holds each run of
-    adds whose keys were all new as one list of its leaves, sorted, with no
-    key object or dict slot per tuple; a later step finds a run's key by
-    ``bisect``, and a delete takes its leaf out of the run. ``dels`` maps
-    each deleted key to the trie's leaf it takes out. A whole-element key
-    is its own leaf, filed under itself. A step recorded with the ``leaf``
-    a simulated add or replace made keeps that object, so the added leaves
-    can be the new trie's.
+    key a single step added to its new leaf, and ``run`` holds the batch's
+    one run of adds whose keys were all new as the list of its leaves,
+    sorted, with no key object or dict slot per tuple; a later step finds
+    the run's key by ``bisect``, and a delete takes its leaf out of the
+    run. A batch keeps at most one run, as growth records one run of adds
+    per accumulator and checkpoint; a later run of adds is recorded step by
+    step into ``adds``. ``dels`` maps each deleted key to the trie's leaf it
+    takes out. A whole-element key is its own leaf, filed under itself. A
+    step recorded with the ``leaf`` a simulated add or replace made keeps
+    that object, so the added leaves can be the new trie's.
 
     ``steps``, (op, element) pairs, are recorded a run at a time: each run
     of consecutive steps of one op goes to ``record_run``, which records it
     as ``record`` would, step by step.
     """
 
-    __slots__ = ("memory", "epoch", "adds", "dels", "runs")
+    __slots__ = ("memory", "epoch", "adds", "dels", "run")
 
     def __init__(self, memory: Memory, steps=()):
         self.memory = memory
         self.epoch = memory.epoch
         self.adds: dict[bytes, bytes] = {}
         self.dels: dict[bytes, bytes] = {}
-        self.runs: list[list[bytes]] = []
+        self.run: list[bytes] = []
         for op, run in groupby(steps, itemgetter(0)):
             self.record_run(op, map(itemgetter(1), run))
 
@@ -209,14 +211,14 @@ class Changes:
         if leaf is None:
             leaf = _leaf(element, key_len)
         key = leaf[:DIGEST_BYTES]
-        adds, dels, run = self.adds, self.dels, None
+        adds, dels, at = self.adds, self.dels, None
         if key in adds:
             held = adds[key]
         elif key in dels:
             held = None
         else:
-            run, at = self._run_at(key)
-            held = tree.find(self.memory.root, key) if run is None else run[at]
+            at = _index(self.run, key)
+            held = tree.find(self.memory.root, key) if at is None else self.run[at]
         if op == "add":
             if held is not None:
                 raise AlreadyPresent(f"key {key.hex()} already holds an element")
@@ -227,32 +229,24 @@ class Changes:
         elif op == "del":
             if held != leaf:
                 raise NotPresent(f"key {key.hex()} does not hold the element")
-            if run is not None:
-                del run[at]
+            if at is not None:
+                del self.run[at]
             elif adds.pop(key, None) is None:
                 dels[key] = held
         else:
             raise ValueError(f"unknown update op {op!r}")
-
-    def _run_at(self, key: bytes):
-        """The run that holds a leaf at ``key`` and the leaf's index in it; (None, None) if none does."""
-        for run in self.runs:
-            at = _index(run, key)
-            if at is not None:
-                return run, at
-        return None, None
 
     def record_run(self, op: str, elements: Iterable):
         """Record a run of steps of one ``op``, as ``record`` would one at a time.
 
         The run's keys are hashed first, each once, and its leaves made, each
         handed to its step; an add or a delete reads its element from its
-        leaf, so a run of them lets go of its elements as it goes. A run of
-        adds whose keys are all new (none named twice, none recorded in this
-        batch, as an add, a delete or in a run, and none held by the memory,
-        which one walk of its trie checks for all of them, in key order)
-        nets with nothing and is kept as one of ``runs``, sorted once; any
-        other run, and a lone add, is recorded step by step, in its order.
+        leaf, so a run of them lets go of its elements as it goes. The first
+        run of adds whose keys are all new (none named twice, none recorded
+        in this batch, and none held by the memory, which one walk of its
+        trie checks for all of them, in key order) nets with nothing and is
+        kept as the batch's ``run``, sorted once; any other run, and a lone
+        add, is recorded step by step, in its order.
         """
         key_len, sha256 = self.memory.key_len, hashing.hashlib.sha256
         if op == "add":
@@ -260,11 +254,12 @@ class Changes:
                 leaves = [sha256(element).digest() for element in elements]
             else:
                 leaves = [sha256(element[:key_len]).digest() + element for element in elements]
-            run = sorted(leaves)
-            if len(run) > 1 and self._all_new(run):
-                self.runs.append(run)
-                return
-            del run
+            if len(leaves) > 1 and not self.run:
+                run = sorted(leaves)
+                if self._all_new(run):
+                    self.run = run
+                    return
+                del run
             steps = repeat(None)
         else:
             steps = list(elements)
@@ -287,10 +282,6 @@ class Changes:
             return False  # a key named twice: its leaves are neighbours
         if any(_index(run, key) is not None for key in chain(self.adds, self.dels)):
             return False
-        for other in self.runs:
-            small, large = sorted((run, other), key=len)
-            if any(_index(large, key) is not None for key in map(key_of, small)):
-                return False
         return not tree.holds_any(self.memory.root, run)
 
     def check_current(self, memory: Memory):
@@ -299,7 +290,7 @@ class Changes:
             raise StaleAccumulator("changes were recorded against another memory state")
 
     def __len__(self) -> int:
-        return len(self.adds) + len(self.dels) + sum(map(len, self.runs))
+        return len(self.adds) + len(self.dels) + len(self.run)
 
 
 def _index(run: list[bytes], key: bytes) -> int | None:
@@ -321,34 +312,35 @@ def updated_root(root: Node, digest: bytes, changes: Changes) -> tuple[Node, byt
 def _merged(root: Node, digest: bytes, changes: Changes, spend: bool) -> tuple[Node, bytes]:
     """``updated_root`` of ``changes``: a deleted key that an added leaf
     holds is a replace, and its path is rehashed over that leaf; the other
-    added leaves are merged in one pass. They are the runs and the sorted
-    single-step adds in key order, taken as they are when they are one run
-    (see ``_added``). With ``spend``, the batch lets go of its adds and runs
-    before the merge."""
+    added leaves are merged in one pass: the run and the sorted single-step
+    adds in key order, the run as it is when there are no others (see
+    ``_added``). With ``spend``, the batch lets go of its adds and its run
+    before the merge, and the merge lets go of each region's part of them
+    once it has copied it; without, the batch is left as it is."""
     adds, dels = changes.adds, changes.dels
     leaf = _leaves(changes.memory.key_len)
     for key in dels:
         new = adds.get(key)
         root, digest = tree.remove(root, key) if new is None else tree.replace(root, new, leaf(new))
-    leaves = _added(changes.runs, [new for key, new in adds.items() if key not in dels])
+    leaves = _added(changes.run, [new for key, new in adds.items() if key not in dels])
     if spend:
         adds.clear()
-        changes.runs.clear()
+        changes.run = []
     held = [root]
     del root
-    return tree.insert_many(held.pop(), digest, leaves, leaf)
+    return tree.insert_many(held.pop(), digest, leaves, leaf, spend)
 
 
-def _added(runs: list[list[bytes]], singles: list[bytes]) -> list[bytes]:
-    """The sorted leaves of ``runs`` and of ``singles`` in one sorted list:
-    a lone run as it is, otherwise the sorted singles and each run joined
-    and sorted, which Timsort does by merging the sorted pieces it finds."""
-    if not singles and len(runs) == 1:
-        return runs[0]
+def _added(run: list[bytes], singles: list[bytes]) -> list[bytes]:
+    """The sorted leaves of ``run`` and of ``singles`` in one sorted list:
+    ``run`` as it is when there are no singles, otherwise the sorted singles
+    and the run joined and sorted, which Timsort does by merging the two
+    sorted pieces it finds."""
+    if not singles:
+        return run
     leaves = sorted(singles)
-    for run in runs:
+    if run:
         leaves += run
-    if runs:
         leaves.sort()
     return leaves
 
@@ -369,8 +361,9 @@ def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes] | N
     go of its root first: when nothing else holds the old root (a lagging
     storage node's history, a chain tip), the merge frees each tuple branch
     and each region of rows it replaces as it goes (see ``tree``). The walk
-    spends the batch: ``changes`` lets go of its adds and runs before it,
-    and keeps only its deletes. ``built = (root,
+    spends the batch: ``changes`` lets go of its adds and its run before
+    it, and keeps only its deletes, and the merge lets go of each region's
+    new leaves once it has copied them into the region. ``built = (root,
     digest)`` skips the walk: ``root`` is already the trie of the memory with
     exactly these changes applied, and ``digest`` is its digest. The caller
     vouches for ``root``: the storage network passes its chain tip with the
@@ -382,7 +375,8 @@ def apply_update(memory: Memory, changes: Changes, built: tuple[Node, bytes] | N
     # its element, and that every added key is absent once the deletes are done
     if built is None:
         # the batch is spent: the merge copies its added leaves into the new
-        # trie, so the batch lets go of them first, and they go once merged
+        # trie's regions, so the batch lets go of them first, and each
+        # region's go once it is written
         built = _merged(_let_go(memory), memory.value, changes, True)
     memory.epoch += 1
     memory.root, memory.value = built

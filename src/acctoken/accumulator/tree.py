@@ -129,18 +129,21 @@ The merge frees the nodes it replaces as it goes, when it may: it drops each
 old tuple branch as soon as it has unpacked it and hands each child on as
 the only reference it holds, and drops each old region once it has written
 its new one, which copies the leaves it keeps. The batch's leaves are
-copied into the regions that take them too, so they are the caller's to
-let go once the merge returns. Given the only reference to the old root,
-the merge therefore holds at any moment only the old subtrees it has still
-to visit, at most one of them a region it is rewriting, beside the new
-nodes it has built. A caller that keeps the old root (a lagging storage
-node's history, a staging walk that must leave the memory as it is) keeps
-every old node alive, as before.
+copied into the regions that take them too: handed a list of them nobody
+else reads (``spend``), the merge empties each range of it once it has
+written the range's region (``_taken``), so it lets go of each region's
+new leaves as it goes; otherwise it leaves the list as it is. Given the
+only reference to the old root and a spent batch, the merge therefore
+holds at any moment only the old subtrees it has still to visit, at most
+one of them a region it is rewriting, and the new leaves it has still to
+write, beside the new nodes it has built. A caller that keeps the old root
+(a lagging storage node's history, a staging walk that must leave the
+memory as it is) keeps every old node alive, as before.
 """
 
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
 from ..errors import AlreadyPresent, NotPresent
@@ -546,7 +549,7 @@ def _gather(node: Node, node_digest: bytes, run: list[bytes], known: dict):
         _gather(right, body[_RIGHT_AT:], run, known)
 
 
-def _rewrite(node: tuple, node_digest: bytes, run: list[bytes], lo: int, hi: int, leaf):
+def _rewrite(node: tuple, node_digest: bytes, run: list[bytes], lo: int, hi: int, leaf, spend: bool):
     """The trie of ``node``'s leaves plus the new ones ``run[lo:hi]``, whose
     keys all share their first byte, as one new region, and its digest;
     ``node`` is a branch at ``REGION_BIT`` or deeper: a handle, or a tuple
@@ -562,7 +565,7 @@ def _rewrite(node: tuple, node_digest: bytes, run: list[bytes], lo: int, hi: int
     """
     merged, known = [], {}
     _gather(node, node_digest, merged, known)
-    new = run[lo:hi]
+    new = _taken(run, lo, hi, spend)
     merged += new
     merged.sort()
     kids, bodies, leaves = array("i"), bytearray(), []
@@ -585,9 +588,20 @@ def _known(region: tuple, kids: memoryview, ref: int, ref_digest: bytes, leaves:
     known[bodies[ref * _BODY : (ref + 1) * _BODY]] = ref_digest
 
 
+def _taken(run: list, lo: int, hi: int, spend: bool) -> list:
+    """``run[lo:hi]``; with ``spend``, its slots in ``run`` are emptied, so
+    the part is the one list that holds those leaves, and they go with it."""
+    part = run[lo:hi]
+    if spend:
+        run[lo:hi] = repeat(None, hi - lo)
+    return part
+
+
 def _run(run: list[bytes], leaf):
     """The trie of the sorted leaves ``run`` alone, and its digest; a leaf's
-    digest is ``leaf(leaf)``.
+    digest is ``leaf(leaf)``. Each region's slots in ``run`` are emptied
+    once it is written, so a list nothing else holds lets go of its leaves
+    as they are copied.
 
     The leaves whose keys share a first byte form a region (``_rows``), or a
     lone leaf; above them, the tuple branches are the Cartesian tree of the
@@ -615,6 +629,7 @@ def _run(run: list[bytes], leaf):
             kids, bodies, leaves = array("i"), bytearray(), []
             root, node_digest = _rows(run, lo, hi, kids, bodies, leaves, leaf)
             node = _region(kids, bodies, leaves, root)
+            run[lo:hi] = repeat(None, hi - lo)
         else:
             node = run[lo]
             node_digest = leaf(node)
@@ -645,7 +660,7 @@ def _leftmost(node: tuple) -> bytes:
     return node
 
 
-def _merge(node: Node, node_digest: bytes, run: list[bytes], lo: int, hi: int, depth: int, leaf):
+def _merge(node: Node, node_digest: bytes, run: list[bytes], lo: int, hi: int, depth: int, leaf, spend: bool):
     """The trie of ``node``'s leaves plus the new ones ``run[lo:hi]``, whose
     keys all agree on every bit before ``depth``, and its digest;
     ``node_digest`` is ``node``'s.
@@ -654,16 +669,18 @@ def _merge(node: Node, node_digest: bytes, run: list[bytes], lo: int, hi: int, d
     branch is unpacked, and each child is handed on as a temporary, which
     the callee's frame takes over: so when the caller gave up ``node``, each
     tuple branch the merge replaces is freed as soon as the merge has
-    unpacked it, and each region as soon as it is rewritten.
+    unpacked it, and each region as soon as it is rewritten; and with
+    ``spend``, each range of ``run`` a region takes is emptied once the
+    region is written.
     """
     if hi - lo < 2:
         # walking one key's path and copying it is cheaper than recursing
         return insert(node, node_digest, run[lo], leaf(run[lo])) if hi > lo else (node, node_digest)
     if not node:
-        return _run(run[lo:hi], leaf)
+        return _run(_taken(run, lo, hi, spend), leaf)
     if node.__class__ is bytes:
         # a leaf: the new leaves and the old one form one run
-        merged = run[lo:hi]
+        merged = _taken(run, lo, hi, spend)
         digest = _digests({node: node_digest}, merged, leaf)
         merged.insert(bisect_left(merged, node), node)
         return _run(merged, digest)
@@ -681,15 +698,15 @@ def _merge(node: Node, node_digest: bytes, run: list[bytes], lo: int, hi: int, d
         split = KEY_BITS - ((first ^ x) | (_int(run[hi - 1]) ^ x)).bit_length()
     if split >= REGION_BIT and bit >= REGION_BIT:
         # the subtree and the keys share their first byte: one region holds them
-        return _rewrite(node, node_digest, run, lo, hi, leaf)
+        return _rewrite(node, node_digest, run, lo, hi, leaf, spend)
     sha256 = hashing.hashlib.sha256
     if split >= bit:
         # a tuple branch, as every branch above REGION_BIT is
         mid = bisect_left(run, _first_set(first, bit), lo, hi)
         kids = [node[0], node[1]]
         del node
-        left, left_digest = _merge(kids.pop(0), body[_LEFT_AT:_RIGHT_AT], run, lo, mid, bit + 1, leaf)
-        right, right_digest = _merge(kids.pop(), body[_RIGHT_AT:], run, mid, hi, bit + 1, leaf)
+        left, left_digest = _merge(kids.pop(0), body[_LEFT_AT:_RIGHT_AT], run, lo, mid, bit + 1, leaf, spend)
+        right, right_digest = _merge(kids.pop(), body[_RIGHT_AT:], run, mid, hi, bit + 1, leaf, spend)
         body = BIT_PREFIX[bit] + left_digest + right_digest
         return (left, right, body), sha256(body).digest()
     # the new keys leave the subtree's common prefix at ``split``: a new
@@ -699,20 +716,23 @@ def _merge(node: Node, node_digest: bytes, run: list[bytes], lo: int, hi: int, d
     kids = [node]
     del node
     if x & BIT_MASK[split]:
-        left, left_digest = _run(run[lo:mid], leaf)
-        right, right_digest = _merge(kids.pop(), node_digest, run, mid, hi, split + 1, leaf)
+        left, left_digest = _run(_taken(run, lo, mid, spend), leaf)
+        right, right_digest = _merge(kids.pop(), node_digest, run, mid, hi, split + 1, leaf, spend)
     else:
-        left, left_digest = _merge(kids.pop(), node_digest, run, lo, mid, split + 1, leaf)
-        right, right_digest = _run(run[mid:hi], leaf)
+        left, left_digest = _merge(kids.pop(), node_digest, run, lo, mid, split + 1, leaf, spend)
+        right, right_digest = _run(_taken(run, mid, hi, spend), leaf)
     body = BIT_PREFIX[split] + left_digest + right_digest
     return (left, right, body), sha256(body).digest()
 
 
-def insert_many(root: Node, root_digest: bytes, leaves: list[bytes], leaf) -> tuple[Node, bytes]:
+def insert_many(root: Node, root_digest: bytes, leaves: list[bytes], leaf, spend: bool = False) -> tuple[Node, bytes]:
     """``root`` (whose digest is ``root_digest``) with the sorted new
     ``leaves`` inserted, each new leaf's digest being ``leaf(new)``, and its
     digest; raises AlreadyPresent on a key that is present already or
-    listed twice.
+    listed twice. With ``spend`` the caller hands over the list
+    ``leaves``, which the merge empties range by range as it copies the
+    leaves into their regions, so each region's go once it is written;
+    without, ``leaves`` is left as it is.
 
     One pass down the trie, reading the leaves as bytes (see the module
     docstring): each tuple branch some key falls into is rebuilt over its
@@ -728,7 +748,7 @@ def insert_many(root: Node, root_digest: bytes, leaves: list[bytes], leaf) -> tu
     """
     held = [root]
     del root
-    return _merge(held.pop(), root_digest, leaves, 0, len(leaves), 0, leaf)
+    return _merge(held.pop(), root_digest, leaves, 0, len(leaves), 0, leaf, spend)
 
 
 class Memory:

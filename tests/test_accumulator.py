@@ -1169,8 +1169,7 @@ def recorded(memory, prior, runs, by_run):
     except (AlreadyPresent, NotPresent, ValueError) as exc:
         return type(exc)
     added = dict(changes.adds)
-    for run in changes.runs:
-        added.update((leaf_parts(leaf)[0], leaf) for leaf in run)
+    added.update((leaf_parts(leaf)[0], leaf) for leaf in changes.run)
     return added, changes.dels, updated_root(memory.root, memory.value, changes)[1]
 
 
@@ -1194,7 +1193,7 @@ def step_runs(max_size):
 def runs_and_later_steps(draw):
     """Runs of one op each, as ``step_runs``, then runs that name the
     elements the first runs added: their deletes, re-adds and replaces,
-    which meet the runs ``record_run`` keeps whole."""
+    which meet the run ``record_run`` keeps whole."""
     runs = draw(step_runs(6))
     added = [element for op, elements in runs if op == "add" for element in elements]
     if not added:
@@ -1229,8 +1228,9 @@ PRESENCE_FRESH = [i.to_bytes(2, "big") + b"a" for i in range(600, 700)]
 class TestRecordRun:
     """``Changes.record_run`` records a run of one op as ``record`` does, one
     step at a time, reading what the memory holds from its trie; a run of
-    new keys is kept as its sorted leaves (``Changes.runs``), which later
-    steps read and change as ``record`` does its adds."""
+    new keys is kept as its sorted leaves (``Changes.run``), which later
+    steps read and change as ``record`` does its adds; a batch keeps one
+    such run, and records a later one step by step."""
 
     @pytest.mark.parametrize("built", ["insert_many", "per_op"])
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -1289,7 +1289,7 @@ class TestRecordRun:
         assert (one_at_a_time is error) if error else isinstance(one_at_a_time, tuple)
         changes = Changes(memory)
         changes.record_run(*first)
-        assert not changes.adds and changes.runs == [sorted(element_digest(e[:2]) + e for e in first[1])]
+        assert not changes.adds and changes.run == sorted(element_digest(e[:2]) + e for e in first[1])
 
     @pytest.mark.parametrize("built", ["insert_many", "per_op"])
     @pytest.mark.parametrize(
@@ -1329,7 +1329,7 @@ class TestRecordRun:
         monkeypatch.setattr(tree, "holds_any", lambda root, keys: walks.append(keys) or holds_any(root, keys))
         changes = Changes(memory)
         changes.record_run("add", elements[1::2])
-        assert finds == [] and len(walks) == 1 and not changes.adds and list(map(len, changes.runs)) == [4096]
+        assert finds == [] and len(walks) == 1 and not changes.adds and len(changes.run) == 4096
         # a run naming a held key is recorded step by step, which finds it
         with pytest.raises(AlreadyPresent):
             Changes(memory).record_run("add", elements[1:9:2] + elements[:1])
@@ -1348,7 +1348,36 @@ class TestRecordRun:
         assert steps == [] and hashes.lengths == [2] * len(run)
         key = element_digest(b"\x00\x01")
         assert changes.adds == {key: key + b"\x00\x01b"}
-        assert changes.runs == [sorted(element_digest(e[:2]) + e for e in run)]
+        assert changes.run == sorted(element_digest(e[:2]) + e for e in run)
+
+    def test_a_second_run_goes_to_the_adds(self):
+        # a batch keeps one run; a later run of new keys is recorded step by
+        # step, and both merge into the trie a step-by-step batch reaches
+        _acc, memory = setup(256, 2)
+        apply_update(memory, Changes(memory, [("add", b"\x00\x01a")]))
+        first, second = [bytes((2, k, 0)) for k in range(40)], [bytes((3, k, 0)) for k in range(40)]
+        changes = Changes(memory)
+        changes.record_run("add", first)
+        changes.record_run("add", second)
+        assert changes.run == sorted(element_digest(e[:2]) + e for e in first)
+        assert changes.adds == {element_digest(e[:2]): element_digest(e[:2]) + e for e in second}
+        stepped = Changes(memory)
+        for element in first + second:
+            stepped.record("add", element)
+        assert updated_root(memory.root, memory.value, changes)[1] == updated_root(memory.root, memory.value, stepped)[1]
+
+    def test_updated_root_leaves_the_run_as_it_was(self):
+        # the staging walk reads the batch, and the commit spends it after
+        _acc, memory = setup(256, 2)
+        apply_update(memory, Changes(memory, [("add", b"\x00\x01a")]))
+        run = [bytes((k % 4, k, 0)) for k in range(2, 200)]
+        changes = Changes(memory)
+        changes.record_run("add", run)
+        held = list(changes.run)
+        digest = updated_root(memory.root, memory.value, changes)[1]
+        assert changes.run == held and len(changes) == len(run)
+        assert apply_update(memory, changes) == digest
+        assert changes.run == [] and not changes.adds
 
 
 class TestCollectorFreeNodes:

@@ -1,16 +1,16 @@
-"""What a growth commit holds while it runs: the merge frees the trie it replaces as it goes.
+"""What a growth commit holds while it runs: the merge frees the trie it
+replaces, and the batch's leaves it copies, as it goes.
 
 Memory is read with ``tracemalloc`` from before the old trie is built, so the
 old nodes the commit frees show in the traced size; a commit that holds them
 until it returns peaks above its final size by about the part of the old trie
-it replaced.
+it replaced, and one that holds the batch's leaves, by about those leaves.
 """
 
 import gc
 import random
 import sys
 import tracemalloc
-from itertools import chain
 
 import pytest
 
@@ -24,10 +24,12 @@ from trie_layout import is_row, leaf_bytes, leaves, nodes, trie_bytes, whole_lea
 
 AID = "acc"
 N = 2**12
-# a commit that keeps every node it replaces until it returns peaks about
-# 0.65-0.75 of the old trie above its final size (the replaced branches, and
-# the batch read as ints); one that frees them as it goes, about 0.1 (its own
-# temporaries, the sorted keys: the element map grows before the merge)
+# measured against the old trie's branches (``branch_bytes``): a commit that
+# keeps every node it replaces until it returns peaks about 1.4 of them
+# above its final size (the replaced regions, their leaves' data with them),
+# and one that holds the batch's leaves until it returns about 0.9; one that
+# frees both as it goes, each region's new leaves once it is written, about
+# 0.15 (its own temporaries)
 HELD_SHARE = 0.3
 
 
@@ -59,12 +61,10 @@ def grown_network(policy=None) -> StorageNetwork:
     return network
 
 
-def added_leaves(batch) -> list:
-    """The leaves ``batch`` adds. Its commit copies them into the new
-    trie's regions and lets them go once it has merged them all; held across
-    the commit, they stay in its end state, so what it peaks above that is
-    the merge's own."""
-    return [*batch.adds.values(), *chain.from_iterable(batch.runs)]
+def branch_bytes(network) -> int:
+    """What the accumulator's trie takes beside its leaves."""
+    root = network._entry(AID).memory.root
+    return trie_bytes(root) - leaf_bytes(root)
 
 
 def regions(network) -> int:
@@ -81,7 +81,7 @@ class TestGrowthCommitPeaksAtWhatItKeeps:
         # old trie until it returns, about the whole of it.
         old_keys, new_keys = (sorted(map(element_digest, elements(seed, N))) for seed in (1, 2))
         trie = list(tree.insert_many(tree.EMPTY, EMPTY_DIGEST, old_keys, whole_leaf))  # [root, digest]
-        old = trie_bytes(trie[0])
+        old = trie_bytes(trie[0]) - leaf_bytes(trie[0])
         merged = []
 
         def merge():
@@ -93,22 +93,18 @@ class TestGrowthCommitPeaksAtWhatItKeeps:
 
     def test_a_batch_of_n_adds_into_n_keys(self, traced):
         network = grown_network()
-        old = trie_bytes(network._entry(AID).memory.root)
+        old = branch_bytes(network)
         batch = network.changes(AID, [("add", element) for element in elements(2, N)])
-        kept = added_leaves(batch)
         assert overshoot(lambda: network.commit({AID: batch})) < HELD_SHARE * old
-        assert len(kept) == N
 
     def test_a_pending_chain_tip_does_not_keep_the_old_trie(self, traced):
         # a sampled transaction dropped after its bundle was built leaves its
         # chain tip: a root that shares all but one path with the memory's
         network = grown_network()
         network.build_update_witness(AID, "add", b"dropped")
-        old = trie_bytes(network._entry(AID).memory.root)
+        old = branch_bytes(network)
         batch = network.changes(AID, [("add", element) for element in elements(2, N)])
-        kept = added_leaves(batch)
         assert overshoot(lambda: network.commit({AID: batch})) < HELD_SHARE * old
-        assert len(kept) == N
         assert network._entry(AID).tip is None and regions(network) >= 200
 
 
@@ -175,7 +171,7 @@ class TestRecordedGrowthBatchKeepsItsLeaves:
         batch.record_run("add", iter(made[N:]))
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
-        # beside the slots, the list's header and the slot ``batch.runs``
+        # beside the slots, the list's header and the slot ``batch.run``
         # gives it, and what the trace itself makes: a few hundred bytes
         assert grown <= leaves_made + 8 * N + 1024
         assert len(batch) == N
